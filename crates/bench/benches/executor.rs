@@ -1,16 +1,12 @@
 //! Criterion benches for the PR 5 executor work: the exec-model × per-node
-//! DVFS missions of the new `exec_model_sweep` experiment (paired host wall
+//! DVFS missions of the `exec_model_sweep` experiment (paired host wall
 //! times; the *simulated* mission times are the experiment's own output and
-//! are recorded next to these in BENCH_pr5.json), and the rayon-backed
-//! host-parallel round option (`mav_runtime::run_all_for`) against the same
-//! batch of graphs driven sequentially.
+//! are recorded next to these in BENCH_pr5.json).
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use mav_compute::{ApplicationId, KernelId};
+use criterion::{criterion_group, criterion_main, Criterion};
+use mav_compute::ApplicationId;
 use mav_core::experiments::{exec_model_grid, exec_model_scenario};
 use mav_core::{run_mission, MissionConfig};
-use mav_runtime::{run_all_for, ExecModel, ExecStage, Executor, Node, NodeOutput, SimClock};
-use mav_types::{Result, SimDuration, SimTime};
 
 fn bench_exec_model_missions(c: &mut Criterion) {
     let mut group = c.benchmark_group("exec_model_mission");
@@ -28,85 +24,5 @@ fn bench_exec_model_missions(c: &mut Criterion) {
     group.finish();
 }
 
-/// A staged node that burns a little real host CPU per tick, so the
-/// host-parallel pair below measures genuine round throughput rather than
-/// scheduler overhead alone.
-struct BusyNode {
-    name: &'static str,
-    stage: ExecStage,
-    cost: SimDuration,
-    spin: u64,
-}
-
-impl Node<SimClock> for BusyNode {
-    fn name(&self) -> &str {
-        self.name
-    }
-    fn period(&self) -> SimDuration {
-        SimDuration::ZERO
-    }
-    fn stage(&self) -> ExecStage {
-        self.stage
-    }
-    fn tick(&mut self, _ctx: &mut SimClock, _now: SimTime) -> Result<NodeOutput> {
-        let mut acc = 0u64;
-        for i in 0..self.spin {
-            acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
-        }
-        black_box(acc);
-        Ok(NodeOutput::kernel(KernelId::OctomapGeneration, self.cost))
-    }
-}
-
-fn graph_batch(n: usize) -> Vec<(Executor<SimClock>, SimClock)> {
-    (0..n)
-        .map(|i| {
-            let mut exec = Executor::new().with_exec_model(ExecModel::Pipelined);
-            exec.add_node(BusyNode {
-                name: "camera",
-                stage: ExecStage::Sensing,
-                cost: SimDuration::from_millis(125.0 + i as f64),
-                spin: 60_000,
-            });
-            exec.add_node(BusyNode {
-                name: "mapper",
-                stage: ExecStage::Perception,
-                cost: SimDuration::from_millis(250.0),
-                spin: 240_000,
-            });
-            (exec, SimClock::new())
-        })
-        .collect()
-}
-
-fn bench_host_parallel_rounds(c: &mut Criterion) {
-    const BATCH: usize = 8;
-    const SIM_SECS: f64 = 60.0;
-    let mut group = c.benchmark_group("executor_host_parallel");
-    group.sample_size(10);
-    group.bench_function("sequential", |b| {
-        b.iter(|| {
-            let mut batch = graph_batch(BATCH);
-            for (exec, clock) in &mut batch {
-                exec.run_for(clock, SimDuration::from_secs(SIM_SECS))
-                    .unwrap();
-            }
-            batch.len()
-        })
-    });
-    group.bench_function("rayon", |b| {
-        b.iter(|| {
-            let mut batch = graph_batch(BATCH);
-            run_all_for(&mut batch, SimDuration::from_secs(SIM_SECS)).unwrap();
-            batch.len()
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_exec_model_missions,
-    bench_host_parallel_rounds
-);
+criterion_group!(benches, bench_exec_model_missions);
 criterion_main!(benches);

@@ -1,5 +1,5 @@
 //! Criterion benches for the OctoMap kernel: insertion cost vs resolution
-//! (the measured counterpart of Fig. 18), query cost, batched/parallel scan
+//! (the measured counterpart of Fig. 18), query cost, warm-map scan
 //! insertion, frontier extraction (the free-voxel index vs the full-tree
 //! walk) and a whole mapping-mission episode (the episodes/sec figure the
 //! ROADMAP's Monte-Carlo item tracks).
@@ -66,8 +66,8 @@ fn bench_octomap_queries(c: &mut Criterion) {
 
 /// Scan insertion into a *warm* map: the steady-state mapping-mission shape
 /// (most leaves already exist, so the per-voxel work is a value update, not a
-/// node allocation). The per-iteration map clone is identical across the
-/// serial/parallel pair, so the pairing isolates the insertion path itself.
+/// node allocation). Each iteration inserts into a fresh clone of the warm
+/// map.
 fn bench_scan_insertion(c: &mut Criterion) {
     let clouds = capture_clouds();
     let mut warm = OctoMap::new(OctoMapConfig::with_resolution(0.3), 96.0);
@@ -85,21 +85,6 @@ fn bench_scan_insertion(c: &mut Criterion) {
             map.update_count()
         })
     });
-    for threads in [2usize, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::new("parallel_warm", threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    let mut map = warm.clone();
-                    for cloud in &clouds {
-                        map.insert_point_cloud_parallel(cloud, threads);
-                    }
-                    map.update_count()
-                })
-            },
-        );
-    }
     group.finish();
 }
 

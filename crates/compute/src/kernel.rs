@@ -9,11 +9,10 @@
 
 use crate::operating_point::OperatingPoint;
 use mav_types::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The computational kernels that make up the MAVBench workloads (Table I).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[non_exhaustive]
 pub enum KernelId {
     /// YOLO/HOG-style object detection (perception).
@@ -132,7 +131,7 @@ impl mav_types::FromJson for KernelId {
 }
 
 /// The three stages of the MAVBench application pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PipelineStage {
     /// Sensor interpretation.
     Perception,
@@ -154,7 +153,7 @@ impl fmt::Display for PipelineStage {
 }
 
 /// Latency profile of a kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelProfile {
     /// Runtime at the reference operating point (4 cores / 2.2 GHz), in
     /// milliseconds. These are the Table I numbers.

@@ -5,11 +5,10 @@
 //! provided here.
 
 use mav_types::Frequency;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One (cores, frequency) operating point of the companion computer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingPoint {
     /// Number of enabled CPU cores.
     pub cores: u32,

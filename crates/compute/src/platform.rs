@@ -12,12 +12,11 @@ use crate::kernel::{KernelId, KernelProfile};
 use crate::operating_point::OperatingPoint;
 use crate::profiles::{table1_profile, ApplicationId, ApplicationProfile};
 use mav_types::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// A network link between the MAV and a cloud/edge server.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkLink {
     /// Link bandwidth in megabits per second.
     pub bandwidth_mbps: f64,
@@ -51,7 +50,7 @@ impl NetworkLink {
 }
 
 /// Where a kernel executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Placement {
     /// On the companion computer.
     Edge,
@@ -60,7 +59,7 @@ pub enum Placement {
 }
 
 /// Cloud offload configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CloudConfig {
     /// Speed-up of the cloud server over the TX2 reference point for any
     /// offloaded kernel (the paper's i7-4790K + GTX 1080 runs the planning
@@ -176,7 +175,7 @@ impl mav_types::FromJson for CloudConfig {
 /// let k = KernelId::OctomapGeneration;
 /// assert!(slow.kernel_latency(k) > fast.kernel_latency(k));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComputePlatform {
     application: ApplicationId,
     profile: ApplicationProfile,

@@ -7,12 +7,11 @@
 //! runtimes are the Table I milliseconds.
 
 use crate::kernel::{KernelId, KernelProfile};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// The five MAVBench applications.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ApplicationId {
     /// Lawnmower-pattern area scanning (agriculture).
     Scanning,
@@ -104,7 +103,7 @@ impl mav_types::FromJson for ApplicationId {
 
 /// The kernel-latency profile of one application: a map from kernel to its
 /// [`KernelProfile`].
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ApplicationProfile {
     kernels: BTreeMap<KernelId, KernelProfile>,
 }

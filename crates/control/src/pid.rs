@@ -4,11 +4,10 @@
 //! tracked subject centred in the camera frame; the same controller type is
 //! reused for altitude and position hold elsewhere in the stack.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// PID gains and output limits.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PidConfig {
     /// Proportional gain.
     pub kp: f64,
@@ -64,7 +63,7 @@ impl Default for PidConfig {
 /// }
 /// assert!((x - 1.0).abs() < 0.1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Pid {
     config: PidConfig,
     integral: f64,

@@ -8,11 +8,10 @@
 
 use mav_dynamics::MavState;
 use mav_types::{SimTime, Trajectory, Vec3};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Configuration of the path tracker.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PathTrackerConfig {
     /// Proportional gain on the position error, 1/s.
     pub position_gain: f64,
@@ -34,7 +33,7 @@ impl Default for PathTrackerConfig {
 }
 
 /// Output of one tracking step.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrackingCommand {
     /// Velocity command to hand to the flight controller, m/s.
     pub velocity: Vec3,
@@ -64,7 +63,7 @@ pub struct TrackingCommand {
 /// assert!(!cmd.completed);
 /// assert!(cmd.velocity.x > 0.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PathTracker {
     config: PathTrackerConfig,
 }

@@ -143,30 +143,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_insertion_reproduces_the_serial_mission() {
-        // The map_insert_threads knob is purely a wall-clock lever: the
-        // whole mission — flight, energy, mapped volume — must come out
-        // bit-identical to the serial default.
-        let mut cfg = MissionConfig::fast_test(ApplicationId::Mapping3D).with_seed(4);
-        cfg.environment.extent = 25.0;
-        let serial = crate::apps::run_mission(cfg.clone());
-        let threaded = crate::apps::run_mission(cfg.with_map_insert_threads(3));
-        assert_eq!(
-            serial.mapped_volume.to_bits(),
-            threaded.mapped_volume.to_bits()
-        );
-        assert_eq!(
-            serial.mission_time_secs.to_bits(),
-            threaded.mission_time_secs.to_bits()
-        );
-        assert_eq!(
-            serial.total_energy.as_joules().to_bits(),
-            threaded.total_energy.as_joules().to_bits()
-        );
-        assert_eq!(serial.replans, threaded.replans);
-    }
-
-    #[test]
     fn exploration_stops_at_the_volume_target() {
         let mut cfg = MissionConfig::fast_test(ApplicationId::Mapping3D).with_seed(4);
         cfg.environment.extent = 25.0;

@@ -8,7 +8,6 @@ use mav_env::EnvironmentConfig;
 use mav_runtime::ExecModel;
 use mav_sensors::DepthCameraConfig;
 use mav_types::{Frequency, FromJson, Json, SimDuration, ToJson};
-use serde::{Deserialize, Serialize};
 
 /// Per-node invocation rates of the closed-loop graph (PR 2).
 ///
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// rates decouples the stages and makes rate-interaction studies (the paper's
 /// Fig. 8b SLAM-fps trade-off, control-rate starvation, frame drops under a
 /// slow mapper) expressible in configuration instead of code.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RateConfig {
     /// Depth-camera capture rate, frames per second (`None`: every round).
     pub camera_fps: Option<f64>,
@@ -227,7 +226,7 @@ impl FromJson for RateConfig {
 /// model still draws at the mission-global operating point (per-cluster
 /// power is a ROADMAP follow-on), so per-node DVFS reaches energy through
 /// mission time, not watts.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct NodeOpConfig {
     /// Depth-camera node operating point (`None`: mission-global).
     pub camera: Option<OperatingPoint>,
@@ -426,7 +425,7 @@ impl FromJson for NodeOpConfig {
 /// schedulable policy: the [`crate::flight::PlannerNode`] runs the planning
 /// kernels across executor rounds *while the vehicle keeps flying the stale
 /// plan*, then swaps the fresh trajectory in through the latched plan topic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReplanMode {
     /// A collision alert ends the episode; the application re-plans while the
     /// vehicle hovers (the paper's policy, and the historical behaviour —
@@ -490,7 +489,7 @@ impl FromJson for ReplanMode {
 
 /// How the vehicle reacts when a threat enters the Eq. 2 stopping distance
 /// (PR 9, ROADMAP brake-policy carry-over).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BrakePolicy {
     /// The historical Eq. 2 stop: any threat inside the stopping distance
     /// zeroes the velocity command outright (bit-identical default).
@@ -576,7 +575,7 @@ impl FromJson for BrakePolicy {
 /// Degraded-mode responses of the flight stack (PR 9). All off by default:
 /// the default mission flies exactly the pre-fault-era code paths, pinned by
 /// `tests/golden_legacy.rs`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DegradationConfig {
     /// Stale-perception watchdog: when the path tracker sees no fresh depth
     /// frame for longer than the grace interval, it decays the Eq. 2
@@ -743,7 +742,7 @@ impl FromJson for DegradationConfig {
 
 /// How the OctoMap resolution is chosen during the mission (the paper's
 /// energy case study, Fig. 19).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ResolutionPolicy {
     /// A single resolution for the whole mission.
     Static {
@@ -885,7 +884,7 @@ impl FromJson for ResolutionPolicy {
 }
 
 /// Full configuration of one closed-loop mission.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MissionConfig {
     /// Which benchmark application to run.
     pub application: ApplicationId,
@@ -931,12 +930,6 @@ pub struct MissionConfig {
     /// [`NodeOpConfig::mission_global`], charges every node at
     /// [`MissionConfig::operating_point`].
     pub node_ops: NodeOpConfig,
-    /// Worker threads for OctoMap scan insertion (PR 6). `1` (the default)
-    /// takes the serial path; higher values partition each scan's per-voxel
-    /// delta map across threads. Every setting produces a bit-identical map
-    /// (the parallel path is pinned to the serial one), so this is purely a
-    /// wall-clock knob for multi-core hosts.
-    pub map_insert_threads: usize,
     /// Seeded fault intensities for this mission (PR 9). The default,
     /// [`FaultPlan::none`], compiles to no injector at all, leaving every
     /// historical code path untouched.
@@ -978,7 +971,6 @@ impl MissionConfig {
             replan_mode: ReplanMode::default(),
             exec_model: ExecModel::default(),
             node_ops: NodeOpConfig::mission_global(),
-            map_insert_threads: 1,
             fault_plan: FaultPlan::none(),
             degradation: DegradationConfig::off(),
             seed: 42,
@@ -1040,12 +1032,6 @@ impl MissionConfig {
         self
     }
 
-    /// Overrides the OctoMap insertion worker count (builder style).
-    pub fn with_map_insert_threads(mut self, threads: usize) -> Self {
-        self.map_insert_threads = threads;
-        self
-    }
-
     /// Overrides the fault plan (builder style).
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = plan;
@@ -1082,26 +1068,24 @@ impl MissionConfig {
     /// Returns a descriptive message for the first invalid field.
     pub fn validate(&self) -> Result<(), String> {
         self.quadrotor.validate()?;
-        if self.physics_dt <= 0.0 || self.physics_dt > 1.0 {
+        // Every range check is written so that NaN fails it.
+        if !(self.physics_dt > 0.0 && self.physics_dt <= 1.0) {
             return Err(format!(
                 "physics_dt must be in (0, 1], got {}",
                 self.physics_dt
             ));
         }
-        if self.time_budget_secs <= 0.0 {
-            return Err("time budget must be positive".to_string());
+        if !(self.time_budget_secs.is_finite() && self.time_budget_secs > 0.0) {
+            return Err("time budget must be positive and finite".to_string());
         }
-        if self.stopping_distance <= 0.0 {
-            return Err("stopping distance must be positive".to_string());
+        if !(self.stopping_distance.is_finite() && self.stopping_distance > 0.0) {
+            return Err("stopping distance must be positive and finite".to_string());
         }
-        if self.cruise_velocity <= 0.0 {
-            return Err("cruise velocity must be positive".to_string());
+        if !(self.cruise_velocity.is_finite() && self.cruise_velocity > 0.0) {
+            return Err("cruise velocity must be positive and finite".to_string());
         }
-        if self.depth_noise_std < 0.0 {
-            return Err("depth noise std cannot be negative".to_string());
-        }
-        if self.map_insert_threads == 0 {
-            return Err("map_insert_threads must be at least 1".to_string());
+        if !(self.depth_noise_std.is_finite() && self.depth_noise_std >= 0.0) {
+            return Err("depth noise std must be finite and non-negative".to_string());
         }
         self.rates.validate()?;
         self.node_ops.validate()?;
@@ -1139,7 +1123,6 @@ impl ToJson for MissionConfig {
             .field("replan_mode", self.replan_mode.to_json())
             .field("exec_model", self.exec_model.to_json())
             .field("node_ops", self.node_ops.to_json())
-            .field("map_insert_threads", self.map_insert_threads)
             .field("fault_plan", self.fault_plan.to_json())
             .field("degradation", self.degradation.to_json())
             .field("seed", self.seed)
@@ -1171,7 +1154,6 @@ impl FromJson for MissionConfig {
             "replan_mode",
             "exec_model",
             "node_ops",
-            "map_insert_threads",
             "fault_plan",
             "degradation",
             "seed",
@@ -1196,8 +1178,6 @@ impl FromJson for MissionConfig {
             replan_mode: json.parse_field_or("replan_mode", base.replan_mode)?,
             exec_model: json.parse_field_or("exec_model", base.exec_model)?,
             node_ops: json.parse_field_or("node_ops", base.node_ops)?,
-            map_insert_threads: json
-                .parse_field_or("map_insert_threads", base.map_insert_threads)?,
             fault_plan: json.parse_field_or("fault_plan", base.fault_plan)?,
             degradation: json.parse_field_or("degradation", base.degradation)?,
             seed: base.seed,
@@ -1378,12 +1358,6 @@ impl MissionConfigBuilder {
         Ok(self)
     }
 
-    /// Sets the OctoMap insertion worker count.
-    pub fn map_insert_threads(mut self, threads: usize) -> Self {
-        self.config.map_insert_threads = threads;
-        self
-    }
-
     /// Sets the fault plan.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.config.fault_plan = plan;
@@ -1465,6 +1439,9 @@ mod tests {
         assert!(cfg.validate().is_err());
         let mut cfg = MissionConfig::new(ApplicationId::Scanning);
         cfg.time_budget_secs = 0.0;
+        assert!(cfg.validate().is_err());
+        let mut cfg = MissionConfig::new(ApplicationId::Scanning);
+        cfg.stopping_distance = f64::NAN;
         assert!(cfg.validate().is_err());
     }
 

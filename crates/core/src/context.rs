@@ -597,14 +597,7 @@ impl MissionContext {
         } = &mut self.clouds;
         raw.fill_from_depth_image(frame);
         raw.downsample_into(self.current_resolution, cells, downsampled);
-        // Bit-identical either way (the parallel path is pinned to the serial
-        // one); > 1 only changes who does the work.
-        if self.config.map_insert_threads > 1 {
-            self.map
-                .insert_point_cloud_parallel(downsampled, self.config.map_insert_threads);
-        } else {
-            self.map.insert_point_cloud(downsampled);
-        }
+        self.map.insert_point_cloud(downsampled);
         self.mapped_volume = self.map.mapped_volume();
         kernel_time
     }

@@ -18,10 +18,9 @@ use crate::sweep::{SweepPoint, SweepRunner};
 use mav_compute::{ApplicationId, CloudConfig, KernelId, OperatingPoint};
 use mav_runtime::ExecModel;
 use mav_types::{Json, ToJson};
-use serde::{Deserialize, Serialize};
 
 /// One cell of an operating-point heat map (Figs. 10–14).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HeatmapCell {
     /// Core count of the operating point.
     pub cores: u32,
@@ -111,7 +110,7 @@ pub fn format_heatmap(
 }
 
 /// The edge-vs-cloud comparison of the performance case study (Fig. 16).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CloudComparison {
     /// Fully-on-edge run.
     pub edge: MissionReport,
@@ -176,7 +175,7 @@ pub fn cloud_offload_study_with(
 }
 
 /// One row of the OctoMap-resolution study (Fig. 19).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResolutionRow {
     /// Human-readable policy label.
     pub policy: String,
@@ -235,7 +234,7 @@ pub fn resolution_study_with(
 }
 
 /// One row of the depth-noise reliability study (Table II).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NoiseRow {
     /// Injected noise standard deviation, metres.
     pub noise_std: f64,
@@ -329,7 +328,7 @@ pub fn noise_reliability_study_with(
 
 /// One row of the closed-loop perception-rate sweep (the emergent,
 /// full-mission counterpart of the paper's Fig. 8b microbenchmark).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RateSweepRow {
     /// Camera and mapping rate of this point, Hz (both nodes run at this
     /// rate; control and replanning stay tick-synchronous).
@@ -391,7 +390,7 @@ pub fn perception_rate_sweep_with(
 
 /// One row of the replanning-policy comparison (PR 3): the same mission under
 /// [`ReplanMode::HoverToPlan`] and [`ReplanMode::PlanInMotion`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReplanModeRow {
     /// The policy this mission flew under.
     pub mode: ReplanMode,
@@ -453,7 +452,7 @@ pub fn replan_mode_sweep_with(
 /// One row of the executor-model / per-node-DVFS study (PR 5): the same
 /// mission under one latency-charging model and one node→operating-point
 /// mapping.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExecModelRow {
     /// How executor rounds charged latency in this mission.
     pub exec_model: ExecModel,

@@ -25,7 +25,6 @@ use mav_compute::KernelId;
 use mav_sensors::{DepthImage, DepthNoiseModel};
 use mav_types::json::{Json, ToJson};
 use mav_types::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Default length, in frames, of a camera dropout window once one starts.
@@ -90,7 +89,7 @@ pub enum FaultSpec {
 ///
 /// The plan is plain data: compiling it against an episode seed produces the
 /// stateful [`FaultInjector`] that actually draws fault decisions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     /// Probability, per captured frame, that a dropout window starts.
     pub camera_dropout: f64,
@@ -523,7 +522,7 @@ const INJECTOR_SALT: u64 = 0xFA17_1EC7_0B5E_55ED;
 /// Aborted. `Degraded` means a watchdog or fallback is actively limiting
 /// the vehicle; recovery returns to `Nominal`; a mission that fails while
 /// (or after) being degraded ends `Aborted`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DegradedMode {
     /// Full-capability flight.
     #[default]
@@ -632,7 +631,7 @@ impl DegradedState {
 
 /// Degraded-mode metrics surfaced in `MissionReport` when a mission spent
 /// any time degraded.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DegradedSummary {
     /// Final state of the Nominal → Degraded → Aborted machine.
     pub mode: DegradedMode,

@@ -11,10 +11,9 @@ use mav_dynamics::QuadrotorConfig;
 use mav_energy::{ComputePowerModel, RotorPowerModel};
 use mav_perception::{Localizer, SlamConfig, VisualSlam};
 use mav_types::{Pose, SimTime, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// One point of the Fig. 8b sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SlamSweepPoint {
     /// SLAM frame rate, frames per second (the compute knob).
     pub fps: f64,
@@ -29,7 +28,7 @@ pub struct SlamSweepPoint {
 }
 
 /// Configuration of the microbenchmark.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SlamMicrobenchConfig {
     /// Radius of the circular path, metres (25 m in the paper).
     pub radius: f64,

@@ -10,11 +10,10 @@ use mav_compute::{ApplicationId, OperatingPoint};
 use mav_energy::EnergyAccount;
 use mav_runtime::KernelTimer;
 use mav_types::{Energy, SimDuration};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Why a mission failed, when it did.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum MissionFailure {
     /// The vehicle hit an obstacle.
     Collision,
@@ -44,7 +43,7 @@ impl fmt::Display for MissionFailure {
 }
 
 /// The complete outcome of one closed-loop mission.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MissionReport {
     /// Which application ran.
     pub application: ApplicationId,

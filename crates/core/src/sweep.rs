@@ -9,9 +9,7 @@
 //! * [`run_mission`] is a pure function of its [`MissionConfig`] — no point
 //!   observes another point's state;
 //! * results are collected in input order regardless of which worker finished
-//!   first;
-//! * per-point seeds, when derived, depend only on the base seed and the
-//!   point index, never on thread scheduling.
+//!   first.
 //!
 //! The experiment drivers in [`crate::experiments`] are all thin wrappers
 //! that build a point list and hand it to a runner; harness binaries pass a
@@ -22,10 +20,9 @@ use crate::config::MissionConfig;
 use crate::qof::MissionReport;
 use mav_types::{Json, ToJson};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// One labelled configuration of a sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepPoint {
     /// Human-readable label, e.g. `"4c@2.2GHz"` or `"noise 0.5 m, run 3"`.
     pub label: String,
@@ -44,7 +41,7 @@ impl SweepPoint {
 }
 
 /// The outcome of one sweep point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepOutcome {
     /// The point's label.
     pub label: String,
@@ -64,7 +61,7 @@ impl ToJson for SweepOutcome {
 }
 
 /// The outcome of a whole sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SweepReport {
     /// Per-point outcomes, in the same order as the input points.
     pub outcomes: Vec<SweepOutcome>,
@@ -103,8 +100,8 @@ impl ToJson for SweepReport {
     }
 }
 
-/// SplitMix64: the mixer used to derive independent per-point seeds (and,
-/// in [`crate::reliability`], independent per-episode scenario draws).
+/// SplitMix64: the mixer behind the independent per-episode scenario draws
+/// of [`crate::reliability`] and the fault streams of [`crate::faults`].
 pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -130,12 +127,10 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
 #[derive(Debug, Clone, Default)]
 pub struct SweepRunner {
     threads: Option<usize>,
-    seed_base: Option<u64>,
 }
 
 impl SweepRunner {
-    /// A runner using every available core and the seeds already present in
-    /// the point configurations.
+    /// A runner using every available core.
     pub fn new() -> Self {
         SweepRunner::default()
     }
@@ -143,14 +138,6 @@ impl SweepRunner {
     /// Pins the worker thread count (`0` or omitted: all available cores).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = if threads == 0 { None } else { Some(threads) };
-        self
-    }
-
-    /// Derives an independent deterministic seed for every point:
-    /// `splitmix64(base ^ index)`. Identical base + point order means
-    /// identical seeds, regardless of thread count.
-    pub fn with_derived_seeds(mut self, base: u64) -> Self {
-        self.seed_base = Some(base);
         self
     }
 
@@ -165,20 +152,6 @@ impl SweepRunner {
 
     /// Runs every point and collects the outcomes in input order.
     pub fn run(&self, points: Vec<SweepPoint>) -> SweepReport {
-        let seeded: Vec<SweepPoint> = match self.seed_base {
-            None => points,
-            Some(base) => points
-                .into_iter()
-                .enumerate()
-                .map(|(index, point)| {
-                    let seed = splitmix64(base ^ index as u64);
-                    SweepPoint {
-                        config: point.config.with_seed(seed),
-                        ..point
-                    }
-                })
-                .collect(),
-        };
         let threads = self.threads();
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
@@ -193,7 +166,7 @@ impl SweepRunner {
         #[allow(clippy::disallowed_methods)]
         let started = std::time::Instant::now();
         let outcomes: Vec<SweepOutcome> = pool.install(|| {
-            seeded
+            points
                 .par_iter()
                 .map(|point| SweepOutcome {
                     label: point.label.clone(),
@@ -275,35 +248,6 @@ mod tests {
                 "diverged at {threads} threads"
             );
         }
-    }
-
-    #[test]
-    fn derived_seeds_are_deterministic_and_distinct() {
-        let a = SweepRunner::new()
-            .with_threads(2)
-            .with_derived_seeds(7)
-            .run(tiny_points(3));
-        let b = SweepRunner::new()
-            .with_threads(1)
-            .with_derived_seeds(7)
-            .run(tiny_points(3));
-        assert!(a.same_results(&b));
-        let seeds: Vec<u64> = a.outcomes.iter().map(|o| o.seed).collect();
-        assert_eq!(seeds.len(), 3);
-        assert!(
-            seeds.windows(2).all(|w| w[0] != w[1]),
-            "seeds must differ: {seeds:?}"
-        );
-        // A different base changes every seed.
-        let c = SweepRunner::new()
-            .with_threads(2)
-            .with_derived_seeds(8)
-            .run(tiny_points(3));
-        assert!(c
-            .outcomes
-            .iter()
-            .zip(&a.outcomes)
-            .all(|(x, y)| x.seed != y.seed));
     }
 
     #[test]

@@ -9,11 +9,10 @@
 use crate::quadrotor::Quadrotor;
 use crate::state::MavState;
 use mav_types::Vec3;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// High-level commands issued by the application's control stage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FlightCommand {
     /// Spin up the motors on the ground.
     Arm,
@@ -34,7 +33,7 @@ pub enum FlightCommand {
 }
 
 /// The phase of flight the vehicle is currently in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlightPhase {
     /// Motors off, on the ground.
     Idle,
@@ -93,7 +92,7 @@ impl fmt::Display for FlightPhase {
 /// assert_eq!(fc.phase(), FlightPhase::Hovering);
 /// assert!((quad.state().pose.position.z - 2.5).abs() < 0.3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlightController {
     phase: FlightPhase,
     takeoff_altitude: f64,

@@ -9,11 +9,10 @@
 
 use crate::state::MavState;
 use mav_types::Vec3;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Physical parameters of a quadrotor airframe.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuadrotorConfig {
     /// Human-readable model name.
     pub name: String,
@@ -154,7 +153,7 @@ impl fmt::Display for QuadrotorConfig {
 /// assert!(quad.state().speed() > 4.0);
 /// assert!(quad.state().pose.position.x > 10.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Quadrotor {
     config: QuadrotorConfig,
     state: MavState,

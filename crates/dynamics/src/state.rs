@@ -1,11 +1,10 @@
 //! Vehicle kinematic state.
 
 use mav_types::{Pose, Twist, Vec3};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Full kinematic state of the simulated MAV.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MavState {
     /// Position and heading.
     pub pose: Pose,

@@ -3,17 +3,15 @@
 
 use mav_dynamics_phase::FlightPhaseLabel;
 use mav_types::{Energy, Power, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Minimal mirror of the flight phase used for labelling power samples without
 /// depending on the dynamics crate (the energy crate sits below it in the
 /// dependency graph).
 pub mod mav_dynamics_phase {
-    use serde::{Deserialize, Serialize};
 
     /// Label attached to each power sample in a mission trace.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
     pub enum FlightPhaseLabel {
         /// Motors arming on the ground.
         Arming,
@@ -42,7 +40,7 @@ pub mod mav_dynamics_phase {
 }
 
 /// One sample of the mission power trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerSample {
     /// Mission time of the sample.
     pub time: SimTime,
@@ -81,7 +79,7 @@ impl PowerSample {
 /// );
 /// assert!(account.rotor_fraction() > 0.9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct EnergyAccount {
     rotor_energy: Energy,
     compute_energy: Energy,

@@ -6,11 +6,10 @@
 //! (a coulomb counter with a voltage-vs-SoC curve after Chen & Rincón-Mora).
 
 use mav_types::{Energy, Power, SimDuration};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Static parameters of a LiPo flight battery.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatteryConfig {
     /// Rated capacity in milliamp-hours.
     pub capacity_mah: f64,
@@ -117,7 +116,7 @@ impl mav_types::FromJson for BatteryConfig {
 /// assert!(battery.state_of_charge() < 1.0);
 /// assert!(!battery.is_exhausted());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Battery {
     config: BatteryConfig,
     consumed_coulombs: f64,

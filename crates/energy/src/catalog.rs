@@ -1,10 +1,8 @@
 //! Catalogue of commercial MAVs used to reproduce the paper's Fig. 2
 //! (endurance vs battery capacity, size vs battery capacity).
 
-use serde::{Deserialize, Serialize};
-
 /// Fixed or rotor wing, the distinction Fig. 2a highlights.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WingType {
     /// Fixed-wing airframe (can glide; longer endurance per mAh).
     Fixed,
@@ -13,7 +11,7 @@ pub enum WingType {
 }
 
 /// One commercial MAV data point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CommercialMav {
     /// Product name.
     pub name: &'static str,

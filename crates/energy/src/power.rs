@@ -12,14 +12,13 @@
 //! clock frequency, calibrated to ≈13 W at 4 cores / 2.2 GHz (Fig. 9a).
 
 use mav_types::{Power, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// Coefficients of the paper's Eq. 1 rotor power model.
 ///
 /// `P = (β1, β2, β3)·(‖v_xy‖, ‖a_xy‖, ‖v_xy‖‖a_xy‖)
 ///    + (β4, β5, β6)·(‖v_z‖, ‖a_z‖, ‖v_z‖‖a_z‖)
 ///    + (β7, β8, β9)·(m, v_xy·w_xy, 1)`
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerCoefficients {
     /// Weight of horizontal speed, W/(m/s).
     pub beta1: f64,
@@ -74,7 +73,7 @@ impl Default for PowerCoefficients {
 /// assert!(cruise > hover);
 /// assert!((hover.as_watts() - 286.8).abs() < 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RotorPowerModel {
     coefficients: PowerCoefficients,
     mass: f64,
@@ -156,7 +155,7 @@ impl Default for RotorPowerModel {
 /// assert!(full.as_watts() > slow.as_watts());
 /// assert!((full.as_watts() - 13.0).abs() < 0.5);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComputePowerModel {
     /// Idle (leakage + uncore) power, watts.
     pub idle_watts: f64,

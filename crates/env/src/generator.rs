@@ -15,7 +15,6 @@ use mav_types::{Aabb, Vec3};
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Knobs controlling procedural world generation.
 ///
@@ -26,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// let world = EnvironmentConfig::urban_outdoor().with_seed(7).generate();
 /// assert!(world.obstacle_count() > 10);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnvironmentConfig {
     /// Descriptive name copied into the generated [`World`].
     pub name: String,

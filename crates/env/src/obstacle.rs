@@ -1,11 +1,10 @@
 //! Obstacles populating a MAVBench-RS world.
 
 use mav_types::{Aabb, Vec3};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Unique identifier of an obstacle within a [`crate::World`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ObstacleId(pub u32);
 
 impl fmt::Display for ObstacleId {
@@ -18,7 +17,7 @@ impl fmt::Display for ObstacleId {
 ///
 /// The paper's simulation knobs include both *(static) obstacle density* and
 /// *(dynamic) obstacle speed*; both are modelled here.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ObstacleKind {
     /// The obstacle never moves (buildings, walls, trees, furniture).
     Static,
@@ -33,7 +32,7 @@ pub enum ObstacleKind {
 /// Semantic label of an obstacle, used by the detection kernel to decide
 /// whether a given obstacle is a "person", generic clutter, or the aerial
 /// photography target.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ObstacleClass {
     /// Buildings, walls, shelves — generic structure.
     Structure,
@@ -59,7 +58,7 @@ impl ObstacleClass {
 }
 
 /// A single axis-aligned obstacle in the world.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Obstacle {
     /// Identifier unique within the owning world.
     pub id: ObstacleId,

@@ -7,11 +7,10 @@
 
 use crate::obstacle::{Obstacle, ObstacleClass, ObstacleId, ObstacleKind};
 use mav_types::{Aabb, Vec3};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Result of a ray-cast query against the world.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RayHit {
     /// Distance from the ray origin to the hit point, metres.
     pub distance: f64,
@@ -38,7 +37,7 @@ pub struct RayHit {
 /// let hit = world.raycast(&Vec3::new(0.0, 0.0, 1.0), &Vec3::UNIT_X, 30.0).unwrap();
 /// assert!((hit.distance - 4.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct World {
     bounds: Aabb,
     obstacles: Vec<Obstacle>,

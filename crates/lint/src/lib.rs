@@ -1,9 +1,9 @@
 //! `mav-lint`: the determinism-auditing static-analysis pass.
 //!
 //! Every result in this reproduction rests on bit-identical determinism —
-//! golden_legacy pins exact f64 bit patterns, the parallel scan insertion and
-//! the sharded reliability sweep are proven SHA-256-identical across thread
-//! counts — but nothing in `cargo test` *enforces the coding rules* that make
+//! golden_legacy pins exact f64 bit patterns, and the mission sweeps and the
+//! sharded reliability sweep are proven identical across thread counts —
+//! but nothing in `cargo test` *enforces the coding rules* that make
 //! that true. This crate does: a hand-rolled Rust lexer ([`lexer`]), six
 //! token-level rules ([`rules`]) with per-rule scoping ([`scope`]), and a
 //! committed count-budgeted allowlist ([`baseline`]) so every accepted

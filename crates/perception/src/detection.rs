@@ -12,12 +12,11 @@ use mav_types::{Pose, Vec3};
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which detector implementation is plugged in (the paper's "plug and play"
 /// kernel knob).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DetectorKind {
     /// YOLO-class CNN detector: long range, high recall, expensive.
     Yolo,
@@ -53,7 +52,7 @@ impl fmt::Display for DetectorKind {
 }
 
 /// One detection.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Detection {
     /// World-frame position of the detected object's centre.
     pub position: Vec3,
@@ -68,7 +67,7 @@ pub struct Detection {
 }
 
 /// Configuration of the object detection kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetectorConfig {
     /// Which detector family is used.
     pub kind: DetectorKind,
@@ -101,10 +100,9 @@ impl Default for DetectorConfig {
 /// let mut detector = ObjectDetector::new(DetectorConfig::default());
 /// let _detections = detector.detect(&world, &Pose::new(Vec3::new(0.0, 0.0, 2.0), 0.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObjectDetector {
     config: DetectorConfig,
-    #[serde(skip)]
     frame: u64,
 }
 

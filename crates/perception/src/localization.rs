@@ -13,11 +13,10 @@ use mav_types::{Pose, SimTime, Vec3};
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Result of one localization update.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LocalizationResult {
     /// Estimated pose.
     pub pose: Pose,
@@ -75,7 +74,7 @@ impl Localizer for GpsLocalizer {
 }
 
 /// Configuration of the visual SLAM model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SlamConfig {
     /// Frames per second the SLAM front end can process — the compute knob.
     pub fps: f64,
@@ -132,7 +131,7 @@ impl SlamConfig {
 /// // More compute (FPS) permits a higher speed at the same 20 % failure budget.
 /// assert!(fast.max_velocity_for_failure_budget(0.2) > slow.max_velocity_for_failure_budget(0.2));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VisualSlam {
     config: SlamConfig,
     failures: u32,

@@ -13,14 +13,13 @@
 
 use crate::pointcloud::PointCloud;
 use mav_types::{Aabb, GridIndex, GridSpec, Vec3};
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
 /// Occupancy state of a queried location.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Occupancy {
     /// Probability of occupancy above the occupied threshold.
     Occupied,
@@ -31,7 +30,7 @@ pub enum Occupancy {
 }
 
 /// Configuration of the occupancy map.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OctoMapConfig {
     /// Voxel edge length, metres. The paper sweeps 0.15 m – 1.0 m.
     pub resolution: f64,
@@ -105,7 +104,7 @@ fn is_leaf_ref(r: u32) -> bool {
 
 /// One entry of the incremental free-voxel index: the dedup-winning leaf of a
 /// rounded-centre voxel key, as a full `collect_leaves` walk would report it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct KnownLeaf {
     /// The leaf centre exactly as the octree descent accumulates it
     /// (bit-identical to what the tree walk pushes for this leaf).
@@ -134,7 +133,7 @@ struct KnownLeaf {
 /// assert_eq!(map.query(&Vec3::new(2.5, 0.0, 1.0)), Occupancy::Free);
 /// assert_eq!(map.query(&Vec3::new(0.0, 0.0, 20.0)), Occupancy::Unknown);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OctoMap {
     config: OctoMapConfig,
     /// Half-extent of the cubic octree domain, metres.
@@ -393,7 +392,19 @@ impl OctoMap {
     }
 
     /// The batched insertion path: group per-voxel deltas across the whole
-    /// scan, then apply each voxel's ordered sequence in one tree descent.
+    /// scan in first-touch order, then apply each voxel's ordered sequence in
+    /// one tree descent.
+    ///
+    /// Hash-map iteration order never leaks into the output. The first delta
+    /// is stored inline: far voxels are crossed by a single ray, so the
+    /// common case needs no spill allocation at all. In-domain voxel indices
+    /// are bounded by half_extent / resolution, so the key packs into one u64
+    /// and costs a single hash mix per crossing. The table is sized for
+    /// *distinct* voxels, not crossings: this path only runs when many rays
+    /// share each voxel (the sharing gate above), so dividing the crossing
+    /// estimate by a conservative sharing factor avoids allocating a table an
+    /// order of magnitude too large on every mapping tick.
+    ///
     /// The grouping buffers come from a per-thread [`GroupScratch`], so the
     /// steady-state mapping tick performs no grouping allocations at all —
     /// the table, the entry vector and the spill vectors of the previous scan
@@ -401,10 +412,41 @@ impl OctoMap {
     fn insert_point_cloud_batched(&mut self, cloud: &PointCloud) {
         let (grid, config, half_extent) = (self.grid, self.config, self.half_extent);
         let clamp = config.clamp;
+        let origin = cloud.origin;
         GROUP_SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
-            Self::group_ray_range_into(grid, config, half_extent, cloud, 0, cloud.len(), scratch);
-            for (_, center, first, rest) in &scratch.grouped {
+            scratch.recycle();
+            let crossings_estimate =
+                (cloud.len() as f64 * (config.max_range / config.resolution)) as usize;
+            let desired = (crossings_estimate / 8).clamp(64, 1 << 18);
+            if scratch.index_of.capacity() < desired {
+                scratch.index_of.reserve(desired);
+            }
+            let GroupScratch {
+                index_of,
+                grouped,
+                spare,
+            } = scratch;
+            for point in cloud.iter() {
+                Self::for_each_ray_update(
+                    grid,
+                    config,
+                    half_extent,
+                    &origin,
+                    &point,
+                    |cell, center, delta| match index_of.entry(pack_voxel_key(&cell)) {
+                        std::collections::hash_map::Entry::Occupied(slot) => {
+                            grouped[*slot.get() as usize].2.push(delta);
+                        }
+                        std::collections::hash_map::Entry::Vacant(slot) => {
+                            slot.insert(grouped.len() as u32);
+                            let rest = spare.pop().unwrap_or_default();
+                            grouped.push((center, delta, rest));
+                        }
+                    },
+                );
+            }
+            for (center, first, rest) in grouped.iter() {
                 let count = 1 + rest.len() as u64;
                 self.update_leaf_apply(center, count, |log_odds| {
                     *log_odds = (*log_odds + first).clamp(clamp.0, clamp.1);
@@ -414,199 +456,6 @@ impl OctoMap {
                 });
             }
         });
-    }
-
-    /// Groups the per-voxel updates of rays `lo..hi` of `cloud` in
-    /// first-touch order: `(packed voxel key, centre, first delta, later
-    /// deltas)`. Shared by the serial batched path (whole-scan range) and the
-    /// parallel path (one contiguous chunk per worker), so the two can never
-    /// disagree on grouping semantics.
-    ///
-    /// Hash-map iteration order never leaks into the output. The first delta
-    /// is stored inline: far voxels are crossed by a single ray, so the
-    /// common case needs no spill allocation at all. In-domain voxel indices
-    /// are bounded by half_extent / resolution, so the key packs into one u64
-    /// and costs a single hash mix per crossing. The table is sized for
-    /// *distinct* voxels, not crossings: the batched paths only run when many
-    /// rays share each voxel (the sharing gate above), so dividing the
-    /// crossing estimate by a conservative sharing factor avoids allocating a
-    /// table an order of magnitude too large on every mapping tick.
-    #[allow(clippy::type_complexity)]
-    fn group_ray_range(
-        grid: GridSpec,
-        config: OctoMapConfig,
-        half_extent: f64,
-        cloud: &PointCloud,
-        lo: usize,
-        hi: usize,
-    ) -> Vec<(u64, Vec3, f64, Vec<f64>)> {
-        let mut scratch = GroupScratch::default();
-        Self::group_ray_range_into(grid, config, half_extent, cloud, lo, hi, &mut scratch);
-        scratch.grouped
-    }
-
-    /// [`OctoMap::group_ray_range`] writing into reusable buffers: the table
-    /// and entry vector keep their capacity across scans, and the spill
-    /// vectors of the previous scan are recycled through
-    /// [`GroupScratch::spare`] so shared voxels stop allocating once the
-    /// buffers are warm. The grouping itself — entry order, per-voxel delta
-    /// order — is byte-for-byte the allocating version's.
-    fn group_ray_range_into(
-        grid: GridSpec,
-        config: OctoMapConfig,
-        half_extent: f64,
-        cloud: &PointCloud,
-        lo: usize,
-        hi: usize,
-        scratch: &mut GroupScratch,
-    ) {
-        let origin = cloud.origin;
-        let crossings_estimate =
-            ((hi - lo) as f64 * (config.max_range / config.resolution)) as usize;
-        scratch.recycle();
-        let desired = (crossings_estimate / 8).clamp(64, 1 << 18);
-        if scratch.index_of.capacity() < desired {
-            scratch.index_of.reserve(desired);
-        }
-        let GroupScratch {
-            index_of,
-            grouped,
-            spare,
-        } = scratch;
-        for i in lo..hi {
-            let point = cloud.point(i);
-            Self::for_each_ray_update(
-                grid,
-                config,
-                half_extent,
-                &origin,
-                &point,
-                |cell, center, delta| match index_of.entry(pack_voxel_key(&cell)) {
-                    std::collections::hash_map::Entry::Occupied(slot) => {
-                        grouped[*slot.get() as usize].3.push(delta);
-                    }
-                    std::collections::hash_map::Entry::Vacant(slot) => {
-                        slot.insert(grouped.len() as u32);
-                        let rest = spare.pop().unwrap_or_default();
-                        grouped.push((pack_voxel_key(&cell), center, delta, rest));
-                    }
-                },
-            );
-        }
-    }
-
-    /// Integrates a whole point cloud using `threads` worker threads,
-    /// producing a map bit-identical to [`OctoMap::insert_point_cloud`] on
-    /// the same cloud (property-tested at every thread count, like the
-    /// batched-vs-ray-by-ray equivalence).
-    ///
-    /// Three phases: (1) the scan is split into contiguous ray chunks, one
-    /// worker grouping each chunk's per-voxel deltas; merging the chunk
-    /// groupings in chunk order reproduces the serial first-touch grouping
-    /// exactly, because chunks are contiguous in ray order. (2) Workers fold
-    /// every voxel's ordered delta sequence through the clamp chain against a
-    /// read-only probe of the pre-scan tree. (3) A serial commit descends
-    /// once per voxel in grouping order and stores the folded values,
-    /// updating the occupancy indexes and counters through the single
-    /// `OctoMap::update_leaf_apply` funnel.
-    ///
-    /// Phase 2's probe assumes distinct voxels resolve to distinct leaves; a
-    /// coarse (shallower-than-full-depth) leaf on a probed path could be
-    /// shared by several updated voxels, so that case — which never arises
-    /// from ray insertion, only from exotic hand-built maps — falls back to
-    /// the serial fold in phase 3.
-    pub fn insert_point_cloud_parallel(&mut self, cloud: &PointCloud, threads: usize) {
-        let threads = threads.max(1);
-        if !self.index_packable {
-            // Voxel keys would alias: take the ray-by-ray path, which the
-            // serial public entry point uses on such domains too.
-            let origin = cloud.origin;
-            for point in cloud.iter() {
-                self.insert_ray(&origin, &point);
-            }
-            return;
-        }
-        let (grid, config, half_extent) = (self.grid, self.config, self.half_extent);
-        // Phase 1: per-chunk grouping on workers, merged in chunk order.
-        let chunk_len = cloud.len().div_ceil(threads).max(1);
-        let ranges: Vec<(usize, usize)> = (0..cloud.len())
-            .step_by(chunk_len)
-            .map(|lo| (lo, (lo + chunk_len).min(cloud.len())))
-            .collect();
-        let chunk_groups = rayon::parallel_map_slice(&ranges, threads, |&(lo, hi)| {
-            Self::group_ray_range(grid, config, half_extent, cloud, lo, hi)
-        });
-        let mut grouped: Vec<(Vec3, f64, Vec<f64>)> = Vec::new();
-        let mut index_of: HashMap<u64, u32, VoxelHashBuilder> =
-            HashMap::with_capacity_and_hasher(1 << 12, VoxelHashBuilder::default());
-        for chunk in chunk_groups {
-            for (key, center, first, rest) in chunk {
-                match index_of.entry(key) {
-                    std::collections::hash_map::Entry::Occupied(slot) => {
-                        let entry = &mut grouped[*slot.get() as usize];
-                        entry.2.push(first);
-                        entry.2.extend(rest);
-                    }
-                    std::collections::hash_map::Entry::Vacant(slot) => {
-                        slot.insert(grouped.len() as u32);
-                        grouped.push((center, first, rest));
-                    }
-                }
-            }
-        }
-        // Phase 2: read-only probe + clamp-chain fold per voxel, on workers.
-        let clamp = config.clamp;
-        let chunk = grouped.len().div_ceil(threads).max(1);
-        let folded: Vec<(f64, bool)> = {
-            use rayon::prelude::*;
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("shim pool build is infallible");
-            pool.install(|| {
-                grouped
-                    .par_chunks(chunk)
-                    .map(|entries| {
-                        entries
-                            .iter()
-                            .map(|(center, first, rest)| {
-                                let probe = self.probe_leaf(center);
-                                let shallow = matches!(probe, Some((_, false)));
-                                let mut value = probe.map(|(v, _)| v).unwrap_or(0.0);
-                                value = (value + first).clamp(clamp.0, clamp.1);
-                                for delta in rest {
-                                    value = (value + delta).clamp(clamp.0, clamp.1);
-                                }
-                                (value, shallow)
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        };
-        // Phase 3: deterministic serial commit in grouping order.
-        if folded.iter().any(|&(_, shallow)| shallow) {
-            // Coarse leaf on a probed path: the folded values may not be
-            // independent per voxel. Apply the grouped deltas serially — the
-            // exact batched-path fold.
-            for (center, first, rest) in grouped {
-                let count = 1 + rest.len() as u64;
-                self.update_leaf_apply(&center, count, move |log_odds| {
-                    *log_odds = (*log_odds + first).clamp(clamp.0, clamp.1);
-                    for delta in &rest {
-                        *log_odds = (*log_odds + delta).clamp(clamp.0, clamp.1);
-                    }
-                });
-            }
-            return;
-        }
-        for ((center, _, rest), (value, _)) in grouped.iter().zip(folded) {
-            let count = 1 + rest.len() as u64;
-            self.update_leaf_apply(center, count, move |log_odds| *log_odds = value);
-        }
     }
 
     /// Occupancy of the voxel containing `point`.
@@ -1196,15 +1045,9 @@ impl OctoMap {
     // Internal octree machinery.
     // ------------------------------------------------------------------
 
+    /// Read-only descent to the leaf covering `point`: its log-odds, or
+    /// `None` when no leaf exists on the path.
     fn leaf_log_odds(&self, point: &Vec3) -> Option<f64> {
-        self.probe_leaf(point).map(|(log_odds, _)| log_odds)
-    }
-
-    /// Read-only descent to the leaf covering `point`: its log-odds and
-    /// whether it sits at full depth (`false` marks a coarse leaf that an
-    /// update would have to push down). `None` when no leaf exists on the
-    /// path — an update would then create one starting from 0.0.
-    fn probe_leaf(&self, point: &Vec3) -> Option<(f64, bool)> {
         let mut r = self.root;
         let mut center = Vec3::ZERO;
         let mut half = self.half_extent;
@@ -1213,7 +1056,7 @@ impl OctoMap {
                 return None;
             }
             if r & LEAF_BIT != 0 {
-                return Some((self.leaf_values[(r & !LEAF_BIT) as usize], false));
+                return Some(self.leaf_values[(r & !LEAF_BIT) as usize]);
             }
             let (idx, child_center) = child_of(point, &center, half);
             r = self.nodes[r as usize][idx];
@@ -1221,7 +1064,7 @@ impl OctoMap {
             half /= 2.0;
         }
         if is_leaf_ref(r) {
-            Some((self.leaf_values[(r & !LEAF_BIT) as usize], true))
+            Some(self.leaf_values[(r & !LEAF_BIT) as usize])
         } else {
             None
         }
@@ -1537,8 +1380,7 @@ fn pack_voxel_key_checked(cell: &GridIndex) -> Option<u64> {
 #[derive(Debug, Default)]
 struct GroupScratch {
     index_of: HashMap<u64, u32, VoxelHashBuilder>,
-    #[allow(clippy::type_complexity)]
-    grouped: Vec<(u64, Vec3, f64, Vec<f64>)>,
+    grouped: Vec<(Vec3, f64, Vec<f64>)>,
     spare: Vec<Vec<f64>>,
 }
 
@@ -1547,7 +1389,7 @@ impl GroupScratch {
     /// spill vector that actually holds an allocation into the spare pool.
     fn recycle(&mut self) {
         self.index_of.clear();
-        for (_, _, _, mut rest) in self.grouped.drain(..) {
+        for (_, _, mut rest) in self.grouped.drain(..) {
             if rest.capacity() > 0 {
                 rest.clear();
                 self.spare.push(rest);
@@ -1796,8 +1638,8 @@ impl OctoMap {
     }
 
     /// Logical equality of two subtrees: same shape, same leaf values. The
-    /// arena's *physical* node order depends on creation order (serial,
-    /// batched and parallel insertion create nodes in different orders), so
+    /// arena's *physical* node order depends on creation order (ray-by-ray
+    /// and batched insertion create nodes in different orders), so
     /// map equality must compare the trees, not the pools.
     fn subtree_eq(&self, ra: u32, other: &OctoMap, rb: u32) -> bool {
         match (ra == NIL, rb == NIL) {
@@ -2366,10 +2208,9 @@ mod tests {
     }
 
     /// Differential properties pinning the arena rewrite: the flat-`Vec`
-    /// octree, the incremental free-voxel index and the parallel insertion
-    /// path must all be *exact* replacements — bit-identical log-odds, leaf
-    /// sets and counters against the pointer-tree oracle and the serial /
-    /// tree-walk references.
+    /// octree and the incremental free-voxel index must be *exact*
+    /// replacements — bit-identical log-odds, leaf sets and counters against
+    /// the pointer-tree oracle and the tree-walk references.
     mod equivalence {
         use super::super::reference::ReferenceMap;
         use super::*;
@@ -2547,28 +2388,6 @@ mod tests {
                 prop_assert_eq!(&reused, &fresh);
                 prop_assert_eq!(reused.update_count(), fresh.update_count());
                 prop_assert_eq!(reused.free_voxel_centers(), fresh.free_voxel_centers());
-            }
-
-            /// Parallel scan insertion is bit-identical to the serial path at
-            /// every thread count: same logical tree, same indexes, same
-            /// counters, same free-voxel centres.
-            #[test]
-            fn parallel_insertion_bit_identical_across_thread_counts(
-                res_idx in 0usize..RESOLUTIONS.len(),
-                points in proptest::collection::vec(arb_point(20.0), 1..48),
-            ) {
-                let resolution = RESOLUTIONS[res_idx % RESOLUTIONS.len()];
-                let config = OctoMapConfig::with_resolution(resolution);
-                let cloud = PointCloud::new(Vec3::new(0.0, 0.0, 1.5), points);
-                let mut serial = OctoMap::new(config, 24.0);
-                serial.insert_point_cloud(&cloud);
-                for threads in [1usize, 2, 3, 8] {
-                    let mut parallel = OctoMap::new(config, 24.0);
-                    parallel.insert_point_cloud_parallel(&cloud, threads);
-                    prop_assert_eq!(&parallel, &serial, "diverged at {} threads", threads);
-                    prop_assert_eq!(parallel.update_count(), serial.update_count());
-                    prop_assert_eq!(parallel.free_voxel_centers(), serial.free_voxel_centers());
-                }
             }
         }
     }

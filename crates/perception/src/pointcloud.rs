@@ -6,7 +6,6 @@
 
 use mav_sensors::DepthImage;
 use mav_types::{Aabb, Vec3};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -14,11 +13,10 @@ use std::fmt;
 /// from (needed for free-space carving in the occupancy map).
 ///
 /// Stored structure-of-arrays: one coordinate vector per axis. The OctoMap
-/// scan-insertion hot loop streams whole clouds point by point, and the
-/// parallel insertion path hands contiguous ray ranges to workers — both
-/// touch memory sequentially per axis instead of striding over
-/// 3-tuples, and per-axis slices are available for vectorised passes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// scan-insertion hot loop streams whole clouds point by point, touching
+/// memory sequentially per axis instead of striding over 3-tuples, and
+/// per-axis slices are available for vectorised passes.
+#[derive(Debug, Clone, PartialEq)]
 pub struct PointCloud {
     /// Sensor origin in the world frame.
     pub origin: Vec3,

@@ -9,11 +9,10 @@
 
 use crate::detection::Detection;
 use mav_types::{Aabb, PointGrid, SimDuration, Vec3};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// State of the tracked target.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrackState {
     /// Estimated world-frame position of the target.
     pub position: Vec3,
@@ -31,7 +30,7 @@ impl TrackState {
 }
 
 /// Configuration of the tracker.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrackerConfig {
     /// Position blend factor for new detections (alpha).
     pub alpha: f64,
@@ -63,7 +62,7 @@ impl Default for TrackerConfig {
 /// // Coast with no detections: no track yet.
 /// assert!(tracker.predict(SimDuration::from_millis(100.0)).is_none());
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TargetTracker {
     config: TrackerConfig,
     state: Option<TrackState>,
@@ -136,7 +135,7 @@ impl TargetTracker {
 }
 
 /// Configuration of the multi-target tracker.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MultiTrackerConfig {
     /// Per-track alpha–beta filter parameters.
     pub base: TrackerConfig,
@@ -166,7 +165,7 @@ impl Default for MultiTrackerConfig {
 /// re-tested with the scan's own distance predicate and tie-break), so the
 /// assignment is identical to the reference linear scan — pinned by
 /// `association_matches_reference`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiTargetTracker {
     config: MultiTrackerConfig,
     tracks: Vec<TrackState>,

@@ -7,7 +7,6 @@
 
 use mav_perception::{Occupancy, OctoMap};
 use mav_types::{Trajectory, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// One detected obstruction of a trajectory: where on the plan it was found
 /// and, when the map could attribute it, which occupied voxel blocks it.
@@ -22,7 +21,7 @@ pub struct CollisionHit {
 }
 
 /// Collision checker bound to a vehicle radius.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CollisionChecker {
     /// Vehicle collision radius in metres (half the diagonal width).
     pub vehicle_radius: f64,

@@ -12,7 +12,6 @@ use crate::shortest_path::{PlannedPath, ShortestPathPlanner};
 use crate::spatial::PointGrid;
 use mav_perception::OctoMap;
 use mav_types::{MavError, Result, Vec3};
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 
 thread_local! {
@@ -45,7 +44,7 @@ struct FrontierScratch {
 }
 
 /// A cluster of frontier voxels.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Frontier {
     /// Representative point of the cluster (centroid snapped to a member).
     pub center: Vec3,
@@ -54,7 +53,7 @@ pub struct Frontier {
 }
 
 /// Configuration of the frontier explorer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrontierConfig {
     /// Voxels whose centres are closer than this are clustered together.
     pub cluster_radius: f64,
@@ -100,7 +99,7 @@ impl Default for FrontierConfig {
 /// let explorer = FrontierExplorer::new(FrontierConfig::default());
 /// assert!(!explorer.find_frontiers(&map).is_empty());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FrontierExplorer {
     config: FrontierConfig,
 }

@@ -6,10 +6,9 @@
 //! altitude, so no collision checking is required (matching the paper).
 
 use mav_types::{MavError, Result, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the lawnmower planner.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LawnmowerConfig {
     /// South-west corner of the area to cover.
     pub origin: Vec3,

@@ -12,7 +12,6 @@ use mav_types::{Aabb, MavError, Result, Vec3};
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::{BinaryHeap, HashMap};
 
@@ -52,7 +51,7 @@ fn with_plan_scratch<R>(f: impl FnOnce(&mut PlanScratch) -> R) -> R {
 }
 
 /// Which sampling-based planner to use (the "plug and play" knob).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlannerKind {
     /// Rapidly-exploring random tree.
     Rrt,
@@ -61,7 +60,7 @@ pub enum PlannerKind {
 }
 
 /// Configuration shared by the shortest-path planners.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlannerConfig {
     /// Which algorithm to run.
     pub kind: PlannerKind,
@@ -114,7 +113,7 @@ impl PlannerConfig {
 }
 
 /// A piecewise-linear, collision-free path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlannedPath {
     /// Waypoints from start to goal inclusive.
     pub waypoints: Vec<Vec3>,
@@ -177,7 +176,7 @@ impl PlannedPath {
 ///     .unwrap();
 /// assert!(path.length() >= 11.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShortestPathPlanner {
     config: PlannerConfig,
 }

@@ -8,10 +8,9 @@
 //! this kernel.
 
 use mav_types::{MavError, Result, SimTime, Trajectory, TrajectoryPoint, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the smoothing kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SmootherConfig {
     /// Maximum cruise speed of the produced trajectory, m/s.
     pub max_velocity: f64,
@@ -71,7 +70,7 @@ impl Default for SmootherConfig {
 /// let traj = smoother.smooth(&waypoints, SimTime::ZERO).unwrap();
 /// assert!(traj.max_speed() <= 8.0 + 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PathSmoother {
     config: SmootherConfig,
 }

@@ -1,7 +1,6 @@
 //! The simulated mission clock.
 
 use mav_types::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// The mission clock every node and model reads.
 ///
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// clock.advance(SimDuration::from_secs(1.5));
 /// assert_eq!(clock.now().as_secs(), 1.5);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SimClock {
     now: SimTime,
 }

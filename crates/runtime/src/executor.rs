@@ -35,8 +35,6 @@ use crate::clock::SimClock;
 use crate::kernel_timer::KernelTimer;
 use mav_compute::KernelId;
 use mav_types::{Result, SimDuration, SimTime};
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The pipeline stage a [`Node`] occupies, for the purposes of
@@ -55,9 +53,7 @@ use std::fmt;
 /// serializes with *everything* (its latency is added on top of the critical
 /// path). Pipelining is therefore strictly opt-in per node, and a graph of
 /// undeclared nodes charges exactly like [`ExecModel::Serial`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum ExecStage {
     /// Zero-cost bookkeeping (watchdogs, telemetry). Never on the critical
     /// path in practice, but modelled as an ordinary overlapping stage.
@@ -94,7 +90,7 @@ impl ExecStage {
 
 /// How an [`Executor`] turns one round's per-node latencies into the single
 /// duration charged to the [`NodeContext`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecModel {
     /// Nodes run back to back on one core: the round charges the *sum* of
     /// every node's latency. This is the paper's accounting and the
@@ -350,8 +346,7 @@ impl<C: NodeContext> Executor<C> {
 
     /// Registers a node. Nodes due at the same instant run in registration
     /// order — the same-tick ordering contract that keeps runs reproducible.
-    /// Nodes are `Send` so whole executors can be driven from worker threads
-    /// (see [`run_all_for`]).
+    /// Nodes are `Send` so whole executors can be driven from worker threads.
     pub fn add_node<N: Node<C> + Send + 'static>(&mut self, node: N) {
         self.nodes.push(Registration {
             node: Box::new(node),
@@ -472,29 +467,6 @@ impl<C> fmt::Debug for Executor<C> {
             .field("exec_model", &self.exec_model)
             .finish()
     }
-}
-
-/// Drives several independent (executor, context) pairs for `duration` each,
-/// with the pairs distributed over the rayon worker pool — the host-parallel
-/// round option for sweep throughput. Each pair's rounds run strictly in
-/// order on one worker, so every mission's schedule (and therefore its
-/// result) is bit-identical to a sequential [`Executor::run_for`] call; only
-/// rounds of *different* pairs overlap on host threads. Honours the rayon
-/// thread count installed by the caller (e.g. a `ThreadPool::install` scope).
-///
-/// # Errors
-///
-/// Returns the first error any pair produced, in pair order.
-pub fn run_all_for<C: NodeContext + Send>(
-    pairs: &mut [(Executor<C>, C)],
-    duration: SimDuration,
-) -> Result<()> {
-    pairs
-        .par_iter_mut()
-        .map(|(exec, ctx)| exec.run_for(ctx, duration))
-        .collect::<Vec<Result<()>>>()
-        .into_iter()
-        .collect()
 }
 
 #[cfg(test)]
@@ -806,57 +778,6 @@ mod tests {
             "effective rate drifted from nominal under pipelined charging: \
              {n} invocations in 10 s at 10 Hz"
         );
-    }
-
-    #[test]
-    fn run_all_for_matches_sequential_runs_bit_for_bit() {
-        // The host-parallel round option: each (executor, context) pair's
-        // schedule must be identical to a sequential run, whatever the rayon
-        // thread count — only rounds of *different* pairs overlap on the host.
-        let build = |i: usize| {
-            let mut exec = Executor::new().with_exec_model(ExecModel::Pipelined);
-            exec.add_node(
-                Counter::new(
-                    "camera",
-                    0.0,
-                    50.0 + i as f64 * 10.0,
-                    KernelId::PointCloudGeneration,
-                )
-                .on_stage(ExecStage::Sensing),
-            );
-            exec.add_node(
-                Counter::new("mapper", 0.0, 100.0, KernelId::OctomapGeneration)
-                    .on_stage(ExecStage::Perception),
-            );
-            (exec, SimClock::new())
-        };
-        let mut sequential: Vec<(Executor<SimClock>, SimClock)> = (0..6).map(build).collect();
-        for (exec, clock) in &mut sequential {
-            exec.run_for(clock, SimDuration::from_secs(3.0)).unwrap();
-        }
-        let mut parallel: Vec<(Executor<SimClock>, SimClock)> = (0..6).map(build).collect();
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(3)
-            .build()
-            .unwrap();
-        pool.install(|| run_all_for(&mut parallel, SimDuration::from_secs(3.0)))
-            .unwrap();
-        for (i, ((seq_exec, seq_clock), (par_exec, par_clock))) in
-            sequential.iter().zip(&parallel).enumerate()
-        {
-            assert_eq!(
-                NodeContext::now(seq_clock).as_secs().to_bits(),
-                NodeContext::now(par_clock).as_secs().to_bits(),
-                "pair {i}: clocks diverged"
-            );
-            for kernel in [KernelId::PointCloudGeneration, KernelId::OctomapGeneration] {
-                assert_eq!(
-                    seq_exec.timer().invocations(kernel),
-                    par_exec.timer().invocations(kernel),
-                    "pair {i}: invocation counts diverged"
-                );
-            }
-        }
     }
 
     #[test]

@@ -11,7 +11,6 @@
 
 use mav_compute::KernelId;
 use mav_types::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -30,7 +29,7 @@ use std::fmt;
 /// assert_eq!(timer.invocations(KernelId::OctomapGeneration), 2);
 /// assert!(timer.total(KernelId::OctomapGeneration).as_secs() > 1.2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct KernelTimer {
     totals: BTreeMap<KernelId, SimDuration>,
     counts: BTreeMap<KernelId, u64>,

@@ -34,6 +34,6 @@ pub mod kernel_timer;
 pub mod topic;
 
 pub use clock::SimClock;
-pub use executor::{run_all_for, ExecModel, ExecStage, Executor, Node, NodeContext, NodeOutput};
+pub use executor::{ExecModel, ExecStage, Executor, Node, NodeContext, NodeOutput};
 pub use kernel_timer::KernelTimer;
 pub use topic::{FifoTopic, Topic};

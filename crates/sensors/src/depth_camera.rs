@@ -8,11 +8,10 @@
 
 use mav_env::World;
 use mav_types::{Pose, Vec3};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Static configuration of a depth camera.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DepthCameraConfig {
     /// Horizontal resolution in pixels.
     pub width: usize,
@@ -96,7 +95,7 @@ impl DepthCameraConfig {
 }
 
 /// A single depth frame: row-major range values in metres.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DepthImage {
     /// Width in pixels.
     pub width: usize,
@@ -216,7 +215,7 @@ fn pixel_ray(config: &DepthCameraConfig, pose: &Pose, u: usize, v: usize) -> Vec
 /// let frame = camera.capture(&world, &Pose::new(Vec3::new(0.0, 0.0, 2.0), 0.0));
 /// assert_eq!(frame.depths.len(), frame.width * frame.height);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DepthCamera {
     config: DepthCameraConfig,
 }

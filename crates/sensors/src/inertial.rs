@@ -5,10 +5,9 @@
 
 use crate::noise::GpsNoiseModel;
 use mav_types::{Pose, SimTime, Twist, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// One inertial measurement: specific force and angular rate plus a timestamp.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ImuSample {
     /// Linear acceleration including gravity compensation, m/s².
     pub acceleration: Vec3,
@@ -19,7 +18,7 @@ pub struct ImuSample {
 }
 
 /// A GPS position fix.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpsFix {
     /// Estimated position, world frame, metres.
     pub position: Vec3,
@@ -34,7 +33,7 @@ pub struct GpsFix {
 /// The paper's evaluation never varies IMU quality, so the default IMU is
 /// ideal; acceleration noise can be added through the `accel_noise_std`
 /// field when reliability studies need it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Imu {
     /// Standard deviation of additive acceleration noise, m/s².
     pub accel_noise_std: f64,
@@ -76,7 +75,7 @@ impl Imu {
 /// let fix = gps.fix(&Pose::new(Vec3::new(1.0, 2.0, 3.0), 0.0), SimTime::ZERO);
 /// assert_eq!(fix.position, Vec3::new(1.0, 2.0, 3.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Gps {
     noise: GpsNoiseModel,
 }

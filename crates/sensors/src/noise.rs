@@ -11,7 +11,6 @@ use mav_types::Vec3;
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Gaussian noise applied to every finite pixel of a depth image.
 ///
@@ -22,12 +21,11 @@ use serde::{Deserialize, Serialize};
 /// let quiet = DepthNoiseModel::new(0.0, 7);
 /// assert!(quiet.is_noiseless());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DepthNoiseModel {
     /// Standard deviation of the additive Gaussian noise, metres.
     pub std_dev: f64,
     seed: u64,
-    #[serde(skip)]
     counter: u64,
 }
 
@@ -76,14 +74,13 @@ impl DepthNoiseModel {
 }
 
 /// Gaussian position noise applied to GPS fixes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpsNoiseModel {
     /// Horizontal standard deviation, metres.
     pub horizontal_std: f64,
     /// Vertical standard deviation, metres.
     pub vertical_std: f64,
     seed: u64,
-    #[serde(skip)]
     counter: u64,
 }
 

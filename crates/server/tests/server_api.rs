@@ -187,6 +187,18 @@ fn malformed_specs_get_400_with_json_error_body() {
             "physics_dt",
         ),
         (
+            r#"{"type":"mission","config":{"application":"scanning","time_budget_secs":1e400}}"#,
+            "time_budget_secs",
+        ),
+        (
+            r#"{"type":"mission","config":{"application":"scanning","cruise_velocity":1e400}}"#,
+            "cruise_velocity",
+        ),
+        (
+            r#"{"type":"mission","config":{"application":"scanning","map_insert_threads":2}}"#,
+            "unknown field",
+        ),
+        (
             r#"{"type":"sweep","scenario":{"application":"scanning","rates":[]},"episodes":4}"#,
             "non-empty",
         ),

@@ -6,7 +6,6 @@
 //! fast.
 
 use crate::vector::Vec3;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An axis-aligned box described by its minimum and maximum corners.
@@ -19,7 +18,7 @@ use std::fmt;
 /// assert!(b.contains(&Vec3::new(1.0, 1.0, 1.0)));
 /// assert_eq!(b.volume(), 8.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Aabb {
     /// Minimum corner (inclusive).
     pub min: Vec3,

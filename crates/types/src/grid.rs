@@ -2,11 +2,10 @@
 
 use crate::aabb::Aabb;
 use crate::vector::Vec3;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Integer index of a voxel / grid cell along the three axes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GridIndex {
     /// Cell index along X.
     pub x: i64,
@@ -74,7 +73,7 @@ impl fmt::Display for GridIndex {
 /// let center = spec.center_of(&idx);
 /// assert!(center.distance(&Vec3::new(1.25, -0.25, 0.25)) < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GridSpec {
     resolution: f64,
 }

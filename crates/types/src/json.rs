@@ -1,11 +1,12 @@
 //! A minimal JSON document model, parser and the [`ToJson`] trait.
 //!
-//! The offline build cannot use `serde_json`, so machine-readable output
-//! (`--json` on the harness binaries, sweep reports, bench baselines) goes
-//! through this hand-rolled value type instead. Each crate implements
-//! [`ToJson`] for its own types; rendering is deterministic (object keys keep
-//! insertion order, floats use Rust's shortest-roundtrip formatting) so equal
-//! values always render to identical text. [`Json::parse`] is the matching
+//! This is the workspace's only serialization path: machine-readable output
+//! (`--json` on the harness binaries, sweep reports, bench baselines) and
+//! the `mav-server` wire specs all go through this hand-rolled value type.
+//! Each crate implements [`ToJson`] for its own types; rendering is
+//! deterministic (object keys keep insertion order, floats use Rust's
+//! shortest-roundtrip formatting) so equal values always render to
+//! identical text. [`Json::parse`] is the matching
 //! reader — CI pipes harness `--json` output through it (the `json_check`
 //! binary) so a malformed document fails the build instead of a figure
 //! script.
@@ -756,10 +757,18 @@ impl FromJson for String {
 macro_rules! float_from_json {
     ($($t:ty),*) => {$(
         impl FromJson for $t {
+            /// Rejects values that overflow to infinity (`1e400`): they would
+            /// pass range checks and then render as `null`.
             fn from_json(json: &Json) -> Result<Self, String> {
-                json.as_f64()
-                    .map(|x| x as $t)
-                    .ok_or_else(|| format!("expected a number, got {json}"))
+                let value = json
+                    .as_f64()
+                    .ok_or_else(|| format!("expected a number, got {json}"))?
+                    as $t;
+                if value.is_finite() {
+                    Ok(value)
+                } else {
+                    Err(format!("number out of range for {}", stringify!($t)))
+                }
             }
         }
     )*};
@@ -875,6 +884,14 @@ mod tests {
         assert_eq!(big.to_json().as_i128(), Some(big as i128));
         assert_eq!((-3i64).to_json().to_string(), "-3");
         assert_eq!(7u32.to_json().as_f64(), Some(7.0));
+    }
+
+    #[test]
+    fn non_finite_numbers_are_rejected() {
+        let huge = Json::parse("1e400").unwrap();
+        assert!(f64::from_json(&huge).is_err());
+        assert!(f32::from_json(&Json::parse("1e39").unwrap()).is_err());
+        assert_eq!(f64::from_json(&Json::parse("1e300").unwrap()), Ok(1e300));
     }
 
     #[test]

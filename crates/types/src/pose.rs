@@ -1,7 +1,6 @@
 //! Vehicle pose and velocity (twist) types.
 
 use crate::vector::Vec3;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Position plus heading of the vehicle in the world frame.
@@ -18,7 +17,7 @@ use std::fmt;
 /// let q = p.translated(Vec3::new(0.0, 0.0, 1.0));
 /// assert_eq!(q.position.z, 4.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Pose {
     /// Position in the world frame, metres.
     pub position: Vec3,
@@ -82,7 +81,7 @@ impl fmt::Display for Pose {
 /// let t = Twist::linear(Vec3::new(3.0, 4.0, 0.0));
 /// assert_eq!(t.speed(), 5.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Twist {
     /// Linear velocity in the world frame, metres per second.
     pub linear: Vec3,

@@ -19,13 +19,12 @@
 //! on or off.
 
 use crate::{Aabb, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// A uniform bucket grid over a bounded region, indexing inserted points by
 /// their position. Points outside the region are clamped into the boundary
 /// buckets, which keeps every query exact (the lower-bound arguments only
 /// ever weaken for clamped points).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PointGrid {
     origin: Vec3,
     extent: Vec3,

@@ -5,7 +5,6 @@
 //! time in dedicated newtypes (rather than bare `f64` seconds) prevents the
 //! classic bug of mixing wall-clock measurements with mission time.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
@@ -19,7 +18,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// let t = SimTime::from_secs(1.5) + SimDuration::from_secs(0.5);
 /// assert_eq!(t.as_secs(), 2.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct SimTime(f64);
 
 impl SimTime {
@@ -83,7 +82,7 @@ impl fmt::Display for SimTime {
 /// let d = SimDuration::from_millis(250.0) * 4.0;
 /// assert_eq!(d.as_secs(), 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct SimDuration(f64);
 
 impl SimDuration {

@@ -9,11 +9,10 @@
 
 use crate::time::SimTime;
 use crate::vector::Vec3;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A single sample of a trajectory.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrajectoryPoint {
     /// Position in metres.
     pub position: Vec3,
@@ -65,7 +64,7 @@ impl TrajectoryPoint {
 /// let mid = t.sample(SimTime::from_secs(2.5)).unwrap();
 /// assert!((mid.position.x - 5.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Trajectory {
     points: Vec<TrajectoryPoint>,
 }

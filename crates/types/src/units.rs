@@ -6,7 +6,6 @@
 //! compute models need.
 
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
@@ -20,7 +19,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub};
 /// let energy = rotors.over(SimDuration::from_secs(10.0));
 /// assert!((energy.as_joules() - 2868.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Power(f64);
 
 impl Power {
@@ -85,7 +84,7 @@ impl fmt::Display for Power {
 /// let e = Energy::from_kilojoules(1.5);
 /// assert_eq!(e.as_joules(), 1500.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Energy(f64);
 
 impl Energy {
@@ -207,7 +206,7 @@ impl fmt::Display for Energy {
 /// let slow = Frequency::from_ghz(0.8);
 /// assert!((base.speedup_over(slow) - 2.75).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Frequency(f64);
 
 impl Frequency {

@@ -1,6 +1,5 @@
 //! Three-dimensional vectors used for positions, velocities and accelerations.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Index, Mul, Neg, Sub, SubAssign};
 
@@ -19,7 +18,7 @@ use std::ops::{Add, AddAssign, Div, Index, Mul, Neg, Sub, SubAssign};
 /// assert_eq!(a.norm(), 3.0);
 /// assert_eq!(a.normalized().norm(), 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec3 {
     /// X component (forward / east, metres in world frame).
     pub x: f64,

@@ -136,41 +136,6 @@ pub fn parallel_map_slice<'a, T: Sync, R: Send>(
     pairs.into_iter().map(|(_, value)| value).collect()
 }
 
-/// In-order parallel map over mutable references: the slice is split into one
-/// contiguous chunk per worker (no work stealing), each chunk is processed
-/// strictly in order on its own scoped thread, and the per-chunk results are
-/// re-concatenated in chunk order — so the output order (and any per-element
-/// mutation) is identical to a serial `iter_mut().map(..)` pass.
-pub fn parallel_map_slice_mut<'a, T: Send, R: Send>(
-    items: &'a mut [T],
-    threads: usize,
-    f: impl Fn(&'a mut T) -> R + Sync,
-) -> Vec<R> {
-    let len = items.len();
-    let workers = threads.clamp(1, len.max(1));
-    if workers <= 1 || len <= 1 {
-        return items.iter_mut().map(f).collect();
-    }
-    let chunk_len = len.div_ceil(workers);
-    let gathered: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::with_capacity(workers));
-    std::thread::scope(|scope| {
-        for (index, chunk) in items.chunks_mut(chunk_len).enumerate() {
-            let f = &f;
-            let gathered = &gathered;
-            scope.spawn(move || {
-                let results: Vec<R> = chunk.iter_mut().map(f).collect();
-                gathered.lock().unwrap().push((index, results));
-            });
-        }
-    });
-    let mut chunks = gathered.into_inner().unwrap();
-    chunks.sort_by_key(|&(index, _)| index);
-    chunks
-        .into_iter()
-        .flat_map(|(_, results)| results)
-        .collect()
-}
-
 /// Parallel iterator over a slice, created by
 /// [`IntoParallelRefIterator::par_iter`].
 pub struct ParIter<'a, T> {
@@ -205,112 +170,6 @@ impl<'a, T: Sync, R: Send, F: Fn(&'a T) -> R + Sync> ParMap<'a, T, F> {
     }
 }
 
-/// Parallel iterator over mutable references, created by
-/// [`IntoParallelRefMutIterator::par_iter_mut`].
-pub struct ParIterMut<'a, T> {
-    slice: &'a mut [T],
-}
-
-impl<'a, T: Send> ParIterMut<'a, T> {
-    /// Maps every element through `f` (lazily; runs on `collect`).
-    pub fn map<R, F: Fn(&'a mut T) -> R + Sync>(self, f: F) -> ParMapMut<'a, T, F> {
-        ParMapMut {
-            slice: self.slice,
-            f,
-        }
-    }
-
-    /// Runs `f` on every element across [`current_num_threads`] workers.
-    pub fn for_each<F: Fn(&'a mut T) + Sync>(self, f: F) {
-        parallel_map_slice_mut(self.slice, current_num_threads(), f);
-    }
-}
-
-/// The `par_iter_mut().map(..)` adapter.
-pub struct ParMapMut<'a, T, F> {
-    slice: &'a mut [T],
-    f: F,
-}
-
-impl<'a, T: Send, R: Send, F: Fn(&'a mut T) -> R + Sync> ParMapMut<'a, T, F> {
-    /// Executes the map across [`current_num_threads`] workers, preserving
-    /// input order, and collects the results.
-    pub fn collect<C: From<Vec<R>>>(self) -> C {
-        C::from(parallel_map_slice_mut(
-            self.slice,
-            current_num_threads(),
-            self.f,
-        ))
-    }
-}
-
-/// Parallel iterator over contiguous sub-slices, created by
-/// [`ParallelSlice::par_chunks`].
-pub struct ParChunks<'a, T> {
-    slice: &'a [T],
-    chunk_size: usize,
-}
-
-impl<'a, T: Sync> ParChunks<'a, T> {
-    /// Maps every chunk through `f` (lazily; runs on `collect`).
-    pub fn map<R, F: Fn(&'a [T]) -> R + Sync>(self, f: F) -> ParChunksMap<'a, T, F> {
-        ParChunksMap {
-            slice: self.slice,
-            chunk_size: self.chunk_size,
-            f,
-        }
-    }
-}
-
-/// The `par_chunks(..).map(..)` adapter.
-pub struct ParChunksMap<'a, T, F> {
-    slice: &'a [T],
-    chunk_size: usize,
-    f: F,
-}
-
-impl<'a, T: Sync, R: Send, F: Fn(&'a [T]) -> R + Sync> ParChunksMap<'a, T, F> {
-    /// Executes the map across [`current_num_threads`] workers, preserving
-    /// chunk order, and collects the per-chunk results.
-    pub fn collect<C: From<Vec<R>>>(self) -> C {
-        let chunks: Vec<&'a [T]> = self.slice.chunks(self.chunk_size).collect();
-        let f = self.f;
-        C::from(parallel_map_slice(
-            &chunks,
-            current_num_threads(),
-            move |chunk| f(chunk),
-        ))
-    }
-}
-
-/// Extension trait adding `par_chunks` to slices and vectors, mirroring
-/// `rayon::slice::ParallelSlice`.
-pub trait ParallelSlice<T: Sync> {
-    /// Returns a parallel iterator over contiguous chunks of `chunk_size`
-    /// elements (the last chunk may be shorter), in slice order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_size` is zero, like the real crate.
-    fn par_chunks(&self, chunk_size: usize) -> ParChunks<'_, T>;
-}
-
-impl<T: Sync> ParallelSlice<T> for [T] {
-    fn par_chunks(&self, chunk_size: usize) -> ParChunks<'_, T> {
-        assert!(chunk_size != 0, "chunk_size must not be zero");
-        ParChunks {
-            slice: self,
-            chunk_size,
-        }
-    }
-}
-
-impl<T: Sync> ParallelSlice<T> for Vec<T> {
-    fn par_chunks(&self, chunk_size: usize) -> ParChunks<'_, T> {
-        self.as_slice().par_chunks(chunk_size)
-    }
-}
-
 /// Extension trait adding `par_iter` to slices and vectors.
 pub trait IntoParallelRefIterator<'a> {
     /// Element type.
@@ -333,31 +192,9 @@ impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
     }
 }
 
-/// Extension trait adding `par_iter_mut` to slices and vectors.
-pub trait IntoParallelRefMutIterator<'a> {
-    /// Element type.
-    type Item: 'a;
-    /// Returns a parallel iterator over mutable references.
-    fn par_iter_mut(&'a mut self) -> ParIterMut<'a, Self::Item>;
-}
-
-impl<'a, T: Send + 'a> IntoParallelRefMutIterator<'a> for [T] {
-    type Item = T;
-    fn par_iter_mut(&'a mut self) -> ParIterMut<'a, T> {
-        ParIterMut { slice: self }
-    }
-}
-
-impl<'a, T: Send + 'a> IntoParallelRefMutIterator<'a> for Vec<T> {
-    type Item = T;
-    fn par_iter_mut(&'a mut self) -> ParIterMut<'a, T> {
-        ParIterMut { slice: self }
-    }
-}
-
 /// The usual rayon prelude import.
 pub mod prelude {
-    pub use crate::{IntoParallelRefIterator, IntoParallelRefMutIterator, ParallelSlice};
+    pub use crate::IntoParallelRefIterator;
 }
 
 #[cfg(test)]
@@ -397,59 +234,6 @@ mod tests {
         let one = [41u32];
         let mapped: Vec<u32> = one.par_iter().map(|x| x + 1).collect();
         assert_eq!(mapped, vec![42]);
-    }
-
-    #[test]
-    fn mutable_map_mutates_every_element_in_order() {
-        let mut items: Vec<u64> = (0..97).collect();
-        let expected_results: Vec<u64> = items.iter().map(|x| x * 2).collect();
-        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
-        let results: Vec<u64> = pool.install(|| {
-            items
-                .par_iter_mut()
-                .map(|x| {
-                    *x += 1;
-                    (*x - 1) * 2
-                })
-                .collect::<Vec<_>>()
-        });
-        assert_eq!(results, expected_results);
-        assert_eq!(items, (1..98).collect::<Vec<u64>>());
-        // for_each over an empty slice is a no-op.
-        let mut empty: Vec<u64> = Vec::new();
-        empty.par_iter_mut().for_each(|x| *x += 1);
-        let mut one = [5u64];
-        one.par_iter_mut().for_each(|x| *x += 1);
-        assert_eq!(one, [6]);
-    }
-
-    #[test]
-    fn par_chunks_preserves_chunk_order_and_coverage() {
-        let items: Vec<u32> = (0..103).collect();
-        let serial: Vec<u32> = items.chunks(10).map(|c| c.iter().sum()).collect();
-        for threads in [1, 2, 3, 8] {
-            let pool = ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            let parallel: Vec<u32> = pool.install(|| {
-                items
-                    .par_chunks(10)
-                    .map(|c| c.iter().sum())
-                    .collect::<Vec<u32>>()
-            });
-            assert_eq!(serial, parallel, "threads = {threads}");
-        }
-        // A chunk size larger than the slice yields one chunk.
-        let whole: Vec<usize> = items.par_chunks(1000).map(|c| c.len()).collect();
-        assert_eq!(whole, vec![103]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn par_chunks_rejects_zero_chunk_size() {
-        let items = [1u32, 2, 3];
-        let _ = items.par_chunks(0);
     }
 
     #[test]
