@@ -97,17 +97,13 @@ const NIL: u32 = u32::MAX;
 /// leaf, or interior.
 const LEAF_BIT: u32 = 1 << 31;
 
-/// Returns `true` when the arena reference points at a leaf.
-fn is_leaf_ref(r: u32) -> bool {
-    r != NIL && r & LEAF_BIT != 0
-}
-
 /// One entry of the incremental free-voxel index: the dedup-winning leaf of a
 /// rounded-centre voxel key, as a full `collect_leaves` walk would report it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct KnownLeaf {
-    /// The leaf centre exactly as the octree descent accumulates it
-    /// (bit-identical to what the tree walk pushes for this leaf).
+    /// The leaf centre exactly as a float root descent accumulates it
+    /// (bit-identical to what the tree walk pushes for this leaf), replayed
+    /// from the leaf's key when the leaf is created.
     center: Vec3,
     /// DFS rank of the leaf: the root-to-leaf octant path, packed three bits
     /// per level, root octant most significant. This totally orders leaves in
@@ -158,7 +154,7 @@ pub struct OctoMap {
     /// Flat spatial index over the occupied leaf voxels, maintained
     /// incrementally by every leaf update (ray insertion, batched scan
     /// insertion and re-resolution all funnel through
-    /// [`OctoMap::update_leaf_apply`]). Keys are [`pack_voxel_key`]s of
+    /// [`OctoMap::update_key`]). Keys are [`pack_voxel_key`]s of
     /// 4×4×4-voxel *block* coordinates; values are 64-bit occupancy masks of
     /// the block's voxels. Collision queries walk this hash index instead of
     /// descending the octree once per neighbour voxel.
@@ -253,9 +249,13 @@ impl OctoMap {
         // Expand the domain so that each octree leaf is exactly one
         // `resolution`-sized voxel and leaf boundaries align with the ray
         // traversal grid; otherwise a leaf could straddle two traversal cells
-        // and updates/queries would disagree near voxel boundaries.
-        let aligned_half_extent = config.resolution * (1u64 << depth) as f64 / 2.0;
-        let half_extent = aligned_half_extent.max(half_extent);
+        // and updates/queries would disagree near voxel boundaries. The
+        // aligned half-size is never below the requested one: a request even
+        // one ulp above `resolution × 2^(d−1)` puts `2·half_extent/resolution`
+        // more than half an ulp past `2^d`, so the ceiling above already picks
+        // depth d + 1. Integer-key insertion relies on this equality (see
+        // `leaf_key`).
+        let half_extent = config.resolution * (1u64 << depth) as f64 / 2.0;
         self.grid = GridSpec::new(config.resolution);
         self.config = config;
         self.half_extent = half_extent;
@@ -295,20 +295,21 @@ impl OctoMap {
             && point.z.abs() <= self.half_extent
     }
 
-    /// Enumerates the in-domain (voxel index, voxel centre, log-odds delta)
-    /// updates of one sensor ray, without touching the tree. Shared by
+    /// Enumerates the (traversal-grid cell, log-odds delta) updates of one
+    /// sensor ray, without touching the tree. Shared by
     /// [`OctoMap::insert_ray`] and the batched
     /// [`OctoMap::insert_point_cloud`] so the two can never disagree on ray
-    /// semantics (truncation, hit vs miss, domain filtering). An associated
-    /// function over copies of the cheap geometry state, so callers may
-    /// mutate the tree from inside `apply`.
+    /// semantics (truncation, hit vs miss). Cells outside the domain are
+    /// passed on too: the arena drops them by key range (`leaf_key`), the
+    /// reference tree by its own centre test. An associated function over
+    /// copies of the cheap geometry state, so callers may mutate the tree
+    /// from inside `apply`.
     fn for_each_ray_update(
         grid: GridSpec,
         config: OctoMapConfig,
-        half_extent: f64,
         origin: &Vec3,
         endpoint: &Vec3,
-        mut apply: impl FnMut(GridIndex, Vec3, f64),
+        mut apply: impl FnMut(GridIndex, f64),
     ) {
         let dir = *endpoint - *origin;
         let range = dir.norm();
@@ -324,20 +325,13 @@ impl OctoMap {
         grid.traverse_into(origin, &end, &mut cells);
         let n = cells.len();
         for (i, &cell) in cells.iter().enumerate() {
-            let center = grid.center_of(&cell);
-            if center.x.abs() > half_extent
-                || center.y.abs() > half_extent
-                || center.z.abs() > half_extent
-            {
-                continue;
-            }
             let is_endpoint = i + 1 == n;
             let delta = if is_endpoint && hit {
                 config.hit_log_odds
             } else {
                 -config.miss_log_odds
             };
-            apply(cell, center, delta);
+            apply(cell, delta);
         }
         RAY_CELLS.with(|c| *c.borrow_mut() = cells);
     }
@@ -345,17 +339,19 @@ impl OctoMap {
     /// Integrates a single sensor ray: every voxel between `origin` and
     /// `endpoint` (exclusive) is updated as free, the endpoint voxel as
     /// occupied. Rays longer than `max_range` are truncated and their endpoint
-    /// treated as free space (no hit).
+    /// treated as free space (no hit). Each in-domain voxel is reached by an
+    /// integer-key descent (see `leaf_key`): no float compare runs on the way
+    /// down.
     pub fn insert_ray(&mut self, origin: &Vec3, endpoint: &Vec3) {
-        let (grid, config, half_extent) = (self.grid, self.config, self.half_extent);
-        Self::for_each_ray_update(
-            grid,
-            config,
-            half_extent,
-            origin,
-            endpoint,
-            |_cell, center, delta| self.update_leaf(&center, delta),
-        );
+        let (grid, config, depth) = (self.grid, self.config, self.depth);
+        let clamp = config.clamp;
+        Self::for_each_ray_update(grid, config, origin, endpoint, |cell, delta| {
+            if let Some(key) = leaf_key(&cell, depth) {
+                self.update_key(key, 1, |log_odds| {
+                    *log_odds = (*log_odds + delta).clamp(clamp.0, clamp.1);
+                });
+            }
+        });
     }
 
     /// Batched insertion pays for its per-crossing bookkeeping only when many
@@ -363,6 +359,9 @@ impl OctoMap {
     /// `points × resolution²` is the calibrated proxy (criterion octomap
     /// bench, BENCH_pr2.json): below ≈250 ray-by-ray insertion wins, above it
     /// batching wins (up to ~1.45X on dense scans at coarse resolutions).
+    /// It was calibrated while both paths descended by float compares from
+    /// the root; both now descend by integer key, so the crossover may have
+    /// moved.
     const BATCH_SHARING_THRESHOLD: f64 = 250.0;
 
     /// Integrates a whole point cloud captured from `cloud.origin`.
@@ -393,7 +392,7 @@ impl OctoMap {
 
     /// The batched insertion path: group per-voxel deltas across the whole
     /// scan in first-touch order, then apply each voxel's ordered sequence in
-    /// one tree descent.
+    /// one key descent.
     ///
     /// Hash-map iteration order never leaks into the output. The first delta
     /// is stored inline: far voxels are crossed by a single ray, so the
@@ -410,7 +409,7 @@ impl OctoMap {
     /// the table, the entry vector and the spill vectors of the previous scan
     /// are all recycled.
     fn insert_point_cloud_batched(&mut self, cloud: &PointCloud) {
-        let (grid, config, half_extent) = (self.grid, self.config, self.half_extent);
+        let (grid, config, depth) = (self.grid, self.config, self.depth);
         let clamp = config.clamp;
         let origin = cloud.origin;
         GROUP_SCRATCH.with(|cell| {
@@ -428,27 +427,25 @@ impl OctoMap {
                 spare,
             } = scratch;
             for point in cloud.iter() {
-                Self::for_each_ray_update(
-                    grid,
-                    config,
-                    half_extent,
-                    &origin,
-                    &point,
-                    |cell, center, delta| match index_of.entry(pack_voxel_key(&cell)) {
+                Self::for_each_ray_update(grid, config, &origin, &point, |cell, delta| {
+                    let Some(key) = leaf_key(&cell, depth) else {
+                        return;
+                    };
+                    match index_of.entry(pack_voxel_key(&cell)) {
                         std::collections::hash_map::Entry::Occupied(slot) => {
                             grouped[*slot.get() as usize].2.push(delta);
                         }
                         std::collections::hash_map::Entry::Vacant(slot) => {
                             slot.insert(grouped.len() as u32);
                             let rest = spare.pop().unwrap_or_default();
-                            grouped.push((center, delta, rest));
+                            grouped.push((key, delta, rest));
                         }
-                    },
-                );
+                    }
+                });
             }
-            for (center, first, rest) in grouped.iter() {
+            for &(key, first, ref rest) in grouped.iter() {
                 let count = 1 + rest.len() as u64;
-                self.update_leaf_apply(center, count, |log_odds| {
+                self.update_key(key, count, |log_odds| {
                     *log_odds = (*log_odds + first).clamp(clamp.0, clamp.1);
                     for delta in rest {
                         *log_odds = (*log_odds + delta).clamp(clamp.0, clamp.1);
@@ -1055,19 +1052,13 @@ impl OctoMap {
             if r == NIL {
                 return None;
             }
-            if r & LEAF_BIT != 0 {
-                return Some(self.leaf_values[(r & !LEAF_BIT) as usize]);
-            }
             let (idx, child_center) = child_of(point, &center, half);
             r = self.nodes[r as usize][idx];
             center = child_center;
             half /= 2.0;
         }
-        if is_leaf_ref(r) {
-            Some(self.leaf_values[(r & !LEAF_BIT) as usize])
-        } else {
-            None
-        }
+        // Leaves exist only at full depth (see `descend_key_apply`).
+        (r != NIL).then(|| self.leaf_values[(r & !LEAF_BIT) as usize])
     }
 
     /// Allocates an interior node with no children, returning its reference.
@@ -1081,76 +1072,102 @@ impl OctoMap {
         index
     }
 
-    /// Allocates a leaf holding `value`, returning its tagged reference.
-    fn alloc_leaf(&mut self, value: f64) -> u32 {
+    /// Allocates an unobserved leaf (log-odds 0), returning its tagged
+    /// reference.
+    fn alloc_leaf(&mut self) -> u32 {
         let index = self.leaf_values.len() as u32;
         assert!(index < LEAF_BIT - 1, "octree arena leaf pool exhausted");
-        self.leaf_values.push(value);
+        self.leaf_values.push(0.0);
         LEAF_BIT | index
     }
 
-    /// Reads the arena slot `(parent, octant)`; a [`NIL`] parent means the
-    /// root slot.
-    fn read_slot(&self, slot: (u32, usize)) -> u32 {
-        if slot.0 == NIL {
-            self.root
-        } else {
-            self.nodes[slot.0 as usize][slot.1]
-        }
-    }
-
-    /// Overwrites the arena slot `(parent, octant)` with `node`.
-    fn write_slot(&mut self, slot: (u32, usize), node: u32) {
-        if slot.0 == NIL {
-            self.root = node;
-        } else {
-            self.nodes[slot.0 as usize][slot.1] = node;
-        }
-    }
-
+    /// Reresolution's leaf update: adds the clamped `delta` to the leaf
+    /// containing `point`. The key comes from the float root descent
+    /// ([`OctoMap::point_key`]) rather than the traversal grid because an
+    /// old-map leaf centre can sit exactly on a new-grid cell boundary, where
+    /// only the descent's own compares say which leaf it lands in.
     fn update_leaf(&mut self, point: &Vec3, delta: f64) {
+        if !self.in_domain(point) {
+            return;
+        }
         let clamp = self.config.clamp;
-        self.update_leaf_apply(point, 1, move |log_odds| {
+        let key = self.point_key(point);
+        self.update_key(key, 1, move |log_odds| {
             *log_odds = (*log_odds + delta).clamp(clamp.0, clamp.1);
         });
     }
 
-    /// Applies `apply` to the leaf value containing `point` in a single tree
+    /// The arena key of the leaf a float root descent reaches for `point`:
+    /// at every level the octant comes from comparing `point` against the
+    /// accumulated node centre ([`child_of`]), and its three bits are
+    /// appended to the key.
+    fn point_key(&self, point: &Vec3) -> LeafKey {
+        let mut key = [0u64; 3];
+        let mut center = Vec3::ZERO;
+        let mut half = self.half_extent;
+        for _ in 0..self.depth {
+            let (octant, child_center) = child_of(point, &center, half);
+            for (axis, k) in key.iter_mut().enumerate() {
+                *k = (*k << 1) | ((octant >> axis) & 1) as u64;
+            }
+            center = child_center;
+            half /= 2.0;
+        }
+        key
+    }
+
+    /// Applies `apply` to the leaf with arena key `key` in a single root
     /// descent, recording `count` leaf updates. Batched scan insertion folds
     /// a whole voxel's ordered delta sequence through one descent this way.
     ///
     /// Every mutation of a leaf's log-odds flows through here — single rays,
     /// batched scans and [`OctoMap::reresolved`] alike — so this is the one
-    /// place the occupied-voxel index and the O(1) counters are kept in sync
-    /// with the tree.
-    fn update_leaf_apply<F: FnOnce(&mut f64)>(&mut self, point: &Vec3, count: u64, apply: F) {
-        if !self.in_domain(point) {
-            return;
-        }
-        let touch = self.descend_apply(point, apply);
+    /// place the occupied-voxel index, the free-voxel index and the O(1)
+    /// counters are kept in sync with the tree. Most updates neither create
+    /// a leaf nor flip its occupancy and so touch no index; only those that
+    /// do derive the leaf's centre and DFS rank from the key.
+    fn update_key<F: FnOnce(&mut f64)>(&mut self, key: LeafKey, count: u64, apply: F) {
+        let touch = self.descend_key_apply(&key, apply);
         self.updates += count;
         let threshold = self.config.occupied_threshold;
         let now = touch.after > threshold;
-        if touch.created && self.index_packable {
-            // The same dedup key collect_leaves() computes from this leaf's
-            // centre during a tree walk (bit-identical: the descent
-            // accumulates the centre with the exact additions the walk uses).
-            // When two leaves collide on a key, the one later in walk order
-            // wins, exactly as the walk's last-wins dedup insert decides.
-            let res = self.config.resolution;
-            let key = pack_voxel_key(&GridIndex::new(
-                (touch.center.x / res).round() as i64,
-                (touch.center.y / res).round() as i64,
-                (touch.center.z / res).round() as i64,
-            ));
+        let flipped = now != (!touch.created && touch.before > threshold);
+        if flipped {
+            if now {
+                self.occupied_count += 1;
+            } else {
+                self.occupied_count -= 1;
+            }
+        }
+        if !self.index_packable || !(touch.created || flipped) {
+            return;
+        }
+        let (center, rank) = self.leaf_center_and_rank(&key);
+        // The same dedup key collect_leaves() computes from this leaf's
+        // centre during a tree walk (bit-identical: the centre replays the
+        // walk's additions). When two leaves collide on a key, the one later
+        // in walk order wins, exactly as the walk's last-wins dedup insert
+        // decides.
+        let res = self.config.resolution;
+        let dedup_key = pack_voxel_key(&GridIndex::new(
+            (center.x / res).round() as i64,
+            (center.y / res).round() as i64,
+            (center.z / res).round() as i64,
+        ));
+        // The block bitmasks are keyed by the leaf's own cell, not by the
+        // point an update came from, so a point sitting exactly on a cell
+        // boundary (reresolution) maps to the leaf the descent touched.
+        let (block, bit) = block_of(&key_cell(&key, self.depth));
+        let block = pack_voxel_key(&block);
+        if touch.created {
             let leaf = KnownLeaf {
-                center: touch.center,
-                rank: touch.rank,
+                center,
+                rank,
                 occupied: now,
             };
-            match self.known_leaves.entry(key) {
+            match self.known_leaves.entry(dedup_key) {
                 std::collections::hash_map::Entry::Occupied(mut entry) => {
-                    if entry.get().rank <= touch.rank {
+                    if entry.get().rank <= rank {
                         entry.insert(leaf);
                     }
                 }
@@ -1160,135 +1177,89 @@ impl OctoMap {
             }
             // A materialised leaf marks its voxel known forever (leaves are
             // never removed short of `clear`), so the known-block index is
-            // append-only. Keyed off the leaf centre exactly like the
-            // occupied-block index below.
-            let idx = self.grid.index_of(&touch.center);
-            let (block, bit) = block_of(&idx);
-            *self.known_blocks.entry(pack_voxel_key(&block)).or_insert(0) |= bit;
-        }
-        let was = !touch.created && touch.before > threshold;
-        if was == now {
-            return;
-        }
-        if now {
-            self.occupied_count += 1;
-        } else {
-            self.occupied_count -= 1;
-        }
-        if self.index_packable {
-            if !touch.created {
-                // Keep the free-voxel index's occupancy flag in step — but
-                // only when the crossing leaf is its key's dedup winner; a
-                // shadowed leaf is invisible to the tree walk this index
-                // mirrors.
-                let res = self.config.resolution;
-                let key = pack_voxel_key(&GridIndex::new(
-                    (touch.center.x / res).round() as i64,
-                    (touch.center.y / res).round() as i64,
-                    (touch.center.z / res).round() as i64,
-                ));
-                if let Some(entry) = self.known_leaves.get_mut(&key) {
-                    if entry.rank == touch.rank {
-                        entry.occupied = now;
-                    }
-                }
+            // append-only.
+            *self.known_blocks.entry(block).or_insert(0) |= bit;
+        } else if let Some(entry) = self.known_leaves.get_mut(&dedup_key) {
+            // An existing leaf flipped: keep the free-voxel index's occupancy
+            // flag in step — but only when this leaf is its key's dedup
+            // winner; a shadowed leaf is invisible to the tree walk this
+            // index mirrors.
+            if entry.rank == rank {
+                entry.occupied = now;
             }
-            // Key the index entry off the *leaf's own centre* (mid-cell, so
-            // never within floating-point noise of a cell boundary), not the
-            // update point: an update point sitting exactly on a boundary
-            // then maps to whichever leaf the descent actually touched.
-            let idx = self.grid.index_of(&touch.center);
-            let (block, bit) = block_of(&idx);
-            let key = pack_voxel_key(&block);
+        }
+        if flipped {
             if now {
-                *self.occupied_blocks.entry(key).or_insert(0) |= bit;
-            } else if let Some(mask) = self.occupied_blocks.get_mut(&key) {
+                *self.occupied_blocks.entry(block).or_insert(0) |= bit;
+            } else if let Some(mask) = self.occupied_blocks.get_mut(&block) {
                 *mask &= !bit;
                 if *mask == 0 {
-                    self.occupied_blocks.remove(&key);
+                    self.occupied_blocks.remove(&block);
                 }
             }
         }
     }
 
     /// The mutating arena descent: walks (and where needed materialises) the
-    /// path from the root to the leaf covering `point`, applies `apply` to
-    /// its log-odds, and reports what happened. Semantically identical to the
-    /// old recursive pointer-tree update, including the coarse-leaf pushdown
-    /// (the leaf slot rides down into the descended octant, so no pool entry
-    /// is orphaned) and the replace-an-interior-node-at-full-depth repair.
-    fn descend_apply<F: FnOnce(&mut f64)>(&mut self, point: &Vec3, apply: F) -> LeafTouch {
+    /// path from the root to the leaf with arena key `key`, reading the
+    /// octant of every level from the key bits, and applies `apply` to the
+    /// leaf's log-odds. Interior nodes sit above full depth and leaves only
+    /// at it: the arena allocates nothing else, and `reset`/`clear` empty it
+    /// whenever the depth changes.
+    fn descend_key_apply<F: FnOnce(&mut f64)>(&mut self, key: &LeafKey, apply: F) -> LeafTouch {
         if self.root == NIL {
             self.root = self.alloc_inner();
         }
-        // `(NIL, _)` addresses the root slot; see `read_slot`/`write_slot`.
-        let mut slot: (u32, usize) = (NIL, 0);
-        let mut center = Vec3::ZERO;
-        let mut half = self.half_extent;
-        let mut rank: u64 = 0;
-        let mut created = false;
-        let mut remaining = self.depth;
+        let mut node = self.root as usize;
+        let mut bit = self.depth - 1;
         loop {
-            let r = self.read_slot(slot);
-            if remaining == 0 {
-                if is_leaf_ref(r) {
-                    let value = &mut self.leaf_values[(r & !LEAF_BIT) as usize];
-                    let before = *value;
-                    apply(value);
-                    return LeafTouch {
-                        created,
-                        before,
-                        after: *value,
-                        center,
-                        rank,
-                    };
-                }
-                // Should be a leaf; replace an inner node if one snuck in.
-                let mut log_odds = 0.0;
-                apply(&mut log_odds);
-                let leaf = self.alloc_leaf(log_odds);
-                self.write_slot(slot, leaf);
-                return LeafTouch {
-                    created: true,
-                    before: 0.0,
-                    after: log_odds,
-                    center,
-                    rank,
-                };
-            }
-            if is_leaf_ref(r) {
-                // A coarse leaf observed at a shallower depth: refine it by
-                // pushing its value down along the descended octant (simple
-                // expansion), reusing the leaf's pool slot.
-                let inner = self.alloc_inner();
-                self.write_slot(slot, inner);
-                let (idx, child_center) = child_of(point, &center, half);
-                self.nodes[inner as usize][idx] = r;
-                slot = (inner, idx);
-                center = child_center;
-                half /= 2.0;
-                remaining -= 1;
-                rank = (rank << 3) | idx as u64;
-                continue;
-            }
-            let (idx, child_center) = child_of(point, &center, half);
-            if self.nodes[r as usize][idx] == NIL {
-                let child = if remaining == 1 {
-                    // A leaf materialised by this descent is a newly observed
-                    // voxel.
-                    created = true;
-                    self.alloc_leaf(0.0)
+            let octant = octant_of(key, bit);
+            let mut child = self.nodes[node][octant];
+            // At `bit == 0` a leaf materialised by this descent is a newly
+            // observed voxel.
+            let created = child == NIL;
+            if created {
+                child = if bit == 0 {
+                    self.alloc_leaf()
                 } else {
                     self.alloc_inner()
                 };
-                self.nodes[r as usize][idx] = child;
+                self.nodes[node][octant] = child;
             }
-            slot = (r, idx);
-            center = child_center;
-            half /= 2.0;
-            remaining -= 1;
-            rank = (rank << 3) | idx as u64;
+            if bit == 0 {
+                let value = &mut self.leaf_values[(child & !LEAF_BIT) as usize];
+                let before = *value;
+                apply(value);
+                return LeafTouch {
+                    created,
+                    before,
+                    after: *value,
+                };
+            }
+            node = child as usize;
+            bit -= 1;
         }
+    }
+
+    /// The centre and DFS rank of the leaf with arena key `key`. The centre
+    /// replays the float additions of a root descent (±half/2, ±half/4, …
+    /// from the origin, the arithmetic of [`child_of`] and the tree walk), so
+    /// it is bit-identical to the centre `collect_leaves` reports for the
+    /// leaf; the rank packs the same octants three bits per level.
+    fn leaf_center_and_rank(&self, key: &LeafKey) -> (Vec3, u64) {
+        let mut center = Vec3::ZERO;
+        let mut half = self.half_extent;
+        let mut rank = 0u64;
+        for bit in (0..self.depth).rev() {
+            let octant = octant_of(key, bit);
+            let quarter = half / 2.0;
+            center.x += if octant & 1 != 0 { quarter } else { -quarter };
+            center.y += if octant & 2 != 0 { quarter } else { -quarter };
+            center.z += if octant & 4 != 0 { quarter } else { -quarter };
+            half = quarter;
+            rank = (rank << 3) | octant as u64;
+        }
+        (center, rank)
     }
 
     fn collect_leaves(&self) -> Vec<(Vec3, f64)> {
@@ -1324,16 +1295,50 @@ impl OctoMap {
 }
 
 /// What one tree descent did to the leaf it reached: whether the leaf was
-/// created by this update, its log-odds before and after, the leaf's own
-/// centre (the authoritative identity of the voxel it covers) and its DFS
-/// rank (see [`KnownLeaf::rank`]). This is what keeps the occupied-voxel and
-/// free-voxel indexes and the O(1) counters exact.
+/// created by this update and its log-odds before and after. With the leaf's
+/// key this is what keeps the occupied-voxel and free-voxel indexes and the
+/// O(1) counters exact.
 struct LeafTouch {
     created: bool,
     before: f64,
     after: f64,
-    center: Vec3,
-    rank: u64,
+}
+
+/// Arena key of a leaf voxel: its traversal-grid cell plus `2^(depth − 1)`
+/// on each axis, so each axis runs over `0..2^depth` and bit `depth − 1 − l`
+/// of the three axes names the octant taken at tree level `l`.
+type LeafKey = [u64; 3];
+
+/// The arena key of traversal-grid cell `cell` in a domain of depth
+/// `depth`, or `None` when the cell lies outside the domain.
+///
+/// Exact stand-in for the float descent from the cell centre. `reset` makes
+/// the domain half-size exactly `resolution × 2^(depth − 1)`, so the node
+/// centres a descent compares against are `m × resolution` for integers `m`
+/// while the cell centre is `(k + ½) × resolution`. The half-voxel gap dwarfs
+/// any rounding of those products, so the centre lies inside the domain
+/// exactly when `−2^(depth − 1) ≤ k < 2^(depth − 1)`, and every compare
+/// `centre ≥ node centre` is the key bit `k ≥ m`.
+fn leaf_key(cell: &GridIndex, depth: u32) -> Option<LeafKey> {
+    let half = 1i64 << (depth - 1);
+    let axis = |k: i64| (-half..half).contains(&k).then(|| (k + half) as u64);
+    Some([axis(cell.x)?, axis(cell.y)?, axis(cell.z)?])
+}
+
+/// Inverse of [`leaf_key`]: the traversal-grid cell of an arena key.
+fn key_cell(key: &LeafKey, depth: u32) -> GridIndex {
+    let half = 1i64 << (depth - 1);
+    GridIndex::new(
+        key[0] as i64 - half,
+        key[1] as i64 - half,
+        key[2] as i64 - half,
+    )
+}
+
+/// The octant (0..8, numbered like [`child_of`]: x in bit 0, y in bit 1, z
+/// in bit 2) that arena key `key` takes at key bit `bit`.
+fn octant_of(key: &LeafKey, bit: u32) -> usize {
+    (((key[0] >> bit) & 1) | (((key[1] >> bit) & 1) << 1) | (((key[2] >> bit) & 1) << 2)) as usize
 }
 
 /// Packs an in-domain voxel index into one u64 key (21 bits per axis,
@@ -1373,14 +1378,15 @@ fn pack_voxel_key_checked(cell: &GridIndex) -> Option<u64> {
 }
 
 /// Reusable buffers of the batched-insertion grouping pass: the voxel-key
-/// table, the first-touch-ordered entry vector and a pool of recycled spill
+/// table, the first-touch-ordered entry vector (each entry the voxel's
+/// arena key, its first delta and the rest) and a pool of recycled spill
 /// vectors (the per-voxel `Vec<f64>` of later deltas). Held per thread by
 /// `GROUP_SCRATCH`; after the first scan on a thread the steady-state mapping
 /// tick groups without allocating.
 #[derive(Debug, Default)]
 struct GroupScratch {
     index_of: HashMap<u64, u32, VoxelHashBuilder>,
-    grouped: Vec<(Vec3, f64, Vec<f64>)>,
+    grouped: Vec<(LeafKey, f64, Vec<f64>)>,
     spare: Vec<Vec<f64>>,
 }
 
@@ -1748,22 +1754,17 @@ pub mod reference {
         }
 
         /// Integrates one sensor ray with the shared ray enumeration, so the
-        /// oracle and the arena can only diverge in their *tree* logic.
+        /// oracle and the arena can only diverge in their *tree* logic: the
+        /// oracle descends from each cell centre by float compares and drops
+        /// out-of-domain centres with its own test, the arena by integer key.
         pub fn insert_ray(&mut self, origin: &Vec3, endpoint: &Vec3) {
-            let (grid, config, half_extent) = (self.grid, self.config, self.half_extent);
+            let (grid, config) = (self.grid, self.config);
             let clamp = config.clamp;
-            OctoMap::for_each_ray_update(
-                grid,
-                config,
-                half_extent,
-                origin,
-                endpoint,
-                |_cell, center, delta| {
-                    self.update_leaf(&center, move |log_odds| {
-                        *log_odds = (*log_odds + delta).clamp(clamp.0, clamp.1);
-                    });
-                },
-            );
+            OctoMap::for_each_ray_update(grid, config, origin, endpoint, |cell, delta| {
+                self.update_leaf(&grid.center_of(&cell), move |log_odds| {
+                    *log_odds = (*log_odds + delta).clamp(clamp.0, clamp.1);
+                });
+            });
         }
 
         /// Rebuilds the observations at a different resolution — the old
@@ -2239,22 +2240,93 @@ mod tests {
             (arena, tree)
         }
 
+        /// Integer-key insertion reads octants straight off the voxel key,
+        /// which is exact only when the domain half-size is
+        /// `resolution × 2^(depth − 1)`; the domain must also cover the
+        /// requested half-extent. Extents at, one ulp below and one ulp
+        /// above `resolution × 2^k` are where a rounding slip would show.
+        #[test]
+        fn domain_half_size_is_aligned_and_covers_the_request() {
+            for resolution in RESOLUTIONS {
+                for k in 0..24 {
+                    let edge = resolution * (1u64 << k) as f64;
+                    for requested in [edge.next_down(), edge, edge.next_up()] {
+                        let map =
+                            OctoMap::new(OctoMapConfig::with_resolution(resolution), requested);
+                        let aligned = resolution * (1u64 << (map.depth() - 1)) as f64;
+                        assert_eq!(
+                            map.half_extent, aligned,
+                            "resolution {resolution}, requested {requested:e}"
+                        );
+                        assert!(
+                            map.half_extent >= requested,
+                            "resolution {resolution}: domain {} below requested {requested:e}",
+                            map.half_extent
+                        );
+                    }
+                }
+            }
+        }
+
+        /// Inserts `endpoints` seen from `origin` through one of the arena's
+        /// insertion entry points: ray by ray (`mode` 0), as one
+        /// `insert_point_cloud` scan (1) or through
+        /// `insert_point_cloud_batched` (2).
+        fn insert_through(arena: &mut OctoMap, mode: usize, origin: &Vec3, endpoints: &[Vec3]) {
+            match mode {
+                0 => {
+                    for endpoint in endpoints {
+                        arena.insert_ray(origin, endpoint);
+                    }
+                }
+                1 => arena.insert_point_cloud(&PointCloud::new(*origin, endpoints.to_vec())),
+                _ => {
+                    arena.insert_point_cloud_batched(&PointCloud::new(*origin, endpoints.to_vec()))
+                }
+            }
+        }
+
+        /// The free-voxel centres of the oracle's deduplicated leaf walk, in
+        /// the coordinate order `free_voxel_centers` sorts by.
+        fn free_centers(tree: &ReferenceMap, threshold: f64) -> Vec<Vec3> {
+            tree.collect()
+                .into_iter()
+                .filter(|(_, l)| *l <= threshold)
+                .map(|(c, _)| c)
+                .collect()
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
             /// The arena descent produces the same leaves (same centres, same
             /// log-odds bits) and answers point probes exactly like the
             /// pointer tree, including through a reresolve → insert chain.
+            /// The arena receives the endpoints through every insertion entry
+            /// point (`mode`), from origins inside and outside the domain (so
+            /// clipped rays reach the key descent), while the oracle always
+            /// takes them ray by ray. The incremental free-voxel index must
+            /// agree with the oracle's leaf walk too.
             #[test]
             fn arena_matches_reference_tree(
                 res_idx in 0usize..RESOLUTIONS.len(),
+                mode in 0usize..3,
+                origin in (-48.0..48.0, -48.0..48.0, -44.0..44.0)
+                    .prop_map(|(x, y, z)| Vec3::new(x, y, z)),
                 rays in proptest::collection::vec(arb_point(20.0), 1..32),
                 more_rays in proptest::collection::vec(arb_point(20.0), 1..12),
                 queries in proptest::collection::vec(arb_point(24.0), 1..16),
                 new_res_idx in 0usize..RESOLUTIONS.len(),
             ) {
-                let (mut arena, mut tree) = paired_maps(res_idx, &rays);
+                let config = OctoMapConfig::with_resolution(RESOLUTIONS[res_idx % RESOLUTIONS.len()]);
+                let mut arena = OctoMap::new(config, 24.0);
+                let mut tree = ReferenceMap::new(config, 24.0);
+                insert_through(&mut arena, mode, &origin, &rays);
+                for endpoint in &rays {
+                    tree.insert_ray(&origin, endpoint);
+                }
                 prop_assert_eq!(arena.collect_leaves(), tree.collect());
+                prop_assert_eq!(arena.free_voxel_centers(), free_centers(&tree, config.occupied_threshold));
                 for q in &queries {
                     prop_assert_eq!(arena.leaf_log_odds(q), tree.leaf_log_odds(q));
                 }
@@ -2263,12 +2335,14 @@ mod tests {
                 let new_res = RESOLUTIONS[new_res_idx % RESOLUTIONS.len()];
                 arena = arena.reresolved(new_res);
                 tree = tree.reresolved(new_res);
-                let origin = Vec3::new(0.0, 0.0, 1.5);
+                prop_assert_eq!(arena.collect_leaves(), tree.collect());
+                prop_assert_eq!(arena.free_voxel_centers(), free_centers(&tree, config.occupied_threshold));
+                insert_through(&mut arena, mode, &origin, &more_rays);
                 for endpoint in &more_rays {
-                    arena.insert_ray(&origin, endpoint);
                     tree.insert_ray(&origin, endpoint);
                 }
                 prop_assert_eq!(arena.collect_leaves(), tree.collect());
+                prop_assert_eq!(arena.free_voxel_centers(), free_centers(&tree, config.occupied_threshold));
                 for q in &queries {
                     prop_assert_eq!(arena.leaf_log_odds(q), tree.leaf_log_odds(q));
                 }
