@@ -97,13 +97,20 @@ const NIL: u32 = u32::MAX;
 /// leaf, or interior.
 const LEAF_BIT: u32 = 1 << 31;
 
+/// Deepest domain the block indices, the free-voxel index and the per-axis
+/// leaf table ([`OctoMap::axis_keys`]) cover. It keeps the table at 2^16
+/// entries (1.5 MiB) or fewer; MAVBench worlds need depth 10 at most.
+/// Deeper domains (1 mm voxels at ±40 m, say) answer every query by tree
+/// scan instead.
+const MAX_INDEXED_DEPTH: u32 = 16;
+
 /// One entry of the incremental free-voxel index: the dedup-winning leaf of a
 /// rounded-centre voxel key, as a full `collect_leaves` walk would report it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct KnownLeaf {
     /// The leaf centre exactly as a float root descent accumulates it
-    /// (bit-identical to what the tree walk pushes for this leaf), replayed
-    /// from the leaf's key when the leaf is created.
+    /// (bit-identical to what the tree walk pushes for this leaf), read from
+    /// the per-axis leaf table when the leaf is created.
     center: Vec3,
     /// DFS rank of the leaf: the root-to-leaf octant path, packed three bits
     /// per level, root octant most significant. This totally orders leaves in
@@ -113,6 +120,44 @@ struct KnownLeaf {
     rank: u64,
     /// Whether the leaf's log-odds currently exceeds the occupied threshold.
     occupied: bool,
+}
+
+/// What one axis value `k` of a leaf key contributes to the leaf's centre,
+/// DFS rank and dedup key. The three axes share one table of these
+/// ([`OctoMap::axis_keys`]), because a root descent adds ±half/2, ±half/4, …
+/// to each axis independently.
+#[derive(Debug, Clone, Copy)]
+struct AxisKey {
+    /// The leaf-centre coordinate: the root descent's float additions (the
+    /// arithmetic of [`child_of`] and the tree walk) replayed from `k`'s
+    /// bits, top bit first, so it is bit-identical to the coordinate
+    /// `collect_leaves` reports.
+    center: f64,
+    /// `k`'s bits spread three apart (bit `b` moves to bit `3b`); a leaf's
+    /// DFS rank is `x | y << 1 | z << 2` over its three axis entries.
+    spread: u64,
+    /// `(center / resolution).round()`: this axis of the leaf's dedup key.
+    dedup: i64,
+}
+
+impl AxisKey {
+    fn new(k: u64, depth: u32, half_extent: f64, resolution: f64) -> AxisKey {
+        let mut center = 0.0;
+        let mut half = half_extent;
+        let mut spread = 0u64;
+        for bit in (0..depth).rev() {
+            let quarter = half / 2.0;
+            let upper = (k >> bit) & 1;
+            center += if upper != 0 { quarter } else { -quarter };
+            half = quarter;
+            spread |= upper << (3 * bit);
+        }
+        AxisKey {
+            center,
+            spread,
+            dedup: (center / resolution).round() as i64,
+        }
+    }
 }
 
 /// The probabilistic occupancy octree.
@@ -180,10 +225,16 @@ pub struct OctoMap {
     /// unknown-neighbour probes from this index instead of one octree descent
     /// per neighbour voxel.
     known_blocks: HashMap<u64, u64, VoxelHashBuilder>,
-    /// Whether voxel indices of this domain fit the 21-bit key packing. All
-    /// MAVBench worlds do; a multi-kilometre domain at centimetre resolution
-    /// would not, and falls back to the reference tree-scan queries.
+    /// Whether the domain is at most [`MAX_INDEXED_DEPTH`] deep, so that the
+    /// block indices, the free-voxel index and `axis_keys` are kept. All
+    /// MAVBench worlds are; a deeper domain falls back to the reference
+    /// tree-scan queries.
     index_packable: bool,
+    /// The per-axis leaf table, indexed by one axis of a leaf key
+    /// (`0..2^depth`) while the indices are kept and empty otherwise. A
+    /// created or flipped leaf reads its centre, DFS rank and dedup key from
+    /// three entries.
+    axis_keys: Vec<AxisKey>,
 }
 
 impl OctoMap {
@@ -209,6 +260,7 @@ impl OctoMap {
             known_leaves: HashMap::with_hasher(VoxelHashBuilder::default()),
             known_blocks: HashMap::with_hasher(VoxelHashBuilder::default()),
             index_packable: false,
+            axis_keys: Vec::new(),
         };
         map.reset(config, half_extent);
         map
@@ -235,9 +287,9 @@ impl OctoMap {
 
     /// [`OctoMap::clear`] plus a domain reshape: recomputes the geometry
     /// exactly as `OctoMap::new(config, half_extent)` would (depth, aligned
-    /// half-extent, traversal grid, index packability) while reusing the
-    /// storage of this map. `new` is implemented on top of this, so the two
-    /// cannot drift apart.
+    /// half-extent, traversal grid, whether the indices are kept, the
+    /// per-axis leaf table) while reusing the storage of this map. `new` is
+    /// implemented on top of this, so the two cannot drift apart.
     ///
     /// # Panics
     ///
@@ -260,11 +312,17 @@ impl OctoMap {
         self.config = config;
         self.half_extent = half_extent;
         self.depth = depth;
-        // In-domain voxel indices are bounded by half_extent / resolution;
-        // query neighbourhoods only ever reach out-of-domain (hence
-        // never-occupied) voxels beyond the packing range, so packability
-        // of the domain itself is the only requirement.
-        self.index_packable = half_extent / config.resolution < (1u64 << 20) as f64;
+        // The depth bound caps the table; in-domain voxel indices (below
+        // 2^15 in magnitude) then fit the 21-bit key packing with room to
+        // spare, and query neighbourhoods only reach beyond the packing
+        // range at out-of-domain, never-occupied voxels.
+        self.index_packable = depth <= MAX_INDEXED_DEPTH;
+        self.axis_keys.clear();
+        if self.index_packable {
+            self.axis_keys.extend(
+                (0..1u64 << depth).map(|k| AxisKey::new(k, depth, half_extent, config.resolution)),
+            );
+        }
         self.clear();
     }
 
@@ -356,12 +414,13 @@ impl OctoMap {
 
     /// Batched insertion pays for its per-crossing bookkeeping only when many
     /// rays cross each voxel. Sharing grows with ray density and voxel size;
-    /// `points × resolution²` is the calibrated proxy (criterion octomap
-    /// bench, BENCH_pr2.json): below ≈250 ray-by-ray insertion wins, above it
-    /// batching wins (up to ~1.45X on dense scans at coarse resolutions).
-    /// It was calibrated while both paths descended by float compares from
-    /// the root; both now descend by integer key, so the crossover may have
-    /// moved.
+    /// `points × resolution²` is the proxy. The ≈250 crossover was
+    /// calibrated (criterion octomap bench, BENCH_pr2.json) while both paths
+    /// descended by float compares and replayed leaf centres level by level.
+    /// With integer-key descent and the per-axis leaf table, on cold 96 m
+    /// maps (medians of 31 alternating rounds, two-vCPU Xeon host), ray by
+    /// ray takes 0.83–0.96× the batched time at sharing 264–1,583 and
+    /// 1.08–1.21× only from about 2,500: 250 is now too low.
     const BATCH_SHARING_THRESHOLD: f64 = 250.0;
 
     /// Integrates a whole point cloud captured from `cloud.origin`.
@@ -377,9 +436,9 @@ impl OctoMap {
     /// individually.
     pub fn insert_point_cloud(&mut self, cloud: &PointCloud) {
         let sharing = cloud.len() as f64 * self.config.resolution * self.config.resolution;
-        // The batched path packs voxel indices into 21 bits per axis; a
-        // domain wider than that (multi-km at centimetre resolution) must
-        // take the ray-by-ray path or distinct voxels would alias.
+        // The batched path packs voxel indices into 21 bits per axis. It runs
+        // only on domains within the index depth bound, whose indices fit
+        // with room to spare, so distinct voxels never alias.
         if sharing < Self::BATCH_SHARING_THRESHOLD || !self.index_packable {
             let origin = cloud.origin;
             for point in cloud.iter() {
@@ -519,7 +578,7 @@ impl OctoMap {
     pub fn blocking_voxel_with_inflation(&self, point: &Vec3, radius: f64) -> Option<Vec3> {
         let r = radius.max(0.0);
         if !self.index_packable {
-            // Reference fallback (domains too wide for 21-bit voxel keys):
+            // Reference fallback (domains deeper than the index bound):
             // the same cube walk as the reference predicate, returning the
             // first occupied voxel centre it accepts.
             let steps = (r / self.config.resolution).ceil() as i64;
@@ -575,7 +634,7 @@ impl OctoMap {
     /// The pre-index inflation query: one full octree descent per voxel of
     /// the inflation cube. Kept verbatim as the executable specification the
     /// indexed query is property-tested against, and as the fallback for
-    /// domains too wide for 21-bit voxel keys.
+    /// domains deeper than the index bound (the internal `MAX_INDEXED_DEPTH`).
     pub fn is_occupied_with_inflation_reference(&self, point: &Vec3, radius: f64) -> bool {
         let r = radius.max(0.0);
         let steps = (r / self.config.resolution).ceil() as i64;
@@ -652,7 +711,7 @@ impl OctoMap {
                 return None;
             }
         }
-        // An occupied voxel sits near the corridor (or the domain is too wide
+        // An occupied voxel sits near the corridor (or the domain is too deep
         // for the index): run the exact sampled predicate once and report the
         // voxel blocking the first blocked sample.
         let dist = a.distance(b);
@@ -785,7 +844,7 @@ impl OctoMap {
             for by in lo.y.div_euclid(4)..=hi.y.div_euclid(4) {
                 for bx in lo.x.div_euclid(4)..=hi.x.div_euclid(4) {
                     let Some(key) = pack_voxel_key_checked(&GridIndex::new(bx, by, bz)) else {
-                        // Beyond the packing range means beyond the (packable)
+                        // Beyond the packing range means beyond the (indexed)
                         // domain: those voxels are unobservable, never occupied.
                         continue;
                     };
@@ -830,6 +889,8 @@ impl OctoMap {
     /// Number of observed (free or occupied) leaf voxels. O(1): the size of
     /// the incrementally maintained key set, which reproduces the historical
     /// tree-walk accounting exactly (including its dedup by rounded centre).
+    /// Domains deeper than the index bound (the internal
+    /// `MAX_INDEXED_DEPTH`) count by that tree walk instead.
     pub fn known_voxel_count(&self) -> usize {
         if self.index_packable {
             self.known_leaves.len()
@@ -870,7 +931,7 @@ impl OctoMap {
     /// tree traversal — and bit-identical (centres, set membership and order)
     /// to the full-walk [`OctoMap::free_voxel_centers_scan`] it replaced,
     /// which remains as the regression oracle and the fallback for domains
-    /// too wide for the voxel-key packing.
+    /// deeper than the index bound (the internal `MAX_INDEXED_DEPTH`).
     pub fn free_voxel_centers(&self) -> Vec<Vec3> {
         let mut centers = Vec::new();
         self.free_voxel_centers_into(&mut centers);
@@ -881,7 +942,8 @@ impl OctoMap {
     /// first), so a per-replan caller — frontier extraction ticks this every
     /// planning cycle — reuses one allocation instead of collecting a fresh
     /// `Vec` per call. Contents and order are identical to the allocating
-    /// variant, which is implemented on top of this.
+    /// variant, which is implemented on top of this, including the tree-walk
+    /// fallback for domains deeper than the index bound.
     pub fn free_voxel_centers_into(&self, centers: &mut Vec<Vec3>) {
         centers.clear();
         if !self.index_packable {
@@ -992,8 +1054,9 @@ impl OctoMap {
     /// octree descents. An out-of-domain neighbour has no leaf, so it reads
     /// as unknown from the index exactly as [`OctoMap::query`] reports it;
     /// neighbour indices sit at most one voxel outside the domain, within the
-    /// alias-free range of the 21-bit key packing. Domains too wide for the
-    /// packing fall back to the probe loop.
+    /// alias-free range of the 21-bit key packing. Domains deeper than the
+    /// index bound (the internal `MAX_INDEXED_DEPTH`) fall back to the probe
+    /// loop.
     pub fn has_unknown_neighbor6(&self, point: &Vec3) -> bool {
         if !self.index_packable {
             let r = self.config.resolution;
@@ -1125,7 +1188,7 @@ impl OctoMap {
     /// place the occupied-voxel index, the free-voxel index and the O(1)
     /// counters are kept in sync with the tree. Most updates neither create
     /// a leaf nor flip its occupancy and so touch no index; only those that
-    /// do derive the leaf's centre and DFS rank from the key.
+    /// do read the leaf's centre, DFS rank and dedup key from `axis_keys`.
     fn update_key<F: FnOnce(&mut f64)>(&mut self, key: LeafKey, count: u64, apply: F) {
         let touch = self.descend_key_apply(&key, apply);
         self.updates += count;
@@ -1142,18 +1205,15 @@ impl OctoMap {
         if !self.index_packable || !(touch.created || flipped) {
             return;
         }
-        let (center, rank) = self.leaf_center_and_rank(&key);
+        let [x, y, z] = key.map(|k| self.axis_keys[k as usize]);
+        let center = Vec3::new(x.center, y.center, z.center);
+        let rank = x.spread | (y.spread << 1) | (z.spread << 2);
         // The same dedup key collect_leaves() computes from this leaf's
-        // centre during a tree walk (bit-identical: the centre replays the
+        // centre during a tree walk (bit-identical: the table replays the
         // walk's additions). When two leaves collide on a key, the one later
         // in walk order wins, exactly as the walk's last-wins dedup insert
         // decides.
-        let res = self.config.resolution;
-        let dedup_key = pack_voxel_key(&GridIndex::new(
-            (center.x / res).round() as i64,
-            (center.y / res).round() as i64,
-            (center.z / res).round() as i64,
-        ));
+        let dedup_key = pack_voxel_key(&GridIndex::new(x.dedup, y.dedup, z.dedup));
         // The block bitmasks are keyed by the leaf's own cell, not by the
         // point an update came from, so a point sitting exactly on a cell
         // boundary (reresolution) maps to the leaf the descent touched.
@@ -1241,34 +1301,15 @@ impl OctoMap {
         }
     }
 
-    /// The centre and DFS rank of the leaf with arena key `key`. The centre
-    /// replays the float additions of a root descent (±half/2, ±half/4, …
-    /// from the origin, the arithmetic of [`child_of`] and the tree walk), so
-    /// it is bit-identical to the centre `collect_leaves` reports for the
-    /// leaf; the rank packs the same octants three bits per level.
-    fn leaf_center_and_rank(&self, key: &LeafKey) -> (Vec3, u64) {
-        let mut center = Vec3::ZERO;
-        let mut half = self.half_extent;
-        let mut rank = 0u64;
-        for bit in (0..self.depth).rev() {
-            let octant = octant_of(key, bit);
-            let quarter = half / 2.0;
-            center.x += if octant & 1 != 0 { quarter } else { -quarter };
-            center.y += if octant & 2 != 0 { quarter } else { -quarter };
-            center.z += if octant & 4 != 0 { quarter } else { -quarter };
-            half = quarter;
-            rank = (rank << 3) | octant as u64;
-        }
-        (center, rank)
-    }
-
     fn collect_leaves(&self) -> Vec<(Vec3, f64)> {
         let mut out = Vec::new();
         if self.root != NIL {
             self.collect_arena(self.root, Vec3::ZERO, self.half_extent, &mut out);
         }
-        // Merge duplicates (possible when a coarse leaf was later refined) by
-        // keeping the most recently observed value — here, simply the last.
+        // Leaves exist only at full depth, so every leaf is a distinct voxel,
+        // but at non-dyadic resolutions float error can round two
+        // neighbouring centres to one key. The later leaf in walk order
+        // hides the earlier one.
         let mut dedup: HashMap<(i64, i64, i64), (Vec3, f64)> = HashMap::new();
         for (c, l) in out {
             let key = (
@@ -1365,7 +1406,7 @@ fn unpack_voxel_key(key: u64) -> GridIndex {
 }
 
 /// [`pack_voxel_key`] for query neighbourhoods, which may legitimately reach
-/// beyond the packing range: on a packable domain any index at or beyond
+/// beyond the packing range: on an indexed domain any index at or beyond
 /// ±2^20 has its centre outside the octree domain, so `None` simply means
 /// "unobservable, never occupied".
 fn pack_voxel_key_checked(cell: &GridIndex) -> Option<u64> {
@@ -1938,6 +1979,26 @@ mod tests {
         OctoMap::new(OctoMapConfig::with_resolution(resolution), 32.0)
     }
 
+    /// The centre and DFS rank of the leaf with arena key `key`, replayed
+    /// level by level: the float additions of a root descent (±half/2,
+    /// ±half/4, … from the origin) and the octants packed three bits per
+    /// level. The oracle of the per-axis leaf table.
+    fn leaf_center_and_rank(map: &OctoMap, key: &LeafKey) -> (Vec3, u64) {
+        let mut center = Vec3::ZERO;
+        let mut half = map.half_extent;
+        let mut rank = 0u64;
+        for bit in (0..map.depth).rev() {
+            let octant = octant_of(key, bit);
+            let quarter = half / 2.0;
+            center.x += if octant & 1 != 0 { quarter } else { -quarter };
+            center.y += if octant & 2 != 0 { quarter } else { -quarter };
+            center.z += if octant & 4 != 0 { quarter } else { -quarter };
+            half = quarter;
+            rank = (rank << 3) | octant as u64;
+        }
+        (center, rank)
+    }
+
     #[test]
     fn ray_insertion_marks_endpoint_occupied_and_path_free() {
         let mut map = small_map(0.5);
@@ -2179,22 +2240,41 @@ mod tests {
 
     #[test]
     fn unpackable_domain_falls_back_to_reference_queries() {
-        // A multi-km domain at mm resolution exceeds the 21-bit voxel-key
-        // packing: the occupied-voxel index must disable itself and every
-        // query keep answering (identically) via the tree.
-        let mut map = OctoMap::new(OctoMapConfig::with_resolution(0.001), 1500.0);
-        let origin = Vec3::new(0.0, 0.0, 0.0105);
-        let hit = Vec3::new(0.05, 0.0, 0.0105);
-        map.insert_ray(&origin, &hit);
-        assert_eq!(map.query(&hit), Occupancy::Occupied);
-        assert!(map.is_occupied_with_inflation(&hit, 0.002));
-        assert_eq!(
-            map.is_occupied_with_inflation(&hit, 0.002),
-            map.is_occupied_with_inflation_reference(&hit, 0.002)
-        );
-        assert!(!map.segment_free(&origin, &hit, 0.001));
-        assert_eq!(map.occupied_voxel_count(), 1);
-        assert_eq!(map.known_voxel_count(), map.known_voxel_count_scan());
+        // A domain deeper than the index bound must disable the indices and
+        // the per-axis leaf table, and every query keep answering
+        // (identically) via the tree: a multi-km domain at mm resolution,
+        // and 1 mm at ±40 m, one level past the bound. 1 mm at ±30 m sits at
+        // the bound and keeps its indices, which must agree with the tree
+        // the same way.
+        for (half_extent, depth, indexed) in
+            [(1500.0, 22, false), (40.0, 17, false), (30.0, 16, true)]
+        {
+            let mut map = OctoMap::new(OctoMapConfig::with_resolution(0.001), half_extent);
+            assert_eq!(map.depth(), depth, "±{half_extent} m");
+            assert_eq!(map.index_packable, indexed, "±{half_extent} m");
+            assert_eq!(
+                map.axis_keys.len(),
+                if indexed { 1 << depth } else { 0 },
+                "±{half_extent} m"
+            );
+            let origin = Vec3::new(0.0, 0.0, 0.0105);
+            let hit = Vec3::new(0.05, 0.0, 0.0105);
+            map.insert_ray(&origin, &hit);
+            assert_eq!(map.query(&hit), Occupancy::Occupied);
+            assert!(map.is_occupied_with_inflation(&hit, 0.002));
+            assert_eq!(
+                map.is_occupied_with_inflation(&hit, 0.002),
+                map.is_occupied_with_inflation_reference(&hit, 0.002)
+            );
+            assert!(!map.segment_free(&origin, &hit, 0.001));
+            assert_eq!(
+                map.segment_free(&origin, &hit, 0.001),
+                map.segment_free_reference(&origin, &hit, 0.001)
+            );
+            assert_eq!(map.occupied_voxel_count(), 1);
+            assert_eq!(map.known_voxel_count(), map.known_voxel_count_scan());
+            assert_eq!(map.free_voxel_centers(), map.free_voxel_centers_scan());
+        }
     }
 
     #[test]
@@ -2263,6 +2343,56 @@ mod tests {
                             "resolution {resolution}: domain {} below requested {requested:e}",
                             map.half_extent
                         );
+                    }
+                }
+            }
+        }
+
+        /// The per-axis leaf table reproduces the level-by-level replay bit
+        /// for bit: for every key at every depth from 1 to the index bound,
+        /// three entries give the replay's centre, its DFS rank and the
+        /// rounded-centre dedup key. Extents at, one ulp below and one ulp
+        /// above `resolution × 2^k` reach each of those depths and the first
+        /// one past the bound, where the table must be empty.
+        #[test]
+        fn axis_table_matches_the_float_replay() {
+            for resolution in RESOLUTIONS {
+                for k in 0..MAX_INDEXED_DEPTH {
+                    let edge = resolution * (1u64 << k) as f64;
+                    for requested in [edge.next_down(), edge, edge.next_up()] {
+                        let map =
+                            OctoMap::new(OctoMapConfig::with_resolution(resolution), requested);
+                        let depth = map.depth();
+                        if depth > MAX_INDEXED_DEPTH {
+                            assert!(!map.index_packable && map.axis_keys.is_empty());
+                            continue;
+                        }
+                        assert!(map.index_packable);
+                        let keys = 1u64 << depth;
+                        assert_eq!(map.axis_keys.len() as u64, keys);
+                        for kx in 0..keys {
+                            // Three different axis keys, so each axis of the
+                            // replay reads its own table entry.
+                            let key = [kx, (kx * 5 + 3) % keys, keys - 1 - kx];
+                            let (center, rank) = leaf_center_and_rank(&map, &key);
+                            let [x, y, z] = key.map(|k| map.axis_keys[k as usize]);
+                            assert_eq!(
+                                [x.center, y.center, z.center].map(f64::to_bits),
+                                [center.x, center.y, center.z].map(f64::to_bits),
+                                "resolution {resolution}, depth {depth}, key {key:?}"
+                            );
+                            assert_eq!(
+                                x.spread | (y.spread << 1) | (z.spread << 2),
+                                rank,
+                                "resolution {resolution}, depth {depth}, key {key:?}"
+                            );
+                            assert_eq!(
+                                [x.dedup, y.dedup, z.dedup],
+                                [center.x, center.y, center.z]
+                                    .map(|c| (c / resolution).round() as i64),
+                                "resolution {resolution}, depth {depth}, key {key:?}"
+                            );
+                        }
                     }
                 }
             }
