@@ -123,7 +123,7 @@ fn bench_frontier_extraction(c: &mut Criterion) {
 /// layer (identical reports, pinned by the core tests).
 ///
 /// The `fine_episode` pair repeats the A/B at 0.30 m static resolution
-/// (inside the paper's 0.15–0.80 m case-study band): a ~50k-voxel arena per
+/// (inside the paper's 0.15–0.80 m case-study band): a ~50k-voxel map per
 /// episode is where the allocate/fault/drop cost the scratch layer removes
 /// shows most clearly.
 fn bench_mapping_mission(c: &mut Criterion) {

@@ -5,6 +5,7 @@ use mav_compute::{ApplicationId, CloudConfig, OperatingPoint};
 use mav_dynamics::QuadrotorConfig;
 use mav_energy::BatteryConfig;
 use mav_env::EnvironmentConfig;
+use mav_perception::OctoMap;
 use mav_runtime::ExecModel;
 use mav_sensors::DepthCameraConfig;
 use mav_types::{Frequency, FromJson, Json, SimDuration, ToJson};
@@ -1091,6 +1092,50 @@ impl MissionConfig {
         self.node_ops.validate()?;
         self.fault_plan.validate()?;
         self.degradation.validate()?;
+        self.validate_map_depth()
+    }
+
+    /// Half-extent of the mission's cubic occupancy map, metres: the larger
+    /// of the world's horizontal half-extent and height, plus a 5 m margin.
+    /// [`crate::MissionContext`] builds the map over it, and
+    /// [`MissionConfig::validate`] vets the map resolutions against it.
+    pub fn map_half_extent(&self) -> f64 {
+        self.environment.extent.max(self.environment.height) + 5.0
+    }
+
+    /// Rejects a resolution the mission's map cannot be built at. The first
+    /// map covers [`Self::map_half_extent`] at the initial resolution within
+    /// [`OctoMap::MAX_DEPTH`] levels, and a dynamic policy's first switch
+    /// rebuilds that map's aligned domain at the indoor resolution
+    /// ([`OctoMap::reresolved`]), which must fit too. Later switches can
+    /// grow the domain further; [`crate::MissionContext`] skips any that
+    /// would pass the bound.
+    fn validate_map_depth(&self) -> Result<(), String> {
+        let half_extent = self.map_half_extent();
+        if !(half_extent.is_finite() && half_extent > 0.0) {
+            return Err(format!(
+                "map half extent must be positive and finite, got {half_extent}"
+            ));
+        }
+        let fits = |resolution: f64, half_extent: f64| {
+            if !(resolution.is_finite() && resolution > 0.0) {
+                return Err(format!("resolution must be positive, got {resolution}"));
+            }
+            let depth = OctoMap::depth_for(resolution, half_extent);
+            if depth > OctoMap::MAX_DEPTH {
+                return Err(format!(
+                    "resolution {resolution:?} m needs a {depth}-level map over \
+                     ±{half_extent} m, above the {}-level maximum",
+                    OctoMap::MAX_DEPTH
+                ));
+            }
+            Ok(())
+        };
+        let initial = self.resolution_policy.initial_resolution();
+        fits(initial, half_extent)?;
+        if let ResolutionPolicy::Dynamic { indoor, .. } = self.resolution_policy {
+            fits(indoor, OctoMap::aligned_half_extent(initial, half_extent))?;
+        }
         Ok(())
     }
 

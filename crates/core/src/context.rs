@@ -146,7 +146,7 @@ impl MissionContext {
             None => mav_compute::ComputePlatform::tx2(config.application, config.operating_point),
         };
         let resolution = config.resolution_policy.initial_resolution();
-        let half_extent = config.environment.extent.max(config.environment.height) + 5.0;
+        let half_extent = config.map_half_extent();
         let map = match &scratch {
             Some(slot) => slot
                 .borrow_mut()
@@ -571,13 +571,20 @@ impl MissionContext {
         op: Option<OperatingPoint>,
     ) -> Vec<(KernelId, SimDuration)> {
         // Dynamic resolution policy: sample the local obstacle density and
-        // switch the map resolution when the policy asks for it.
+        // switch the map resolution when the policy asks for it. A switch
+        // rebuilds the current map's aligned domain, which grows with every
+        // round trip between resolutions that are not power-of-two multiples
+        // of each other (0.8 m ↔ 0.15 m doubles it); a switch whose map would
+        // pass `OctoMap::MAX_DEPTH` is skipped and the map keeps its current
+        // resolution. `MissionConfig::validate` guarantees the first switch.
         let density = self.world.obstacle_density_near(&self.pose().position, 8.0);
         let wanted = self
             .config
             .resolution_policy
             .resolution_for_density(density);
-        if (wanted - self.current_resolution).abs() > 1e-9 {
+        if (wanted - self.current_resolution).abs() > 1e-9
+            && OctoMap::depth_for(wanted, self.map.half_extent()) <= OctoMap::MAX_DEPTH
+        {
             self.map = self.map.reresolved(wanted);
             self.current_resolution = wanted;
         }
@@ -889,6 +896,37 @@ mod tests {
         assert!(!latency.is_zero());
         assert!(c.map.known_voxel_count() > 0);
         assert!(c.timer.invocations(KernelId::OctomapGeneration) == 1);
+    }
+
+    #[test]
+    fn resolution_switches_stop_at_the_map_depth_bound() {
+        // Every 0.8 m ↔ 0.15 m round trip doubles the map's domain. Toggle
+        // the policy on every frame (a density is never below 0 and never
+        // infinite, so threshold 0 asks for the indoor resolution and an
+        // infinite one for the outdoor resolution) until the 0.15 m map
+        // would pass `OctoMap::MAX_DEPTH`: from then on the fine switch is
+        // skipped and the map stays at 0.8 m.
+        let mut c = ctx(ApplicationId::PackageDelivery);
+        let frame = c.capture_depth();
+        let mut switches = 0;
+        for i in 0..40 {
+            c.config.resolution_policy = ResolutionPolicy::Dynamic {
+                outdoor: 0.8,
+                indoor: 0.15,
+                density_threshold: if i % 2 == 0 { 0.0 } else { f64::INFINITY },
+            };
+            let before = c.current_resolution;
+            c.update_map(&frame);
+            assert!(c.map.depth() <= OctoMap::MAX_DEPTH, "frame {i}");
+            assert_eq!(c.map.resolution(), c.current_resolution, "frame {i}");
+            if c.current_resolution != before {
+                switches += 1;
+            }
+        }
+        assert!((20..40).contains(&switches), "{switches} switches");
+        assert_eq!(c.current_resolution, 0.8);
+        assert!(OctoMap::depth_for(0.15, c.map.half_extent()) > OctoMap::MAX_DEPTH);
+        assert!(c.map.known_voxel_count() > 0);
     }
 
     #[test]

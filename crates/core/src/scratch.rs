@@ -2,7 +2,7 @@
 //! Monte-Carlo reliability sweep.
 //!
 //! Every [`crate::run_mission`] historically built a fresh
-//! [`crate::MissionContext`] — a new `OctoMap` arena, new point-cloud
+//! [`crate::MissionContext`] — a new `OctoMap` block store, new point-cloud
 //! buffers, a regenerated world — and threw it all away. At reliability-sweep
 //! scale (ROADMAP item 3: 10k–1M episodes) that allocation churn is the
 //! bottleneck, so [`EpisodeScratch`] keeps the expensive state alive between
@@ -35,7 +35,7 @@ pub(crate) struct CloudScratch {
 /// Reusable cross-episode state for [`crate::apps::run_mission_with_scratch`].
 ///
 /// One instance per worker amortises the per-episode allocations across every
-/// episode that worker runs: the octree arena and its indexes, the
+/// episode that worker runs: the map's block storage and its index, the
 /// point-cloud buffers, and (for repeated identical environment configs) the
 /// generated world. A default instance is empty — the first episode populates
 /// it — so the type is also the correct "cold start" state.
@@ -70,7 +70,7 @@ impl EpisodeScratch {
     }
 
     /// An empty map with the given geometry, reusing the previous episode's
-    /// arena and index allocations when available ([`OctoMap::reset`] restores
+    /// block and index allocations when available ([`OctoMap::reset`] restores
     /// the exact fresh-map state).
     pub(crate) fn map_for(&mut self, config: OctoMapConfig, half_extent: f64) -> OctoMap {
         match self.map.take() {

@@ -15,7 +15,7 @@
 //!
 //! ```text
 //! // mav-lint: allow(DET-HASH-ITER): accumulation is order-independent (u64 sum)
-//! for mask in self.occupied_blocks.values() { … }
+//! for slot in self.blocks.values() { … }
 //! ```
 //!
 //! The annotation must sit on the finding's line or the line directly above

@@ -1,4 +1,4 @@
-//! A probabilistic occupancy octree (the OctoMap kernel).
+//! A probabilistic occupancy map (the OctoMap kernel).
 //!
 //! The paper treats OctoMap generation as the dominant perception kernel of
 //! Package Delivery, 3D Mapping and Search and Rescue, and builds an entire
@@ -6,10 +6,15 @@
 //! more compute per update but let the drone see narrow openings; coarser
 //! voxels are cheap but inflate obstacles until doorways disappear.
 //!
-//! This implementation is a real octree over a cubic domain. Leaves carry
-//! clamped log-odds occupancy; rays carve free space along their length and
-//! mark their endpoint occupied, exactly like the original OctoMap update
-//! rule.
+//! The map covers OctoMap's cubic domain with full-depth leaves, one per
+//! `resolution`-sized voxel, each carrying clamped log-odds occupancy; rays
+//! carve free space along their length and mark their endpoint occupied,
+//! exactly like the original OctoMap update rule. The leaves are stored as a
+//! hashed voxel-block map (the layout of VDB and of voxel hashing): one hash
+//! from 4×4×4-voxel block coordinates to a slot holding the block's known
+//! and occupied masks and its 64 log-odds. Everything an octree walk would
+//! report (leaf centres, walk order) is derived from the integer leaf key,
+//! so results match the pointer octree kept in [`mod@reference`] bit for bit.
 
 use crate::pointcloud::PointCloud;
 use mav_types::{Aabb, GridIndex, GridSpec, Vec3};
@@ -87,21 +92,11 @@ impl Default for OctoMapConfig {
     }
 }
 
-/// Absent-child sentinel of the node arena.
-const NIL: u32 = u32::MAX;
-
-/// High bit tagging an arena reference as a leaf-pool index; the low 31 bits
-/// then index [`OctoMap::leaf_values`]. An untagged reference indexes
-/// [`OctoMap::nodes`]. `NIL` is reserved (leaf indices stay below
-/// `LEAF_BIT - 1`), so a reference is one of exactly three things: absent,
-/// leaf, or interior.
-const LEAF_BIT: u32 = 1 << 31;
-
-/// Deepest domain the block indices, the free-voxel index and the per-axis
-/// leaf table ([`OctoMap::axis_keys`]) cover. It keeps the table at 2^16
-/// entries (1.5 MiB) or fewer; MAVBench worlds need depth 10 at most.
-/// Deeper domains (1 mm voxels at ±40 m, say) answer every query by tree
-/// scan instead.
+/// Deepest domain the free-voxel index and the per-axis leaf table
+/// ([`OctoMap::axis_keys`]) cover. It keeps the table at 2^16 entries
+/// (1.5 MiB) or fewer; MAVBench worlds need depth 10 at most. Deeper domains
+/// (1 mm voxels at ±40 m, say) count known voxels and list free ones by a
+/// full leaf walk instead.
 const MAX_INDEXED_DEPTH: u32 = 16;
 
 /// One entry of the incremental free-voxel index: the dedup-winning leaf of a
@@ -109,13 +104,13 @@ const MAX_INDEXED_DEPTH: u32 = 16;
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct KnownLeaf {
     /// The leaf centre exactly as a float root descent accumulates it
-    /// (bit-identical to what the tree walk pushes for this leaf), read from
-    /// the per-axis leaf table when the leaf is created.
+    /// (bit-identical to the centre `collect_leaves` reports for this leaf),
+    /// read from the per-axis leaf table when the leaf is created.
     center: Vec3,
-    /// DFS rank of the leaf: the root-to-leaf octant path, packed three bits
+    /// Walk rank of the leaf: the root-to-leaf octant path, packed three bits
     /// per level, root octant most significant. This totally orders leaves in
-    /// tree-walk order, which reproduces the walk's last-in-walk-order-wins
-    /// dedup when two adjacent leaf centres round to the same voxel key (the
+    /// pre-order walk order, which reproduces the walk's last-wins dedup when
+    /// two adjacent leaf centres round to the same voxel key (the
     /// non-dyadic-resolution merge artifact the golden fixtures pin).
     rank: u64,
     /// Whether the leaf's log-odds currently exceeds the occupied threshold.
@@ -129,12 +124,12 @@ struct KnownLeaf {
 #[derive(Debug, Clone, Copy)]
 struct AxisKey {
     /// The leaf-centre coordinate: the root descent's float additions (the
-    /// arithmetic of [`child_of`] and the tree walk) replayed from `k`'s
-    /// bits, top bit first, so it is bit-identical to the coordinate
-    /// `collect_leaves` reports.
+    /// arithmetic of [`child_of`] and of the pointer octree's walk) replayed
+    /// from `k`'s bits, top bit first, so it is bit-identical to the
+    /// coordinate that walk reports.
     center: f64,
     /// `k`'s bits spread three apart (bit `b` moves to bit `3b`); a leaf's
-    /// DFS rank is `x | y << 1 | z << 2` over its three axis entries.
+    /// walk rank is `x | y << 1 | z << 2` over its three axis entries.
     spread: u64,
     /// `(center / resolution).round()`: this axis of the leaf's dedup key.
     dedup: i64,
@@ -160,7 +155,22 @@ impl AxisKey {
     }
 }
 
-/// The probabilistic occupancy octree.
+/// Known and occupied voxels of one 4×4×4 block: bit `x + 4y + 16z` over the
+/// block-local coordinates (see [`block_of`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct BlockMasks {
+    /// Voxels observed at least once. Bits are only ever set short of
+    /// [`OctoMap::clear`].
+    known: u64,
+    /// Known voxels whose log-odds exceed the occupied threshold.
+    occupied: u64,
+}
+
+/// Packed-key sentinel of [`OctoMap::last_block`] while no block was
+/// touched: [`pack_voxel_key`] never sets the top bit.
+const NO_BLOCK: u64 = u64::MAX;
+
+/// The probabilistic occupancy map.
 ///
 /// # Example
 ///
@@ -177,58 +187,47 @@ impl AxisKey {
 #[derive(Debug, Clone)]
 pub struct OctoMap {
     config: OctoMapConfig,
-    /// Half-extent of the cubic octree domain, metres.
+    /// Half-extent of the cubic domain, metres.
     half_extent: f64,
-    /// Tree depth such that leaf size <= resolution.
+    /// Octree depth: the domain spans `2^depth` leaves per axis.
     depth: u32,
-    /// Interior nodes of the arena-allocated octree: eight tagged child
-    /// references each ([`NIL`] = absent child, high bit set = index into
-    /// `leaf_values`, otherwise an index into this vector). The flat layout
-    /// replaces the old boxed-enum tree, killing one heap allocation and one
-    /// pointer chase per level on every descent — the cost every query, ray
-    /// insertion and batched scan update used to pay.
-    nodes: Vec<[u32; 8]>,
-    /// Leaf log-odds values, stored inline in a flat pool and referenced by
-    /// tagged indices in `nodes`.
-    leaf_values: Vec<f64>,
-    /// Tagged reference to the root node; [`NIL`] while nothing was observed.
-    root: u32,
     grid: GridSpec,
     /// Number of leaf updates performed (a proxy for the work the kernel did).
     updates: u64,
-    /// Flat spatial index over the occupied leaf voxels, maintained
-    /// incrementally by every leaf update (ray insertion, batched scan
-    /// insertion and re-resolution all funnel through
-    /// [`OctoMap::update_key`]). Keys are [`pack_voxel_key`]s of
-    /// 4×4×4-voxel *block* coordinates; values are 64-bit occupancy masks of
-    /// the block's voxels. Collision queries walk this hash index instead of
-    /// descending the octree once per neighbour voxel.
-    occupied_blocks: HashMap<u64, u64, VoxelHashBuilder>,
-    /// Number of occupied leaf voxels, kept exactly in sync with the tree
-    /// (the same per-voxel occupancy the collision queries see).
+    /// Slot of every observed 4×4×4-voxel block, keyed by the
+    /// [`pack_voxel_key`] of its block coordinates (the traversal-grid cell
+    /// divided by 4, rounded down). A block is created by the first update of
+    /// any of its voxels and lives until [`OctoMap::clear`]; slots count up
+    /// from zero in creation order.
+    blocks: HashMap<u64, u32, VoxelHashBuilder>,
+    /// Per slot: the block's known and occupied masks. Collision queries
+    /// and frontier probes read these, one hash probe per block, instead of
+    /// one point lookup per voxel.
+    masks: Vec<BlockMasks>,
+    /// Per slot: the clamped log-odds of the block's 64 voxels, 0.0 where
+    /// the known bit is clear.
+    log_odds: Vec<[f64; 64]>,
+    /// Packed key and slot of the block the previous update touched
+    /// ([`NO_BLOCK`] after a clear). Consecutive cells of a ray mostly share
+    /// a block, so [`OctoMap::update_key`] checks it before hashing.
+    last_block: (u64, u32),
+    /// Number of occupied leaf voxels, kept exactly in sync with the
+    /// occupied masks (the same per-voxel occupancy the collision queries
+    /// see).
     occupied_count: usize,
     /// The incremental free-voxel index: for every rounded-centre voxel key,
     /// the dedup-winning leaf a full `collect_leaves` walk would report
     /// (centre, walk rank and occupancy flag), maintained by every leaf
     /// update. [`OctoMap::known_voxel_count`] is this map's size — the same
-    /// dedup-by-rounded-centre accounting the tree walk has always used (at
+    /// dedup-by-rounded-centre accounting the octree walk has always used (at
     /// non-dyadic resolutions adjacent leaf centres can round to the same
     /// key; golden mission fixtures pin that behaviour) — and
     /// [`OctoMap::free_voxel_centers`] filters its values, so frontier
-    /// extraction no longer pays a full-tree walk per call.
+    /// extraction no longer pays a full leaf walk per call.
     known_leaves: HashMap<u64, KnownLeaf, VoxelHashBuilder>,
-    /// Block-bitmask sibling of `occupied_blocks` over *known* (ever-observed)
-    /// leaf voxels: keys are [`pack_voxel_key`]s of 4×4×4-voxel block
-    /// coordinates, values are 64-bit known masks. Leaves are only ever
-    /// created (never removed short of [`OctoMap::clear`]), so maintenance is
-    /// one bit-set per materialised leaf. Frontier extraction answers its
-    /// unknown-neighbour probes from this index instead of one octree descent
-    /// per neighbour voxel.
-    known_blocks: HashMap<u64, u64, VoxelHashBuilder>,
     /// Whether the domain is at most [`MAX_INDEXED_DEPTH`] deep, so that the
-    /// block indices, the free-voxel index and `axis_keys` are kept. All
-    /// MAVBench worlds are; a deeper domain falls back to the reference
-    /// tree-scan queries.
+    /// free-voxel index and `axis_keys` are kept. All MAVBench worlds are; a
+    /// deeper domain counts and lists known voxels by a full leaf walk.
     index_packable: bool,
     /// The per-axis leaf table, indexed by one axis of a leaf key
     /// (`0..2^depth`) while the indices are kept and empty otherwise. A
@@ -238,27 +237,36 @@ pub struct OctoMap {
 }
 
 impl OctoMap {
+    /// Deepest map [`OctoMap::new`] builds: `2^22` voxels per axis, 1 mm
+    /// voxels over ±2 km. Packed block coordinates stay exact up to this
+    /// depth: the domain spans ±2^21 voxels, so its 4×4×4 blocks and their
+    /// face neighbours stay inside the ±2^20 block range of the 21-bit key
+    /// packing.
+    /// MAVBench worlds need 10 levels at most.
+    pub const MAX_DEPTH: u32 = 22;
+
     /// Creates an empty map covering the cube `[-half_extent, half_extent]³`
     /// (shifted up so z spans `[0, 2 × half_extent]` is *not* done — the cube
     /// is centred at the origin, which covers all MAVBench worlds).
     ///
     /// # Panics
     ///
-    /// Panics if `half_extent` is not strictly positive.
+    /// Panics if `half_extent` is not strictly positive, or if covering it at
+    /// `config.resolution` needs more than [`OctoMap::MAX_DEPTH`] levels
+    /// (see [`OctoMap::depth_for`]).
     pub fn new(config: OctoMapConfig, half_extent: f64) -> Self {
         let mut map = OctoMap {
             grid: GridSpec::new(config.resolution),
             config,
             half_extent: 0.0,
             depth: 0,
-            nodes: Vec::new(),
-            leaf_values: Vec::new(),
-            root: NIL,
             updates: 0,
-            occupied_blocks: HashMap::with_hasher(VoxelHashBuilder::default()),
+            blocks: HashMap::with_hasher(VoxelHashBuilder::default()),
+            masks: Vec::new(),
+            log_odds: Vec::new(),
+            last_block: (NO_BLOCK, 0),
             occupied_count: 0,
             known_leaves: HashMap::with_hasher(VoxelHashBuilder::default()),
-            known_blocks: HashMap::with_hasher(VoxelHashBuilder::default()),
             index_packable: false,
             axis_keys: Vec::new(),
         };
@@ -266,56 +274,82 @@ impl OctoMap {
         map
     }
 
+    /// The depth of the map `OctoMap::new` builds for `resolution` and
+    /// `half_extent`: the fewest levels whose `2^depth` leaves of
+    /// `resolution` span `2 × half_extent`, at least 1. Compare it with
+    /// [`OctoMap::MAX_DEPTH`] to vet a resolution before building a map.
+    pub fn depth_for(resolution: f64, half_extent: f64) -> u32 {
+        let leaves_per_axis = (2.0 * half_extent / resolution).ceil().max(1.0);
+        (leaves_per_axis.log2().ceil() as u32).max(1)
+    }
+
+    /// The half-extent of the domain `OctoMap::new` builds for `resolution`
+    /// and `half_extent`: `resolution × 2^(depth−1)` at the depth of
+    /// [`OctoMap::depth_for`], so that each leaf is exactly one voxel. It is
+    /// never below `half_extent`: a request even one ulp above
+    /// `resolution × 2^(d−1)` puts `2·half_extent/resolution` more than half
+    /// an ulp past `2^d`, so the ceiling in `depth_for` already picks depth
+    /// d + 1.
+    ///
+    /// # Panics
+    ///
+    /// Panics if that depth is above [`OctoMap::MAX_DEPTH`].
+    pub fn aligned_half_extent(resolution: f64, half_extent: f64) -> f64 {
+        let depth = Self::depth_for(resolution, half_extent);
+        assert!(
+            depth <= Self::MAX_DEPTH,
+            "resolution {resolution:?} over half extent {half_extent} needs map depth {depth}, \
+             above OctoMap::MAX_DEPTH ({})",
+            Self::MAX_DEPTH
+        );
+        resolution * (1u64 << depth) as f64 / 2.0
+    }
+
     /// Empties the map back to the just-constructed state while keeping the
-    /// arena, leaf pool, block-bitmask index and free-voxel index allocations
-    /// (their `Vec`/`HashMap` capacities survive). The domain geometry is
+    /// block hash, block storage and free-voxel index allocations (their
+    /// `Vec`/`HashMap` capacities survive). The domain geometry is
     /// unchanged; use [`OctoMap::reset`] to also reshape it. Because every
-    /// mutation funnels through the same leaf-update path and arena indices
+    /// mutation funnels through the same leaf-update path and block slots
     /// restart at zero, a cleared map is bit-identical to a fresh
     /// [`OctoMap::new`] under any subsequent update sequence — the property
     /// the episode-reuse layer (and its proptests) rely on.
     pub fn clear(&mut self) {
-        self.nodes.clear();
-        self.leaf_values.clear();
-        self.root = NIL;
         self.updates = 0;
-        self.occupied_blocks.clear();
+        self.blocks.clear();
+        self.masks.clear();
+        self.log_odds.clear();
+        self.last_block = (NO_BLOCK, 0);
         self.occupied_count = 0;
         self.known_leaves.clear();
-        self.known_blocks.clear();
     }
 
     /// [`OctoMap::clear`] plus a domain reshape: recomputes the geometry
     /// exactly as `OctoMap::new(config, half_extent)` would (depth, aligned
-    /// half-extent, traversal grid, whether the indices are kept, the
-    /// per-axis leaf table) while reusing the storage of this map. `new` is
-    /// implemented on top of this, so the two cannot drift apart.
+    /// half-extent, traversal grid, whether the free-voxel index is kept,
+    /// the per-axis leaf table) while reusing the storage of this map. `new`
+    /// is implemented on top of this, so the two cannot drift apart.
     ///
     /// # Panics
     ///
-    /// Panics if `half_extent` is not strictly positive.
+    /// Panics if `half_extent` is not strictly positive, or if covering it at
+    /// `config.resolution` needs more than [`OctoMap::MAX_DEPTH`] levels.
     pub fn reset(&mut self, config: OctoMapConfig, half_extent: f64) {
         assert!(half_extent > 0.0, "half extent must be positive");
-        let leaves_per_axis = (2.0 * half_extent / config.resolution).ceil().max(1.0);
-        let depth = (leaves_per_axis.log2().ceil() as u32).max(1);
-        // Expand the domain so that each octree leaf is exactly one
+        let depth = Self::depth_for(config.resolution, half_extent);
+        // Expand the domain so that each leaf is exactly one
         // `resolution`-sized voxel and leaf boundaries align with the ray
         // traversal grid; otherwise a leaf could straddle two traversal cells
-        // and updates/queries would disagree near voxel boundaries. The
-        // aligned half-size is never below the requested one: a request even
-        // one ulp above `resolution × 2^(d−1)` puts `2·half_extent/resolution`
-        // more than half an ulp past `2^d`, so the ceiling above already picks
-        // depth d + 1. Integer-key insertion relies on this equality (see
-        // `leaf_key`).
-        let half_extent = config.resolution * (1u64 << depth) as f64 / 2.0;
+        // and updates/queries would disagree near voxel boundaries.
+        // Integer-key insertion relies on the half-extent being exactly
+        // `resolution × 2^(depth−1)` (see `leaf_key`).
+        let half_extent = Self::aligned_half_extent(config.resolution, half_extent);
         self.grid = GridSpec::new(config.resolution);
         self.config = config;
         self.half_extent = half_extent;
         self.depth = depth;
         // The depth bound caps the table; in-domain voxel indices (below
-        // 2^15 in magnitude) then fit the 21-bit key packing with room to
-        // spare, and query neighbourhoods only reach beyond the packing
-        // range at out-of-domain, never-occupied voxels.
+        // 2^15 in magnitude) then fit the 21-bit packing of the free-voxel
+        // index's dedup keys with room to spare.
         self.index_packable = depth <= MAX_INDEXED_DEPTH;
         self.axis_keys.clear();
         if self.index_packable {
@@ -341,6 +375,13 @@ impl OctoMap {
         self.depth
     }
 
+    /// Half-extent of the cubic domain, metres: the requested one aligned
+    /// up by [`OctoMap::aligned_half_extent`]. [`OctoMap::reresolved`]
+    /// builds its map over this.
+    pub fn half_extent(&self) -> f64 {
+        self.half_extent
+    }
+
     /// Number of leaf updates performed since construction.
     pub fn update_count(&self) -> u64 {
         self.updates
@@ -354,14 +395,13 @@ impl OctoMap {
     }
 
     /// Enumerates the (traversal-grid cell, log-odds delta) updates of one
-    /// sensor ray, without touching the tree. Shared by
-    /// [`OctoMap::insert_ray`] and the batched
-    /// [`OctoMap::insert_point_cloud`] so the two can never disagree on ray
-    /// semantics (truncation, hit vs miss). Cells outside the domain are
-    /// passed on too: the arena drops them by key range (`leaf_key`), the
-    /// reference tree by its own centre test. An associated function over
-    /// copies of the cheap geometry state, so callers may mutate the tree
-    /// from inside `apply`.
+    /// sensor ray, without touching the map. Shared by
+    /// [`OctoMap::insert_ray`] and [`reference::ReferenceMap::insert_ray`] so
+    /// the two can never disagree on ray semantics (truncation, hit vs miss).
+    /// Cells outside the domain are passed on too: the block map drops them
+    /// by key range (`leaf_key`), the reference tree by its own centre test.
+    /// An associated function over copies of the cheap geometry state, so
+    /// callers may mutate the map from inside `apply`.
     fn for_each_ray_update(
         grid: GridSpec,
         config: OctoMapConfig,
@@ -397,121 +437,25 @@ impl OctoMap {
     /// Integrates a single sensor ray: every voxel between `origin` and
     /// `endpoint` (exclusive) is updated as free, the endpoint voxel as
     /// occupied. Rays longer than `max_range` are truncated and their endpoint
-    /// treated as free space (no hit). Each in-domain voxel is reached by an
-    /// integer-key descent (see `leaf_key`): no float compare runs on the way
-    /// down.
+    /// treated as free space (no hit). Each in-domain voxel is addressed by
+    /// its integer key (see `leaf_key`) and updated in its block: one hash
+    /// probe, or none when the previous update touched the same block.
     pub fn insert_ray(&mut self, origin: &Vec3, endpoint: &Vec3) {
         let (grid, config, depth) = (self.grid, self.config, self.depth);
-        let clamp = config.clamp;
         Self::for_each_ray_update(grid, config, origin, endpoint, |cell, delta| {
             if let Some(key) = leaf_key(&cell, depth) {
-                self.update_key(key, 1, |log_odds| {
-                    *log_odds = (*log_odds + delta).clamp(clamp.0, clamp.1);
-                });
+                self.update_key(key, delta);
             }
         });
     }
 
-    /// Batched insertion pays for its per-crossing bookkeeping only when many
-    /// rays cross each voxel. Sharing grows with ray density and voxel size;
-    /// `points × resolution²` is the proxy. The ≈250 crossover was
-    /// calibrated (criterion octomap bench, BENCH_pr2.json) while both paths
-    /// descended by float compares and replayed leaf centres level by level.
-    /// With integer-key descent and the per-axis leaf table, on cold 96 m
-    /// maps (medians of 31 alternating rounds, two-vCPU Xeon host), ray by
-    /// ray takes 0.83–0.96× the batched time at sharing 264–1,583 and
-    /// 1.08–1.21× only from about 2,500: 250 is now too low.
-    const BATCH_SHARING_THRESHOLD: f64 = 250.0;
-
-    /// Integrates a whole point cloud captured from `cloud.origin`.
-    ///
-    /// When the scan is dense relative to the voxel size (see
-    /// the internal `BATCH_SHARING_THRESHOLD`), updates are batched per voxel
-    /// before any tree traversal: voxels close to the sensor are crossed by
-    /// almost every ray of the scan, so grouping the scan's (voxel → ordered
-    /// deltas) first and descending the octree once per *voxel* instead of
-    /// once per *ray crossing* removes the bulk of the traversal work. Both
-    /// paths produce bit-identical maps (see the equivalence test): per-voxel
-    /// delta order (ray order) is preserved and each delta is clamped
-    /// individually.
+    /// Integrates a whole point cloud captured from `cloud.origin`, ray by
+    /// ray in point order.
     pub fn insert_point_cloud(&mut self, cloud: &PointCloud) {
-        let sharing = cloud.len() as f64 * self.config.resolution * self.config.resolution;
-        // The batched path packs voxel indices into 21 bits per axis. It runs
-        // only on domains within the index depth bound, whose indices fit
-        // with room to spare, so distinct voxels never alias.
-        if sharing < Self::BATCH_SHARING_THRESHOLD || !self.index_packable {
-            let origin = cloud.origin;
-            for point in cloud.iter() {
-                self.insert_ray(&origin, &point);
-            }
-        } else {
-            self.insert_point_cloud_batched(cloud);
-        }
-    }
-
-    /// The batched insertion path: group per-voxel deltas across the whole
-    /// scan in first-touch order, then apply each voxel's ordered sequence in
-    /// one key descent.
-    ///
-    /// Hash-map iteration order never leaks into the output. The first delta
-    /// is stored inline: far voxels are crossed by a single ray, so the
-    /// common case needs no spill allocation at all. In-domain voxel indices
-    /// are bounded by half_extent / resolution, so the key packs into one u64
-    /// and costs a single hash mix per crossing. The table is sized for
-    /// *distinct* voxels, not crossings: this path only runs when many rays
-    /// share each voxel (the sharing gate above), so dividing the crossing
-    /// estimate by a conservative sharing factor avoids allocating a table an
-    /// order of magnitude too large on every mapping tick.
-    ///
-    /// The grouping buffers come from a per-thread [`GroupScratch`], so the
-    /// steady-state mapping tick performs no grouping allocations at all —
-    /// the table, the entry vector and the spill vectors of the previous scan
-    /// are all recycled.
-    fn insert_point_cloud_batched(&mut self, cloud: &PointCloud) {
-        let (grid, config, depth) = (self.grid, self.config, self.depth);
-        let clamp = config.clamp;
         let origin = cloud.origin;
-        GROUP_SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            scratch.recycle();
-            let crossings_estimate =
-                (cloud.len() as f64 * (config.max_range / config.resolution)) as usize;
-            let desired = (crossings_estimate / 8).clamp(64, 1 << 18);
-            if scratch.index_of.capacity() < desired {
-                scratch.index_of.reserve(desired);
-            }
-            let GroupScratch {
-                index_of,
-                grouped,
-                spare,
-            } = scratch;
-            for point in cloud.iter() {
-                Self::for_each_ray_update(grid, config, &origin, &point, |cell, delta| {
-                    let Some(key) = leaf_key(&cell, depth) else {
-                        return;
-                    };
-                    match index_of.entry(pack_voxel_key(&cell)) {
-                        std::collections::hash_map::Entry::Occupied(slot) => {
-                            grouped[*slot.get() as usize].2.push(delta);
-                        }
-                        std::collections::hash_map::Entry::Vacant(slot) => {
-                            slot.insert(grouped.len() as u32);
-                            let rest = spare.pop().unwrap_or_default();
-                            grouped.push((key, delta, rest));
-                        }
-                    }
-                });
-            }
-            for &(key, first, ref rest) in grouped.iter() {
-                let count = 1 + rest.len() as u64;
-                self.update_key(key, count, |log_odds| {
-                    *log_odds = (*log_odds + first).clamp(clamp.0, clamp.1);
-                    for delta in rest {
-                        *log_odds = (*log_odds + delta).clamp(clamp.0, clamp.1);
-                    }
-                });
-            }
-        });
+        for point in cloud.iter() {
+            self.insert_ray(&origin, &point);
+        }
     }
 
     /// Occupancy of the voxel containing `point`.
@@ -533,39 +477,12 @@ impl OctoMap {
     ///
     /// Decision-identical to
     /// [`OctoMap::is_occupied_with_inflation_reference`] (property-tested),
-    /// but served from the occupied-voxel hash index: instead of one octree
-    /// descent per neighbour voxel, the query enumerates the few occupied
-    /// voxels inside the inflation cube straight from the block bitmasks and
-    /// classifies each against a precomputed offset ball.
+    /// but served from the occupied masks: instead of one point lookup per
+    /// neighbour voxel, the query enumerates the few occupied voxels inside
+    /// the inflation cube straight from the block masks and classifies each
+    /// against a precomputed offset ball.
     pub fn is_occupied_with_inflation(&self, point: &Vec3, radius: f64) -> bool {
-        if !self.index_packable {
-            return self.is_occupied_with_inflation_reference(point, radius);
-        }
-        if self.occupied_count == 0 {
-            return false;
-        }
-        let r = radius.max(0.0);
-        let reach = r + self.config.resolution * 0.87;
-        let steps = (r / self.config.resolution).ceil() as i64;
-        let center_idx = self.grid.index_of(point);
-        let lo = GridIndex::new(
-            center_idx.x - steps,
-            center_idx.y - steps,
-            center_idx.z - steps,
-        );
-        let hi = GridIndex::new(
-            center_idx.x + steps,
-            center_idx.y + steps,
-            center_idx.z + steps,
-        );
-        let ball = offset_ball(self.config.resolution, r);
-        self.scan_occupied_box(&lo, &hi, |v| {
-            match ball.class(v.x - center_idx.x, v.y - center_idx.y, v.z - center_idx.z) {
-                BALL_NEVER => false,
-                BALL_ALWAYS => true,
-                _ => self.grid.center_of(&v).distance(point) <= reach,
-            }
-        })
+        self.blocking_voxel_with_inflation(point, radius).is_some()
     }
 
     /// [`OctoMap::is_occupied_with_inflation`], but returning the *centre of
@@ -576,32 +493,10 @@ impl OctoMap {
     /// callers should treat it as "an occupied voxel inside the inflation
     /// ball", not a canonical nearest one.
     pub fn blocking_voxel_with_inflation(&self, point: &Vec3, radius: f64) -> Option<Vec3> {
-        let r = radius.max(0.0);
-        if !self.index_packable {
-            // Reference fallback (domains deeper than the index bound):
-            // the same cube walk as the reference predicate, returning the
-            // first occupied voxel centre it accepts.
-            let steps = (r / self.config.resolution).ceil() as i64;
-            let center_idx = self.grid.index_of(point);
-            for dx in -steps..=steps {
-                for dy in -steps..=steps {
-                    for dz in -steps..=steps {
-                        let idx =
-                            GridIndex::new(center_idx.x + dx, center_idx.y + dy, center_idx.z + dz);
-                        let c = self.grid.center_of(&idx);
-                        if c.distance(point) <= r + self.config.resolution * 0.87
-                            && self.query(&c) == Occupancy::Occupied
-                        {
-                            return Some(c);
-                        }
-                    }
-                }
-            }
-            return None;
-        }
         if self.occupied_count == 0 {
             return None;
         }
+        let r = radius.max(0.0);
         let reach = r + self.config.resolution * 0.87;
         let steps = (r / self.config.resolution).ceil() as i64;
         let center_idx = self.grid.index_of(point);
@@ -631,10 +526,9 @@ impl OctoMap {
         blocking
     }
 
-    /// The pre-index inflation query: one full octree descent per voxel of
-    /// the inflation cube. Kept verbatim as the executable specification the
-    /// indexed query is property-tested against, and as the fallback for
-    /// domains deeper than the index bound (the internal `MAX_INDEXED_DEPTH`).
+    /// The pre-index inflation query: one point lookup ([`OctoMap::query`])
+    /// per voxel of the inflation cube. Kept verbatim as the executable
+    /// specification the mask-served query is property-tested against.
     pub fn is_occupied_with_inflation_reference(&self, point: &Vec3, radius: f64) -> bool {
         let r = radius.max(0.0);
         let steps = (r / self.config.resolution).ceil() as i64;
@@ -661,36 +555,14 @@ impl OctoMap {
     ///
     /// Decision-identical to [`OctoMap::segment_free_reference`]
     /// (property-tested). The fast path walks the segment's crossed voxels
-    /// with the grid DDA and probes the occupied-voxel index over the swept
-    /// corridor — one bitmask probe per block instead of re-querying the
-    /// whole inflation neighbourhood at every half-resolution sample. Only
-    /// when the corridor contains an occupied voxel does the exact sampled
-    /// predicate run (against the indexed point query), so the common
-    /// planner case — a free segment — never touches the octree at all.
+    /// with the grid DDA and probes the occupied masks over the swept
+    /// corridor — one mask probe per block instead of re-querying the whole
+    /// inflation neighbourhood at every half-resolution sample. Only when the
+    /// corridor contains an occupied voxel does the exact sampled predicate
+    /// run (against the mask-served inflation query), so the common planner
+    /// case — a free segment — reads nothing but the corridor's masks.
     pub fn segment_free(&self, a: &Vec3, b: &Vec3, radius: f64) -> bool {
-        if !self.index_packable {
-            return self.segment_free_reference(a, b, radius);
-        }
-        if self.occupied_count == 0 {
-            return true;
-        }
-        if self.segment_corridor_clear(a, b, radius) {
-            return true;
-        }
-        // An occupied voxel sits near the swept corridor: fall back to the
-        // exact sampled predicate (every candidate an old sample could see is
-        // inside the corridor, so the prefilter never hides a collision).
-        let dist = a.distance(b);
-        let step = (self.config.resolution * 0.5).max(0.05);
-        let samples = ((dist / step).ceil() as usize).max(1);
-        for i in 0..=samples {
-            let t = i as f64 / samples as f64;
-            let p = a.lerp(b, t);
-            if self.is_occupied_with_inflation(&p, radius) {
-                return false;
-            }
-        }
-        true
+        self.segment_blocking_voxel(a, b, radius).is_none()
     }
 
     /// [`OctoMap::segment_free`], but returning the *centre of the occupied
@@ -703,17 +575,13 @@ impl OctoMap {
     /// The reported voxel is the one blocking the first blocked sample along
     /// the segment (direction a → b).
     pub fn segment_blocking_voxel(&self, a: &Vec3, b: &Vec3, radius: f64) -> Option<Vec3> {
-        if self.index_packable {
-            if self.occupied_count == 0 {
-                return None;
-            }
-            if self.segment_corridor_clear(a, b, radius) {
-                return None;
-            }
+        if self.occupied_count == 0 || self.segment_corridor_clear(a, b, radius) {
+            return None;
         }
-        // An occupied voxel sits near the corridor (or the domain is too deep
-        // for the index): run the exact sampled predicate once and report the
-        // voxel blocking the first blocked sample.
+        // An occupied voxel sits near the corridor: run the exact sampled
+        // predicate once and report the voxel blocking the first blocked
+        // sample (every candidate a sample can see is inside the corridor,
+        // so the prefilter never hides a collision).
         let dist = a.distance(b);
         let step = (self.config.resolution * 0.5).max(0.05);
         let samples = ((dist / step).ceil() as usize).max(1);
@@ -728,8 +596,8 @@ impl OctoMap {
     }
 
     /// The pre-index swept-segment predicate: a point sample every
-    /// half-resolution, each paying a full inflation-cube tree scan. Kept as
-    /// the executable specification [`OctoMap::segment_free`] is
+    /// half-resolution, each paying a full inflation-cube point-lookup scan.
+    /// Kept as the executable specification [`OctoMap::segment_free`] is
     /// property-tested against.
     pub fn segment_free_reference(&self, a: &Vec3, b: &Vec3, radius: f64) -> bool {
         let dist = a.distance(b);
@@ -746,7 +614,7 @@ impl OctoMap {
     }
 
     /// DDA prefilter for [`OctoMap::segment_free`]: walks the voxels crossed
-    /// by the segment and probes the occupied-voxel index over an inflated
+    /// by the segment and probes the occupied masks over an inflated
     /// corridor around them. Returns `true` when no occupied voxel lies
     /// anywhere in the corridor — which proves the sampled predicate free,
     /// because every voxel a sample's inflation cube can inspect is within
@@ -843,33 +711,23 @@ impl OctoMap {
         for bz in lo.z.div_euclid(4)..=hi.z.div_euclid(4) {
             for by in lo.y.div_euclid(4)..=hi.y.div_euclid(4) {
                 for bx in lo.x.div_euclid(4)..=hi.x.div_euclid(4) {
-                    let Some(key) = pack_voxel_key_checked(&GridIndex::new(bx, by, bz)) else {
-                        // Beyond the packing range means beyond the (indexed)
-                        // domain: those voxels are unobservable, never occupied.
-                        continue;
-                    };
-                    let Some(&mask) = self.occupied_blocks.get(&key) else {
+                    let block = GridIndex::new(bx, by, bz);
+                    let Some(masks) = self.block_masks(&block) else {
                         continue;
                     };
                     // Cut the box window out of the block: bit i = x + 4y +
                     // 16z, so the x range replicates over all 16 nibbles, the
                     // y range expands to nibbles replicated over the four z
                     // groups, and the z range expands to 16-bit groups.
-                    let window = mask
+                    let mut m = masks.occupied
                         & (axis_bits(lo.x, hi.x, bx) * 0x1111_1111_1111_1111)
                         & (NIBBLE_EXPAND[axis_bits(lo.y, hi.y, by) as usize]
                             * 0x0001_0001_0001_0001)
                         & GROUP_EXPAND[axis_bits(lo.z, hi.z, bz) as usize];
-                    let mut m = window;
                     while m != 0 {
-                        let bit = m.trailing_zeros() as i64;
+                        let bit = m.trailing_zeros() as usize;
                         m &= m - 1;
-                        let v = GridIndex::new(
-                            bx * 4 + (bit & 3),
-                            by * 4 + ((bit >> 2) & 3),
-                            bz * 4 + (bit >> 4),
-                        );
-                        if visit(v) {
+                        if visit(block_voxel(&block, bit)) {
                             return true;
                         }
                     }
@@ -880,17 +738,17 @@ impl OctoMap {
     }
 
     /// Number of occupied leaf voxels. O(1): served from the incrementally
-    /// maintained counter (see [`OctoMap::known_voxel_count_scan`] for the
-    /// tree-walk the counters are regression-tested against).
+    /// maintained counter (see [`OctoMap::occupied_voxel_count_scan`] for the
+    /// leaf walk the counters are regression-tested against).
     pub fn occupied_voxel_count(&self) -> usize {
         self.occupied_count
     }
 
     /// Number of observed (free or occupied) leaf voxels. O(1): the size of
     /// the incrementally maintained key set, which reproduces the historical
-    /// tree-walk accounting exactly (including its dedup by rounded centre).
-    /// Domains deeper than the index bound (the internal
-    /// `MAX_INDEXED_DEPTH`) count by that tree walk instead.
+    /// octree-walk accounting exactly (including its dedup by rounded
+    /// centre). Domains deeper than the free-voxel index bound (the internal
+    /// `MAX_INDEXED_DEPTH`) count by that walk instead.
     pub fn known_voxel_count(&self) -> usize {
         if self.index_packable {
             self.known_leaves.len()
@@ -899,7 +757,7 @@ impl OctoMap {
         }
     }
 
-    /// [`OctoMap::occupied_voxel_count`] recomputed by a full tree walk — the
+    /// [`OctoMap::occupied_voxel_count`] recomputed by a full leaf walk — the
     /// pre-index implementation, kept as the regression oracle for the O(1)
     /// counter. Caveat inherited from the internal `collect_leaves` walk: at
     /// non-dyadic resolutions the walk can merge adjacent leaves whose noisy
@@ -913,7 +771,7 @@ impl OctoMap {
             .count()
     }
 
-    /// [`OctoMap::known_voxel_count`] recomputed by a full tree walk — the
+    /// [`OctoMap::known_voxel_count`] recomputed by a full leaf walk — the
     /// pre-index implementation, kept as the regression oracle for the O(1)
     /// counter.
     pub fn known_voxel_count_scan(&self) -> usize {
@@ -928,10 +786,10 @@ impl OctoMap {
     /// Centres of all known free voxels. Frontier extraction builds on this.
     ///
     /// Served from the incremental free-voxel index — O(known voxels) with no
-    /// tree traversal — and bit-identical (centres, set membership and order)
-    /// to the full-walk [`OctoMap::free_voxel_centers_scan`] it replaced,
-    /// which remains as the regression oracle and the fallback for domains
-    /// deeper than the index bound (the internal `MAX_INDEXED_DEPTH`).
+    /// leaf walk — and bit-identical (centres, set membership and order) to
+    /// the full-walk [`OctoMap::free_voxel_centers_scan`] it replaced, which
+    /// remains as the regression oracle and the fallback for domains deeper
+    /// than the free-voxel index bound (the internal `MAX_INDEXED_DEPTH`).
     pub fn free_voxel_centers(&self) -> Vec<Vec3> {
         let mut centers = Vec::new();
         self.free_voxel_centers_into(&mut centers);
@@ -942,8 +800,8 @@ impl OctoMap {
     /// first), so a per-replan caller — frontier extraction ticks this every
     /// planning cycle — reuses one allocation instead of collecting a fresh
     /// `Vec` per call. Contents and order are identical to the allocating
-    /// variant, which is implemented on top of this, including the tree-walk
-    /// fallback for domains deeper than the index bound.
+    /// variant, which is implemented on top of this, including the leaf-walk
+    /// fallback for domains deeper than the free-voxel index bound.
     pub fn free_voxel_centers_into(&self, centers: &mut Vec<Vec3>) {
         centers.clear();
         if !self.index_packable {
@@ -968,7 +826,7 @@ impl OctoMap {
         });
     }
 
-    /// [`OctoMap::free_voxel_centers`] recomputed by a full tree walk — the
+    /// [`OctoMap::free_voxel_centers`] recomputed by a full leaf walk — the
     /// pre-index implementation, kept as the executable specification the
     /// incremental free-voxel index is tested against.
     pub fn free_voxel_centers_scan(&self) -> Vec<Vec3> {
@@ -981,12 +839,12 @@ impl OctoMap {
 
     /// Centres of all occupied voxels.
     ///
-    /// Served from the occupied block-bitmask index: one `center_of` per set
-    /// mask bit instead of a full tree walk. Unlike the historical walk this
-    /// is exact per-leaf (the walk's rounded-centre dedup could merge two
+    /// Served from the occupied block masks: one `center_of` per set mask
+    /// bit instead of a full leaf walk. Unlike the historical walk this is
+    /// exact per-leaf (the walk's rounded-centre dedup could merge two
     /// adjacent leaves at non-dyadic resolutions, see
     /// [`OctoMap::occupied_voxel_count_scan`]), and centres are the grid's
-    /// canonical voxel centres. The tree walk remains as
+    /// canonical voxel centres. The leaf walk remains as
     /// [`OctoMap::occupied_voxel_centers_scan`].
     pub fn occupied_voxel_centers(&self) -> Vec<Vec3> {
         let mut centers = Vec::new();
@@ -1000,23 +858,14 @@ impl OctoMap {
     /// to the allocating variant, which is implemented on top of this.
     pub fn occupied_voxel_centers_into(&self, centers: &mut Vec<Vec3>) {
         centers.clear();
-        if !self.index_packable {
-            centers.extend(self.occupied_voxel_centers_scan());
-            return;
-        }
         centers.reserve(self.occupied_count);
-        for (&key, &mask) in &self.occupied_blocks {
+        for (&key, &slot) in &self.blocks {
             let block = unpack_voxel_key(key);
-            let mut m = mask;
+            let mut m = self.masks[slot as usize].occupied;
             while m != 0 {
-                let bit = m.trailing_zeros() as i64;
+                let bit = m.trailing_zeros() as usize;
                 m &= m - 1;
-                let voxel = GridIndex::new(
-                    block.x * 4 + (bit & 3),
-                    block.y * 4 + ((bit >> 2) & 3),
-                    block.z * 4 + (bit >> 4),
-                );
-                centers.push(self.grid.center_of(&voxel));
+                centers.push(self.grid.center_of(&block_voxel(&block, bit)));
             }
         }
         // Same comparator-equivalence argument as `free_voxel_centers_into`.
@@ -1027,9 +876,9 @@ impl OctoMap {
         });
     }
 
-    /// [`OctoMap::occupied_voxel_centers`] recomputed by a full tree walk —
+    /// [`OctoMap::occupied_voxel_centers`] recomputed by a full leaf walk —
     /// the pre-index implementation, kept as the regression oracle for the
-    /// block-bitmask enumeration.
+    /// block-mask enumeration.
     pub fn occupied_voxel_centers_scan(&self) -> Vec<Vec3> {
         self.collect_leaves()
             .into_iter()
@@ -1050,39 +899,37 @@ impl OctoMap {
     ///
     /// Decision-identical to probing `point ± resolution` along each axis
     /// with [`OctoMap::is_unknown`] (property-tested), but served from the
-    /// known-voxel block bitmasks: six hash-indexed bit tests instead of six
-    /// octree descents. An out-of-domain neighbour has no leaf, so it reads
-    /// as unknown from the index exactly as [`OctoMap::query`] reports it;
-    /// neighbour indices sit at most one voxel outside the domain, within the
-    /// alias-free range of the 21-bit key packing. Domains deeper than the
-    /// index bound (the internal `MAX_INDEXED_DEPTH`) fall back to the probe
-    /// loop.
+    /// known masks: the probed voxel's block is looked up once, and only a
+    /// neighbour across a block face (1.5 of the 6 on average) costs another
+    /// hash probe. An out-of-domain neighbour has no leaf, so it reads as
+    /// unknown from the masks exactly as [`OctoMap::query`] reports it.
     pub fn has_unknown_neighbor6(&self, point: &Vec3) -> bool {
-        if !self.index_packable {
-            let r = self.config.resolution;
-            return [
-                Vec3::new(r, 0.0, 0.0),
-                Vec3::new(-r, 0.0, 0.0),
-                Vec3::new(0.0, r, 0.0),
-                Vec3::new(0.0, -r, 0.0),
-                Vec3::new(0.0, 0.0, r),
-                Vec3::new(0.0, 0.0, -r),
-            ]
-            .iter()
-            .any(|d| self.is_unknown(&(*point + *d)));
-        }
         let idx = self.grid.index_of(point);
+        let (home, _) = block_of(&idx);
+        let home_known = self.block_masks(&home).map_or(0, |m| m.known);
         idx.neighbors6().iter().any(|n| {
             let (block, bit) = block_of(n);
-            self.known_blocks
-                .get(&pack_voxel_key(&block))
-                .is_none_or(|mask| mask & bit == 0)
+            let known = if block == home {
+                home_known
+            } else {
+                self.block_masks(&block).map_or(0, |m| m.known)
+            };
+            known & (1 << bit) == 0
         })
     }
 
     /// Rebuilds this map's observations into a new map at a different
     /// resolution (the dynamic-resolution policy of the paper's energy case
-    /// study switches between 0.15 m and 0.80 m at runtime).
+    /// study switches between 0.15 m and 0.80 m at runtime). The new map
+    /// covers this map's aligned domain, so a chain of switches between
+    /// resolutions that are not power-of-two multiples of each other grows
+    /// the domain: 0.8 m ↔ 0.15 m doubles it every round trip.
+    ///
+    /// # Panics
+    ///
+    /// Panics if covering this map's domain at `new_resolution` needs more
+    /// than [`OctoMap::MAX_DEPTH`] levels; vet a switch with
+    /// `OctoMap::depth_for(new_resolution, map.half_extent())`.
     pub fn reresolved(&self, new_resolution: f64) -> OctoMap {
         let mut config = self.config;
         config.resolution = new_resolution;
@@ -1102,46 +949,39 @@ impl OctoMap {
     }
 
     // ------------------------------------------------------------------
-    // Internal octree machinery.
+    // Internal block-map machinery.
     // ------------------------------------------------------------------
 
-    /// Read-only descent to the leaf covering `point`: its log-odds, or
-    /// `None` when no leaf exists on the path.
+    /// The log-odds of the leaf a float root descent reaches for `point`
+    /// ([`OctoMap::point_key`]), or `None` while that voxel is unobserved.
     fn leaf_log_odds(&self, point: &Vec3) -> Option<f64> {
-        let mut r = self.root;
-        let mut center = Vec3::ZERO;
-        let mut half = self.half_extent;
-        for _ in 0..self.depth {
-            if r == NIL {
-                return None;
+        let (block, bit) = block_of(&key_cell(&self.point_key(point), self.depth));
+        let slot = *self.blocks.get(&pack_voxel_key(&block))? as usize;
+        (self.masks[slot].known & (1 << bit) != 0).then(|| self.log_odds[slot][bit])
+    }
+
+    /// The masks of the block at block coordinates `block`, or `None` while
+    /// no voxel of it was observed. Block coordinates beyond the packing
+    /// range lie outside every domain up to [`OctoMap::MAX_DEPTH`]: those
+    /// voxels are unobservable.
+    fn block_masks(&self, block: &GridIndex) -> Option<BlockMasks> {
+        let key = pack_voxel_key_checked(block)?;
+        self.blocks.get(&key).map(|&slot| self.masks[slot as usize])
+    }
+
+    /// The slot of the block with packed key `block`, creating an empty
+    /// block on first touch. The previous update's block is checked first.
+    fn block_slot(&mut self, block: u64) -> usize {
+        if self.last_block.0 != block {
+            let next = self.masks.len() as u32;
+            let slot = *self.blocks.entry(block).or_insert(next);
+            if slot == next {
+                self.masks.push(BlockMasks::default());
+                self.log_odds.push([0.0; 64]);
             }
-            let (idx, child_center) = child_of(point, &center, half);
-            r = self.nodes[r as usize][idx];
-            center = child_center;
-            half /= 2.0;
+            self.last_block = (block, slot);
         }
-        // Leaves exist only at full depth (see `descend_key_apply`).
-        (r != NIL).then(|| self.leaf_values[(r & !LEAF_BIT) as usize])
-    }
-
-    /// Allocates an interior node with no children, returning its reference.
-    fn alloc_inner(&mut self) -> u32 {
-        let index = self.nodes.len() as u32;
-        assert!(
-            index < LEAF_BIT,
-            "octree arena interior-node pool exhausted"
-        );
-        self.nodes.push([NIL; 8]);
-        index
-    }
-
-    /// Allocates an unobserved leaf (log-odds 0), returning its tagged
-    /// reference.
-    fn alloc_leaf(&mut self) -> u32 {
-        let index = self.leaf_values.len() as u32;
-        assert!(index < LEAF_BIT - 1, "octree arena leaf pool exhausted");
-        self.leaf_values.push(0.0);
-        LEAF_BIT | index
+        self.last_block.1 as usize
     }
 
     /// Reresolution's leaf update: adds the clamped `delta` to the leaf
@@ -1153,15 +993,12 @@ impl OctoMap {
         if !self.in_domain(point) {
             return;
         }
-        let clamp = self.config.clamp;
         let key = self.point_key(point);
-        self.update_key(key, 1, move |log_odds| {
-            *log_odds = (*log_odds + delta).clamp(clamp.0, clamp.1);
-        });
+        self.update_key(key, delta);
     }
 
-    /// The arena key of the leaf a float root descent reaches for `point`:
-    /// at every level the octant comes from comparing `point` against the
+    /// The key of the leaf a float root descent reaches for `point`: at
+    /// every level the octant comes from comparing `point` against the
     /// accumulated node centre ([`child_of`]), and its three bits are
     /// appended to the key.
     fn point_key(&self, point: &Vec3) -> LeafKey {
@@ -1179,47 +1016,53 @@ impl OctoMap {
         key
     }
 
-    /// Applies `apply` to the leaf with arena key `key` in a single root
-    /// descent, recording `count` leaf updates. Batched scan insertion folds
-    /// a whole voxel's ordered delta sequence through one descent this way.
+    /// Adds `delta` to the log-odds of the leaf with key `key`, clamped, and
+    /// counts one leaf update.
     ///
-    /// Every mutation of a leaf's log-odds flows through here — single rays,
-    /// batched scans and [`OctoMap::reresolved`] alike — so this is the one
-    /// place the occupied-voxel index, the free-voxel index and the O(1)
-    /// counters are kept in sync with the tree. Most updates neither create
-    /// a leaf nor flip its occupancy and so touch no index; only those that
-    /// do read the leaf's centre, DFS rank and dedup key from `axis_keys`.
-    fn update_key<F: FnOnce(&mut f64)>(&mut self, key: LeafKey, count: u64, apply: F) {
-        let touch = self.descend_key_apply(&key, apply);
-        self.updates += count;
-        let threshold = self.config.occupied_threshold;
-        let now = touch.after > threshold;
-        let flipped = now != (!touch.created && touch.before > threshold);
+    /// Every mutation of a leaf's log-odds flows through here — rays and
+    /// [`OctoMap::reresolved`] alike — so this is the one place the block
+    /// masks, the free-voxel index and the O(1) counters are kept in sync
+    /// with the log-odds. Most updates neither create a leaf nor flip its
+    /// occupancy and so touch nothing but their block; only those that do
+    /// read the leaf's centre, walk rank and dedup key from `axis_keys`.
+    fn update_key(&mut self, key: LeafKey, delta: f64) {
+        // The block is keyed by the leaf's own cell, not by the point an
+        // update came from, so a point sitting exactly on a cell boundary
+        // (reresolution) maps to the leaf its key names.
+        let (block, bit) = block_of(&key_cell(&key, self.depth));
+        let slot = self.block_slot(pack_voxel_key(&block));
+        self.updates += 1;
+        let (clamp, threshold) = (self.config.clamp, self.config.occupied_threshold);
+        let mask = 1u64 << bit;
+        let masks = &mut self.masks[slot];
+        let value = &mut self.log_odds[slot][bit];
+        let created = masks.known & mask == 0;
+        let was_occupied = !created && *value > threshold;
+        *value = (*value + delta).clamp(clamp.0, clamp.1);
+        let now = *value > threshold;
+        masks.known |= mask;
+        let flipped = now != was_occupied;
         if flipped {
             if now {
+                masks.occupied |= mask;
                 self.occupied_count += 1;
             } else {
+                masks.occupied &= !mask;
                 self.occupied_count -= 1;
             }
         }
-        if !self.index_packable || !(touch.created || flipped) {
+        if !self.index_packable || !(created || flipped) {
             return;
         }
         let [x, y, z] = key.map(|k| self.axis_keys[k as usize]);
         let center = Vec3::new(x.center, y.center, z.center);
         let rank = x.spread | (y.spread << 1) | (z.spread << 2);
         // The same dedup key collect_leaves() computes from this leaf's
-        // centre during a tree walk (bit-identical: the table replays the
-        // walk's additions). When two leaves collide on a key, the one later
-        // in walk order wins, exactly as the walk's last-wins dedup insert
-        // decides.
+        // centre (bit-identical: the table replays the walk's additions).
+        // When two leaves collide on a key, the one later in walk order
+        // wins, exactly as the walk's last-wins dedup insert decides.
         let dedup_key = pack_voxel_key(&GridIndex::new(x.dedup, y.dedup, z.dedup));
-        // The block bitmasks are keyed by the leaf's own cell, not by the
-        // point an update came from, so a point sitting exactly on a cell
-        // boundary (reresolution) maps to the leaf the descent touched.
-        let (block, bit) = block_of(&key_cell(&key, self.depth));
-        let block = pack_voxel_key(&block);
-        if touch.created {
+        if created {
             let leaf = KnownLeaf {
                 center,
                 rank,
@@ -1235,83 +1078,51 @@ impl OctoMap {
                     entry.insert(leaf);
                 }
             }
-            // A materialised leaf marks its voxel known forever (leaves are
-            // never removed short of `clear`), so the known-block index is
-            // append-only.
-            *self.known_blocks.entry(block).or_insert(0) |= bit;
         } else if let Some(entry) = self.known_leaves.get_mut(&dedup_key) {
             // An existing leaf flipped: keep the free-voxel index's occupancy
             // flag in step — but only when this leaf is its key's dedup
-            // winner; a shadowed leaf is invisible to the tree walk this
-            // index mirrors.
+            // winner; a shadowed leaf is invisible to the walk this index
+            // mirrors.
             if entry.rank == rank {
                 entry.occupied = now;
             }
         }
-        if flipped {
-            if now {
-                *self.occupied_blocks.entry(block).or_insert(0) |= bit;
-            } else if let Some(mask) = self.occupied_blocks.get_mut(&block) {
-                *mask &= !bit;
-                if *mask == 0 {
-                    self.occupied_blocks.remove(&block);
-                }
-            }
-        }
     }
 
-    /// The mutating arena descent: walks (and where needed materialises) the
-    /// path from the root to the leaf with arena key `key`, reading the
-    /// octant of every level from the key bits, and applies `apply` to the
-    /// leaf's log-odds. Interior nodes sit above full depth and leaves only
-    /// at it: the arena allocates nothing else, and `reset`/`clear` empty it
-    /// whenever the depth changes.
-    fn descend_key_apply<F: FnOnce(&mut f64)>(&mut self, key: &LeafKey, apply: F) -> LeafTouch {
-        if self.root == NIL {
-            self.root = self.alloc_inner();
-        }
-        let mut node = self.root as usize;
-        let mut bit = self.depth - 1;
-        loop {
-            let octant = octant_of(key, bit);
-            let mut child = self.nodes[node][octant];
-            // At `bit == 0` a leaf materialised by this descent is a newly
-            // observed voxel.
-            let created = child == NIL;
-            if created {
-                child = if bit == 0 {
-                    self.alloc_leaf()
-                } else {
-                    self.alloc_inner()
-                };
-                self.nodes[node][octant] = child;
-            }
-            if bit == 0 {
-                let value = &mut self.leaf_values[(child & !LEAF_BIT) as usize];
-                let before = *value;
-                apply(value);
-                return LeafTouch {
-                    created,
-                    before,
-                    after: *value,
-                };
-            }
-            node = child as usize;
-            bit -= 1;
-        }
-    }
-
+    /// Every observed leaf's (centre, log-odds) as the pointer octree's
+    /// pre-order walk reports it, deduplicated by rounded centre and sorted
+    /// by coordinates. The known masks list the leaves; sorting them by
+    /// [`walk_rank`] puts them in walk order, which the walk's last-wins
+    /// dedup depends on, and their centres replay the walk's additions
+    /// ([`AxisKey::center`]).
     fn collect_leaves(&self) -> Vec<(Vec3, f64)> {
+        let half = 1i64 << (self.depth - 1);
+        // Deeper than the table bound, replay each coordinate instead.
+        let axis_center = |k: u64| match self.axis_keys.get(k as usize) {
+            Some(axis) => axis.center,
+            None => AxisKey::new(k, self.depth, self.half_extent, self.config.resolution).center,
+        };
         let mut out = Vec::new();
-        if self.root != NIL {
-            self.collect_arena(self.root, Vec3::ZERO, self.half_extent, &mut out);
+        for (&key, &slot) in &self.blocks {
+            let block = unpack_voxel_key(key);
+            let mut m = self.masks[slot as usize].known;
+            while m != 0 {
+                let bit = m.trailing_zeros() as usize;
+                m &= m - 1;
+                let cell = block_voxel(&block, bit);
+                let leaf = [cell.x, cell.y, cell.z].map(|k| (k + half) as u64);
+                let [x, y, z] = leaf.map(axis_center);
+                let value = self.log_odds[slot as usize][bit];
+                out.push((walk_rank(&leaf, self.depth), Vec3::new(x, y, z), value));
+            }
         }
+        out.sort_unstable_by_key(|&(rank, ..)| rank);
         // Leaves exist only at full depth, so every leaf is a distinct voxel,
         // but at non-dyadic resolutions float error can round two
         // neighbouring centres to one key. The later leaf in walk order
         // hides the earlier one.
         let mut dedup: HashMap<(i64, i64, i64), (Vec3, f64)> = HashMap::new();
-        for (c, l) in out {
+        for (_, c, l) in out {
             let key = (
                 (c.x / self.config.resolution).round() as i64,
                 (c.y / self.config.resolution).round() as i64,
@@ -1335,23 +1146,14 @@ impl OctoMap {
     }
 }
 
-/// What one tree descent did to the leaf it reached: whether the leaf was
-/// created by this update and its log-odds before and after. With the leaf's
-/// key this is what keeps the occupied-voxel and free-voxel indexes and the
-/// O(1) counters exact.
-struct LeafTouch {
-    created: bool,
-    before: f64,
-    after: f64,
-}
-
-/// Arena key of a leaf voxel: its traversal-grid cell plus `2^(depth − 1)`
-/// on each axis, so each axis runs over `0..2^depth` and bit `depth − 1 − l`
-/// of the three axes names the octant taken at tree level `l`.
+/// Integer key of a leaf voxel: its traversal-grid cell plus
+/// `2^(depth − 1)` on each axis, so each axis runs over `0..2^depth` and bit
+/// `depth − 1 − l` of the three axes names the octant a root descent takes
+/// at level `l`.
 type LeafKey = [u64; 3];
 
-/// The arena key of traversal-grid cell `cell` in a domain of depth
-/// `depth`, or `None` when the cell lies outside the domain.
+/// The leaf key of traversal-grid cell `cell` in a domain of depth `depth`,
+/// or `None` when the cell lies outside the domain.
 ///
 /// Exact stand-in for the float descent from the cell centre. `reset` makes
 /// the domain half-size exactly `resolution × 2^(depth − 1)`, so the node
@@ -1366,7 +1168,7 @@ fn leaf_key(cell: &GridIndex, depth: u32) -> Option<LeafKey> {
     Some([axis(cell.x)?, axis(cell.y)?, axis(cell.z)?])
 }
 
-/// Inverse of [`leaf_key`]: the traversal-grid cell of an arena key.
+/// Inverse of [`leaf_key`]: the traversal-grid cell of a leaf key.
 fn key_cell(key: &LeafKey, depth: u32) -> GridIndex {
     let half = 1i64 << (depth - 1);
     GridIndex::new(
@@ -1377,14 +1179,26 @@ fn key_cell(key: &LeafKey, depth: u32) -> GridIndex {
 }
 
 /// The octant (0..8, numbered like [`child_of`]: x in bit 0, y in bit 1, z
-/// in bit 2) that arena key `key` takes at key bit `bit`.
+/// in bit 2) that leaf key `key` takes at key bit `bit`.
 fn octant_of(key: &LeafKey, bit: u32) -> usize {
     (((key[0] >> bit) & 1) | (((key[1] >> bit) & 1) << 1) | (((key[2] >> bit) & 1) << 2)) as usize
 }
 
-/// Packs an in-domain voxel index into one u64 key (21 bits per axis,
-/// offset-biased). Domain-filtered indices are far below the 2^20 bound:
-/// even a 200 m domain at 0.10 m resolution spans only ±2000 cells.
+/// Position of the leaf with key `key` in a pre-order octree walk that
+/// visits octants 0..8 in order: its root-to-leaf octant path, three bits
+/// per level, root octant most significant (the Morton order of the key).
+/// `u128` because [`OctoMap::MAX_DEPTH`] levels need 66 bits.
+fn walk_rank(key: &LeafKey, depth: u32) -> u128 {
+    (0..depth)
+        .rev()
+        .fold(0, |rank, bit| (rank << 3) | octant_of(key, bit) as u128)
+}
+
+/// Packs a voxel or block index into one u64 key (21 bits per axis,
+/// offset-biased). Block coordinates of a map up to [`OctoMap::MAX_DEPTH`]
+/// and the free-voxel index's voxel coordinates (up to the internal
+/// `MAX_INDEXED_DEPTH`) stay inside the ±2^20 bound: even a 200 m domain at
+/// 0.10 m resolution spans only ±2000 cells.
 fn pack_voxel_key(cell: &GridIndex) -> u64 {
     const BIAS: i64 = 1 << 20;
     debug_assert!(
@@ -1405,10 +1219,10 @@ fn unpack_voxel_key(key: u64) -> GridIndex {
     )
 }
 
-/// [`pack_voxel_key`] for query neighbourhoods, which may legitimately reach
-/// beyond the packing range: on an indexed domain any index at or beyond
-/// ±2^20 has its centre outside the octree domain, so `None` simply means
-/// "unobservable, never occupied".
+/// [`pack_voxel_key`] for block coordinates of query neighbourhoods, which
+/// may legitimately reach beyond the packing range: any block at or beyond
+/// ±2^20 lies outside every domain up to [`OctoMap::MAX_DEPTH`], so `None`
+/// simply means "unobservable, never occupied".
 fn pack_voxel_key_checked(cell: &GridIndex) -> Option<u64> {
     const BIAS: i64 = 1 << 20;
     if cell.x.abs() < BIAS && cell.y.abs() < BIAS && cell.z.abs() < BIAS {
@@ -1418,36 +1232,7 @@ fn pack_voxel_key_checked(cell: &GridIndex) -> Option<u64> {
     }
 }
 
-/// Reusable buffers of the batched-insertion grouping pass: the voxel-key
-/// table, the first-touch-ordered entry vector (each entry the voxel's
-/// arena key, its first delta and the rest) and a pool of recycled spill
-/// vectors (the per-voxel `Vec<f64>` of later deltas). Held per thread by
-/// `GROUP_SCRATCH`; after the first scan on a thread the steady-state mapping
-/// tick groups without allocating.
-#[derive(Debug, Default)]
-struct GroupScratch {
-    index_of: HashMap<u64, u32, VoxelHashBuilder>,
-    grouped: Vec<(LeafKey, f64, Vec<f64>)>,
-    spare: Vec<Vec<f64>>,
-}
-
-impl GroupScratch {
-    /// Clears the table and entry vector for the next scan, moving every
-    /// spill vector that actually holds an allocation into the spare pool.
-    fn recycle(&mut self) {
-        self.index_of.clear();
-        for (_, _, mut rest) in self.grouped.drain(..) {
-            if rest.capacity() > 0 {
-                rest.clear();
-                self.spare.push(rest);
-            }
-        }
-    }
-}
-
 thread_local! {
-    /// Per-thread grouping buffers for the serial batched insertion path.
-    static GROUP_SCRATCH: RefCell<GroupScratch> = RefCell::new(GroupScratch::default());
     /// Per-thread DDA cell buffer shared by ray insertion and the segment
     /// corridor prefilter — the two per-call traversals hot enough to show up
     /// in episode allocation counts. Take/replace (not borrow-across-call) so
@@ -1457,15 +1242,25 @@ thread_local! {
 }
 
 /// Splits a voxel index into its 4×4×4 block coordinates and the block-local
-/// occupancy bit (bit = x + 4·y + 16·z over the euclidean remainders).
-fn block_of(idx: &GridIndex) -> (GridIndex, u64) {
+/// bit index (x + 4·y + 16·z over the euclidean remainders).
+fn block_of(idx: &GridIndex) -> (GridIndex, usize) {
     let block = GridIndex::new(
         idx.x.div_euclid(4),
         idx.y.div_euclid(4),
         idx.z.div_euclid(4),
     );
     let bit = idx.x.rem_euclid(4) + 4 * idx.y.rem_euclid(4) + 16 * idx.z.rem_euclid(4);
-    (block, 1u64 << bit)
+    (block, bit as usize)
+}
+
+/// Inverse of [`block_of`]: the voxel index of bit `bit` of block `block`.
+fn block_voxel(block: &GridIndex, bit: usize) -> GridIndex {
+    let bit = bit as i64;
+    GridIndex::new(
+        block.x * 4 + (bit & 3),
+        block.y * 4 + ((bit >> 2) & 3),
+        block.z * 4 + (bit >> 4),
+    )
 }
 
 /// 4-bit mask of the block-local coordinates (0..4) of block `b` that fall
@@ -1605,12 +1400,12 @@ fn offset_ball(resolution: f64, radius: f64) -> Rc<OffsetBall> {
     })
 }
 
-/// A cheap multiply-xor hasher for packed voxel keys.
+/// A cheap multiply-xor hasher for packed voxel and block keys.
 ///
-/// Batched scan insertion hashes every ray/voxel crossing; the standard
-/// SipHash costs more per crossing than the tree descent it is meant to
-/// save. Voxel keys are single, adversary-free integers, so one SplitMix-
-/// style mix is plenty.
+/// Every update that leaves the previous update's block hashes its block
+/// key; the standard SipHash would cost more than the update itself. Keys
+/// are single, adversary-free integers, so one SplitMix-style mix is
+/// plenty.
 #[derive(Clone, Copy, Default)]
 struct VoxelHasher(u64);
 
@@ -1661,56 +1456,6 @@ fn child_of(point: &Vec3, center: &Vec3, half: f64) -> (usize, Vec3) {
     (idx, child_center)
 }
 
-impl OctoMap {
-    /// Pre-order arena walk pushing every leaf's (centre, log-odds), in the
-    /// exact octant order and with the exact centre arithmetic of the old
-    /// pointer-tree walk (the dedup and golden fixtures depend on both).
-    /// `r` must not be [`NIL`].
-    fn collect_arena(&self, r: u32, center: Vec3, half: f64, out: &mut Vec<(Vec3, f64)>) {
-        if r & LEAF_BIT != 0 {
-            out.push((center, self.leaf_values[(r & !LEAF_BIT) as usize]));
-            return;
-        }
-        let quarter = half / 2.0;
-        for (idx, &child) in self.nodes[r as usize].iter().enumerate() {
-            if child == NIL {
-                continue;
-            }
-            let mut c = center;
-            c.x += if idx & 1 != 0 { quarter } else { -quarter };
-            c.y += if idx & 2 != 0 { quarter } else { -quarter };
-            c.z += if idx & 4 != 0 { quarter } else { -quarter };
-            self.collect_arena(child, c, quarter, out);
-        }
-    }
-
-    /// Logical equality of two subtrees: same shape, same leaf values. The
-    /// arena's *physical* node order depends on creation order (ray-by-ray
-    /// and batched insertion create nodes in different orders), so
-    /// map equality must compare the trees, not the pools.
-    fn subtree_eq(&self, ra: u32, other: &OctoMap, rb: u32) -> bool {
-        match (ra == NIL, rb == NIL) {
-            (true, true) => return true,
-            (true, false) | (false, true) => return false,
-            (false, false) => {}
-        }
-        match (ra & LEAF_BIT != 0, rb & LEAF_BIT != 0) {
-            (true, true) => {
-                self.leaf_values[(ra & !LEAF_BIT) as usize]
-                    == other.leaf_values[(rb & !LEAF_BIT) as usize]
-            }
-            (false, false) => (0..8).all(|i| {
-                self.subtree_eq(
-                    self.nodes[ra as usize][i],
-                    other,
-                    other.nodes[rb as usize][i],
-                )
-            }),
-            _ => false,
-        }
-    }
-}
-
 impl PartialEq for OctoMap {
     fn eq(&self, other: &Self) -> bool {
         self.config == other.config
@@ -1720,10 +1465,17 @@ impl PartialEq for OctoMap {
             && self.updates == other.updates
             && self.occupied_count == other.occupied_count
             && self.index_packable == other.index_packable
-            && self.occupied_blocks == other.occupied_blocks
             && self.known_leaves == other.known_leaves
-            && self.known_blocks == other.known_blocks
-            && self.subtree_eq(self.root, other, other.root)
+            // Slots follow creation order, so blocks compare by coordinate.
+            && self.blocks.len() == other.blocks.len()
+            // mav-lint: allow(DET-HASH-ITER): all() over every block is order-independent
+            && self.blocks.iter().all(|(key, &slot)| {
+                other.blocks.get(key).is_some_and(|&theirs| {
+                    let (mine, theirs) = (slot as usize, theirs as usize);
+                    self.masks[mine] == other.masks[theirs]
+                        && self.log_odds[mine] == other.log_odds[theirs]
+                })
+            })
     }
 }
 
@@ -1739,13 +1491,14 @@ impl fmt::Display for OctoMap {
     }
 }
 
-/// The pre-arena pointer-chasing octree, kept verbatim as a differential
+/// The original pointer-chasing octree, kept verbatim as a differential
 /// oracle: every node is a separate heap allocation reached through
-/// `Vec<Option<Node>>` child pointers, exactly the layout the arena replaced.
-/// The equivalence proptests drive [`reference::ReferenceMap`] and [`OctoMap`] with the
-/// same ray sequences and compare per-point log-odds and full leaf
-/// collections, so any behavioural drift in the arena descent shows up as a
-/// differential failure rather than a silent golden change.
+/// `Vec<Option<Node>>` child pointers, the layout the block map replaced.
+/// The equivalence proptests drive [`reference::ReferenceMap`] and
+/// [`OctoMap`] with the same ray sequences and compare per-point log-odds
+/// and full leaf collections, so any behavioural drift in the block map
+/// (its keys, its walk order, its centres) shows up as a differential
+/// failure rather than a silent golden change.
 pub mod reference {
     use super::{child_of, OctoMap, OctoMapConfig};
     use mav_types::{GridSpec, Vec3};
@@ -1765,8 +1518,8 @@ pub mod reference {
         }
     }
 
-    /// Pointer-tree occupancy map with the old (pre-arena) update and
-    /// collection logic, reduced to the surface the differential tests need.
+    /// Pointer-tree occupancy map with the original update and collection
+    /// logic, reduced to the surface the differential tests need.
     #[derive(Debug, Clone)]
     pub struct ReferenceMap {
         config: OctoMapConfig,
@@ -1795,9 +1548,10 @@ pub mod reference {
         }
 
         /// Integrates one sensor ray with the shared ray enumeration, so the
-        /// oracle and the arena can only diverge in their *tree* logic: the
-        /// oracle descends from each cell centre by float compares and drops
-        /// out-of-domain centres with its own test, the arena by integer key.
+        /// oracle and the block map can only diverge in their *storage*
+        /// logic: the oracle descends from each cell centre by float compares
+        /// and drops out-of-domain centres with its own test, the block map
+        /// addresses each cell by integer key.
         pub fn insert_ray(&mut self, origin: &Vec3, endpoint: &Vec3) {
             let (grid, config) = (self.grid, self.config);
             let clamp = config.clamp;
@@ -1979,7 +1733,7 @@ mod tests {
         OctoMap::new(OctoMapConfig::with_resolution(resolution), 32.0)
     }
 
-    /// The centre and DFS rank of the leaf with arena key `key`, replayed
+    /// The centre and walk rank of the leaf with key `key`, replayed
     /// level by level: the float additions of a root descent (±half/2,
     /// ±half/4, … from the origin) and the octants packed three bits per
     /// level. The oracle of the per-axis leaf table.
@@ -2207,45 +1961,14 @@ mod tests {
     }
 
     #[test]
-    fn batched_cloud_insertion_is_bit_identical_to_ray_by_ray() {
-        // The PR 2 perf optimisation groups a scan's updates per voxel before
-        // any tree traversal. The resulting map must be indistinguishable
-        // from the historical ray-by-ray path: same leaf values (ordered
-        // deltas under the same clamp), same update count, same queries.
-        let mut points = Vec::new();
-        for y in -14..=14 {
-            for z in 0..5 {
-                points.push(Vec3::new(11.0, y as f64 * 0.4, z as f64 * 0.45));
-            }
-        }
-        // Include a beyond-max-range ray and a degenerate one.
-        points.push(Vec3::new(200.0, 0.0, 1.0));
-        points.push(Vec3::new(0.0, 0.0, 1.0));
-        let origin = Vec3::new(0.0, 0.0, 1.0);
-        let cloud = PointCloud::new(origin, points.clone());
-
-        let mut batched = small_map(0.3);
-        batched.insert_point_cloud_batched(&cloud);
-        let mut serial = small_map(0.3);
-        for p in &points {
-            serial.insert_ray(&origin, p);
-        }
-        assert_eq!(batched.update_count(), serial.update_count());
-        assert_eq!(batched, serial, "batched insertion changed the map");
-        // And the public (adaptively gated) entry point agrees with both.
-        let mut gated = small_map(0.3);
-        gated.insert_point_cloud(&cloud);
-        assert_eq!(gated, serial, "gated insertion changed the map");
-    }
-
-    #[test]
-    fn unpackable_domain_falls_back_to_reference_queries() {
-        // A domain deeper than the index bound must disable the indices and
-        // the per-axis leaf table, and every query keep answering
-        // (identically) via the tree: a multi-km domain at mm resolution,
-        // and 1 mm at ±40 m, one level past the bound. 1 mm at ±30 m sits at
-        // the bound and keeps its indices, which must agree with the tree
-        // the same way.
+    fn deep_domains_answer_mask_queries_like_the_references() {
+        // A domain deeper than the free-voxel index bound must drop that
+        // index and the per-axis leaf table, while the block masks keep
+        // answering every query exactly like the reference predicates and
+        // the leaf walk: a multi-km domain at mm resolution (the deepest map
+        // `OctoMap::MAX_DEPTH` allows), and 1 mm at ±40 m, one level past
+        // the index bound. 1 mm at ±30 m sits at the bound and keeps its
+        // index, which must agree the same way.
         for (half_extent, depth, indexed) in
             [(1500.0, 22, false), (40.0, 17, false), (30.0, 16, true)]
         {
@@ -2272,9 +1995,36 @@ mod tests {
                 map.segment_free_reference(&origin, &hit, 0.001)
             );
             assert_eq!(map.occupied_voxel_count(), 1);
+            assert_eq!(map.occupied_voxel_centers().len(), 1);
             assert_eq!(map.known_voxel_count(), map.known_voxel_count_scan());
             assert_eq!(map.free_voxel_centers(), map.free_voxel_centers_scan());
+            let r = map.resolution();
+            let offsets = [
+                Vec3::new(r, 0.0, 0.0),
+                Vec3::new(-r, 0.0, 0.0),
+                Vec3::new(0.0, r, 0.0),
+                Vec3::new(0.0, -r, 0.0),
+                Vec3::new(0.0, 0.0, r),
+                Vec3::new(0.0, 0.0, -r),
+            ];
+            for center in map.free_voxel_centers_scan() {
+                let probed = offsets.iter().any(|d| map.is_unknown(&(center + *d)));
+                assert_eq!(
+                    map.has_unknown_neighbor6(&center),
+                    probed,
+                    "±{half_extent} m at {center}"
+                );
+            }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "above OctoMap::MAX_DEPTH")]
+    fn maps_deeper_than_max_depth_are_rejected() {
+        // 1 mm voxels over ±4 km need 23 levels; a resolution of 1e-300
+        // once reached a shift overflow here.
+        assert_eq!(OctoMap::depth_for(0.001, 4000.0), OctoMap::MAX_DEPTH + 1);
+        let _ = OctoMap::new(OctoMapConfig::with_resolution(0.001), 4000.0);
     }
 
     #[test]
@@ -2288,8 +2038,8 @@ mod tests {
         assert!(!format!("{}", small_map(0.5)).is_empty());
     }
 
-    /// Differential properties pinning the arena rewrite: the flat-`Vec`
-    /// octree and the incremental free-voxel index must be *exact*
+    /// Differential properties pinning the storage rewrites: the hashed
+    /// voxel-block map and the incremental free-voxel index must be *exact*
     /// replacements — bit-identical log-odds, leaf sets and counters against
     /// the pointer-tree oracle and the tree-walk references.
     mod equivalence {
@@ -2305,7 +2055,7 @@ mod tests {
             (-extent..extent, -extent..extent, 0.0..6.0).prop_map(|(x, y, z)| Vec3::new(x, y, z))
         }
 
-        /// Builds the arena map and the pointer-tree oracle from the same
+        /// Builds the block map and the pointer-tree oracle from the same
         /// ray sequence.
         fn paired_maps(res_idx: usize, rays: &[Vec3]) -> (OctoMap, ReferenceMap) {
             let resolution = RESOLUTIONS[res_idx % RESOLUTIONS.len()];
@@ -2324,15 +2074,24 @@ mod tests {
         /// which is exact only when the domain half-size is
         /// `resolution × 2^(depth − 1)`; the domain must also cover the
         /// requested half-extent. Extents at, one ulp below and one ulp
-        /// above `resolution × 2^k` are where a rounding slip would show.
+        /// above `resolution × 2^k` are where a rounding slip would show;
+        /// the requests past `OctoMap::MAX_DEPTH` are skipped.
         #[test]
         fn domain_half_size_is_aligned_and_covers_the_request() {
             for resolution in RESOLUTIONS {
                 for k in 0..24 {
                     let edge = resolution * (1u64 << k) as f64;
                     for requested in [edge.next_down(), edge, edge.next_up()] {
+                        if OctoMap::depth_for(resolution, requested) > OctoMap::MAX_DEPTH {
+                            continue;
+                        }
                         let map =
                             OctoMap::new(OctoMapConfig::with_resolution(resolution), requested);
+                        assert_eq!(OctoMap::depth_for(resolution, requested), map.depth());
+                        assert_eq!(
+                            OctoMap::aligned_half_extent(resolution, requested),
+                            map.half_extent()
+                        );
                         let aligned = resolution * (1u64 << (map.depth() - 1)) as f64;
                         assert_eq!(
                             map.half_extent, aligned,
@@ -2398,10 +2157,9 @@ mod tests {
             }
         }
 
-        /// Inserts `endpoints` seen from `origin` through one of the arena's
-        /// insertion entry points: ray by ray (`mode` 0), as one
-        /// `insert_point_cloud` scan (1) or through
-        /// `insert_point_cloud_batched` (2).
+        /// Inserts `endpoints` seen from `origin` through one of the block
+        /// map's insertion entry points: ray by ray (`mode` 0) or as one
+        /// `insert_point_cloud` scan (1).
         fn insert_through(arena: &mut OctoMap, mode: usize, origin: &Vec3, endpoints: &[Vec3]) {
             match mode {
                 0 => {
@@ -2409,10 +2167,7 @@ mod tests {
                         arena.insert_ray(origin, endpoint);
                     }
                 }
-                1 => arena.insert_point_cloud(&PointCloud::new(*origin, endpoints.to_vec())),
-                _ => {
-                    arena.insert_point_cloud_batched(&PointCloud::new(*origin, endpoints.to_vec()))
-                }
+                _ => arena.insert_point_cloud(&PointCloud::new(*origin, endpoints.to_vec())),
             }
         }
 
@@ -2429,18 +2184,18 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
-            /// The arena descent produces the same leaves (same centres, same
+            /// The block map produces the same leaves (same centres, same
             /// log-odds bits) and answers point probes exactly like the
             /// pointer tree, including through a reresolve → insert chain.
-            /// The arena receives the endpoints through every insertion entry
-            /// point (`mode`), from origins inside and outside the domain (so
-            /// clipped rays reach the key descent), while the oracle always
-            /// takes them ray by ray. The incremental free-voxel index must
-            /// agree with the oracle's leaf walk too.
+            /// The block map receives the endpoints through every insertion
+            /// entry point (`mode`), from origins inside and outside the
+            /// domain (so clipped rays reach the key path), while the oracle
+            /// always takes them ray by ray. The incremental free-voxel index
+            /// must agree with the oracle's leaf walk too.
             #[test]
             fn arena_matches_reference_tree(
                 res_idx in 0usize..RESOLUTIONS.len(),
-                mode in 0usize..3,
+                mode in 0usize..2,
                 origin in (-48.0..48.0, -48.0..48.0, -44.0..44.0)
                     .prop_map(|(x, y, z)| Vec3::new(x, y, z)),
                 rays in proptest::collection::vec(arb_point(20.0), 1..32),

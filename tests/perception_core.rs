@@ -1,11 +1,11 @@
 //! Equivalence suite for the data-oriented perception core (PR 6).
 //!
-//! The arena octree, the incremental free-voxel index and the block-bitmask
-//! `occupied_voxel_centers` are all *exact* accelerations: every map they
-//! produce must be bit-identical to the pointer-tree / tree-walk references
-//! they replaced. These
-//! properties pin that from the public API, so the guarantees ride in the
-//! tier-1 suite alongside the PR 4 spatial-index properties.
+//! The hashed voxel-block map, the incremental free-voxel index and the
+//! block-bitmask `occupied_voxel_centers` are all *exact* accelerations:
+//! every map they produce must be bit-identical to the pointer-tree /
+//! tree-walk references they replaced. These properties pin that from the
+//! public API, so the guarantees ride in the tier-1 suite alongside the
+//! spatial-index properties of `tests/spatial_index.rs`.
 
 use mav_perception::octomap::reference::ReferenceMap;
 use mav_perception::{OctoMap, OctoMapConfig};
@@ -23,7 +23,7 @@ fn arb_point(extent: f64) -> impl Strategy<Value = Vec3> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The arena octree produces the same leaves as the pointer-tree oracle
+    /// The voxel-block map produces the same leaves as the pointer-tree oracle
     /// for arbitrary ray sequences: identical occupancy answers at every
     /// probe point, through a reresolution chain.
     #[test]

@@ -141,8 +141,8 @@ proptest! {
 }
 
 /// The O(1) counters match the full tree walk on a deterministic dyadic-
-/// resolution scenario covering rays, a dense batched point cloud, and the
-/// dynamic-resolution rebuild.
+/// resolution scenario covering rays, a dense point cloud inserted ray by
+/// ray, and the dynamic-resolution rebuild.
 #[test]
 fn counters_match_tree_walk() {
     let mut map = OctoMap::new(OctoMapConfig::with_resolution(0.5), 32.0);
@@ -152,7 +152,7 @@ fn counters_match_tree_walk() {
             map.insert_ray(&origin, &Vec3::new(10.0, i as f64 * 0.5, z));
         }
     }
-    // Dense scan to force the batched insertion path (points × res² ≥ 250).
+    // A dense scan: many rays per voxel, all through the one insertion path.
     let mut points = Vec::new();
     for iy in -40..=40 {
         for iz in 0..14 {
@@ -162,7 +162,7 @@ fn counters_match_tree_walk() {
     map.insert_point_cloud(&PointCloud::new(origin, points));
     assert_eq!(map.known_voxel_count(), map.known_voxel_count_scan());
     assert_eq!(map.occupied_voxel_count(), map.occupied_voxel_count_scan());
-    // Query equivalence holds on a batched-built map too.
+    // Query equivalence holds on the densely scanned map too.
     for (a, b) in [
         (Vec3::new(-5.0, -8.0, 1.0), Vec3::new(14.0, 8.0, 2.0)),
         (Vec3::new(0.0, 0.0, 1.0), Vec3::new(9.0, 0.0, 1.0)),

@@ -184,3 +184,42 @@ fn operating_point_wire_forms_agree() {
     let from_cli = OperatingPoint::from_json(&Json::String("big@2.2".into())).unwrap();
     assert_eq!(from_cli, p);
 }
+
+/// A resolution too fine for the mission's map is a spec error, so the job
+/// server answers 400 instead of a worker building a map that needs more
+/// than `OctoMap::MAX_DEPTH` levels (a shift overflow in debug builds, a
+/// degenerate domain in release). Static and dynamic policies alike.
+#[test]
+fn map_resolution_is_bounded_by_the_map_depth() {
+    let spec = |policy: &str| {
+        let text = format!(r#"{{"application":"package-delivery","resolution_policy":{policy}}}"#);
+        MissionConfig::from_json(&Json::parse(&text).unwrap())
+    };
+    for policy in [
+        "1e-300",
+        "1e-6",
+        r#"{"kind":"dynamic","outdoor":0.8,"indoor":1e-6,"density_threshold":0.02}"#,
+    ] {
+        let err = spec(policy).expect_err(policy);
+        assert!(err.contains("-level map"), "{policy}: {err}");
+    }
+    let config = spec("0.15").unwrap();
+    assert_eq!(
+        config.resolution_policy,
+        ResolutionPolicy::Static { resolution: 0.15 }
+    );
+    assert_eq!(config.map_half_extent(), 85.0);
+    let too_fine = config.with_resolution_policy(ResolutionPolicy::Static { resolution: 1e-300 });
+    assert!(too_fine.validate().is_err());
+
+    // A dynamic policy's first switch rebuilds the initial map's aligned
+    // domain: the ±85 m request at 0.8 m covers ±102.4 m. 4.5e-5 m spans
+    // ±85 m in 22 levels, so a static map is accepted, but ±102.4 m needs 23.
+    spec("4.5e-5").unwrap();
+    let dynamic = |indoor: f64| {
+        format!(r#"{{"kind":"dynamic","outdoor":0.8,"indoor":{indoor:e},"density_threshold":0}}"#)
+    };
+    let err = spec(&dynamic(4.5e-5)).expect_err("first switch to 4.5e-5 m");
+    assert!(err.contains("23-level map over ±102.4 m"), "{err}");
+    spec(&dynamic(5e-5)).unwrap();
+}
