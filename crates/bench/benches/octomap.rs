@@ -1,8 +1,8 @@
 //! Criterion benches for the OctoMap kernel: insertion cost vs resolution
 //! (the measured counterpart of Fig. 18), query cost, warm-map scan
-//! insertion, frontier extraction (the free-voxel index vs the full-tree
-//! walk) and a whole mapping-mission episode (the episodes/sec figure the
-//! ROADMAP's Monte-Carlo item tracks).
+//! insertion, frontier extraction (the block-mask candidate pass beside the
+//! free-voxel list and the full-tree walk) and a whole mapping-mission
+//! episode (the episodes/sec figure the ROADMAP's Monte-Carlo item tracks).
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mav_core::{run_mission, run_mission_with_scratch, EpisodeScratch, MissionConfig};
 use mav_env::EnvironmentConfig;
@@ -89,9 +89,11 @@ fn bench_scan_insertion(c: &mut Criterion) {
 }
 
 /// Frontier extraction on a partially mapped world: `find_frontiers` pays one
-/// `free_voxel_centers` call plus the unknown-neighbour probes and the
-/// clustering pass — exactly what mapping / search-and-rescue tick every
-/// replan.
+/// `frontier_voxel_centers_into` pass over the block masks (the free voxels
+/// in the altitude band with an unknown face neighbour) plus the clustering
+/// pass — exactly what mapping / search-and-rescue tick every replan. The
+/// free-voxel list it replaced (index and full-tree walk) is benched beside
+/// it.
 fn bench_frontier_extraction(c: &mut Criterion) {
     let clouds = capture_clouds();
     let mut map = OctoMap::new(OctoMapConfig::with_resolution(0.5), 96.0);
@@ -106,6 +108,14 @@ fn bench_frontier_extraction(c: &mut Criterion) {
     });
     group.bench_function("free_voxel_centers_scan", |b| {
         b.iter(|| map.free_voxel_centers_scan().len())
+    });
+    let band = explorer.config();
+    let mut candidates = Vec::new();
+    group.bench_function("frontier_voxel_centers", |b| {
+        b.iter(|| {
+            map.frontier_voxel_centers_into(band.min_altitude, band.max_altitude, &mut candidates);
+            candidates.len()
+        })
     });
     group.bench_function("find_frontiers", |b| {
         b.iter(|| explorer.find_frontiers(&map).len())

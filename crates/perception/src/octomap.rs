@@ -95,8 +95,8 @@ impl Default for OctoMapConfig {
 /// Deepest domain the free-voxel index and the per-axis leaf table
 /// ([`OctoMap::axis_keys`]) cover. It keeps the table at 2^16 entries
 /// (1.5 MiB) or fewer; MAVBench worlds need depth 10 at most. Deeper domains
-/// (1 mm voxels at ±40 m, say) count known voxels and list free ones by a
-/// full leaf walk instead.
+/// (1 mm voxels at ±40 m, say) count known voxels and list free ones and
+/// frontier candidates by a full leaf walk instead.
 const MAX_INDEXED_DEPTH: u32 = 16;
 
 /// One entry of the incremental free-voxel index: the dedup-winning leaf of a
@@ -221,9 +221,10 @@ pub struct OctoMap {
     /// update. [`OctoMap::known_voxel_count`] is this map's size — the same
     /// dedup-by-rounded-centre accounting the octree walk has always used (at
     /// non-dyadic resolutions adjacent leaf centres can round to the same
-    /// key; golden mission fixtures pin that behaviour) — and
-    /// [`OctoMap::free_voxel_centers`] filters its values, so frontier
-    /// extraction no longer pays a full leaf walk per call.
+    /// key; golden mission fixtures pin that behaviour) —
+    /// [`OctoMap::free_voxel_centers`] filters its values, and
+    /// [`OctoMap::frontier_voxel_centers_into`] reads its ranks to drop the
+    /// leaves it shadows.
     known_leaves: HashMap<u64, KnownLeaf, VoxelHashBuilder>,
     /// Whether the domain is at most [`MAX_INDEXED_DEPTH`] deep, so that the
     /// free-voxel index and `axis_keys` are kept. All MAVBench worlds are; a
@@ -783,47 +784,142 @@ impl OctoMap {
         self.known_voxel_count() as f64 * self.config.resolution.powi(3)
     }
 
-    /// Centres of all known free voxels. Frontier extraction builds on this.
+    /// Centres of all known free voxels, sorted by coordinates.
     ///
     /// Served from the incremental free-voxel index — O(known voxels) with no
     /// leaf walk — and bit-identical (centres, set membership and order) to
     /// the full-walk [`OctoMap::free_voxel_centers_scan`] it replaced, which
     /// remains as the regression oracle and the fallback for domains deeper
     /// than the free-voxel index bound (the internal `MAX_INDEXED_DEPTH`).
+    /// Frontier extraction reads [`OctoMap::frontier_voxel_centers_into`]
+    /// instead; this list, filtered by altitude and
+    /// [`OctoMap::has_unknown_neighbor6`], is that query's oracle.
     pub fn free_voxel_centers(&self) -> Vec<Vec3> {
-        let mut centers = Vec::new();
-        self.free_voxel_centers_into(&mut centers);
-        centers
-    }
-
-    /// [`OctoMap::free_voxel_centers`] into a caller-supplied buffer (cleared
-    /// first), so a per-replan caller — frontier extraction ticks this every
-    /// planning cycle — reuses one allocation instead of collecting a fresh
-    /// `Vec` per call. Contents and order are identical to the allocating
-    /// variant, which is implemented on top of this, including the leaf-walk
-    /// fallback for domains deeper than the free-voxel index bound.
-    pub fn free_voxel_centers_into(&self, centers: &mut Vec<Vec3>) {
-        centers.clear();
         if !self.index_packable {
-            centers.extend(self.free_voxel_centers_scan());
-            return;
+            return self.free_voxel_centers_scan();
         }
-        centers.extend(
-            self.known_leaves
-                .values()
-                .filter(|leaf| !leaf.occupied)
-                .map(|leaf| leaf.center),
-        );
+        let mut centers: Vec<Vec3> = self
+            .known_leaves
+            .values()
+            .filter(|leaf| !leaf.occupied)
+            .map(|leaf| leaf.center)
+            .collect();
         // `total_cmp` + unstable sort orders identically to the historical
         // stable partial_cmp tuple sort here: centres are finite, never ±0.0
         // (they sit at (k + ½)·resolution) and pairwise distinct, so the two
-        // comparators agree and stability cannot matter — while the unstable
-        // sort skips the merge-sort temp buffer this hot path paid per call.
+        // comparators agree and stability cannot matter.
         centers.sort_unstable_by(|a, b| {
             a.x.total_cmp(&b.x)
                 .then(a.y.total_cmp(&b.y))
                 .then(a.z.total_cmp(&b.z))
         });
+        centers
+    }
+
+    /// The frontier candidates of the map into `out` (cleared first): the
+    /// free voxels of [`OctoMap::free_voxel_centers`] whose centre `z` lies
+    /// in `[min_z, max_z]` and which have an unknown face neighbour
+    /// ([`OctoMap::has_unknown_neighbor6`]), in the same order and with the
+    /// same centre bits as that list filtered by those two tests.
+    ///
+    /// One bit-parallel pass over the block hash instead of listing, sorting
+    /// and probing every free voxel. Per block it keeps the free voxels
+    /// (`known & !occupied`) of the z-layers inside the band, drops those
+    /// whose six face neighbours are all known — shifts of the block's own
+    /// known mask, plus one face plane of a neighbouring block, looked up
+    /// only while a voxel on that face is still in question — and keeps a
+    /// survivor only when it is the free-voxel index's winner of its
+    /// rounded-centre key, as the free list does. The survivors' packed cell
+    /// keys are sorted as integers: the key packing is x-major and the
+    /// table centres strictly increase with the key, so that is the list's
+    /// coordinate order. Domains deeper than the internal
+    /// `MAX_INDEXED_DEPTH` filter the leaf-walk list instead.
+    pub fn frontier_voxel_centers_into(&self, min_z: f64, max_z: f64, out: &mut Vec<Vec3>) {
+        out.clear();
+        let in_band = |z: f64| !(z < min_z || z > max_z);
+        if !self.index_packable {
+            out.extend(
+                self.free_voxel_centers_scan()
+                    .into_iter()
+                    .filter(|c| in_band(c.z) && self.has_unknown_neighbor6(c)),
+            );
+            return;
+        }
+        let half = 1i64 << (self.depth - 1);
+        let axes =
+            |cell: GridIndex| [cell.x, cell.y, cell.z].map(|c| self.axis_keys[(c + half) as usize]);
+        let mut keys = FRONTIER_KEYS.with(|k| k.take());
+        keys.clear();
+        for (&packed, &slot) in &self.blocks {
+            let BlockMasks { known, occupied } = self.masks[slot as usize];
+            let mut candidates = known & !occupied;
+            if candidates == 0 {
+                continue;
+            }
+            let block = unpack_voxel_key(packed);
+            // The block's z-layers inside the band. A block of a depth-1 or
+            // depth-2 domain reaches past the domain edge; its outer layers
+            // have no table entry (and no known voxel).
+            for layer in 0..4 {
+                let axis = usize::try_from(block.z * 4 + layer + half)
+                    .ok()
+                    .and_then(|key| self.axis_keys.get(key));
+                if !axis.is_some_and(|axis| in_band(axis.center)) {
+                    candidates &= !(0xFFFF << (16 * layer));
+                }
+            }
+            if candidates == 0 {
+                continue;
+            }
+            // Candidates whose in-block neighbours are all known; a face
+            // voxel counts its across-the-face neighbour as known until the
+            // neighbouring block is read below.
+            let mut closed = candidates
+                & ((known >> 1) | FACE_X_HI)
+                & ((known << 1) | FACE_X_LO)
+                & ((known >> 4) | FACE_Y_HI)
+                & ((known << 4) | FACE_Y_LO)
+                & ((known >> 16) | FACE_Z_HI)
+                & ((known << 16) | FACE_Z_LO);
+            for (face, far_face, step, turn) in FACE_NEIGHBORS {
+                if closed & face == 0 {
+                    continue;
+                }
+                // An indexed domain's blocks lie within ±2^13 per axis, far
+                // inside the packing range, so a one-block step never carries
+                // into the next axis.
+                let neighbor = self
+                    .blocks
+                    .get(&packed.wrapping_add_signed(step))
+                    .map_or(0, |&slot| self.masks[slot as usize].known);
+                closed &= !face | (neighbor & far_face).rotate_left(turn);
+            }
+            let mut frontier = candidates & !closed;
+            while frontier != 0 {
+                let bit = frontier.trailing_zeros() as usize;
+                frontier &= frontier - 1;
+                let cell = block_voxel(&block, bit);
+                let [x, y, z] = axes(cell);
+                // The free list holds only the winner of each rounded-centre
+                // key (the walk's last-wins dedup): a shadowed leaf is not in
+                // it, and the winner's rank is unique.
+                let dedup_key = pack_voxel_key(&GridIndex::new(x.dedup, y.dedup, z.dedup));
+                let rank = x.spread | (y.spread << 1) | (z.spread << 2);
+                if self
+                    .known_leaves
+                    .get(&dedup_key)
+                    .is_some_and(|leaf| leaf.rank == rank)
+                {
+                    keys.push(pack_voxel_key(&cell));
+                }
+            }
+        }
+        keys.sort_unstable();
+        out.extend(keys.iter().map(|&key| {
+            let [x, y, z] = axes(unpack_voxel_key(key));
+            Vec3::new(x.center, y.center, z.center)
+        }));
+        FRONTIER_KEYS.with(|k| *k.borrow_mut() = keys);
     }
 
     /// [`OctoMap::free_voxel_centers`] recomputed by a full leaf walk — the
@@ -853,9 +949,9 @@ impl OctoMap {
     }
 
     /// [`OctoMap::occupied_voxel_centers`] into a caller-supplied buffer
-    /// (cleared first), the zero-allocation sibling of
-    /// [`OctoMap::free_voxel_centers_into`]. Contents and order are identical
-    /// to the allocating variant, which is implemented on top of this.
+    /// (cleared first), so a caller can reuse one allocation. Contents and
+    /// order are identical to the allocating variant, which is implemented
+    /// on top of this.
     pub fn occupied_voxel_centers_into(&self, centers: &mut Vec<Vec3>) {
         centers.clear();
         centers.reserve(self.occupied_count);
@@ -868,7 +964,7 @@ impl OctoMap {
                 centers.push(self.grid.center_of(&block_voxel(&block, bit)));
             }
         }
-        // Same comparator-equivalence argument as `free_voxel_centers_into`.
+        // Same comparator-equivalence argument as `free_voxel_centers`.
         centers.sort_unstable_by(|a, b| {
             a.x.total_cmp(&b.x)
                 .then(a.y.total_cmp(&b.y))
@@ -1135,7 +1231,7 @@ impl OctoMap {
         // leaf centres sit at (k + ½)·resolution, so they are finite, never
         // ±0.0, and pairwise distinct after the dedup — the comparators can
         // only disagree on values that never occur here (same argument as
-        // the `free_voxel_centers_into` hot path).
+        // `free_voxel_centers`).
         v.sort_by(|a, b| {
             a.0.x
                 .total_cmp(&b.0.x)
@@ -1239,6 +1335,10 @@ thread_local! {
     /// an unexpected nesting falls back to a fresh allocation instead of a
     /// RefCell panic.
     static RAY_CELLS: RefCell<Vec<GridIndex>> = const { RefCell::new(Vec::new()) };
+    /// Per-thread packed-cell-key buffer of
+    /// [`OctoMap::frontier_voxel_centers_into`], which runs every replan;
+    /// take/replace like `RAY_CELLS`.
+    static FRONTIER_KEYS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Splits a voxel index into its 4×4×4 block coordinates and the block-local
@@ -1271,6 +1371,28 @@ fn axis_bits(lo: i64, hi: i64, b: i64) -> u64 {
     let c = (hi.min(b * 4 + 3) - b * 4) as u32;
     ((1u64 << (c + 1)) - (1u64 << a)) & 0xF
 }
+
+/// The voxels of a block bitmask on each of its six faces: local x = 0 and
+/// x = 3, y = 0 and y = 3, z = 0 and z = 3.
+const FACE_X_LO: u64 = 0x1111_1111_1111_1111;
+const FACE_X_HI: u64 = FACE_X_LO << 3;
+const FACE_Y_LO: u64 = 0x000F_000F_000F_000F;
+const FACE_Y_HI: u64 = FACE_Y_LO << 12;
+const FACE_Z_LO: u64 = 0xFFFF;
+const FACE_Z_HI: u64 = FACE_Z_LO << 48;
+
+/// Per block face: the face, the opposite face of the block across it, the
+/// packed-key step to that block ([`pack_voxel_key`] puts x at bit 42 and y
+/// at bit 21) and the rotation that moves the far face onto this one (a
+/// plain shift, as the far face's bits never wrap).
+const FACE_NEIGHBORS: [(u64, u64, i64, u32); 6] = [
+    (FACE_X_HI, FACE_X_LO, 1 << 42, 3),
+    (FACE_X_LO, FACE_X_HI, -(1 << 42), 64 - 3),
+    (FACE_Y_HI, FACE_Y_LO, 1 << 21, 12),
+    (FACE_Y_LO, FACE_Y_HI, -(1 << 21), 64 - 12),
+    (FACE_Z_HI, FACE_Z_LO, 1, 48),
+    (FACE_Z_LO, FACE_Z_HI, -1, 64 - 48),
+];
 
 /// Expands a 4-bit axis mask so each set bit becomes a nibble (`0xF`): the y
 /// window of a block bitmask, before replication across the four z groups.
@@ -1753,6 +1875,51 @@ mod tests {
         (center, rank)
     }
 
+    /// The frontier candidates as the free-voxel list and the
+    /// unknown-neighbour probe give them: the free voxels whose centre
+    /// `z` lies in `[min_z, max_z]` and which have an unknown face
+    /// neighbour, in list order.
+    fn listed_frontiers(map: &OctoMap, min_z: f64, max_z: f64) -> Vec<Vec3> {
+        map.free_voxel_centers()
+            .into_iter()
+            .filter(|c| !(c.z < min_z || c.z > max_z) && map.has_unknown_neighbor6(c))
+            .collect()
+    }
+
+    /// The centres' bits, so that a comparison is bit for bit.
+    fn center_bits(centers: &[Vec3]) -> Vec<[u64; 3]> {
+        centers
+            .iter()
+            .map(|c| [c.x, c.y, c.z].map(f64::to_bits))
+            .collect()
+    }
+
+    /// `frontier_voxel_centers_into` against the listed frontiers, for a
+    /// band and for a band whose bounds are free-voxel centres (the
+    /// inclusive edge).
+    fn check_frontier_pass(map: &OctoMap, band: (f64, f64), edge_pick: (usize, usize)) {
+        // Not empty, so the pass must clear it.
+        let mut out = vec![Vec3::ZERO];
+        let free = map.free_voxel_centers();
+        let mut bands = vec![band];
+        if !free.is_empty() {
+            let (a, b) = (
+                free[edge_pick.0 % free.len()].z,
+                free[edge_pick.1 % free.len()].z,
+            );
+            bands.push((a.min(b), a.max(b)));
+        }
+        for (min_z, max_z) in bands {
+            map.frontier_voxel_centers_into(min_z, max_z, &mut out);
+            assert_eq!(
+                center_bits(&out),
+                center_bits(&listed_frontiers(map, min_z, max_z)),
+                "resolution {}, band {min_z}..{max_z}",
+                map.resolution()
+            );
+        }
+    }
+
     #[test]
     fn ray_insertion_marks_endpoint_occupied_and_path_free() {
         let mut map = small_map(0.5);
@@ -1968,10 +2135,20 @@ mod tests {
         // the leaf walk: a multi-km domain at mm resolution (the deepest map
         // `OctoMap::MAX_DEPTH` allows), and 1 mm at ±40 m, one level past
         // the index bound. 1 mm at ±30 m sits at the bound and keeps its
-        // index, which must agree the same way.
-        for (half_extent, depth, indexed) in
-            [(1500.0, 22, false), (40.0, 17, false), (30.0, 16, true)]
-        {
+        // index, which must agree the same way, and so must a depth-2
+        // domain (±2 mm), whose 4×4×4 blocks reach past the domain edge. The
+        // frontier pass must list what the free list and the probe give.
+        let (far_origin, far_hit) = (Vec3::new(0.0, 0.0, 0.0105), Vec3::new(0.05, 0.0, 0.0105));
+        let (edge_origin, edge_hit) = (
+            Vec3::new(-0.0015, -0.0005, -0.0015),
+            Vec3::new(0.0015, -0.0005, 0.0005),
+        );
+        for (half_extent, depth, indexed, origin, hit) in [
+            (1500.0, 22, false, far_origin, far_hit),
+            (40.0, 17, false, far_origin, far_hit),
+            (30.0, 16, true, far_origin, far_hit),
+            (0.002, 2, true, edge_origin, edge_hit),
+        ] {
             let mut map = OctoMap::new(OctoMapConfig::with_resolution(0.001), half_extent);
             assert_eq!(map.depth(), depth, "±{half_extent} m");
             assert_eq!(map.index_packable, indexed, "±{half_extent} m");
@@ -1980,8 +2157,6 @@ mod tests {
                 if indexed { 1 << depth } else { 0 },
                 "±{half_extent} m"
             );
-            let origin = Vec3::new(0.0, 0.0, 0.0105);
-            let hit = Vec3::new(0.05, 0.0, 0.0105);
             map.insert_ray(&origin, &hit);
             assert_eq!(map.query(&hit), Occupancy::Occupied);
             assert!(map.is_occupied_with_inflation(&hit, 0.002));
@@ -2015,6 +2190,8 @@ mod tests {
                     "±{half_extent} m at {center}"
                 );
             }
+            assert!(!map.free_voxel_centers().is_empty(), "±{half_extent} m");
+            check_frontier_pass(&map, (-1.0, 1.0), (0, 1));
         }
     }
 
@@ -2306,6 +2483,39 @@ mod tests {
                     map.insert_ray(&origin, endpoint);
                 }
                 prop_assert_eq!(map.occupied_voxel_centers(), map.occupied_voxel_centers_scan());
+            }
+
+            /// The block-mask frontier pass lists exactly the free voxels of
+            /// `free_voxel_centers` in the altitude band with an unknown
+            /// face neighbour — same centre bits, same order — at every
+            /// resolution (the non-dyadic ones are where the free list drops
+            /// shadowed leaves), from origins inside and outside the domain,
+            /// and through a reresolve → insert chain.
+            #[test]
+            fn frontier_pass_matches_the_listed_frontiers(
+                res_idx in 0usize..RESOLUTIONS.len(),
+                origin in (-48.0..48.0, -48.0..48.0, -44.0..44.0)
+                    .prop_map(|(x, y, z)| Vec3::new(x, y, z)),
+                rays in proptest::collection::vec(arb_point(20.0), 1..32),
+                more_rays in proptest::collection::vec(arb_point(20.0), 1..12),
+                min_z in -2.0..6.0f64,
+                height in 0.0..8.0f64,
+                edge_pick in (0usize..4096, 0usize..4096),
+                new_res_idx in 0usize..RESOLUTIONS.len(),
+            ) {
+                let config = OctoMapConfig::with_resolution(RESOLUTIONS[res_idx % RESOLUTIONS.len()]);
+                let mut map = OctoMap::new(config, 24.0);
+                for endpoint in &rays {
+                    map.insert_ray(&origin, endpoint);
+                }
+                let band = (min_z, min_z + height);
+                check_frontier_pass(&map, band, edge_pick);
+                map = map.reresolved(RESOLUTIONS[new_res_idx % RESOLUTIONS.len()]);
+                check_frontier_pass(&map, band, edge_pick);
+                for endpoint in &more_rays {
+                    map.insert_ray(&origin, endpoint);
+                }
+                check_frontier_pass(&map, band, edge_pick);
             }
 
             /// A cleared (or reshaped) map is bit-identical to a fresh one

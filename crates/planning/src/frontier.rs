@@ -11,13 +11,12 @@ use crate::collision::CollisionChecker;
 use crate::shortest_path::{PlannedPath, ShortestPathPlanner};
 use crate::spatial::PointGrid;
 use mav_perception::OctoMap;
-use mav_types::{MavError, Result, Vec3};
+use mav_types::{Aabb, MavError, Result, Vec3};
 use std::cell::RefCell;
 
 thread_local! {
     /// Per-thread working state for frontier extraction, which ticks once per
-    /// replan: the free-voxel-centre query alone runs to tens of thousands of
-    /// points on a partially mapped world, and the clustering pass behind it
+    /// replan: the candidate list, and the clustering pass behind it, which
     /// used to rebuild a [`PointGrid`] (dense bucket array included) plus one
     /// member `Vec` per cluster every call. Reusing all of it makes a replan
     /// allocation-free in the steady state.
@@ -27,11 +26,11 @@ thread_local! {
 /// Reusable buffers for one frontier extraction (see [`SCRATCH`]).
 #[derive(Debug, Default)]
 struct FrontierScratch {
-    /// Free-voxel centres straight from the map.
-    centers: Vec<Vec3>,
-    /// Altitude-banded frontier candidates (subsampled in place when large).
+    /// Altitude-banded frontier candidates straight from the map
+    /// (subsampled in place when large).
     points: Vec<Vec3>,
-    /// Radius index over the clustered points, rebuilt by `PointGrid::reset`.
+    /// Radius index over the clustered points, rebuilt by `PointGrid::reset`
+    /// over the points' bounding box.
     grid: Option<PointGrid>,
     /// Cluster id of each indexed point, by insertion order.
     cluster_of: Vec<u32>,
@@ -120,19 +119,14 @@ impl FrontierExplorer {
     pub fn find_frontiers(&self, map: &OctoMap) -> Vec<Frontier> {
         SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
-            map.free_voxel_centers_into(&mut scratch.centers);
-            scratch.points.clear();
-            for &center in scratch.centers.iter() {
-                if center.z < self.config.min_altitude || center.z > self.config.max_altitude {
-                    continue;
-                }
-                // Six hash-indexed bit tests against the known-voxel block
-                // index — decision-identical to probing `center ± resolution`
-                // per axis with `is_unknown`, minus six octree descents.
-                if map.has_unknown_neighbor6(&center) {
-                    scratch.points.push(center);
-                }
-            }
+            // The free voxels in the altitude band with an unknown face
+            // neighbour, in coordinate order, from one pass over the map's
+            // block masks.
+            map.frontier_voxel_centers_into(
+                self.config.min_altitude,
+                self.config.max_altitude,
+                &mut scratch.points,
+            );
             // Bound the clustering cost on very large maps: a uniform stride
             // keeps a representative subset (frontier clusters are spatially
             // extended, so subsampling preserves them). In place — same
@@ -155,33 +149,34 @@ impl FrontierExplorer {
                 cluster_of,
                 candidates,
                 clusters,
-                ..
             } = scratch;
             let active = self.cluster_into(map, points, grid, cluster_of, candidates, clusters);
             let mut frontiers: Vec<Frontier> = clusters[..active]
                 .iter()
                 .filter(|c| c.len() >= self.config.min_cluster_size)
-                .map(|c| {
+                .filter_map(|c| {
                     let centroid = c.iter().fold(Vec3::ZERO, |acc, p| acc + *p) / c.len() as f64;
                     // Snap the representative to the member nearest the
-                    // centroid so it is guaranteed to be a free voxel centre.
-                    // `total_cmp` ≡ the historical `partial_cmp().expect()`
-                    // here: squared distances are finite and non-negative, so
-                    // the only values the comparators order differently
-                    // (NaN, ±0.0 — distance² of +0.0 has one bit pattern)
-                    // never reach it, and it cannot panic.
-                    let center = c
-                        .iter()
-                        .copied()
-                        .min_by(|a, b| {
-                            a.distance_squared(&centroid)
-                                .total_cmp(&b.distance_squared(&centroid))
-                        })
-                        .expect("cluster non-empty");
-                    Frontier {
+                    // centroid so it is guaranteed to be a free voxel centre:
+                    // the first of equal minima, as `min_by` picks it. Squared
+                    // distances are finite and non-negative, so `total_cmp`
+                    // orders them as `partial_cmp` would. Clusters are never
+                    // empty (each starts with the point that created it).
+                    let center = c.iter().copied().reduce(|best, p| {
+                        let closer = p
+                            .distance_squared(&centroid)
+                            .total_cmp(&best.distance_squared(&centroid))
+                            .is_lt();
+                        if closer {
+                            p
+                        } else {
+                            best
+                        }
+                    })?;
+                    Some(Frontier {
                         center,
                         size: c.len(),
-                    }
+                    })
                 })
                 .collect();
             frontiers.sort_by_key(|f| std::cmp::Reverse(f.size));
@@ -211,12 +206,24 @@ impl FrontierExplorer {
         clusters: &mut Vec<Vec<Vec3>>,
     ) -> usize {
         let cell = self.config.cluster_radius.max(1e-6);
+        // Bucket the points' bounding box, not the map domain: the domain
+        // spans thousands of empty buckets to clear, and the density retune
+        // would spread the points over its whole volume.
+        let bounds = match points.split_first() {
+            Some((first, rest)) => {
+                let (lo, hi) = rest
+                    .iter()
+                    .fold((*first, *first), |(lo, hi), p| (lo.min(p), hi.max(p)));
+                Aabb::new(lo, hi)
+            }
+            None => map.domain(),
+        };
         let grid = match grid_slot {
             Some(grid) => {
-                grid.reset(&map.domain(), cell);
+                grid.reset(&bounds, cell);
                 grid
             }
-            None => grid_slot.insert(PointGrid::new(&map.domain(), cell)),
+            None => grid_slot.insert(PointGrid::new(&bounds, cell)),
         };
         cluster_of.clear();
         let mut active = 0usize;
@@ -364,7 +371,6 @@ mod tests {
     use super::*;
     use crate::shortest_path::{PlannerConfig, PlannerKind};
     use mav_perception::{OctoMapConfig, PointCloud};
-    use mav_types::Aabb;
 
     /// Builds a partially observed map by scanning from the origin towards +x.
     fn partial_map() -> OctoMap {
@@ -464,12 +470,117 @@ mod tests {
             let points: Vec<Vec3> = (0..400)
                 .map(|_| Vec3::new(unit() * 40.0 - 20.0, unit() * 40.0 - 20.0, unit() * 6.0))
                 .collect();
-            assert_eq!(
-                explorer.cluster(&map, &points),
-                explorer.cluster_reference(&points),
-                "clustering diverged at radius {radius}"
-            );
+            // The grid spans the points' bounding box, so also a box of zero
+            // height (one z plane) and one of zero size (one point).
+            let plane: Vec<Vec3> = points.iter().map(|p| Vec3::new(p.x, p.y, 2.25)).collect();
+            let one = [points[0]];
+            for (label, set) in [
+                ("scattered", &points[..]),
+                ("single z plane", &plane[..]),
+                ("one point", &one[..]),
+            ] {
+                assert_eq!(
+                    explorer.cluster(&map, set),
+                    explorer.cluster_reference(set),
+                    "clustering diverged at radius {radius} on the {label} set"
+                );
+            }
         }
+    }
+
+    /// A map scanned from two poses with rays fanned in azimuth and
+    /// altitude: thin carved rays, so most free voxels are frontier voxels,
+    /// some below and above the default altitude band.
+    fn scanned_map(resolution: f64) -> OctoMap {
+        let mut map = OctoMap::new(OctoMapConfig::with_resolution(resolution), 32.0);
+        for origin in [Vec3::new(0.3, -0.2, 2.0), Vec3::new(-4.1, 3.7, 3.1)] {
+            let mut points = Vec::new();
+            for i in 0..120 {
+                let angle = i as f64 * std::f64::consts::TAU / 120.0;
+                let range = 5.0 + (i % 7) as f64 * 2.5;
+                for k in 0..5 {
+                    let z = 0.1 + k as f64 * 2.1;
+                    points.push(Vec3::new(
+                        origin.x + range * angle.cos(),
+                        origin.y + range * angle.sin(),
+                        z,
+                    ));
+                }
+            }
+            map.insert_point_cloud(&PointCloud::new(origin, points));
+        }
+        map
+    }
+
+    /// The frontier candidates of the pipeline `find_frontiers` replaced:
+    /// every free voxel, kept when inside the altitude band and next to
+    /// unknown space.
+    fn listed_and_probed(explorer: &FrontierExplorer, map: &OctoMap) -> Vec<Vec3> {
+        let config = explorer.config();
+        map.free_voxel_centers()
+            .into_iter()
+            .filter(|c| !(c.z < config.min_altitude || c.z > config.max_altitude))
+            .filter(|c| map.has_unknown_neighbor6(c))
+            .collect()
+    }
+
+    /// That pipeline end to end: the listed and probed candidates, a
+    /// `step_by` subsample down to 1,200 points, the all-clusters scan and
+    /// a `min_by` centre snap.
+    fn find_frontiers_reference(explorer: &FrontierExplorer, map: &OctoMap) -> Vec<Frontier> {
+        let config = explorer.config();
+        let mut points = listed_and_probed(explorer, map);
+        if points.len() > 1200 {
+            let stride = points.len() / 1200 + 1;
+            points = points.into_iter().step_by(stride).collect();
+        }
+        let mut frontiers: Vec<Frontier> = explorer
+            .cluster_reference(&points)
+            .into_iter()
+            .filter(|c| c.len() >= config.min_cluster_size)
+            .map(|c| {
+                let centroid = c.iter().fold(Vec3::ZERO, |acc, p| acc + *p) / c.len() as f64;
+                let center = c
+                    .iter()
+                    .copied()
+                    .min_by(|a, b| {
+                        a.distance_squared(&centroid)
+                            .total_cmp(&b.distance_squared(&centroid))
+                    })
+                    .expect("clusters are non-empty");
+                Frontier {
+                    center,
+                    size: c.len(),
+                }
+            })
+            .collect();
+        frontiers.sort_by_key(|f| std::cmp::Reverse(f.size));
+        frontiers
+    }
+
+    #[test]
+    fn find_frontiers_matches_the_list_and_probe_pipeline() {
+        let mut largest = 0;
+        for resolution in [0.15, 0.5, 0.8] {
+            let map = scanned_map(resolution);
+            for (min_altitude, max_altitude) in [(0.5, 8.0), (1.2, 3.3)] {
+                let explorer = FrontierExplorer::new(FrontierConfig {
+                    min_altitude,
+                    max_altitude,
+                    ..Default::default()
+                });
+                let frontiers = explorer.find_frontiers(&map);
+                assert!(!frontiers.is_empty(), "{resolution} m");
+                assert_eq!(
+                    frontiers,
+                    find_frontiers_reference(&explorer, &map),
+                    "{resolution} m, band {min_altitude}..{max_altitude}"
+                );
+                largest = largest.max(listed_and_probed(&explorer, &map).len());
+            }
+        }
+        // At least one map goes through the subsample.
+        assert!(largest > 1200, "largest candidate set {largest}");
     }
 
     #[test]
