@@ -8,7 +8,7 @@
 //! before and after the optimisation commit and pair the JSON records (that is
 //! how `BENCH_pr4.json` was produced).
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use mav_core::experiments::{replan_mode_sweep_with, replan_scenario};
+use mav_core::experiments::{replan_mode_sweep, replan_scenario};
 use mav_core::SweepRunner;
 use mav_perception::{OctoMap, OctoMapConfig};
 use mav_planning::{CollisionChecker, PlannerConfig, PlannerKind, ShortestPathPlanner};
@@ -165,7 +165,7 @@ fn bench_replan_sweep(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("replan_mode_sweep", |b| {
         b.iter(|| {
-            let rows = replan_mode_sweep_with(&runner, replan_scenario);
+            let rows = replan_mode_sweep(&runner, replan_scenario);
             black_box(rows.len())
         })
     });

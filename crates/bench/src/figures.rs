@@ -1,4 +1,4 @@
-//! The figure/table builders behind the 16 harness binaries.
+//! The figure/table builders behind the 18 harness binaries.
 //!
 //! Every builder takes the parsed [`Cli`] and returns a [`FigureOutput`]
 //! carrying both the text rendering and a JSON document of the same data, so
@@ -10,9 +10,9 @@ use crate::cli::{Cli, FigureOutput};
 use crate::table::format_table;
 use mav_compute::{table1_profile, ApplicationId, KernelId, OperatingPoint};
 use mav_core::experiments::{
-    cloud_offload_study_with, exec_model_scenario, exec_model_sweep_with, format_heatmap,
-    noise_reliability_study_with, operating_point_sweep_with, perception_rate_sweep_with,
-    replan_mode_sweep_with, replan_scenario, resolution_study_with, CloudComparison, HeatmapCell,
+    cloud_offload_study, exec_model_scenario, format_heatmap, noise_reliability_study,
+    operating_point_sweep, perception_rate_sweep, replan_mode_sweep, replan_scenario,
+    resolution_study, CloudComparison,
 };
 use mav_core::microbench::{hover_endurance_minutes, slam_fps_sweep, SlamMicrobenchConfig};
 use mav_core::reliability::{
@@ -28,7 +28,7 @@ use mav_types::{Json, Power, SimDuration, SimTime, ToJson, Vec3};
 
 /// Shared driver for the Figs. 10–14 operating-point heat maps.
 pub fn heatmap_figure(application: ApplicationId, seed: u64, cli: &Cli) -> FigureOutput {
-    let cells = operating_point_sweep_with(&cli.runner(), application, |cfg| {
+    let cells = operating_point_sweep(&cli.runner(), application, |cfg| {
         cli.scale(cfg).with_seed(seed)
     });
     let mut text = format!("== {application} — operating-point sweep ==\n");
@@ -48,12 +48,7 @@ pub fn heatmap_figure(application: ApplicationId, seed: u64, cli: &Cli) -> Figur
     let failures: Vec<String> = cells
         .iter()
         .filter(|c| !c.report.success())
-        .map(|c| {
-            format!(
-                "{}c@{:.1}GHz: {:?}",
-                c.cores, c.frequency_ghz, c.report.failure
-            )
-        })
+        .map(|c| format!("{}: {:?}", c.value.label(), c.report.failure))
         .collect();
     if failures.is_empty() {
         text.push_str("all 9 operating points completed successfully\n");
@@ -62,15 +57,11 @@ pub fn heatmap_figure(application: ApplicationId, seed: u64, cli: &Cli) -> Figur
     }
     FigureOutput {
         text,
-        json: cells_json(application, seed, &cells),
+        json: Json::object()
+            .field("application", application)
+            .field("seed", seed)
+            .field("cells", cells.to_json()),
     }
-}
-
-fn cells_json(application: ApplicationId, seed: u64, cells: &[HeatmapCell]) -> Json {
-    Json::object()
-        .field("application", application)
-        .field("seed", seed)
-        .field("cells", cells.to_json())
 }
 
 /// Fig. 2 — endurance and size vs battery capacity for commercial MAVs.
@@ -250,7 +241,7 @@ pub fn fig08b_slam_fps(cli: &Cli) -> FigureOutput {
     } else {
         &[30.0, 10.0, 5.0, 2.0, 1.0]
     };
-    let closed_loop = perception_rate_sweep_with(
+    let closed_loop = perception_rate_sweep(
         &cli.runner(),
         rates,
         mav_core::experiments::rate_sweep_scenario,
@@ -262,7 +253,7 @@ pub fn fig08b_slam_fps(cli: &Cli) -> FigureOutput {
         .iter()
         .map(|row| {
             vec![
-                format!("{:.1}", row.perception_hz),
+                format!("{:.1}", row.value),
                 format!("{:.2}", row.report.velocity_cap),
                 format!("{:.1}", row.report.mission_time_secs),
                 format!("{:.1}", row.report.energy_kj()),
@@ -408,14 +399,14 @@ pub fn fig11_package_delivery(cli: &Cli) -> FigureOutput {
     // comparison row pins its own ReplanMode (that is the point of the
     // section); a `--replan-mode` flag applies to the heat-map missions
     // above, not to these rows.
-    let replan = replan_mode_sweep_with(&cli.runner(), replan_scenario);
+    let replan = replan_mode_sweep(&cli.runner(), replan_scenario);
     let mut text = heatmap.text;
     text.push_str("\n-- in-flight replanning: hover-to-plan vs plan-in-motion --\n");
     let rows: Vec<Vec<String>> = replan
         .iter()
         .map(|row| {
             vec![
-                row.mode.label().to_string(),
+                row.value.label().to_string(),
                 format!("{}", row.report.replans),
                 format!("{:.1}", row.report.mission_time_secs),
                 format!("{:.1}", row.report.hover_time_secs),
@@ -533,7 +524,7 @@ pub fn fig15_kernel_breakdown(_cli: &Cli) -> FigureOutput {
 
 /// Fig. 16 — fully-on-edge vs sensor-cloud 3D Mapping.
 pub fn fig16_cloud_offload(cli: &Cli) -> FigureOutput {
-    let cmp = cloud_offload_study_with(&cli.runner(), |cfg| cli.scale(cfg).with_seed(4));
+    let cmp = cloud_offload_study(&cli.runner(), |cfg| cli.scale(cfg).with_seed(4));
     let row = |label: &str, report: &mav_core::MissionReport| {
         vec![
             label.to_string(),
@@ -712,7 +703,7 @@ pub fn fig19_dynamic_resolution(cli: &Cli) -> FigureOutput {
         ApplicationId::PackageDelivery,
     ] {
         text.push_str(&format!("\n-- {app} --\n"));
-        let study = resolution_study_with(&cli.runner(), app, |cfg| cli.scale(cfg).with_seed(13));
+        let study = resolution_study(&cli.runner(), app, |cfg| cli.scale(cfg).with_seed(13));
         let rows: Vec<Vec<String>> = study
             .iter()
             .map(|row| {
@@ -721,7 +712,7 @@ pub fn fig19_dynamic_resolution(cli: &Cli) -> FigureOutput {
                     Some(f) => format!("fail ({f})"),
                 };
                 vec![
-                    row.policy.clone(),
+                    row.value.to_string(),
                     outcome,
                     format!("{:.1}", row.report.mission_time_secs),
                     format!("{:.1}", row.report.battery_remaining_pct),
@@ -758,7 +749,7 @@ pub fn fig19_dynamic_resolution(cli: &Cli) -> FigureOutput {
 /// lowered Eq. 2 velocity cap — so their delta isolates what keeping the
 /// planner on the big cluster buys in hover time.
 pub fn exec_model_sweep(cli: &Cli) -> FigureOutput {
-    let rows_data = exec_model_sweep_with(&cli.runner(), |cfg| {
+    let rows_data = mav_core::experiments::exec_model_sweep(&cli.runner(), |cfg| {
         // The grid pins its own exec model and node ops per row (that is the
         // point of the figure); --fast/--rates/--replan-mode still apply.
         exec_model_scenario(cli.scale(cfg))
@@ -771,8 +762,8 @@ pub fn exec_model_sweep(cli: &Cli) -> FigureOutput {
         .iter()
         .map(|row| {
             vec![
-                row.exec_model.label().to_string(),
-                row.node_ops.label(),
+                row.value.0.label().to_string(),
+                row.value.1.label(),
                 format!("{:.2}", row.report.velocity_cap),
                 format!("{:.2}", row.report.mission_time_secs),
                 format!("{:.2}", row.report.hover_time_secs),
@@ -871,10 +862,9 @@ pub fn table1_kernel_profile(_cli: &Cli) -> FigureOutput {
 /// Table II — impact of depth-image noise on Package Delivery reliability.
 pub fn table2_noise_reliability(cli: &Cli) -> FigureOutput {
     let runs = if cli.fast { 3 } else { 5 };
-    let rows_data =
-        noise_reliability_study_with(&cli.runner(), &[0.0, 0.5, 1.0, 1.5], runs, |cfg| {
-            cli.scale(cfg).with_seed(21)
-        });
+    let rows_data = noise_reliability_study(&cli.runner(), &[0.0, 0.5, 1.0, 1.5], runs, |cfg| {
+        cli.scale(cfg).with_seed(21)
+    });
     let rows: Vec<Vec<String>> = rows_data
         .iter()
         .map(|row| {

@@ -6,11 +6,10 @@
 //! qualitative shape of the results: who wins, in which direction, by roughly
 //! what factor).
 //!
-//! All sweeps execute through the parallel [`SweepRunner`]: the default
-//! entry points (`operating_point_sweep`, …) use every available core, and
-//! each has a `*_with` variant taking an explicit runner so harnesses can
-//! honour `--threads`. Results are bit-identical across thread counts — see
-//! [`crate::sweep`] for the determinism contract.
+//! Every study is one [`study`] call: one mission per grid value, run on the
+//! caller's [`SweepRunner`] (harnesses build it from `--threads`), each report
+//! paired with its grid value in a [`StudyRow`]. Results are bit-identical
+//! across thread counts — see [`crate::sweep`] for the determinism contract.
 
 use crate::config::{MissionConfig, NodeOpConfig, RateConfig, ReplanMode, ResolutionPolicy};
 use crate::qof::MissionReport;
@@ -19,75 +18,77 @@ use mav_compute::{ApplicationId, CloudConfig, KernelId, OperatingPoint};
 use mav_runtime::ExecModel;
 use mav_types::{Json, ToJson};
 
-/// One cell of an operating-point heat map (Figs. 10–14).
+/// One mission of a study: the grid value it ran at and the report it
+/// produced.
 #[derive(Debug, Clone, PartialEq)]
-pub struct HeatmapCell {
-    /// Core count of the operating point.
-    pub cores: u32,
-    /// Clock frequency in GHz.
-    pub frequency_ghz: f64,
-    /// The mission report produced at this operating point.
+pub struct StudyRow<A> {
+    /// The grid value this mission ran at.
+    pub value: A,
+    /// The mission report it produced.
     pub report: MissionReport,
 }
 
-impl ToJson for HeatmapCell {
-    fn to_json(&self) -> Json {
-        Json::object()
-            .field("cores", self.cores)
-            .field("frequency_ghz", self.frequency_ghz)
-            .field("report", self.report.to_json())
-    }
-}
-
-/// Runs the 3×3 TX2 operating-point sweep for one application on every
-/// available core.
-///
-/// `configure` receives the default configuration for the application and may
-/// adjust it (seed, environment size, …) before each run.
-pub fn operating_point_sweep(
-    application: ApplicationId,
-    configure: impl Fn(MissionConfig) -> MissionConfig,
-) -> Vec<HeatmapCell> {
-    operating_point_sweep_with(&SweepRunner::new(), application, configure)
-}
-
-/// [`operating_point_sweep`] on an explicit [`SweepRunner`].
-pub fn operating_point_sweep_with(
+/// Runs one mission per grid value on `runner`, configured by `point`, and
+/// pairs each report with its value, in grid order.
+pub fn study<A: Clone>(
     runner: &SweepRunner,
-    application: ApplicationId,
-    configure: impl Fn(MissionConfig) -> MissionConfig,
-) -> Vec<HeatmapCell> {
-    let grid = OperatingPoint::tx2_sweep();
-    let points: Vec<SweepPoint> = grid
+    grid: &[A],
+    point: impl Fn(&A) -> MissionConfig,
+) -> Vec<StudyRow<A>> {
+    // The rows carry the grid values, so the sweep points need no labels.
+    let points = grid
         .iter()
-        .map(|&point| {
-            let config = configure(MissionConfig::new(application)).with_operating_point(point);
-            SweepPoint::new(point.label(), config)
-        })
+        .map(|value| SweepPoint::new("", point(value)))
         .collect();
-    runner
-        .run(points)
-        .outcomes
-        .into_iter()
-        .zip(grid)
-        .map(|(outcome, point)| HeatmapCell {
-            cores: point.cores,
-            frequency_ghz: point.frequency.as_ghz(),
+    grid.iter()
+        .cloned()
+        .zip(runner.run(points).outcomes)
+        .map(|(value, outcome)| StudyRow {
+            value,
             report: outcome.report,
         })
         .collect()
 }
 
+/// A heat-map cell of Figs. 10–14.
+impl ToJson for StudyRow<OperatingPoint> {
+    fn to_json(&self) -> Json {
+        Json::object()
+            .field("cores", self.value.cores)
+            .field("frequency_ghz", self.value.frequency.as_ghz())
+            .field("report", self.report.to_json())
+    }
+}
+
+/// Runs the 3×3 TX2 operating-point sweep for one application (the heat maps
+/// of Figs. 10–14).
+///
+/// `configure` receives the default configuration for the application and may
+/// adjust it (seed, environment size, …) before each run.
+pub fn operating_point_sweep(
+    runner: &SweepRunner,
+    application: ApplicationId,
+    configure: impl Fn(MissionConfig) -> MissionConfig,
+) -> Vec<StudyRow<OperatingPoint>> {
+    study(runner, &OperatingPoint::tx2_sweep(), |&point| {
+        configure(MissionConfig::new(application)).with_operating_point(point)
+    })
+}
+
 /// Finds the heat-map cell for a specific operating point.
-pub fn cell(cells: &[HeatmapCell], cores: u32, frequency_ghz: f64) -> Option<&HeatmapCell> {
-    cells
-        .iter()
-        .find(|c| c.cores == cores && (c.frequency_ghz - frequency_ghz).abs() < 1e-9)
+pub fn cell(
+    cells: &[StudyRow<OperatingPoint>],
+    cores: u32,
+    frequency_ghz: f64,
+) -> Option<&StudyRow<OperatingPoint>> {
+    cells.iter().find(|c| {
+        c.value.cores == cores && (c.value.frequency.as_ghz() - frequency_ghz).abs() < 1e-9
+    })
 }
 
 /// Renders a 3×3 heat map as a text table of the selected metric.
 pub fn format_heatmap(
-    cells: &[HeatmapCell],
+    cells: &[StudyRow<OperatingPoint>],
     metric_name: &str,
     metric: impl Fn(&MissionReport) -> f64,
 ) -> String {
@@ -150,87 +151,60 @@ impl ToJson for CloudComparison {
     }
 }
 
-/// Runs the sensor-cloud case study on 3D Mapping (both runs in parallel).
-pub fn cloud_offload_study(configure: impl Fn(MissionConfig) -> MissionConfig) -> CloudComparison {
-    cloud_offload_study_with(&SweepRunner::new(), configure)
-}
-
-/// [`cloud_offload_study`] on an explicit [`SweepRunner`].
-pub fn cloud_offload_study_with(
+/// Runs the sensor-cloud case study on 3D Mapping: the mission fully on the
+/// edge and with planning offloaded, both runs in parallel.
+pub fn cloud_offload_study(
     runner: &SweepRunner,
     configure: impl Fn(MissionConfig) -> MissionConfig,
 ) -> CloudComparison {
-    let edge_cfg = configure(MissionConfig::new(ApplicationId::Mapping3D));
-    let cloud_cfg = configure(MissionConfig::new(ApplicationId::Mapping3D))
-        .with_cloud(CloudConfig::planning_offload());
-    let mut outcomes = runner
-        .run(vec![
-            SweepPoint::new("edge", edge_cfg),
-            SweepPoint::new("cloud", cloud_cfg),
-        ])
-        .outcomes;
-    let cloud = outcomes.pop().expect("cloud outcome").report;
-    let edge = outcomes.pop().expect("edge outcome").report;
-    CloudComparison { edge, cloud }
+    let placements = [None, Some(CloudConfig::planning_offload())];
+    let rows = study(runner, &placements, |cloud| {
+        let config = configure(MissionConfig::new(ApplicationId::Mapping3D));
+        match cloud {
+            Some(cloud) => config.with_cloud(cloud.clone()),
+            None => config,
+        }
+    });
+    let [edge, cloud]: [StudyRow<_>; 2] = rows.try_into().expect("one row per placement");
+    CloudComparison {
+        edge: edge.report,
+        cloud: cloud.report,
+    }
 }
 
-/// One row of the OctoMap-resolution study (Fig. 19).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResolutionRow {
-    /// Human-readable policy label.
-    pub policy: String,
-    /// The application it ran on.
-    pub application: ApplicationId,
-    /// The mission report.
-    pub report: MissionReport,
-}
-
-impl ToJson for ResolutionRow {
+/// A row of the OctoMap-resolution study (Fig. 19); the value is the policy
+/// label.
+impl ToJson for StudyRow<&'static str> {
     fn to_json(&self) -> Json {
         Json::object()
-            .field("policy", self.policy.as_str())
-            .field("application", self.application.to_json())
+            .field("policy", self.value)
+            .field("application", self.report.application.to_json())
             .field("report", self.report.to_json())
     }
 }
 
 /// Runs the static-fine / static-coarse / dynamic resolution study for one
-/// application, all policies in parallel.
+/// application, all policies in parallel. Each row's value is the policy's
+/// label.
 pub fn resolution_study(
-    application: ApplicationId,
-    configure: impl Fn(MissionConfig) -> MissionConfig,
-) -> Vec<ResolutionRow> {
-    resolution_study_with(&SweepRunner::new(), application, configure)
-}
-
-/// [`resolution_study`] on an explicit [`SweepRunner`].
-pub fn resolution_study_with(
     runner: &SweepRunner,
     application: ApplicationId,
     configure: impl Fn(MissionConfig) -> MissionConfig,
-) -> Vec<ResolutionRow> {
+) -> Vec<StudyRow<&'static str>> {
     let policies = [
         ("static 0.15 m", ResolutionPolicy::static_fine()),
         ("static 0.80 m", ResolutionPolicy::static_coarse()),
         ("dynamic 0.15/0.80 m", ResolutionPolicy::dynamic_default()),
     ];
-    let points: Vec<SweepPoint> = policies
-        .iter()
-        .map(|(label, policy)| {
-            let config = configure(MissionConfig::new(application)).with_resolution_policy(*policy);
-            SweepPoint::new(*label, config)
-        })
-        .collect();
-    runner
-        .run(points)
-        .outcomes
-        .into_iter()
-        .map(|outcome| ResolutionRow {
-            policy: outcome.label,
-            application,
-            report: outcome.report,
-        })
-        .collect()
+    study(runner, &policies, |&(_, policy)| {
+        configure(MissionConfig::new(application)).with_resolution_policy(policy)
+    })
+    .into_iter()
+    .map(|row| StudyRow {
+        value: row.value.0,
+        report: row.report,
+    })
+    .collect()
 }
 
 /// One row of the depth-noise reliability study (Table II).
@@ -260,87 +234,53 @@ impl ToJson for NoiseRow {
 /// depth-image noise, `runs` repetitions per noise level, every
 /// (level, repetition) mission in parallel.
 pub fn noise_reliability_study(
-    noise_levels: &[f64],
-    runs: u32,
-    configure: impl Fn(MissionConfig) -> MissionConfig,
-) -> Vec<NoiseRow> {
-    noise_reliability_study_with(&SweepRunner::new(), noise_levels, runs, configure)
-}
-
-/// [`noise_reliability_study`] on an explicit [`SweepRunner`].
-pub fn noise_reliability_study_with(
     runner: &SweepRunner,
     noise_levels: &[f64],
     runs: u32,
     configure: impl Fn(MissionConfig) -> MissionConfig,
 ) -> Vec<NoiseRow> {
-    // Flatten the (level × repetition) grid into one parallel sweep; the
-    // per-run seeds match the historical serial implementation exactly.
-    let points: Vec<SweepPoint> = noise_levels
+    // One grid value per (level, repetition); the per-run seeds match the
+    // historical serial implementation exactly.
+    let grid: Vec<(f64, u32)> = noise_levels
         .iter()
         .flat_map(|&std| (0..runs).map(move |run| (std, run)))
-        .map(|(std, run)| {
-            let config = configure(MissionConfig::new(ApplicationId::PackageDelivery))
-                .with_depth_noise(std)
-                .with_seed(1000 + run as u64 * 17);
-            SweepPoint::new(format!("noise {std:.2} m, run {run}"), config)
-        })
         .collect();
-    let outcomes = runner.run(points).outcomes;
+    let rows = study(runner, &grid, |&(std, run)| {
+        configure(MissionConfig::new(ApplicationId::PackageDelivery))
+            .with_depth_noise(std)
+            .with_seed(1000 + run as u64 * 17)
+    });
+    let runs = runs as usize;
     noise_levels
         .iter()
         .enumerate()
-        .map(|(level_idx, &std)| {
-            let level_reports = outcomes
-                [level_idx * runs as usize..(level_idx + 1) * runs as usize]
+        .map(|(level, &noise_std)| {
+            let successes: Vec<&MissionReport> = rows[level * runs..(level + 1) * runs]
                 .iter()
-                .map(|o| &o.report);
-            let mut failures = 0u32;
-            let mut replans = 0.0;
-            let mut times = 0.0;
-            let mut successes = 0u32;
-            for report in level_reports {
-                if report.success() {
-                    successes += 1;
-                    replans += report.replans as f64;
-                    times += report.mission_time_secs;
-                } else {
-                    failures += 1;
-                }
-            }
+                .map(|row| &row.report)
+                .filter(|report| report.success())
+                .collect();
+            // Means over the successful runs; zero when none succeeded.
+            let mean = |metric: fn(&MissionReport) -> f64| match successes.len() {
+                0 => 0.0,
+                n => successes.iter().map(|report| metric(report)).sum::<f64>() / n as f64,
+            };
             NoiseRow {
-                noise_std: std,
-                failure_rate: failures as f64 / runs.max(1) as f64,
-                mean_replans: if successes > 0 {
-                    replans / successes as f64
-                } else {
-                    0.0
-                },
-                mean_mission_time: if successes > 0 {
-                    times / successes as f64
-                } else {
-                    0.0
-                },
+                noise_std,
+                failure_rate: (runs - successes.len()) as f64 / runs.max(1) as f64,
+                mean_replans: mean(|report| report.replans as f64),
+                mean_mission_time: mean(|report| report.mission_time_secs),
             }
         })
         .collect()
 }
 
-/// One row of the closed-loop perception-rate sweep (the emergent,
-/// full-mission counterpart of the paper's Fig. 8b microbenchmark).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RateSweepRow {
-    /// Camera and mapping rate of this point, Hz (both nodes run at this
-    /// rate; control and replanning stay tick-synchronous).
-    pub perception_hz: f64,
-    /// The mission report produced under that schedule.
-    pub report: MissionReport,
-}
-
-impl ToJson for RateSweepRow {
+/// A row of the perception-rate sweep; the value is the camera and mapping
+/// rate, Hz.
+impl ToJson for StudyRow<f64> {
     fn to_json(&self) -> Json {
         Json::object()
-            .field("perception_hz", self.perception_hz)
+            .field("perception_hz", self.value)
             .field("velocity_cap", self.report.velocity_cap)
             .field("report", self.report.to_json())
     }
@@ -348,7 +288,9 @@ impl ToJson for RateSweepRow {
 
 /// Runs the perception-rate sweep: the same Package Delivery mission under
 /// node schedules whose camera + OctoMap rates step through `rates_hz`,
-/// every point in parallel.
+/// every point in parallel (the emergent, full-mission counterpart of the
+/// paper's Fig. 8b microbenchmark). Control and replanning stay
+/// tick-synchronous.
 ///
 /// This is the first experiment only expressible on the PR 2 node-graph
 /// executor: the schedule (not the code) sets how stale the occupancy map
@@ -356,52 +298,21 @@ impl ToJson for RateSweepRow {
 /// lower safe velocity ⇒ longer mission time, the paper's Fig. 8b trend at
 /// whole-mission scope.
 pub fn perception_rate_sweep(
-    rates_hz: &[f64],
-    configure: impl Fn(MissionConfig) -> MissionConfig,
-) -> Vec<RateSweepRow> {
-    perception_rate_sweep_with(&SweepRunner::new(), rates_hz, configure)
-}
-
-/// [`perception_rate_sweep`] on an explicit [`SweepRunner`].
-pub fn perception_rate_sweep_with(
     runner: &SweepRunner,
     rates_hz: &[f64],
     configure: impl Fn(MissionConfig) -> MissionConfig,
-) -> Vec<RateSweepRow> {
-    let points: Vec<SweepPoint> = rates_hz
-        .iter()
-        .map(|&hz| {
-            let config = configure(MissionConfig::new(ApplicationId::PackageDelivery))
-                .with_rates(RateConfig::legacy().with_camera_fps(hz).with_mapping_hz(hz));
-            SweepPoint::new(format!("perception {hz:.1} Hz"), config)
-        })
-        .collect();
-    runner
-        .run(points)
-        .outcomes
-        .into_iter()
-        .zip(rates_hz)
-        .map(|(outcome, &hz)| RateSweepRow {
-            perception_hz: hz,
-            report: outcome.report,
-        })
-        .collect()
+) -> Vec<StudyRow<f64>> {
+    study(runner, rates_hz, |&hz| {
+        configure(MissionConfig::new(ApplicationId::PackageDelivery))
+            .with_rates(RateConfig::legacy().with_camera_fps(hz).with_mapping_hz(hz))
+    })
 }
 
-/// One row of the replanning-policy comparison (PR 3): the same mission under
-/// [`ReplanMode::HoverToPlan`] and [`ReplanMode::PlanInMotion`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReplanModeRow {
-    /// The policy this mission flew under.
-    pub mode: ReplanMode,
-    /// The mission report it produced.
-    pub report: MissionReport,
-}
-
-impl ToJson for ReplanModeRow {
+/// A row of the replanning-policy comparison.
+impl ToJson for StudyRow<ReplanMode> {
     fn to_json(&self) -> Json {
         Json::object()
-            .field("mode", self.mode.label())
+            .field("mode", self.value.label())
             .field("replans", self.report.replans)
             .field("mission_time_secs", self.report.mission_time_secs)
             .field("hover_time_secs", self.report.hover_time_secs)
@@ -410,8 +321,8 @@ impl ToJson for ReplanModeRow {
     }
 }
 
-/// Runs the replanning-policy comparison: the identical Package Delivery
-/// mission once per [`ReplanMode`], both missions in parallel.
+/// Runs the replanning-policy comparison: the identical Package
+/// Delivery mission once per [`ReplanMode`], both missions in parallel.
 ///
 /// The paper charges planning latency while hovering — the most expensive
 /// possible policy, since every planner millisecond is a millisecond of
@@ -419,57 +330,25 @@ impl ToJson for ReplanModeRow {
 /// kernels on the node-graph executor *while the vehicle keeps flying the
 /// stale plan*, so at equal collision(-alert) counts the mission strictly
 /// shortens — compare the rows' `replans` to confirm the counts match.
-pub fn replan_mode_sweep(configure: impl Fn(MissionConfig) -> MissionConfig) -> Vec<ReplanModeRow> {
-    replan_mode_sweep_with(&SweepRunner::new(), configure)
-}
-
-/// [`replan_mode_sweep`] on an explicit [`SweepRunner`].
-pub fn replan_mode_sweep_with(
+pub fn replan_mode_sweep(
     runner: &SweepRunner,
     configure: impl Fn(MissionConfig) -> MissionConfig,
-) -> Vec<ReplanModeRow> {
+) -> Vec<StudyRow<ReplanMode>> {
     let modes = [ReplanMode::HoverToPlan, ReplanMode::PlanInMotion];
-    let points: Vec<SweepPoint> = modes
-        .iter()
-        .map(|&mode| {
-            let config = configure(MissionConfig::new(ApplicationId::PackageDelivery))
-                .with_replan_mode(mode);
-            SweepPoint::new(mode.label(), config)
-        })
-        .collect();
-    runner
-        .run(points)
-        .outcomes
-        .into_iter()
-        .zip(modes)
-        .map(|(outcome, mode)| ReplanModeRow {
-            mode,
-            report: outcome.report,
-        })
-        .collect()
+    study(runner, &modes, |&mode| {
+        configure(MissionConfig::new(ApplicationId::PackageDelivery)).with_replan_mode(mode)
+    })
 }
 
-/// One row of the executor-model / per-node-DVFS study (PR 5): the same
-/// mission under one latency-charging model and one node→operating-point
-/// mapping.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExecModelRow {
-    /// How executor rounds charged latency in this mission.
-    pub exec_model: ExecModel,
-    /// The per-node operating points the flight graph ran with.
-    pub node_ops: NodeOpConfig,
-    /// Human-readable row label (`"pipelined / big.LITTLE"`).
-    pub label: String,
-    /// The mission report it produced.
-    pub report: MissionReport,
-}
-
-impl ToJson for ExecModelRow {
+/// A row of the executor-model / per-node-DVFS study; the value is
+/// its [`exec_model_grid`] entry.
+impl ToJson for StudyRow<(ExecModel, NodeOpConfig, &'static str)> {
     fn to_json(&self) -> Json {
+        let (exec_model, node_ops, label) = self.value;
         Json::object()
-            .field("exec_model", self.exec_model.label())
-            .field("node_ops", self.node_ops.label())
-            .field("label", self.label.as_str())
+            .field("exec_model", exec_model.label())
+            .field("node_ops", node_ops.label())
+            .field("label", label)
             .field("replans", self.report.replans)
             .field("mission_time_secs", self.report.mission_time_secs)
             .field("hover_time_secs", self.report.hover_time_secs)
@@ -479,7 +358,7 @@ impl ToJson for ExecModelRow {
     }
 }
 
-/// The (exec model, node ops) grid of [`exec_model_sweep`]:
+/// The (exec model, node ops, label) grid of [`exec_model_sweep`]:
 ///
 /// 1. `serial / mission-global` — the paper's accounting (the baseline every
 ///    other figure uses);
@@ -536,37 +415,15 @@ pub fn exec_model_grid() -> Vec<(ExecModel, NodeOpConfig, &'static str)> {
 /// lowered Eq. 2 velocity cap — and differ only in where planning runs, so
 /// their delta isolates what keeping the planner on the big cluster buys in
 /// hover time.
-pub fn exec_model_sweep(configure: impl Fn(MissionConfig) -> MissionConfig) -> Vec<ExecModelRow> {
-    exec_model_sweep_with(&SweepRunner::new(), configure)
-}
-
-/// [`exec_model_sweep`] on an explicit [`SweepRunner`].
-pub fn exec_model_sweep_with(
+pub fn exec_model_sweep(
     runner: &SweepRunner,
     configure: impl Fn(MissionConfig) -> MissionConfig,
-) -> Vec<ExecModelRow> {
-    let grid = exec_model_grid();
-    let points: Vec<SweepPoint> = grid
-        .iter()
-        .map(|(model, ops, label)| {
-            let config = configure(MissionConfig::new(ApplicationId::PackageDelivery))
-                .with_exec_model(*model)
-                .with_node_ops(*ops);
-            SweepPoint::new(*label, config)
-        })
-        .collect();
-    runner
-        .run(points)
-        .outcomes
-        .into_iter()
-        .zip(grid)
-        .map(|(outcome, (exec_model, node_ops, label))| ExecModelRow {
-            exec_model,
-            node_ops,
-            label: label.to_string(),
-            report: outcome.report,
-        })
-        .collect()
+) -> Vec<StudyRow<(ExecModel, NodeOpConfig, &'static str)>> {
+    study(runner, &exec_model_grid(), |&(model, ops, _)| {
+        configure(MissionConfig::new(ApplicationId::PackageDelivery))
+            .with_exec_model(model)
+            .with_node_ops(ops)
+    })
 }
 
 /// The scenario the executor-model study (and its direction tests) runs on:
@@ -622,6 +479,7 @@ pub fn quick_config(config: MissionConfig) -> MissionConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apps::run_mission;
 
     fn scanning_quick(cfg: MissionConfig) -> MissionConfig {
         let mut c = quick_config(cfg).with_seed(2);
@@ -634,7 +492,8 @@ mod tests {
         // Use the cheap Scanning application for a smoke test of the sweep
         // plumbing itself; the shape assertions on the heavier applications
         // live in the integration tests.
-        let cells = operating_point_sweep(ApplicationId::Scanning, scanning_quick);
+        let cells =
+            operating_point_sweep(&SweepRunner::new(), ApplicationId::Scanning, scanning_quick);
         assert_eq!(cells.len(), 9);
         assert!(cell(&cells, 4, 2.2).is_some());
         assert!(cell(&cells, 2, 0.8).is_some());
@@ -650,7 +509,7 @@ mod tests {
     fn heatmap_format_renders_all_nine_metric_values() {
         // Synthetic cells: metric = cores + GHz, so every rendered number is
         // predictable and distinct.
-        let template = operating_point_sweep_with(
+        let template = operating_point_sweep(
             &SweepRunner::new().with_threads(2),
             ApplicationId::Scanning,
             scanning_quick,
@@ -668,14 +527,14 @@ mod tests {
 
     #[test]
     fn heatmap_format_marks_missing_cells() {
-        let cells = operating_point_sweep_with(
+        let cells = operating_point_sweep(
             &SweepRunner::new().with_threads(2),
             ApplicationId::Scanning,
             scanning_quick,
         );
-        let partial: Vec<HeatmapCell> = cells
+        let partial: Vec<StudyRow<OperatingPoint>> = cells
             .into_iter()
-            .filter(|c| !(c.cores == 3 && c.frequency_ghz == 1.5))
+            .filter(|c| !(c.value.cores == 3 && c.value.frequency.as_ghz() == 1.5))
             .collect();
         let table = format_heatmap(&partial, "mission time (s)", |r| r.mission_time_secs);
         assert!(table.contains("n/a"));
@@ -683,7 +542,7 @@ mod tests {
 
     #[test]
     fn cell_lookup_tolerates_float_formatting() {
-        let cells = operating_point_sweep_with(
+        let cells = operating_point_sweep(
             &SweepRunner::new().with_threads(3),
             ApplicationId::Scanning,
             scanning_quick,
@@ -696,16 +555,107 @@ mod tests {
 
     #[test]
     fn operating_point_sweep_is_thread_count_invariant() {
-        let serial = operating_point_sweep_with(
-            &SweepRunner::new().with_threads(1),
-            ApplicationId::Scanning,
+        let sweep = |threads| {
+            operating_point_sweep(
+                &SweepRunner::new().with_threads(threads),
+                ApplicationId::Scanning,
+                scanning_quick,
+            )
+        };
+        let serial = sweep(1);
+        // `study` pairs each report with its grid value, in grid order.
+        let values: Vec<OperatingPoint> = serial.iter().map(|row| row.value).collect();
+        assert_eq!(values, OperatingPoint::tx2_sweep());
+        assert!(serial
+            .iter()
+            .all(|row| row.value == row.report.operating_point));
+        for threads in [2, 3, 8] {
+            assert_eq!(serial, sweep(threads), "diverged at {threads} threads");
+        }
+    }
+
+    /// The top-level keys of a JSON object, in order, space-separated.
+    fn keys(json: &Json) -> String {
+        match json {
+            Json::Object(fields) => fields
+                .iter()
+                .map(|(key, _)| key.as_str())
+                .collect::<Vec<_>>()
+                .join(" "),
+            _ => String::new(),
+        }
+    }
+
+    fn row_json<A>(value: A, report: &MissionReport) -> Json
+    where
+        StudyRow<A>: ToJson,
+    {
+        StudyRow {
+            value,
+            report: report.clone(),
+        }
+        .to_json()
+    }
+
+    #[test]
+    fn study_rows_keep_the_harness_json_fields() {
+        let report = run_mission(scanning_quick(MissionConfig::new(ApplicationId::Scanning)));
+        let cloud = CloudComparison {
+            edge: report.clone(),
+            cloud: report.clone(),
+        };
+        let noise = NoiseRow {
+            noise_std: 0.5,
+            failure_rate: 0.0,
+            mean_replans: 0.0,
+            mean_mission_time: 0.0,
+        };
+        let documents = [
+            (
+                row_json(OperatingPoint::reference(), &report),
+                "cores frequency_ghz report",
+            ),
+            (
+                row_json("static 0.15 m", &report),
+                "policy application report",
+            ),
+            (row_json(20.0, &report), "perception_hz velocity_cap report"),
+            (
+                row_json(ReplanMode::PlanInMotion, &report),
+                "mode replans mission_time_secs hover_time_secs energy_kj report",
+            ),
+            (
+                row_json(exec_model_grid()[3], &report),
+                "exec_model node_ops label replans mission_time_secs hover_time_secs \
+                 velocity_cap energy_kj report",
+            ),
+            (
+                noise.to_json(),
+                "noise_std failure_rate mean_replans mean_mission_time",
+            ),
+            (cloud.to_json(), "edge cloud speedup"),
+        ];
+        for (json, expected) in &documents {
+            assert_eq!(keys(json), *expected);
+        }
+
+        // Zero repetitions run no mission and still report one all-zero row
+        // per noise level.
+        let empty = noise_reliability_study(
+            &SweepRunner::new().with_threads(2),
+            &[0.0, 0.5],
+            0,
             scanning_quick,
         );
-        let parallel = operating_point_sweep_with(
-            &SweepRunner::new().with_threads(4),
-            ApplicationId::Scanning,
-            scanning_quick,
+        assert_eq!(
+            empty,
+            [
+                NoiseRow {
+                    noise_std: 0.0,
+                    ..noise.clone()
+                },
+                noise
+            ]
         );
-        assert_eq!(serial, parallel);
     }
 }

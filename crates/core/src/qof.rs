@@ -186,10 +186,9 @@ impl fmt::Display for MissionReport {
             "{} @ {}: {} | {:.1} s, {:.1} m, {:.2} m/s avg, {:.1} kJ, battery {:.0}%",
             self.application,
             self.operating_point.label(),
-            if self.success() {
-                "success".to_string()
-            } else {
-                format!("{}", self.failure.as_ref().unwrap())
+            match &self.failure {
+                None => "success".to_string(),
+                Some(failure) => failure.to_string(),
             },
             self.mission_time_secs,
             self.distance_m,

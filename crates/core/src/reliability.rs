@@ -18,7 +18,7 @@
 //!   report `Vec`. Histogram merges add integer bin counts; f64 sums are
 //!   folded in fixed shard order, so aggregates are bit-identical at every
 //!   thread count.
-//! * [`reliability_sweep_with`] — shards the episode range into fixed
+//! * [`reliability_sweep_classified`] — shards the episode range into fixed
 //!   contiguous blocks via [`SweepRunner::run_sharded`], runs each shard's
 //!   episodes through that worker's [`crate::EpisodeScratch`]
 //!   (zero-realloc episode reuse), and merges the shard accumulators in
@@ -650,10 +650,14 @@ impl ToJson for ClassStats {
     }
 }
 
-/// [`reliability_sweep_sharded`] plus a per-scenario-class breakdown keyed by
-/// [`ScenarioGenerator::episode_class`]. The aggregate is recorded in the
-/// same episode order as the plain sweep, so its bits are unchanged; the
-/// class map is all-integer and merges in shard order.
+/// Runs `episodes` scenario-generator episodes in fixed contiguous shards of
+/// at most `shard_size` ([`DEFAULT_SHARD_SIZE`]; tests use small shards to
+/// exercise multi-shard merging) and returns the streaming aggregate plus a
+/// per-scenario-class breakdown keyed by [`ScenarioGenerator::episode_class`].
+/// Each worker folds its shard through its thread-local
+/// [`crate::EpisodeScratch`] (zero-realloc episode reuse), and the shard
+/// accumulators, the all-integer class map included, merge in shard order:
+/// results are bit-identical at every thread count.
 pub fn reliability_sweep_classified(
     runner: &SweepRunner,
     generator: &ScenarioGenerator,
@@ -667,7 +671,7 @@ pub fn reliability_sweep_classified(
 /// callback fires once per finished episode, from whichever worker thread ran
 /// it. The observer sees only *that* an episode completed — never its data —
 /// so it cannot perturb the aggregates; `mav-server` uses it to publish job
-/// progress counters while a sweep runs. The plain entry points route through
+/// progress counters while a sweep runs. The plain entry point routes through
 /// here with a no-op observer, so there is exactly one sweep loop to keep
 /// bit-identical.
 pub fn reliability_sweep_classified_observed(
@@ -702,30 +706,6 @@ pub fn reliability_sweep_classified_observed(
         }
     }
     (total, classes)
-}
-
-/// [`reliability_sweep_with`] with an explicit shard size (tests use small
-/// shards to exercise multi-shard merging with few episodes).
-pub fn reliability_sweep_sharded(
-    runner: &SweepRunner,
-    generator: &ScenarioGenerator,
-    episodes: u64,
-    shard_size: u64,
-) -> ReliabilityStats {
-    reliability_sweep_classified(runner, generator, episodes, shard_size).0
-}
-
-/// Runs `episodes` scenario-generator episodes and returns the streaming
-/// aggregate. Episodes are sharded into fixed contiguous blocks; each worker
-/// folds its shard through its thread-local [`crate::EpisodeScratch`]
-/// (zero-realloc episode reuse) and the shard accumulators merge in shard
-/// order — aggregates are bit-identical at every thread count.
-pub fn reliability_sweep_with(
-    runner: &SweepRunner,
-    generator: &ScenarioGenerator,
-    episodes: u64,
-) -> ReliabilityStats {
-    reliability_sweep_sharded(runner, generator, episodes, DEFAULT_SHARD_SIZE)
 }
 
 /// One cell of the replan-rate × replan-mode reliability grid.
@@ -784,7 +764,12 @@ pub fn reliability_rate_grid_with(
                 .with_rate_choices(vec![rates])
                 .with_replan_modes(vec![replan_mode])
                 .with_exec_models(vec![ExecModel::Serial]);
-            let stats = reliability_sweep_with(runner, &generator, episodes_per_cell);
+            let (stats, _) = reliability_sweep_classified(
+                runner,
+                &generator,
+                episodes_per_cell,
+                DEFAULT_SHARD_SIZE,
+            );
             cells.push(RateGridCell {
                 replan_hz,
                 replan_mode,
@@ -874,7 +859,12 @@ pub fn reliability_fault_grid_with(
             let generator = ScenarioGenerator::new(application, base_seed)
                 .with_fault_plans(vec![scaled])
                 .with_degradation(*degradation);
-            let stats = reliability_sweep_with(runner, &generator, episodes_per_cell);
+            let (stats, _) = reliability_sweep_classified(
+                runner,
+                &generator,
+                episodes_per_cell,
+                DEFAULT_SHARD_SIZE,
+            );
             cells.push(FaultGridCell {
                 intensity,
                 plan: scaled,
@@ -987,7 +977,12 @@ mod tests {
         for index in 0..6 {
             expected.record(&run_mission(generator.episode(index)));
         }
-        let swept = reliability_sweep_with(&SweepRunner::new().with_threads(2), &generator, 6);
+        let (swept, _) = reliability_sweep_classified(
+            &SweepRunner::new().with_threads(2),
+            &generator,
+            6,
+            DEFAULT_SHARD_SIZE,
+        );
         assert_eq!(expected, swept);
     }
 
@@ -995,11 +990,11 @@ mod tests {
     fn aggregates_are_bit_identical_across_thread_counts() {
         let generator = tiny_generator();
         // 40 episodes over shards of 8: five shards to schedule.
-        let baseline =
-            reliability_sweep_sharded(&SweepRunner::new().with_threads(1), &generator, 40, 8);
+        let (baseline, _) =
+            reliability_sweep_classified(&SweepRunner::new().with_threads(1), &generator, 40, 8);
         assert_eq!(baseline.episodes, 40);
         for threads in [2, 4, 8] {
-            let parallel = reliability_sweep_sharded(
+            let (parallel, _) = reliability_sweep_classified(
                 &SweepRunner::new().with_threads(threads),
                 &generator,
                 40,

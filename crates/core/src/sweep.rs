@@ -11,20 +11,20 @@
 //! * results are collected in input order regardless of which worker finished
 //!   first.
 //!
-//! The experiment drivers in [`crate::experiments`] are all thin wrappers
-//! that build a point list and hand it to a runner; harness binaries pass a
-//! runner configured from `--threads`.
+//! Every study in [`crate::experiments`] hands its point list to the
+//! caller's runner through [`crate::experiments::study`]; harness binaries
+//! pass a runner configured from `--threads`.
 
 use crate::apps::run_mission;
 use crate::config::MissionConfig;
 use crate::qof::MissionReport;
 use mav_types::{Json, ToJson};
-use rayon::prelude::*;
 
 /// One labelled configuration of a sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepPoint {
-    /// Human-readable label, e.g. `"4c@2.2GHz"` or `"noise 0.5 m, run 3"`.
+    /// Human-readable label, e.g. `"run 3"` (empty for the points of
+    /// [`crate::experiments::study`], whose rows carry the grid value).
     pub label: String,
     /// The full mission configuration to run at this point.
     pub config: MissionConfig,
@@ -153,10 +153,6 @@ impl SweepRunner {
     /// Runs every point and collects the outcomes in input order.
     pub fn run(&self, points: Vec<SweepPoint>) -> SweepReport {
         let threads = self.threads();
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("sweep thread pool");
         // Wall-clock boundary (audited): this Instant times the host-side
         // sweep for `wall_secs` throughput metadata and never reaches the
         // mission outcomes — every value in `outcomes` is produced by
@@ -165,15 +161,10 @@ impl SweepRunner {
         // list is waived here for the same reason.
         #[allow(clippy::disallowed_methods)]
         let started = std::time::Instant::now();
-        let outcomes: Vec<SweepOutcome> = pool.install(|| {
-            points
-                .par_iter()
-                .map(|point| SweepOutcome {
-                    label: point.label.clone(),
-                    seed: point.config.seed,
-                    report: run_mission(point.config.clone()),
-                })
-                .collect()
+        let outcomes = rayon::parallel_map_slice(&points, threads, |point| SweepOutcome {
+            label: point.label.clone(),
+            seed: point.config.seed,
+            report: run_mission(point.config.clone()),
         });
         SweepReport {
             outcomes,
@@ -184,7 +175,7 @@ impl SweepRunner {
 
     /// Runs `episodes` episodes as fixed contiguous shards of at most
     /// `shard_size`, mapping each shard through `shard` on this runner's
-    /// worker pool and returning the per-shard results **in shard order**.
+    /// workers and returning the per-shard results **in shard order**.
     ///
     /// The shard boundaries depend only on `episodes` and `shard_size` —
     /// never on the thread count — and results come back in input order, so

@@ -3,9 +3,11 @@
 //! (reliability). Scenarios are scaled down so the suite stays fast in debug
 //! builds; the full-size sweeps live in the `mav-bench` harness binaries.
 
-use mavbench::compute::{ApplicationId, CloudConfig};
-use mavbench::core::experiments::{noise_reliability_study, quick_config, resolution_study};
-use mavbench::core::{run_mission, MissionConfig, ResolutionPolicy};
+use mavbench::compute::ApplicationId;
+use mavbench::core::experiments::{
+    cloud_offload_study, noise_reliability_study, quick_config, resolution_study, CloudComparison,
+};
+use mavbench::core::{MissionConfig, ResolutionPolicy, SweepRunner};
 
 fn small(cfg: MissionConfig) -> MissionConfig {
     let mut cfg = quick_config(cfg);
@@ -16,12 +18,8 @@ fn small(cfg: MissionConfig) -> MissionConfig {
 
 #[test]
 fn cloud_offload_reduces_mission_time_for_mapping() {
-    let edge = run_mission(small(MissionConfig::new(ApplicationId::Mapping3D)).with_seed(4));
-    let cloud = run_mission(
-        small(MissionConfig::new(ApplicationId::Mapping3D))
-            .with_seed(4)
-            .with_cloud(CloudConfig::planning_offload()),
-    );
+    let CloudComparison { edge, cloud } =
+        cloud_offload_study(&SweepRunner::new(), |cfg| small(cfg).with_seed(4));
     assert!(edge.success(), "{:?}", edge.failure);
     assert!(cloud.success(), "{:?}", cloud.failure);
     // Fig. 16: the sensor-cloud drone hovers less and finishes sooner.
@@ -41,17 +39,17 @@ fn dynamic_resolution_is_cheaper_than_static_fine() {
     // policy completes the mission at least as fast as the fine static policy
     // (it spends less compute on OctoMap updates while outdoors) and retains
     // at least as much battery.
-    let rows = resolution_study(ApplicationId::PackageDelivery, |cfg| {
+    let rows = resolution_study(&SweepRunner::new(), ApplicationId::PackageDelivery, |cfg| {
         small(cfg).with_seed(12)
     });
     assert_eq!(rows.len(), 3);
     let fine = rows
         .iter()
-        .find(|r| r.policy.starts_with("static") && r.policy.contains("0.15"))
+        .find(|r| r.value.starts_with("static") && r.value.contains("0.15"))
         .unwrap();
     let dynamic = rows
         .iter()
-        .find(|r| r.policy.starts_with("dynamic"))
+        .find(|r| r.value.starts_with("dynamic"))
         .unwrap();
     assert!(dynamic.report.success(), "{:?}", dynamic.report.failure);
     assert!(fine.report.success(), "{:?}", fine.report.failure);
@@ -82,7 +80,7 @@ fn depth_noise_degrades_package_delivery() {
     // Table II direction: injected depth noise never improves the mission —
     // it either triggers more re-planning (longer missions) or outright
     // failures. Two runs per level keep the debug-mode runtime bounded.
-    let rows = noise_reliability_study(&[0.0, 1.0], 2, small);
+    let rows = noise_reliability_study(&SweepRunner::new(), &[0.0, 1.0], 2, small);
     assert_eq!(rows.len(), 2);
     let clean = &rows[0];
     let noisy = &rows[1];

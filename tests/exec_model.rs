@@ -13,7 +13,7 @@ use mav_compute::{ApplicationId, KernelId, OperatingPoint};
 use mav_core::experiments::{exec_model_scenario, exec_model_sweep};
 use mav_core::{
     run_mission, ExecModel, ExecStage, MissionConfig, MissionContext, NodeOpConfig,
-    ResolutionPolicy,
+    ResolutionPolicy, SweepRunner,
 };
 use mav_runtime::{Executor, Node, NodeOutput, SimClock};
 use mav_types::{Frequency, Result, SimDuration, SimTime};
@@ -102,17 +102,17 @@ fn pipelined_mission_is_strictly_shorter_on_the_overlap_scenario() {
     // so control and the collision monitor run at a finer grain and the
     // episode's convergence tail shrinks — mission time strictly shorter,
     // everything else like-for-like (same route, same alert count).
-    let rows = exec_model_sweep(exec_model_scenario);
+    let rows = exec_model_sweep(&SweepRunner::new(), exec_model_scenario);
     assert_eq!(rows.len(), 4);
     let serial = &rows[0];
     let pipelined = &rows[1];
-    assert_eq!(serial.exec_model, ExecModel::Serial);
-    assert_eq!(pipelined.exec_model, ExecModel::Pipelined);
+    assert_eq!(serial.value.0, ExecModel::Serial);
+    assert_eq!(pipelined.value.0, ExecModel::Pipelined);
     for row in &rows {
         assert!(
             row.report.success(),
             "{} failed: {:?}",
-            row.label,
+            row.value.2,
             row.report.failure
         );
     }

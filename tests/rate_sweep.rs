@@ -9,13 +9,13 @@
 //! rates* are set in configuration — no code differs between the points.
 
 use mav_core::experiments::{perception_rate_sweep, rate_sweep_scenario};
-use mav_core::{run_mission, MissionConfig, RateConfig};
+use mav_core::{run_mission, MissionConfig, RateConfig, SweepRunner};
 
 use mav_compute::ApplicationId;
 
 #[test]
 fn lower_perception_rate_lowers_velocity_and_lengthens_the_mission() {
-    let sweep = perception_rate_sweep(&[20.0, 1.0], rate_sweep_scenario);
+    let sweep = perception_rate_sweep(&SweepRunner::new(), &[20.0, 1.0], rate_sweep_scenario);
     assert_eq!(sweep.len(), 2);
     let fast = &sweep[0];
     let slow = &sweep[1];

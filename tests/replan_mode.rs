@@ -11,18 +11,18 @@
 //! strictly less mission time.
 
 use mav_core::experiments::{replan_mode_sweep, replan_scenario};
-use mav_core::{run_mission, MissionConfig, ReplanMode};
+use mav_core::{run_mission, MissionConfig, ReplanMode, SweepRunner};
 
 use mav_compute::ApplicationId;
 
 #[test]
 fn plan_in_motion_shortens_the_mission_at_equal_collision_counts() {
-    let sweep = replan_mode_sweep(replan_scenario);
+    let sweep = replan_mode_sweep(&SweepRunner::new(), replan_scenario);
     assert_eq!(sweep.len(), 2);
     let hover = &sweep[0];
     let motion = &sweep[1];
-    assert_eq!(hover.mode, ReplanMode::HoverToPlan);
-    assert_eq!(motion.mode, ReplanMode::PlanInMotion);
+    assert_eq!(hover.value, ReplanMode::HoverToPlan);
+    assert_eq!(motion.value, ReplanMode::PlanInMotion);
     assert!(
         hover.report.success(),
         "hover-to-plan failed: {:?}",
