@@ -1,8 +1,9 @@
 //! Criterion benches for the OctoMap kernel: insertion cost vs resolution
-//! (the measured counterpart of Fig. 18), query cost, warm-map scan
-//! insertion, frontier extraction (the block-mask candidate pass beside the
-//! free-voxel list and the full-tree walk) and a whole mapping-mission
-//! episode (the episodes/sec figure the ROADMAP's Monte-Carlo item tracks).
+//! (the measured counterpart of Fig. 18) into a new and into a reset map,
+//! query cost, warm-map scan insertion, frontier extraction (the block-mask
+//! candidate pass beside the free-voxel list and the full-tree walk) and a
+//! whole mapping-mission episode (the episodes/sec figure the ROADMAP's
+//! Monte-Carlo item tracks).
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mav_core::{run_mission, run_mission_with_scratch, EpisodeScratch, MissionConfig};
 use mav_env::EnvironmentConfig;
@@ -33,6 +34,34 @@ fn bench_octomap_insertion(c: &mut Criterion) {
             |b, &res| {
                 b.iter(|| {
                     let mut map = OctoMap::new(OctoMapConfig::with_resolution(res), 96.0);
+                    for cloud in &clouds {
+                        map.insert_point_cloud(cloud);
+                    }
+                    map.known_voxel_count()
+                })
+            },
+        );
+    }
+    group.finish();
+}
+
+/// The same insertion into one map `reset` before each iteration, as
+/// `EpisodeScratch` reuses a map across episodes: the insertion cost alone,
+/// where `octomap_insert_vs_resolution` also times `OctoMap::new` (the block
+/// hash and the per-axis key table).
+fn bench_octomap_insert_reset(c: &mut Criterion) {
+    let clouds = capture_clouds();
+    let mut group = c.benchmark_group("octomap_insert_reset");
+    group.sample_size(10);
+    for resolution in [0.15, 0.3, 0.5, 0.8, 1.0] {
+        let config = OctoMapConfig::with_resolution(resolution);
+        let mut map = OctoMap::new(config, 96.0);
+        group.bench_with_input(
+            BenchmarkId::from_parameter(resolution),
+            &config,
+            |b, &config| {
+                b.iter(|| {
+                    map.reset(config, 96.0);
                     for cloud in &clouds {
                         map.insert_point_cloud(cloud);
                     }
@@ -171,6 +200,7 @@ fn bench_mapping_mission(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_octomap_insertion,
+    bench_octomap_insert_reset,
     bench_octomap_queries,
     bench_scan_insertion,
     bench_frontier_extraction,

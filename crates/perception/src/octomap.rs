@@ -92,35 +92,25 @@ impl Default for OctoMapConfig {
     }
 }
 
-/// Deepest domain the free-voxel index and the per-axis leaf table
-/// ([`OctoMap::axis_keys`]) cover. It keeps the table at 2^16 entries
+/// Deepest domain the per-axis key table ([`OctoMap::axis_keys`]) covers,
+/// and with it the known-voxel counter and the class-winner listing of free
+/// voxels and frontier candidates. It keeps the table at 2^16 entries
 /// (1.5 MiB) or fewer; MAVBench worlds need depth 10 at most. Deeper domains
 /// (1 mm voxels at ±40 m, say) count known voxels and list free ones and
 /// frontier candidates by a full leaf walk instead.
 const MAX_INDEXED_DEPTH: u32 = 16;
 
-/// One entry of the incremental free-voxel index: the dedup-winning leaf of a
-/// rounded-centre voxel key, as a full `collect_leaves` walk would report it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct KnownLeaf {
-    /// The leaf centre exactly as a float root descent accumulates it
-    /// (bit-identical to the centre `collect_leaves` reports for this leaf),
-    /// read from the per-axis leaf table when the leaf is created.
-    center: Vec3,
-    /// Walk rank of the leaf: the root-to-leaf octant path, packed three bits
-    /// per level, root octant most significant. This totally orders leaves in
-    /// pre-order walk order, which reproduces the walk's last-wins dedup when
-    /// two adjacent leaf centres round to the same voxel key (the
-    /// non-dyadic-resolution merge artifact the golden fixtures pin).
-    rank: u64,
-    /// Whether the leaf's log-odds currently exceeds the occupied threshold.
-    occupied: bool,
-}
-
-/// What one axis value `k` of a leaf key contributes to the leaf's centre,
-/// DFS rank and dedup key. The three axes share one table of these
+/// What one axis value `k` of a leaf key contributes to the leaf's centre
+/// and rounded-centre class. The three axes share one table of these
 /// ([`OctoMap::axis_keys`]), because a root descent adds ±half/2, ±half/4, …
 /// to each axis independently.
+///
+/// The walk this map reproduces dedups leaves by `round(centre /
+/// resolution)` per axis, and the later leaf in walk order wins. Adjacent
+/// centres lie one resolution apart, so on one axis at most two neighbouring
+/// keys round alike, and a leaf's class (the leaves sharing its rounded
+/// centre) is the product of its three per-axis runs: the leaf itself plus
+/// at most seven others.
 #[derive(Debug, Clone, Copy)]
 struct AxisKey {
     /// The leaf-centre coordinate: the root descent's float additions (the
@@ -128,30 +118,23 @@ struct AxisKey {
     /// from `k`'s bits, top bit first, so it is bit-identical to the
     /// coordinate that walk reports.
     center: f64,
-    /// `k`'s bits spread three apart (bit `b` moves to bit `3b`); a leaf's
-    /// walk rank is `x | y << 1 | z << 2` over its three axis entries.
-    spread: u64,
-    /// `(center / resolution).round()`: this axis of the leaf's dedup key.
-    dedup: i64,
+    /// −1 or +1 when key `k − 1` or `k + 1` rounds to the same
+    /// `round(center / resolution)` as `k` (its twin), 0 when neither does.
+    twin: i64,
 }
 
 impl AxisKey {
-    fn new(k: u64, depth: u32, half_extent: f64, resolution: f64) -> AxisKey {
+    /// Entry `k` of a depth-`depth` domain, without its twin.
+    fn new(k: u64, depth: u32, half_extent: f64) -> AxisKey {
         let mut center = 0.0;
         let mut half = half_extent;
-        let mut spread = 0u64;
         for bit in (0..depth).rev() {
             let quarter = half / 2.0;
             let upper = (k >> bit) & 1;
             center += if upper != 0 { quarter } else { -quarter };
             half = quarter;
-            spread |= upper << (3 * bit);
         }
-        AxisKey {
-            center,
-            spread,
-            dedup: (center / resolution).round() as i64,
-        }
+        AxisKey { center, twin: 0 }
     }
 }
 
@@ -165,6 +148,16 @@ struct BlockMasks {
     /// Known voxels whose log-odds exceed the occupied threshold.
     occupied: u64,
 }
+
+/// The subset of the three axes (bit `i` for axis `i`, x = 0) for which
+/// `pick(i)` holds.
+fn axis_set(pick: impl Fn(usize) -> bool) -> usize {
+    (0..3).fold(0, |m, i| m | usize::from(pick(i)) << i)
+}
+
+/// Per axis: the set of axis subsets that contain it, as an 8-bit mask with
+/// bit `s` for subset `s`.
+const STEPS_ON: [u8; 3] = [0b1010_1010, 0b1100_1100, 0b1111_0000];
 
 /// Packed-key sentinel of [`OctoMap::last_block`] while no block was
 /// touched: [`pack_voxel_key`] never sets the top bit.
@@ -215,25 +208,20 @@ pub struct OctoMap {
     /// occupied masks (the same per-voxel occupancy the collision queries
     /// see).
     occupied_count: usize,
-    /// The incremental free-voxel index: for every rounded-centre voxel key,
-    /// the dedup-winning leaf a full `collect_leaves` walk would report
-    /// (centre, walk rank and occupancy flag), maintained by every leaf
-    /// update. [`OctoMap::known_voxel_count`] is this map's size — the same
-    /// dedup-by-rounded-centre accounting the octree walk has always used (at
-    /// non-dyadic resolutions adjacent leaf centres can round to the same
-    /// key; golden mission fixtures pin that behaviour) —
-    /// [`OctoMap::free_voxel_centers`] filters its values, and
-    /// [`OctoMap::frontier_voxel_centers_into`] reads its ranks to drop the
-    /// leaves it shadows.
-    known_leaves: HashMap<u64, KnownLeaf, VoxelHashBuilder>,
-    /// Whether the domain is at most [`MAX_INDEXED_DEPTH`] deep, so that the
-    /// free-voxel index and `axis_keys` are kept. All MAVBench worlds are; a
+    /// Number of rounded-centre classes (see [`AxisKey`]) with a known leaf:
+    /// [`OctoMap::known_voxel_count`], the dedup-by-rounded-centre accounting
+    /// the octree walk has always used (at non-dyadic resolutions adjacent
+    /// leaf centres can round alike; golden mission fixtures pin that
+    /// behaviour). A created leaf adds one unless another leaf of its class
+    /// is known already. Kept while `index_packable`.
+    known_count: usize,
+    /// Whether the domain is at most [`MAX_INDEXED_DEPTH`] deep, so that
+    /// `axis_keys` and `known_count` are kept. All MAVBench worlds are; a
     /// deeper domain counts and lists known voxels by a full leaf walk.
     index_packable: bool,
-    /// The per-axis leaf table, indexed by one axis of a leaf key
-    /// (`0..2^depth`) while the indices are kept and empty otherwise. A
-    /// created or flipped leaf reads its centre, DFS rank and dedup key from
-    /// three entries.
+    /// The per-axis key table, indexed by one axis of a leaf key
+    /// (`0..2^depth`) while `index_packable` and empty otherwise. A leaf's
+    /// centre and rounded-centre class come from three entries.
     axis_keys: Vec<AxisKey>,
 }
 
@@ -267,7 +255,7 @@ impl OctoMap {
             log_odds: Vec::new(),
             last_block: (NO_BLOCK, 0),
             occupied_count: 0,
-            known_leaves: HashMap::with_hasher(VoxelHashBuilder::default()),
+            known_count: 0,
             index_packable: false,
             axis_keys: Vec::new(),
         };
@@ -307,8 +295,8 @@ impl OctoMap {
     }
 
     /// Empties the map back to the just-constructed state while keeping the
-    /// block hash, block storage and free-voxel index allocations (their
-    /// `Vec`/`HashMap` capacities survive). The domain geometry is
+    /// block hash and block storage allocations (their `Vec`/`HashMap`
+    /// capacities survive). The domain geometry is
     /// unchanged; use [`OctoMap::reset`] to also reshape it. Because every
     /// mutation funnels through the same leaf-update path and block slots
     /// restart at zero, a cleared map is bit-identical to a fresh
@@ -321,13 +309,13 @@ impl OctoMap {
         self.log_odds.clear();
         self.last_block = (NO_BLOCK, 0);
         self.occupied_count = 0;
-        self.known_leaves.clear();
+        self.known_count = 0;
     }
 
     /// [`OctoMap::clear`] plus a domain reshape: recomputes the geometry
     /// exactly as `OctoMap::new(config, half_extent)` would (depth, aligned
-    /// half-extent, traversal grid, whether the free-voxel index is kept,
-    /// the per-axis leaf table) while reusing the storage of this map. `new`
+    /// half-extent, traversal grid, whether the known-voxel counter is kept,
+    /// the per-axis key table) while reusing the storage of this map. `new`
     /// is implemented on top of this, so the two cannot drift apart.
     ///
     /// # Panics
@@ -341,22 +329,26 @@ impl OctoMap {
         // `resolution`-sized voxel and leaf boundaries align with the ray
         // traversal grid; otherwise a leaf could straddle two traversal cells
         // and updates/queries would disagree near voxel boundaries.
-        // Integer-key insertion relies on the half-extent being exactly
-        // `resolution × 2^(depth−1)` (see `leaf_key`).
+        // Cell-addressed insertion relies on the half-extent being exactly
+        // `resolution × 2^(depth−1)` (see `insert_ray`).
         let half_extent = Self::aligned_half_extent(config.resolution, half_extent);
         self.grid = GridSpec::new(config.resolution);
         self.config = config;
         self.half_extent = half_extent;
         self.depth = depth;
-        // The depth bound caps the table; in-domain voxel indices (below
-        // 2^15 in magnitude) then fit the 21-bit packing of the free-voxel
-        // index's dedup keys with room to spare.
+        // The depth bound caps the table.
         self.index_packable = depth <= MAX_INDEXED_DEPTH;
         self.axis_keys.clear();
         if self.index_packable {
-            self.axis_keys.extend(
-                (0..1u64 << depth).map(|k| AxisKey::new(k, depth, half_extent, config.resolution)),
-            );
+            self.axis_keys
+                .extend((0..1u64 << depth).map(|k| AxisKey::new(k, depth, half_extent)));
+            let rounded = |axis: &AxisKey| (axis.center / config.resolution).round() as i64;
+            for k in 1..self.axis_keys.len() {
+                if rounded(&self.axis_keys[k - 1]) == rounded(&self.axis_keys[k]) {
+                    self.axis_keys[k - 1].twin = 1;
+                    self.axis_keys[k].twin = -1;
+                }
+            }
         }
         self.clear();
     }
@@ -399,10 +391,11 @@ impl OctoMap {
     /// sensor ray, without touching the map. Shared by
     /// [`OctoMap::insert_ray`] and [`reference::ReferenceMap::insert_ray`] so
     /// the two can never disagree on ray semantics (truncation, hit vs miss).
-    /// Cells outside the domain are passed on too: the block map drops them
-    /// by key range (`leaf_key`), the reference tree by its own centre test.
-    /// An associated function over copies of the cheap geometry state, so
-    /// callers may mutate the map from inside `apply`.
+    /// The grid walk streams each cell straight into `apply`; the walk's
+    /// final cell takes the hit. Cells outside the domain are passed on too:
+    /// the block map drops them by key range, the reference tree by its own
+    /// centre test. An associated function over copies of the cheap geometry
+    /// state, so callers may mutate the map from inside `apply`.
     fn for_each_ray_update(
         grid: GridSpec,
         config: OctoMapConfig,
@@ -420,32 +413,35 @@ impl OctoMap {
         } else {
             (*endpoint, true)
         };
-        let mut cells = RAY_CELLS.with(|c| c.take());
-        grid.traverse_into(origin, &end, &mut cells);
-        let n = cells.len();
-        for (i, &cell) in cells.iter().enumerate() {
-            let is_endpoint = i + 1 == n;
-            let delta = if is_endpoint && hit {
-                config.hit_log_odds
-            } else {
-                -config.miss_log_odds
-            };
-            apply(cell, delta);
-        }
-        RAY_CELLS.with(|c| *c.borrow_mut() = cells);
+        let (hit_delta, miss_delta) = (config.hit_log_odds, -config.miss_log_odds);
+        grid.walk(origin, &end, |cell, last| {
+            apply(cell, if last && hit { hit_delta } else { miss_delta });
+        });
     }
 
     /// Integrates a single sensor ray: every voxel between `origin` and
     /// `endpoint` (exclusive) is updated as free, the endpoint voxel as
     /// occupied. Rays longer than `max_range` are truncated and their endpoint
-    /// treated as free space (no hit). Each in-domain voxel is addressed by
-    /// its integer key (see `leaf_key`) and updated in its block: one hash
-    /// probe, or none when the previous update touched the same block.
+    /// treated as free space (no hit). Each in-domain voxel is updated in its
+    /// block, found from the traversal cell alone: one hash probe, or none
+    /// when the previous update touched the same block.
+    ///
+    /// The domain test is exact. `reset` makes the domain half-size exactly
+    /// `resolution × 2^(depth − 1)`, so the node centres a float root descent
+    /// compares against are `m × resolution` for integers `m` while the cell
+    /// centre is `(k + ½) × resolution`. The half-voxel gap dwarfs any
+    /// rounding of those products, so the centre lies inside the domain
+    /// exactly when each axis key `k + 2^(depth − 1)` lies in `0..2^depth`,
+    /// and every compare `centre ≥ node centre` is a bit of that key.
     pub fn insert_ray(&mut self, origin: &Vec3, endpoint: &Vec3) {
         let (grid, config, depth) = (self.grid, self.config, self.depth);
+        let half = 1i64 << (depth - 1);
         Self::for_each_ray_update(grid, config, origin, endpoint, |cell, delta| {
-            if let Some(key) = leaf_key(&cell, depth) {
-                self.update_key(key, delta);
+            // A negative key sets the top bit, so one shift tests both ends.
+            let keys =
+                cell.x.wrapping_add(half) | cell.y.wrapping_add(half) | cell.z.wrapping_add(half);
+            if keys as u64 >> depth == 0 {
+                self.update_cell(cell, delta);
             }
         });
     }
@@ -745,14 +741,14 @@ impl OctoMap {
         self.occupied_count
     }
 
-    /// Number of observed (free or occupied) leaf voxels. O(1): the size of
-    /// the incrementally maintained key set, which reproduces the historical
+    /// Number of observed (free or occupied) leaf voxels. O(1): a counter
+    /// kept by every leaf creation, which reproduces the historical
     /// octree-walk accounting exactly (including its dedup by rounded
-    /// centre). Domains deeper than the free-voxel index bound (the internal
+    /// centre). Domains deeper than the key table bound (the internal
     /// `MAX_INDEXED_DEPTH`) count by that walk instead.
     pub fn known_voxel_count(&self) -> usize {
         if self.index_packable {
-            self.known_leaves.len()
+            self.known_count
         } else {
             self.known_voxel_count_scan()
         }
@@ -786,33 +782,21 @@ impl OctoMap {
 
     /// Centres of all known free voxels, sorted by coordinates.
     ///
-    /// Served from the incremental free-voxel index — O(known voxels) with no
-    /// leaf walk — and bit-identical (centres, set membership and order) to
-    /// the full-walk [`OctoMap::free_voxel_centers_scan`] it replaced, which
-    /// remains as the regression oracle and the fallback for domains deeper
-    /// than the free-voxel index bound (the internal `MAX_INDEXED_DEPTH`).
-    /// Frontier extraction reads [`OctoMap::frontier_voxel_centers_into`]
-    /// instead; this list, filtered by altitude and
-    /// [`OctoMap::has_unknown_neighbor6`], is that query's oracle.
+    /// Served from the block masks — the free voxels (`known & !occupied`)
+    /// that win their rounded-centre class, with no leaf walk — and
+    /// bit-identical (centres, set membership and order) to the full-walk
+    /// [`OctoMap::free_voxel_centers_scan`] it replaced, which remains as the
+    /// regression oracle and the fallback for domains deeper than the key
+    /// table bound (the internal `MAX_INDEXED_DEPTH`). Frontier extraction
+    /// reads [`OctoMap::frontier_voxel_centers_into`] instead; this list,
+    /// filtered by altitude and [`OctoMap::has_unknown_neighbor6`], is that
+    /// query's oracle.
     pub fn free_voxel_centers(&self) -> Vec<Vec3> {
         if !self.index_packable {
             return self.free_voxel_centers_scan();
         }
-        let mut centers: Vec<Vec3> = self
-            .known_leaves
-            .values()
-            .filter(|leaf| !leaf.occupied)
-            .map(|leaf| leaf.center)
-            .collect();
-        // `total_cmp` + unstable sort orders identically to the historical
-        // stable partial_cmp tuple sort here: centres are finite, never ±0.0
-        // (they sit at (k + ½)·resolution) and pairwise distinct, so the two
-        // comparators agree and stability cannot matter.
-        centers.sort_unstable_by(|a, b| {
-            a.x.total_cmp(&b.x)
-                .then(a.y.total_cmp(&b.y))
-                .then(a.z.total_cmp(&b.z))
-        });
+        let mut centers = Vec::new();
+        self.class_winner_centers_into(&mut centers, |_, _, masks| masks.known & !masks.occupied);
         centers
     }
 
@@ -824,16 +808,12 @@ impl OctoMap {
     ///
     /// One bit-parallel pass over the block hash instead of listing, sorting
     /// and probing every free voxel. Per block it keeps the free voxels
-    /// (`known & !occupied`) of the z-layers inside the band, drops those
+    /// (`known & !occupied`) of the z-layers inside the band and drops those
     /// whose six face neighbours are all known — shifts of the block's own
     /// known mask, plus one face plane of a neighbouring block, looked up
-    /// only while a voxel on that face is still in question — and keeps a
-    /// survivor only when it is the free-voxel index's winner of its
-    /// rounded-centre key, as the free list does. The survivors' packed cell
-    /// keys are sorted as integers: the key packing is x-major and the
-    /// table centres strictly increase with the key, so that is the list's
-    /// coordinate order. Domains deeper than the internal
-    /// `MAX_INDEXED_DEPTH` filter the leaf-walk list instead.
+    /// only while a voxel on that face is still in question. Survivors then
+    /// take the free list's class-winner test. Domains deeper than the
+    /// internal `MAX_INDEXED_DEPTH` filter the leaf-walk list instead.
     pub fn frontier_voxel_centers_into(&self, min_z: f64, max_z: f64, out: &mut Vec<Vec3>) {
         out.clear();
         let in_band = |z: f64| !(z < min_z || z > max_z);
@@ -846,17 +826,12 @@ impl OctoMap {
             return;
         }
         let half = 1i64 << (self.depth - 1);
-        let axes =
-            |cell: GridIndex| [cell.x, cell.y, cell.z].map(|c| self.axis_keys[(c + half) as usize]);
-        let mut keys = FRONTIER_KEYS.with(|k| k.take());
-        keys.clear();
-        for (&packed, &slot) in &self.blocks {
-            let BlockMasks { known, occupied } = self.masks[slot as usize];
+        self.class_winner_centers_into(out, |packed, block, masks| {
+            let BlockMasks { known, occupied } = masks;
             let mut candidates = known & !occupied;
             if candidates == 0 {
-                continue;
+                return 0;
             }
-            let block = unpack_voxel_key(packed);
             // The block's z-layers inside the band. A block of a depth-1 or
             // depth-2 domain reaches past the domain edge; its outer layers
             // have no table entry (and no known voxel).
@@ -869,7 +844,7 @@ impl OctoMap {
                 }
             }
             if candidates == 0 {
-                continue;
+                return 0;
             }
             // Candidates whose in-block neighbours are all known; a face
             // voxel counts its across-the-face neighbour as known until the
@@ -894,29 +869,44 @@ impl OctoMap {
                     .map_or(0, |&slot| self.masks[slot as usize].known);
                 closed &= !face | (neighbor & far_face).rotate_left(turn);
             }
-            let mut frontier = candidates & !closed;
-            while frontier != 0 {
-                let bit = frontier.trailing_zeros() as usize;
-                frontier &= frontier - 1;
+            candidates & !closed
+        });
+    }
+
+    /// Into `out` (cleared first), in coordinate order: the centres of the
+    /// voxels `pick(packed block key, block, masks)` selects per block that
+    /// win their rounded-centre class — no later leaf of the class in walk
+    /// order is known, so the walk's last-wins dedup keeps them. `pick`
+    /// selects free voxels only, so these are free-list entries. The
+    /// survivors' packed cell keys are sorted as integers: the key packing is
+    /// x-major and the table centres strictly increase with the key, so that
+    /// is the list's coordinate order. Needs the key table.
+    fn class_winner_centers_into(
+        &self,
+        out: &mut Vec<Vec3>,
+        mut pick: impl FnMut(u64, GridIndex, BlockMasks) -> u64,
+    ) {
+        out.clear();
+        let mut keys = FRONTIER_KEYS.with(|k| k.take());
+        keys.clear();
+        for (&packed, &slot) in &self.blocks {
+            let block = unpack_voxel_key(packed);
+            let masks = self.masks[slot as usize];
+            let mut m = pick(packed, block, masks);
+            while m != 0 {
+                let bit = m.trailing_zeros() as usize;
+                m &= m - 1;
                 let cell = block_voxel(&block, bit);
-                let [x, y, z] = axes(cell);
-                // The free list holds only the winner of each rounded-centre
-                // key (the walk's last-wins dedup): a shadowed leaf is not in
-                // it, and the winner's rank is unique.
-                let dedup_key = pack_voxel_key(&GridIndex::new(x.dedup, y.dedup, z.dedup));
-                let rank = x.spread | (y.spread << 1) | (z.spread << 2);
-                if self
-                    .known_leaves
-                    .get(&dedup_key)
-                    .is_some_and(|leaf| leaf.rank == rank)
-                {
+                if !self.class_member_known(cell, masks.known, true) {
                     keys.push(pack_voxel_key(&cell));
                 }
             }
         }
         keys.sort_unstable();
+        let half = 1i64 << (self.depth - 1);
         out.extend(keys.iter().map(|&key| {
-            let [x, y, z] = axes(unpack_voxel_key(key));
+            let cell = unpack_voxel_key(key);
+            let [x, y, z] = [cell.x, cell.y, cell.z].map(|c| self.axis_keys[(c + half) as usize]);
             Vec3::new(x.center, y.center, z.center)
         }));
         FRONTIER_KEYS.with(|k| *k.borrow_mut() = keys);
@@ -924,7 +914,7 @@ impl OctoMap {
 
     /// [`OctoMap::free_voxel_centers`] recomputed by a full leaf walk — the
     /// pre-index implementation, kept as the executable specification the
-    /// incremental free-voxel index is tested against.
+    /// class-winner listing is tested against.
     pub fn free_voxel_centers_scan(&self) -> Vec<Vec3> {
         self.collect_leaves()
             .into_iter()
@@ -1089,8 +1079,8 @@ impl OctoMap {
         if !self.in_domain(point) {
             return;
         }
-        let key = self.point_key(point);
-        self.update_key(key, delta);
+        let cell = key_cell(&self.point_key(point), self.depth);
+        self.update_cell(cell, delta);
     }
 
     /// The key of the leaf a float root descent reaches for `point`: at
@@ -1112,20 +1102,17 @@ impl OctoMap {
         key
     }
 
-    /// Adds `delta` to the log-odds of the leaf with key `key`, clamped, and
-    /// counts one leaf update.
+    /// Adds `delta` to the log-odds of the leaf of in-domain traversal cell
+    /// `cell`, clamped, and counts one leaf update.
     ///
     /// Every mutation of a leaf's log-odds flows through here — rays and
     /// [`OctoMap::reresolved`] alike — so this is the one place the block
-    /// masks, the free-voxel index and the O(1) counters are kept in sync
-    /// with the log-odds. Most updates neither create a leaf nor flip its
-    /// occupancy and so touch nothing but their block; only those that do
-    /// read the leaf's centre, walk rank and dedup key from `axis_keys`.
-    fn update_key(&mut self, key: LeafKey, delta: f64) {
-        // The block is keyed by the leaf's own cell, not by the point an
-        // update came from, so a point sitting exactly on a cell boundary
-        // (reresolution) maps to the leaf its key names.
-        let (block, bit) = block_of(&key_cell(&key, self.depth));
+    /// masks and the O(1) counters are kept in sync with the log-odds. Most
+    /// updates do not create a leaf and so touch nothing but their block; a
+    /// creation also reads the leaf's twins from `axis_keys`, and looks at
+    /// the masks of its class only when it has one.
+    fn update_cell(&mut self, cell: GridIndex, delta: f64) {
+        let (block, bit) = block_of(&cell);
         let slot = self.block_slot(pack_voxel_key(&block));
         self.updates += 1;
         let (clamp, threshold) = (self.config.clamp, self.config.occupied_threshold);
@@ -1137,8 +1124,7 @@ impl OctoMap {
         *value = (*value + delta).clamp(clamp.0, clamp.1);
         let now = *value > threshold;
         masks.known |= mask;
-        let flipped = now != was_occupied;
-        if flipped {
+        if now != was_occupied {
             if now {
                 masks.occupied |= mask;
                 self.occupied_count += 1;
@@ -1147,42 +1133,71 @@ impl OctoMap {
                 self.occupied_count -= 1;
             }
         }
-        if !self.index_packable || !(created || flipped) {
-            return;
+        let known = masks.known;
+        if created && self.index_packable && !self.class_member_known(cell, known, false) {
+            self.known_count += 1;
         }
-        let [x, y, z] = key.map(|k| self.axis_keys[k as usize]);
-        let center = Vec3::new(x.center, y.center, z.center);
-        let rank = x.spread | (y.spread << 1) | (z.spread << 2);
-        // The same dedup key collect_leaves() computes from this leaf's
-        // centre (bit-identical: the table replays the walk's additions).
-        // When two leaves collide on a key, the one later in walk order
-        // wins, exactly as the walk's last-wins dedup insert decides.
-        let dedup_key = pack_voxel_key(&GridIndex::new(x.dedup, y.dedup, z.dedup));
-        if created {
-            let leaf = KnownLeaf {
-                center,
-                rank,
-                occupied: now,
-            };
-            match self.known_leaves.entry(dedup_key) {
-                std::collections::hash_map::Entry::Occupied(mut entry) => {
-                    if entry.get().rank <= rank {
-                        entry.insert(leaf);
+    }
+
+    /// Whether a leaf of `cell`'s rounded-centre class (see [`AxisKey`])
+    /// other than `cell` itself is known — with `later_only`, one that comes
+    /// later in walk order, so that the walk's last-wins dedup hides `cell`
+    /// behind it. `home_known` is the known mask of `cell`'s own block. The
+    /// members inside that block are tested with one mask; each other block
+    /// holding a member costs one hash probe, and only when no member in the
+    /// home block is known. Needs the key table.
+    fn class_member_known(&self, cell: GridIndex, home_known: u64, later_only: bool) -> bool {
+        let half = 1i64 << (self.depth - 1);
+        let cells = [cell.x, cell.y, cell.z];
+        let twins = cells.map(|c| self.axis_keys[(c + half) as usize].twin);
+        if twins == [0; 3] {
+            return false;
+        }
+        // Bit `s` of an 8-bit mask stands for the leaf that steps to the
+        // twin on the axes of subset `s`; the members are the non-empty
+        // subsets of the twinned axes.
+        let twinned = axis_set(|i| twins[i] != 0);
+        let mut wanted = u8::MAX;
+        if later_only {
+            // A member's walk rank first differs from `cell`'s at the
+            // highest key bit one of its stepped axes changes (three rank
+            // bits per key bit, axis i at offset i), so the member is later
+            // exactly when that axis steps up.
+            let level = [0, 1, 2].map(|i| {
+                let key = cells[i] + half;
+                3 * (key ^ (key + twins[i])).max(1).ilog2() + i as u32
+            });
+            wanted = (0..3).fold(0, |m, a| {
+                let above =
+                    (0..3).fold(0, |m, b| m | (STEPS_ON[b] * u8::from(level[b] > level[a])));
+                m | ((STEPS_ON[a] & !above) * u8::from(twins[a] > 0))
+            });
+        }
+        // Member `s`'s bit in its block, and its block: the home block
+        // unless it steps across a block face.
+        let local = cells.map(|c| c & 3);
+        let flip = [0, 1, 2].map(|i| (((cells[i] + twins[i]) & 3) ^ local[i]) << (2 * i));
+        let crossing = axis_set(|i| (cells[i] + twins[i]) >> 2 != cells[i] >> 2);
+        let mut bits = [0u64; 8];
+        for s in 1..8 {
+            let member = (s & !twinned == 0) & (wanted >> s & 1 != 0);
+            let bit = (0..3).fold(local[0] | local[1] << 2 | local[2] << 4, |b, i| {
+                b ^ (flip[i] * (s >> i & 1) as i64)
+            });
+            bits[s & crossing] |= u64::from(member) << bit;
+        }
+        home_known & bits[0] != 0
+            || crossing != 0
+                && (1..8).any(|far| {
+                    bits[far] != 0 && {
+                        let step = |i: usize| if far >> i & 1 != 0 { twins[i] } else { 0 };
+                        let member =
+                            GridIndex::new(cell.x + step(0), cell.y + step(1), cell.z + step(2));
+                        let block = block_of(&member).0;
+                        self.block_masks(&block)
+                            .is_some_and(|m| m.known & bits[far] != 0)
                     }
-                }
-                std::collections::hash_map::Entry::Vacant(entry) => {
-                    entry.insert(leaf);
-                }
-            }
-        } else if let Some(entry) = self.known_leaves.get_mut(&dedup_key) {
-            // An existing leaf flipped: keep the free-voxel index's occupancy
-            // flag in step — but only when this leaf is its key's dedup
-            // winner; a shadowed leaf is invisible to the walk this index
-            // mirrors.
-            if entry.rank == rank {
-                entry.occupied = now;
-            }
-        }
+                })
     }
 
     /// Every observed leaf's (centre, log-odds) as the pointer octree's
@@ -1196,7 +1211,7 @@ impl OctoMap {
         // Deeper than the table bound, replay each coordinate instead.
         let axis_center = |k: u64| match self.axis_keys.get(k as usize) {
             Some(axis) => axis.center,
-            None => AxisKey::new(k, self.depth, self.half_extent, self.config.resolution).center,
+            None => AxisKey::new(k, self.depth, self.half_extent).center,
         };
         let mut out = Vec::new();
         for (&key, &slot) in &self.blocks {
@@ -1248,23 +1263,7 @@ impl OctoMap {
 /// at level `l`.
 type LeafKey = [u64; 3];
 
-/// The leaf key of traversal-grid cell `cell` in a domain of depth `depth`,
-/// or `None` when the cell lies outside the domain.
-///
-/// Exact stand-in for the float descent from the cell centre. `reset` makes
-/// the domain half-size exactly `resolution × 2^(depth − 1)`, so the node
-/// centres a descent compares against are `m × resolution` for integers `m`
-/// while the cell centre is `(k + ½) × resolution`. The half-voxel gap dwarfs
-/// any rounding of those products, so the centre lies inside the domain
-/// exactly when `−2^(depth − 1) ≤ k < 2^(depth − 1)`, and every compare
-/// `centre ≥ node centre` is the key bit `k ≥ m`.
-fn leaf_key(cell: &GridIndex, depth: u32) -> Option<LeafKey> {
-    let half = 1i64 << (depth - 1);
-    let axis = |k: i64| (-half..half).contains(&k).then(|| (k + half) as u64);
-    Some([axis(cell.x)?, axis(cell.y)?, axis(cell.z)?])
-}
-
-/// Inverse of [`leaf_key`]: the traversal-grid cell of a leaf key.
+/// The traversal-grid cell of a leaf key.
 fn key_cell(key: &LeafKey, depth: u32) -> GridIndex {
     let half = 1i64 << (depth - 1);
     GridIndex::new(
@@ -1292,9 +1291,9 @@ fn walk_rank(key: &LeafKey, depth: u32) -> u128 {
 
 /// Packs a voxel or block index into one u64 key (21 bits per axis,
 /// offset-biased). Block coordinates of a map up to [`OctoMap::MAX_DEPTH`]
-/// and the free-voxel index's voxel coordinates (up to the internal
-/// `MAX_INDEXED_DEPTH`) stay inside the ±2^20 bound: even a 200 m domain at
-/// 0.10 m resolution spans only ±2000 cells.
+/// and the voxel coordinates the class-winner listing packs (up to the
+/// internal `MAX_INDEXED_DEPTH`) stay inside the ±2^20 bound: even a 200 m
+/// domain at 0.10 m resolution spans only ±2000 cells.
 fn pack_voxel_key(cell: &GridIndex) -> u64 {
     const BIAS: i64 = 1 << 20;
     debug_assert!(
@@ -1329,27 +1328,25 @@ fn pack_voxel_key_checked(cell: &GridIndex) -> Option<u64> {
 }
 
 thread_local! {
-    /// Per-thread DDA cell buffer shared by ray insertion and the segment
-    /// corridor prefilter — the two per-call traversals hot enough to show up
-    /// in episode allocation counts. Take/replace (not borrow-across-call) so
-    /// an unexpected nesting falls back to a fresh allocation instead of a
-    /// RefCell panic.
+    /// Per-thread DDA cell buffer of the segment corridor prefilter, which
+    /// runs on every collision check (ray insertion streams its cells and
+    /// needs none). Take/replace (not borrow-across-call) so an unexpected
+    /// nesting falls back to a fresh allocation instead of a RefCell panic.
     static RAY_CELLS: RefCell<Vec<GridIndex>> = const { RefCell::new(Vec::new()) };
-    /// Per-thread packed-cell-key buffer of
-    /// [`OctoMap::frontier_voxel_centers_into`], which runs every replan;
+    /// Per-thread packed-cell-key buffer of the class-winner listing behind
+    /// [`OctoMap::free_voxel_centers`] and
+    /// [`OctoMap::frontier_voxel_centers_into`] (which runs every replan);
     /// take/replace like `RAY_CELLS`.
     static FRONTIER_KEYS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Splits a voxel index into its 4×4×4 block coordinates and the block-local
-/// bit index (x + 4·y + 16·z over the euclidean remainders).
+/// bit index (x + 4·y + 16·z over the euclidean remainders). On two's
+/// complement integers `>> 2` is the floor division by 4 and `& 3` its
+/// remainder.
 fn block_of(idx: &GridIndex) -> (GridIndex, usize) {
-    let block = GridIndex::new(
-        idx.x.div_euclid(4),
-        idx.y.div_euclid(4),
-        idx.z.div_euclid(4),
-    );
-    let bit = idx.x.rem_euclid(4) + 4 * idx.y.rem_euclid(4) + 16 * idx.z.rem_euclid(4);
+    let block = GridIndex::new(idx.x >> 2, idx.y >> 2, idx.z >> 2);
+    let bit = (idx.x & 3) | (idx.y & 3) << 2 | (idx.z & 3) << 4;
     (block, bit as usize)
 }
 
@@ -1586,8 +1583,8 @@ impl PartialEq for OctoMap {
             && self.grid == other.grid
             && self.updates == other.updates
             && self.occupied_count == other.occupied_count
+            && self.known_count == other.known_count
             && self.index_packable == other.index_packable
-            && self.known_leaves == other.known_leaves
             // Slots follow creation order, so blocks compare by coordinate.
             && self.blocks.len() == other.blocks.len()
             // mav-lint: allow(DET-HASH-ITER): all() over every block is order-independent
@@ -2129,13 +2126,13 @@ mod tests {
 
     #[test]
     fn deep_domains_answer_mask_queries_like_the_references() {
-        // A domain deeper than the free-voxel index bound must drop that
-        // index and the per-axis leaf table, while the block masks keep
+        // A domain deeper than the key table bound must drop the table and
+        // the known-voxel counter, while the block masks keep
         // answering every query exactly like the reference predicates and
         // the leaf walk: a multi-km domain at mm resolution (the deepest map
         // `OctoMap::MAX_DEPTH` allows), and 1 mm at ±40 m, one level past
-        // the index bound. 1 mm at ±30 m sits at the bound and keeps its
-        // index, which must agree the same way, and so must a depth-2
+        // the table bound. 1 mm at ±30 m sits at the bound and keeps its
+        // table, which must agree the same way, and so must a depth-2
         // domain (±2 mm), whose 4×4×4 blocks reach past the domain edge. The
         // frontier pass must list what the free list and the probe give.
         let (far_origin, far_hit) = (Vec3::new(0.0, 0.0, 0.0105), Vec3::new(0.05, 0.0, 0.0105));
@@ -2196,6 +2193,49 @@ mod tests {
     }
 
     #[test]
+    fn a_twin_pair_counts_once_and_lists_its_later_leaf() {
+        // At 0.8 m some neighbouring axis keys have centres that round to
+        // the same `round(centre / resolution)`. The leaf walk keeps only
+        // the later of two such leaves in walk order, so the pair is one
+        // known voxel, listed (while free) with the later leaf's centre.
+        let mut map = small_map(0.8);
+        assert_eq!(map.depth(), 7);
+        let half = 1i64 << (map.depth() - 1);
+        let twin_key = |twin: i64, from: i64| {
+            (from..).find(|&k| map.axis_keys[(k + half) as usize].twin == twin)
+        };
+        let x = twin_key(1, -half).expect("a twin pair at 0.8 m");
+        let (y, z) = (twin_key(0, 0).unwrap(), twin_key(0, 2).unwrap());
+        let (early, late) = (GridIndex::new(x, y, z), GridIndex::new(x + 1, y, z));
+        let key = |cell: GridIndex| [cell.x, cell.y, cell.z].map(|c| (c + half) as u64);
+        let (late_center, late_rank) = leaf_center_and_rank(&map, &key(late));
+        assert!(late_rank > leaf_center_and_rank(&map, &key(early)).1);
+        let (hit, miss) = (map.config.hit_log_odds, -map.config.miss_log_odds);
+        map.update_cell(early, miss);
+        map.update_cell(late, hit);
+        let mut frontiers = Vec::new();
+        // The later leaf is occupied, so the free list and the frontier pass
+        // omit the pair: the earlier, free leaf is hidden behind it.
+        assert_eq!(map.occupied_voxel_count(), 1);
+        assert_eq!(map.known_voxel_count(), 1);
+        assert_eq!(map.known_voxel_count_scan(), 1);
+        assert_eq!(map.free_voxel_centers(), Vec::new());
+        assert_eq!(map.free_voxel_centers_scan(), Vec::new());
+        map.frontier_voxel_centers_into(-100.0, 100.0, &mut frontiers);
+        assert_eq!(frontiers, Vec::new());
+        // Misses flip the later leaf free: the pair is listed once, with the
+        // later leaf's centre.
+        while map.occupied_voxel_count() > 0 {
+            map.update_cell(late, miss);
+        }
+        assert_eq!(map.known_voxel_count(), 1);
+        assert_eq!(map.free_voxel_centers(), vec![late_center]);
+        assert_eq!(map.free_voxel_centers_scan(), vec![late_center]);
+        map.frontier_voxel_centers_into(-100.0, 100.0, &mut frontiers);
+        assert_eq!(frontiers, vec![late_center]);
+    }
+
+    #[test]
     #[should_panic(expected = "above OctoMap::MAX_DEPTH")]
     fn maps_deeper_than_max_depth_are_rejected() {
         // 1 mm voxels over ±4 km need 23 levels; a resolution of 1e-300
@@ -2216,8 +2256,8 @@ mod tests {
     }
 
     /// Differential properties pinning the storage rewrites: the hashed
-    /// voxel-block map and the incremental free-voxel index must be *exact*
-    /// replacements — bit-identical log-odds, leaf sets and counters against
+    /// voxel-block map and the class-winner counting and listing must be
+    /// *exact* replacements — bit-identical log-odds, leaf sets and counters against
     /// the pointer-tree oracle and the tree-walk references.
     mod equivalence {
         use super::super::reference::ReferenceMap;
@@ -2284,12 +2324,13 @@ mod tests {
             }
         }
 
-        /// The per-axis leaf table reproduces the level-by-level replay bit
-        /// for bit: for every key at every depth from 1 to the index bound,
-        /// three entries give the replay's centre, its DFS rank and the
-        /// rounded-centre dedup key. Extents at, one ulp below and one ulp
-        /// above `resolution × 2^k` reach each of those depths and the first
-        /// one past the bound, where the table must be empty.
+        /// The per-axis key table reproduces the level-by-level replay bit
+        /// for bit: for every key at every depth from 1 to the table bound,
+        /// three entries give the replay's centre, and the twin column names exactly the neighbouring key whose replayed
+        /// centre rounds to the same `round(centre / resolution)`, with no
+        /// run of three keys rounding alike. Extents at, one ulp below and
+        /// one ulp above `resolution × 2^k` reach each of those depths and
+        /// the first one past the bound, where the table must be empty.
         #[test]
         fn axis_table_matches_the_float_replay() {
             for resolution in RESOLUTIONS {
@@ -2306,27 +2347,35 @@ mod tests {
                         assert!(map.index_packable);
                         let keys = 1u64 << depth;
                         assert_eq!(map.axis_keys.len() as u64, keys);
+                        let mut rounded = Vec::new();
                         for kx in 0..keys {
                             // Three different axis keys, so each axis of the
                             // replay reads its own table entry.
                             let key = [kx, (kx * 5 + 3) % keys, keys - 1 - kx];
-                            let (center, rank) = leaf_center_and_rank(&map, &key);
+                            let (center, _) = leaf_center_and_rank(&map, &key);
                             let [x, y, z] = key.map(|k| map.axis_keys[k as usize]);
                             assert_eq!(
                                 [x.center, y.center, z.center].map(f64::to_bits),
                                 [center.x, center.y, center.z].map(f64::to_bits),
                                 "resolution {resolution}, depth {depth}, key {key:?}"
                             );
-                            assert_eq!(
-                                x.spread | (y.spread << 1) | (z.spread << 2),
-                                rank,
-                                "resolution {resolution}, depth {depth}, key {key:?}"
+                            rounded.push((center.x / resolution).round() as i64);
+                        }
+                        for (k, &own) in rounded.iter().enumerate() {
+                            let alike = |j: Option<usize>| {
+                                j.and_then(|j| rounded.get(j)).is_some_and(|&r| r == own)
+                            };
+                            let (below, above) = (alike(k.checked_sub(1)), alike(Some(k + 1)));
+                            assert!(
+                                !(below && above),
+                                "resolution {resolution}, depth {depth}: keys {} to {} round alike",
+                                k - 1,
+                                k + 1
                             );
+                            let twin = if below { -1 } else { i64::from(above) };
                             assert_eq!(
-                                [x.dedup, y.dedup, z.dedup],
-                                [center.x, center.y, center.z]
-                                    .map(|c| (c / resolution).round() as i64),
-                                "resolution {resolution}, depth {depth}, key {key:?}"
+                                map.axis_keys[k].twin, twin,
+                                "resolution {resolution}, depth {depth}, axis key {k}"
                             );
                         }
                     }
@@ -2367,8 +2416,8 @@ mod tests {
             /// The block map receives the endpoints through every insertion
             /// entry point (`mode`), from origins inside and outside the
             /// domain (so clipped rays reach the key path), while the oracle
-            /// always takes them ray by ray. The incremental free-voxel index
-            /// must agree with the oracle's leaf walk too.
+            /// always takes them ray by ray. The class-winner free list must
+            /// agree with the oracle's leaf walk too.
             #[test]
             fn arena_matches_reference_tree(
                 res_idx in 0usize..RESOLUTIONS.len(),
@@ -2410,7 +2459,7 @@ mod tests {
                 }
             }
 
-            /// The incremental free-voxel index returns bit-identical centres
+            /// The class-winner free list returns bit-identical centres
             /// (same order, same f64 bits) as the full-tree-walk scan, and
             /// the O(1) counters match their scans, through insertion and
             /// reresolution.
@@ -2520,7 +2569,7 @@ mod tests {
 
             /// A cleared (or reshaped) map is bit-identical to a fresh one
             /// under any subsequent ray sequence: same logical tree, same
-            /// update/occupancy counters, same free-voxel index contents —
+            /// update/occupancy/known counters, same free list —
             /// the contract the episode-reuse layer rests on.
             #[test]
             fn clear_then_reinsert_matches_fresh_map(

@@ -138,21 +138,30 @@ impl GridSpec {
 
     /// [`GridSpec::traverse`] writing into a caller-owned buffer: `cells` is
     /// cleared and refilled with exactly the sequence `traverse` returns, so
-    /// per-ray callers (map insertion, segment checks) can reuse one
-    /// allocation across an entire scan.
+    /// per-ray callers (segment checks) can reuse one allocation.
     pub fn traverse_into(&self, a: &Vec3, b: &Vec3, cells: &mut Vec<GridIndex>) {
         cells.clear();
+        self.walk(a, b, |cell, _| cells.push(cell));
+    }
+
+    /// The traversal itself: calls `visit(cell, last)` for every cell
+    /// [`GridSpec::traverse`] lists, in order, with `last` set on the final
+    /// cell only. Streaming callers (map insertion) update each cell as the
+    /// walk reaches it instead of buffering the ray.
+    ///
+    /// The final cell is the one containing `b`, except for a segment no
+    /// longer than `f64::EPSILON` whose ends straddle a cell boundary: that
+    /// walk visits the start cell alone. Should the step budget run out
+    /// before the walk reaches `b`'s cell, the walk jumps there.
+    pub fn walk(&self, a: &Vec3, b: &Vec3, mut visit: impl FnMut(GridIndex, bool)) {
         let start = self.index_of(a);
         let end = self.index_of(b);
-        cells.push(start);
-        if start == end {
-            return;
-        }
         let dir = *b - *a;
-        let len = dir.norm();
-        if len <= f64::EPSILON {
+        if start == end || dir.norm() <= f64::EPSILON {
+            visit(start, true);
             return;
         }
+        visit(start, false);
         let step = [
             if dir.x > 0.0 { 1i64 } else { -1 },
             if dir.y > 0.0 { 1i64 } else { -1 },
@@ -188,9 +197,6 @@ impl GridSpec {
         // between the two cells plus one cell per axis.
         let max_steps = (start.manhattan_distance(&end) + 3) as usize;
         for _ in 0..max_steps {
-            if current == end {
-                break;
-            }
             let axis = if t_max[0] <= t_max[1] && t_max[0] <= t_max[2] {
                 0
             } else if t_max[1] <= t_max[2] {
@@ -204,11 +210,13 @@ impl GridSpec {
                 _ => current.z += step[2],
             }
             t_max[axis] += t_delta[axis];
-            cells.push(current);
+            if current == end {
+                visit(current, true);
+                return;
+            }
+            visit(current, false);
         }
-        if *cells.last().expect("non-empty") != end {
-            cells.push(end);
-        }
+        visit(end, true);
     }
 }
 
@@ -292,6 +300,39 @@ mod tests {
     }
 
     #[test]
+    fn walk_edge_cases() {
+        let spec = GridSpec::new(1.0);
+        let walked = |a: Vec3, b: Vec3| {
+            let mut marks = Vec::new();
+            spec.walk(&a, &b, |cell, last| marks.push((cell, last)));
+            marks
+        };
+        // Both ends in one cell.
+        let a = Vec3::new(0.2, 0.5, 0.5);
+        assert_eq!(
+            walked(a, Vec3::new(0.7, 0.5, 0.5)),
+            vec![(GridIndex::new(0, 0, 0), true)]
+        );
+        // A segment no longer than `f64::EPSILON` across a cell boundary
+        // visits its start cell alone.
+        let b = Vec3::new(1.0, 0.5, 0.5);
+        assert_eq!(
+            walked(Vec3::new(1f64.next_down(), 0.5, 0.5), b),
+            vec![(GridIndex::new(0, 0, 0), true)]
+        );
+        // A z step below the DDA's 1e-12 cutoff never advances z, so the step
+        // budget runs out and the walk jumps to the end cell.
+        let marks = walked(
+            Vec3::new(0.5, 0.5, 3.0 - 1e-13),
+            Vec3::new(4.5, 0.5, 3.0 + 1e-13),
+        );
+        assert_eq!(marks.last(), Some(&(GridIndex::new(4, 0, 3), true)));
+        let before = marks[marks.len() - 2].0;
+        assert_ne!(before.manhattan_distance(&GridIndex::new(4, 0, 3)), 1);
+        assert!(marks[..marks.len() - 1].iter().all(|&(_, last)| !last));
+    }
+
+    #[test]
     #[should_panic]
     fn zero_resolution_rejected() {
         let _ = GridSpec::new(0.0);
@@ -300,5 +341,163 @@ mod tests {
     #[test]
     fn display_nonempty() {
         assert!(!format!("{}", GridIndex::new(1, 2, 3)).is_empty());
+    }
+
+    /// The traversal against its pre-streaming implementation.
+    mod walk_oracle {
+        use super::*;
+        use proptest::prelude::*;
+        use proptest::TestCaseError;
+
+        impl GridSpec {
+            /// `traverse_into` as it was before the traversal became the
+            /// callback walk, verbatim: the oracle of [`GridSpec::walk`].
+            fn traverse_into_oracle(&self, a: &Vec3, b: &Vec3, cells: &mut Vec<GridIndex>) {
+                cells.clear();
+                let start = self.index_of(a);
+                let end = self.index_of(b);
+                cells.push(start);
+                if start == end {
+                    return;
+                }
+                let dir = *b - *a;
+                let len = dir.norm();
+                if len <= f64::EPSILON {
+                    return;
+                }
+                let step = [
+                    if dir.x > 0.0 { 1i64 } else { -1 },
+                    if dir.y > 0.0 { 1i64 } else { -1 },
+                    if dir.z > 0.0 { 1i64 } else { -1 },
+                ];
+                let mut current = start;
+                // Parametric distance (in t along the segment) to the next cell
+                // boundary on each axis, plus the per-cell increment.
+                let mut t_max = [0.0f64; 3];
+                let mut t_delta = [0.0f64; 3];
+                for axis in 0..3 {
+                    let d = dir[axis];
+                    let origin = a[axis];
+                    if d.abs() < 1e-12 {
+                        t_max[axis] = f64::INFINITY;
+                        t_delta[axis] = f64::INFINITY;
+                    } else {
+                        let cell = match axis {
+                            0 => current.x,
+                            1 => current.y,
+                            _ => current.z,
+                        } as f64;
+                        let boundary = if d > 0.0 {
+                            (cell + 1.0) * self.resolution
+                        } else {
+                            cell * self.resolution
+                        };
+                        t_max[axis] = (boundary - origin) / d;
+                        t_delta[axis] = self.resolution / d.abs();
+                    }
+                }
+                // Bounded loop: the traversal can visit at most the Manhattan distance
+                // between the two cells plus one cell per axis.
+                let max_steps = (start.manhattan_distance(&end) + 3) as usize;
+                for _ in 0..max_steps {
+                    if current == end {
+                        break;
+                    }
+                    let axis = if t_max[0] <= t_max[1] && t_max[0] <= t_max[2] {
+                        0
+                    } else if t_max[1] <= t_max[2] {
+                        1
+                    } else {
+                        2
+                    };
+                    match axis {
+                        0 => current.x += step[0],
+                        1 => current.y += step[1],
+                        _ => current.z += step[2],
+                    }
+                    t_max[axis] += t_delta[axis];
+                    cells.push(current);
+                }
+                if *cells.last().expect("non-empty") != end {
+                    cells.push(end);
+                }
+            }
+        }
+
+        /// The paper's resolution sweep, dyadic and not.
+        const RESOLUTIONS: [f64; 6] = [0.15, 0.25, 0.3, 0.5, 0.8, 1.0];
+
+        /// The walk visits the oracle's cells in order, and marks the final
+        /// one and no other.
+        fn check(spec: &GridSpec, a: &Vec3, b: &Vec3) -> Result<(), TestCaseError> {
+            let mut expected = Vec::new();
+            spec.traverse_into_oracle(a, b, &mut expected);
+            let mut marks = Vec::new();
+            spec.walk(a, b, |cell, last| marks.push((cell, last)));
+            let n = expected.len();
+            let wanted: Vec<_> = expected
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| (c, i + 1 == n))
+                .collect();
+            prop_assert_eq!(marks, wanted, "{} -> {} at {}", a, b, spec.resolution());
+            prop_assert_eq!(spec.traverse(a, b), expected);
+            Ok(())
+        }
+
+        /// A point whose coordinates are `cell × resolution`, exactly on a
+        /// cell boundary, nudged by `nudge` ulps.
+        fn on_boundary(resolution: f64, cell: (i64, i64, i64), nudge: i64) -> Vec3 {
+            let snap = |c: i64| {
+                let v = c as f64 * resolution;
+                match nudge {
+                    n if n < 0 => v.next_down(),
+                    0 => v,
+                    _ => v.next_up(),
+                }
+            };
+            Vec3::new(snap(cell.0), snap(cell.1), snap(cell.2))
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// Random segments, segments between cell corners (exact and
+            /// one ulp off), axis-parallel segments, zero-length ones and
+            /// ones too short to step across the boundary they straddle.
+            #[test]
+            fn walk_matches_the_buffered_traversal(
+                res_idx in 0usize..RESOLUTIONS.len(),
+                a in (-20.0..20.0, -20.0..20.0, -20.0..20.0).prop_map(|(x, y, z)| Vec3::new(x, y, z)),
+                b in (-20.0..20.0, -20.0..20.0, -20.0..20.0).prop_map(|(x, y, z)| Vec3::new(x, y, z)),
+                corners in ((-40i64..40, -40i64..40, -40i64..40), (-40i64..40, -40i64..40, -40i64..40)),
+                nudges in (-1i64..=1, -1i64..=1),
+                axis in 0usize..3,
+            ) {
+                let resolution = RESOLUTIONS[res_idx];
+                let spec = GridSpec::new(resolution);
+                check(&spec, &a, &b)?;
+                check(&spec, &a, &a)?;
+                let (p, q) = (
+                    on_boundary(resolution, corners.0, nudges.0),
+                    on_boundary(resolution, corners.1, nudges.1),
+                );
+                check(&spec, &p, &q)?;
+                check(&spec, &p, &p)?;
+                check(&spec, &p, &b)?;
+                // Axis-parallel: the far end moves along one axis only, from
+                // a free point and from a boundary point.
+                let along = |from: Vec3, to: Vec3| match axis {
+                    0 => Vec3::new(to.x, from.y, from.z),
+                    1 => Vec3::new(from.x, to.y, from.z),
+                    _ => Vec3::new(from.x, from.y, to.z),
+                };
+                check(&spec, &a, &along(a, b))?;
+                check(&spec, &p, &along(p, q))?;
+                // At most `f64::EPSILON` long, across the cell boundary at 0.
+                let tiny = 0f64.next_up();
+                check(&spec, &along(a, Vec3::splat(-tiny)), &along(a, Vec3::splat(tiny)))?;
+            }
+        }
     }
 }
