@@ -92,50 +92,32 @@ impl Default for OctoMapConfig {
     }
 }
 
-/// Deepest domain the per-axis key table ([`OctoMap::axis_keys`]) covers,
-/// and with it the known-voxel counter and the class-winner listing of free
-/// voxels and frontier candidates. It keeps the table at 2^16 entries
-/// (1.5 MiB) or fewer; MAVBench worlds need depth 10 at most. Deeper domains
-/// (1 mm voxels at ±40 m, say) count known voxels and list free ones and
-/// frontier candidates by a full leaf walk instead.
+/// Deepest domain the per-axis centre table ([`OctoMap::axis_centers`])
+/// covers. It keeps the table at 2^16 entries (512 KiB) or fewer; MAVBench
+/// worlds need depth 10 at most. Deeper domains (1 mm voxels at ±40 m, say)
+/// replay each centre coordinate when it is read ([`OctoMap::axis_center`]).
 const MAX_INDEXED_DEPTH: u32 = 16;
 
-/// What one axis value `k` of a leaf key contributes to the leaf's centre
-/// and rounded-centre class. The three axes share one table of these
-/// ([`OctoMap::axis_keys`]), because a root descent adds ±half/2, ±half/4, …
-/// to each axis independently.
-///
-/// The walk this map reproduces dedups leaves by `round(centre /
-/// resolution)` per axis, and the later leaf in walk order wins. Adjacent
-/// centres lie one resolution apart, so on one axis at most two neighbouring
-/// keys round alike, and a leaf's class (the leaves sharing its rounded
-/// centre) is the product of its three per-axis runs: the leaf itself plus
-/// at most seven others.
-#[derive(Debug, Clone, Copy)]
-struct AxisKey {
-    /// The leaf-centre coordinate: the root descent's float additions (the
-    /// arithmetic of [`child_of`] and of the pointer octree's walk) replayed
-    /// from `k`'s bits, top bit first, so it is bit-identical to the
-    /// coordinate that walk reports.
-    center: f64,
-    /// −1 or +1 when key `k − 1` or `k + 1` rounds to the same
-    /// `round(center / resolution)` as `k` (its twin), 0 when neither does.
-    twin: i64,
-}
-
-impl AxisKey {
-    /// Entry `k` of a depth-`depth` domain, without its twin.
-    fn new(k: u64, depth: u32, half_extent: f64) -> AxisKey {
-        let mut center = 0.0;
-        let mut half = half_extent;
-        for bit in (0..depth).rev() {
-            let quarter = half / 2.0;
-            let upper = (k >> bit) & 1;
-            center += if upper != 0 { quarter } else { -quarter };
-            half = quarter;
-        }
-        AxisKey { center, twin: 0 }
+/// The leaf-centre coordinate of axis key `k` (one axis of a [`LeafKey`]) in
+/// a depth-`depth` domain of half-size `half_extent`: the root descent's
+/// float additions (the arithmetic of [`child_of`] and of the pointer
+/// octree's walk) replayed from `k`'s bits, top bit first, so it is
+/// bit-identical to the coordinate that walk reports. The three axes share
+/// it, because a root descent adds ±half/2, ±half/4, … to each axis
+/// independently.
+fn replayed_center(k: u64, depth: u32, half_extent: f64) -> f64 {
+    let mut center = 0.0;
+    let mut half = half_extent;
+    for bit in (0..depth).rev() {
+        let quarter = half / 2.0;
+        center += if (k >> bit) & 1 != 0 {
+            quarter
+        } else {
+            -quarter
+        };
+        half = quarter;
     }
+    center
 }
 
 /// Known and occupied voxels of one 4×4×4 block: bit `x + 4y + 16z` over the
@@ -148,16 +130,6 @@ struct BlockMasks {
     /// Known voxels whose log-odds exceed the occupied threshold.
     occupied: u64,
 }
-
-/// The subset of the three axes (bit `i` for axis `i`, x = 0) for which
-/// `pick(i)` holds.
-fn axis_set(pick: impl Fn(usize) -> bool) -> usize {
-    (0..3).fold(0, |m, i| m | usize::from(pick(i)) << i)
-}
-
-/// Per axis: the set of axis subsets that contain it, as an 8-bit mask with
-/// bit `s` for subset `s`.
-const STEPS_ON: [u8; 3] = [0b1010_1010, 0b1100_1100, 0b1111_0000];
 
 /// Packed-key sentinel of [`OctoMap::last_block`] while no block was
 /// touched: [`pack_voxel_key`] never sets the top bit.
@@ -208,21 +180,13 @@ pub struct OctoMap {
     /// occupied masks (the same per-voxel occupancy the collision queries
     /// see).
     occupied_count: usize,
-    /// Number of rounded-centre classes (see [`AxisKey`]) with a known leaf:
-    /// [`OctoMap::known_voxel_count`], the dedup-by-rounded-centre accounting
-    /// the octree walk has always used (at non-dyadic resolutions adjacent
-    /// leaf centres can round alike; golden mission fixtures pin that
-    /// behaviour). A created leaf adds one unless another leaf of its class
-    /// is known already. Kept while `index_packable`.
+    /// Number of known leaf voxels ([`OctoMap::known_voxel_count`]): every
+    /// leaf creation adds one, so it is the popcount of the known masks.
     known_count: usize,
-    /// Whether the domain is at most [`MAX_INDEXED_DEPTH`] deep, so that
-    /// `axis_keys` and `known_count` are kept. All MAVBench worlds are; a
-    /// deeper domain counts and lists known voxels by a full leaf walk.
-    index_packable: bool,
-    /// The per-axis key table, indexed by one axis of a leaf key
-    /// (`0..2^depth`) while `index_packable` and empty otherwise. A leaf's
-    /// centre and rounded-centre class come from three entries.
-    axis_keys: Vec<AxisKey>,
+    /// The per-axis centre table: [`replayed_center`] of every axis key
+    /// `0..2^depth`, or empty past [`MAX_INDEXED_DEPTH`]. A leaf's centre
+    /// comes from three entries ([`OctoMap::axis_center`]).
+    axis_centers: Vec<f64>,
 }
 
 impl OctoMap {
@@ -256,8 +220,7 @@ impl OctoMap {
             last_block: (NO_BLOCK, 0),
             occupied_count: 0,
             known_count: 0,
-            index_packable: false,
-            axis_keys: Vec::new(),
+            axis_centers: Vec::new(),
         };
         map.reset(config, half_extent);
         map
@@ -314,8 +277,8 @@ impl OctoMap {
 
     /// [`OctoMap::clear`] plus a domain reshape: recomputes the geometry
     /// exactly as `OctoMap::new(config, half_extent)` would (depth, aligned
-    /// half-extent, traversal grid, whether the known-voxel counter is kept,
-    /// the per-axis key table) while reusing the storage of this map. `new`
+    /// half-extent, traversal grid, the per-axis centre table) while reusing
+    /// the storage of this map. `new`
     /// is implemented on top of this, so the two cannot drift apart.
     ///
     /// # Panics
@@ -336,19 +299,10 @@ impl OctoMap {
         self.config = config;
         self.half_extent = half_extent;
         self.depth = depth;
-        // The depth bound caps the table.
-        self.index_packable = depth <= MAX_INDEXED_DEPTH;
-        self.axis_keys.clear();
-        if self.index_packable {
-            self.axis_keys
-                .extend((0..1u64 << depth).map(|k| AxisKey::new(k, depth, half_extent)));
-            let rounded = |axis: &AxisKey| (axis.center / config.resolution).round() as i64;
-            for k in 1..self.axis_keys.len() {
-                if rounded(&self.axis_keys[k - 1]) == rounded(&self.axis_keys[k]) {
-                    self.axis_keys[k - 1].twin = 1;
-                    self.axis_keys[k].twin = -1;
-                }
-            }
+        self.axis_centers.clear();
+        if depth <= MAX_INDEXED_DEPTH {
+            self.axis_centers
+                .extend((0..1u64 << depth).map(|k| replayed_center(k, depth, half_extent)));
         }
         self.clear();
     }
@@ -618,21 +572,17 @@ impl OctoMap {
     /// `ceil(radius / resolution)` cells of the sample's own voxel, and every
     /// sample's voxel is within one cell of a crossed voxel (samples lie on
     /// the segment; the extra `+ 1` of padding absorbs corner-cutting and
-    /// floating-point straddle at cell boundaries).
+    /// floating-point straddle at cell boundaries). The crossed voxels stream
+    /// from [`GridSpec::walk`], each probed against the previous one; after
+    /// the first occupied find the rest of the walk probes nothing.
     fn segment_corridor_clear(&self, a: &Vec3, b: &Vec3, radius: f64) -> bool {
         let pad = (radius.max(0.0) / self.config.resolution).ceil() as i64 + 1;
-        let mut cells = RAY_CELLS.with(|c| c.take());
-        self.grid.traverse_into(a, b, &mut cells);
-        let clear = self.corridor_cells_clear(&cells, pad);
-        RAY_CELLS.with(|c| *c.borrow_mut() = cells);
-        clear
-    }
-
-    /// The probe loop of [`OctoMap::segment_corridor_clear`] over an
-    /// already-traversed cell sequence.
-    fn corridor_cells_clear(&self, cells: &[GridIndex], pad: i64) -> bool {
         let mut prev: Option<GridIndex> = None;
-        for &cell in cells {
+        let mut clear = true;
+        self.grid.walk(a, b, |cell, _| {
+            if !clear {
+                return;
+            }
             let occupied_near = match prev {
                 // First cell: probe the full corridor cube around it.
                 None => self.any_occupied_in_box(
@@ -681,12 +631,10 @@ impl OctoMap {
                     }
                 }
             };
-            if occupied_near {
-                return false;
-            }
+            clear = !occupied_near;
             prev = Some(cell);
-        }
-        true
+        });
+        clear
     }
 
     /// Returns `true` when any occupied voxel lies in the inclusive
@@ -742,25 +690,14 @@ impl OctoMap {
     }
 
     /// Number of observed (free or occupied) leaf voxels. O(1): a counter
-    /// kept by every leaf creation, which reproduces the historical
-    /// octree-walk accounting exactly (including its dedup by rounded
-    /// centre). Domains deeper than the key table bound (the internal
-    /// `MAX_INDEXED_DEPTH`) count by that walk instead.
+    /// kept by every leaf creation, so each materialised leaf counts once.
     pub fn known_voxel_count(&self) -> usize {
-        if self.index_packable {
-            self.known_count
-        } else {
-            self.known_voxel_count_scan()
-        }
+        self.known_count
     }
 
     /// [`OctoMap::occupied_voxel_count`] recomputed by a full leaf walk — the
     /// pre-index implementation, kept as the regression oracle for the O(1)
-    /// counter. Caveat inherited from the internal `collect_leaves` walk: at
-    /// non-dyadic resolutions the walk can merge adjacent leaves whose noisy
-    /// centres round to the same key, so it may run a few voxels *below* the
-    /// exact per-leaf count the collision queries (and the O(1) counter)
-    /// use; at dyadic resolutions the two agree exactly.
+    /// counter.
     pub fn occupied_voxel_count_scan(&self) -> usize {
         self.collect_leaves()
             .iter()
@@ -782,21 +719,16 @@ impl OctoMap {
 
     /// Centres of all known free voxels, sorted by coordinates.
     ///
-    /// Served from the block masks — the free voxels (`known & !occupied`)
-    /// that win their rounded-centre class, with no leaf walk — and
-    /// bit-identical (centres, set membership and order) to the full-walk
-    /// [`OctoMap::free_voxel_centers_scan`] it replaced, which remains as the
-    /// regression oracle and the fallback for domains deeper than the key
-    /// table bound (the internal `MAX_INDEXED_DEPTH`). Frontier extraction
+    /// Served from the block masks — the free voxels (`known & !occupied`),
+    /// with no leaf walk — and bit-identical (centres, set membership and
+    /// order) to the full-walk [`OctoMap::free_voxel_centers_scan`] it
+    /// replaced, which remains as the regression oracle. Frontier extraction
     /// reads [`OctoMap::frontier_voxel_centers_into`] instead; this list,
     /// filtered by altitude and [`OctoMap::has_unknown_neighbor6`], is that
     /// query's oracle.
     pub fn free_voxel_centers(&self) -> Vec<Vec3> {
-        if !self.index_packable {
-            return self.free_voxel_centers_scan();
-        }
         let mut centers = Vec::new();
-        self.class_winner_centers_into(&mut centers, |_, _, masks| masks.known & !masks.occupied);
+        self.sorted_centers_into(&mut centers, |_, _, masks| masks.known & !masks.occupied);
         centers
     }
 
@@ -811,22 +743,11 @@ impl OctoMap {
     /// (`known & !occupied`) of the z-layers inside the band and drops those
     /// whose six face neighbours are all known — shifts of the block's own
     /// known mask, plus one face plane of a neighbouring block, looked up
-    /// only while a voxel on that face is still in question. Survivors then
-    /// take the free list's class-winner test. Domains deeper than the
-    /// internal `MAX_INDEXED_DEPTH` filter the leaf-walk list instead.
+    /// only while a voxel on that face is still in question.
     pub fn frontier_voxel_centers_into(&self, min_z: f64, max_z: f64, out: &mut Vec<Vec3>) {
-        out.clear();
         let in_band = |z: f64| !(z < min_z || z > max_z);
-        if !self.index_packable {
-            out.extend(
-                self.free_voxel_centers_scan()
-                    .into_iter()
-                    .filter(|c| in_band(c.z) && self.has_unknown_neighbor6(c)),
-            );
-            return;
-        }
         let half = 1i64 << (self.depth - 1);
-        self.class_winner_centers_into(out, |packed, block, masks| {
+        self.sorted_centers_into(out, |packed, block, masks| {
             let BlockMasks { known, occupied } = masks;
             let mut candidates = known & !occupied;
             if candidates == 0 {
@@ -834,12 +755,10 @@ impl OctoMap {
             }
             // The block's z-layers inside the band. A block of a depth-1 or
             // depth-2 domain reaches past the domain edge; its outer layers
-            // have no table entry (and no known voxel).
+            // have no axis key (and no known voxel).
             for layer in 0..4 {
-                let axis = usize::try_from(block.z * 4 + layer + half)
-                    .ok()
-                    .and_then(|key| self.axis_keys.get(key));
-                if !axis.is_some_and(|axis| in_band(axis.center)) {
+                let key = block.z * 4 + layer + half;
+                if !((0..2 * half).contains(&key) && in_band(self.axis_center(key as u64))) {
                     candidates &= !(0xFFFF << (16 * layer));
                 }
             }
@@ -860,9 +779,9 @@ impl OctoMap {
                 if closed & face == 0 {
                     continue;
                 }
-                // An indexed domain's blocks lie within ±2^13 per axis, far
-                // inside the packing range, so a one-block step never carries
-                // into the next axis.
+                // The blocks of a domain up to `OctoMap::MAX_DEPTH` lie
+                // within ±2^19 per axis, inside the ±2^20 packing range, so a
+                // one-block step never carries into the next axis.
                 let neighbor = self
                     .blocks
                     .get(&packed.wrapping_add_signed(step))
@@ -874,47 +793,65 @@ impl OctoMap {
     }
 
     /// Into `out` (cleared first), in coordinate order: the centres of the
-    /// voxels `pick(packed block key, block, masks)` selects per block that
-    /// win their rounded-centre class — no later leaf of the class in walk
-    /// order is known, so the walk's last-wins dedup keeps them. `pick`
-    /// selects free voxels only, so these are free-list entries. The
-    /// survivors' packed cell keys are sorted as integers: the key packing is
-    /// x-major and the table centres strictly increase with the key, so that
-    /// is the list's coordinate order. Needs the key table.
-    fn class_winner_centers_into(
+    /// voxels `pick` selects ([`OctoMap::for_each_picked`]). Their packed
+    /// leaf keys are sorted as integers, which is the coordinate order of
+    /// their centres (see [`pack_leaf_key`]).
+    fn sorted_centers_into(
         &self,
         out: &mut Vec<Vec3>,
-        mut pick: impl FnMut(u64, GridIndex, BlockMasks) -> u64,
+        pick: impl FnMut(u64, GridIndex, BlockMasks) -> u64,
     ) {
-        out.clear();
-        let mut keys = FRONTIER_KEYS.with(|k| k.take());
+        let mut keys = LEAF_KEYS.with(|k| k.take());
         keys.clear();
+        self.for_each_picked(pick, |key, _| keys.push(key));
+        keys.sort_unstable();
+        out.clear();
+        out.extend(keys.iter().map(|&key| self.leaf_center(key)));
+        LEAF_KEYS.with(|k| *k.borrow_mut() = keys);
+    }
+
+    /// Calls `visit(packed leaf key, (slot, bit))` for every voxel that
+    /// `pick(packed block key, block, masks)` selects from its block's
+    /// masks, block by block in hash order.
+    fn for_each_picked(
+        &self,
+        mut pick: impl FnMut(u64, GridIndex, BlockMasks) -> u64,
+        mut visit: impl FnMut(u128, (usize, usize)),
+    ) {
+        let half = 1i64 << (self.depth - 1);
+        // mav-lint: allow(DET-HASH-ITER): both callers sort what they collect by leaf key
         for (&packed, &slot) in &self.blocks {
             let block = unpack_voxel_key(packed);
-            let masks = self.masks[slot as usize];
-            let mut m = pick(packed, block, masks);
+            let mut m = pick(packed, block, self.masks[slot as usize]);
             while m != 0 {
                 let bit = m.trailing_zeros() as usize;
                 m &= m - 1;
                 let cell = block_voxel(&block, bit);
-                if !self.class_member_known(cell, masks.known, true) {
-                    keys.push(pack_voxel_key(&cell));
-                }
+                let key = [cell.x, cell.y, cell.z].map(|c| (c + half) as u64);
+                visit(pack_leaf_key(&key), (slot as usize, bit));
             }
         }
-        keys.sort_unstable();
-        let half = 1i64 << (self.depth - 1);
-        out.extend(keys.iter().map(|&key| {
-            let cell = unpack_voxel_key(key);
-            let [x, y, z] = [cell.x, cell.y, cell.z].map(|c| self.axis_keys[(c + half) as usize]);
-            Vec3::new(x.center, y.center, z.center)
-        }));
-        FRONTIER_KEYS.with(|k| *k.borrow_mut() = keys);
+    }
+
+    /// The leaf-centre coordinate of axis key `k`: its table entry, or
+    /// [`replayed_center`] past [`MAX_INDEXED_DEPTH`].
+    fn axis_center(&self, k: u64) -> f64 {
+        match self.axis_centers.get(k as usize) {
+            Some(&center) => center,
+            None => replayed_center(k, self.depth, self.half_extent),
+        }
+    }
+
+    /// The centre of the leaf with packed key `key`, as the pointer
+    /// octree's walk reports it.
+    fn leaf_center(&self, key: u128) -> Vec3 {
+        let [x, y, z] = unpack_leaf_key(key).map(|k| self.axis_center(k));
+        Vec3::new(x, y, z)
     }
 
     /// [`OctoMap::free_voxel_centers`] recomputed by a full leaf walk — the
     /// pre-index implementation, kept as the executable specification the
-    /// class-winner listing is tested against.
+    /// mask listing is tested against.
     pub fn free_voxel_centers_scan(&self) -> Vec<Vec3> {
         self.collect_leaves()
             .into_iter()
@@ -926,12 +863,10 @@ impl OctoMap {
     /// Centres of all occupied voxels.
     ///
     /// Served from the occupied block masks: one `center_of` per set mask
-    /// bit instead of a full leaf walk. Unlike the historical walk this is
-    /// exact per-leaf (the walk's rounded-centre dedup could merge two
-    /// adjacent leaves at non-dyadic resolutions, see
-    /// [`OctoMap::occupied_voxel_count_scan`]), and centres are the grid's
-    /// canonical voxel centres. The leaf walk remains as
-    /// [`OctoMap::occupied_voxel_centers_scan`].
+    /// bit instead of a full leaf walk. The centres are the grid's canonical
+    /// voxel centres rather than the walk's replayed float additions, so the
+    /// leaf walk it replaced, [`OctoMap::occupied_voxel_centers_scan`],
+    /// agrees with it bit for bit at dyadic resolutions.
     pub fn occupied_voxel_centers(&self) -> Vec<Vec3> {
         let mut centers = Vec::new();
         self.occupied_voxel_centers_into(&mut centers);
@@ -954,7 +889,8 @@ impl OctoMap {
                 centers.push(self.grid.center_of(&block_voxel(&block, bit)));
             }
         }
-        // Same comparator-equivalence argument as `free_voxel_centers`.
+        // Grid centres are finite, never ±0.0 and pairwise distinct, so
+        // `total_cmp` orders them as the historical `partial_cmp` did.
         centers.sort_unstable_by(|a, b| {
             a.x.total_cmp(&b.x)
                 .then(a.y.total_cmp(&b.y))
@@ -1107,10 +1043,8 @@ impl OctoMap {
     ///
     /// Every mutation of a leaf's log-odds flows through here — rays and
     /// [`OctoMap::reresolved`] alike — so this is the one place the block
-    /// masks and the O(1) counters are kept in sync with the log-odds. Most
-    /// updates do not create a leaf and so touch nothing but their block; a
-    /// creation also reads the leaf's twins from `axis_keys`, and looks at
-    /// the masks of its class only when it has one.
+    /// masks and the O(1) counters are kept in sync with the log-odds. An
+    /// update touches nothing but its block and the counters.
     fn update_cell(&mut self, cell: GridIndex, delta: f64) {
         let (block, bit) = block_of(&cell);
         let slot = self.block_slot(pack_voxel_key(&block));
@@ -1133,127 +1067,26 @@ impl OctoMap {
                 self.occupied_count -= 1;
             }
         }
-        let known = masks.known;
-        if created && self.index_packable && !self.class_member_known(cell, known, false) {
+        if created {
             self.known_count += 1;
         }
     }
 
-    /// Whether a leaf of `cell`'s rounded-centre class (see [`AxisKey`])
-    /// other than `cell` itself is known — with `later_only`, one that comes
-    /// later in walk order, so that the walk's last-wins dedup hides `cell`
-    /// behind it. `home_known` is the known mask of `cell`'s own block. The
-    /// members inside that block are tested with one mask; each other block
-    /// holding a member costs one hash probe, and only when no member in the
-    /// home block is known. Needs the key table.
-    fn class_member_known(&self, cell: GridIndex, home_known: u64, later_only: bool) -> bool {
-        let half = 1i64 << (self.depth - 1);
-        let cells = [cell.x, cell.y, cell.z];
-        let twins = cells.map(|c| self.axis_keys[(c + half) as usize].twin);
-        if twins == [0; 3] {
-            return false;
-        }
-        // Bit `s` of an 8-bit mask stands for the leaf that steps to the
-        // twin on the axes of subset `s`; the members are the non-empty
-        // subsets of the twinned axes.
-        let twinned = axis_set(|i| twins[i] != 0);
-        let mut wanted = u8::MAX;
-        if later_only {
-            // A member's walk rank first differs from `cell`'s at the
-            // highest key bit one of its stepped axes changes (three rank
-            // bits per key bit, axis i at offset i), so the member is later
-            // exactly when that axis steps up.
-            let level = [0, 1, 2].map(|i| {
-                let key = cells[i] + half;
-                3 * (key ^ (key + twins[i])).max(1).ilog2() + i as u32
-            });
-            wanted = (0..3).fold(0, |m, a| {
-                let above =
-                    (0..3).fold(0, |m, b| m | (STEPS_ON[b] * u8::from(level[b] > level[a])));
-                m | ((STEPS_ON[a] & !above) * u8::from(twins[a] > 0))
-            });
-        }
-        // Member `s`'s bit in its block, and its block: the home block
-        // unless it steps across a block face.
-        let local = cells.map(|c| c & 3);
-        let flip = [0, 1, 2].map(|i| (((cells[i] + twins[i]) & 3) ^ local[i]) << (2 * i));
-        let crossing = axis_set(|i| (cells[i] + twins[i]) >> 2 != cells[i] >> 2);
-        let mut bits = [0u64; 8];
-        for s in 1..8 {
-            let member = (s & !twinned == 0) & (wanted >> s & 1 != 0);
-            let bit = (0..3).fold(local[0] | local[1] << 2 | local[2] << 4, |b, i| {
-                b ^ (flip[i] * (s >> i & 1) as i64)
-            });
-            bits[s & crossing] |= u64::from(member) << bit;
-        }
-        home_known & bits[0] != 0
-            || crossing != 0
-                && (1..8).any(|far| {
-                    bits[far] != 0 && {
-                        let step = |i: usize| if far >> i & 1 != 0 { twins[i] } else { 0 };
-                        let member =
-                            GridIndex::new(cell.x + step(0), cell.y + step(1), cell.z + step(2));
-                        let block = block_of(&member).0;
-                        self.block_masks(&block)
-                            .is_some_and(|m| m.known & bits[far] != 0)
-                    }
-                })
-    }
-
     /// Every observed leaf's (centre, log-odds) as the pointer octree's
-    /// pre-order walk reports it, deduplicated by rounded centre and sorted
-    /// by coordinates. The known masks list the leaves; sorting them by
-    /// [`walk_rank`] puts them in walk order, which the walk's last-wins
-    /// dedup depends on, and their centres replay the walk's additions
-    /// ([`AxisKey::center`]).
+    /// pre-order walk reports it, one entry per leaf, sorted by coordinates:
+    /// the known masks list the leaves and their centres replay the walk's
+    /// additions ([`OctoMap::axis_center`]).
     fn collect_leaves(&self) -> Vec<(Vec3, f64)> {
-        let half = 1i64 << (self.depth - 1);
-        // Deeper than the table bound, replay each coordinate instead.
-        let axis_center = |k: u64| match self.axis_keys.get(k as usize) {
-            Some(axis) => axis.center,
-            None => AxisKey::new(k, self.depth, self.half_extent).center,
-        };
-        let mut out = Vec::new();
-        for (&key, &slot) in &self.blocks {
-            let block = unpack_voxel_key(key);
-            let mut m = self.masks[slot as usize].known;
-            while m != 0 {
-                let bit = m.trailing_zeros() as usize;
-                m &= m - 1;
-                let cell = block_voxel(&block, bit);
-                let leaf = [cell.x, cell.y, cell.z].map(|k| (k + half) as u64);
-                let [x, y, z] = leaf.map(axis_center);
-                let value = self.log_odds[slot as usize][bit];
-                out.push((walk_rank(&leaf, self.depth), Vec3::new(x, y, z), value));
-            }
-        }
-        out.sort_unstable_by_key(|&(rank, ..)| rank);
-        // Leaves exist only at full depth, so every leaf is a distinct voxel,
-        // but at non-dyadic resolutions float error can round two
-        // neighbouring centres to one key. The later leaf in walk order
-        // hides the earlier one.
-        let mut dedup: HashMap<(i64, i64, i64), (Vec3, f64)> = HashMap::new();
-        for (_, c, l) in out {
-            let key = (
-                (c.x / self.config.resolution).round() as i64,
-                (c.y / self.config.resolution).round() as i64,
-                (c.z / self.config.resolution).round() as i64,
-            );
-            dedup.insert(key, (c, l));
-        }
-        let mut v: Vec<(Vec3, f64)> = dedup.into_values().collect();
-        // Chained `total_cmp` ≡ the historical `partial_cmp` tuple sort:
-        // leaf centres sit at (k + ½)·resolution, so they are finite, never
-        // ±0.0, and pairwise distinct after the dedup — the comparators can
-        // only disagree on values that never occur here (same argument as
-        // `free_voxel_centers`).
-        v.sort_by(|a, b| {
-            a.0.x
-                .total_cmp(&b.0.x)
-                .then(a.0.y.total_cmp(&b.0.y))
-                .then(a.0.z.total_cmp(&b.0.z))
-        });
-        v
+        let mut leaves = Vec::with_capacity(self.known_count);
+        self.for_each_picked(
+            |_, _, masks| masks.known,
+            |key, (slot, bit)| leaves.push((key, self.log_odds[slot][bit])),
+        );
+        leaves.sort_unstable_by_key(|&(key, _)| key);
+        leaves
+            .into_iter()
+            .map(|(key, value)| (self.leaf_center(key), value))
+            .collect()
     }
 }
 
@@ -1273,27 +1106,23 @@ fn key_cell(key: &LeafKey, depth: u32) -> GridIndex {
     )
 }
 
-/// The octant (0..8, numbered like [`child_of`]: x in bit 0, y in bit 1, z
-/// in bit 2) that leaf key `key` takes at key bit `bit`.
-fn octant_of(key: &LeafKey, bit: u32) -> usize {
-    (((key[0] >> bit) & 1) | (((key[1] >> bit) & 1) << 1) | (((key[2] >> bit) & 1) << 2)) as usize
+/// Packs a leaf key into one `u128`, x-major, 22 bits per axis: enough for
+/// every key of a domain up to [`OctoMap::MAX_DEPTH`]. Centre coordinates
+/// strictly increase with their axis key, so integer order is the
+/// coordinate order of the leaf centres.
+fn pack_leaf_key(key: &LeafKey) -> u128 {
+    u128::from(key[0]) << 44 | u128::from(key[1]) << 22 | u128::from(key[2])
 }
 
-/// Position of the leaf with key `key` in a pre-order octree walk that
-/// visits octants 0..8 in order: its root-to-leaf octant path, three bits
-/// per level, root octant most significant (the Morton order of the key).
-/// `u128` because [`OctoMap::MAX_DEPTH`] levels need 66 bits.
-fn walk_rank(key: &LeafKey, depth: u32) -> u128 {
-    (0..depth)
-        .rev()
-        .fold(0, |rank, bit| (rank << 3) | octant_of(key, bit) as u128)
+/// Inverse of [`pack_leaf_key`].
+fn unpack_leaf_key(packed: u128) -> LeafKey {
+    const MASK: u128 = (1 << 22) - 1;
+    [packed >> 44, (packed >> 22) & MASK, packed & MASK].map(|k| k as u64)
 }
 
-/// Packs a voxel or block index into one u64 key (21 bits per axis,
-/// offset-biased). Block coordinates of a map up to [`OctoMap::MAX_DEPTH`]
-/// and the voxel coordinates the class-winner listing packs (up to the
-/// internal `MAX_INDEXED_DEPTH`) stay inside the ±2^20 bound: even a 200 m
-/// domain at 0.10 m resolution spans only ±2000 cells.
+/// Packs a block index into one u64 key (21 bits per axis, offset-biased).
+/// Block coordinates of a map up to [`OctoMap::MAX_DEPTH`] stay inside the
+/// ±2^20 bound: that domain spans ±2^19 blocks.
 fn pack_voxel_key(cell: &GridIndex) -> u64 {
     const BIAS: i64 = 1 << 20;
     debug_assert!(
@@ -1328,16 +1157,12 @@ fn pack_voxel_key_checked(cell: &GridIndex) -> Option<u64> {
 }
 
 thread_local! {
-    /// Per-thread DDA cell buffer of the segment corridor prefilter, which
-    /// runs on every collision check (ray insertion streams its cells and
-    /// needs none). Take/replace (not borrow-across-call) so an unexpected
-    /// nesting falls back to a fresh allocation instead of a RefCell panic.
-    static RAY_CELLS: RefCell<Vec<GridIndex>> = const { RefCell::new(Vec::new()) };
-    /// Per-thread packed-cell-key buffer of the class-winner listing behind
+    /// Per-thread packed-leaf-key buffer of the sorted listing behind
     /// [`OctoMap::free_voxel_centers`] and
-    /// [`OctoMap::frontier_voxel_centers_into`] (which runs every replan);
-    /// take/replace like `RAY_CELLS`.
-    static FRONTIER_KEYS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+    /// [`OctoMap::frontier_voxel_centers_into`] (which runs every replan).
+    /// Take/replace (not borrow-across-call) so an unexpected nesting falls
+    /// back to a fresh allocation instead of a RefCell panic.
+    static LEAF_KEYS: RefCell<Vec<u128>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Splits a voxel index into its 4×4×4 block coordinates and the block-local
@@ -1584,7 +1409,6 @@ impl PartialEq for OctoMap {
             && self.updates == other.updates
             && self.occupied_count == other.occupied_count
             && self.known_count == other.known_count
-            && self.index_packable == other.index_packable
             // Slots follow creation order, so blocks compare by coordinate.
             && self.blocks.len() == other.blocks.len()
             // mav-lint: allow(DET-HASH-ITER): all() over every block is order-independent
@@ -1621,7 +1445,6 @@ impl fmt::Display for OctoMap {
 pub mod reference {
     use super::{child_of, OctoMap, OctoMapConfig};
     use mav_types::{GridSpec, Vec3};
-    use std::collections::HashMap;
 
     #[derive(Debug, Clone)]
     enum Node {
@@ -1795,33 +1618,24 @@ pub mod reference {
             }
         }
 
-        /// Every observed leaf's (centre, log-odds), deduplicated by rounded
-        /// voxel key (last wins, pre-order walk order) and sorted by
-        /// coordinates — the old `collect_leaves` verbatim.
+        /// Every observed leaf's (centre, log-odds), sorted by coordinates —
+        /// the old `collect_leaves` minus its rounded-centre dedup: every
+        /// leaf is a distinct tree node, so it is listed once.
         pub fn collect(&self) -> Vec<(Vec3, f64)> {
             let mut out = Vec::new();
             if let Some(root) = &self.root {
                 Self::collect_recursive(root, Vec3::ZERO, self.half_extent, &mut out);
             }
-            let mut dedup: HashMap<(i64, i64, i64), (Vec3, f64)> = HashMap::new();
-            for (c, l) in out {
-                let key = (
-                    (c.x / self.config.resolution).round() as i64,
-                    (c.y / self.config.resolution).round() as i64,
-                    (c.z / self.config.resolution).round() as i64,
-                );
-                dedup.insert(key, (c, l));
-            }
-            let mut v: Vec<(Vec3, f64)> = dedup.into_values().collect();
-            // Same comparator-equivalence argument as `collect_leaves`:
-            // (k + ½)·resolution centres are finite, never ±0.0, distinct.
-            v.sort_by(|a, b| {
+            // Chained `total_cmp` ≡ the historical `partial_cmp` tuple sort:
+            // leaf centres sit at (k + ½)·resolution, so they are finite,
+            // never ±0.0, and pairwise distinct.
+            out.sort_by(|a, b| {
                 a.0.x
                     .total_cmp(&b.0.x)
                     .then(a.0.y.total_cmp(&b.0.y))
                     .then(a.0.z.total_cmp(&b.0.z))
             });
-            v
+            out
         }
 
         fn collect_recursive(node: &Node, center: Vec3, half: f64, out: &mut Vec<(Vec3, f64)>) {
@@ -1852,14 +1666,20 @@ mod tests {
         OctoMap::new(OctoMapConfig::with_resolution(resolution), 32.0)
     }
 
-    /// The centre and walk rank of the leaf with key `key`, replayed
-    /// level by level: the float additions of a root descent (±half/2,
-    /// ±half/4, … from the origin) and the octants packed three bits per
-    /// level. The oracle of the per-axis leaf table.
-    fn leaf_center_and_rank(map: &OctoMap, key: &LeafKey) -> (Vec3, u64) {
+    /// The octant (0..8, numbered like [`child_of`]: x in bit 0, y in bit 1,
+    /// z in bit 2) that leaf key `key` takes at key bit `bit`.
+    fn octant_of(key: &LeafKey, bit: u32) -> usize {
+        (((key[0] >> bit) & 1) | (((key[1] >> bit) & 1) << 1) | (((key[2] >> bit) & 1) << 2))
+            as usize
+    }
+
+    /// The centre of the leaf with key `key`, replayed level by level: the
+    /// float additions of a root descent (±half/2, ±half/4, … from the
+    /// origin) along its octant path. The oracle of the per-axis centre
+    /// table.
+    fn replayed_leaf_center(map: &OctoMap, key: &LeafKey) -> Vec3 {
         let mut center = Vec3::ZERO;
         let mut half = map.half_extent;
-        let mut rank = 0u64;
         for bit in (0..map.depth).rev() {
             let octant = octant_of(key, bit);
             let quarter = half / 2.0;
@@ -1867,9 +1687,8 @@ mod tests {
             center.y += if octant & 2 != 0 { quarter } else { -quarter };
             center.z += if octant & 4 != 0 { quarter } else { -quarter };
             half = quarter;
-            rank = (rank << 3) | octant as u64;
         }
-        (center, rank)
+        center
     }
 
     /// The frontier candidates as the free-voxel list and the
@@ -2126,10 +1945,10 @@ mod tests {
 
     #[test]
     fn deep_domains_answer_mask_queries_like_the_references() {
-        // A domain deeper than the key table bound must drop the table and
-        // the known-voxel counter, while the block masks keep
-        // answering every query exactly like the reference predicates and
-        // the leaf walk: a multi-km domain at mm resolution (the deepest map
+        // A domain deeper than the centre table bound must drop the table,
+        // while the block masks keep answering every query exactly like
+        // the reference predicates, the leaf walk and the pointer tree: a
+        // multi-km domain at mm resolution (the deepest map
         // `OctoMap::MAX_DEPTH` allows), and 1 mm at ±40 m, one level past
         // the table bound. 1 mm at ±30 m sits at the bound and keeps its
         // table, which must agree the same way, and so must a depth-2
@@ -2146,15 +1965,18 @@ mod tests {
             (30.0, 16, true, far_origin, far_hit),
             (0.002, 2, true, edge_origin, edge_hit),
         ] {
-            let mut map = OctoMap::new(OctoMapConfig::with_resolution(0.001), half_extent);
+            let config = OctoMapConfig::with_resolution(0.001);
+            let mut map = OctoMap::new(config, half_extent);
             assert_eq!(map.depth(), depth, "±{half_extent} m");
-            assert_eq!(map.index_packable, indexed, "±{half_extent} m");
             assert_eq!(
-                map.axis_keys.len(),
+                map.axis_centers.len(),
                 if indexed { 1 << depth } else { 0 },
                 "±{half_extent} m"
             );
             map.insert_ray(&origin, &hit);
+            let mut tree = reference::ReferenceMap::new(config, half_extent);
+            tree.insert_ray(&origin, &hit);
+            assert_eq!(map.collect_leaves(), tree.collect(), "±{half_extent} m");
             assert_eq!(map.query(&hit), Occupancy::Occupied);
             assert!(map.is_occupied_with_inflation(&hit, 0.002));
             assert_eq!(
@@ -2193,46 +2015,46 @@ mod tests {
     }
 
     #[test]
-    fn a_twin_pair_counts_once_and_lists_its_later_leaf() {
+    fn neighbouring_leaves_that_round_alike_are_both_counted_and_listed() {
         // At 0.8 m some neighbouring axis keys have centres that round to
-        // the same `round(centre / resolution)`. The leaf walk keeps only
-        // the later of two such leaves in walk order, so the pair is one
-        // known voxel, listed (while free) with the later leaf's centre.
+        // the same `round(centre / resolution)`, the key an older leaf walk
+        // deduplicated by. The two leaves are distinct voxels: both count,
+        // and each is listed (while free) with its own replayed centre.
         let mut map = small_map(0.8);
         assert_eq!(map.depth(), 7);
         let half = 1i64 << (map.depth() - 1);
-        let twin_key = |twin: i64, from: i64| {
-            (from..).find(|&k| map.axis_keys[(k + half) as usize].twin == twin)
-        };
-        let x = twin_key(1, -half).expect("a twin pair at 0.8 m");
-        let (y, z) = (twin_key(0, 0).unwrap(), twin_key(0, 2).unwrap());
-        let (early, late) = (GridIndex::new(x, y, z), GridIndex::new(x + 1, y, z));
-        let key = |cell: GridIndex| [cell.x, cell.y, cell.z].map(|c| (c + half) as u64);
-        let (late_center, late_rank) = leaf_center_and_rank(&map, &key(late));
-        assert!(late_rank > leaf_center_and_rank(&map, &key(early)).1);
+        let rounded = |k: usize| (map.axis_centers[k] / map.resolution()).round() as i64;
+        let k = (0..map.axis_centers.len() - 1)
+            .find(|&k| rounded(k) == rounded(k + 1))
+            .expect("two axis keys that round alike at 0.8 m");
+        let x = k as i64 - half;
+        let (early, late) = (GridIndex::new(x, 0, 2), GridIndex::new(x + 1, 0, 2));
+        let center =
+            |c: GridIndex| replayed_leaf_center(&map, &[c.x, c.y, c.z].map(|c| (c + half) as u64));
+        let (early_center, late_center) = (center(early), center(late));
         let (hit, miss) = (map.config.hit_log_odds, -map.config.miss_log_odds);
         map.update_cell(early, miss);
         map.update_cell(late, hit);
         let mut frontiers = Vec::new();
-        // The later leaf is occupied, so the free list and the frontier pass
-        // omit the pair: the earlier, free leaf is hidden behind it.
+        // The later leaf is occupied: both count, the free one is listed.
         assert_eq!(map.occupied_voxel_count(), 1);
-        assert_eq!(map.known_voxel_count(), 1);
-        assert_eq!(map.known_voxel_count_scan(), 1);
-        assert_eq!(map.free_voxel_centers(), Vec::new());
-        assert_eq!(map.free_voxel_centers_scan(), Vec::new());
+        assert_eq!(map.known_voxel_count(), 2);
+        assert_eq!(map.known_voxel_count_scan(), 2);
+        assert_eq!(map.free_voxel_centers(), vec![early_center]);
+        assert_eq!(map.free_voxel_centers_scan(), vec![early_center]);
         map.frontier_voxel_centers_into(-100.0, 100.0, &mut frontiers);
-        assert_eq!(frontiers, Vec::new());
-        // Misses flip the later leaf free: the pair is listed once, with the
-        // later leaf's centre.
+        assert_eq!(frontiers, vec![early_center]);
+        // Misses flip the later leaf free: both are listed, in coordinate
+        // order.
         while map.occupied_voxel_count() > 0 {
             map.update_cell(late, miss);
         }
-        assert_eq!(map.known_voxel_count(), 1);
-        assert_eq!(map.free_voxel_centers(), vec![late_center]);
-        assert_eq!(map.free_voxel_centers_scan(), vec![late_center]);
+        assert_eq!(map.known_voxel_count(), 2);
+        let both = vec![early_center, late_center];
+        assert_eq!(map.free_voxel_centers(), both);
+        assert_eq!(map.free_voxel_centers_scan(), both);
         map.frontier_voxel_centers_into(-100.0, 100.0, &mut frontiers);
-        assert_eq!(frontiers, vec![late_center]);
+        assert_eq!(frontiers, both);
     }
 
     #[test]
@@ -2256,13 +2078,14 @@ mod tests {
     }
 
     /// Differential properties pinning the storage rewrites: the hashed
-    /// voxel-block map and the class-winner counting and listing must be
-    /// *exact* replacements — bit-identical log-odds, leaf sets and counters against
+    /// voxel-block map and its mask counting and listing must be *exact*
+    /// replacements — bit-identical log-odds, leaf sets and counters against
     /// the pointer-tree oracle and the tree-walk references.
     mod equivalence {
         use super::super::reference::ReferenceMap;
         use super::*;
         use proptest::prelude::*;
+        use proptest::TestCaseError;
 
         /// Dyadic and non-dyadic resolutions, fine and coarse (the paper's
         /// 0.15 m / 0.80 m case-study endpoints included).
@@ -2324,13 +2147,12 @@ mod tests {
             }
         }
 
-        /// The per-axis key table reproduces the level-by-level replay bit
-        /// for bit: for every key at every depth from 1 to the table bound,
-        /// three entries give the replay's centre, and the twin column names exactly the neighbouring key whose replayed
-        /// centre rounds to the same `round(centre / resolution)`, with no
-        /// run of three keys rounding alike. Extents at, one ulp below and
-        /// one ulp above `resolution × 2^k` reach each of those depths and
-        /// the first one past the bound, where the table must be empty.
+        /// The per-axis centre table reproduces the level-by-level replay
+        /// bit for bit: for every key at every depth from 1 to the table
+        /// bound, three entries give the replay's centre. Extents at, one
+        /// ulp below and one ulp above `resolution × 2^k` reach each of
+        /// those depths and the first one past the bound, where the table
+        /// must be empty and `axis_center` must replay the same bits.
         #[test]
         fn axis_table_matches_the_float_replay() {
             for resolution in RESOLUTIONS {
@@ -2340,42 +2162,24 @@ mod tests {
                         let map =
                             OctoMap::new(OctoMapConfig::with_resolution(resolution), requested);
                         let depth = map.depth();
-                        if depth > MAX_INDEXED_DEPTH {
-                            assert!(!map.index_packable && map.axis_keys.is_empty());
-                            continue;
-                        }
-                        assert!(map.index_packable);
                         let keys = 1u64 << depth;
-                        assert_eq!(map.axis_keys.len() as u64, keys);
-                        let mut rounded = Vec::new();
-                        for kx in 0..keys {
+                        let indexed = depth <= MAX_INDEXED_DEPTH;
+                        assert_eq!(
+                            map.axis_centers.len() as u64,
+                            if indexed { keys } else { 0 }
+                        );
+                        // Past the bound, a sample of keys including both ends.
+                        let step = if indexed { 1 } else { keys / 4096 + 1 };
+                        for kx in (0..keys).step_by(step as usize).chain([keys - 1]) {
                             // Three different axis keys, so each axis of the
                             // replay reads its own table entry.
                             let key = [kx, (kx * 5 + 3) % keys, keys - 1 - kx];
-                            let (center, _) = leaf_center_and_rank(&map, &key);
-                            let [x, y, z] = key.map(|k| map.axis_keys[k as usize]);
+                            let center = replayed_leaf_center(&map, &key);
+                            let [x, y, z] = key.map(|k| map.axis_center(k));
                             assert_eq!(
-                                [x.center, y.center, z.center].map(f64::to_bits),
+                                [x, y, z].map(f64::to_bits),
                                 [center.x, center.y, center.z].map(f64::to_bits),
                                 "resolution {resolution}, depth {depth}, key {key:?}"
-                            );
-                            rounded.push((center.x / resolution).round() as i64);
-                        }
-                        for (k, &own) in rounded.iter().enumerate() {
-                            let alike = |j: Option<usize>| {
-                                j.and_then(|j| rounded.get(j)).is_some_and(|&r| r == own)
-                            };
-                            let (below, above) = (alike(k.checked_sub(1)), alike(Some(k + 1)));
-                            assert!(
-                                !(below && above),
-                                "resolution {resolution}, depth {depth}: keys {} to {} round alike",
-                                k - 1,
-                                k + 1
-                            );
-                            let twin = if below { -1 } else { i64::from(above) };
-                            assert_eq!(
-                                map.axis_keys[k].twin, twin,
-                                "resolution {resolution}, depth {depth}, axis key {k}"
                             );
                         }
                     }
@@ -2407,8 +2211,57 @@ mod tests {
                 .collect()
         }
 
+        /// The block map counts every leaf of the pointer tree once: its
+        /// known counter is the tree's leaf count and its occupied counter
+        /// the tree's occupied-leaf count.
+        fn check_counts(arena: &OctoMap, tree: &ReferenceMap) -> Result<(), TestCaseError> {
+            let leaves = tree.collect();
+            let threshold = arena.config.occupied_threshold;
+            let occupied = leaves.iter().filter(|(_, l)| *l > threshold).count();
+            let resolution = arena.resolution();
+            prop_assert_eq!(arena.known_voxel_count(), leaves.len(), "at {}", resolution);
+            prop_assert_eq!(arena.occupied_voxel_count(), occupied, "at {}", resolution);
+            Ok(())
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// Every materialised leaf counts once, at each of the five
+            /// resolutions and through a reresolve → insert chain: the
+            /// counters match the pointer tree's leaves, and the known count
+            /// is also the number of distinct in-domain cells the rays
+            /// crossed, counted without either map.
+            #[test]
+            fn counters_count_every_leaf_once(
+                rays in proptest::collection::vec(arb_point(20.0), 1..32),
+                more_rays in proptest::collection::vec(arb_point(20.0), 1..12),
+                new_res_shift in 0usize..RESOLUTIONS.len(),
+            ) {
+                let origin = Vec3::new(0.0, 0.0, 1.5);
+                for res_idx in 0..RESOLUTIONS.len() {
+                    let (mut arena, mut tree) = paired_maps(res_idx, &rays);
+                    let mut crossed = std::collections::HashSet::new();
+                    for endpoint in &rays {
+                        OctoMap::for_each_ray_update(arena.grid, arena.config, &origin, endpoint, |cell, _| {
+                            if arena.in_domain(&arena.grid.center_of(&cell)) {
+                                crossed.insert(cell);
+                            }
+                        });
+                    }
+                    prop_assert_eq!(arena.known_voxel_count(), crossed.len());
+                    check_counts(&arena, &tree)?;
+                    let new_res = RESOLUTIONS[(res_idx + new_res_shift) % RESOLUTIONS.len()];
+                    arena = arena.reresolved(new_res);
+                    tree = tree.reresolved(new_res);
+                    check_counts(&arena, &tree)?;
+                    for endpoint in &more_rays {
+                        arena.insert_ray(&origin, endpoint);
+                        tree.insert_ray(&origin, endpoint);
+                    }
+                    check_counts(&arena, &tree)?;
+                }
+            }
 
             /// The block map produces the same leaves (same centres, same
             /// log-odds bits) and answers point probes exactly like the
@@ -2416,7 +2269,7 @@ mod tests {
             /// The block map receives the endpoints through every insertion
             /// entry point (`mode`), from origins inside and outside the
             /// domain (so clipped rays reach the key path), while the oracle
-            /// always takes them ray by ray. The class-winner free list must
+            /// always takes them ray by ray. The mask-served free list must
             /// agree with the oracle's leaf walk too.
             #[test]
             fn arena_matches_reference_tree(
@@ -2459,9 +2312,9 @@ mod tests {
                 }
             }
 
-            /// The class-winner free list returns bit-identical centres
-            /// (same order, same f64 bits) as the full-tree-walk scan, and
-            /// the O(1) counters match their scans, through insertion and
+            /// The mask-served free list returns bit-identical centres (same
+            /// order, same f64 bits) as the full-tree-walk scan, and the O(1)
+            /// counters match their scans, through insertion and
             /// reresolution.
             #[test]
             fn free_voxel_index_matches_tree_walk(
@@ -2470,18 +2323,14 @@ mod tests {
                 new_res_idx in 0usize..RESOLUTIONS.len(),
             ) {
                 let (mut arena, _) = paired_maps(res_idx, &rays);
-                // The occupied counter may overcount the deduplicated scan
-                // at non-dyadic resolutions (rounded-key collisions merge
-                // scan leaves) — the seed suite pins "never undercounts",
-                // so that is the exact relation asserted here too.
                 prop_assert_eq!(arena.free_voxel_centers(), arena.free_voxel_centers_scan());
                 prop_assert_eq!(arena.known_voxel_count(), arena.known_voxel_count_scan());
-                prop_assert!(arena.occupied_voxel_count() >= arena.occupied_voxel_count_scan());
+                prop_assert_eq!(arena.occupied_voxel_count(), arena.occupied_voxel_count_scan());
                 let new_res = RESOLUTIONS[new_res_idx % RESOLUTIONS.len()];
                 arena = arena.reresolved(new_res);
                 prop_assert_eq!(arena.free_voxel_centers(), arena.free_voxel_centers_scan());
                 prop_assert_eq!(arena.known_voxel_count(), arena.known_voxel_count_scan());
-                prop_assert!(arena.occupied_voxel_count() >= arena.occupied_voxel_count_scan());
+                prop_assert_eq!(arena.occupied_voxel_count(), arena.occupied_voxel_count_scan());
             }
 
             /// The known-block-bitmask frontier predicate agrees with the
@@ -2537,9 +2386,8 @@ mod tests {
             /// The block-mask frontier pass lists exactly the free voxels of
             /// `free_voxel_centers` in the altitude band with an unknown
             /// face neighbour — same centre bits, same order — at every
-            /// resolution (the non-dyadic ones are where the free list drops
-            /// shadowed leaves), from origins inside and outside the domain,
-            /// and through a reresolve → insert chain.
+            /// resolution, dyadic and not, from origins inside and outside
+            /// the domain, and through a reresolve → insert chain.
             #[test]
             fn frontier_pass_matches_the_listed_frontiers(
                 res_idx in 0usize..RESOLUTIONS.len(),

@@ -132,22 +132,15 @@ impl GridSpec {
     /// cell containing `b`.
     pub fn traverse(&self, a: &Vec3, b: &Vec3) -> Vec<GridIndex> {
         let mut cells = Vec::new();
-        self.traverse_into(a, b, &mut cells);
-        cells
-    }
-
-    /// [`GridSpec::traverse`] writing into a caller-owned buffer: `cells` is
-    /// cleared and refilled with exactly the sequence `traverse` returns, so
-    /// per-ray callers (segment checks) can reuse one allocation.
-    pub fn traverse_into(&self, a: &Vec3, b: &Vec3, cells: &mut Vec<GridIndex>) {
-        cells.clear();
         self.walk(a, b, |cell, _| cells.push(cell));
+        cells
     }
 
     /// The traversal itself: calls `visit(cell, last)` for every cell
     /// [`GridSpec::traverse`] lists, in order, with `last` set on the final
-    /// cell only. Streaming callers (map insertion) update each cell as the
-    /// walk reaches it instead of buffering the ray.
+    /// cell only. Streaming callers (map insertion, the segment corridor
+    /// check) handle each cell as the walk reaches it instead of buffering
+    /// the ray.
     ///
     /// The final cell is the one containing `b`, except for a segment no
     /// longer than `f64::EPSILON` whose ends straddle a cell boundary: that

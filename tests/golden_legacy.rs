@@ -148,7 +148,7 @@ fn legacy_package_delivery_is_bit_identical() {
             battery_remaining_pct: 0x4058a1e05c6d1b11,
             replans: 0,
             detections: 0,
-            mapped_volume: 0x40b9db22d0e56043,
+            mapped_volume: 0x40baa04189374bc8,
             tracking_error: 0x0000000000000000,
             kernel_total_secs: 0x402c06666666666b,
         },
@@ -172,7 +172,7 @@ fn legacy_mapping_is_bit_identical() {
             battery_remaining_pct: 0x4058c8ca9b1e8d87,
             replans: 0,
             detections: 0,
-            mapped_volume: 0x40b92c8b43958108,
+            mapped_volume: 0x40ba27ef9db22d10,
             tracking_error: 0x0000000000000000,
             kernel_total_secs: 0x40206395810624dc,
         },
@@ -250,7 +250,7 @@ fn legacy_dynamic_resolution_is_bit_identical() {
             battery_remaining_pct: 0x40589214ed6e4836,
             replans: 0,
             detections: 0,
-            mapped_volume: 0x40b5f0a3d70a3d72,
+            mapped_volume: 0x40b6722d0e56041a,
             tracking_error: 0x0000000000000000,
             kernel_total_secs: 0x4030bde353f7ceda,
         },
@@ -276,7 +276,7 @@ fn legacy_cloud_offload_is_bit_identical() {
             battery_remaining_pct: 0x4058d24c765b8b76,
             replans: 0,
             detections: 0,
-            mapped_volume: 0x40b928f5c28f5c2b,
+            mapped_volume: 0x40ba245a1cac0833,
             tracking_error: 0x0000000000000000,
             kernel_total_secs: 0x4019a508dfea2798,
         },
@@ -303,7 +303,7 @@ fn legacy_noise_sweep_point_is_bit_identical() {
             battery_remaining_pct: 0x4058a1f6d6f820e8,
             replans: 0,
             detections: 0,
-            mapped_volume: 0x40b7d0e560418939,
+            mapped_volume: 0x40b8926e978d4fe1,
             tracking_error: 0x0000000000000000,
             kernel_total_secs: 0x402c06666666666b,
         },

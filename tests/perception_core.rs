@@ -1,6 +1,6 @@
 //! Equivalence suite for the data-oriented perception core (PR 6).
 //!
-//! The hashed voxel-block map, the incremental free-voxel index and the
+//! The hashed voxel-block map, the block-mask free-voxel list and the
 //! block-bitmask `occupied_voxel_centers` are all *exact* accelerations:
 //! every map they produce must be bit-identical to the pointer-tree /
 //! tree-walk references they replaced. These properties pin that from the
@@ -63,7 +63,7 @@ proptest! {
         }
     }
 
-    /// The incremental free-voxel index returns bit-identical centres (same
+    /// The block-mask free-voxel list returns bit-identical centres (same
     /// order, same f64 bits) as the full-tree-walk scan it replaced.
     #[test]
     fn free_voxel_index_matches_tree_walk(

@@ -187,14 +187,12 @@ fn counters_match_tree_walk() {
     assert_eq!(empty.occupied_voxel_count(), 0);
 }
 
-/// At non-dyadic resolutions the tree-walk oracle can merge adjacent leaves
-/// whose floating-point-noisy centres round to the same dedup key, so it may
-/// undercount occupied voxels; the O(1) counter is exact per leaf (the same
-/// occupancy the collision queries see) and therefore never below the walk,
-/// while the known counter keeps walk parity bit-for-bit. This pins the
-/// intentional semantic split called out in the PR 4 notes.
+/// At non-dyadic resolutions neighbouring leaf centres can round to the same
+/// `round(centre / resolution)`; the leaf walk lists each leaf once all the
+/// same, so both O(1) counters (the occupancy the collision queries see) equal
+/// the walk exactly.
 #[test]
-fn occupied_counter_never_undercounts_at_non_dyadic_resolution() {
+fn occupied_counter_matches_the_walk_at_non_dyadic_resolution() {
     let mut map = OctoMap::new(OctoMapConfig::with_resolution(0.15), 32.0);
     let origin = Vec3::new(0.0, 0.0, 1.0);
     for i in -30..=30 {
@@ -202,7 +200,7 @@ fn occupied_counter_never_undercounts_at_non_dyadic_resolution() {
             map.insert_ray(&origin, &Vec3::new(9.0, i as f64 * 0.2, z));
         }
     }
-    assert!(map.occupied_voxel_count() >= map.occupied_voxel_count_scan());
+    assert_eq!(map.occupied_voxel_count(), map.occupied_voxel_count_scan());
     assert_eq!(map.known_voxel_count(), map.known_voxel_count_scan());
 }
 
