@@ -1103,13 +1103,12 @@ impl MissionConfig {
         self.environment.extent.max(self.environment.height) + 5.0
     }
 
-    /// Rejects a resolution the mission's map cannot be built at. The first
-    /// map covers [`Self::map_half_extent`] at the initial resolution within
-    /// [`OctoMap::MAX_DEPTH`] levels, and a dynamic policy's first switch
-    /// rebuilds that map's aligned domain at the indoor resolution
-    /// ([`OctoMap::reresolved`]), which must fit too. Later switches can
-    /// grow the domain further; [`crate::MissionContext`] skips any that
-    /// would pass the bound.
+    /// Rejects a resolution the mission's map cannot be built at. Every map
+    /// of the mission covers [`Self::map_half_extent`] within
+    /// [`OctoMap::MAX_DEPTH`] levels: the first at the initial resolution (a
+    /// dynamic policy's outdoor one), and every dynamic switch
+    /// ([`OctoMap::reresolved`]) over the same half-extent at the indoor or
+    /// the outdoor resolution.
     fn validate_map_depth(&self) -> Result<(), String> {
         let half_extent = self.map_half_extent();
         if !(half_extent.is_finite() && half_extent > 0.0) {
@@ -1131,10 +1130,9 @@ impl MissionConfig {
             }
             Ok(())
         };
-        let initial = self.resolution_policy.initial_resolution();
-        fits(initial, half_extent)?;
+        fits(self.resolution_policy.initial_resolution(), half_extent)?;
         if let ResolutionPolicy::Dynamic { indoor, .. } = self.resolution_policy {
-            fits(indoor, OctoMap::aligned_half_extent(initial, half_extent))?;
+            fits(indoor, half_extent)?;
         }
         Ok(())
     }

@@ -572,19 +572,14 @@ impl MissionContext {
     ) -> Vec<(KernelId, SimDuration)> {
         // Dynamic resolution policy: sample the local obstacle density and
         // switch the map resolution when the policy asks for it. A switch
-        // rebuilds the current map's aligned domain, which grows with every
-        // round trip between resolutions that are not power-of-two multiples
-        // of each other (0.8 m ↔ 0.15 m doubles it); a switch whose map would
-        // pass `OctoMap::MAX_DEPTH` is skipped and the map keeps its current
-        // resolution. `MissionConfig::validate` guarantees the first switch.
+        // rebuilds the map over the mission's requested half-extent, which
+        // `MissionConfig::validate` has vetted at both resolutions.
         let density = self.world.obstacle_density_near(&self.pose().position, 8.0);
         let wanted = self
             .config
             .resolution_policy
             .resolution_for_density(density);
-        if (wanted - self.current_resolution).abs() > 1e-9
-            && OctoMap::depth_for(wanted, self.map.half_extent()) <= OctoMap::MAX_DEPTH
-        {
+        if (wanted - self.current_resolution).abs() > 1e-9 {
             self.map = self.map.reresolved(wanted);
             self.current_resolution = wanted;
         }
@@ -899,33 +894,35 @@ mod tests {
     }
 
     #[test]
-    fn resolution_switches_stop_at_the_map_depth_bound() {
-        // Every 0.8 m ↔ 0.15 m round trip doubles the map's domain. Toggle
-        // the policy on every frame (a density is never below 0 and never
-        // infinite, so threshold 0 asks for the indoor resolution and an
-        // infinite one for the outdoor resolution) until the 0.15 m map
-        // would pass `OctoMap::MAX_DEPTH`: from then on the fine switch is
-        // skipped and the map stays at 0.8 m.
+    fn resolution_switches_keep_the_requested_domain() {
+        // Toggle the policy on every frame (a density is never below 0 and
+        // never infinite, so threshold 0 asks for the indoor resolution and
+        // an infinite one for the outdoor resolution). Every switch happens,
+        // and every map covers the mission's requested half-extent aligned
+        // at its own resolution, so 0.8 m ↔ 0.15 m round trips never grow
+        // the domain.
         let mut c = ctx(ApplicationId::PackageDelivery);
         let frame = c.capture_depth();
-        let mut switches = 0;
+        let requested = c.config.map_half_extent();
+        let first = c.map.half_extent();
+        assert_eq!(first, OctoMap::aligned_half_extent(0.8, requested));
         for i in 0..40 {
             c.config.resolution_policy = ResolutionPolicy::Dynamic {
                 outdoor: 0.8,
                 indoor: 0.15,
                 density_threshold: if i % 2 == 0 { 0.0 } else { f64::INFINITY },
             };
-            let before = c.current_resolution;
             c.update_map(&frame);
-            assert!(c.map.depth() <= OctoMap::MAX_DEPTH, "frame {i}");
-            assert_eq!(c.map.resolution(), c.current_resolution, "frame {i}");
-            if c.current_resolution != before {
-                switches += 1;
-            }
+            let wanted = if i % 2 == 0 { 0.15 } else { 0.8 };
+            assert_eq!(c.current_resolution, wanted, "frame {i}");
+            assert_eq!(c.map.resolution(), wanted, "frame {i}");
+            assert_eq!(
+                c.map.half_extent(),
+                OctoMap::aligned_half_extent(wanted, requested),
+                "frame {i}"
+            );
         }
-        assert!((20..40).contains(&switches), "{switches} switches");
-        assert_eq!(c.current_resolution, 0.8);
-        assert!(OctoMap::depth_for(0.15, c.map.half_extent()) > OctoMap::MAX_DEPTH);
+        assert_eq!(c.map.half_extent(), first);
         assert!(c.map.known_voxel_count() > 0);
     }
 

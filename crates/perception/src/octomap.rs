@@ -154,6 +154,9 @@ pub struct OctoMap {
     config: OctoMapConfig,
     /// Half-extent of the cubic domain, metres.
     half_extent: f64,
+    /// The half-extent `new` or `reset` was given, before alignment.
+    /// [`OctoMap::reresolved`] rebuilds over it.
+    requested_half_extent: f64,
     /// Octree depth: the domain spans `2^depth` leaves per axis.
     depth: u32,
     grid: GridSpec,
@@ -212,6 +215,7 @@ impl OctoMap {
             grid: GridSpec::new(config.resolution),
             config,
             half_extent: 0.0,
+            requested_half_extent: 0.0,
             depth: 0,
             updates: 0,
             blocks: HashMap::with_hasher(VoxelHashBuilder::default()),
@@ -294,6 +298,7 @@ impl OctoMap {
         // and updates/queries would disagree near voxel boundaries.
         // Cell-addressed insertion relies on the half-extent being exactly
         // `resolution × 2^(depth−1)` (see `insert_ray`).
+        self.requested_half_extent = half_extent;
         let half_extent = Self::aligned_half_extent(config.resolution, half_extent);
         self.grid = GridSpec::new(config.resolution);
         self.config = config;
@@ -323,8 +328,7 @@ impl OctoMap {
     }
 
     /// Half-extent of the cubic domain, metres: the requested one aligned
-    /// up by [`OctoMap::aligned_half_extent`]. [`OctoMap::reresolved`]
-    /// builds its map over this.
+    /// up by [`OctoMap::aligned_half_extent`].
     pub fn half_extent(&self) -> f64 {
         self.half_extent
     }
@@ -943,19 +947,19 @@ impl OctoMap {
     /// Rebuilds this map's observations into a new map at a different
     /// resolution (the dynamic-resolution policy of the paper's energy case
     /// study switches between 0.15 m and 0.80 m at runtime). The new map
-    /// covers this map's aligned domain, so a chain of switches between
-    /// resolutions that are not power-of-two multiples of each other grows
-    /// the domain: 0.8 m ↔ 0.15 m doubles it every round trip.
+    /// covers the half-extent this map was requested with, aligned at the
+    /// new resolution, so any chain of switches keeps the domain the first
+    /// map was asked for; leaves outside the new domain are dropped.
     ///
     /// # Panics
     ///
-    /// Panics if covering this map's domain at `new_resolution` needs more
-    /// than [`OctoMap::MAX_DEPTH`] levels; vet a switch with
-    /// `OctoMap::depth_for(new_resolution, map.half_extent())`.
+    /// Panics if covering the requested half-extent at `new_resolution`
+    /// needs more than [`OctoMap::MAX_DEPTH`] levels; vet a resolution with
+    /// [`OctoMap::depth_for`] over the half-extent given to `new`.
     pub fn reresolved(&self, new_resolution: f64) -> OctoMap {
         let mut config = self.config;
         config.resolution = new_resolution;
-        let mut out = OctoMap::new(config, self.half_extent);
+        let mut out = OctoMap::new(config, self.requested_half_extent);
         for (center, log_odds) in self.collect_leaves() {
             out.update_leaf(&center, log_odds);
         }
@@ -1404,6 +1408,7 @@ impl PartialEq for OctoMap {
     fn eq(&self, other: &Self) -> bool {
         self.config == other.config
             && self.half_extent == other.half_extent
+            && self.requested_half_extent == other.requested_half_extent
             && self.depth == other.depth
             && self.grid == other.grid
             && self.updates == other.updates
@@ -1466,6 +1471,7 @@ pub mod reference {
     pub struct ReferenceMap {
         config: OctoMapConfig,
         half_extent: f64,
+        requested_half_extent: f64,
         depth: u32,
         grid: GridSpec,
         root: Option<Node>,
@@ -1479,11 +1485,11 @@ pub mod reference {
             let leaves_per_axis = (2.0 * half_extent / config.resolution).ceil().max(1.0);
             let depth = (leaves_per_axis.log2().ceil() as u32).max(1);
             let aligned_half_extent = config.resolution * (1u64 << depth) as f64 / 2.0;
-            let half_extent = aligned_half_extent.max(half_extent);
             ReferenceMap {
                 grid: GridSpec::new(config.resolution),
                 config,
-                half_extent,
+                half_extent: aligned_half_extent.max(half_extent),
+                requested_half_extent: half_extent,
                 depth,
                 root: None,
             }
@@ -1504,14 +1510,15 @@ pub mod reference {
             });
         }
 
-        /// Rebuilds the observations at a different resolution — the old
-        /// `OctoMap::reresolved` verbatim (collect, then re-apply each leaf's
+        /// Rebuilds the observations at a different resolution over the
+        /// requested half-extent, like [`OctoMap::reresolved`] — the old
+        /// `OctoMap::reresolved` (collect, then re-apply each leaf's
         /// log-odds as one clamped delta into the new tree).
         pub fn reresolved(&self, new_resolution: f64) -> ReferenceMap {
             let mut config = self.config;
             config.resolution = new_resolution;
             let clamp = config.clamp;
-            let mut out = ReferenceMap::new(config, self.half_extent);
+            let mut out = ReferenceMap::new(config, self.requested_half_extent);
             for (center, log_odds) in self.collect() {
                 out.update_leaf(&center, move |l| {
                     *l = (*l + log_odds).clamp(clamp.0, clamp.1);

@@ -212,14 +212,14 @@ fn map_resolution_is_bounded_by_the_map_depth() {
     let too_fine = config.with_resolution_policy(ResolutionPolicy::Static { resolution: 1e-300 });
     assert!(too_fine.validate().is_err());
 
-    // A dynamic policy's first switch rebuilds the initial map's aligned
-    // domain: the ±85 m request at 0.8 m covers ±102.4 m. 4.5e-5 m spans
-    // ±85 m in 22 levels, so a static map is accepted, but ±102.4 m needs 23.
-    spec("4.5e-5").unwrap();
+    // Every dynamic switch rebuilds the map over the requested ±85 m, so the
+    // bound is exact: 4e-5 m needs 23 levels there and is rejected, 4.5e-5 m
+    // needs 22 and is accepted, static and dynamic alike.
     let dynamic = |indoor: f64| {
         format!(r#"{{"kind":"dynamic","outdoor":0.8,"indoor":{indoor:e},"density_threshold":0}}"#)
     };
-    let err = spec(&dynamic(4.5e-5)).expect_err("first switch to 4.5e-5 m");
-    assert!(err.contains("23-level map over ±102.4 m"), "{err}");
-    spec(&dynamic(5e-5)).unwrap();
+    let err = spec(&dynamic(4e-5)).expect_err("switch to 4e-5 m");
+    assert!(err.contains("23-level map over ±85 m"), "{err}");
+    spec(&dynamic(4.5e-5)).unwrap();
+    spec("4.5e-5").unwrap();
 }
