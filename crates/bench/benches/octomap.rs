@@ -48,7 +48,7 @@ fn bench_octomap_insertion(c: &mut Criterion) {
 /// The same insertion into one map `reset` before each iteration, as
 /// `EpisodeScratch` reuses a map across episodes: the insertion cost alone,
 /// where `octomap_insert_vs_resolution` also times `OctoMap::new` (the block
-/// hash and the per-axis key table).
+/// hash and the per-axis centre table).
 fn bench_octomap_insert_reset(c: &mut Criterion) {
     let clouds = capture_clouds();
     let mut group = c.benchmark_group("octomap_insert_reset");

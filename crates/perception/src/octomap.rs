@@ -12,9 +12,9 @@
 //! exactly like the original OctoMap update rule. The leaves are stored as a
 //! hashed voxel-block map (the layout of VDB and of voxel hashing): one hash
 //! from 4×4×4-voxel block coordinates to a slot holding the block's known
-//! and occupied masks and its 64 log-odds. Everything an octree walk would
-//! report (leaf centres, walk order) is derived from the integer leaf key,
-//! so results match the pointer octree kept in [`mod@reference`] bit for bit.
+//! and occupied masks and its 64 log-odds. The leaf centres an octree walk
+//! would report are derived from the integer leaf key, so results match the
+//! pointer octree kept in [`mod@reference`] bit for bit.
 
 use crate::pointcloud::PointCloud;
 use mav_types::{Aabb, GridIndex, GridSpec, Vec3};
@@ -110,11 +110,8 @@ fn replayed_center(k: u64, depth: u32, half_extent: f64) -> f64 {
     let mut half = half_extent;
     for bit in (0..depth).rev() {
         let quarter = half / 2.0;
-        center += if (k >> bit) & 1 != 0 {
-            quarter
-        } else {
-            -quarter
-        };
+        let upper = (k >> bit) & 1;
+        center += if upper != 0 { quarter } else { -quarter };
         half = quarter;
     }
     center
@@ -1445,7 +1442,7 @@ impl fmt::Display for OctoMap {
 /// The equivalence proptests drive [`reference::ReferenceMap`] and
 /// [`OctoMap`] with the same ray sequences and compare per-point log-odds
 /// and full leaf collections, so any behavioural drift in the block map
-/// (its keys, its walk order, its centres) shows up as a differential
+/// (its keys, its leaf set, its centres) shows up as a differential
 /// failure rather than a silent golden change.
 pub mod reference {
     use super::{child_of, OctoMap, OctoMapConfig};
