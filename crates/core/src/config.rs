@@ -1069,6 +1069,7 @@ impl MissionConfig {
     /// Returns a descriptive message for the first invalid field.
     pub fn validate(&self) -> Result<(), String> {
         self.quadrotor.validate()?;
+        self.camera.validate()?;
         // Every range check is written so that NaN fails it.
         if !(self.physics_dt > 0.0 && self.physics_dt <= 1.0) {
             return Err(format!(

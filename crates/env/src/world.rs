@@ -6,7 +6,7 @@
 //! of space intersect an obstacle?*
 
 use crate::obstacle::{Obstacle, ObstacleClass, ObstacleId, ObstacleKind};
-use mav_types::{Aabb, Vec3};
+use mav_types::{Aabb, SlabRay, Vec3};
 use std::fmt;
 
 /// Result of a ray-cast query against the world.
@@ -178,32 +178,30 @@ impl World {
         if d == Vec3::ZERO || max_range <= 0.0 {
             return None;
         }
-        let mut best: Option<RayHit> = None;
+        let ray = SlabRay::new(origin, &d);
+        let mut best: Option<(f64, ObstacleId)> = None;
         for o in &self.obstacles {
-            if let Some(t) = o.bounds.ray_intersection(origin, &d) {
-                if t <= max_range && best.is_none_or(|b| t < b.distance) {
-                    best = Some(RayHit {
-                        distance: t,
-                        point: *origin + d * t,
-                        obstacle: Some(o.id),
-                    });
+            if let Some(t) = o.bounds.slab_intersection(&ray) {
+                if t <= max_range && best.is_none_or(|(b, _)| t < b) {
+                    best = Some((t, o.id));
                 }
             }
+        }
+        if let Some((t, id)) = best {
+            return Some(RayHit {
+                distance: t,
+                point: *origin + d * t,
+                obstacle: Some(id),
+            });
         }
         // Exit point through the world boundary (the drone "sees" the boundary
         // as solid, like the edge of the Unreal map).
-        if best.is_none() {
-            if let Some(t_exit) = exit_distance(&self.bounds, origin, &d) {
-                if t_exit <= max_range {
-                    return Some(RayHit {
-                        distance: t_exit,
-                        point: *origin + d * t_exit,
-                        obstacle: None,
-                    });
-                }
-            }
-        }
-        best
+        let t_exit = exit_distance(&self.bounds, origin, &d).filter(|&t| t <= max_range)?;
+        Some(RayHit {
+            distance: t_exit,
+            point: *origin + d * t_exit,
+            obstacle: None,
+        })
     }
 
     /// Density of static obstacle volume within `radius` of `point`,
@@ -426,5 +424,113 @@ mod tests {
         assert!((w.total_obstacle_volume() - (8.0 + 32.0)).abs() < 1e-9);
         assert!(!format!("{w}").is_empty());
         assert_eq!(w.obstacle_count(), 2);
+    }
+
+    /// `raycast` with the prepared ray against its per-box form.
+    mod raycast_oracle {
+        use super::*;
+        use proptest::prelude::*;
+
+        impl World {
+            /// `raycast` as it was before the ray was prepared once per
+            /// cast, verbatim: the oracle of [`World::raycast`].
+            fn raycast_oracle(&self, origin: &Vec3, dir: &Vec3, max_range: f64) -> Option<RayHit> {
+                let d = dir.normalized();
+                if d == Vec3::ZERO || max_range <= 0.0 {
+                    return None;
+                }
+                let mut best: Option<RayHit> = None;
+                for o in &self.obstacles {
+                    if let Some(t) = o.bounds.ray_intersection(origin, &d) {
+                        if t <= max_range && best.is_none_or(|b| t < b.distance) {
+                            best = Some(RayHit {
+                                distance: t,
+                                point: *origin + d * t,
+                                obstacle: Some(o.id),
+                            });
+                        }
+                    }
+                }
+                // Exit point through the world boundary (the drone "sees" the boundary
+                // as solid, like the edge of the Unreal map).
+                if best.is_none() {
+                    if let Some(t_exit) = exit_distance(&self.bounds, origin, &d) {
+                        if t_exit <= max_range {
+                            return Some(RayHit {
+                                distance: t_exit,
+                                point: *origin + d * t_exit,
+                                obstacle: None,
+                            });
+                        }
+                    }
+                }
+                best
+            }
+        }
+
+        /// A hit as comparable bits.
+        fn bits(hit: Option<RayHit>) -> Option<(u64, [u64; 3], Option<ObstacleId>)> {
+            hit.map(|h| {
+                let p = h.point;
+                (
+                    h.distance.to_bits(),
+                    [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()],
+                    h.obstacle,
+                )
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// Worlds of 0 to 20 boxes, some sharing a face plane; origins
+            /// inside and outside the bounds; directions along an axis, in
+            /// a plane and oblique; ranges that cut rays short.
+            #[test]
+            fn prepared_raycast_matches_the_per_box_cast(
+                boxes in proptest::collection::vec(
+                    ((-20.0..20.0, -20.0..20.0, 0.0..10.0), (0.5..6.0, 0.5..6.0, 0.5..8.0)),
+                    0..21,
+                ),
+                origin in (-24.0..24.0, -24.0..24.0, -2.0..14.0),
+                dir in (-1.0..1.0, -1.0..1.0, -1.0..1.0),
+                flat in 0usize..7,
+                max_range in 0.5..40.0,
+            ) {
+                let mut world = World::empty(Aabb::new(Vec3::new(-22.0, -22.0, 0.0), Vec3::new(22.0, 22.0, 12.0)));
+                for (i, ((x, y, z), (w, d, h))) in boxes.into_iter().enumerate() {
+                    // Every third box snaps its centre to the grid, so boxes
+                    // share face planes with each other and with the origins,
+                    // and comes twice, so every hit on it is a tie the first
+                    // box must win.
+                    let snap = |v: f64| if i % 3 == 0 { v.round() } else { v };
+                    let bounds = Aabb::from_center_size(Vec3::new(snap(x), snap(y), snap(z)), Vec3::new(snap(w), snap(d), h));
+                    world.add_box(bounds, ObstacleClass::Structure);
+                    if i % 3 == 0 {
+                        world.add_box(bounds, ObstacleClass::Vegetation);
+                    }
+                }
+                let (ox, oy, oz) = origin;
+                let origin = Vec3::new(ox, oy, oz);
+                // Also cast from inside the first box, where the entry is 0.
+                let inside = world.obstacles().first().map_or(origin, |o| o.bounds.center());
+                // Bit k of `flat` zeroes axis k of the direction (0 keeps it
+                // oblique; 7 would be the zero vector, which both reject).
+                let (dx, dy, dz) = dir;
+                let keep = |k: usize, v: f64| if flat & (1 << k) != 0 { 0.0 } else { v };
+                let dir = Vec3::new(keep(0, dx), keep(1, dy), keep(2, dz));
+                let snapped = Vec3::new(ox.round(), oy.round(), oz.round());
+                for o in [origin, snapped, inside] {
+                    prop_assert_eq!(
+                        bits(world.raycast(&o, &dir, max_range)),
+                        bits(world.raycast_oracle(&o, &dir, max_range)),
+                        "from {} along {} within {}",
+                        o,
+                        dir,
+                        max_range
+                    );
+                }
+            }
+        }
     }
 }

@@ -26,6 +26,7 @@ pub mod localization;
 pub mod octomap;
 pub mod pointcloud;
 pub mod tracking;
+mod voxel_hash;
 
 pub use detection::{Detection, DetectorConfig, DetectorKind, ObjectDetector};
 pub use localization::{GpsLocalizer, LocalizationResult, Localizer, SlamConfig, VisualSlam};

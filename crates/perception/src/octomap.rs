@@ -17,6 +17,7 @@
 //! pointer octree kept in [`mod@reference`] bit for bit.
 
 use crate::pointcloud::PointCloud;
+use crate::voxel_hash::VoxelHashBuilder;
 use mav_types::{Aabb, GridIndex, GridSpec, Vec3};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -1344,36 +1345,6 @@ fn offset_ball(resolution: f64, radius: f64) -> Rc<OffsetBall> {
         ball
     })
 }
-
-/// A cheap multiply-xor hasher for packed voxel and block keys.
-///
-/// Every update that leaves the previous update's block hashes its block
-/// key; the standard SipHash would cost more than the update itself. Keys
-/// are single, adversary-free integers, so one SplitMix-style mix is
-/// plenty.
-#[derive(Clone, Copy, Default)]
-struct VoxelHasher(u64);
-
-impl std::hash::Hasher for VoxelHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, value: u64) {
-        let mut x = self.0 ^ value;
-        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        self.0 = x ^ (x >> 31);
-    }
-}
-
-type VoxelHashBuilder = std::hash::BuildHasherDefault<VoxelHasher>;
 
 /// Index (0..8) and centre of the child octant containing `point`.
 fn child_of(point: &Vec3, center: &Vec3, half: f64) -> (usize, Vec3) {

@@ -4,6 +4,7 @@
 //! 3D Mapping and Search and Rescue dataflows (Fig. 7): every depth frame is
 //! converted into a world-frame point cloud that feeds the OctoMap update.
 
+use crate::voxel_hash::VoxelHashBuilder;
 use mav_sensors::DepthImage;
 use mav_types::{Aabb, Vec3};
 use std::collections::HashMap;
@@ -59,13 +60,7 @@ impl PointCloud {
     pub fn fill_from_depth_image(&mut self, image: &DepthImage) {
         self.clear();
         self.origin = image.camera_pose.position;
-        for v in 0..image.height {
-            for u in 0..image.width {
-                if let Some(p) = image.point_at(u, v) {
-                    self.push(p);
-                }
-            }
-        }
+        image.for_each_point(|p| self.push(p));
     }
 
     /// Removes every point while keeping the coordinate buffers' capacity.
@@ -182,17 +177,17 @@ impl PointCloud {
         scratch
             .centroids
             .extend(scratch.cells.values().map(|&(sum, n)| sum / n as f64));
-        // Sort for determinism across hash orders. The chained `total_cmp`
-        // orders identically to the historical `partial_cmp` tuple sort:
-        // centroids are finite (means of capture points), and the sole case
-        // where the comparators disagree — an axis tie between -0.0 and
-        // +0.0 — cannot arise, since a -0.0 mean would need every point in
-        // the cell to carry an exact -0.0 coordinate, which capture
-        // geometry (origin + direction·range with range > 0) never emits.
-        scratch.centroids.sort_by(|a, b| {
-            a.x.total_cmp(&b.x)
-                .then(a.y.total_cmp(&b.y))
-                .then(a.z.total_cmp(&b.z))
+        // Sort for determinism across hash orders, in `total_cmp` order of
+        // (x, y, z). Equal keys are bit-identical centroids, so the unstable
+        // sort's output does not depend on the hash order either. The order
+        // is part of the mission's result: insertion order decides where
+        // log-odds clamp.
+        scratch.centroids.sort_unstable_by_key(|c| {
+            [
+                total_order_key(c.x),
+                total_order_key(c.y),
+                total_order_key(c.z),
+            ]
         });
         out.clear();
         out.origin = self.origin;
@@ -234,13 +229,21 @@ impl Default for PointCloud {
     }
 }
 
+/// `f64::total_cmp`'s integer transform: the keys order as `total_cmp`
+/// orders the floats. Negative floats' magnitude bits are flipped, so that
+/// more negative means smaller.
+fn total_order_key(value: f64) -> i64 {
+    let bits = value.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
 /// Reusable buffers for [`PointCloud::downsample_into`]: the voxel-cell
 /// accumulator map and the sorted-centroid staging vector. One instance per
 /// worker amortises the downsampling kernel's allocations across every frame
 /// of every episode it runs.
 #[derive(Debug, Default)]
 pub struct DownsampleScratch {
-    cells: HashMap<(i64, i64, i64), (Vec3, usize)>,
+    cells: HashMap<(i64, i64, i64), (Vec3, usize), VoxelHashBuilder>,
     centroids: Vec<Vec3>,
 }
 
@@ -378,5 +381,113 @@ mod tests {
     #[test]
     fn display_nonempty() {
         assert!(!format!("{}", PointCloud::new(Vec3::ZERO, vec![])).is_empty());
+    }
+
+    /// Downsampling against its SipHash cell map and stable float sort.
+    mod downsample_oracle {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// `downsample_into` as it was before the voxel hasher and the
+        /// integer sort key, verbatim (buffers made local): the oracle of
+        /// [`PointCloud::downsample_into`].
+        fn downsample_oracle(cloud: &PointCloud, voxel_size: f64) -> Vec<Vec3> {
+            let mut cells: HashMap<(i64, i64, i64), (Vec3, usize)> = HashMap::new();
+            for p in cloud.iter() {
+                let key = (
+                    (p.x / voxel_size).floor() as i64,
+                    (p.y / voxel_size).floor() as i64,
+                    (p.z / voxel_size).floor() as i64,
+                );
+                let entry = cells.entry(key).or_insert((Vec3::ZERO, 0));
+                entry.0 += p;
+                entry.1 += 1;
+            }
+            let mut centroids: Vec<Vec3> = cells.values().map(|&(sum, n)| sum / n as f64).collect();
+            centroids.sort_by(|a, b| {
+                a.x.total_cmp(&b.x)
+                    .then(a.y.total_cmp(&b.y))
+                    .then(a.z.total_cmp(&b.z))
+            });
+            centroids
+        }
+
+        fn point_bits(points: impl Iterator<Item = Vec3>) -> Vec<[u64; 3]> {
+            points
+                .map(|p| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()])
+                .collect()
+        }
+
+        /// The paper's resolution sweep.
+        const RESOLUTIONS: [f64; 6] = [0.15, 0.25, 0.3, 0.5, 0.8, 1.0];
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Clouds around the origin (negative coordinates on every
+            /// axis) with dense clumps that put many points in one cell, at
+            /// every resolution, through one reused scratch.
+            #[test]
+            fn downsample_matches_the_siphash_stable_sort(
+                scattered in proptest::collection::vec((-30.0..30.0, -30.0..30.0, -6.0..20.0), 0..300),
+                clumps in proptest::collection::vec(((-20.0..20.0, -20.0..20.0, -4.0..12.0), 1usize..60), 0..6),
+                spread in 0.001..0.6,
+                jitter in proptest::collection::vec((-1.0..1.0, -1.0..1.0, -1.0..1.0), 60..61),
+            ) {
+                let mut points: Vec<Vec3> = scattered
+                    .into_iter()
+                    .map(|(x, y, z)| Vec3::new(x, y, z))
+                    .collect();
+                for ((x, y, z), n) in clumps {
+                    for &(dx, dy, dz) in &jitter[..n] {
+                        points.push(Vec3::new(x + dx * spread, y + dy * spread, z + dz * spread));
+                    }
+                }
+                let cloud = PointCloud::new(Vec3::new(1.0, -2.0, 3.0), points);
+                let mut scratch = DownsampleScratch::default();
+                let mut out = PointCloud::default();
+                for resolution in RESOLUTIONS {
+                    cloud.downsample_into(resolution, &mut scratch, &mut out);
+                    let want = downsample_oracle(&cloud, resolution);
+                    prop_assert_eq!(point_bits(out.iter()), point_bits(want.into_iter()), "at {} m", resolution);
+                    prop_assert_eq!(out.origin, cloud.origin);
+                }
+            }
+        }
+
+        /// Captured clouds, noised, at every resolution: the clouds the
+        /// missions downsample.
+        #[test]
+        fn downsampled_captures_match_the_siphash_stable_sort() {
+            let camera = DepthCamera::new(DepthCameraConfig {
+                width: 16,
+                height: 12,
+                ..DepthCameraConfig::default()
+            });
+            let mut scratch = DownsampleScratch::default();
+            let (mut raw, mut out) = (PointCloud::default(), PointCloud::default());
+            for seed in 0..8 {
+                let world = EnvironmentConfig::urban_outdoor()
+                    .with_seed(seed)
+                    .generate();
+                let mut noise = mav_sensors::DepthNoiseModel::new(0.25 * (seed % 3) as f64, seed);
+                for step in 0..4 {
+                    let yaw = -3.0 + 1.7 * step as f64;
+                    let pose =
+                        Pose::new(Vec3::new(-3.0 * step as f64, 2.0, 1.5 + step as f64), yaw);
+                    let mut frame = camera.capture(&world, &pose);
+                    noise.apply(&mut frame);
+                    raw.fill_from_depth_image(&frame);
+                    for resolution in RESOLUTIONS {
+                        raw.downsample_into(resolution, &mut scratch, &mut out);
+                        assert_eq!(
+                            point_bits(out.iter()),
+                            point_bits(downsample_oracle(&raw, resolution).into_iter()),
+                            "seed {seed}, step {step}, {resolution} m"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

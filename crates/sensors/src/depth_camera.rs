@@ -8,6 +8,7 @@
 
 use mav_env::World;
 use mav_types::{Pose, Vec3};
+use std::cell::RefCell;
 use std::fmt;
 
 /// Static configuration of a depth camera.
@@ -71,9 +72,7 @@ impl mav_types::FromJson for DepthCameraConfig {
             fov_vertical: json.parse_field_or("fov_vertical", base.fov_vertical)?,
             max_range: json.parse_field_or("max_range", base.max_range)?,
         };
-        if config.width == 0 || config.height == 0 {
-            return Err("width/height: resolution must be non-zero".to_string());
-        }
+        config.validate()?;
         Ok(config)
     }
 }
@@ -88,9 +87,33 @@ impl DepthCameraConfig {
         }
     }
 
+    /// The largest frame a configuration may ask for: 2^20 pixels, 85× the
+    /// 128×96 frames Fig. 18 captures. A capture reserves one `f64` per
+    /// pixel, so the bound caps a frame at 8 MiB of depths.
+    pub const MAX_PIXELS: usize = 1 << 20;
+
     /// Number of pixels per frame.
     pub fn pixel_count(&self) -> usize {
         self.width * self.height
+    }
+
+    /// Checks that the frame size is non-zero and at most
+    /// [`DepthCameraConfig::MAX_PIXELS`] pixels.
+    ///
+    /// # Errors
+    ///
+    /// Returns a descriptive message when it is not.
+    pub fn validate(&self) -> Result<(), String> {
+        match self.width.checked_mul(self.height) {
+            Some(0) => Err("width/height: resolution must be non-zero".to_string()),
+            Some(pixels) if pixels <= Self::MAX_PIXELS => Ok(()),
+            _ => Err(format!(
+                "width/height: {}x{} exceeds the {}-pixel frame limit",
+                self.width,
+                self.height,
+                Self::MAX_PIXELS
+            )),
+        }
     }
 }
 
@@ -156,16 +179,30 @@ impl DepthImage {
         }
     }
 
-    /// Iterates over all finite-range points of the frame in the world frame.
+    /// Calls `visit` with the world-frame point of every finite-range pixel,
+    /// in row-major order: the points of [`DepthImage::point_at`], without
+    /// its per-pixel trigonometry.
+    pub fn for_each_point(&self, mut visit: impl FnMut(Vec3)) {
+        let position = self.camera_pose.position;
+        for_each_ray(
+            &self.config,
+            self.camera_pose.yaw,
+            self.width,
+            self.height,
+            |index, ray| {
+                let d = self.depths[index];
+                if d.is_finite() {
+                    visit(position + ray * d);
+                }
+            },
+        );
+    }
+
+    /// All finite-range points of the frame in the world frame, in
+    /// row-major order.
     pub fn points(&self) -> Vec<Vec3> {
         let mut out = Vec::new();
-        for v in 0..self.height {
-            for u in 0..self.width {
-                if let Some(p) = self.point_at(u, v) {
-                    out.push(p);
-                }
-            }
-        }
+        self.for_each_point(|p| out.push(p));
         out
     }
 }
@@ -186,19 +223,62 @@ impl fmt::Display for DepthImage {
 /// looking along the pose's yaw (the camera is pitch-stabilised by the
 /// simulated gimbal, matching the gimbal MAVBench adds to AirSim).
 fn pixel_ray(config: &DepthCameraConfig, pose: &Pose, u: usize, v: usize) -> Vec3 {
-    let half_w = (config.width.max(2) - 1) as f64 / 2.0;
+    ray_of(row_trig(config, v), column_trig(config, pose.yaw, u))
+}
+
+/// The row part of a pixel ray: cosine and sine of row `v`'s elevation.
+fn row_trig(config: &DepthCameraConfig, v: usize) -> (f64, f64) {
     let half_h = (config.height.max(2) - 1) as f64 / 2.0;
-    // Normalised pixel coordinates in [-1, 1].
-    let nx = (u as f64 - half_w) / half_w;
+    // Normalised pixel coordinate in [-1, 1].
     let ny = (v as f64 - half_h) / half_h;
-    let azimuth = pose.yaw + nx * config.fov_horizontal / 2.0;
     let elevation = -ny * config.fov_vertical / 2.0;
-    Vec3::new(
-        elevation.cos() * azimuth.cos(),
-        elevation.cos() * azimuth.sin(),
-        elevation.sin(),
-    )
-    .normalized()
+    (elevation.cos(), elevation.sin())
+}
+
+/// The column part of a pixel ray: cosine and sine of column `u`'s azimuth
+/// for a camera at `yaw`.
+fn column_trig(config: &DepthCameraConfig, yaw: f64, u: usize) -> (f64, f64) {
+    let half_w = (config.width.max(2) - 1) as f64 / 2.0;
+    // Normalised pixel coordinate in [-1, 1].
+    let nx = (u as f64 - half_w) / half_w;
+    let azimuth = yaw + nx * config.fov_horizontal / 2.0;
+    (azimuth.cos(), azimuth.sin())
+}
+
+/// The unit ray of a row part and a column part.
+fn ray_of((cos_el, sin_el): (f64, f64), (cos_az, sin_az): (f64, f64)) -> Vec3 {
+    Vec3::new(cos_el * cos_az, cos_el * sin_az, sin_el).normalized()
+}
+
+thread_local! {
+    /// Per-thread column table of [`for_each_ray`]. Take/replace (not
+    /// borrow-across-call) so a nested walk falls back to a fresh
+    /// allocation instead of a RefCell panic.
+    static COLUMN_TRIG: RefCell<Vec<(f64, f64)>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Calls `visit(row-major index, ray)` for every pixel of a `width ×
+/// height` frame, in row-major order, with the rays of [`pixel_ray`]: the
+/// trigonometry runs once per row and once per column instead of per pixel.
+fn for_each_ray(
+    config: &DepthCameraConfig,
+    yaw: f64,
+    width: usize,
+    height: usize,
+    mut visit: impl FnMut(usize, Vec3),
+) {
+    let mut columns = COLUMN_TRIG.with(|c| c.take());
+    columns.clear();
+    columns.extend((0..width).map(|u| column_trig(config, yaw, u)));
+    let mut index = 0;
+    for v in 0..height {
+        let row = row_trig(config, v);
+        for &column in &columns {
+            visit(index, ray_of(row, column));
+            index += 1;
+        }
+    }
+    COLUMN_TRIG.with(|c| *c.borrow_mut() = columns);
 }
 
 /// The simulated depth camera itself.
@@ -233,17 +313,15 @@ impl DepthCamera {
 
     /// Captures a depth frame from `pose` into `world`.
     pub fn capture(&self, world: &World, pose: &Pose) -> DepthImage {
-        let mut depths = Vec::with_capacity(self.config.pixel_count());
-        for v in 0..self.config.height {
-            for u in 0..self.config.width {
-                let dir = pixel_ray(&self.config, pose, u, v);
-                let depth = world
-                    .raycast(&pose.position, &dir, self.config.max_range)
-                    .map(|hit| hit.distance)
-                    .unwrap_or(f64::INFINITY);
-                depths.push(depth);
-            }
-        }
+        let config = &self.config;
+        let mut depths = Vec::with_capacity(config.pixel_count());
+        for_each_ray(config, pose.yaw, config.width, config.height, |_, dir| {
+            let depth = world
+                .raycast(&pose.position, &dir, config.max_range)
+                .map(|hit| hit.distance)
+                .unwrap_or(f64::INFINITY);
+            depths.push(depth);
+        });
         DepthImage {
             width: self.config.width,
             height: self.config.height,
@@ -357,5 +435,190 @@ mod tests {
         let cam = DepthCamera::default();
         let frame = cam.capture(&wall_world(), &Pose::origin());
         assert!(!format!("{frame}").is_empty());
+    }
+
+    #[test]
+    fn frame_size_is_bounded() {
+        let camera = |width, height| DepthCameraConfig {
+            width,
+            height,
+            ..Default::default()
+        };
+        assert!(DepthCameraConfig::high_resolution().validate().is_ok());
+        assert!(camera(1024, 1024).validate().is_ok());
+        assert!(camera(1025, 1024).validate().is_err());
+        assert!(camera(0, 12).validate().is_err());
+        // The product overflows `usize`; the check must not.
+        assert!(camera(1 << 32, 1 << 32).validate().is_err());
+        assert!(camera(usize::MAX, 2).validate().is_err());
+    }
+
+    /// The ray walk against the per-pixel loops it replaced.
+    mod frame_oracle {
+        use super::*;
+        use crate::DepthNoiseModel;
+        use rand::Rng;
+        use rand_chacha::rand_core::SeedableRng;
+        use rand_chacha::ChaCha8Rng;
+        use std::f64::consts::{FRAC_PI_2, PI};
+
+        /// `pixel_ray` as it was before the row and column tables,
+        /// verbatim: the oracle of every ray.
+        fn pixel_ray_oracle(config: &DepthCameraConfig, pose: &Pose, u: usize, v: usize) -> Vec3 {
+            let half_w = (config.width.max(2) - 1) as f64 / 2.0;
+            let half_h = (config.height.max(2) - 1) as f64 / 2.0;
+            // Normalised pixel coordinates in [-1, 1].
+            let nx = (u as f64 - half_w) / half_w;
+            let ny = (v as f64 - half_h) / half_h;
+            let azimuth = pose.yaw + nx * config.fov_horizontal / 2.0;
+            let elevation = -ny * config.fov_vertical / 2.0;
+            Vec3::new(
+                elevation.cos() * azimuth.cos(),
+                elevation.cos() * azimuth.sin(),
+                elevation.sin(),
+            )
+            .normalized()
+        }
+
+        /// `capture`'s per-pixel loop before the ray walk, verbatim.
+        fn capture_oracle(camera: &DepthCamera, world: &World, pose: &Pose) -> Vec<f64> {
+            let mut depths = Vec::with_capacity(camera.config.pixel_count());
+            for v in 0..camera.config.height {
+                for u in 0..camera.config.width {
+                    let dir = pixel_ray_oracle(&camera.config, pose, u, v);
+                    let depth = world
+                        .raycast(&pose.position, &dir, camera.config.max_range)
+                        .map(|hit| hit.distance)
+                        .unwrap_or(f64::INFINITY);
+                    depths.push(depth);
+                }
+            }
+            depths
+        }
+
+        /// `points` before the point walk, verbatim.
+        fn points_oracle(image: &DepthImage) -> Vec<Vec3> {
+            let mut out = Vec::new();
+            for v in 0..image.height {
+                for u in 0..image.width {
+                    if let Some(p) = image.point_at(u, v) {
+                        out.push(p);
+                    }
+                }
+            }
+            out
+        }
+
+        fn bits(values: &[f64]) -> Vec<u64> {
+            values.iter().map(|v| v.to_bits()).collect()
+        }
+
+        fn point_bits(points: &[Vec3]) -> Vec<[u64; 3]> {
+            points
+                .iter()
+                .map(|p| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()])
+                .collect()
+        }
+
+        /// A world of 0 to 20 random boxes in a 60 × 60 × 20 m box.
+        fn random_world(rng: &mut ChaCha8Rng) -> World {
+            let mut world = World::empty(Aabb::new(
+                Vec3::new(-30.0, -30.0, 0.0),
+                Vec3::new(30.0, 30.0, 20.0),
+            ));
+            for _ in 0..rng.gen_range(0..=20usize) {
+                let center = Vec3::new(
+                    rng.gen_range(-28.0..28.0),
+                    rng.gen_range(-28.0..28.0),
+                    rng.gen_range(0.5..10.0),
+                );
+                let size = Vec3::new(
+                    rng.gen_range(0.5..8.0),
+                    rng.gen_range(0.5..8.0),
+                    rng.gen_range(1.0..12.0),
+                );
+                world.add_box(
+                    Aabb::from_center_size(center, size),
+                    ObstacleClass::Structure,
+                );
+            }
+            world
+        }
+
+        /// Frame sizes: the missions' 16×12, the default 32×24, one-pixel
+        /// rows and columns (the `max(2)` case) and odd sizes, whose middle
+        /// row and column look exactly level and straight ahead.
+        const SIZES: [(usize, usize); 9] = [
+            (16, 12),
+            (32, 24),
+            (1, 1),
+            (1, 7),
+            (9, 1),
+            (3, 3),
+            (7, 5),
+            (5, 9),
+            (15, 11),
+        ];
+
+        /// Captures and point walks of random poses in random box worlds,
+        /// plus yaw 0 and ±π/2 (whose exact or sub-1e-12 direction
+        /// components take the slab test's parallel branch), against the
+        /// per-pixel loops, bit for bit; then the noised frame's points,
+        /// no-returns included.
+        #[test]
+        fn ray_walk_matches_the_per_pixel_loops() {
+            let mut rng = ChaCha8Rng::seed_from_u64(0x5eed);
+            for case in 0..360 {
+                let world = random_world(&mut rng);
+                let (width, height) = SIZES[case % SIZES.len()];
+                let config = DepthCameraConfig {
+                    width,
+                    height,
+                    fov_horizontal: rng.gen_range(0.2..3.0),
+                    fov_vertical: rng.gen_range(0.2..2.0),
+                    max_range: rng.gen_range(3.0..40.0),
+                };
+                let yaw = match case % 4 {
+                    0 => 0.0,
+                    1 => FRAC_PI_2,
+                    2 => -FRAC_PI_2,
+                    _ => rng.gen_range(-PI..PI),
+                };
+                let position = Vec3::new(
+                    rng.gen_range(-25.0..25.0),
+                    rng.gen_range(-25.0..25.0),
+                    rng.gen_range(0.5..15.0),
+                );
+                let pose = Pose::new(position, yaw);
+                let camera = DepthCamera::new(config);
+                let mut frame = camera.capture(&world, &pose);
+                assert_eq!(
+                    bits(&frame.depths),
+                    bits(&capture_oracle(&camera, &world, &pose)),
+                    "case {case}: {width}x{height} at {position}, yaw {yaw}"
+                );
+                for v in 0..height {
+                    for u in 0..width {
+                        let ray = frame.ray_direction(u, v);
+                        let want = pixel_ray_oracle(&config, &pose, u, v);
+                        assert_eq!(
+                            point_bits(&[ray]),
+                            point_bits(&[want]),
+                            "case {case} ({u}, {v})"
+                        );
+                    }
+                }
+                DepthNoiseModel::new(rng.gen_range(0.0..1.0), case as u64).apply(&mut frame);
+                let walked = frame.points();
+                assert_eq!(
+                    point_bits(&walked),
+                    point_bits(&points_oracle(&frame)),
+                    "case {case}: points"
+                );
+                let mut visited = Vec::new();
+                frame.for_each_point(|p| visited.push(p));
+                assert_eq!(point_bits(&visited), point_bits(&walked));
+            }
+        }
     }
 }

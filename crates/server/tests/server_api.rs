@@ -199,6 +199,14 @@ fn malformed_specs_get_400_with_json_error_body() {
             "unknown field",
         ),
         (
+            r#"{"type":"mission","config":{"application":"package_delivery","camera":{"width":100000,"height":100000}}}"#,
+            "pixel frame limit",
+        ),
+        (
+            r#"{"type":"mission","config":{"application":"package_delivery","camera":{"width":4294967296,"height":4294967296}}}"#,
+            "pixel frame limit",
+        ),
+        (
             r#"{"type":"sweep","scenario":{"application":"scanning","rates":[]},"episodes":4}"#,
             "non-empty",
         ),

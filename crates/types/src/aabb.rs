@@ -131,30 +131,40 @@ impl Aabb {
     ///
     /// Returns the entry parameter `t >= 0` of the first intersection, or
     /// `None` if the ray misses the box entirely. If the origin is inside the
-    /// box the returned `t` is `0.0`.
+    /// box the returned `t` is `0.0`. Testing one ray against many boxes,
+    /// prepare it once with [`SlabRay::new`] and call
+    /// [`Aabb::slab_intersection`].
     pub fn ray_intersection(&self, origin: &Vec3, dir: &Vec3) -> Option<f64> {
+        self.slab_intersection(&SlabRay::new(origin, dir))
+    }
+
+    /// [`Aabb::ray_intersection`] for a prepared ray: the slab test with the
+    /// ray's reciprocals computed once (Williams et al., "An Efficient and
+    /// Robust Ray–Box Intersection Algorithm", JGT 2005).
+    pub fn slab_intersection(&self, ray: &SlabRay) -> Option<f64> {
         let mut t_min = 0.0_f64;
         let mut t_max = f64::INFINITY;
         for axis in 0..3 {
-            let o = origin[axis];
-            let d = dir[axis];
+            let o = ray.origin[axis];
             let lo = self.min[axis];
             let hi = self.max[axis];
-            if d.abs() < 1e-12 {
-                if o < lo || o > hi {
-                    return None;
+            match ray.inv_dir[axis] {
+                None => {
+                    if o < lo || o > hi {
+                        return None;
+                    }
                 }
-            } else {
-                let inv = 1.0 / d;
-                let mut t0 = (lo - o) * inv;
-                let mut t1 = (hi - o) * inv;
-                if t0 > t1 {
-                    std::mem::swap(&mut t0, &mut t1);
-                }
-                t_min = t_min.max(t0);
-                t_max = t_max.min(t1);
-                if t_min > t_max {
-                    return None;
+                Some(inv) => {
+                    let mut t0 = (lo - o) * inv;
+                    let mut t1 = (hi - o) * inv;
+                    if t0 > t1 {
+                        std::mem::swap(&mut t0, &mut t1);
+                    }
+                    t_min = t_min.max(t0);
+                    t_max = t_max.min(t1);
+                    if t_min > t_max {
+                        return None;
+                    }
                 }
             }
         }
@@ -171,6 +181,28 @@ impl Aabb {
         match self.ray_intersection(a, &dir) {
             Some(t) => t <= 1.0,
             None => false,
+        }
+    }
+}
+
+/// A ray prepared for slab tests against many boxes
+/// ([`Aabb::slab_intersection`]): its origin, and per axis the reciprocal of
+/// the direction component, or `None` where the ray runs parallel to that
+/// axis's slabs (`|d| < 1e-12`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SlabRay {
+    origin: Vec3,
+    inv_dir: [Option<f64>; 3],
+}
+
+impl SlabRay {
+    /// Prepares the ray `origin + t * dir` (`dir` not necessarily
+    /// normalised).
+    pub fn new(origin: &Vec3, dir: &Vec3) -> Self {
+        let inv = |d: f64| if d.abs() < 1e-12 { None } else { Some(1.0 / d) };
+        SlabRay {
+            origin: *origin,
+            inv_dir: [inv(dir.x), inv(dir.y), inv(dir.z)],
         }
     }
 }
@@ -289,5 +321,115 @@ mod tests {
     #[test]
     fn display_nonempty() {
         assert!(!format!("{}", unit_box()).is_empty());
+    }
+
+    /// The prepared-ray slab test against the per-box reciprocals it
+    /// replaced.
+    mod slab_oracle {
+        use super::*;
+        use proptest::prelude::*;
+        use proptest::TestCaseError;
+
+        impl Aabb {
+            /// `ray_intersection` as it was before the prepared ray,
+            /// verbatim: the oracle of [`Aabb::slab_intersection`].
+            fn ray_intersection_oracle(&self, origin: &Vec3, dir: &Vec3) -> Option<f64> {
+                let mut t_min = 0.0_f64;
+                let mut t_max = f64::INFINITY;
+                for axis in 0..3 {
+                    let o = origin[axis];
+                    let d = dir[axis];
+                    let lo = self.min[axis];
+                    let hi = self.max[axis];
+                    if d.abs() < 1e-12 {
+                        if o < lo || o > hi {
+                            return None;
+                        }
+                    } else {
+                        let inv = 1.0 / d;
+                        let mut t0 = (lo - o) * inv;
+                        let mut t1 = (hi - o) * inv;
+                        if t0 > t1 {
+                            std::mem::swap(&mut t0, &mut t1);
+                        }
+                        t_min = t_min.max(t0);
+                        t_max = t_max.min(t1);
+                        if t_min > t_max {
+                            return None;
+                        }
+                    }
+                }
+                Some(t_min)
+            }
+        }
+
+        /// Direction components on both sides of the `1e-12` parallel
+        /// cutoff, signed zeros included, then an ordinary draw.
+        const SPECIAL: [f64; 8] = [0.0, -0.0, 1e-13, -1e-13, 1e-12, -1e-12, 6.123e-17, -1.0];
+
+        fn check(b: &Aabb, origin: &Vec3, dir: &Vec3) -> Result<(), TestCaseError> {
+            let want = b.ray_intersection_oracle(origin, dir).map(f64::to_bits);
+            let prepared = SlabRay::new(origin, dir);
+            prop_assert_eq!(
+                b.slab_intersection(&prepared).map(f64::to_bits),
+                want,
+                "{} from {} along {}",
+                b,
+                origin,
+                dir
+            );
+            prop_assert_eq!(b.ray_intersection(origin, dir).map(f64::to_bits), want);
+            Ok(())
+        }
+
+        fn vec3((x, y, z): (f64, f64, f64)) -> Vec3 {
+            Vec3::new(x, y, z)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(1024))]
+
+            /// Random boxes and rays; origins inside the box and on each
+            /// face; directions with components at and around the parallel
+            /// cutoff on every axis.
+            #[test]
+            fn prepared_ray_matches_the_per_box_reciprocals(
+                corners in ((-10.0..10.0, -10.0..10.0, -10.0..10.0), (-10.0..10.0, -10.0..10.0, -10.0..10.0)),
+                origin in (-15.0..15.0, -15.0..15.0, -15.0..15.0),
+                dir in (-1.0..1.0, -1.0..1.0, -1.0..1.0),
+                special in (0usize..SPECIAL.len() + 2, 0usize..SPECIAL.len() + 2, 0usize..SPECIAL.len() + 2),
+                inside in (0.0..1.0, 0.0..1.0, 0.0..1.0),
+                face in 0usize..6,
+            ) {
+                let b = Aabb::new(vec3(corners.0), vec3(corners.1));
+                let pick = |i: usize, drawn: f64| SPECIAL.get(i).copied().unwrap_or(drawn);
+                let dir = vec3(dir);
+                let dir = Vec3::new(pick(special.0, dir.x), pick(special.1, dir.y), pick(special.2, dir.z));
+                let origin = vec3(origin);
+                check(&b, &origin, &dir)?;
+                // An origin inside the box.
+                let size = b.size();
+                let within = b.min + Vec3::new(size.x * inside.0, size.y * inside.1, size.z * inside.2);
+                check(&b, &within, &dir)?;
+                // An origin on a face: one coordinate exactly on min or max.
+                let mut on_face = within;
+                let axis = face % 3;
+                let plane = if face < 3 { b.min[axis] } else { b.max[axis] };
+                match axis {
+                    0 => on_face.x = plane,
+                    1 => on_face.y = plane,
+                    _ => on_face.z = plane,
+                }
+                check(&b, &on_face, &dir)?;
+                // The same face from outside, on the face plane's extension.
+                let mut beside = origin;
+                match axis {
+                    0 => beside.x = plane,
+                    1 => beside.y = plane,
+                    _ => beside.z = plane,
+                }
+                check(&b, &beside, &dir)?;
+            }
+        }
     }
 }

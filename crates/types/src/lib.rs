@@ -33,7 +33,7 @@ pub mod trajectory;
 pub mod units;
 pub mod vector;
 
-pub use aabb::Aabb;
+pub use aabb::{Aabb, SlabRay};
 pub use error::{MavError, Result};
 pub use grid::{GridIndex, GridSpec};
 pub use hash::sha256_hex;

@@ -223,3 +223,26 @@ fn map_resolution_is_bounded_by_the_map_depth() {
     spec(&dynamic(4.5e-5)).unwrap();
     spec("4.5e-5").unwrap();
 }
+
+/// A camera too large to capture is a spec error: the first capture would
+/// reserve one `f64` per pixel, and a product past `usize::MAX` would wrap.
+/// The server answers 400 for both; Fig. 18's 128×96 camera passes.
+#[test]
+fn camera_size_is_bounded() {
+    let spec = |width: u64, height: u64| {
+        let text = format!(
+            r#"{{"application":"package_delivery","camera":{{"width":{width},"height":{height}}}}}"#
+        );
+        MissionConfig::from_json(&Json::parse(&text).unwrap())
+    };
+    for (width, height) in [(100_000, 100_000), (1 << 32, 1 << 32)] {
+        let err = spec(width, height).expect_err("oversized camera");
+        assert!(err.contains("pixel frame limit"), "{width}x{height}: {err}");
+    }
+    let config = spec(128, 96).unwrap();
+    assert_eq!((config.camera.width, config.camera.height), (128, 96));
+    let mut too_large = config;
+    too_large.camera.width = 100_000;
+    too_large.camera.height = 100_000;
+    assert!(too_large.validate().is_err());
+}
