@@ -31,6 +31,22 @@ const DETECTION_PERIOD: u32 = 3;
 const MAX_LOST_TICKS: u32 = 12;
 /// Upper bound on the filming session, seconds of mission time.
 const MAX_SESSION_SECS: f64 = 150.0;
+/// Kernels charged on every tick, in charge order: real-time tracking and
+/// control.
+const TRACK_KERNELS: [KernelId; 3] = [
+    KernelId::TrackingRealTime,
+    KernelId::PidControl,
+    KernelId::PathTracking,
+];
+/// Kernels charged on detection ticks, in charge order: [`TRACK_KERNELS`]
+/// followed by detection and buffered tracking.
+const DETECT_KERNELS: [KernelId; 5] = [
+    KernelId::TrackingRealTime,
+    KernelId::PidControl,
+    KernelId::PathTracking,
+    KernelId::ObjectDetection,
+    KernelId::TrackingBuffered,
+];
 
 /// The subject-following node: detection every few ticks, real-time tracking
 /// and PID control every tick. Publishes velocity commands (or zero while
@@ -90,38 +106,28 @@ impl Node<FlightCtx<'_>> for SubjectFollowNode {
 
     fn tick(&mut self, ctx: &mut FlightCtx<'_>, now: SimTime) -> Result<NodeOutput> {
         // Perception: detection every few ticks, real-time tracking every tick.
-        let mut kernels = vec![
-            KernelId::TrackingRealTime,
-            KernelId::PidControl,
-            KernelId::PathTracking,
-        ];
         let run_detector = self.tick_index.is_multiple_of(DETECTION_PERIOD);
-        if run_detector {
-            kernels.push(KernelId::ObjectDetection);
-            kernels.push(KernelId::TrackingBuffered);
-        }
+        let kernels: &[KernelId] = if run_detector {
+            &DETECT_KERNELS
+        } else {
+            &TRACK_KERNELS
+        };
         // The follow node is the whole pipeline in one node (ExecStage's
         // monolithic default), but its kernels still belong to different
         // stages, so each is priced at the operating point of the node group
         // that owns it — per-node DVFS reaches photography too.
-        let kernel_time: Vec<(KernelId, SimDuration)> = kernels
-            .iter()
-            .map(|&k| {
-                let op = ctx.mission.node_op_for_kernel(k);
-                (k, ctx.mission.charge_kernel_at(k, op))
-            })
-            .collect();
+        let mut latency = SimDuration::ZERO;
+        for &kernel in kernels {
+            let op = ctx.mission.node_op_for_kernel(kernel);
+            latency += ctx.mission.charge_kernel_at(kernel, op);
+        }
         // The tracker and PID must integrate over the real time between
         // invocations. Tick-synchronous (legacy) this node is the graph's
         // only latency source, so the upcoming round tick is exactly its
         // kernel total floored by the minimum round length; at an explicit
         // control rate, rounds elapse between invocations, so use the
         // measured inter-invocation interval instead.
-        let latency_tick = kernel_time
-            .iter()
-            .map(|(_, d)| *d)
-            .sum::<SimDuration>()
-            .max(self.min_tick);
+        let latency_tick = latency.max(self.min_tick);
         let tick = if self.period.is_zero() {
             latency_tick
         } else {
@@ -159,11 +165,11 @@ impl Node<FlightCtx<'_>> for SubjectFollowNode {
                 // failure — the mission time *is* the metric — but shorter
                 // sessions indicate weaker compute.
                 self.events.publish(FlightEvent::Completed);
-                return Ok(NodeOutput::kernels(kernel_time));
+                return Ok(latency);
             }
             // Hover while trying to re-acquire.
             self.commands.publish(Vec3::ZERO);
-            return Ok(NodeOutput::kernels(kernel_time));
+            return Ok(latency);
         };
         self.lost_ticks = 0;
 
@@ -181,7 +187,7 @@ impl Node<FlightCtx<'_>> for SubjectFollowNode {
         );
         let cap = ctx.mission.velocity_cap();
         self.commands.publish(command.clamp_norm(cap));
-        Ok(NodeOutput::kernels(kernel_time))
+        Ok(latency)
     }
 }
 

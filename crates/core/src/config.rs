@@ -1137,14 +1137,6 @@ impl MissionConfig {
         }
         Ok(())
     }
-
-    /// Starts a [`MissionConfigBuilder`] from this application's default
-    /// configuration (the same baseline as [`MissionConfig::new`]).
-    pub fn builder(application: ApplicationId) -> MissionConfigBuilder {
-        MissionConfigBuilder {
-            config: MissionConfig::new(application),
-        }
-    }
 }
 
 impl ToJson for MissionConfig {
@@ -1241,206 +1233,6 @@ impl FromJson for MissionConfig {
         }
         config.validate()?;
         Ok(config)
-    }
-}
-
-/// Step-by-step construction of a [`MissionConfig`] with shared-parser
-/// setters and a validating [`MissionConfigBuilder::build`].
-///
-/// Typed setters never fail; the `*_spec` setters parse the same CLI
-/// spellings the harness flags use (`--rates`, `--node-op`, `--faults`, …)
-/// and fail fast on bad input. `build()` runs [`MissionConfig::validate`] so
-/// an out-of-range combination cannot escape the builder.
-///
-/// # Example
-///
-/// ```
-/// use mav_compute::ApplicationId;
-/// use mav_core::MissionConfig;
-///
-/// let config = MissionConfig::builder(ApplicationId::PackageDelivery)
-///     .seed(7)
-///     .rates_spec("cam=15,map=4")
-///     .unwrap()
-///     .faults_spec("cam-drop=0.1,plan-timeout=2x")
-///     .unwrap()
-///     .build()
-///     .unwrap();
-/// assert_eq!(config.rates.camera_fps, Some(15.0));
-/// assert_eq!(config.fault_plan.plan_timeout_factor, 2.0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct MissionConfigBuilder {
-    config: MissionConfig,
-}
-
-impl MissionConfigBuilder {
-    /// Sets the companion-computer operating point.
-    pub fn operating_point(mut self, point: OperatingPoint) -> Self {
-        self.config.operating_point = point;
-        self
-    }
-
-    /// Parses an operating point from the CLI spelling (`big@2.2`, `3c@1.5`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the [`OperatingPoint::parse`] message.
-    pub fn operating_point_spec(mut self, spec: &str) -> Result<Self, String> {
-        self.config.operating_point = OperatingPoint::parse(spec)?;
-        Ok(self)
-    }
-
-    /// Attaches a cloud offload configuration.
-    pub fn cloud(mut self, cloud: CloudConfig) -> Self {
-        self.config.cloud = Some(cloud);
-        self
-    }
-
-    /// Replaces the airframe.
-    pub fn quadrotor(mut self, quadrotor: QuadrotorConfig) -> Self {
-        self.config.quadrotor = quadrotor;
-        self
-    }
-
-    /// Replaces the battery pack.
-    pub fn battery(mut self, battery: BatteryConfig) -> Self {
-        self.config.battery = battery;
-        self
-    }
-
-    /// Replaces the environment generator configuration.
-    pub fn environment(mut self, environment: EnvironmentConfig) -> Self {
-        self.config.environment = environment;
-        self
-    }
-
-    /// Replaces the depth camera configuration.
-    pub fn camera(mut self, camera: DepthCameraConfig) -> Self {
-        self.config.camera = camera;
-        self
-    }
-
-    /// Sets the depth-noise standard deviation, metres.
-    pub fn depth_noise_std(mut self, std_dev: f64) -> Self {
-        self.config.depth_noise_std = std_dev;
-        self
-    }
-
-    /// Sets the OctoMap resolution policy.
-    pub fn resolution_policy(mut self, policy: ResolutionPolicy) -> Self {
-        self.config.resolution_policy = policy;
-        self
-    }
-
-    /// Sets the mission time budget, seconds.
-    pub fn time_budget_secs(mut self, secs: f64) -> Self {
-        self.config.time_budget_secs = secs;
-        self
-    }
-
-    /// Sets the Eq. 2 stopping-distance budget, metres.
-    pub fn stopping_distance(mut self, metres: f64) -> Self {
-        self.config.stopping_distance = metres;
-        self
-    }
-
-    /// Sets the application-level cruise velocity cap, m/s.
-    pub fn cruise_velocity(mut self, mps: f64) -> Self {
-        self.config.cruise_velocity = mps;
-        self
-    }
-
-    /// Sets the physics integration step, seconds.
-    pub fn physics_dt(mut self, dt: f64) -> Self {
-        self.config.physics_dt = dt;
-        self
-    }
-
-    /// Sets the closed-loop node rates.
-    pub fn rates(mut self, rates: RateConfig) -> Self {
-        self.config.rates = rates;
-        self
-    }
-
-    /// Parses node rates from the CLI spelling (`cam=15,map=4`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the [`RateConfig::parse`] message.
-    pub fn rates_spec(mut self, spec: &str) -> Result<Self, String> {
-        self.config.rates = RateConfig::parse(spec)?;
-        Ok(self)
-    }
-
-    /// Sets the collision-alert replanning policy.
-    pub fn replan_mode(mut self, mode: ReplanMode) -> Self {
-        self.config.replan_mode = mode;
-        self
-    }
-
-    /// Sets the executor latency-charging model.
-    pub fn exec_model(mut self, model: ExecModel) -> Self {
-        self.config.exec_model = model;
-        self
-    }
-
-    /// Sets the per-node operating points.
-    pub fn node_ops(mut self, node_ops: NodeOpConfig) -> Self {
-        self.config.node_ops = node_ops;
-        self
-    }
-
-    /// Parses per-node operating points from the CLI spelling
-    /// (`plan=big@2.2,cam=little@1.4`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the [`NodeOpConfig::parse`] message.
-    pub fn node_ops_spec(mut self, spec: &str) -> Result<Self, String> {
-        self.config.node_ops = NodeOpConfig::parse(spec)?;
-        Ok(self)
-    }
-
-    /// Sets the fault plan.
-    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.config.fault_plan = plan;
-        self
-    }
-
-    /// Parses a fault plan from the CLI spelling
-    /// (`cam-drop=0.1,plan-timeout=2x`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the [`FaultPlan::parse`] message.
-    pub fn faults_spec(mut self, spec: &str) -> Result<Self, String> {
-        self.config.fault_plan = FaultPlan::parse(spec)?;
-        Ok(self)
-    }
-
-    /// Sets the degraded-mode responses.
-    pub fn degradation(mut self, degradation: DegradationConfig) -> Self {
-        self.config.degradation = degradation;
-        self
-    }
-
-    /// Sets the mission seed (also reseeding the environment generator, like
-    /// [`MissionConfig::with_seed`]).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self.config.environment.seed = seed;
-        self
-    }
-
-    /// Finishes the build, running [`MissionConfig::validate`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the first validation failure.
-    pub fn build(self) -> Result<MissionConfig, String> {
-        self.config.validate()?;
-        Ok(self.config)
     }
 }
 

@@ -288,20 +288,6 @@ impl MissionContext {
         latency
     }
 
-    /// Total latency of a set of kernels, each charged to the timer.
-    pub fn charge_kernels(&mut self, kernels: &[KernelId]) -> SimDuration {
-        kernels.iter().map(|k| self.charge_kernel(*k)).sum()
-    }
-
-    /// [`MissionContext::charge_kernels`] at a per-node operating point.
-    pub fn charge_kernels_at(
-        &mut self,
-        kernels: &[KernelId],
-        op: Option<OperatingPoint>,
-    ) -> SimDuration {
-        kernels.iter().map(|k| self.charge_kernel_at(*k, op)).sum()
-    }
-
     /// The per-node operating point charged for `kernel` under the current
     /// [`crate::config::NodeOpConfig`], resolved to *the node that charges
     /// it* in the flight graphs: the OctoMap node's perception batch
@@ -549,27 +535,14 @@ impl MissionContext {
     /// pre-planning map refreshes agree with the flight graph's accounting.
     pub fn update_map(&mut self, frame: &DepthImage) -> SimDuration {
         let op = self.config.node_ops.mapping;
-        self.update_map_detailed_at(frame, op)
-            .iter()
-            .map(|(_, latency)| *latency)
-            .sum()
+        self.update_map_at(frame, op)
     }
 
-    /// [`MissionContext::update_map`] with the per-kernel latency breakdown —
-    /// what the [`crate::flight::OctoMapNode`] reports to the executor.
-    pub fn update_map_detailed(&mut self, frame: &DepthImage) -> Vec<(KernelId, SimDuration)> {
-        self.update_map_detailed_at(frame, None)
-    }
-
-    /// [`MissionContext::update_map_detailed`] with the perception batch
-    /// priced at a per-node operating point (the OctoMap node's own
+    /// [`MissionContext::update_map`] with the perception batch priced at a
+    /// per-node operating point (the [`crate::flight::OctoMapNode`]'s own
     /// core/frequency setting); `None` charges at the mission-global point,
     /// bit-identically to the historical accounting.
-    pub fn update_map_detailed_at(
-        &mut self,
-        frame: &DepthImage,
-        op: Option<OperatingPoint>,
-    ) -> Vec<(KernelId, SimDuration)> {
+    pub fn update_map_at(&mut self, frame: &DepthImage, op: Option<OperatingPoint>) -> SimDuration {
         // Dynamic resolution policy: sample the local obstacle density and
         // switch the map resolution when the policy asks for it. A switch
         // rebuilds the map over the mission's requested half-extent, which
@@ -583,15 +556,15 @@ impl MissionContext {
             self.map = self.map.reresolved(wanted);
             self.current_resolution = wanted;
         }
-        let kernel_time: Vec<(KernelId, SimDuration)> = [
+        let mut latency = SimDuration::ZERO;
+        for kernel in [
             KernelId::PointCloudGeneration,
             KernelId::OctomapGeneration,
             KernelId::CollisionCheck,
             KernelId::Localization,
-        ]
-        .iter()
-        .map(|&kernel| (kernel, self.charge_kernel_at(kernel, op)))
-        .collect();
+        ] {
+            latency += self.charge_kernel_at(kernel, op);
+        }
         let CloudScratch {
             raw,
             cells,
@@ -601,7 +574,7 @@ impl MissionContext {
         raw.downsample_into(self.current_resolution, cells, downsampled);
         self.map.insert_point_cloud(downsampled);
         self.mapped_volume = self.map.mapped_volume();
-        kernel_time
+        latency
     }
 
     /// Checks the mission-level budgets. Returns the failure that ends the
@@ -795,7 +768,7 @@ impl MissionContext {
             self.detections,
             self.mapped_volume,
             tracking_error,
-            self.timer.clone(),
+            self.timer,
             degraded,
         )
     }

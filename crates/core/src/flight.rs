@@ -7,7 +7,7 @@
 //! the paper's Fig. 7 and schedules it on the [`Executor`]:
 //!
 //! ```text
-//!   EnergyNode ─────────────▶ events (budget / watchdog aborts, telemetry)
+//!   EnergyNode ─────────────▶ events (budget / watchdog aborts, session end)
 //!   DepthCameraNode ──frames─▶ OctoMapNode ──(map in MissionContext)
 //!   PathTrackerNode ─────────▶ commands (velocity), events (completed)
 //!   CollisionMonitorNode ──alerts─▶ PlannerNode ─▶ events (needs-replan)
@@ -92,17 +92,6 @@ pub struct CollisionAlert {
     pub position: Vec3,
 }
 
-/// One energy/battery telemetry sample published by [`EnergyNode`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EnergySample {
-    /// Sample time.
-    pub at: SimTime,
-    /// Battery percentage remaining.
-    pub battery_pct: f64,
-    /// Total energy drawn so far, joules.
-    pub total_energy_j: f64,
-}
-
 /// How a node maps mission time onto the trajectory's timeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Timeline {
@@ -152,8 +141,7 @@ pub fn episode_watchdog_budget(trajectory: &Trajectory) -> f64 {
 /// initial plan (published before the nodes are constructed) keeps the
 /// episode's constructor-supplied [`Timeline`]; every *later* plan was
 /// smoothed "from now" at publication, so subscribers sample it at
-/// [`Timeline::MissionClock`]. Cloned `Topic` handles share state across
-/// threads, so subscriptions work unchanged on the `SweepRunner` path.
+/// [`Timeline::MissionClock`].
 #[derive(Debug)]
 pub struct PlanSubscription {
     topic: Topic<Arc<Trajectory>>,
@@ -245,16 +233,15 @@ impl NodeContext for FlightCtx<'_> {
     }
 }
 
-/// Budget watchdog and energy telemetry.
+/// Budget watchdog.
 ///
 /// Runs first in every graph (registration order), mirroring the historical
 /// loop's budget check at the top of each iteration: a blown mission budget
 /// (collision, battery, time) or an episode-watchdog overrun publishes
 /// [`FlightEvent::Aborted`]; an elapsed filming session publishes
-/// [`FlightEvent::Completed`]. Also publishes an [`EnergySample`] each tick.
+/// [`FlightEvent::Completed`].
 pub struct EnergyNode {
     events: FifoTopic<FlightEvent>,
-    telemetry: Topic<EnergySample>,
     /// Optional episode watchdog: abort once `now - start` exceeds the limit.
     watchdog: Option<(SimTime, f64)>,
     /// Optional plan-topic subscription: an in-flight replan re-arms the
@@ -271,7 +258,6 @@ impl EnergyNode {
     pub fn new(events: FifoTopic<FlightEvent>) -> Self {
         EnergyNode {
             events,
-            telemetry: Topic::new("flight/energy"),
             watchdog: None,
             watchdog_plan: None,
             session_end_secs: None,
@@ -299,11 +285,6 @@ impl EnergyNode {
         self.session_end_secs = Some(end_secs);
         self
     }
-
-    /// The telemetry topic (latest battery/energy sample).
-    pub fn telemetry(&self) -> Topic<EnergySample> {
-        self.telemetry.clone()
-    }
 }
 
 impl Node<FlightCtx<'_>> for EnergyNode {
@@ -320,14 +301,9 @@ impl Node<FlightCtx<'_>> for EnergyNode {
     }
 
     fn tick(&mut self, ctx: &mut FlightCtx<'_>, now: SimTime) -> Result<NodeOutput> {
-        self.telemetry.publish(EnergySample {
-            at: now,
-            battery_pct: ctx.mission.battery.percentage(),
-            total_energy_j: ctx.mission.energy.total_energy().as_joules(),
-        });
         if ctx.mission.budget_failure().is_some() {
             self.events.publish(FlightEvent::Aborted);
-            return Ok(NodeOutput::idle());
+            return Ok(SimDuration::ZERO);
         }
         if let Some((plan, last_sequence)) = &mut self.watchdog_plan {
             let sequence = plan.sequence();
@@ -341,7 +317,7 @@ impl Node<FlightCtx<'_>> for EnergyNode {
         if let Some((start, max_secs)) = self.watchdog {
             if now.since(start).as_secs() > max_secs {
                 self.events.publish(FlightEvent::Aborted);
-                return Ok(NodeOutput::idle());
+                return Ok(SimDuration::ZERO);
             }
         }
         if let Some(end_secs) = self.session_end_secs {
@@ -349,7 +325,7 @@ impl Node<FlightCtx<'_>> for EnergyNode {
                 self.events.publish(FlightEvent::Completed);
             }
         }
-        Ok(NodeOutput::idle())
+        Ok(SimDuration::ZERO)
     }
 }
 
@@ -392,7 +368,7 @@ impl Node<FlightCtx<'_>> for DepthCameraNode {
         if let Some(frame) = ctx.mission.capture_depth_faulted() {
             self.frames.publish(Arc::new(frame));
         }
-        Ok(NodeOutput::idle())
+        Ok(SimDuration::ZERO)
     }
 }
 
@@ -443,14 +419,13 @@ impl Node<FlightCtx<'_>> for OctoMapNode {
     fn tick(&mut self, ctx: &mut FlightCtx<'_>, _now: SimTime) -> Result<NodeOutput> {
         let sequence = self.frames.sequence();
         if sequence == self.last_sequence {
-            return Ok(NodeOutput::idle());
+            return Ok(SimDuration::ZERO);
         }
         self.last_sequence = sequence;
         let Some(frame) = self.frames.latest() else {
-            return Ok(NodeOutput::idle());
+            return Ok(SimDuration::ZERO);
         };
-        let kernel_time = ctx.mission.update_map_detailed_at(&frame, self.op);
-        Ok(NodeOutput::kernels(kernel_time))
+        Ok(ctx.mission.update_map_at(&frame, self.op))
     }
 }
 
@@ -659,12 +634,10 @@ impl Node<FlightCtx<'_>> for PathTrackerNode {
 
     fn tick(&mut self, ctx: &mut FlightCtx<'_>, now: SimTime) -> Result<NodeOutput> {
         self.plan.refresh();
-        let op = self.op;
-        let kernel_time: Vec<(KernelId, SimDuration)> = self
-            .kernels
-            .iter()
-            .map(|&k| (k, ctx.mission.charge_kernel_at(k, op)))
-            .collect();
+        let mut latency = SimDuration::ZERO;
+        for &kernel in &self.kernels {
+            latency += ctx.mission.charge_kernel_at(kernel, self.op);
+        }
         let plan_time = self.plan.timeline().plan_time(now);
         let state = *ctx.mission.quad.state();
         let cmd = self
@@ -672,7 +645,7 @@ impl Node<FlightCtx<'_>> for PathTrackerNode {
             .command(self.plan.trajectory(), &state, plan_time);
         if cmd.completed {
             self.events.publish(FlightEvent::Completed);
-            return Ok(NodeOutput::kernels(kernel_time));
+            return Ok(latency);
         }
         // Stale-perception watchdog: with no fresh depth frame for longer
         // than the grace window, the Eq. 2 cap decays with sensing age and
@@ -715,7 +688,7 @@ impl Node<FlightCtx<'_>> for PathTrackerNode {
         if !ctx.mission.fault_drop_message() {
             self.commands.publish(command);
         }
-        Ok(NodeOutput::kernels(kernel_time))
+        Ok(latency)
     }
 }
 
@@ -790,8 +763,7 @@ impl Node<FlightCtx<'_>> for CollisionMonitorNode {
             // the collision) rather than the colliding plan *sample*: the
             // in-motion brake guard measures threat distance from this
             // position, and a sample can sit a whole inflation radius away
-            // from the obstruction it grazes. Falls back to the sample when
-            // the obstruction is not an occupied voxel.
+            // from the obstruction it grazes.
             //
             // A fault-injected message drop loses the alert: the planner
             // stays oblivious until the monitor's next tick re-detects the
@@ -800,11 +772,11 @@ impl Node<FlightCtx<'_>> for CollisionMonitorNode {
             if !ctx.mission.fault_drop_message() {
                 self.alerts.publish(CollisionAlert {
                     at: now,
-                    position: hit.blocking_voxel.unwrap_or(points[hit.index].position),
+                    position: hit.blocking_voxel,
                 });
             }
         }
-        Ok(NodeOutput::idle())
+        Ok(SimDuration::ZERO)
     }
 }
 
@@ -843,6 +815,11 @@ pub struct InMotionPlanner {
     pub stopping_distance: f64,
 }
 
+/// The kernels of one in-motion planning job, charged one per executor
+/// round: motion planning in the alert round, smoothing (and publication)
+/// in the next.
+const PLANNING_JOB: [KernelId; 2] = [KernelId::MotionPlanning, KernelId::PathSmoothing];
+
 /// The planning node.
 ///
 /// In the default hover-to-plan configuration it is a pure trigger: pending
@@ -865,8 +842,9 @@ pub struct PlannerNode {
     events: FifoTopic<FlightEvent>,
     period: SimDuration,
     in_motion: Option<InMotionPlanner>,
-    /// Remaining kernel charges of the active planning job (in charge order).
-    job: Vec<KernelId>,
+    /// Remaining kernel charges of the active planning job (in charge order):
+    /// a tail of [`PLANNING_JOB`], empty when no job runs.
+    job: &'static [KernelId],
     /// First flagged obstruction of the plan the active job is replacing.
     threat: Option<Vec3>,
     replans: u32,
@@ -898,7 +876,7 @@ impl PlannerNode {
             events,
             period,
             in_motion: None,
-            job: Vec::new(),
+            job: &[],
             threat: None,
             replans: 0,
             job_budget: None,
@@ -1157,13 +1135,24 @@ impl PlannerNode {
             .is_some_and(|budget| self.job_spent > budget)
     }
 
+    /// Charges the active job's next kernel and removes it from the job.
+    fn charge_next_kernel(&mut self, ctx: &mut FlightCtx<'_>) -> SimDuration {
+        let Some((&kernel, rest)) = self.job.split_first() else {
+            return SimDuration::ZERO;
+        };
+        self.job = rest;
+        let latency = ctx.mission.charge_kernel_at(kernel, self.op);
+        self.job_spent += latency;
+        latency
+    }
+
     /// Planner-timeout degradation response: abandons the active job,
     /// releases the brake latch and hands the episode back to the
     /// application through the existing hover-to-plan path, marking the
     /// mission degraded.
     fn abandon_job(&mut self, ctx: &mut FlightCtx<'_>) {
         ctx.mission.note_degraded();
-        self.job.clear();
+        self.job = &[];
         self.release_brake();
         self.threat = None;
         self.events.publish(FlightEvent::NeedsReplan);
@@ -1190,7 +1179,7 @@ impl Node<FlightCtx<'_>> for PlannerNode {
             if !self.alerts.drain().is_empty() {
                 self.events.publish(FlightEvent::NeedsReplan);
             }
-            return Ok(NodeOutput::idle());
+            return Ok(SimDuration::ZERO);
         };
         // An active job charges one planning kernel per round; the executor
         // turns that latency into flight time on the stale plan (or braking,
@@ -1204,9 +1193,7 @@ impl Node<FlightCtx<'_>> for PlannerNode {
             // alerts for good — once the fresh plan publishes, the monitor
             // re-checks it from scratch.
             self.track_nearest_threat(ctx, &self.alerts.drain());
-            let kernel = self.job.remove(0);
-            let latency = ctx.mission.charge_kernel_at(kernel, self.op);
-            self.job_spent += latency;
+            let latency = self.charge_next_kernel(ctx);
             // Planner-timeout degradation response: a job whose accumulated
             // kernel latency blew the budget (e.g. under injected latency
             // spikes or a plan-timeout stretch) is abandoned — the latch is
@@ -1234,30 +1221,28 @@ impl Node<FlightCtx<'_>> for PlannerNode {
             } else {
                 self.brake_if_threat_close(ctx);
             }
-            return Ok(NodeOutput::kernel(kernel, latency));
+            return Ok(latency);
         }
         let pending = self.alerts.drain();
         if !pending.is_empty() {
             if self.replans >= max_replans {
                 self.events.publish(FlightEvent::NeedsReplan);
-                return Ok(NodeOutput::idle());
+                return Ok(SimDuration::ZERO);
             }
             // Start the planning job in the alert round itself: motion
             // planning now, smoothing (and publication) next round.
             self.track_nearest_threat(ctx, &pending);
-            self.job = vec![KernelId::MotionPlanning, KernelId::PathSmoothing];
+            self.job = &PLANNING_JOB;
             self.job_spent = SimDuration::ZERO;
-            let kernel = self.job.remove(0);
-            let latency = ctx.mission.charge_kernel_at(kernel, self.op);
-            self.job_spent += latency;
+            let latency = self.charge_next_kernel(ctx);
             if self.job_timed_out() {
                 self.abandon_job(ctx);
             } else {
                 self.brake_if_threat_close(ctx);
             }
-            return Ok(NodeOutput::kernel(kernel, latency));
+            return Ok(latency);
         }
-        Ok(NodeOutput::idle())
+        Ok(SimDuration::ZERO)
     }
 }
 
@@ -1332,7 +1317,6 @@ mod tests {
         m.hover(SimDuration::from_secs(2.0));
         let (events, commands) = graph_topics();
         let mut node = EnergyNode::new(events.clone());
-        let telemetry = node.telemetry();
         let mut fctx = FlightCtx {
             mission: &mut m,
             events: events.clone(),
@@ -1342,9 +1326,6 @@ mod tests {
         let now = fctx.now();
         node.tick(&mut fctx, now).unwrap();
         assert_eq!(events.drain(), vec![FlightEvent::Aborted]);
-        let sample = telemetry.latest().unwrap();
-        assert!(sample.battery_pct <= 100.0);
-        assert!(sample.total_energy_j > 0.0);
     }
 
     #[test]
@@ -1390,15 +1371,15 @@ mod tests {
         };
         // No frame yet: the mapper idles.
         let out = mapper.tick(&mut fctx, SimTime::ZERO).unwrap();
-        assert!(out.total().is_zero());
+        assert!(out.is_zero());
         camera.tick(&mut fctx, SimTime::ZERO).unwrap();
         assert_eq!(frames.sequence(), 1);
         let out = mapper.tick(&mut fctx, SimTime::ZERO).unwrap();
-        assert!(!out.total().is_zero(), "perception kernels must be charged");
+        assert!(!out.is_zero(), "perception kernels must be charged");
         assert!(fctx.mission.map.known_voxel_count() > 0);
         // Same frame again: the mapper must not re-integrate it.
         let out = mapper.tick(&mut fctx, SimTime::ZERO).unwrap();
-        assert!(out.total().is_zero());
+        assert!(out.is_zero());
     }
 
     #[test]
@@ -1640,7 +1621,7 @@ mod tests {
         };
         // No alert: the planner idles.
         let out = node.tick(&mut fctx, SimTime::ZERO).unwrap();
-        assert!(out.total().is_zero());
+        assert!(out.is_zero());
         assert!(!node.planning_in_progress());
 
         // Alert round: the job starts and charges motion planning, but the
@@ -1653,8 +1634,10 @@ mod tests {
             position: start + Vec3::new(50.0, 0.0, 0.0),
         });
         let out = node.tick(&mut fctx, SimTime::ZERO).unwrap();
-        assert_eq!(out.kernel_time.len(), 1);
-        assert_eq!(out.kernel_time[0].0, KernelId::MotionPlanning);
+        let timer = &fctx.mission.timer;
+        assert_eq!(out, timer.total(KernelId::MotionPlanning));
+        assert_eq!(timer.invocations(KernelId::MotionPlanning), 1);
+        assert_eq!(timer.invocations(KernelId::PathSmoothing), 0);
         assert!(node.planning_in_progress());
         assert_eq!(plan.sequence(), 1, "no plan may appear mid-job");
         assert_eq!(
@@ -1679,7 +1662,10 @@ mod tests {
         // Next round: smoothing is charged, the job completes, and the fresh
         // plan lands on the topic; the episode never saw a terminal event.
         let out = node.tick(&mut fctx, SimTime::from_secs(0.05)).unwrap();
-        assert_eq!(out.kernel_time[0].0, KernelId::PathSmoothing);
+        let timer = &fctx.mission.timer;
+        assert_eq!(out, timer.total(KernelId::PathSmoothing));
+        assert_eq!(timer.invocations(KernelId::MotionPlanning), 1);
+        assert_eq!(timer.invocations(KernelId::PathSmoothing), 1);
         assert!(!node.planning_in_progress());
         assert_eq!(plan.sequence(), 2, "fresh plan must be published");
         assert_eq!(node.replans(), 1);
@@ -1778,36 +1764,6 @@ mod tests {
         );
         assert_eq!(plan.sequence(), 1, "no plan can exist to a blocked goal");
         assert_eq!(events.drain(), vec![FlightEvent::NeedsReplan]);
-    }
-
-    #[test]
-    fn plan_topic_handles_share_state_across_threads() {
-        // The SweepRunner path: cloned Topic/FifoTopic handles moved into
-        // worker threads must observe the same latched plan and alert queue.
-        let plan: Topic<Arc<Trajectory>> = Topic::new("t/plan");
-        let alerts: FifoTopic<CollisionAlert> = FifoTopic::new("t/alerts");
-        let plan2 = plan.clone();
-        let alerts2 = alerts.clone();
-        let handle = std::thread::spawn(move || {
-            plan2.publish(Arc::new(Trajectory::from_waypoints(
-                &[Vec3::ZERO, Vec3::new(5.0, 0.0, 0.0)],
-                1.0,
-                SimTime::ZERO,
-            )));
-            alerts2.publish(CollisionAlert {
-                at: SimTime::from_secs(1.0),
-                position: Vec3::new(5.0, 0.0, 0.0),
-            });
-        });
-        handle.join().unwrap();
-        let mut sub = PlanSubscription::new(plan.clone(), Timeline::MissionClock);
-        assert_eq!(sub.sequence(), 1);
-        assert_eq!(sub.trajectory().len(), 2);
-        assert!(!sub.refresh(), "no further publication, no swap");
-        plan.publish(Arc::new(Trajectory::new()));
-        assert!(sub.refresh());
-        assert_eq!(sub.sequence(), 2);
-        assert_eq!(alerts.drain().len(), 1);
     }
 
     #[test]

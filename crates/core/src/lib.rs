@@ -38,8 +38,8 @@ pub mod velocity;
 
 pub use apps::{run_mission, run_mission_with_scratch};
 pub use config::{
-    BrakePolicy, DegradationConfig, MissionConfig, MissionConfigBuilder, NodeOpConfig, RateConfig,
-    ReplanMode, ResolutionPolicy,
+    BrakePolicy, DegradationConfig, MissionConfig, NodeOpConfig, RateConfig, ReplanMode,
+    ResolutionPolicy,
 };
 pub use context::{FlightOutcome, MissionContext};
 pub use faults::{DegradedMode, DegradedSummary, FaultInjector, FaultPlan, FaultSpec};

@@ -30,10 +30,12 @@
 //!   [`NodeContext::halted`], the round stops before any later node runs and
 //!   before any latency is charged — mirroring a sequential loop's early
 //!   `return`.
+//! * **One thread.** A graph is built, driven and dropped on one thread, as
+//!   under ROS 2's default single-threaded executor. Nodes need not be `Send`
+//!   and topic handles are not, so the compiler, not a lock, keeps a graph on
+//!   its thread.
 
 use crate::clock::SimClock;
-use crate::kernel_timer::KernelTimer;
-use mav_compute::KernelId;
 use mav_types::{Result, SimDuration, SimTime};
 use std::fmt;
 
@@ -55,8 +57,9 @@ use std::fmt;
 /// undeclared nodes charges exactly like [`ExecModel::Serial`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum ExecStage {
-    /// Zero-cost bookkeeping (watchdogs, telemetry). Never on the critical
-    /// path in practice, but modelled as an ordinary overlapping stage.
+    /// Zero-cost bookkeeping (budget and episode watchdogs). Never on the
+    /// critical path in practice, but modelled as an ordinary overlapping
+    /// stage.
     Housekeeping,
     /// Sensor capture — the camera grabbing the next frame.
     Sensing,
@@ -178,38 +181,10 @@ impl StageLatencies {
     }
 }
 
-/// Outcome of one node invocation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NodeOutput {
-    /// Simulated compute time consumed, attributed per kernel.
-    pub kernel_time: Vec<(KernelId, SimDuration)>,
-}
-
-impl NodeOutput {
-    /// An invocation that consumed no modelled compute time.
-    pub fn idle() -> Self {
-        NodeOutput {
-            kernel_time: Vec::new(),
-        }
-    }
-
-    /// An invocation that consumed `duration` in `kernel`.
-    pub fn kernel(kernel: KernelId, duration: SimDuration) -> Self {
-        NodeOutput {
-            kernel_time: vec![(kernel, duration)],
-        }
-    }
-
-    /// An invocation that consumed time in several kernels.
-    pub fn kernels(kernel_time: Vec<(KernelId, SimDuration)>) -> Self {
-        NodeOutput { kernel_time }
-    }
-
-    /// Total compute time of this invocation.
-    pub fn total(&self) -> SimDuration {
-        self.kernel_time.iter().map(|(_, d)| *d).sum()
-    }
-}
+/// Outcome of one node invocation: the simulated compute time it consumed.
+/// The per-kernel breakdown of that time lives in the mission's own ledger
+/// (`MissionContext::timer`), which every kernel charge records into.
+pub type NodeOutput = SimDuration;
 
 /// The scheduling context an [`Executor`] runs against.
 ///
@@ -276,7 +251,8 @@ pub trait Node<C> {
         ExecStage::Monolithic
     }
 
-    /// Runs the node once at simulated time `now`.
+    /// Runs the node once at simulated time `now` and returns the simulated
+    /// compute time the invocation consumed.
     ///
     /// # Errors
     ///
@@ -286,7 +262,7 @@ pub trait Node<C> {
 }
 
 struct Registration<C> {
-    node: Box<dyn Node<C> + Send>,
+    node: Box<dyn Node<C>>,
     next_due: SimTime,
 }
 
@@ -295,29 +271,30 @@ struct Registration<C> {
 /// # Example
 ///
 /// ```
-/// use mav_compute::KernelId;
 /// use mav_runtime::{Executor, Node, NodeOutput, SimClock};
 /// use mav_types::{Result, SimDuration, SimTime};
+/// use std::cell::Cell;
+/// use std::rc::Rc;
 ///
-/// struct Heartbeat(u32);
+/// struct Heartbeat(Rc<Cell<u32>>);
 /// impl Node<SimClock> for Heartbeat {
 ///     fn name(&self) -> &str { "heartbeat" }
 ///     fn period(&self) -> SimDuration { SimDuration::from_millis(100.0) }
 ///     fn tick(&mut self, _ctx: &mut SimClock, _now: SimTime) -> Result<NodeOutput> {
-///         self.0 += 1;
-///         Ok(NodeOutput::kernel(KernelId::PathTracking, SimDuration::from_millis(1.0)))
+///         self.0.set(self.0.get() + 1);
+///         Ok(SimDuration::from_millis(1.0))
 ///     }
 /// }
 ///
+/// let beats = Rc::new(Cell::new(0));
 /// let mut clock = SimClock::new();
 /// let mut exec = Executor::new();
-/// exec.add_node(Heartbeat(0));
+/// exec.add_node(Heartbeat(Rc::clone(&beats)));
 /// exec.run_for(&mut clock, SimDuration::from_secs(1.0)).unwrap();
-/// assert!(exec.timer().invocations(KernelId::PathTracking) >= 9);
+/// assert!(beats.get() >= 9);
 /// ```
 pub struct Executor<C> {
     nodes: Vec<Registration<C>>,
-    timer: KernelTimer,
     /// The granularity the context is asked to advance by when no node is
     /// due in a round. Defaults to 50 ms.
     pub idle_step: SimDuration,
@@ -332,7 +309,6 @@ impl<C: NodeContext> Executor<C> {
     pub fn new() -> Self {
         Executor {
             nodes: Vec::new(),
-            timer: KernelTimer::new(),
             idle_step: SimDuration::from_millis(50.0),
             exec_model: ExecModel::default(),
         }
@@ -346,17 +322,11 @@ impl<C: NodeContext> Executor<C> {
 
     /// Registers a node. Nodes due at the same instant run in registration
     /// order — the same-tick ordering contract that keeps runs reproducible.
-    /// Nodes are `Send` so whole executors can be driven from worker threads.
-    pub fn add_node<N: Node<C> + Send + 'static>(&mut self, node: N) {
+    pub fn add_node<N: Node<C> + 'static>(&mut self, node: N) {
         self.nodes.push(Registration {
             node: Box::new(node),
             next_due: SimTime::ZERO,
         });
-    }
-
-    /// The accumulated per-kernel timing across every node invocation.
-    pub fn timer(&self) -> &KernelTimer {
-        &self.timer
     }
 
     /// Number of registered nodes.
@@ -375,8 +345,8 @@ impl<C: NodeContext> Executor<C> {
     /// [`ExecModel::Pipelined`] (nodes on different stages overlap — the
     /// camera captures the next frame while the mapper integrates the last
     /// one — so the round costs its slowest stage, not the sum). Dispatch is
-    /// identical under both models: same nodes, same order, same per-kernel
-    /// timer records; only the charged duration differs. Returns the charged
+    /// identical under both models: same nodes, same order, same kernel
+    /// charges; only the charged duration differs. Returns the charged
     /// compute time; a round halted by the context charges nothing and
     /// returns zero.
     ///
@@ -390,19 +360,16 @@ impl<C: NodeContext> Executor<C> {
         let now = ctx.now();
         // The serial sum is kept as its own running accumulator (not derived
         // from the stage buckets) so the default model's floating-point
-        // arithmetic is exactly the historical `consumed += total` chain —
+        // arithmetic is exactly the historical `consumed += latency` chain —
         // the golden-legacy bit patterns depend on it.
         let mut consumed = SimDuration::ZERO;
         let mut stages = StageLatencies::default();
         for reg in &mut self.nodes {
             if reg.next_due <= now {
-                let output = reg.node.tick(ctx, now)?;
-                for (kernel, duration) in &output.kernel_time {
-                    self.timer.record(*kernel, *duration);
-                }
-                consumed += output.total();
+                let latency = reg.node.tick(ctx, now)?;
+                consumed += latency;
                 if self.exec_model == ExecModel::Pipelined {
-                    stages.add(reg.node.stage(), output.total());
+                    stages.add(reg.node.stage(), latency);
                 }
                 // Anchor the schedule to the period grid instead of the round
                 // start: a node due at t=100 ms that only gets dispatched in a
@@ -473,26 +440,26 @@ impl<C> fmt::Debug for Executor<C> {
 mod tests {
     use super::*;
     use mav_types::MavError;
+    use std::cell::{Cell, RefCell};
+    use std::rc::Rc;
 
     struct Counter {
-        name: String,
+        name: &'static str,
         period: SimDuration,
         cost: SimDuration,
-        kernel: KernelId,
         stage: ExecStage,
-        count: u32,
+        ticks: Rc<Cell<u32>>,
         fail_at: Option<u32>,
     }
 
     impl Counter {
-        fn new(name: &str, period_ms: f64, cost_ms: f64, kernel: KernelId) -> Self {
+        fn new(name: &'static str, period_ms: f64, cost_ms: f64) -> Self {
             Counter {
-                name: name.to_string(),
+                name,
                 period: SimDuration::from_millis(period_ms),
                 cost: SimDuration::from_millis(cost_ms),
-                kernel,
                 stage: ExecStage::Monolithic,
-                count: 0,
+                ticks: Rc::new(Cell::new(0)),
                 fail_at: None,
             }
         }
@@ -501,11 +468,16 @@ mod tests {
             self.stage = stage;
             self
         }
+
+        /// The node's tick count, readable after the executor owns the node.
+        fn ticks(&self) -> Rc<Cell<u32>> {
+            Rc::clone(&self.ticks)
+        }
     }
 
     impl Node<SimClock> for Counter {
         fn name(&self) -> &str {
-            &self.name
+            self.name
         }
         fn period(&self) -> SimDuration {
             self.period
@@ -514,29 +486,38 @@ mod tests {
             self.stage
         }
         fn tick(&mut self, _ctx: &mut SimClock, _now: SimTime) -> Result<NodeOutput> {
-            self.count += 1;
-            if Some(self.count) == self.fail_at {
+            self.ticks.set(self.ticks.get() + 1);
+            if Some(self.ticks.get()) == self.fail_at {
                 return Err(MavError::runtime("node failed"));
             }
-            Ok(NodeOutput::kernel(self.kernel, self.cost))
+            Ok(self.cost)
         }
+    }
+
+    /// Runs one counter alone for `secs` of mission time and returns its
+    /// tick count.
+    fn ticks_of(counter: Counter, model: ExecModel, secs: f64) -> u32 {
+        let ticks = counter.ticks();
+        let mut clock = SimClock::new();
+        let mut exec = Executor::new().with_exec_model(model);
+        exec.add_node(counter);
+        exec.run_for(&mut clock, SimDuration::from_secs(secs))
+            .unwrap();
+        ticks.get()
     }
 
     #[test]
     fn nodes_run_at_their_period() {
         let mut clock = SimClock::new();
         let mut exec = Executor::new();
-        exec.add_node(Counter::new("fast", 100.0, 10.0, KernelId::PathTracking));
-        exec.add_node(Counter::new(
-            "slow",
-            1000.0,
-            200.0,
-            KernelId::MotionPlanning,
-        ));
+        let fast = Counter::new("fast", 100.0, 10.0);
+        let slow = Counter::new("slow", 1000.0, 200.0);
+        let (fast_ticks, slow_ticks) = (fast.ticks(), slow.ticks());
+        exec.add_node(fast);
+        exec.add_node(slow);
         exec.run_for(&mut clock, SimDuration::from_secs(5.0))
             .unwrap();
-        let fast = exec.timer().invocations(KernelId::PathTracking);
-        let slow = exec.timer().invocations(KernelId::MotionPlanning);
+        let (fast, slow) = (fast_ticks.get(), slow_ticks.get());
         assert!(
             fast > slow,
             "fast node should run more often ({fast} vs {slow})"
@@ -548,20 +529,10 @@ mod tests {
 
     #[test]
     fn compute_time_advances_the_clock() {
-        let mut clock = SimClock::new();
-        let mut exec = Executor::new();
-        exec.add_node(Counter::new(
-            "heavy",
-            100.0,
-            500.0,
-            KernelId::OctomapGeneration,
-        ));
-        exec.run_for(&mut clock, SimDuration::from_secs(2.0))
-            .unwrap();
-        // The kernel's simulated time must be accounted on the clock: at
-        // least 2 s / 0.5 s = 4 invocations happened, but not many more since
-        // each invocation costs 0.5 s of mission time.
-        let n = exec.timer().invocations(KernelId::OctomapGeneration);
+        // The node's simulated time must be accounted on the clock: at least
+        // 2 s / 0.5 s = 4 invocations happened, but not many more since each
+        // invocation costs 0.5 s of mission time.
+        let n = ticks_of(Counter::new("heavy", 100.0, 500.0), ExecModel::Serial, 2.0);
         assert!((4..=6).contains(&n), "unexpected invocation count {n}");
     }
 
@@ -574,17 +545,11 @@ mod tests {
         // loses that offset every cycle and sags the effective rate to
         // ~1/(130..180 ms); anchoring (`next_due += period`) keeps it at
         // 10 Hz. 10 s of mission time must show ~100 invocations, not ~70.
-        let mut clock = SimClock::new();
-        let mut exec = Executor::new();
-        exec.add_node(Counter::new(
-            "anchored",
-            100.0,
-            30.0,
-            KernelId::PathTracking,
-        ));
-        exec.run_for(&mut clock, SimDuration::from_secs(10.0))
-            .unwrap();
-        let n = exec.timer().invocations(KernelId::PathTracking);
+        let n = ticks_of(
+            Counter::new("anchored", 100.0, 30.0),
+            ExecModel::Serial,
+            10.0,
+        );
         assert!(
             (95..=101).contains(&n),
             "effective rate drifted from nominal: {n} invocations in 10 s at 10 Hz"
@@ -596,17 +561,11 @@ mod tests {
         // A node whose cost (300 ms) dwarfs its period (100 ms): the clamp
         // must drop the missed ticks instead of replaying them, i.e. exactly
         // one invocation per round, each round ~300 ms long.
-        let mut clock = SimClock::new();
-        let mut exec = Executor::new();
-        exec.add_node(Counter::new(
-            "overloaded",
-            100.0,
-            300.0,
-            KernelId::MotionPlanning,
-        ));
-        exec.run_for(&mut clock, SimDuration::from_secs(3.0))
-            .unwrap();
-        let n = exec.timer().invocations(KernelId::MotionPlanning);
+        let n = ticks_of(
+            Counter::new("overloaded", 100.0, 300.0),
+            ExecModel::Serial,
+            3.0,
+        );
         assert!(
             (10..=11).contains(&n),
             "expected one invocation per 300 ms round, got {n} in 3 s"
@@ -622,9 +581,8 @@ mod tests {
         // round, one 62.5 ms idle step after its previous invocation (two
         // "8 Hz camera frames" 62.5 ms apart). All values are dyadic so the
         // schedule arithmetic is float-exact.
-        use std::sync::{Arc, Mutex};
         struct Stamper {
-            times: Arc<Mutex<Vec<f64>>>,
+            times: Rc<RefCell<Vec<f64>>>,
         }
         impl Node<SimClock> for Stamper {
             fn name(&self) -> &str {
@@ -634,26 +592,21 @@ mod tests {
                 SimDuration::from_millis(125.0)
             }
             fn tick(&mut self, _ctx: &mut SimClock, now: SimTime) -> Result<NodeOutput> {
-                self.times.lock().unwrap().push(now.as_secs());
-                Ok(NodeOutput::idle())
+                self.times.borrow_mut().push(now.as_secs());
+                Ok(SimDuration::ZERO)
             }
         }
-        let times = Arc::new(Mutex::new(Vec::new()));
+        let times = Rc::new(RefCell::new(Vec::new()));
         let mut clock = SimClock::new();
         let mut exec = Executor::new();
         exec.idle_step = SimDuration::from_millis(62.5);
-        exec.add_node(Counter::new(
-            "blocker",
-            1000.0,
-            375.0,
-            KernelId::MotionPlanning,
-        ));
+        exec.add_node(Counter::new("blocker", 1000.0, 375.0));
         exec.add_node(Stamper {
-            times: Arc::clone(&times),
+            times: Rc::clone(&times),
         });
         exec.run_for(&mut clock, SimDuration::from_secs(3.0))
             .unwrap();
-        let times = times.lock().unwrap();
+        let times = times.borrow();
         assert!(times.len() >= 15, "stamper barely ran: {}", times.len());
         for pair in times.windows(2) {
             assert!(
@@ -677,21 +630,14 @@ mod tests {
         let run = |model: ExecModel| {
             let mut clock = SimClock::new();
             let mut exec = Executor::new().with_exec_model(model);
-            exec.add_node(
-                Counter::new("camera", 0.0, 125.0, KernelId::PointCloudGeneration)
-                    .on_stage(ExecStage::Sensing),
-            );
-            exec.add_node(
-                Counter::new("mapper", 0.0, 250.0, KernelId::OctomapGeneration)
-                    .on_stage(ExecStage::Perception),
-            );
+            let mapper = Counter::new("mapper", 0.0, 250.0).on_stage(ExecStage::Perception);
+            let frames = mapper.ticks();
+            exec.add_node(Counter::new("camera", 0.0, 125.0).on_stage(ExecStage::Sensing));
+            exec.add_node(mapper);
             for _ in 0..20 {
                 exec.step(&mut clock).unwrap();
             }
-            (
-                NodeContext::now(&clock).as_secs(),
-                exec.timer().invocations(KernelId::OctomapGeneration),
-            )
+            (NodeContext::now(&clock).as_secs(), frames.get())
         };
         let (serial_secs, serial_frames) = run(ExecModel::Serial);
         let (pipelined_secs, pipelined_frames) = run(ExecModel::Pipelined);
@@ -712,10 +658,7 @@ mod tests {
         let mut clock = SimClock::new();
         let mut exec = Executor::new().with_exec_model(ExecModel::Pipelined);
         for name in ["detector", "tracker"] {
-            exec.add_node(
-                Counter::new(name, 0.0, 50.0, KernelId::ObjectDetection)
-                    .on_stage(ExecStage::Perception),
-            );
+            exec.add_node(Counter::new(name, 0.0, 50.0).on_stage(ExecStage::Perception));
         }
         let charged = exec.step(&mut clock).unwrap();
         assert_eq!(
@@ -733,22 +676,16 @@ mod tests {
         // the serial model.
         let mut clock = SimClock::new();
         let mut exec = Executor::new().with_exec_model(ExecModel::Pipelined);
-        exec.add_node(Counter::new("whole", 0.0, 80.0, KernelId::PidControl));
-        exec.add_node(
-            Counter::new("camera", 0.0, 100.0, KernelId::PointCloudGeneration)
-                .on_stage(ExecStage::Sensing),
-        );
-        exec.add_node(
-            Counter::new("mapper", 0.0, 200.0, KernelId::OctomapGeneration)
-                .on_stage(ExecStage::Perception),
-        );
+        exec.add_node(Counter::new("whole", 0.0, 80.0));
+        exec.add_node(Counter::new("camera", 0.0, 100.0).on_stage(ExecStage::Sensing));
+        exec.add_node(Counter::new("mapper", 0.0, 200.0).on_stage(ExecStage::Perception));
         let charged = exec.step(&mut clock).unwrap();
         assert_eq!(charged.as_millis(), 80.0 + 200.0);
 
         let mut clock = SimClock::new();
         let mut exec = Executor::new().with_exec_model(ExecModel::Pipelined);
-        exec.add_node(Counter::new("a", 0.0, 30.0, KernelId::PidControl));
-        exec.add_node(Counter::new("b", 0.0, 40.0, KernelId::PathTracking));
+        exec.add_node(Counter::new("a", 0.0, 30.0));
+        exec.add_node(Counter::new("b", 0.0, 40.0));
         let charged = exec.step(&mut clock).unwrap();
         assert_eq!(
             charged.as_millis(),
@@ -764,15 +701,11 @@ mod tests {
         // idle steps) still runs at 10 Hz effective rate under pipelined
         // charging — `next_due + period` anchoring is independent of how the
         // round's latency is charged.
-        let mut clock = SimClock::new();
-        let mut exec = Executor::new().with_exec_model(ExecModel::Pipelined);
-        exec.add_node(
-            Counter::new("anchored", 100.0, 30.0, KernelId::PathTracking)
-                .on_stage(ExecStage::Control),
+        let n = ticks_of(
+            Counter::new("anchored", 100.0, 30.0).on_stage(ExecStage::Control),
+            ExecModel::Pipelined,
+            10.0,
         );
-        exec.run_for(&mut clock, SimDuration::from_secs(10.0))
-            .unwrap();
-        let n = exec.timer().invocations(KernelId::PathTracking);
         assert!(
             (95..=101).contains(&n),
             "effective rate drifted from nominal under pipelined charging: \
@@ -787,32 +720,20 @@ mod tests {
         exec.run_for(&mut clock, SimDuration::from_secs(1.0))
             .unwrap();
         assert!(NodeContext::now(&clock).as_secs() >= 1.0);
+        assert!(!format!("{exec:?}").is_empty());
     }
 
     #[test]
     fn node_errors_propagate() {
         let mut clock = SimClock::new();
         let mut exec = Executor::new();
-        let mut failing = Counter::new("flaky", 100.0, 1.0, KernelId::PidControl);
+        let mut failing = Counter::new("flaky", 100.0, 1.0);
         failing.fail_at = Some(3);
         exec.add_node(failing);
         let err = exec
             .run_for(&mut clock, SimDuration::from_secs(10.0))
             .unwrap_err();
         assert!(matches!(err, MavError::Runtime { .. }));
-    }
-
-    #[test]
-    fn node_output_helpers() {
-        assert!(NodeOutput::idle().total().is_zero());
-        let o = NodeOutput::kernel(KernelId::PathSmoothing, SimDuration::from_millis(55.0));
-        assert!((o.total().as_millis() - 55.0).abs() < 1e-9);
-        let many = NodeOutput::kernels(vec![
-            (KernelId::PathSmoothing, SimDuration::from_millis(5.0)),
-            (KernelId::MotionPlanning, SimDuration::from_millis(7.0)),
-        ]);
-        assert!((many.total().as_millis() - 12.0).abs() < 1e-9);
-        assert!(!format!("{:?}", Executor::<SimClock>::new()).is_empty());
     }
 
     /// A context that records the order nodes ran in and can halt on demand.
@@ -849,10 +770,7 @@ mod tests {
         }
         fn tick(&mut self, ctx: &mut Script, _now: SimTime) -> Result<NodeOutput> {
             ctx.log.push(self.0.clone());
-            Ok(NodeOutput::kernel(
-                KernelId::PathTracking,
-                SimDuration::from_millis(10.0),
-            ))
+            Ok(SimDuration::from_millis(10.0))
         }
     }
 

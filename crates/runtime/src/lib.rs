@@ -1,16 +1,17 @@
 //! A minimal ROS-like runtime for MAVBench-RS: latched and FIFO topics, a
-//! simulated mission clock, per-kernel time accounting and a deterministic
-//! closed-loop node executor.
+//! simulated mission clock, the per-kernel ledger a mission keeps
+//! ([`KernelTimer`]) and a deterministic single-thread node executor.
 //!
 //! The original MAVBench structures each workload as a ROS graph whose nodes
 //! exchange messages over publish/subscribe topics and whose kernel latencies
 //! directly shape mission time. This crate provides the same structure without
 //! ROS: nodes are trait objects generic over a scheduling context, topics are
-//! typed in-process channels, and all time is simulated so runs are
-//! reproducible. The five MAVBench applications fly on this executor — see
-//! `mav_core::flight` for the camera/mapping/planning/control node graph and
-//! [`executor`] for the determinism contract (same-tick registration
-//! ordering, latency charging through [`NodeContext`]).
+//! typed in-process channels shared by the nodes of one thread, and all time
+//! is simulated so runs are reproducible. The five MAVBench applications fly
+//! on this executor — see `mav_core::flight` for the
+//! camera/mapping/planning/control node graph and [`executor`] for the
+//! determinism contract (same-tick registration ordering, latency charging
+//! through [`NodeContext`]).
 //!
 //! # Example
 //!

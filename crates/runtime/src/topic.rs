@@ -3,12 +3,14 @@
 //! MAVBench applications are ROS graphs: nodes communicate over latched
 //! topics (latest value wins, e.g. the occupancy map) and FIFO topics (every
 //! message is consumed exactly once, e.g. collision events). Both flavours are
-//! provided here with cheaply clonable, thread-safe handles so nodes can hold
-//! their endpoints independently.
+//! provided here with cheaply clonable handles so nodes can hold their
+//! endpoints independently. A graph is built, driven and dropped on one
+//! thread, as under ROS 2's default single-threaded executor, so a handle is
+//! a shared [`Cell`]: no lock, and the compiler keeps it on its thread.
 
+use std::cell::Cell;
 use std::fmt;
-use std::sync::Arc;
-use std::sync::Mutex;
+use std::rc::Rc;
 
 /// A latched topic: subscribers always observe the most recent message.
 ///
@@ -23,51 +25,49 @@ use std::sync::Mutex;
 /// assert_eq!(topic.sequence(), 2);
 /// ```
 pub struct Topic<T> {
-    name: String,
-    inner: Arc<Mutex<LatchedInner<T>>>,
+    name: &'static str,
+    inner: Rc<Latched<T>>,
 }
 
-struct LatchedInner<T> {
-    latest: Option<T>,
-    sequence: u64,
+struct Latched<T> {
+    latest: Cell<Option<T>>,
+    sequence: Cell<u64>,
 }
 
 impl<T: Clone> Topic<T> {
     /// Creates an empty topic with the given name.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub fn new(name: &'static str) -> Self {
         Topic {
-            name: name.into(),
-            inner: Arc::new(Mutex::new(LatchedInner {
-                latest: None,
-                sequence: 0,
-            })),
+            name,
+            inner: Rc::new(Latched {
+                latest: Cell::new(None),
+                sequence: Cell::new(0),
+            }),
         }
     }
 
     /// The topic name.
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(&self) -> &'static str {
+        self.name
     }
 
     /// Publishes a message, replacing the previous one.
     pub fn publish(&self, message: T) {
-        let mut inner = self.inner.lock().expect("topic lock poisoned");
-        inner.latest = Some(message);
-        inner.sequence += 1;
+        self.inner.latest.set(Some(message));
+        self.inner.sequence.set(self.inner.sequence.get() + 1);
     }
 
     /// The most recent message, if any has been published.
     pub fn latest(&self) -> Option<T> {
-        self.inner
-            .lock()
-            .expect("topic lock poisoned")
-            .latest
-            .clone()
+        let latest = self.inner.latest.take();
+        let copy = latest.clone();
+        self.inner.latest.set(latest);
+        copy
     }
 
     /// Number of messages published so far.
     pub fn sequence(&self) -> u64 {
-        self.inner.lock().expect("topic lock poisoned").sequence
+        self.inner.sequence.get()
     }
 
     /// Returns `true` if at least one message has been published.
@@ -79,8 +79,8 @@ impl<T: Clone> Topic<T> {
 impl<T> Clone for Topic<T> {
     fn clone(&self) -> Self {
         Topic {
-            name: self.name.clone(),
-            inner: Arc::clone(&self.inner),
+            name: self.name,
+            inner: Rc::clone(&self.inner),
         }
     }
 }
@@ -104,40 +104,42 @@ impl<T> fmt::Debug for Topic<T> {
 /// assert!(queue.drain().is_empty());
 /// ```
 pub struct FifoTopic<T> {
-    name: String,
-    inner: Arc<Mutex<Vec<T>>>,
+    name: &'static str,
+    queue: Rc<Cell<Vec<T>>>,
 }
 
 impl<T> FifoTopic<T> {
     /// Creates an empty FIFO topic with the given name.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub fn new(name: &'static str) -> Self {
         FifoTopic {
-            name: name.into(),
-            inner: Arc::new(Mutex::new(Vec::new())),
+            name,
+            queue: Rc::new(Cell::new(Vec::new())),
         }
     }
 
     /// The topic name.
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(&self) -> &'static str {
+        self.name
     }
 
     /// Appends a message to the queue.
     pub fn publish(&self, message: T) {
-        self.inner
-            .lock()
-            .expect("topic lock poisoned")
-            .push(message);
+        let mut queue = self.queue.take();
+        queue.push(message);
+        self.queue.set(queue);
     }
 
     /// Removes and returns all queued messages in publication order.
     pub fn drain(&self) -> Vec<T> {
-        std::mem::take(&mut *self.inner.lock().expect("topic lock poisoned"))
+        self.queue.take()
     }
 
     /// Number of messages currently queued.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("topic lock poisoned").len()
+        let queue = self.queue.take();
+        let len = queue.len();
+        self.queue.set(queue);
+        len
     }
 
     /// Returns `true` when no messages are queued.
@@ -149,8 +151,8 @@ impl<T> FifoTopic<T> {
 impl<T> Clone for FifoTopic<T> {
     fn clone(&self) -> Self {
         FifoTopic {
-            name: self.name.clone(),
-            inner: Arc::clone(&self.inner),
+            name: self.name,
+            queue: Rc::clone(&self.queue),
         }
     }
 }
@@ -203,30 +205,6 @@ mod tests {
         assert_eq!(q.len(), 5);
         assert_eq!(q.drain(), vec![0, 1, 2, 3, 4]);
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn topics_are_send_and_sync() {
-        fn assert_traits<T: Send + Sync>() {}
-        assert_traits::<Topic<u32>>();
-        assert_traits::<FifoTopic<u32>>();
-    }
-
-    #[test]
-    fn cross_thread_publication() {
-        let t: Topic<u64> = Topic::new("x");
-        let q: FifoTopic<u64> = FifoTopic::new("y");
-        let t2 = t.clone();
-        let q2 = q.clone();
-        let handle = std::thread::spawn(move || {
-            for i in 0..100 {
-                t2.publish(i);
-                q2.publish(i);
-            }
-        });
-        handle.join().unwrap();
-        assert_eq!(t.latest(), Some(99));
-        assert_eq!(q.len(), 100);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! executor's determinism contract (the runtime-level mirror of the
 //! `SweepRunner` bit-identical-results tests in `mav-core`).
 
-use mav_compute::KernelId;
 use mav_runtime::{Executor, FifoTopic, Node, NodeContext, NodeOutput, SimClock, Topic};
 use mav_types::{Result, SimDuration, SimTime};
 
@@ -25,10 +24,7 @@ impl Node<SimClock> for Producer {
         self.latched.publish(self.next);
         self.backlog.publish(self.next);
         self.next += 1;
-        Ok(NodeOutput::kernel(
-            KernelId::PointCloudGeneration,
-            SimDuration::from_millis(1.0),
-        ))
+        Ok(SimDuration::from_millis(1.0))
     }
 }
 
@@ -50,7 +46,7 @@ impl Node<SimClock> for Consumer {
     fn tick(&mut self, _ctx: &mut SimClock, now: SimTime) -> Result<NodeOutput> {
         self.observations
             .publish((now.as_secs(), self.latched.latest(), self.backlog.drain()));
-        Ok(NodeOutput::idle())
+        Ok(SimDuration::ZERO)
     }
 }
 

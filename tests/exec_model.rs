@@ -37,7 +37,7 @@ impl Node<SimClock> for StagedNode {
         self.stage
     }
     fn tick(&mut self, _ctx: &mut SimClock, _now: SimTime) -> Result<NodeOutput> {
-        Ok(NodeOutput::kernel(KernelId::OctomapGeneration, self.cost))
+        Ok(self.cost)
     }
 }
 
