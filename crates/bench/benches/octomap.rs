@@ -121,8 +121,7 @@ fn bench_scan_insertion(c: &mut Criterion) {
 /// `frontier_voxel_centers_into` pass over the block masks (the free voxels
 /// in the altitude band with an unknown face neighbour) plus the clustering
 /// pass — exactly what mapping / search-and-rescue tick every replan. The
-/// free-voxel list it replaced (index and full-tree walk) is benched beside
-/// it.
+/// free-voxel list it replaced is benched beside it.
 fn bench_frontier_extraction(c: &mut Criterion) {
     let clouds = capture_clouds();
     let mut map = OctoMap::new(OctoMapConfig::with_resolution(0.5), 96.0);
@@ -134,9 +133,6 @@ fn bench_frontier_extraction(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("free_voxel_centers", |b| {
         b.iter(|| map.free_voxel_centers().len())
-    });
-    group.bench_function("free_voxel_centers_scan", |b| {
-        b.iter(|| map.free_voxel_centers_scan().len())
     });
     let band = explorer.config();
     let mut candidates = Vec::new();

@@ -5,11 +5,10 @@ use mav_compute::ApplicationId;
 use mav_core::ScenarioGenerator;
 use mav_env::{EnvironmentConfig, ObstacleClass};
 use mav_perception::{
-    DetectorConfig, DownsampleScratch, Localizer, ObjectDetector, PointCloud, SlamConfig,
-    VisualSlam,
+    DetectorConfig, DownsampleScratch, ObjectDetector, PointCloud, SlamConfig, VisualSlam,
 };
 use mav_sensors::{DepthCamera, DepthCameraConfig, DepthNoiseModel};
-use mav_types::{Pose, SimTime, Vec3};
+use mav_types::{Pose, Vec3};
 
 fn bench_depth_and_pointcloud(c: &mut Criterion) {
     let world = EnvironmentConfig::urban_outdoor().with_seed(3).generate();
@@ -120,10 +119,7 @@ fn bench_detection_and_slam(c: &mut Criterion) {
     });
     c.bench_function("visual_slam_frame", |b| {
         let mut slam = VisualSlam::new(SlamConfig::with_fps(5.0));
-        b.iter(|| {
-            slam.localize(&pose, &Vec3::new(3.0, 0.0, 0.0), SimTime::ZERO)
-                .healthy
-        })
+        b.iter(|| slam.localize(&pose, &Vec3::new(3.0, 0.0, 0.0)).healthy)
     });
 }
 

@@ -1,18 +1,21 @@
-//! Criterion benches for the planning hot path attacked by the spatial-index
-//! overhaul: RRT / PRM planning, the shortcut pass, swept-segment collision
-//! checks against maps of increasing obstacle density, the inflated-occupancy
-//! point query, and the end-to-end `replan_mode_sweep` wall time.
+//! Criterion benches for the planning kernels: RRT / PRM planning, the
+//! shortcut pass, trajectory smoothing, lawnmower coverage, swept-segment
+//! collision checks against maps of increasing obstacle density, the
+//! inflated-occupancy point query, and the end-to-end `replan_mode_sweep` wall
+//! time.
 //!
 //! Every benchmark here goes through the *public* planning API, so the same
-//! bench binary measures the legacy implementation and the indexed one: run it
-//! before and after the optimisation commit and pair the JSON records (that is
-//! how `BENCH_pr4.json` was produced).
+//! bench binary measures two builds: run it before and after a change and
+//! pair the JSON records (that is how `BENCH_pr4.json` was produced).
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use mav_core::experiments::{replan_mode_sweep, replan_scenario};
 use mav_core::SweepRunner;
 use mav_perception::{OctoMap, OctoMapConfig};
-use mav_planning::{CollisionChecker, PlannerConfig, PlannerKind, ShortestPathPlanner};
-use mav_types::{Aabb, Vec3};
+use mav_planning::{
+    plan_lawnmower, CollisionChecker, LawnmowerConfig, PathSmoother, PlannerConfig, PlannerKind,
+    ShortestPathPlanner, SmootherConfig,
+};
+use mav_types::{Aabb, SimTime, Vec3};
 
 /// A map with a long wall at x = 8 blocking y ∈ [-10, 10] (the planner-test
 /// scenario): both planners must route around it.
@@ -73,34 +76,40 @@ fn bench_plan(c: &mut Criterion) {
     c.bench_function("planner_shortcut", |b| {
         b.iter(|| path.shortcut(&map, &checker).length())
     });
+    let smoother = PathSmoother::new(SmootherConfig::new(8.0, 5.0));
+    c.bench_function("trajectory_smoothing", |b| {
+        b.iter(|| {
+            smoother
+                .smooth(&path.waypoints, SimTime::ZERO)
+                .unwrap()
+                .duration_secs()
+        })
+    });
+    c.bench_function("lawnmower_plan_100x100", |b| {
+        b.iter(|| plan_lawnmower(&LawnmowerConfig::default()).unwrap().len())
+    });
 
     // A cluttered field and a far goal grow the RRT to thousands of nodes —
-    // the regime where nearest-neighbour cost dominates. The linear/indexed
-    // pair isolates the bucket-index contribution (both use the indexed map
-    // queries; only the neighbour lookup differs, and the planned path is
-    // bit-identical).
+    // the regime where nearest-neighbour cost dominates.
     let dense = pillar_map(2.0);
     let far_start = Vec3::new(-22.0, -22.0, 2.0);
     let far_goal = Vec3::new(22.0, 22.0, 2.0);
     let mut group = c.benchmark_group("planner_rrt_dense");
     group.sample_size(10);
-    for (label, indexed) in [("linear", false), ("indexed", true)] {
-        group.bench_function(label, |b| {
-            // Short extension steps in heavy clutter: the tree grows to
-            // thousands of nodes before the far corner connects.
-            let mut config =
-                PlannerConfig::new(PlannerKind::Rrt, bounds).with_spatial_index(indexed);
-            config.step = 0.5;
-            config.max_samples = 60_000;
-            let planner = ShortestPathPlanner::new(config);
-            b.iter(|| {
-                planner
-                    .plan(&dense, &checker, far_start, far_goal)
-                    .unwrap()
-                    .length()
-            })
-        });
-    }
+    group.bench_function("indexed", |b| {
+        // Short extension steps in heavy clutter: the tree grows to
+        // thousands of nodes before the far corner connects.
+        let mut config = PlannerConfig::new(PlannerKind::Rrt, bounds);
+        config.step = 0.5;
+        config.max_samples = 60_000;
+        let planner = ShortestPathPlanner::new(config);
+        b.iter(|| {
+            planner
+                .plan(&dense, &checker, far_start, far_goal)
+                .unwrap()
+                .length()
+        })
+    });
     group.finish();
 }
 

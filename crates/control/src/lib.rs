@@ -1,6 +1,6 @@
 //! Control kernels for MAVBench-RS: a PID controller and the path-tracking /
 //! command-issue kernel that converts planned trajectories into velocity
-//! commands for the flight controller.
+//! commands for the quadrotor model.
 //!
 //! # Example
 //!

@@ -35,7 +35,7 @@ impl Default for PathTrackerConfig {
 /// Output of one tracking step.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrackingCommand {
-    /// Velocity command to hand to the flight controller, m/s.
+    /// Velocity command to hand to `Quadrotor::step`, m/s.
     pub velocity: Vec3,
     /// Current cross-track (position) error, metres.
     pub cross_track_error: f64,

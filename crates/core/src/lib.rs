@@ -3,7 +3,7 @@
 //! Photography, Package Delivery, 3D Mapping, Search and Rescue).
 //!
 //! The crate ties every substrate together: procedural environments
-//! (`mav-env`), sensors (`mav-sensors`), the quadrotor and flight controller
+//! (`mav-env`), sensors (`mav-sensors`), the quadrotor model
 //! (`mav-dynamics`), the rotor/compute/battery energy models (`mav-energy`),
 //! the Table-I-calibrated compute-latency model (`mav-compute`) and the
 //! perception/planning/control kernels (`mav-perception`, `mav-planning`,

@@ -9,8 +9,8 @@
 
 use mav_dynamics::QuadrotorConfig;
 use mav_energy::{ComputePowerModel, RotorPowerModel};
-use mav_perception::{Localizer, SlamConfig, VisualSlam};
-use mav_types::{Pose, SimTime, Vec3};
+use mav_perception::{SlamConfig, VisualSlam};
+use mav_types::{Pose, Vec3};
 
 /// One point of the Fig. 8b sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -93,11 +93,7 @@ fn simulate_lap(slam_cfg: &SlamConfig, velocity: f64, radius: f64, fps: f64) -> 
         let angle = (velocity * t) / radius;
         let position = Vec3::new(radius * angle.cos(), radius * angle.sin(), 2.0);
         let tangent = Vec3::new(-angle.sin(), angle.cos(), 0.0) * velocity;
-        slam.localize(
-            &Pose::new(position, tangent.heading()),
-            &tangent,
-            SimTime::from_secs(t),
-        );
+        slam.localize(&Pose::new(position, tangent.heading()), &tangent);
         t += 1.0 / fps;
     }
     slam.failure_rate()

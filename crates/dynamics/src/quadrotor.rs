@@ -178,11 +178,6 @@ impl Quadrotor {
         &self.state
     }
 
-    /// Overwrites the current state (used by tests and scenario setup).
-    pub fn set_state(&mut self, state: MavState) {
-        self.state = state;
-    }
-
     /// Clamps a commanded velocity to the airframe envelope (horizontal and
     /// vertical limits applied separately).
     pub fn clamp_velocity(&self, commanded: Vec3) -> Vec3 {
@@ -219,13 +214,6 @@ impl Quadrotor {
         self.state.pose.position = new_position;
         self.state.pose.yaw = yaw;
         accel
-    }
-
-    /// Immediately halts the vehicle (used when the flight controller
-    /// commands an emergency stop on imminent collision).
-    pub fn halt(&mut self) {
-        self.state.twist.linear = Vec3::ZERO;
-        self.state.acceleration = Vec3::ZERO;
     }
 
     /// Minimum distance needed to come to a complete stop from the current
@@ -284,17 +272,6 @@ mod tests {
         }
         assert!((q.state().speed() - 5.0).abs() < 0.1);
         assert!((q.state().pose.yaw - Vec3::new(3.0, 4.0, 0.0).heading()).abs() < 0.05);
-    }
-
-    #[test]
-    fn halt_zeroes_velocity() {
-        let mut q = quad();
-        for _ in 0..50 {
-            q.step(Vec3::new(5.0, 0.0, 0.0), 0.1);
-        }
-        assert!(q.state().speed() > 1.0);
-        q.halt();
-        assert!(q.state().is_stationary());
     }
 
     #[test]

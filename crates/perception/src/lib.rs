@@ -1,6 +1,6 @@
 //! Perception kernels for MAVBench-RS: point-cloud generation, the OctoMap
 //! probabilistic occupancy octree, object detection, target tracking and
-//! localization (GPS and a visual-SLAM model).
+//! localization (a visual-SLAM model).
 //!
 //! These are the Rust substitutes for the kernels the original MAVBench wires
 //! together from OctoMap, YOLO/HOG, KCF and ORB-SLAM2/VINS-Mono. Each kernel
@@ -29,7 +29,7 @@ pub mod tracking;
 mod voxel_hash;
 
 pub use detection::{Detection, DetectorConfig, DetectorKind, ObjectDetector};
-pub use localization::{GpsLocalizer, LocalizationResult, Localizer, SlamConfig, VisualSlam};
+pub use localization::{LocalizationResult, SlamConfig, VisualSlam};
 pub use octomap::{Occupancy, OctoMap, OctoMapConfig};
 pub use pointcloud::{DownsampleScratch, PointCloud};
 pub use tracking::{

@@ -1,4 +1,4 @@
-//! Localization kernels: GPS and a visual-SLAM model.
+//! The localization kernel: a visual-SLAM model.
 //!
 //! The paper's Fig. 8b microbenchmark drives ORB-SLAM2 around a 25 m circle
 //! while artificially throttling its frame rate, and finds that for a bounded
@@ -8,8 +8,7 @@
 //! travels between processed frames (velocity / FPS), so higher compute (FPS)
 //! permits higher speed at the same failure budget.
 
-use mav_sensors::{Gps, GpsFix};
-use mav_types::{Pose, SimTime, Vec3};
+use mav_types::{Pose, Vec3};
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -22,55 +21,6 @@ pub struct LocalizationResult {
     pub pose: Pose,
     /// `false` when the localizer has lost track of the vehicle.
     pub healthy: bool,
-}
-
-/// A source of pose estimates.
-pub trait Localizer {
-    /// Produces a pose estimate given ground truth (the simulator is the
-    /// oracle; real localizers would fuse sensor data).
-    fn localize(&mut self, truth: &Pose, velocity: &Vec3, time: SimTime) -> LocalizationResult;
-
-    /// Number of localization failures so far.
-    fn failure_count(&self) -> u32;
-
-    /// Short name for reports.
-    fn name(&self) -> &'static str;
-}
-
-/// GPS-based localizer: applies the GPS noise model, never fails.
-#[derive(Debug, Clone, Default)]
-pub struct GpsLocalizer {
-    gps: Gps,
-}
-
-impl GpsLocalizer {
-    /// Creates a GPS localizer.
-    pub fn new(gps: Gps) -> Self {
-        GpsLocalizer { gps }
-    }
-
-    /// The most recent fix produced, if any (exposed for tests).
-    pub fn fix(&mut self, truth: &Pose, time: SimTime) -> GpsFix {
-        self.gps.fix(truth, time)
-    }
-}
-
-impl Localizer for GpsLocalizer {
-    fn localize(&mut self, truth: &Pose, _velocity: &Vec3, time: SimTime) -> LocalizationResult {
-        let fix = self.gps.fix(truth, time);
-        LocalizationResult {
-            pose: Pose::new(fix.position, truth.yaw),
-            healthy: true,
-        }
-    }
-
-    fn failure_count(&self) -> u32 {
-        0
-    }
-
-    fn name(&self) -> &'static str {
-        "gps"
-    }
 }
 
 /// Configuration of the visual SLAM model.
@@ -179,10 +129,11 @@ impl VisualSlam {
             self.failures as f64 / self.frames as f64
         }
     }
-}
 
-impl Localizer for VisualSlam {
-    fn localize(&mut self, truth: &Pose, velocity: &Vec3, _time: SimTime) -> LocalizationResult {
+    /// Processes one frame at ground-truth pose `truth` while the vehicle
+    /// moves at `velocity` (the simulator is the oracle; a real front end
+    /// would track features).
+    pub fn localize(&mut self, truth: &Pose, velocity: &Vec3) -> LocalizationResult {
         self.frames += 1;
         let mut rng = ChaCha8Rng::seed_from_u64(
             self.config.seed ^ self.frames.wrapping_mul(0x2545_F491_4F6C_DD1D),
@@ -211,12 +162,9 @@ impl Localizer for VisualSlam {
         }
     }
 
-    fn failure_count(&self) -> u32 {
+    /// Number of localization failures so far.
+    pub fn failure_count(&self) -> u32 {
         self.failures
-    }
-
-    fn name(&self) -> &'static str {
-        "visual-slam"
     }
 }
 
@@ -233,21 +181,6 @@ impl fmt::Display for VisualSlam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mav_sensors::GpsNoiseModel;
-
-    #[test]
-    fn gps_localizer_tracks_truth_and_never_fails() {
-        let mut loc = GpsLocalizer::new(Gps::new(GpsNoiseModel::perfect()));
-        let truth = Pose::new(Vec3::new(3.0, 4.0, 5.0), 0.3);
-        let r = loc.localize(&truth, &Vec3::new(5.0, 0.0, 0.0), SimTime::ZERO);
-        assert!(r.healthy);
-        assert_eq!(r.pose.position, truth.position);
-        assert_eq!(loc.failure_count(), 0);
-        assert_eq!(loc.name(), "gps");
-        let fix = loc.fix(&truth, SimTime::ZERO);
-        assert_eq!(fix.position, truth.position);
-    }
-
     #[test]
     fn failure_probability_grows_with_speed_and_shrinks_with_fps() {
         let slow_compute = SlamConfig::with_fps(2.0);
@@ -280,7 +213,7 @@ mod tests {
         // Fly much faster than the 2 fps front end can tolerate.
         let mut failed = false;
         for _ in 0..200 {
-            let r = slam.localize(&truth, &Vec3::new(12.0, 0.0, 0.0), SimTime::ZERO);
+            let r = slam.localize(&truth, &Vec3::new(12.0, 0.0, 0.0));
             if !r.healthy {
                 failed = true;
                 break;
@@ -292,7 +225,7 @@ mod tests {
         // Slow down: after a few quiet frames the system re-localizes.
         let mut recovered = false;
         for _ in 0..50 {
-            let r = slam.localize(&truth, &Vec3::new(0.2, 0.0, 0.0), SimTime::ZERO);
+            let r = slam.localize(&truth, &Vec3::new(0.2, 0.0, 0.0));
             if r.healthy {
                 recovered = true;
                 break;
@@ -308,7 +241,7 @@ mod tests {
         let mut slam = VisualSlam::new(SlamConfig::with_fps(30.0));
         let truth = Pose::origin();
         for _ in 0..500 {
-            let r = slam.localize(&truth, &Vec3::new(8.0, 0.0, 0.0), SimTime::ZERO);
+            let r = slam.localize(&truth, &Vec3::new(8.0, 0.0, 0.0));
             assert!(r.healthy);
         }
         assert_eq!(slam.failure_count(), 0);

@@ -14,7 +14,7 @@
 //! from 4×4×4-voxel block coordinates to a slot holding the block's known
 //! and occupied masks and its 64 log-odds. The leaf centres an octree walk
 //! would report are derived from the integer leaf key, so results match the
-//! pointer octree kept in [`mod@reference`] bit for bit.
+//! pointer octree the tests keep as an oracle bit for bit.
 
 use crate::pointcloud::PointCloud;
 use crate::voxel_hash::VoxelHashBuilder;
@@ -345,8 +345,8 @@ impl OctoMap {
 
     /// Enumerates the (traversal-grid cell, log-odds delta) updates of one
     /// sensor ray, without touching the map. Shared by
-    /// [`OctoMap::insert_ray`] and [`reference::ReferenceMap::insert_ray`] so
-    /// the two can never disagree on ray semantics (truncation, hit vs miss).
+    /// [`OctoMap::insert_ray`] and the tests' pointer-tree oracle so the two
+    /// can never disagree on ray semantics (truncation, hit vs miss).
     /// The grid walk streams each cell straight into `apply`; the walk's
     /// final cell takes the hit. Cells outside the domain are passed on too:
     /// the block map drops them by key range, the reference tree by its own
@@ -428,12 +428,12 @@ impl OctoMap {
     /// treated as free here; planners that must be conservative should also
     /// call [`OctoMap::query`] on the point itself.
     ///
-    /// Decision-identical to
-    /// [`OctoMap::is_occupied_with_inflation_reference`] (property-tested),
-    /// but served from the occupied masks: instead of one point lookup per
-    /// neighbour voxel, the query enumerates the few occupied voxels inside
-    /// the inflation cube straight from the block masks and classifies each
-    /// against a precomputed offset ball.
+    /// Decision-identical to one [`OctoMap::query`] per voxel of the
+    /// inflation cube (property-tested against that scan), but served from
+    /// the occupied masks: instead of one point lookup per neighbour voxel,
+    /// the query enumerates the few occupied voxels inside the inflation
+    /// cube straight from the block masks and classifies each against a
+    /// precomputed offset ball.
     pub fn is_occupied_with_inflation(&self, point: &Vec3, radius: f64) -> bool {
         self.blocking_voxel_with_inflation(point, radius).is_some()
     }
@@ -479,38 +479,15 @@ impl OctoMap {
         blocking
     }
 
-    /// The pre-index inflation query: one point lookup ([`OctoMap::query`])
-    /// per voxel of the inflation cube. Kept verbatim as the executable
-    /// specification the mask-served query is property-tested against.
-    pub fn is_occupied_with_inflation_reference(&self, point: &Vec3, radius: f64) -> bool {
-        let r = radius.max(0.0);
-        let steps = (r / self.config.resolution).ceil() as i64;
-        let center_idx = self.grid.index_of(point);
-        for dx in -steps..=steps {
-            for dy in -steps..=steps {
-                for dz in -steps..=steps {
-                    let idx =
-                        GridIndex::new(center_idx.x + dx, center_idx.y + dy, center_idx.z + dz);
-                    let c = self.grid.center_of(&idx);
-                    if c.distance(point) <= r + self.config.resolution * 0.87
-                        && self.query(&c) == Occupancy::Occupied
-                    {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
-    }
-
     /// Returns `true` when the straight segment between `a` and `b`, swept by
     /// a vehicle of half-width `radius`, avoids every occupied voxel.
     ///
-    /// Decision-identical to [`OctoMap::segment_free_reference`]
-    /// (property-tested). The fast path walks the segment's crossed voxels
-    /// with the grid DDA and probes the occupied masks over the swept
-    /// corridor — one mask probe per block instead of re-querying the whole
-    /// inflation neighbourhood at every half-resolution sample. Only when the
+    /// Decision-identical to sampling the segment every half resolution with
+    /// the per-voxel inflation scan (property-tested). The fast path walks
+    /// the segment's crossed voxels with the grid DDA and probes the
+    /// occupied masks over the swept corridor — one mask probe per block
+    /// instead of re-querying the whole inflation neighbourhood at every
+    /// half-resolution sample. Only when the
     /// corridor contains an occupied voxel does the exact sampled predicate
     /// run (against the mask-served inflation query), so the common planner
     /// case — a free segment — reads nothing but the corridor's masks.
@@ -546,24 +523,6 @@ impl OctoMap {
             }
         }
         None
-    }
-
-    /// The pre-index swept-segment predicate: a point sample every
-    /// half-resolution, each paying a full inflation-cube point-lookup scan.
-    /// Kept as the executable specification [`OctoMap::segment_free`] is
-    /// property-tested against.
-    pub fn segment_free_reference(&self, a: &Vec3, b: &Vec3, radius: f64) -> bool {
-        let dist = a.distance(b);
-        let step = (self.config.resolution * 0.5).max(0.05);
-        let samples = ((dist / step).ceil() as usize).max(1);
-        for i in 0..=samples {
-            let t = i as f64 / samples as f64;
-            let p = a.lerp(b, t);
-            if self.is_occupied_with_inflation_reference(&p, radius) {
-                return false;
-            }
-        }
-        true
     }
 
     /// DDA prefilter for [`OctoMap::segment_free`]: walks the voxels crossed
@@ -685,8 +644,7 @@ impl OctoMap {
     }
 
     /// Number of occupied leaf voxels. O(1): served from the incrementally
-    /// maintained counter (see [`OctoMap::occupied_voxel_count_scan`] for the
-    /// leaf walk the counters are regression-tested against).
+    /// maintained counter, which the tests check against a full leaf walk.
     pub fn occupied_voxel_count(&self) -> usize {
         self.occupied_count
     }
@@ -695,23 +653,6 @@ impl OctoMap {
     /// kept by every leaf creation, so each materialised leaf counts once.
     pub fn known_voxel_count(&self) -> usize {
         self.known_count
-    }
-
-    /// [`OctoMap::occupied_voxel_count`] recomputed by a full leaf walk — the
-    /// pre-index implementation, kept as the regression oracle for the O(1)
-    /// counter.
-    pub fn occupied_voxel_count_scan(&self) -> usize {
-        self.collect_leaves()
-            .iter()
-            .filter(|(_, l)| *l > self.config.occupied_threshold)
-            .count()
-    }
-
-    /// [`OctoMap::known_voxel_count`] recomputed by a full leaf walk — the
-    /// pre-index implementation, kept as the regression oracle for the O(1)
-    /// counter.
-    pub fn known_voxel_count_scan(&self) -> usize {
-        self.collect_leaves().len()
     }
 
     /// Volume of observed space in cubic metres.
@@ -723,11 +664,11 @@ impl OctoMap {
     ///
     /// Served from the block masks — the free voxels (`known & !occupied`),
     /// with no leaf walk — and bit-identical (centres, set membership and
-    /// order) to the full-walk [`OctoMap::free_voxel_centers_scan`] it
-    /// replaced, which remains as the regression oracle. Frontier extraction
-    /// reads [`OctoMap::frontier_voxel_centers_into`] instead; this list,
-    /// filtered by altitude and [`OctoMap::has_unknown_neighbor6`], is that
-    /// query's oracle.
+    /// order) to the full leaf walk it replaced, which the tests keep as its
+    /// oracle. Frontier extraction reads
+    /// [`OctoMap::frontier_voxel_centers_into`] instead; this list, filtered
+    /// by altitude and by six [`OctoMap::query`] probes for an unknown face
+    /// neighbour, is that query's oracle.
     pub fn free_voxel_centers(&self) -> Vec<Vec3> {
         let mut centers = Vec::new();
         self.sorted_centers_into(&mut centers, |_, _, masks| masks.known & !masks.occupied);
@@ -736,8 +677,8 @@ impl OctoMap {
 
     /// The frontier candidates of the map into `out` (cleared first): the
     /// free voxels of [`OctoMap::free_voxel_centers`] whose centre `z` lies
-    /// in `[min_z, max_z]` and which have an unknown face neighbour
-    /// ([`OctoMap::has_unknown_neighbor6`]), in the same order and with the
+    /// in `[min_z, max_z]` and which have a face neighbour that
+    /// [`OctoMap::query`] reports unknown, in the same order and with the
     /// same centre bits as that list filtered by those two tests.
     ///
     /// One bit-parallel pass over the block hash instead of listing, sorting
@@ -851,24 +792,13 @@ impl OctoMap {
         Vec3::new(x, y, z)
     }
 
-    /// [`OctoMap::free_voxel_centers`] recomputed by a full leaf walk — the
-    /// pre-index implementation, kept as the executable specification the
-    /// mask listing is tested against.
-    pub fn free_voxel_centers_scan(&self) -> Vec<Vec3> {
-        self.collect_leaves()
-            .into_iter()
-            .filter(|(_, l)| *l <= self.config.occupied_threshold)
-            .map(|(c, _)| c)
-            .collect()
-    }
-
     /// Centres of all occupied voxels.
     ///
     /// Served from the occupied block masks: one `center_of` per set mask
     /// bit instead of a full leaf walk. The centres are the grid's canonical
     /// voxel centres rather than the walk's replayed float additions, so the
-    /// leaf walk it replaced, [`OctoMap::occupied_voxel_centers_scan`],
-    /// agrees with it bit for bit at dyadic resolutions.
+    /// leaf walk it replaced agrees with it bit for bit at dyadic
+    /// resolutions.
     pub fn occupied_voxel_centers(&self) -> Vec<Vec3> {
         let mut centers = Vec::new();
         self.occupied_voxel_centers_into(&mut centers);
@@ -900,46 +830,10 @@ impl OctoMap {
         });
     }
 
-    /// [`OctoMap::occupied_voxel_centers`] recomputed by a full leaf walk —
-    /// the pre-index implementation, kept as the regression oracle for the
-    /// block-mask enumeration.
-    pub fn occupied_voxel_centers_scan(&self) -> Vec<Vec3> {
-        self.collect_leaves()
-            .into_iter()
-            .filter(|(_, l)| *l > self.config.occupied_threshold)
-            .map(|(c, _)| c)
-            .collect()
-    }
-
     /// Returns `true` when the voxel containing `point` has never been
     /// observed.
     pub fn is_unknown(&self, point: &Vec3) -> bool {
         self.query(point) == Occupancy::Unknown
-    }
-
-    /// Returns `true` when any of the 6 face-neighbour voxels of the voxel
-    /// containing `point` is unknown — the frontier predicate, asked once per
-    /// free voxel every replan.
-    ///
-    /// Decision-identical to probing `point ± resolution` along each axis
-    /// with [`OctoMap::is_unknown`] (property-tested), but served from the
-    /// known masks: the probed voxel's block is looked up once, and only a
-    /// neighbour across a block face (1.5 of the 6 on average) costs another
-    /// hash probe. An out-of-domain neighbour has no leaf, so it reads as
-    /// unknown from the masks exactly as [`OctoMap::query`] reports it.
-    pub fn has_unknown_neighbor6(&self, point: &Vec3) -> bool {
-        let idx = self.grid.index_of(point);
-        let (home, _) = block_of(&idx);
-        let home_known = self.block_masks(&home).map_or(0, |m| m.known);
-        idx.neighbors6().iter().any(|n| {
-            let (block, bit) = block_of(n);
-            let known = if block == home {
-                home_known
-            } else {
-                self.block_masks(&block).map_or(0, |m| m.known)
-            };
-            known & (1 << bit) == 0
-        })
     }
 
     /// Rebuilds this map's observations into a new map at a different
@@ -1407,235 +1301,321 @@ impl fmt::Display for OctoMap {
     }
 }
 
-/// The original pointer-chasing octree, kept verbatim as a differential
-/// oracle: every node is a separate heap allocation reached through
-/// `Vec<Option<Node>>` child pointers, the layout the block map replaced.
-/// The equivalence proptests drive [`reference::ReferenceMap`] and
-/// [`OctoMap`] with the same ray sequences and compare per-point log-odds
-/// and full leaf collections, so any behavioural drift in the block map
-/// (its keys, its leaf set, its centres) shows up as a differential
-/// failure rather than a silent golden change.
-pub mod reference {
-    use super::{child_of, OctoMap, OctoMapConfig};
-    use mav_types::{GridSpec, Vec3};
-
-    #[derive(Debug, Clone)]
-    enum Node {
-        Leaf { log_odds: f64 },
-        Inner { children: Vec<Option<Node>> },
-    }
-
-    impl Node {
-        fn new_inner() -> Self {
-            Node::Inner {
-                children: vec![None; 8],
-            }
-        }
-    }
-
-    /// Pointer-tree occupancy map with the original update and collection
-    /// logic, reduced to the surface the differential tests need.
-    #[derive(Debug, Clone)]
-    pub struct ReferenceMap {
-        config: OctoMapConfig,
-        half_extent: f64,
-        requested_half_extent: f64,
-        depth: u32,
-        grid: GridSpec,
-        root: Option<Node>,
-    }
-
-    impl ReferenceMap {
-        /// Mirrors [`OctoMap::new`]'s domain alignment so both maps agree on
-        /// leaf geometry.
-        pub fn new(config: OctoMapConfig, half_extent: f64) -> Self {
-            assert!(half_extent > 0.0, "half extent must be positive");
-            let leaves_per_axis = (2.0 * half_extent / config.resolution).ceil().max(1.0);
-            let depth = (leaves_per_axis.log2().ceil() as u32).max(1);
-            let aligned_half_extent = config.resolution * (1u64 << depth) as f64 / 2.0;
-            ReferenceMap {
-                grid: GridSpec::new(config.resolution),
-                config,
-                half_extent: aligned_half_extent.max(half_extent),
-                requested_half_extent: half_extent,
-                depth,
-                root: None,
-            }
-        }
-
-        /// Integrates one sensor ray with the shared ray enumeration, so the
-        /// oracle and the block map can only diverge in their *storage*
-        /// logic: the oracle descends from each cell centre by float compares
-        /// and drops out-of-domain centres with its own test, the block map
-        /// addresses each cell by integer key.
-        pub fn insert_ray(&mut self, origin: &Vec3, endpoint: &Vec3) {
-            let (grid, config) = (self.grid, self.config);
-            let clamp = config.clamp;
-            OctoMap::for_each_ray_update(grid, config, origin, endpoint, |cell, delta| {
-                self.update_leaf(&grid.center_of(&cell), move |log_odds| {
-                    *log_odds = (*log_odds + delta).clamp(clamp.0, clamp.1);
-                });
-            });
-        }
-
-        /// Rebuilds the observations at a different resolution over the
-        /// requested half-extent, like [`OctoMap::reresolved`] — the old
-        /// `OctoMap::reresolved` (collect, then re-apply each leaf's
-        /// log-odds as one clamped delta into the new tree).
-        pub fn reresolved(&self, new_resolution: f64) -> ReferenceMap {
-            let mut config = self.config;
-            config.resolution = new_resolution;
-            let clamp = config.clamp;
-            let mut out = ReferenceMap::new(config, self.requested_half_extent);
-            for (center, log_odds) in self.collect() {
-                out.update_leaf(&center, move |l| {
-                    *l = (*l + log_odds).clamp(clamp.0, clamp.1);
-                });
-            }
-            out
-        }
-
-        /// The leaf log-odds containing `point`, when observed.
-        pub fn leaf_log_odds(&self, point: &Vec3) -> Option<f64> {
-            let mut node = self.root.as_ref()?;
-            let mut center = Vec3::ZERO;
-            let mut half = self.half_extent;
-            for _ in 0..self.depth {
-                match node {
-                    Node::Leaf { log_odds } => return Some(*log_odds),
-                    Node::Inner { children } => {
-                        let (idx, child_center) = child_of(point, &center, half);
-                        node = children[idx].as_ref()?;
-                        center = child_center;
-                        half /= 2.0;
-                    }
-                }
-            }
-            match node {
-                Node::Leaf { log_odds } => Some(*log_odds),
-                Node::Inner { .. } => None,
-            }
-        }
-
-        fn in_domain(&self, point: &Vec3) -> bool {
-            point.x.abs() <= self.half_extent
-                && point.y.abs() <= self.half_extent
-                && point.z.abs() <= self.half_extent
-        }
-
-        fn update_leaf<F: FnOnce(&mut f64)>(&mut self, point: &Vec3, apply: F) {
-            if !self.in_domain(point) {
-                return;
-            }
-            let depth = self.depth;
-            let half = self.half_extent;
-            let root = self.root.get_or_insert_with(Node::new_inner);
-            Self::update_recursive(root, point, apply, Vec3::ZERO, half, depth);
-        }
-
-        fn update_recursive<F: FnOnce(&mut f64)>(
-            node: &mut Node,
-            point: &Vec3,
-            apply: F,
-            center: Vec3,
-            half: f64,
-            remaining_depth: u32,
-        ) {
-            if remaining_depth == 0 {
-                match node {
-                    Node::Leaf { log_odds } => apply(log_odds),
-                    Node::Inner { .. } => {
-                        let mut log_odds = 0.0;
-                        apply(&mut log_odds);
-                        *node = Node::Leaf { log_odds };
-                    }
-                }
-                return;
-            }
-            match node {
-                Node::Leaf { log_odds } => {
-                    // A coarse leaf observed at a shallower depth: refine it
-                    // by pushing its value down (simple expansion).
-                    let existing = *log_odds;
-                    *node = Node::new_inner();
-                    let Node::Inner { children } = node else {
-                        unreachable!("node was just replaced by an inner node");
-                    };
-                    let (idx, child_center) = child_of(point, &center, half);
-                    let child = children[idx].get_or_insert(Node::Leaf { log_odds: existing });
-                    Self::update_recursive(
-                        child,
-                        point,
-                        apply,
-                        child_center,
-                        half / 2.0,
-                        remaining_depth - 1,
-                    );
-                }
-                Node::Inner { children } => {
-                    let (idx, child_center) = child_of(point, &center, half);
-                    let child = children[idx].get_or_insert_with(|| {
-                        if remaining_depth == 1 {
-                            Node::Leaf { log_odds: 0.0 }
-                        } else {
-                            Node::new_inner()
-                        }
-                    });
-                    Self::update_recursive(
-                        child,
-                        point,
-                        apply,
-                        child_center,
-                        half / 2.0,
-                        remaining_depth - 1,
-                    );
-                }
-            }
-        }
-
-        /// Every observed leaf's (centre, log-odds), sorted by coordinates —
-        /// the old `collect_leaves` minus its rounded-centre dedup: every
-        /// leaf is a distinct tree node, so it is listed once.
-        pub fn collect(&self) -> Vec<(Vec3, f64)> {
-            let mut out = Vec::new();
-            if let Some(root) = &self.root {
-                Self::collect_recursive(root, Vec3::ZERO, self.half_extent, &mut out);
-            }
-            // Chained `total_cmp` ≡ the historical `partial_cmp` tuple sort:
-            // leaf centres sit at (k + ½)·resolution, so they are finite,
-            // never ±0.0, and pairwise distinct.
-            out.sort_by(|a, b| {
-                a.0.x
-                    .total_cmp(&b.0.x)
-                    .then(a.0.y.total_cmp(&b.0.y))
-                    .then(a.0.z.total_cmp(&b.0.z))
-            });
-            out
-        }
-
-        fn collect_recursive(node: &Node, center: Vec3, half: f64, out: &mut Vec<(Vec3, f64)>) {
-            match node {
-                Node::Leaf { log_odds } => out.push((center, *log_odds)),
-                Node::Inner { children } => {
-                    let quarter = half / 2.0;
-                    for (idx, child) in children.iter().enumerate() {
-                        if let Some(child) = child {
-                            let mut c = center;
-                            c.x += if idx & 1 != 0 { quarter } else { -quarter };
-                            c.y += if idx & 2 != 0 { quarter } else { -quarter };
-                            c.z += if idx & 4 != 0 { quarter } else { -quarter };
-                            Self::collect_recursive(child, c, quarter, out);
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The pre-index map queries and the full leaf walks that the block
+    /// masks' queries, counters and listings replaced, kept as their
+    /// oracles.
+    impl OctoMap {
+        /// The pre-index inflation query: one point lookup ([`OctoMap::query`])
+        /// per voxel of the inflation cube. Kept verbatim as the executable
+        /// specification the mask-served query is property-tested against.
+        fn is_occupied_with_inflation_reference(&self, point: &Vec3, radius: f64) -> bool {
+            let r = radius.max(0.0);
+            let steps = (r / self.config.resolution).ceil() as i64;
+            let center_idx = self.grid.index_of(point);
+            for dx in -steps..=steps {
+                for dy in -steps..=steps {
+                    for dz in -steps..=steps {
+                        let idx =
+                            GridIndex::new(center_idx.x + dx, center_idx.y + dy, center_idx.z + dz);
+                        let c = self.grid.center_of(&idx);
+                        if c.distance(point) <= r + self.config.resolution * 0.87
+                            && self.query(&c) == Occupancy::Occupied
+                        {
+                            return true;
+                        }
+                    }
+                }
+            }
+            false
+        }
+
+        /// The pre-index swept-segment predicate: a point sample every
+        /// half-resolution, each paying a full inflation-cube point-lookup scan.
+        /// Kept as the executable specification [`OctoMap::segment_free`] is
+        /// property-tested against.
+        fn segment_free_reference(&self, a: &Vec3, b: &Vec3, radius: f64) -> bool {
+            let dist = a.distance(b);
+            let step = (self.config.resolution * 0.5).max(0.05);
+            let samples = ((dist / step).ceil() as usize).max(1);
+            for i in 0..=samples {
+                let t = i as f64 / samples as f64;
+                let p = a.lerp(b, t);
+                if self.is_occupied_with_inflation_reference(&p, radius) {
+                    return false;
+                }
+            }
+            true
+        }
+
+        /// [`OctoMap::occupied_voxel_count`] recomputed by a full leaf walk — the
+        /// pre-index implementation, kept as the regression oracle for the O(1)
+        /// counter.
+        fn occupied_voxel_count_scan(&self) -> usize {
+            self.collect_leaves()
+                .iter()
+                .filter(|(_, l)| *l > self.config.occupied_threshold)
+                .count()
+        }
+
+        /// [`OctoMap::known_voxel_count`] recomputed by a full leaf walk — the
+        /// pre-index implementation, kept as the regression oracle for the O(1)
+        /// counter.
+        fn known_voxel_count_scan(&self) -> usize {
+            self.collect_leaves().len()
+        }
+
+        /// [`OctoMap::free_voxel_centers`] recomputed by a full leaf walk — the
+        /// pre-index implementation, kept as the executable specification the
+        /// mask listing is tested against.
+        fn free_voxel_centers_scan(&self) -> Vec<Vec3> {
+            self.collect_leaves()
+                .into_iter()
+                .filter(|(_, l)| *l <= self.config.occupied_threshold)
+                .map(|(c, _)| c)
+                .collect()
+        }
+
+        /// [`OctoMap::occupied_voxel_centers`] recomputed by a full leaf walk —
+        /// the pre-index implementation, kept as the regression oracle for the
+        /// block-mask enumeration.
+        fn occupied_voxel_centers_scan(&self) -> Vec<Vec3> {
+            self.collect_leaves()
+                .into_iter()
+                .filter(|(_, l)| *l > self.config.occupied_threshold)
+                .map(|(c, _)| c)
+                .collect()
+        }
+    }
+
+    /// The original pointer-chasing octree, kept verbatim as a differential
+    /// oracle: every node is a separate heap allocation reached through
+    /// `Vec<Option<Node>>` child pointers, the layout the block map replaced.
+    /// The equivalence proptests drive [`reference::ReferenceMap`] and
+    /// [`OctoMap`] with the same ray sequences and compare per-point log-odds
+    /// and full leaf collections, so any behavioural drift in the block map
+    /// (its keys, its leaf set, its centres) shows up as a differential
+    /// failure rather than a silent golden change.
+    mod reference {
+        use super::{child_of, OctoMap, OctoMapConfig};
+        use mav_types::{GridSpec, Vec3};
+
+        #[derive(Debug, Clone)]
+        enum Node {
+            Leaf { log_odds: f64 },
+            Inner { children: Vec<Option<Node>> },
+        }
+
+        impl Node {
+            fn new_inner() -> Self {
+                Node::Inner {
+                    children: vec![None; 8],
+                }
+            }
+        }
+
+        /// Pointer-tree occupancy map with the original update and collection
+        /// logic, reduced to the surface the differential tests need.
+        #[derive(Debug, Clone)]
+        pub struct ReferenceMap {
+            config: OctoMapConfig,
+            half_extent: f64,
+            requested_half_extent: f64,
+            depth: u32,
+            grid: GridSpec,
+            root: Option<Node>,
+        }
+
+        impl ReferenceMap {
+            /// Mirrors [`OctoMap::new`]'s domain alignment so both maps agree on
+            /// leaf geometry.
+            pub fn new(config: OctoMapConfig, half_extent: f64) -> Self {
+                assert!(half_extent > 0.0, "half extent must be positive");
+                let leaves_per_axis = (2.0 * half_extent / config.resolution).ceil().max(1.0);
+                let depth = (leaves_per_axis.log2().ceil() as u32).max(1);
+                let aligned_half_extent = config.resolution * (1u64 << depth) as f64 / 2.0;
+                ReferenceMap {
+                    grid: GridSpec::new(config.resolution),
+                    config,
+                    half_extent: aligned_half_extent.max(half_extent),
+                    requested_half_extent: half_extent,
+                    depth,
+                    root: None,
+                }
+            }
+
+            /// Integrates one sensor ray with the shared ray enumeration, so the
+            /// oracle and the block map can only diverge in their *storage*
+            /// logic: the oracle descends from each cell centre by float compares
+            /// and drops out-of-domain centres with its own test, the block map
+            /// addresses each cell by integer key.
+            pub fn insert_ray(&mut self, origin: &Vec3, endpoint: &Vec3) {
+                let (grid, config) = (self.grid, self.config);
+                let clamp = config.clamp;
+                OctoMap::for_each_ray_update(grid, config, origin, endpoint, |cell, delta| {
+                    self.update_leaf(&grid.center_of(&cell), move |log_odds| {
+                        *log_odds = (*log_odds + delta).clamp(clamp.0, clamp.1);
+                    });
+                });
+            }
+
+            /// Rebuilds the observations at a different resolution over the
+            /// requested half-extent, like [`OctoMap::reresolved`] — the old
+            /// `OctoMap::reresolved` (collect, then re-apply each leaf's
+            /// log-odds as one clamped delta into the new tree).
+            pub fn reresolved(&self, new_resolution: f64) -> ReferenceMap {
+                let mut config = self.config;
+                config.resolution = new_resolution;
+                let clamp = config.clamp;
+                let mut out = ReferenceMap::new(config, self.requested_half_extent);
+                for (center, log_odds) in self.collect() {
+                    out.update_leaf(&center, move |l| {
+                        *l = (*l + log_odds).clamp(clamp.0, clamp.1);
+                    });
+                }
+                out
+            }
+
+            /// The leaf log-odds containing `point`, when observed.
+            pub fn leaf_log_odds(&self, point: &Vec3) -> Option<f64> {
+                let mut node = self.root.as_ref()?;
+                let mut center = Vec3::ZERO;
+                let mut half = self.half_extent;
+                for _ in 0..self.depth {
+                    match node {
+                        Node::Leaf { log_odds } => return Some(*log_odds),
+                        Node::Inner { children } => {
+                            let (idx, child_center) = child_of(point, &center, half);
+                            node = children[idx].as_ref()?;
+                            center = child_center;
+                            half /= 2.0;
+                        }
+                    }
+                }
+                match node {
+                    Node::Leaf { log_odds } => Some(*log_odds),
+                    Node::Inner { .. } => None,
+                }
+            }
+
+            fn in_domain(&self, point: &Vec3) -> bool {
+                point.x.abs() <= self.half_extent
+                    && point.y.abs() <= self.half_extent
+                    && point.z.abs() <= self.half_extent
+            }
+
+            fn update_leaf<F: FnOnce(&mut f64)>(&mut self, point: &Vec3, apply: F) {
+                if !self.in_domain(point) {
+                    return;
+                }
+                let depth = self.depth;
+                let half = self.half_extent;
+                let root = self.root.get_or_insert_with(Node::new_inner);
+                Self::update_recursive(root, point, apply, Vec3::ZERO, half, depth);
+            }
+
+            fn update_recursive<F: FnOnce(&mut f64)>(
+                node: &mut Node,
+                point: &Vec3,
+                apply: F,
+                center: Vec3,
+                half: f64,
+                remaining_depth: u32,
+            ) {
+                if remaining_depth == 0 {
+                    match node {
+                        Node::Leaf { log_odds } => apply(log_odds),
+                        Node::Inner { .. } => {
+                            let mut log_odds = 0.0;
+                            apply(&mut log_odds);
+                            *node = Node::Leaf { log_odds };
+                        }
+                    }
+                    return;
+                }
+                match node {
+                    Node::Leaf { log_odds } => {
+                        // A coarse leaf observed at a shallower depth: refine it
+                        // by pushing its value down (simple expansion).
+                        let existing = *log_odds;
+                        *node = Node::new_inner();
+                        let Node::Inner { children } = node else {
+                            unreachable!("node was just replaced by an inner node");
+                        };
+                        let (idx, child_center) = child_of(point, &center, half);
+                        let child = children[idx].get_or_insert(Node::Leaf { log_odds: existing });
+                        Self::update_recursive(
+                            child,
+                            point,
+                            apply,
+                            child_center,
+                            half / 2.0,
+                            remaining_depth - 1,
+                        );
+                    }
+                    Node::Inner { children } => {
+                        let (idx, child_center) = child_of(point, &center, half);
+                        let child = children[idx].get_or_insert_with(|| {
+                            if remaining_depth == 1 {
+                                Node::Leaf { log_odds: 0.0 }
+                            } else {
+                                Node::new_inner()
+                            }
+                        });
+                        Self::update_recursive(
+                            child,
+                            point,
+                            apply,
+                            child_center,
+                            half / 2.0,
+                            remaining_depth - 1,
+                        );
+                    }
+                }
+            }
+
+            /// Every observed leaf's (centre, log-odds), sorted by coordinates —
+            /// the old `collect_leaves` minus its rounded-centre dedup: every
+            /// leaf is a distinct tree node, so it is listed once.
+            pub fn collect(&self) -> Vec<(Vec3, f64)> {
+                let mut out = Vec::new();
+                if let Some(root) = &self.root {
+                    Self::collect_recursive(root, Vec3::ZERO, self.half_extent, &mut out);
+                }
+                // Chained `total_cmp` ≡ the historical `partial_cmp` tuple sort:
+                // leaf centres sit at (k + ½)·resolution, so they are finite,
+                // never ±0.0, and pairwise distinct.
+                out.sort_by(|a, b| {
+                    a.0.x
+                        .total_cmp(&b.0.x)
+                        .then(a.0.y.total_cmp(&b.0.y))
+                        .then(a.0.z.total_cmp(&b.0.z))
+                });
+                out
+            }
+
+            fn collect_recursive(node: &Node, center: Vec3, half: f64, out: &mut Vec<(Vec3, f64)>) {
+                match node {
+                    Node::Leaf { log_odds } => out.push((center, *log_odds)),
+                    Node::Inner { children } => {
+                        let quarter = half / 2.0;
+                        for (idx, child) in children.iter().enumerate() {
+                            if let Some(child) = child {
+                                let mut c = center;
+                                c.x += if idx & 1 != 0 { quarter } else { -quarter };
+                                c.y += if idx & 2 != 0 { quarter } else { -quarter };
+                                c.z += if idx & 4 != 0 { quarter } else { -quarter };
+                                Self::collect_recursive(child, c, quarter, out);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     fn small_map(resolution: f64) -> OctoMap {
         OctoMap::new(OctoMapConfig::with_resolution(resolution), 32.0)
@@ -1666,14 +1646,28 @@ mod tests {
         center
     }
 
-    /// The frontier candidates as the free-voxel list and the
-    /// unknown-neighbour probe give them: the free voxels whose centre
-    /// `z` lies in `[min_z, max_z]` and which have an unknown face
-    /// neighbour, in list order.
+    /// The frontier candidates as the free-voxel list and six point probes
+    /// give them: the free voxels whose centre `z` lies in `[min_z, max_z]`
+    /// and which have a face neighbour that `query` reports unknown, in list
+    /// order.
     fn listed_frontiers(map: &OctoMap, min_z: f64, max_z: f64) -> Vec<Vec3> {
+        let r = map.resolution();
+        let offsets = [
+            Vec3::new(r, 0.0, 0.0),
+            Vec3::new(-r, 0.0, 0.0),
+            Vec3::new(0.0, r, 0.0),
+            Vec3::new(0.0, -r, 0.0),
+            Vec3::new(0.0, 0.0, r),
+            Vec3::new(0.0, 0.0, -r),
+        ];
         map.free_voxel_centers()
             .into_iter()
-            .filter(|c| !(c.z < min_z || c.z > max_z) && map.has_unknown_neighbor6(c))
+            .filter(|c| {
+                !(c.z < min_z || c.z > max_z)
+                    && offsets
+                        .iter()
+                        .any(|d| map.query(&(*c + *d)) == Occupancy::Unknown)
+            })
             .collect()
     }
 
@@ -1967,23 +1961,6 @@ mod tests {
             assert_eq!(map.occupied_voxel_centers().len(), 1);
             assert_eq!(map.known_voxel_count(), map.known_voxel_count_scan());
             assert_eq!(map.free_voxel_centers(), map.free_voxel_centers_scan());
-            let r = map.resolution();
-            let offsets = [
-                Vec3::new(r, 0.0, 0.0),
-                Vec3::new(-r, 0.0, 0.0),
-                Vec3::new(0.0, r, 0.0),
-                Vec3::new(0.0, -r, 0.0),
-                Vec3::new(0.0, 0.0, r),
-                Vec3::new(0.0, 0.0, -r),
-            ];
-            for center in map.free_voxel_centers_scan() {
-                let probed = offsets.iter().any(|d| map.is_unknown(&(center + *d)));
-                assert_eq!(
-                    map.has_unknown_neighbor6(&center),
-                    probed,
-                    "±{half_extent} m at {center}"
-                );
-            }
             assert!(!map.free_voxel_centers().is_empty(), "±{half_extent} m");
             check_frontier_pass(&map, (-1.0, 1.0), (0, 1));
         }
@@ -2052,12 +2029,14 @@ mod tests {
         assert!(!format!("{}", small_map(0.5)).is_empty());
     }
 
-    /// Differential properties pinning the storage rewrites: the hashed
-    /// voxel-block map and its mask counting and listing must be *exact*
-    /// replacements — bit-identical log-odds, leaf sets and counters against
-    /// the pointer-tree oracle and the tree-walk references.
+    /// Differential properties pinning the storage and query rewrites: the
+    /// hashed voxel-block map, its mask counting and listing and its
+    /// mask-served collision queries must be *exact* replacements —
+    /// bit-identical log-odds, leaf sets, counters and decisions against the
+    /// pointer-tree oracle, the tree-walk references and the pre-index
+    /// queries.
     mod equivalence {
-        use super::super::reference::ReferenceMap;
+        use super::reference::ReferenceMap;
         use super::*;
         use proptest::prelude::*;
         use proptest::TestCaseError;
@@ -2199,8 +2178,88 @@ mod tests {
             Ok(())
         }
 
+        /// Builds a map from `rays` sensor rays out of a fixed origin, at the
+        /// resolution selected by `res_idx`.
+        fn ray_map(res_idx: usize, rays: &[Vec3]) -> OctoMap {
+            let resolution = RESOLUTIONS[res_idx % RESOLUTIONS.len()];
+            let mut map = OctoMap::new(OctoMapConfig::with_resolution(resolution), 24.0);
+            let origin = Vec3::new(0.0, 0.0, 1.5);
+            for endpoint in rays {
+                map.insert_ray(&origin, endpoint);
+            }
+            map
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// The indexed inflation query answers exactly like the reference
+            /// tree-scan for arbitrary maps, query points and radii.
+            #[test]
+            fn inflation_query_matches_reference(
+                res_idx in 0usize..RESOLUTIONS.len(),
+                rays in proptest::collection::vec(arb_point(20.0), 1..40),
+                queries in proptest::collection::vec(arb_point(24.0), 1..24),
+                radius in 0.0f64..2.5,
+            ) {
+                let map = ray_map(res_idx, &rays);
+                for q in &queries {
+                    prop_assert_eq!(
+                        map.is_occupied_with_inflation(q, radius),
+                        map.is_occupied_with_inflation_reference(q, radius),
+                        "inflation decision diverged at {} (radius {})", q, radius
+                    );
+                }
+            }
+
+            /// The DDA-prefiltered swept-segment predicate answers exactly like the
+            /// reference sampled predicate.
+            #[test]
+            fn segment_free_matches_reference(
+                res_idx in 0usize..RESOLUTIONS.len(),
+                rays in proptest::collection::vec(arb_point(20.0), 1..40),
+                segments in proptest::collection::vec((arb_point(24.0), arb_point(24.0)), 1..12),
+                radius in 0.0f64..1.5,
+            ) {
+                let map = ray_map(res_idx, &rays);
+                for (a, b) in &segments {
+                    prop_assert_eq!(
+                        map.segment_free(a, b, radius),
+                        map.segment_free_reference(a, b, radius),
+                        "segment decision diverged on {} -> {} (radius {})", a, b, radius
+                    );
+                }
+            }
+
+            /// Index invalidation across the dynamic-resolution path: rays, then a
+            /// full re-resolution, then more rays — queries and counters must still
+            /// match the tree exactly.
+            #[test]
+            fn index_survives_reresolution_chain(
+                res_idx in 0usize..RESOLUTIONS.len(),
+                new_res_idx in 0usize..RESOLUTIONS.len(),
+                before in proptest::collection::vec(arb_point(20.0), 1..24),
+                after in proptest::collection::vec(arb_point(20.0), 1..24),
+                queries in proptest::collection::vec(arb_point(24.0), 1..12),
+                radius in 0.0f64..1.5,
+            ) {
+                let mut map = ray_map(res_idx, &before);
+                map = map.reresolved(RESOLUTIONS[new_res_idx % RESOLUTIONS.len()]);
+                let origin = Vec3::new(0.0, 0.0, 1.5);
+                for endpoint in &after {
+                    map.insert_ray(&origin, endpoint);
+                }
+                for q in &queries {
+                    prop_assert_eq!(
+                        map.is_occupied_with_inflation(q, radius),
+                        map.is_occupied_with_inflation_reference(q, radius),
+                        "post-reresolve inflation decision diverged at {}", q
+                    );
+                }
+                // The O(1) known counter reproduces the tree walk bit-for-bit
+                // (including its dedup accounting) at every resolution.
+                prop_assert_eq!(map.known_voxel_count(), map.known_voxel_count_scan());
+            }
 
             /// Every materialised leaf counts once, at each of the five
             /// resolutions and through a reresolve → insert chain: the
@@ -2308,39 +2367,6 @@ mod tests {
                 prop_assert_eq!(arena.occupied_voxel_count(), arena.occupied_voxel_count_scan());
             }
 
-            /// The known-block-bitmask frontier predicate agrees with the
-            /// reference six-probe `is_unknown` loop on every known voxel
-            /// centre — the exact call sites frontier extraction probes.
-            #[test]
-            fn unknown_neighbor_index_matches_probe_loop(
-                res_idx in 0usize..RESOLUTIONS.len(),
-                rays in proptest::collection::vec(arb_point(20.0), 1..32),
-            ) {
-                let (arena, _) = paired_maps(res_idx, &rays);
-                let r = arena.resolution();
-                let offsets = [
-                    Vec3::new(r, 0.0, 0.0),
-                    Vec3::new(-r, 0.0, 0.0),
-                    Vec3::new(0.0, r, 0.0),
-                    Vec3::new(0.0, -r, 0.0),
-                    Vec3::new(0.0, 0.0, r),
-                    Vec3::new(0.0, 0.0, -r),
-                ];
-                for center in arena
-                    .free_voxel_centers()
-                    .into_iter()
-                    .chain(arena.occupied_voxel_centers())
-                {
-                    let reference = offsets.iter().any(|d| arena.is_unknown(&(center + *d)));
-                    prop_assert_eq!(
-                        arena.has_unknown_neighbor6(&center),
-                        reference,
-                        "diverged at {}",
-                        center
-                    );
-                }
-            }
-
             /// The block-bitmask-backed `occupied_voxel_centers` agrees with
             /// the tree walk bit-for-bit at dyadic resolutions (where leaf
             /// centres are exactly representable grid centres).
@@ -2430,6 +2456,89 @@ mod tests {
                 prop_assert_eq!(reused.update_count(), fresh.update_count());
                 prop_assert_eq!(reused.free_voxel_centers(), fresh.free_voxel_centers());
             }
+        }
+
+        /// The O(1) counters match the full tree walk on a deterministic dyadic-
+        /// resolution scenario covering rays, a dense point cloud inserted ray by
+        /// ray, and the dynamic-resolution rebuild.
+        #[test]
+        fn counters_match_tree_walk() {
+            let mut map = OctoMap::new(OctoMapConfig::with_resolution(0.5), 32.0);
+            let origin = Vec3::new(0.0, 0.0, 1.0);
+            for i in -12..=12 {
+                for z in [0.5, 1.0, 1.5, 2.0] {
+                    map.insert_ray(&origin, &Vec3::new(10.0, i as f64 * 0.5, z));
+                }
+            }
+            // A dense scan: many rays per voxel, all through the one insertion path.
+            let mut points = Vec::new();
+            for iy in -40..=40 {
+                for iz in 0..14 {
+                    points.push(Vec3::new(12.0, iy as f64 * 0.25, iz as f64 * 0.3));
+                }
+            }
+            map.insert_point_cloud(&PointCloud::new(origin, points));
+            assert_eq!(map.known_voxel_count(), map.known_voxel_count_scan());
+            assert_eq!(map.occupied_voxel_count(), map.occupied_voxel_count_scan());
+            // Query equivalence holds on the densely scanned map too.
+            for (a, b) in [
+                (Vec3::new(-5.0, -8.0, 1.0), Vec3::new(14.0, 8.0, 2.0)),
+                (Vec3::new(0.0, 0.0, 1.0), Vec3::new(9.0, 0.0, 1.0)),
+            ] {
+                assert_eq!(
+                    map.segment_free(&a, &b, 0.33),
+                    map.segment_free_reference(&a, &b, 0.33)
+                );
+            }
+            assert!(map.occupied_voxel_count() > 50);
+            assert!(map.known_voxel_count() > map.occupied_voxel_count());
+
+            let coarse = map.reresolved(1.0);
+            assert_eq!(coarse.known_voxel_count(), coarse.known_voxel_count_scan());
+            assert_eq!(
+                coarse.occupied_voxel_count(),
+                coarse.occupied_voxel_count_scan()
+            );
+
+            let empty = OctoMap::new(OctoMapConfig::default(), 32.0);
+            assert_eq!(empty.known_voxel_count(), 0);
+            assert_eq!(empty.occupied_voxel_count(), 0);
+        }
+
+        /// At non-dyadic resolutions neighbouring leaf centres can round to the same
+        /// `round(centre / resolution)`; the leaf walk lists each leaf once all the
+        /// same, so both O(1) counters (the occupancy the collision queries see) equal
+        /// the walk exactly.
+        #[test]
+        fn occupied_counter_matches_the_walk_at_non_dyadic_resolution() {
+            let mut map = OctoMap::new(OctoMapConfig::with_resolution(0.15), 32.0);
+            let origin = Vec3::new(0.0, 0.0, 1.0);
+            for i in -30..=30 {
+                for z in [0.5, 1.0, 1.5, 2.0] {
+                    map.insert_ray(&origin, &Vec3::new(9.0, i as f64 * 0.2, z));
+                }
+            }
+            assert_eq!(map.occupied_voxel_count(), map.occupied_voxel_count_scan());
+            assert_eq!(map.known_voxel_count(), map.known_voxel_count_scan());
+        }
+
+        /// A map whose rays flip voxels occupied → free (the obstacle moved) must
+        /// drop them from the index too: the inflation query may not keep reporting
+        /// stale occupancy.
+        #[test]
+        fn index_drops_voxels_that_flip_back_to_free() {
+            let mut map = OctoMap::new(OctoMapConfig::with_resolution(0.25), 32.0);
+            let origin = Vec3::new(0.0, 0.0, 1.0);
+            let target = Vec3::new(5.0, 0.0, 1.0);
+            map.insert_ray(&origin, &target);
+            assert!(map.is_occupied_with_inflation(&target, 0.2));
+            for _ in 0..10 {
+                map.insert_ray(&origin, &Vec3::new(12.0, 0.0, 1.0));
+            }
+            assert!(!map.is_occupied_with_inflation(&target, 0.2));
+            // The clearing rays' own endpoint is now the only occupied voxel.
+            assert_eq!(map.occupied_voxel_count(), 1);
+            assert_eq!(map.occupied_voxel_count(), map.occupied_voxel_count_scan());
         }
     }
 }

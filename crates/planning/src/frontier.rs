@@ -304,23 +304,10 @@ impl FrontierExplorer {
         clusters
     }
 
-    /// Picks the best frontier from `position` using the utility
-    /// `size / (1 + w · distance)` — high exploratory promise, short path.
-    pub fn select_frontier(&self, map: &OctoMap, position: &Vec3) -> Option<Frontier> {
-        // `total_cmp` ≡ the historical `partial_cmp().expect()`: utilities
-        // are strictly positive finite (size ≥ 1, denominator ≥ 1), so the
-        // NaN/±0.0 cases where the comparators differ cannot occur.
-        self.find_frontiers(map).into_iter().max_by(|a, b| {
-            let ua =
-                a.size as f64 / (1.0 + self.config.distance_weight * a.center.distance(position));
-            let ub =
-                b.size as f64 / (1.0 + self.config.distance_weight * b.center.distance(position));
-            ua.total_cmp(&ub)
-        })
-    }
-
-    /// Plans a path from `position` to the best frontier using the given
-    /// shortest-path planner.
+    /// Plans a path from `position` to the best reachable frontier using the
+    /// given shortest-path planner. Frontiers are tried in descending order
+    /// of the utility `size / (1 + w · distance)` (high exploratory promise,
+    /// short path); of equal utilities the earlier frontier goes first.
     ///
     /// # Errors
     ///
@@ -338,9 +325,10 @@ impl FrontierExplorer {
             return Err(MavError::planning_failed("frontier", "no frontiers remain"));
         }
         // Try frontiers in descending utility order until one is reachable.
+        // `total_cmp` ≡ the historical `partial_cmp().expect()`: utilities
+        // are strictly positive finite (size ≥ 1, denominator ≥ 1), so the
+        // NaN/±0.0 cases where the comparators differ cannot occur.
         let mut ranked = frontiers;
-        // Same comparator-equivalence argument as `select_frontier`: strictly
-        // positive finite utilities, so `total_cmp` orders identically.
         ranked.sort_by(|a, b| {
             let ua =
                 a.size as f64 / (1.0 + self.config.distance_weight * a.center.distance(&position));
@@ -370,7 +358,7 @@ impl Default for FrontierExplorer {
 mod tests {
     use super::*;
     use crate::shortest_path::{PlannerConfig, PlannerKind};
-    use mav_perception::{OctoMapConfig, PointCloud};
+    use mav_perception::{Occupancy, OctoMapConfig, PointCloud};
 
     /// Builds a partially observed map by scanning from the origin towards +x.
     fn partial_map() -> OctoMap {
@@ -402,15 +390,17 @@ mod tests {
         let map = OctoMap::new(OctoMapConfig::default(), 32.0);
         let explorer = FrontierExplorer::default();
         assert!(explorer.find_frontiers(&map).is_empty());
-        assert!(explorer.select_frontier(&map, &Vec3::ZERO).is_none());
     }
 
     #[test]
     fn selection_prefers_nearby_large_clusters() {
         let map = partial_map();
         let explorer = FrontierExplorer::default();
-        let selected = explorer
-            .select_frontier(&map, &Vec3::new(0.0, 0.0, 2.0))
+        let checker = CollisionChecker::new(0.33);
+        let bounds = Aabb::new(Vec3::new(-30.0, -30.0, 0.5), Vec3::new(30.0, 30.0, 8.0));
+        let planner = ShortestPathPlanner::new(PlannerConfig::new(PlannerKind::Rrt, bounds));
+        let (selected, _) = explorer
+            .plan_exploration(&map, &checker, &planner, Vec3::new(0.0, 0.0, 2.0))
             .unwrap();
         // The selected frontier must not be the farthest-away tiny cluster:
         // its utility must be at least that of every other frontier.
@@ -517,10 +507,23 @@ mod tests {
     /// unknown space.
     fn listed_and_probed(explorer: &FrontierExplorer, map: &OctoMap) -> Vec<Vec3> {
         let config = explorer.config();
+        let r = map.resolution();
+        let offsets = [
+            Vec3::new(r, 0.0, 0.0),
+            Vec3::new(-r, 0.0, 0.0),
+            Vec3::new(0.0, r, 0.0),
+            Vec3::new(0.0, -r, 0.0),
+            Vec3::new(0.0, 0.0, r),
+            Vec3::new(0.0, 0.0, -r),
+        ];
         map.free_voxel_centers()
             .into_iter()
             .filter(|c| !(c.z < config.min_altitude || c.z > config.max_altitude))
-            .filter(|c| map.has_unknown_neighbor6(c))
+            .filter(|c| {
+                offsets
+                    .iter()
+                    .any(|d| map.query(&(*c + *d)) == Occupancy::Unknown)
+            })
             .collect()
     }
 

@@ -76,12 +76,6 @@ pub struct PlannerConfig {
     pub goal_tolerance: f64,
     /// RNG seed.
     pub seed: u64,
-    /// Use the uniform-grid bucket index ([`crate::spatial::PointGrid`]) for
-    /// RRT nearest-neighbour and PRM radius-connection. The index is exact,
-    /// so planned paths are identical either way; `false` restores the
-    /// brute-force O(n²) loops (kept for equivalence tests and A/B
-    /// benchmarking).
-    pub spatial_index: bool,
 }
 
 impl PlannerConfig {
@@ -95,19 +89,12 @@ impl PlannerConfig {
             goal_bias: 0.1,
             goal_tolerance: 1.0,
             seed: 7,
-            spatial_index: true,
         }
     }
 
     /// Overrides the RNG seed (builder style).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Enables or disables the bucketed neighbour index (builder style).
-    pub fn with_spatial_index(mut self, enabled: bool) -> Self {
-        self.spatial_index = enabled;
         self
     }
 }
@@ -273,40 +260,15 @@ impl ShortestPathPlanner {
         parents.push(0);
         // Bucket index over the tree nodes, sized by the extension step (the
         // distance nearest-neighbour queries typically resolve at). Exact,
-        // so the grown tree is identical to the linear-scan tree.
-        let mut index = if self.config.spatial_index {
-            let cell = self.config.step.max(1e-6);
-            let mut index = match grid.take() {
-                Some(mut reused) => {
-                    reused.reset(&self.config.bounds, cell);
-                    reused
-                }
-                None => PointGrid::new(&self.config.bounds, cell),
-            };
-            index.insert(start);
-            Some(index)
-        } else {
-            None
-        };
+        // so the grown tree is identical to the linear-scan tree of the
+        // tests' oracle.
+        let mut index = reset_grid(grid, &self.config.bounds, self.config.step.max(1e-6));
+        index.insert(start);
         let mut found: Option<PlannedPath> = None;
         for sample_count in 0..self.config.max_samples {
             let target = self.sample(&mut rng, &goal);
             // Nearest node in the tree.
-            let nearest_idx = match &index {
-                Some(index) => index.nearest(&target).expect("tree is never empty"),
-                // `total_cmp` ≡ the historical `partial_cmp().expect()`:
-                // squared distances are finite non-negative, so the NaN/±0.0
-                // cases where the comparators differ never reach the sort.
-                None => nodes
-                    .iter()
-                    .enumerate()
-                    .min_by(|a, b| {
-                        a.1.distance_squared(&target)
-                            .total_cmp(&b.1.distance_squared(&target))
-                    })
-                    .map(|(i, _)| i)
-                    .expect("tree is never empty"),
-            };
+            let nearest_idx = index.nearest(&target).expect("tree is never empty");
             let nearest = nodes[nearest_idx];
             // Extend one step towards the sample.
             let dist = nearest.distance(&target);
@@ -320,9 +282,7 @@ impl ShortestPathPlanner {
             }
             nodes.push(new);
             parents.push(nearest_idx);
-            if let Some(index) = index.as_mut() {
-                index.insert(new);
-            }
+            index.insert(new);
             // Goal check.
             if new.distance(&goal) <= self.config.goal_tolerance
                 && checker.segment_free(map, &new, &goal)
@@ -345,7 +305,7 @@ impl ShortestPathPlanner {
             }
         }
         // Park the bucket index back in the scratch for the next plan.
-        *grid = index;
+        *grid = Some(index);
         found.ok_or_else(|| {
             MavError::planning_failed(
                 "rrt",
@@ -398,61 +358,37 @@ impl ShortestPathPlanner {
         // overlap the radius ball, and the distance test is hoisted before
         // any map work, so `segment_free` runs exclusively on pairs that are
         // actually connectable. Candidate indices are sorted ascending so the
-        // adjacency lists are built in exactly the order of the historical
-        // all-pairs loop (A* tie-breaking depends on it).
+        // adjacency lists are built in exactly the order of the all-pairs
+        // loop of the tests' oracle (A* tie-breaking depends on it).
         let radius = self.config.step * 2.5;
         for list in adjacency.iter_mut() {
             list.clear();
         }
         adjacency.resize_with(vertices.len(), Vec::new);
-        let index = if self.config.spatial_index {
-            let mut index = match grid.take() {
-                Some(mut reused) => {
-                    reused.reset(&self.config.bounds, radius.max(1e-6));
-                    reused
-                }
-                None => PointGrid::new(&self.config.bounds, radius.max(1e-6)),
-            };
-            for v in vertices.iter() {
-                index.insert(*v);
-            }
-            Some(index)
-        } else {
-            None
-        };
+        let mut index = reset_grid(grid, &self.config.bounds, radius.max(1e-6));
+        for v in vertices.iter() {
+            index.insert(*v);
+        }
         for i in 0..vertices.len() {
-            match &index {
-                Some(grid) => {
-                    candidates.clear();
-                    grid.candidates_within(&vertices[i], radius, candidates);
-                    candidates.sort_unstable();
-                    for &j in candidates.iter() {
-                        let j = j as usize;
-                        if j <= i {
-                            continue;
-                        }
-                        let d = vertices[i].distance(&vertices[j]);
-                        if d <= radius && checker.segment_free(map, &vertices[i], &vertices[j]) {
-                            adjacency[i].push((j, d));
-                            adjacency[j].push((i, d));
-                        }
-                    }
+            candidates.clear();
+            index.candidates_within(&vertices[i], radius, candidates);
+            candidates.sort_unstable();
+            for &j in candidates.iter() {
+                let j = j as usize;
+                if j <= i {
+                    continue;
                 }
-                None => {
-                    for j in (i + 1)..vertices.len() {
-                        let d = vertices[i].distance(&vertices[j]);
-                        if d <= radius && checker.segment_free(map, &vertices[i], &vertices[j]) {
-                            adjacency[i].push((j, d));
-                            adjacency[j].push((i, d));
-                        }
-                    }
+                let d = vertices[i].distance(&vertices[j]);
+                if d <= radius && checker.segment_free(map, &vertices[i], &vertices[j]) {
+                    adjacency[i].push((j, d));
+                    adjacency[j].push((i, d));
                 }
             }
         }
         // A* from vertex 0 (start) to vertex 1 (goal).
         let found = astar(vertices, adjacency, 0, 1);
         // Park the bucket index back in the scratch for the next plan.
-        *grid = index;
+        *grid = Some(index);
         let path_indices = found.ok_or_else(|| {
             MavError::planning_failed("prm-astar", "roadmap does not connect start and goal")
         })?;
@@ -461,6 +397,18 @@ impl ShortestPathPlanner {
             waypoints,
             samples_used: attempts,
         })
+    }
+}
+
+/// The scratch's bucket index reset to `bounds` and `cell`, or a new one on
+/// the thread's first plan. Reset and new give the same grid.
+fn reset_grid(slot: &mut Option<PointGrid>, bounds: &Aabb, cell: f64) -> PointGrid {
+    match slot.take() {
+        Some(mut grid) => {
+            grid.reset(bounds, cell);
+            grid
+        }
+        None => PointGrid::new(bounds, cell),
     }
 }
 
@@ -549,6 +497,95 @@ mod tests {
             }
         }
         map
+    }
+
+    /// The planners before the bucket index, kept as its oracle: RRT finds
+    /// each nearest node by a linear scan over the tree, PRM tests every
+    /// vertex pair. Sampling, collision checks and A* are the shipped
+    /// planner's own. `None` wherever [`ShortestPathPlanner::plan`] fails.
+    fn plan_without_index(
+        planner: &ShortestPathPlanner,
+        map: &OctoMap,
+        checker: &CollisionChecker,
+        start: Vec3,
+        goal: Vec3,
+    ) -> Option<PlannedPath> {
+        if !checker.point_free(map, &start) || !checker.point_free(map, &goal) {
+            return None;
+        }
+        let config = planner.config;
+        let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
+        if config.kind == PlannerKind::Rrt {
+            let (mut nodes, mut parents) = (vec![start], vec![0]);
+            for sample_count in 0..config.max_samples {
+                let target = planner.sample(&mut rng, &goal);
+                let nearest_idx = nodes
+                    .iter()
+                    .enumerate()
+                    .min_by(|a, b| {
+                        a.1.distance_squared(&target)
+                            .total_cmp(&b.1.distance_squared(&target))
+                    })
+                    .map(|(i, _)| i)
+                    .expect("tree is never empty");
+                let nearest = nodes[nearest_idx];
+                let new = if nearest.distance(&target) <= config.step {
+                    target
+                } else {
+                    nearest + (target - nearest).normalized() * config.step
+                };
+                if !checker.point_free(map, &new) || !checker.segment_free(map, &nearest, &new) {
+                    continue;
+                }
+                nodes.push(new);
+                parents.push(nearest_idx);
+                if new.distance(&goal) <= config.goal_tolerance
+                    && checker.segment_free(map, &new, &goal)
+                {
+                    let mut waypoints = vec![goal];
+                    let mut idx = nodes.len() - 1;
+                    loop {
+                        waypoints.push(nodes[idx]);
+                        if idx == 0 {
+                            break;
+                        }
+                        idx = parents[idx];
+                    }
+                    waypoints.reverse();
+                    return Some(PlannedPath {
+                        waypoints,
+                        samples_used: sample_count + 1,
+                    });
+                }
+            }
+            return None;
+        }
+        let mut vertices = vec![start, goal];
+        let roadmap_size = (config.max_samples / 8).clamp(50, 600);
+        let mut attempts = 0usize;
+        while vertices.len() < roadmap_size + 2 && attempts < config.max_samples {
+            attempts += 1;
+            let p = planner.sample(&mut rng, &goal);
+            if checker.point_free(map, &p) {
+                vertices.push(p);
+            }
+        }
+        let radius = config.step * 2.5;
+        let mut adjacency = vec![Vec::new(); vertices.len()];
+        for i in 0..vertices.len() {
+            for j in (i + 1)..vertices.len() {
+                let d = vertices[i].distance(&vertices[j]);
+                if d <= radius && checker.segment_free(map, &vertices[i], &vertices[j]) {
+                    adjacency[i].push((j, d));
+                    adjacency[j].push((i, d));
+                }
+            }
+        }
+        let path = astar(&vertices, &adjacency, 0, 1)?;
+        Some(PlannedPath {
+            waypoints: path.into_iter().map(|i| vertices[i]).collect(),
+            samples_used: attempts,
+        })
     }
 
     fn check_path(
@@ -702,6 +739,31 @@ mod tests {
                 warm, cold,
                 "{kind:?} diverged between warm and cold scratch"
             );
+        }
+    }
+
+    /// Both planners grow bit-identical solutions with the bucket index and
+    /// without it: same waypoints, same sample counts, same failures.
+    #[test]
+    fn planners_identical_with_and_without_index() {
+        let checker = CollisionChecker::new(0.33);
+        let start = Vec3::new(0.0, 0.0, 2.0);
+        let goal = Vec3::new(16.0, 2.0, 2.0);
+        let open = OctoMap::new(OctoMapConfig::with_resolution(0.5), 32.0);
+        let wall = wall_map();
+        for seed in 0..16 {
+            for kind in [PlannerKind::Rrt, PlannerKind::PrmAstar] {
+                for (label, map) in [("open", &open), ("wall", &wall)] {
+                    let planner = ShortestPathPlanner::new(
+                        PlannerConfig::new(kind, bounds()).with_seed(seed),
+                    );
+                    assert_eq!(
+                        planner.plan(map, &checker, start, goal).ok(),
+                        plan_without_index(&planner, map, &checker, start, goal),
+                        "{kind:?} diverged on the {label} map, seed {seed}"
+                    );
+                }
+            }
         }
     }
 

@@ -1,5 +1,5 @@
-//! Sensor models for MAVBench-RS: RGB-D depth camera, IMU, GPS and the noise
-//! models used by the paper's reliability case study.
+//! Sensor models for MAVBench-RS: the RGB-D depth camera and the depth-noise
+//! model of the paper's reliability case study.
 //!
 //! # Example
 //!
@@ -19,9 +19,7 @@
 #![warn(missing_docs)]
 
 pub mod depth_camera;
-pub mod inertial;
 pub mod noise;
 
 pub use depth_camera::{DepthCamera, DepthCameraConfig, DepthImage};
-pub use inertial::{Gps, GpsFix, Imu, ImuSample};
-pub use noise::{DepthNoiseModel, GpsNoiseModel};
+pub use noise::DepthNoiseModel;

@@ -3,11 +3,9 @@
 //! The reliability case study of the paper (Table II) injects Gaussian noise
 //! with standard deviations of 0–1.5 m into the depth readings of the RGB-D
 //! camera and observes obstacle inflation, extra re-planning and mission
-//! failures. This module provides that noise injection, plus a GPS position
-//! noise model used by the localization kernels.
+//! failures. This module provides that noise injection.
 
 use crate::depth_camera::DepthImage;
-use mav_types::Vec3;
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -73,57 +71,6 @@ impl DepthNoiseModel {
     }
 }
 
-/// Gaussian position noise applied to GPS fixes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GpsNoiseModel {
-    /// Horizontal standard deviation, metres.
-    pub horizontal_std: f64,
-    /// Vertical standard deviation, metres.
-    pub vertical_std: f64,
-    seed: u64,
-    counter: u64,
-}
-
-impl GpsNoiseModel {
-    /// Creates a GPS noise model.
-    pub fn new(horizontal_std: f64, vertical_std: f64, seed: u64) -> Self {
-        assert!(horizontal_std >= 0.0 && vertical_std >= 0.0);
-        GpsNoiseModel {
-            horizontal_std,
-            vertical_std,
-            seed,
-            counter: 0,
-        }
-    }
-
-    /// A noise model representing a good consumer GPS fix (≈0.5 m horizontal,
-    /// 1 m vertical).
-    pub fn consumer_grade(seed: u64) -> Self {
-        GpsNoiseModel::new(0.5, 1.0, seed)
-    }
-
-    /// A perfect (noiseless) GPS.
-    pub fn perfect() -> Self {
-        GpsNoiseModel::new(0.0, 0.0, 0)
-    }
-
-    /// Perturbs a true position.
-    pub fn apply(&mut self, truth: Vec3) -> Vec3 {
-        if self.horizontal_std == 0.0 && self.vertical_std == 0.0 {
-            self.counter += 1;
-            return truth;
-        }
-        let mut rng =
-            ChaCha8Rng::seed_from_u64(self.seed ^ self.counter.wrapping_mul(0xD1B5_4A32_D192_ED03));
-        self.counter += 1;
-        Vec3::new(
-            truth.x + sample_gaussian(&mut rng) * self.horizontal_std,
-            truth.y + sample_gaussian(&mut rng) * self.horizontal_std,
-            truth.z + sample_gaussian(&mut rng) * self.vertical_std,
-        )
-    }
-}
-
 /// Samples a standard normal variate via the Box–Muller transform.
 pub(crate) fn sample_gaussian<R: Rng>(rng: &mut R) -> f64 {
     loop {
@@ -141,7 +88,7 @@ mod tests {
     use super::*;
     use crate::depth_camera::{DepthCamera, DepthCameraConfig};
     use mav_env::{EnvironmentConfig, World};
-    use mav_types::Pose;
+    use mav_types::{Pose, Vec3};
 
     fn capture_frame(world: &World) -> DepthImage {
         DepthCamera::new(DepthCameraConfig::default())
@@ -213,17 +160,6 @@ mod tests {
         model.apply(&mut a);
         model.apply(&mut b);
         assert_ne!(a.depths, b.depths);
-    }
-
-    #[test]
-    fn gps_noise_behaviour() {
-        let truth = Vec3::new(10.0, -4.0, 3.0);
-        assert_eq!(GpsNoiseModel::perfect().apply(truth), truth);
-        let mut gps = GpsNoiseModel::consumer_grade(8);
-        let fix = gps.apply(truth);
-        assert!(fix.distance(&truth) < 10.0);
-        let fix2 = gps.apply(truth);
-        assert_ne!(fix, fix2);
     }
 
     #[test]

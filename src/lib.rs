@@ -24,7 +24,7 @@ pub use mav_compute as compute;
 pub use mav_control as control;
 /// The closed-loop simulator, the five applications and the experiments.
 pub use mav_core as core;
-/// Quadrotor dynamics and the flight controller.
+/// Point-mass quadrotor dynamics.
 pub use mav_dynamics as dynamics;
 /// Rotor/compute power models and the battery.
 pub use mav_energy as energy;
@@ -36,7 +36,7 @@ pub use mav_perception as perception;
 pub use mav_planning as planning;
 /// Pub/sub runtime, clock and kernel timing.
 pub use mav_runtime as runtime;
-/// Depth camera, IMU, GPS and noise models.
+/// Depth camera and depth-noise model.
 pub use mav_sensors as sensors;
 /// Geometry, pose, trajectory and unit types.
 pub use mav_types as types;
