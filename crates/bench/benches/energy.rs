@@ -4,7 +4,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use mav_energy::{
     Battery, BatteryConfig, ComputePowerModel, EnergyAccount, FlightPhaseLabel, RotorPowerModel,
 };
-use mav_types::{Power, SimDuration, SimTime, Vec3};
+use mav_types::{Power, SimDuration, Vec3};
 
 fn bench_energy(c: &mut Criterion) {
     let rotor = RotorPowerModel::dji_matrice_100();
@@ -31,7 +31,6 @@ fn bench_energy(c: &mut Criterion) {
         let mut acc = EnergyAccount::new();
         b.iter(|| {
             acc.record(
-                SimTime::ZERO,
                 SimDuration::from_millis(50.0),
                 Power::from_watts(330.0),
                 Power::from_watts(13.0),

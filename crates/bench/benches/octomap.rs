@@ -5,7 +5,7 @@
 //! whole mapping-mission episode (the episodes/sec figure the ROADMAP's
 //! Monte-Carlo item tracks).
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mav_core::{run_mission, run_mission_with_scratch, EpisodeScratch, MissionConfig};
+use mav_core::{run_mission, MissionConfig};
 use mav_env::EnvironmentConfig;
 use mav_perception::{OctoMap, OctoMapConfig, PointCloud};
 use mav_planning::FrontierExplorer;
@@ -150,17 +150,12 @@ fn bench_frontier_extraction(c: &mut Criterion) {
 
 /// One whole fast-profile 3D Mapping mission: the episodes/sec figure for the
 /// ROADMAP's Monte-Carlo reliability trajectory (scan insertion + frontier
-/// extraction dominate its wall time). `fast_episode` allocates everything
-/// per episode at the historical configuration (extent 25 m, fast-profile
-/// default resolution), so its episodes/sec line is comparable across PRs;
-/// `fast_episode_scratch` is the same mission through a persistent
-/// [`EpisodeScratch`] — the paired A/B of the zero-realloc episode-reuse
-/// layer (identical reports, pinned by the core tests).
-///
-/// The `fine_episode` pair repeats the A/B at 0.30 m static resolution
-/// (inside the paper's 0.15–0.80 m case-study band): a ~50k-voxel map per
-/// episode is where the allocate/fault/drop cost the scratch layer removes
-/// shows most clearly.
+/// extraction dominate its wall time). `fast_episode` runs the historical
+/// configuration (extent 25 m, fast-profile default resolution);
+/// `fine_episode` repeats it at 0.30 m static resolution (inside the paper's
+/// 0.15–0.80 m case-study band), a ~50k-voxel map per episode. Both reuse
+/// the bench thread's map and buffers from one episode to the next, as every
+/// mission does.
 fn bench_mapping_mission(c: &mut Criterion) {
     let episode_config = |resolution: Option<f64>| {
         let mut cfg = MissionConfig::fast_test(mav_compute::ApplicationId::Mapping3D).with_seed(4);
@@ -171,24 +166,14 @@ fn bench_mapping_mission(c: &mut Criterion) {
         cfg
     };
     let mut group = c.benchmark_group("mapping_mission");
-    // Whole-mission samples are ~10 ms and the paired fresh/scratch ratio is
-    // the quantity of record, so buy extra samples for a stable median.
+    // Whole-mission samples are ~10 ms, so buy extra samples for a stable
+    // median.
     group.sample_size(40);
     group.bench_function("fast_episode", |b| {
         b.iter(|| run_mission(episode_config(None)).mission_time_secs)
     });
-    let mut scratch = EpisodeScratch::new();
-    group.bench_function("fast_episode_scratch", |b| {
-        b.iter(|| run_mission_with_scratch(episode_config(None), &mut scratch).mission_time_secs)
-    });
     group.bench_function("fine_episode", |b| {
         b.iter(|| run_mission(episode_config(Some(0.3))).mission_time_secs)
-    });
-    let mut scratch = EpisodeScratch::new();
-    group.bench_function("fine_episode_scratch", |b| {
-        b.iter(|| {
-            run_mission_with_scratch(episode_config(Some(0.3)), &mut scratch).mission_time_secs
-        })
     });
     group.finish();
 }

@@ -119,7 +119,7 @@ fn bench_detection_and_slam(c: &mut Criterion) {
     });
     c.bench_function("visual_slam_frame", |b| {
         let mut slam = VisualSlam::new(SlamConfig::with_fps(5.0));
-        b.iter(|| slam.localize(&pose, &Vec3::new(3.0, 0.0, 0.0)).healthy)
+        b.iter(|| slam.localize(&Vec3::new(3.0, 0.0, 0.0)))
     });
 }
 

@@ -22,9 +22,9 @@ use mav_core::reliability::{
 use mav_core::velocity::velocity_vs_process_time;
 use mav_energy::{
     commercial_mav_catalog, ComputePowerModel, EnergyAccount, FlightPhaseLabel, RotorPowerModel,
-    WingType,
+    WingType, OTHER_ELECTRONICS_WATTS,
 };
-use mav_types::{Json, Power, SimDuration, SimTime, ToJson, Vec3};
+use mav_types::{Json, Power, SimDuration, ToJson, Vec3};
 
 /// Shared driver for the Figs. 10–14 operating-point heat maps.
 pub fn heatmap_figure(application: ApplicationId, seed: u64, cli: &Cli) -> FigureOutput {
@@ -287,7 +287,6 @@ fn power_trace(cruise: f64) -> EnergyAccount {
     let compute = ComputePowerModel::tx2().power(4, 2.2);
     let mut acc = EnergyAccount::new();
     let dt = SimDuration::from_millis(200.0);
-    let mut t = SimTime::ZERO;
     let phases: &[(f64, FlightPhaseLabel, Vec3)] = &[
         (5.0, FlightPhaseLabel::Arming, Vec3::ZERO),
         (10.0, FlightPhaseLabel::Hovering, Vec3::ZERO),
@@ -302,8 +301,7 @@ fn power_trace(cruise: f64) -> EnergyAccount {
             } else {
                 rotor.power(velocity, &Vec3::ZERO, &Vec3::ZERO)
             };
-            acc.record(t, dt, rotor_p, compute, *phase);
-            t += dt;
+            acc.record(dt, rotor_p, compute, *phase);
         }
     }
     acc
@@ -321,7 +319,10 @@ pub fn fig09_power_breakdown(_cli: &Cli) -> FigureOutput {
             "compute platform (TX2)".to_string(),
             format!("{compute_w:.1}"),
         ],
-        vec!["other electronics".to_string(), format!("{:.1}", 2.0)],
+        vec![
+            "other electronics".to_string(),
+            format!("{OTHER_ELECTRONICS_WATTS:.1}"),
+        ],
     ];
     text.push_str(&format_table(&["subsystem", "power (W)"], &rows));
     text.push_str(&format!(

@@ -207,12 +207,6 @@ impl ComputePlatform {
         }
     }
 
-    /// Replaces the kernel profile table (used to plug in custom kernels).
-    pub fn with_profile(mut self, profile: ApplicationProfile) -> Self {
-        self.profile = profile;
-        self
-    }
-
     /// The application this platform is configured for.
     pub fn application(&self) -> ApplicationId {
         self.application

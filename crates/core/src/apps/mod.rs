@@ -15,14 +15,14 @@ use crate::context::MissionContext;
 use crate::qof::{MissionFailure, MissionReport};
 use crate::scratch::EpisodeScratch;
 use mav_compute::ApplicationId;
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// Runs the benchmark application selected by `config.application` and returns
 /// its mission report.
 ///
 /// This is the single entry point used by the examples, the integration tests
-/// and every experiment harness.
+/// and every experiment harness. The mission takes its occupancy map and
+/// point-cloud buffers from this thread's [`EpisodeScratch`] and hands them
+/// back when it finishes.
 ///
 /// # Example
 ///
@@ -34,34 +34,8 @@ use std::rc::Rc;
 /// println!("{report}");
 /// ```
 pub fn run_mission(config: MissionConfig) -> MissionReport {
-    dispatch(config, None)
-}
-
-/// [`run_mission`] with cross-episode scratch reuse: the occupancy map, the
-/// point-cloud buffers and (for a repeated environment configuration) the
-/// generated world are recycled from `scratch` instead of reallocated, and
-/// deposited back when the mission finishes. Bit-identical to
-/// [`run_mission`] — reuse recycles allocations, never state — which the
-/// integration tests pin with full-report equality.
-///
-/// This is the per-episode engine of the Monte-Carlo reliability sweep: each
-/// sweep worker holds one `EpisodeScratch` and folds its shard of episodes
-/// through it.
-pub fn run_mission_with_scratch(
-    config: MissionConfig,
-    scratch: &mut EpisodeScratch,
-) -> MissionReport {
-    let slot = Rc::new(RefCell::new(std::mem::take(scratch)));
-    let report = dispatch(config, Some(Rc::clone(&slot)));
-    if let Ok(cell) = Rc::try_unwrap(slot) {
-        *scratch = cell.into_inner();
-    }
-    report
-}
-
-fn dispatch(config: MissionConfig, scratch: Option<Rc<RefCell<EpisodeScratch>>>) -> MissionReport {
     let application = config.application;
-    match MissionContext::with_scratch_slot(config, scratch) {
+    match MissionContext::new(config) {
         Ok(ctx) => match application {
             ApplicationId::Scanning => scanning::run(ctx),
             ApplicationId::AerialPhotography => aerial_photography::run(ctx),
@@ -71,6 +45,19 @@ fn dispatch(config: MissionConfig, scratch: Option<Rc<RefCell<EpisodeScratch>>>)
         },
         Err(reason) => invalid_config_report(application, reason),
     }
+}
+
+/// [`run_mission`] on the caller's `scratch` instead of this thread's own:
+/// the two are swapped for the duration of the call, so the mission takes
+/// its occupancy map and point-cloud buffers from `scratch` and leaves them
+/// there when it finishes. Bit-identical to [`run_mission`] — reuse recycles
+/// allocations, never state — which the tests pin with full-report equality
+/// on warm and cold scratches.
+pub fn run_mission_with_scratch(
+    config: MissionConfig,
+    scratch: &mut EpisodeScratch,
+) -> MissionReport {
+    EpisodeScratch::swapped_in(scratch, || run_mission(config))
 }
 
 fn invalid_config_report(application: ApplicationId, reason: String) -> MissionReport {
@@ -106,29 +93,30 @@ mod tests {
 
     #[test]
     fn scratch_reuse_reproduces_fresh_missions_bit_for_bit() {
-        // One scratch carried across every application and two different
-        // world shapes: the map is reshaped, the world cache misses and
-        // re-fills, the cloud buffers are reused — and every report must
-        // equal the allocating run_mission's, field for field.
-        let mut scratch = EpisodeScratch::new();
+        // Three runs per case: on one warm scratch carried across every
+        // application and both world shapes (the map is reshaped, the cloud
+        // buffers are reused), on a cold scratch (a new map, empty buffers),
+        // and on this thread's own scratch. Every report must be equal,
+        // field for field.
+        let mut warm = EpisodeScratch::new();
         for &app in ApplicationId::all() {
             for (seed, extent) in [(3u64, 18.0), (5u64, 24.0)] {
                 let mut cfg = quick_config(MissionConfig::fast_test(app)).with_seed(seed);
                 cfg.environment.extent = extent;
-                let fresh = run_mission(cfg.clone());
-                let reused = run_mission_with_scratch(cfg, &mut scratch);
-                assert_eq!(fresh, reused, "{app:?} seed {seed} extent {extent}");
+                let reused = run_mission_with_scratch(cfg.clone(), &mut warm);
+                let cold = run_mission_with_scratch(cfg.clone(), &mut EpisodeScratch::new());
+                let own = run_mission(cfg);
+                assert_eq!(cold, reused, "{app:?} seed {seed} extent {extent}");
+                assert_eq!(cold, own, "{app:?} seed {seed} extent {extent}");
             }
         }
     }
 
     #[test]
-    fn repeated_config_hits_the_world_cache_and_still_matches() {
+    fn repeated_config_reproduces_its_report() {
         let mut scratch = EpisodeScratch::new();
         let cfg = quick_config(MissionConfig::fast_test(ApplicationId::Scanning)).with_seed(9);
         let first = run_mission_with_scratch(cfg.clone(), &mut scratch);
-        // Second run with the identical config: the cached world is cloned
-        // instead of regenerated.
         let second = run_mission_with_scratch(cfg.clone(), &mut scratch);
         assert_eq!(first, second);
         assert_eq!(first, run_mission(cfg));

@@ -25,15 +25,16 @@ use crate::scratch::{CloudScratch, EpisodeScratch};
 use crate::velocity::max_safe_velocity;
 use mav_compute::{ComputePlatform, KernelId, OperatingPoint};
 use mav_dynamics::Quadrotor;
-use mav_energy::{Battery, ComputePowerModel, EnergyAccount, FlightPhaseLabel, RotorPowerModel};
+use mav_energy::{
+    Battery, ComputePowerModel, EnergyAccount, FlightPhaseLabel, RotorPowerModel,
+    OTHER_ELECTRONICS_WATTS,
+};
 use mav_env::World;
 use mav_perception::{OctoMap, OctoMapConfig};
 use mav_planning::{CollisionChecker, PlannerConfig, PlannerKind, ShortestPathPlanner};
 use mav_runtime::{Executor, FifoTopic, KernelTimer, SimClock, Topic};
 use mav_sensors::{DepthCamera, DepthImage, DepthNoiseModel};
-use mav_types::{Aabb, Pose, SimDuration, Trajectory, Vec3};
-use std::cell::RefCell;
-use std::rc::Rc;
+use mav_types::{Aabb, Pose, Power, SimDuration, Trajectory, Vec3};
 
 /// In-flight replans allowed per episode under
 /// [`crate::config::ReplanMode::PlanInMotion`] before the planner falls back
@@ -73,7 +74,8 @@ pub struct MissionContext {
     /// The occupancy map being built.
     pub map: OctoMap,
     rotor_power: RotorPowerModel,
-    compute_power: ComputePowerModel,
+    /// Companion-computer draw at the mission's fixed operating point.
+    compute_power: Power,
     camera: DepthCamera,
     depth_noise: DepthNoiseModel,
     current_resolution: f64,
@@ -84,9 +86,7 @@ pub struct MissionContext {
     detections: u32,
     tracking_error_sum: f64,
     tracking_error_samples: u32,
-    mapped_volume: f64,
     clouds: CloudScratch,
-    scratch: Option<Rc<RefCell<EpisodeScratch>>>,
     /// Compiled fault injector; `None` for the default empty plan, keeping
     /// every historical code path structurally untouched.
     faults: Option<FaultInjector>,
@@ -95,33 +95,18 @@ pub struct MissionContext {
 }
 
 impl MissionContext {
-    /// Builds a mission from its configuration.
+    /// Builds a mission from its configuration, on this thread's occupancy
+    /// map and point-cloud buffers ([`EpisodeScratch`]), which
+    /// [`MissionContext::finish`] hands back. The map is reset to the
+    /// mission's geometry, so the scratch recycles allocations, never state.
     ///
     /// # Errors
     ///
-    /// Returns a descriptive message when the configuration is invalid.
+    /// Returns a descriptive message when the configuration is invalid; the
+    /// thread's map and buffers are then left untouched.
     pub fn new(config: MissionConfig) -> Result<Self, String> {
-        Self::with_scratch_slot(config, None)
-    }
-
-    /// [`MissionContext::new`], optionally sourcing the world, occupancy map
-    /// and point-cloud buffers from an [`EpisodeScratch`] slot. The finished
-    /// mission deposits its reusable state back into the slot in
-    /// [`MissionContext::finish`]. Construction with a slot is bit-identical
-    /// to construction without one: the scratch only recycles allocations,
-    /// never state.
-    pub(crate) fn with_scratch_slot(
-        config: MissionConfig,
-        scratch: Option<Rc<RefCell<EpisodeScratch>>>,
-    ) -> Result<Self, String> {
         config.validate()?;
-        let (world, clouds) = match &scratch {
-            Some(slot) => {
-                let mut s = slot.borrow_mut();
-                (s.world_for(&config.environment), s.take_clouds())
-            }
-            None => (config.environment.generate(), CloudScratch::default()),
-        };
+        let world = config.environment.generate();
         let start = Pose::new(Vec3::new(0.0, 0.0, config.quadrotor.cruise_altitude), 0.0);
         let quad = Quadrotor::new(config.quadrotor.clone(), start);
         let faults = FaultInjector::compile(&config.fault_plan, config.seed);
@@ -145,14 +130,15 @@ impl MissionContext {
             ),
             None => mav_compute::ComputePlatform::tx2(config.application, config.operating_point),
         };
+        let compute_power = ComputePowerModel::tx2().power(
+            config.operating_point.cores,
+            config.operating_point.frequency.as_ghz(),
+        );
         let resolution = config.resolution_policy.initial_resolution();
-        let half_extent = config.map_half_extent();
-        let map = match &scratch {
-            Some(slot) => slot
-                .borrow_mut()
-                .map_for(OctoMapConfig::with_resolution(resolution), half_extent),
-            None => OctoMap::new(OctoMapConfig::with_resolution(resolution), half_extent),
-        };
+        let (map, clouds) = EpisodeScratch::take(
+            OctoMapConfig::with_resolution(resolution),
+            config.map_half_extent(),
+        );
         let camera = DepthCamera::new(config.camera);
         let depth_noise = DepthNoiseModel::new(config.depth_noise_std, config.seed);
         Ok(MissionContext {
@@ -165,7 +151,7 @@ impl MissionContext {
             clock: SimClock::new(),
             map,
             rotor_power,
-            compute_power: ComputePowerModel::tx2(),
+            compute_power,
             camera,
             depth_noise,
             current_resolution: resolution,
@@ -176,9 +162,7 @@ impl MissionContext {
             detections: 0,
             tracking_error_sum: 0.0,
             tracking_error_samples: 0,
-            mapped_volume: 0.0,
             clouds,
-            scratch,
             faults,
             degraded: DegradedState::default(),
             config,
@@ -240,14 +224,6 @@ impl MissionContext {
         );
         ShortestPathPlanner::new(
             PlannerConfig::new(kind, bounds).with_seed(self.config.seed ^ 0x51ed),
-        )
-    }
-
-    /// Compute power at the configured operating point.
-    fn compute_power_now(&self) -> mav_types::Power {
-        self.compute_power.power(
-            self.config.operating_point.cores,
-            self.config.operating_point.frequency.as_ghz(),
         )
     }
 
@@ -386,9 +362,7 @@ impl MissionContext {
     /// OctoMap-generation kernel); Scanning and Aerial Photography fly
     /// without an occupancy map, so camera/mapping rates cannot slow them.
     pub fn velocity_cap(&mut self) -> f64 {
-        let staleness = if mav_compute::table1_profile(self.config.application)
-            .uses(KernelId::OctomapGeneration)
-        {
+        let staleness = if self.platform.profile().uses(KernelId::OctomapGeneration) {
             self.config.rates.sensing_interval()
         } else {
             SimDuration::ZERO
@@ -410,6 +384,13 @@ impl MissionContext {
         let mut remaining = duration.as_secs();
         let dt = self.config.physics_dt;
         let hovering = velocity_cmd.norm() < 0.05;
+        let phase = if hovering {
+            FlightPhaseLabel::Hovering
+        } else {
+            FlightPhaseLabel::Flying
+        };
+        let compute = self.compute_power;
+        let other = Power::from_watts(OTHER_ELECTRONICS_WATTS);
         while remaining > 1e-9 {
             let step = remaining.min(dt);
             self.quad.step(velocity_cmd, step);
@@ -425,17 +406,9 @@ impl MissionContext {
             let rotor =
                 self.rotor_power
                     .power(&state.twist.linear, &state.acceleration, &Vec3::ZERO);
-            let compute = self.compute_power_now();
-            let phase = if hovering {
-                FlightPhaseLabel::Hovering
-            } else {
-                FlightPhaseLabel::Flying
-            };
             let step_d = SimDuration::from_secs(step);
-            self.energy
-                .record(self.clock.now(), step_d, rotor, compute, phase);
-            self.battery
-                .discharge(rotor + compute + mav_types::Power::from_watts(2.0), step_d);
+            self.energy.record(step_d, rotor, compute, phase);
+            self.battery.discharge(rotor + compute + other, step_d);
             self.distance += state.twist.linear.norm() * step;
             if hovering {
                 self.hover_time += step_d;
@@ -573,7 +546,6 @@ impl MissionContext {
         raw.fill_from_depth_image(frame);
         raw.downsample_into(self.current_resolution, cells, downsampled);
         self.map.insert_point_cloud(downsampled);
-        self.mapped_volume = self.map.mapped_volume();
         latency
     }
 
@@ -736,25 +708,17 @@ impl MissionContext {
         }
     }
 
-    /// Finalises the mission into a report, depositing the reusable map and
-    /// cloud buffers back into the episode scratch when one was attached.
+    /// Finalises the mission into a report and hands the occupancy map and
+    /// cloud buffers back to this thread's [`EpisodeScratch`].
     pub fn finish(mut self, failure: Option<MissionFailure>) -> MissionReport {
         let velocity_cap = self.velocity_cap();
-        if let Some(slot) = self.scratch.take() {
-            let map = std::mem::replace(
-                &mut self.map,
-                OctoMap::new(OctoMapConfig::with_resolution(1.0), 1.0),
-            );
-            let clouds = std::mem::take(&mut self.clouds);
-            slot.borrow_mut().deposit(map, clouds);
-        }
         let tracking_error = if self.tracking_error_samples > 0 {
             self.tracking_error_sum / self.tracking_error_samples as f64
         } else {
             0.0
         };
         let degraded = self.degraded_summary(failure.is_some());
-        MissionReport::from_counters(
+        let report = MissionReport::from_counters(
             self.config.application,
             self.config.operating_point,
             failure,
@@ -766,11 +730,13 @@ impl MissionContext {
             self.battery.percentage(),
             self.replans,
             self.detections,
-            self.mapped_volume,
+            self.map.mapped_volume(),
             tracking_error,
             self.timer,
             degraded,
-        )
+        );
+        EpisodeScratch::deposit(self.map, self.clouds);
+        report
     }
 }
 

@@ -49,5 +49,5 @@ pub use qof::{MissionFailure, MissionReport};
 pub use reliability::{
     ClassStats, FaultGridCell, ReliabilityStats, ScenarioGenerator, StreamingHistogram,
 };
-pub use scratch::{with_episode_scratch, EpisodeScratch};
+pub use scratch::EpisodeScratch;
 pub use sweep::{SweepOutcome, SweepPoint, SweepReport, SweepRunner};

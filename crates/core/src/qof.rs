@@ -203,12 +203,11 @@ impl fmt::Display for MissionReport {
 mod tests {
     use super::*;
     use mav_energy::FlightPhaseLabel;
-    use mav_types::{Power, SimTime};
+    use mav_types::Power;
 
     fn sample_energy() -> EnergyAccount {
         let mut acc = EnergyAccount::new();
         acc.record(
-            SimTime::ZERO,
             SimDuration::from_secs(100.0),
             Power::from_watts(320.0),
             Power::from_watts(13.0),

@@ -19,17 +19,16 @@
 //!   folded in fixed shard order, so aggregates are bit-identical at every
 //!   thread count.
 //! * [`reliability_sweep_classified`] — shards the episode range into fixed
-//!   contiguous blocks via [`SweepRunner::run_sharded`], runs each shard's
-//!   episodes through that worker's [`crate::EpisodeScratch`]
-//!   (zero-realloc episode reuse), and merges the shard accumulators in
-//!   shard order.
+//!   contiguous blocks via [`SweepRunner::run_sharded`], runs each episode
+//!   with [`run_mission`] (so a worker reuses its thread's map and buffers,
+//!   [`crate::EpisodeScratch`]), and merges the shard accumulators in shard
+//!   order.
 
-use crate::apps::run_mission_with_scratch;
+use crate::apps::run_mission;
 use crate::config::{DegradationConfig, MissionConfig, RateConfig, ReplanMode};
 use crate::experiments::quick_config;
 use crate::faults::FaultPlan;
 use crate::qof::{MissionFailure, MissionReport};
-use crate::scratch::with_episode_scratch;
 use crate::sweep::{splitmix64, SweepRunner};
 use mav_compute::ApplicationId;
 use mav_runtime::ExecModel;
@@ -654,8 +653,8 @@ impl ToJson for ClassStats {
 /// at most `shard_size` ([`DEFAULT_SHARD_SIZE`]; tests use small shards to
 /// exercise multi-shard merging) and returns the streaming aggregate plus a
 /// per-scenario-class breakdown keyed by [`ScenarioGenerator::episode_class`].
-/// Each worker folds its shard through its thread-local
-/// [`crate::EpisodeScratch`] (zero-realloc episode reuse), and the shard
+/// Each worker folds its shard through [`run_mission`], which reuses the
+/// worker thread's map and buffers ([`crate::EpisodeScratch`]), and the shard
 /// accumulators, the all-integer class map included, merge in shard order:
 /// results are bit-identical at every thread count.
 pub fn reliability_sweep_classified(
@@ -682,20 +681,18 @@ pub fn reliability_sweep_classified_observed(
     observe_episode_done: &(dyn Fn(u64) + Sync),
 ) -> (ReliabilityStats, BTreeMap<String, ClassStats>) {
     let shards = runner.run_sharded(episodes, shard_size, |range| {
-        with_episode_scratch(|scratch| {
-            let mut acc = ReliabilityStats::new();
-            let mut classes: BTreeMap<String, ClassStats> = BTreeMap::new();
-            for index in range {
-                let report = run_mission_with_scratch(generator.episode(index), scratch);
-                acc.record(&report);
-                classes
-                    .entry(generator.episode_class(index))
-                    .or_default()
-                    .record(&report);
-                observe_episode_done(index);
-            }
-            (acc, classes)
-        })
+        let mut acc = ReliabilityStats::new();
+        let mut classes: BTreeMap<String, ClassStats> = BTreeMap::new();
+        for index in range {
+            let report = run_mission(generator.episode(index));
+            acc.record(&report);
+            classes
+                .entry(generator.episode_class(index))
+                .or_default()
+                .record(&report);
+            observe_episode_done(index);
+        }
+        (acc, classes)
     });
     let mut total = ReliabilityStats::new();
     let mut classes: BTreeMap<String, ClassStats> = BTreeMap::new();
@@ -880,7 +877,6 @@ pub fn reliability_fault_grid_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apps::run_mission;
 
     /// A small pinned scenario space so tests run quickly.
     fn tiny_generator() -> ScenarioGenerator {
@@ -967,11 +963,10 @@ mod tests {
     }
 
     #[test]
-    fn sweep_aggregates_match_a_serial_fresh_mission_loop() {
+    fn sweep_aggregates_match_a_serial_mission_loop() {
         // Six episodes fit one shard, so the sharded sweep accumulates in the
-        // same order as this serial loop — and the loop uses the allocating
-        // run_mission, so this also pins scratch reuse to fresh missions at
-        // the aggregate level.
+        // same order as this serial loop, which runs on the test thread's map
+        // and buffers where the sweep runs on its workers'.
         let generator = tiny_generator();
         let mut expected = ReliabilityStats::new();
         for index in 0..6 {

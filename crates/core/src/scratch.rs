@@ -1,26 +1,22 @@
-//! Cross-episode scratch reuse: the zero-realloc substrate of the
-//! Monte-Carlo reliability sweep.
+//! Cross-episode buffer reuse: every mission runs on its thread's map and
+//! cloud buffers.
 //!
-//! Every [`crate::run_mission`] historically built a fresh
-//! [`crate::MissionContext`] — a new `OctoMap` block store, new point-cloud
-//! buffers, a regenerated world — and threw it all away. At reliability-sweep
-//! scale (ROADMAP item 3: 10k–1M episodes) that allocation churn is the
-//! bottleneck, so [`EpisodeScratch`] keeps the expensive state alive between
-//! episodes: the map is [`mav_perception::OctoMap::clear`]ed (or reshaped
-//! with [`mav_perception::OctoMap::reset`]) instead of reallocated, the
-//! per-frame cloud buffers keep their capacity, and an identical environment
-//! configuration reuses the cached pristine [`World`] instead of regenerating
-//! it. Reuse is *bit-transparent*: `run_mission_with_scratch` produces the
-//! exact report of `run_mission` (pinned by tests), because every reused
-//! structure restores its fresh-constructed state exactly.
+//! [`crate::MissionContext::new`] takes the occupancy map and the per-frame
+//! cloud buffers from this thread's [`EpisodeScratch`], resetting the map to
+//! the mission's geometry with [`mav_perception::OctoMap::reset`] (or
+//! building one with `OctoMap::new` on the thread's first mission), and
+//! [`crate::MissionContext::finish`] hands them back. So a sweep worker, a
+//! server worker or a harness thread allocates its map and buffers once and
+//! keeps the last map until it exits. Reuse is *bit-transparent*: a reset map
+//! and a new map are the same state, and a mission run on a warm scratch
+//! reports exactly what it reports on a cold one (pinned by tests).
 
-use mav_env::{EnvironmentConfig, World};
 use mav_perception::{DownsampleScratch, OctoMap, OctoMapConfig, PointCloud};
 use std::cell::RefCell;
 
 /// Reusable per-frame perception buffers: the raw depth-frame cloud, the
 /// downsampling cell map and the downsampled output cloud. Owned by the
-/// running [`crate::MissionContext`] and recovered into the
+/// running [`crate::MissionContext`] and handed back to its thread's
 /// [`EpisodeScratch`] when the mission finishes.
 #[derive(Debug, Default)]
 pub(crate) struct CloudScratch {
@@ -32,80 +28,64 @@ pub(crate) struct CloudScratch {
     pub(crate) downsampled: PointCloud,
 }
 
-/// Reusable cross-episode state for [`crate::apps::run_mission_with_scratch`].
+/// The map and cloud buffers one thread's missions reuse.
 ///
-/// One instance per worker amortises the per-episode allocations across every
-/// episode that worker runs: the map's block storage and its index, the
-/// point-cloud buffers, and (for repeated identical environment configs) the
-/// generated world. A default instance is empty — the first episode populates
-/// it — so the type is also the correct "cold start" state.
+/// Every thread has one, which [`crate::run_mission`] uses. A caller that
+/// holds its own instance runs missions on it with
+/// [`crate::apps::run_mission_with_scratch`]. A default instance is empty —
+/// the first mission populates it — so the type is also the correct "cold
+/// start" state.
 #[derive(Debug, Default)]
 pub struct EpisodeScratch {
     map: Option<OctoMap>,
     clouds: CloudScratch,
-    world_cache: Option<(EnvironmentConfig, World)>,
-}
-
-impl EpisodeScratch {
-    /// An empty scratch: the first episode run with it pays the normal
-    /// allocation cost and leaves its buffers behind for the next one.
-    pub fn new() -> Self {
-        EpisodeScratch::default()
-    }
-
-    /// The pristine world for `env`: a clone of the cached generation when
-    /// the configuration is identical (environment generation is a pure
-    /// function of its config, so the clone is bit-identical to regenerating),
-    /// a fresh `generate()` otherwise. The cache keeps the latest config —
-    /// sweeps that vary the environment per episode simply miss.
-    pub(crate) fn world_for(&mut self, env: &EnvironmentConfig) -> World {
-        if let Some((cached, world)) = &self.world_cache {
-            if cached == env {
-                return world.clone();
-            }
-        }
-        let world = env.generate();
-        self.world_cache = Some((env.clone(), world.clone()));
-        world
-    }
-
-    /// An empty map with the given geometry, reusing the previous episode's
-    /// block and index allocations when available ([`OctoMap::reset`] restores
-    /// the exact fresh-map state).
-    pub(crate) fn map_for(&mut self, config: OctoMapConfig, half_extent: f64) -> OctoMap {
-        match self.map.take() {
-            Some(mut map) => {
-                map.reset(config, half_extent);
-                map
-            }
-            None => OctoMap::new(config, half_extent),
-        }
-    }
-
-    /// Hands the cloud buffers to a starting mission.
-    pub(crate) fn take_clouds(&mut self) -> CloudScratch {
-        std::mem::take(&mut self.clouds)
-    }
-
-    /// Recovers the reusable state from a finishing mission.
-    pub(crate) fn deposit(&mut self, map: OctoMap, clouds: CloudScratch) {
-        self.map = Some(map);
-        self.clouds = clouds;
-    }
 }
 
 thread_local! {
     static EPISODE_SCRATCH: RefCell<EpisodeScratch> = RefCell::new(EpisodeScratch::default());
 }
 
-/// Runs `f` with this worker thread's [`EpisodeScratch`] — the per-worker
-/// reuse the sharded reliability sweep is built on. The scratch is moved out
-/// for the duration of the call, so nested uses simply see a cold scratch.
-pub fn with_episode_scratch<R>(f: impl FnOnce(&mut EpisodeScratch) -> R) -> R {
-    EPISODE_SCRATCH.with(|cell| {
-        let mut scratch = cell.take();
-        let result = f(&mut scratch);
-        *cell.borrow_mut() = scratch;
+impl EpisodeScratch {
+    /// An empty scratch: the first mission run with it pays the normal
+    /// allocation cost and leaves its buffers behind for the next one.
+    pub fn new() -> Self {
+        EpisodeScratch::default()
+    }
+
+    /// This thread's map, reset to an empty map with the given geometry, and
+    /// its cloud buffers.
+    pub(crate) fn take(config: OctoMapConfig, half_extent: f64) -> (OctoMap, CloudScratch) {
+        EPISODE_SCRATCH.with(|cell| {
+            let mut scratch = cell.borrow_mut();
+            let map = match scratch.map.take() {
+                Some(mut map) => {
+                    map.reset(config, half_extent);
+                    map
+                }
+                None => OctoMap::new(config, half_extent),
+            };
+            (map, std::mem::take(&mut scratch.clouds))
+        })
+    }
+
+    /// Hands a finished mission's map and cloud buffers back to this thread.
+    pub(crate) fn deposit(map: OctoMap, clouds: CloudScratch) {
+        EPISODE_SCRATCH.with(|cell| {
+            let mut scratch = cell.borrow_mut();
+            scratch.map = Some(map);
+            scratch.clouds = clouds;
+        });
+    }
+
+    /// Runs `f` with `scratch` in place of this thread's scratch, swapping
+    /// the two back afterwards.
+    pub(crate) fn swapped_in<R>(scratch: &mut EpisodeScratch, f: impl FnOnce() -> R) -> R {
+        let swap = |scratch: &mut EpisodeScratch| {
+            EPISODE_SCRATCH.with(|cell| std::mem::swap(&mut *cell.borrow_mut(), scratch));
+        };
+        swap(scratch);
+        let result = f();
+        swap(scratch);
         result
-    })
+    }
 }

@@ -1,77 +1,49 @@
-//! Mission energy accounting: per-subsystem power integration and the power
-//! traces behind the paper's Fig. 9.
+//! Mission energy accounting: per-subsystem energy integration and the
+//! per-phase average power behind the paper's Fig. 9.
 
-use mav_dynamics_phase::FlightPhaseLabel;
-use mav_types::{Energy, Power, SimDuration, SimTime};
+use mav_types::{Energy, Power, SimDuration};
 use std::fmt;
 
-/// Minimal mirror of the flight phase used for labelling power samples without
-/// depending on the dynamics crate (the energy crate sits below it in the
-/// dependency graph).
-pub mod mav_dynamics_phase {
+/// Constant draw of the flight controller and sensors ("other electronics"
+/// in the paper's power pie), watts.
+pub const OTHER_ELECTRONICS_WATTS: f64 = 2.0;
 
-    /// Label attached to each power sample in a mission trace.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-    pub enum FlightPhaseLabel {
-        /// Motors arming on the ground.
-        Arming,
-        /// Holding position.
-        Hovering,
-        /// Translating.
-        Flying,
-        /// Descending to land.
-        Landing,
-        /// Any other state (idle/landed).
-        Ground,
-    }
+/// Flight phase of a recorded interval.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum FlightPhaseLabel {
+    /// Motors arming on the ground.
+    Arming,
+    /// Holding position.
+    Hovering,
+    /// Translating.
+    Flying,
+    /// Descending to land.
+    Landing,
+}
 
-    impl std::fmt::Display for FlightPhaseLabel {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            let s = match self {
-                FlightPhaseLabel::Arming => "arming",
-                FlightPhaseLabel::Hovering => "hovering",
-                FlightPhaseLabel::Flying => "flying",
-                FlightPhaseLabel::Landing => "landing",
-                FlightPhaseLabel::Ground => "ground",
-            };
-            f.write_str(s)
-        }
+impl fmt::Display for FlightPhaseLabel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = match self {
+            FlightPhaseLabel::Arming => "arming",
+            FlightPhaseLabel::Hovering => "hovering",
+            FlightPhaseLabel::Flying => "flying",
+            FlightPhaseLabel::Landing => "landing",
+        };
+        f.write_str(s)
     }
 }
 
-/// One sample of the mission power trace.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PowerSample {
-    /// Mission time of the sample.
-    pub time: SimTime,
-    /// Rotor power at this instant.
-    pub rotor: Power,
-    /// Companion-computer power at this instant.
-    pub compute: Power,
-    /// Other electronics (flight controller, sensors), watts.
-    pub other: Power,
-    /// Flight phase during this sample.
-    pub phase: FlightPhaseLabel,
-}
-
-impl PowerSample {
-    /// Total system power at this instant.
-    pub fn total(&self) -> Power {
-        self.rotor + self.compute + self.other
-    }
-}
-
-/// Aggregate energy split by subsystem plus the raw trace.
+/// Aggregate energy split by subsystem, plus each flight phase's summed
+/// total power and interval count.
 ///
 /// # Example
 ///
 /// ```
 /// use mav_energy::{EnergyAccount, FlightPhaseLabel};
-/// use mav_types::{Power, SimDuration, SimTime};
+/// use mav_types::{Power, SimDuration};
 ///
 /// let mut account = EnergyAccount::new();
 /// account.record(
-///     SimTime::ZERO,
 ///     SimDuration::from_secs(10.0),
 ///     Power::from_watts(300.0),
 ///     Power::from_watts(10.0),
@@ -84,41 +56,34 @@ pub struct EnergyAccount {
     rotor_energy: Energy,
     compute_energy: Energy,
     other_energy: Energy,
-    trace: Vec<PowerSample>,
-    /// Constant draw of the flight controller and sensors, watts.
-    pub other_watts: f64,
+    /// Per [`FlightPhaseLabel`] (by discriminant): the sum of each recorded
+    /// interval's total power in watts, and the number of intervals.
+    phase_power: [(f64, u64); 4],
 }
 
 impl EnergyAccount {
-    /// Creates an empty account with a 2 W "other electronics" draw
-    /// (flight controller + sensors), matching the paper's power pie.
+    /// Creates an empty account. Every interval also draws
+    /// [`OTHER_ELECTRONICS_WATTS`] for the flight controller and sensors,
+    /// matching the paper's power pie.
     pub fn new() -> Self {
-        EnergyAccount {
-            other_watts: 2.0,
-            ..Default::default()
-        }
+        EnergyAccount::default()
     }
 
     /// Records one interval of the mission.
     pub fn record(
         &mut self,
-        time: SimTime,
         dt: SimDuration,
         rotor: Power,
         compute: Power,
         phase: FlightPhaseLabel,
     ) {
-        let other = Power::from_watts(self.other_watts);
+        let other = Power::from_watts(OTHER_ELECTRONICS_WATTS);
         self.rotor_energy += rotor.over(dt);
         self.compute_energy += compute.over(dt);
         self.other_energy += other.over(dt);
-        self.trace.push(PowerSample {
-            time,
-            rotor,
-            compute,
-            other,
-            phase,
-        });
+        let (watts, intervals) = &mut self.phase_power[phase as usize];
+        *watts += (rotor + compute + other).as_watts();
+        *intervals += 1;
     }
 
     /// Total energy consumed by the rotors.
@@ -151,29 +116,11 @@ impl EnergyAccount {
         self.compute_energy.fraction_of(self.total_energy())
     }
 
-    /// The full power trace.
-    pub fn trace(&self) -> &[PowerSample] {
-        &self.trace
-    }
-
-    /// Average total power over the trace (simple sample mean).
-    pub fn average_total_power(&self) -> Power {
-        if self.trace.is_empty() {
-            return Power::ZERO;
-        }
-        let sum: f64 = self.trace.iter().map(|s| s.total().as_watts()).sum();
-        Power::from_watts(sum / self.trace.len() as f64)
-    }
-
-    /// Average total power during a specific flight phase, or `None` when the
-    /// phase never occurred.
+    /// Average total power over the intervals recorded in `phase` (a plain
+    /// mean over intervals), or `None` when the phase never occurred.
     pub fn average_power_in_phase(&self, phase: FlightPhaseLabel) -> Option<Power> {
-        let samples: Vec<&PowerSample> = self.trace.iter().filter(|s| s.phase == phase).collect();
-        if samples.is_empty() {
-            return None;
-        }
-        let sum: f64 = samples.iter().map(|s| s.total().as_watts()).sum();
-        Some(Power::from_watts(sum / samples.len() as f64))
+        let (watts, intervals) = self.phase_power[phase as usize];
+        (intervals > 0).then(|| Power::from_watts(watts / intervals as f64))
     }
 }
 
@@ -193,9 +140,15 @@ impl fmt::Display for EnergyAccount {
 mod tests {
     use super::*;
 
+    const PHASES: [FlightPhaseLabel; 4] = [
+        FlightPhaseLabel::Arming,
+        FlightPhaseLabel::Hovering,
+        FlightPhaseLabel::Flying,
+        FlightPhaseLabel::Landing,
+    ];
+
     fn filled_account() -> EnergyAccount {
         let mut acc = EnergyAccount::new();
-        let mut t = SimTime::ZERO;
         let dt = SimDuration::from_secs(1.0);
         for i in 0..60 {
             let phase = if i < 5 {
@@ -212,10 +165,8 @@ mod tests {
                 FlightPhaseLabel::Hovering => Power::from_watts(287.0),
                 FlightPhaseLabel::Flying => Power::from_watts(330.0),
                 FlightPhaseLabel::Landing => Power::from_watts(250.0),
-                FlightPhaseLabel::Ground => Power::ZERO,
             };
-            acc.record(t, dt, rotor, Power::from_watts(13.0), phase);
-            t += dt;
+            acc.record(dt, rotor, Power::from_watts(13.0), phase);
         }
         acc
     }
@@ -226,7 +177,6 @@ mod tests {
         assert!(acc.rotor_fraction() > 0.9);
         assert!(acc.compute_fraction() < 0.06);
         assert!(acc.total_energy() > acc.rotor_energy());
-        assert_eq!(acc.trace().len(), 60);
     }
 
     #[test]
@@ -243,16 +193,68 @@ mod tests {
             .unwrap();
         assert!(fly > hover);
         assert!(hover > arm);
-        assert!(acc
-            .average_power_in_phase(FlightPhaseLabel::Ground)
-            .is_none());
+    }
+
+    /// SplitMix64, for the random intervals of the accounting oracle.
+    fn splitmix64(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A uniform draw in `[0, scale)`.
+    fn uniform(state: &mut u64, scale: f64) -> f64 {
+        (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64 * scale
+    }
+
+    #[test]
+    fn phase_averages_match_the_sample_trace_mean() {
+        // The oracle is a per-sample trace: one (phase, total power) entry per
+        // interval, averaged per phase by filtering, summing and dividing by
+        // the sample count. Recorded phases must match it bit for bit, and
+        // an unrecorded phase (Landing for seed 3) must read `None`.
+        for (seed, phases) in [(1u64, &PHASES[..]), (2, &PHASES[..]), (3, &PHASES[..3])] {
+            let mut state = seed;
+            let mut acc = EnergyAccount::new();
+            let mut trace: Vec<(FlightPhaseLabel, f64)> = Vec::new();
+            for _ in 0..2_000 {
+                let phase = phases[(splitmix64(&mut state) % phases.len() as u64) as usize];
+                let dt = SimDuration::from_secs(uniform(&mut state, 0.2));
+                let rotor = Power::from_watts(uniform(&mut state, 400.0));
+                let compute = Power::from_watts(uniform(&mut state, 15.0));
+                acc.record(dt, rotor, compute, phase);
+                let other = Power::from_watts(OTHER_ELECTRONICS_WATTS);
+                trace.push((phase, (rotor + compute + other).as_watts()));
+            }
+            for phase in PHASES {
+                let samples: Vec<f64> = trace
+                    .iter()
+                    .filter(|(p, _)| *p == phase)
+                    .map(|(_, watts)| *watts)
+                    .collect();
+                let expected = (!samples.is_empty())
+                    .then(|| Power::from_watts(samples.iter().sum::<f64>() / samples.len() as f64));
+                let got = acc.average_power_in_phase(phase);
+                assert_eq!(
+                    got.map(|p| p.as_watts().to_bits()),
+                    expected.map(|p| p.as_watts().to_bits()),
+                    "seed {seed} {phase}"
+                );
+                assert_eq!(
+                    got.is_none(),
+                    !phases.contains(&phase),
+                    "seed {seed} {phase}"
+                );
+            }
+        }
     }
 
     #[test]
     fn energy_is_power_times_time() {
         let mut acc = EnergyAccount::new();
         acc.record(
-            SimTime::ZERO,
             SimDuration::from_secs(100.0),
             Power::from_watts(300.0),
             Power::from_watts(10.0),
@@ -268,8 +270,9 @@ mod tests {
         let acc = EnergyAccount::new();
         assert_eq!(acc.total_energy(), Energy::ZERO);
         assert_eq!(acc.rotor_fraction(), 0.0);
-        assert_eq!(acc.average_total_power(), Power::ZERO);
-        assert!(acc.trace().is_empty());
+        for phase in PHASES {
+            assert!(acc.average_power_in_phase(phase).is_none());
+        }
     }
 
     #[test]

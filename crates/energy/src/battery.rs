@@ -120,7 +120,6 @@ impl mav_types::FromJson for BatteryConfig {
 pub struct Battery {
     config: BatteryConfig,
     consumed_coulombs: f64,
-    consumed_energy: Energy,
 }
 
 impl Battery {
@@ -129,7 +128,6 @@ impl Battery {
         Battery {
             config,
             consumed_coulombs: 0.0,
-            consumed_energy: Energy::ZERO,
         }
     }
 
@@ -146,11 +144,6 @@ impl Battery {
     /// Remaining battery percentage in `[0, 100]`.
     pub fn percentage(&self) -> f64 {
         self.state_of_charge() * 100.0
-    }
-
-    /// Total energy drawn from the pack so far.
-    pub fn consumed_energy(&self) -> Energy {
-        self.consumed_energy
     }
 
     /// Terminal voltage as a function of the remaining state of charge.
@@ -193,9 +186,7 @@ impl Battery {
         let voltage = self.voltage().max(1e-6);
         let current = power.as_watts() / voltage;
         self.consumed_coulombs += current * duration.as_secs();
-        let energy = power.over(duration);
-        self.consumed_energy += energy;
-        energy
+        power.over(duration)
     }
 
     /// Estimated hover endurance in seconds at a constant `power` draw from a
@@ -229,7 +220,6 @@ mod tests {
         assert_eq!(b.state_of_charge(), 1.0);
         assert_eq!(b.percentage(), 100.0);
         assert!(!b.is_exhausted());
-        assert_eq!(b.consumed_energy(), Energy::ZERO);
     }
 
     #[test]
@@ -274,12 +264,13 @@ mod tests {
         // delivered energy must be in the ballpark of the rated capacity.
         let hover = Power::from_watts(287.0);
         let mut t = 0.0;
+        let mut delivered = Energy::ZERO;
         while !b.is_exhausted() && t < 10_000.0 {
-            b.discharge(hover, SimDuration::from_secs(5.0));
+            delivered += b.discharge(hover, SimDuration::from_secs(5.0));
             t += 5.0;
         }
         assert!(b.is_exhausted());
-        let delivered = b.consumed_energy().as_kilojoules();
+        let delivered = delivered.as_kilojoules();
         let rated = cfg.capacity_energy().as_kilojoules();
         assert!(
             (delivered - rated).abs() / rated < 0.25,

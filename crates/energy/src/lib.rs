@@ -22,7 +22,7 @@ pub mod battery;
 pub mod catalog;
 pub mod power;
 
-pub use accounting::{mav_dynamics_phase::FlightPhaseLabel, EnergyAccount, PowerSample};
+pub use accounting::{EnergyAccount, FlightPhaseLabel, OTHER_ELECTRONICS_WATTS};
 pub use battery::{Battery, BatteryConfig};
 pub use catalog::{commercial_mav_catalog, CommercialMav, WingType};
 pub use power::{ComputePowerModel, PowerCoefficients, RotorPowerModel};

@@ -85,9 +85,9 @@ pub fn wallclock_allowed(rel_path: &str) -> bool {
 /// files *are* the service plumbing around that machinery.
 ///
 /// - `crates/server/src/service.rs`: the dispatcher thread and the worker
-///   pool. Workers run jobs through `run_mission_with_scratch` and the
-///   sharded sweep, so scheduling order cannot reach result bytes — the
-///   cache-hit byte-identity test would catch it if it did.
+///   pool. Workers run jobs through `run_mission` and the sharded sweep, so
+///   scheduling order cannot reach result bytes — the cache-hit
+///   byte-identity test would catch it if it did.
 /// - `crates/server/src/server.rs`: the TCP accept loop and the
 ///   per-connection handler threads. Connections only shuttle bytes between
 ///   sockets and the service; no simulation state lives here.
@@ -131,10 +131,7 @@ mod tests {
         assert_eq!(classify("shims/rayon/src/lib.rs"), FileScope::Shim);
         assert_eq!(classify("tests/golden_legacy.rs"), FileScope::Test);
         assert_eq!(classify("crates/runtime/tests/graph.rs"), FileScope::Test);
-        assert_eq!(
-            classify("crates/bench/examples/episode_ab.rs"),
-            FileScope::Test
-        );
+        assert_eq!(classify("examples/quickstart.rs"), FileScope::Test);
         assert_eq!(classify("crates/bench/benches/energy.rs"), FileScope::Test);
     }
 

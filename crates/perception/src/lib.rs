@@ -29,7 +29,7 @@ pub mod tracking;
 mod voxel_hash;
 
 pub use detection::{Detection, DetectorConfig, DetectorKind, ObjectDetector};
-pub use localization::{LocalizationResult, SlamConfig, VisualSlam};
+pub use localization::{SlamConfig, VisualSlam};
 pub use octomap::{Occupancy, OctoMap, OctoMapConfig};
 pub use pointcloud::{DownsampleScratch, PointCloud};
 pub use tracking::{

@@ -8,20 +8,11 @@
 //! travels between processed frames (velocity / FPS), so higher compute (FPS)
 //! permits higher speed at the same failure budget.
 
-use mav_types::{Pose, Vec3};
+use mav_types::Vec3;
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::fmt;
-
-/// Result of one localization update.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LocalizationResult {
-    /// Estimated pose.
-    pub pose: Pose,
-    /// `false` when the localizer has lost track of the vehicle.
-    pub healthy: bool,
-}
 
 /// Configuration of the visual SLAM model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -130,10 +121,11 @@ impl VisualSlam {
         }
     }
 
-    /// Processes one frame at ground-truth pose `truth` while the vehicle
-    /// moves at `velocity` (the simulator is the oracle; a real front end
-    /// would track features).
-    pub fn localize(&mut self, truth: &Pose, velocity: &Vec3) -> LocalizationResult {
+    /// Processes one frame while the vehicle moves at `velocity` and returns
+    /// whether localization is healthy (`false` while the localizer has lost
+    /// track of the vehicle). Only the inter-frame motion matters to the
+    /// model; a real front end would track features.
+    pub fn localize(&mut self, velocity: &Vec3) -> bool {
         self.frames += 1;
         let mut rng = ChaCha8Rng::seed_from_u64(
             self.config.seed ^ self.frames.wrapping_mul(0x2545_F491_4F6C_DD1D),
@@ -156,10 +148,7 @@ impl VisualSlam {
             self.lost = true;
             self.relocalization_progress = 0;
         }
-        LocalizationResult {
-            pose: *truth,
-            healthy: !self.lost,
-        }
+        !self.lost
     }
 
     /// Number of localization failures so far.
@@ -209,12 +198,10 @@ mod tests {
     #[test]
     fn slam_fails_when_flying_too_fast_and_recovers_when_slow() {
         let mut slam = VisualSlam::new(SlamConfig::with_fps(2.0));
-        let truth = Pose::origin();
         // Fly much faster than the 2 fps front end can tolerate.
         let mut failed = false;
         for _ in 0..200 {
-            let r = slam.localize(&truth, &Vec3::new(12.0, 0.0, 0.0));
-            if !r.healthy {
+            if !slam.localize(&Vec3::new(12.0, 0.0, 0.0)) {
                 failed = true;
                 break;
             }
@@ -225,8 +212,7 @@ mod tests {
         // Slow down: after a few quiet frames the system re-localizes.
         let mut recovered = false;
         for _ in 0..50 {
-            let r = slam.localize(&truth, &Vec3::new(0.2, 0.0, 0.0));
-            if r.healthy {
+            if slam.localize(&Vec3::new(0.2, 0.0, 0.0)) {
                 recovered = true;
                 break;
             }
@@ -239,10 +225,8 @@ mod tests {
     #[test]
     fn high_fps_slam_survives_high_speed() {
         let mut slam = VisualSlam::new(SlamConfig::with_fps(30.0));
-        let truth = Pose::origin();
         for _ in 0..500 {
-            let r = slam.localize(&truth, &Vec3::new(8.0, 0.0, 0.0));
-            assert!(r.healthy);
+            assert!(slam.localize(&Vec3::new(8.0, 0.0, 0.0)));
         }
         assert_eq!(slam.failure_count(), 0);
     }

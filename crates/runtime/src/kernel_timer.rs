@@ -31,8 +31,8 @@ use std::fmt;
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct KernelTimer {
-    totals: BTreeMap<KernelId, SimDuration>,
-    counts: BTreeMap<KernelId, u64>,
+    /// Per kernel: total simulated time and invocation count.
+    kernels: BTreeMap<KernelId, (SimDuration, u64)>,
 }
 
 impl KernelTimer {
@@ -44,21 +44,21 @@ impl KernelTimer {
     /// Records one invocation of `kernel` that took `duration` of simulated
     /// time.
     pub fn record(&mut self, kernel: KernelId, duration: SimDuration) {
-        *self.totals.entry(kernel).or_insert(SimDuration::ZERO) += duration;
-        *self.counts.entry(kernel).or_insert(0) += 1;
+        let (total, count) = self.kernels.entry(kernel).or_insert((SimDuration::ZERO, 0));
+        *total += duration;
+        *count += 1;
     }
 
     /// Total simulated time spent in `kernel`.
     pub fn total(&self, kernel: KernelId) -> SimDuration {
-        self.totals
+        self.kernels
             .get(&kernel)
-            .copied()
-            .unwrap_or(SimDuration::ZERO)
+            .map_or(SimDuration::ZERO, |&(total, _)| total)
     }
 
     /// Number of invocations of `kernel`.
     pub fn invocations(&self, kernel: KernelId) -> u64 {
-        self.counts.get(&kernel).copied().unwrap_or(0)
+        self.kernels.get(&kernel).map_or(0, |&(_, count)| count)
     }
 
     /// Mean runtime per invocation of `kernel`, or zero if never invoked.
@@ -73,12 +73,14 @@ impl KernelTimer {
 
     /// Total simulated compute time across every kernel.
     pub fn grand_total(&self) -> SimDuration {
-        self.totals.values().copied().sum()
+        self.kernels.values().map(|&(total, _)| total).sum()
     }
 
     /// All (kernel, total time) pairs in a stable order.
     pub fn totals(&self) -> impl Iterator<Item = (&KernelId, &SimDuration)> {
-        self.totals.iter()
+        self.kernels
+            .iter()
+            .map(|(kernel, (total, _))| (kernel, total))
     }
 
     /// The kernel with the largest total time, if any: the application's
@@ -88,19 +90,20 @@ impl KernelTimer {
         // durations are finite non-negative sums of kernel charges, so the
         // NaN/±0.0 cases where the comparators differ never occur (ties
         // still resolve to the last maximal kernel in BTreeMap order).
-        self.totals
-            .iter()
+        self.totals()
             .max_by(|a, b| a.1.as_secs().total_cmp(&b.1.as_secs()))
             .map(|(k, _)| *k)
     }
 
     /// Merges another timer into this one (used when aggregating runs).
     pub fn merge(&mut self, other: &KernelTimer) {
-        for (k, d) in &other.totals {
-            *self.totals.entry(*k).or_insert(SimDuration::ZERO) += *d;
-        }
-        for (k, c) in &other.counts {
-            *self.counts.entry(*k).or_insert(0) += c;
+        for (kernel, (d, c)) in &other.kernels {
+            let (total, count) = self
+                .kernels
+                .entry(*kernel)
+                .or_insert((SimDuration::ZERO, 0));
+            *total += *d;
+            *count += c;
         }
     }
 }
@@ -109,13 +112,13 @@ impl mav_types::ToJson for KernelTimer {
     fn to_json(&self) -> mav_types::Json {
         use mav_types::Json;
         Json::Array(
-            self.totals
+            self.kernels
                 .iter()
-                .map(|(kernel, total)| {
+                .map(|(kernel, (total, count))| {
                     Json::object()
                         .field("kernel", *kernel)
                         .field("total_secs", total.as_secs())
-                        .field("invocations", self.invocations(*kernel))
+                        .field("invocations", *count)
                 })
                 .collect(),
         )
@@ -127,7 +130,7 @@ impl fmt::Display for KernelTimer {
         write!(
             f,
             "kernel-timer[{} kernels, total {}]",
-            self.totals.len(),
+            self.kernels.len(),
             self.grand_total()
         )
     }

@@ -6,9 +6,9 @@
 //! bounded queue (backpressure: a full queue is the caller's 429) or is born
 //! `done` on a cache hit. A dedicated dispatcher thread hands queued jobs to
 //! workers over a rendezvous channel, so jobs stay *in the queue* — and
-//! count against its capacity — until a worker is actually free. Each worker
-//! thread owns its episode scratch (the thread-local behind
-//! [`mav_core::with_episode_scratch`]) and runs missions and sweeps through
+//! count against its capacity — until a worker is actually free. Workers run
+//! missions with [`mav_core::run_mission`], which reuses the worker thread's
+//! map and buffers, and sweeps through the sharded reliability engine:
 //! exactly the code paths the harness binaries use.
 //!
 //! Determinism: a job's result document is a pure function of its canonical
@@ -19,7 +19,7 @@
 
 use crate::spec::JobSpec;
 use mav_core::reliability::reliability_sweep_classified_observed;
-use mav_core::{run_mission_with_scratch, with_episode_scratch, SweepRunner};
+use mav_core::{run_mission, SweepRunner};
 use mav_types::{Json, ToJson};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -378,9 +378,7 @@ fn worker_loop(inner: &Inner, rx: &Arc<Mutex<Receiver<WorkItem>>>) {
 fn execute(spec: &JobSpec, progress: &AtomicU64) -> String {
     let result = match spec {
         JobSpec::Mission { config } => {
-            let report = with_episode_scratch(|scratch| {
-                run_mission_with_scratch((**config).clone(), scratch)
-            });
+            let report = run_mission((**config).clone());
             progress.store(1, Ordering::Relaxed);
             Json::object()
                 .field("kind", "mission")

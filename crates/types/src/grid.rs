@@ -25,34 +25,6 @@ impl GridIndex {
     pub fn manhattan_distance(&self, other: &GridIndex) -> i64 {
         (self.x - other.x).abs() + (self.y - other.y).abs() + (self.z - other.z).abs()
     }
-
-    /// The 6 face-adjacent neighbours.
-    pub fn neighbors6(&self) -> [GridIndex; 6] {
-        [
-            GridIndex::new(self.x + 1, self.y, self.z),
-            GridIndex::new(self.x - 1, self.y, self.z),
-            GridIndex::new(self.x, self.y + 1, self.z),
-            GridIndex::new(self.x, self.y - 1, self.z),
-            GridIndex::new(self.x, self.y, self.z + 1),
-            GridIndex::new(self.x, self.y, self.z - 1),
-        ]
-    }
-
-    /// The 26 neighbours sharing a face, edge or corner.
-    pub fn neighbors26(&self) -> Vec<GridIndex> {
-        let mut out = Vec::with_capacity(26);
-        for dx in -1..=1 {
-            for dy in -1..=1 {
-                for dz in -1..=1 {
-                    if dx == 0 && dy == 0 && dz == 0 {
-                        continue;
-                    }
-                    out.push(GridIndex::new(self.x + dx, self.y + dy, self.z + dz));
-                }
-            }
-        }
-        out
-    }
 }
 
 impl fmt::Display for GridIndex {
@@ -246,16 +218,6 @@ mod tests {
         let bounds = spec.cell_bounds(&idx);
         assert!(bounds.contains(&spec.center_of(&idx)));
         assert!((bounds.volume() - 0.8f64.powi(3)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn neighbors_counts() {
-        let idx = GridIndex::new(0, 0, 0);
-        assert_eq!(idx.neighbors6().len(), 6);
-        assert_eq!(idx.neighbors26().len(), 26);
-        for n in idx.neighbors6() {
-            assert_eq!(idx.manhattan_distance(&n), 1);
-        }
     }
 
     #[test]
