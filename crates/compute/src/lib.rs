@@ -27,5 +27,5 @@ pub mod profiles;
 
 pub use kernel::{KernelId, KernelProfile, PipelineStage};
 pub use operating_point::OperatingPoint;
-pub use platform::{CloudConfig, ComputePlatform, NetworkLink, Placement};
+pub use platform::{CloudConfig, ComputePlatform, NetworkLink};
 pub use profiles::{table1_profile, ApplicationId, ApplicationProfile};

@@ -49,15 +49,6 @@ impl NetworkLink {
     }
 }
 
-/// Where a kernel executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Placement {
-    /// On the companion computer.
-    Edge,
-    /// On the cloud server, paying network costs.
-    Cloud,
-}
-
 /// Cloud offload configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CloudConfig {
@@ -227,14 +218,6 @@ impl ComputePlatform {
         &self.profile
     }
 
-    /// Where the given kernel executes.
-    pub fn placement(&self, kernel: KernelId) -> Placement {
-        match &self.cloud {
-            Some(c) if c.offloads(kernel) => Placement::Cloud,
-            _ => Placement::Edge,
-        }
-    }
-
     /// Latency of one invocation of `kernel` on this platform.
     ///
     /// Kernels the application does not use take zero time. Offloaded kernels
@@ -254,16 +237,12 @@ impl ComputePlatform {
         let Some(profile) = self.profile.kernel(kernel) else {
             return SimDuration::ZERO;
         };
-        match self.placement(kernel) {
-            Placement::Edge => profile.latency(point),
-            Placement::Cloud => {
-                let cloud = self
-                    .cloud
-                    .as_ref()
-                    .expect("cloud placement requires cloud config");
+        match &self.cloud {
+            Some(cloud) if cloud.offloads(kernel) => {
                 let compute = profile.reference_latency() / cloud.speedup.max(1e-9);
                 compute + cloud.link.transfer_time(cloud.payload_megabytes)
             }
+            _ => profile.latency(point),
         }
     }
 
@@ -364,13 +343,13 @@ mod tests {
         );
         // The reactive path (not offloaded) is unchanged.
         assert_eq!(edge.reaction_latency(), cloud.reaction_latency());
-        assert_eq!(
-            cloud.placement(KernelId::FrontierExploration),
-            Placement::Cloud
+        assert!(
+            cloud.kernel_latency(KernelId::FrontierExploration)
+                < edge.kernel_latency(KernelId::FrontierExploration)
         );
         assert_eq!(
-            cloud.placement(KernelId::OctomapGeneration),
-            Placement::Edge
+            cloud.kernel_latency(KernelId::OctomapGeneration),
+            edge.kernel_latency(KernelId::OctomapGeneration)
         );
     }
 

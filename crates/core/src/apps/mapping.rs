@@ -9,6 +9,7 @@ use crate::context::{FlightOutcome, MissionContext};
 use crate::qof::{MissionFailure, MissionReport};
 use mav_compute::KernelId;
 use mav_planning::{FrontierConfig, FrontierExplorer, PathSmoother, PlannerKind, SmootherConfig};
+use std::ops::ControlFlow;
 
 /// Parameters of one exploration run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,11 +31,16 @@ impl Default for MappingGoal {
 
 /// Runs one exploration mission with an explicit goal. Shared by 3D Mapping
 /// and (with a detection hook) Search and Rescue.
+///
+/// Returns `Break(outcome)` when exploration ends early — on a budget
+/// failure, a `Break` from the hook, a smoothing failure or an aborted
+/// flight — and `Continue(())` when it runs its course: the volume target is
+/// met, the iteration budget runs out, or no frontier is reachable.
 pub fn explore(
     ctx: &mut MissionContext,
     goal: MappingGoal,
-    mut per_iteration: impl FnMut(&mut MissionContext) -> Option<MissionFailure>,
-) -> Option<MissionFailure> {
+    mut per_iteration: impl FnMut(&mut MissionContext) -> ControlFlow<Option<MissionFailure>>,
+) -> ControlFlow<Option<MissionFailure>> {
     let checker = ctx.collision_checker();
     let planner = ctx.shortest_path_planner(PlannerKind::Rrt);
     let explorer = FrontierExplorer::new(FrontierConfig {
@@ -45,22 +51,19 @@ pub fn explore(
     let mut consecutive_failures = 0u32;
     for _iteration in 0..goal.max_iterations {
         if let Some(failure) = ctx.budget_failure() {
-            return Some(failure);
+            return ControlFlow::Break(Some(failure));
         }
         // Perception: integrate a fresh frame.
         let frame = ctx.capture_depth();
         let latency = ctx.update_map(&frame);
         ctx.hover(latency);
 
-        // Application-specific hook (e.g. object detection for SAR). A
-        // returned value stops exploration and is propagated to the caller;
-        // `None` continues exploring.
-        if let Some(outcome) = per_iteration(ctx) {
-            return Some(outcome);
-        }
+        // Application-specific hook (e.g. object detection for SAR): a
+        // `Break` stops exploration with the hook's outcome.
+        per_iteration(ctx)?;
 
         if ctx.map.mapped_volume() >= goal.target_volume {
-            return None;
+            return ControlFlow::Continue(());
         }
 
         // Planning: pick the next frontier and plan to it while hovering.
@@ -74,7 +77,7 @@ pub fn explore(
                 // distinguishes the two.
                 consecutive_failures += 1;
                 if consecutive_failures >= 3 {
-                    return None; // treat as exploration complete
+                    return ControlFlow::Continue(()); // exploration complete
                 }
                 continue;
             }
@@ -87,7 +90,9 @@ pub fn explore(
         ));
         let trajectory = match smoother.smooth(&plan.waypoints, ctx.clock.now()) {
             Ok(t) => t,
-            Err(e) => return Some(MissionFailure::PlanningFailed(e.to_string())),
+            Err(e) => {
+                return ControlFlow::Break(Some(MissionFailure::PlanningFailed(e.to_string())))
+            }
         };
 
         // Control: fly towards the frontier; a re-plan request simply moves on
@@ -99,20 +104,20 @@ pub fn explore(
             FlightOutcome::Completed => {}
             FlightOutcome::NeedsReplan => ctx.note_replan(),
             FlightOutcome::Aborted => {
-                return Some(ctx.budget_failure().unwrap_or(MissionFailure::Other(
-                    "exploration flight aborted".to_string(),
+                return ControlFlow::Break(Some(ctx.budget_failure().unwrap_or(
+                    MissionFailure::Other("exploration flight aborted".to_string()),
                 )));
             }
         }
     }
-    None
+    ControlFlow::Continue(())
 }
 
-/// Runs the 3D Mapping mission.
+/// Runs the 3D Mapping mission: exploration that runs its course succeeds.
 pub fn run(mut ctx: MissionContext) -> MissionReport {
     let goal = MappingGoal::default();
-    let failure = explore(&mut ctx, goal, |_| None);
-    ctx.finish(failure)
+    let outcome = explore(&mut ctx, goal, |_| ControlFlow::Continue(()));
+    ctx.finish(outcome.break_value().flatten())
 }
 
 #[cfg(test)]
@@ -151,8 +156,8 @@ mod tests {
             target_volume: 10.0,
             max_iterations: 10,
         };
-        let failure = explore(&mut ctx, tiny_goal, |_| None);
-        assert!(failure.is_none());
+        let outcome = explore(&mut ctx, tiny_goal, |_| ControlFlow::Continue(()));
+        assert_eq!(outcome, ControlFlow::Continue(()));
         assert!(ctx.map.mapped_volume() >= 10.0);
     }
 }

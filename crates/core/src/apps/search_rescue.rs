@@ -13,12 +13,8 @@ use crate::context::MissionContext;
 use crate::qof::{MissionFailure, MissionReport};
 use mav_compute::KernelId;
 use mav_env::ObstacleClass;
-use mav_perception::{DetectorConfig, MultiTargetTracker, ObjectDetector};
-
-/// Sentinel used to break out of the exploration loop when a person is found.
-/// Exploration's hook reports "failures" to stop; a successful find is mapped
-/// back to success by [`run`].
-const FOUND_SENTINEL: &str = "__person_found__";
+use mav_perception::{DetectorConfig, ObjectDetector};
+use std::ops::ControlFlow;
 
 /// Runs the Search and Rescue mission.
 pub fn run(mut ctx: MissionContext) -> MissionReport {
@@ -26,39 +22,30 @@ pub fn run(mut ctx: MissionContext) -> MissionReport {
         seed: ctx.config.seed,
         ..Default::default()
     });
-    let mut tracker = MultiTargetTracker::default();
     let goal = MappingGoal {
         target_volume: f64::INFINITY,
         max_iterations: 16,
     };
-    let failure = explore(&mut ctx, goal, |ctx| {
+    let outcome = explore(&mut ctx, goal, |ctx| {
         // Perception hook: charge and run object detection on this iteration's
-        // viewpoint; a positive person detection ends the mission. All person
-        // detections of the frame feed the multi-target tracker (real
-        // disaster sites hold more than one person), but the mission-ending
-        // decision stays "any person seen this frame" — identical to the
-        // historical single-detection path, which drew the same detector RNG.
+        // viewpoint; any person seen ends the mission successfully.
         let op = ctx.node_op_for_kernel(KernelId::ObjectDetection);
         let latency = ctx.charge_kernel_at(KernelId::ObjectDetection, op);
         ctx.hover(latency);
         let pose = ctx.pose();
-        let people: Vec<_> = detector
+        let found = detector
             .detect(&ctx.world, &pose)
-            .into_iter()
-            .filter(|d| d.class == ObstacleClass::Person)
-            .collect();
-        tracker.update(&people, latency);
-        if !people.is_empty() {
+            .iter()
+            .any(|d| d.class == ObstacleClass::Person);
+        if found {
             ctx.note_detection();
-            return Some(MissionFailure::Other(FOUND_SENTINEL.to_string()));
+            return ControlFlow::Break(None);
         }
-        None
+        ControlFlow::Continue(())
     });
-    let failure = match failure {
-        Some(MissionFailure::Other(s)) if s == FOUND_SENTINEL => None,
-        Some(other) => Some(other),
-        // Exploration exhausted without finding anyone.
-        None => Some(MissionFailure::Other(
+    let failure = match outcome {
+        ControlFlow::Break(outcome) => outcome,
+        ControlFlow::Continue(()) => Some(MissionFailure::Other(
             "search exhausted without finding a person".to_string(),
         )),
     };

@@ -912,7 +912,7 @@ pub struct MissionConfig {
     /// Application-level cruise velocity cap, m/s (the mission planner never
     /// commands more than this even if Eq. 2 allows it).
     pub cruise_velocity: f64,
-    /// Physics integration step, seconds.
+    /// Physics integration step, seconds, in [0.001, 1].
     pub physics_dt: f64,
     /// Per-node rates of the closed-loop graph (PR 2). The default,
     /// [`RateConfig::legacy`], reproduces the historical sequential loop.
@@ -1070,10 +1070,12 @@ impl MissionConfig {
     pub fn validate(&self) -> Result<(), String> {
         self.quadrotor.validate()?;
         self.camera.validate()?;
-        // Every range check is written so that NaN fails it.
-        if !(self.physics_dt > 0.0 && self.physics_dt <= 1.0) {
+        // Every range check is written so that NaN fails it. A step far
+        // below a millisecond would stall `MissionContext::advance`, whose
+        // remaining time stops shrinking once the step falls under its ulp.
+        if !(self.physics_dt >= 1e-3 && self.physics_dt <= 1.0) {
             return Err(format!(
-                "physics_dt must be in (0, 1], got {}",
+                "physics_dt must be in [0.001, 1], got {:?}",
                 self.physics_dt
             ));
         }
@@ -1270,6 +1272,10 @@ mod tests {
         let mut cfg = MissionConfig::new(ApplicationId::Scanning);
         cfg.physics_dt = 0.0;
         assert!(cfg.validate().is_err());
+        for (dt, valid) in [(1e-300, false), (9.9e-4, false), (1e-3, true)] {
+            cfg.physics_dt = dt;
+            assert_eq!(cfg.validate().is_ok(), valid, "physics_dt = {dt}");
+        }
         let mut cfg = MissionConfig::new(ApplicationId::Scanning);
         cfg.cruise_velocity = -1.0;
         assert!(cfg.validate().is_err());

@@ -302,7 +302,7 @@ impl MissionContext {
     /// that charges it — downclocking perception directly erodes the Eq. 2
     /// safe velocity, while a slow *planner* cluster does not (planning
     /// latency determines hover time, not reaction time).
-    pub fn reaction_latency(&mut self) -> SimDuration {
+    pub fn reaction_latency(&self) -> SimDuration {
         // Only the mapping and control nodes charge reactive kernels, so only
         // their overrides can move δt. Branching on those two (rather than on
         // `is_mission_global`) keeps reaction-irrelevant overrides — a camera
@@ -361,7 +361,7 @@ impl MissionContext {
     /// actually schedules the camera → OctoMap pipeline (Table I: the
     /// OctoMap-generation kernel); Scanning and Aerial Photography fly
     /// without an occupancy map, so camera/mapping rates cannot slow them.
-    pub fn velocity_cap(&mut self) -> f64 {
+    pub fn velocity_cap(&self) -> f64 {
         let staleness = if self.platform.profile().uses(KernelId::OctomapGeneration) {
             self.config.rates.sensing_interval()
         } else {
@@ -710,7 +710,7 @@ impl MissionContext {
 
     /// Finalises the mission into a report and hands the occupancy map and
     /// cloud buffers back to this thread's [`EpisodeScratch`].
-    pub fn finish(mut self, failure: Option<MissionFailure>) -> MissionReport {
+    pub fn finish(self, failure: Option<MissionFailure>) -> MissionReport {
         let velocity_cap = self.velocity_cap();
         let tracking_error = if self.tracking_error_samples > 0 {
             self.tracking_error_sum / self.tracking_error_samples as f64
@@ -801,8 +801,8 @@ mod tests {
 
     #[test]
     fn velocity_cap_improves_with_compute() {
-        let mut fast = ctx(ApplicationId::PackageDelivery);
-        let mut slow = MissionContext::new(
+        let fast = ctx(ApplicationId::PackageDelivery);
+        let slow = MissionContext::new(
             MissionConfig::fast_test(ApplicationId::PackageDelivery)
                 .with_operating_point(OperatingPoint::slowest()),
         )
@@ -810,7 +810,7 @@ mod tests {
         assert!(fast.velocity_cap() > slow.velocity_cap());
         // Scanning has almost no reactive kernels, so its cap equals the
         // application cruise limit at every operating point.
-        let mut scan = ctx(ApplicationId::Scanning);
+        let scan = ctx(ApplicationId::Scanning);
         assert!(
             (scan.velocity_cap()
                 - scan

@@ -11,9 +11,10 @@
 //! paired with its grid value in a [`StudyRow`]. Results are bit-identical
 //! across thread counts — see [`crate::sweep`] for the determinism contract.
 
+use crate::apps::run_mission;
 use crate::config::{MissionConfig, NodeOpConfig, RateConfig, ReplanMode, ResolutionPolicy};
 use crate::qof::MissionReport;
-use crate::sweep::{SweepPoint, SweepRunner};
+use crate::sweep::SweepRunner;
 use mav_compute::{ApplicationId, CloudConfig, KernelId, OperatingPoint};
 use mav_runtime::ExecModel;
 use mav_types::{Json, ToJson};
@@ -35,18 +36,14 @@ pub fn study<A: Clone>(
     grid: &[A],
     point: impl Fn(&A) -> MissionConfig,
 ) -> Vec<StudyRow<A>> {
-    // The rows carry the grid values, so the sweep points need no labels.
-    let points = grid
-        .iter()
-        .map(|value| SweepPoint::new("", point(value)))
-        .collect();
+    let configs: Vec<MissionConfig> = grid.iter().map(point).collect();
+    let reports = runner.run_sharded(configs.len() as u64, 1, |shard| {
+        run_mission(configs[shard.start as usize].clone())
+    });
     grid.iter()
         .cloned()
-        .zip(runner.run(points).outcomes)
-        .map(|(value, outcome)| StudyRow {
-            value,
-            report: outcome.report,
-        })
+        .zip(reports)
+        .map(|(value, report)| StudyRow { value, report })
         .collect()
 }
 

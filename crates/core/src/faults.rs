@@ -34,57 +34,6 @@ const DEFAULT_BURST_STD: f64 = 1.0;
 /// Default latency multiplier applied to a spiked kernel charge.
 const DEFAULT_SPIKE_FACTOR: f64 = 4.0;
 
-/// One parsed fault clause of a `--faults` argument.
-///
-/// A [`FaultPlan`] is a fold of these; `FaultPlan::parse` produces one spec
-/// per comma-separated `key=value` clause.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FaultSpec {
-    /// `cam-drop=P` or `cam-drop=P@N`: with probability `P` per captured
-    /// frame, start a dropout window that loses `N` consecutive frames.
-    CameraDropout {
-        /// Per-frame probability that a dropout window starts.
-        probability: f64,
-        /// Consecutive frames lost once a window starts.
-        frames: u32,
-    },
-    /// `noise-burst=P` or `noise-burst=P@S`: with probability `P` per frame,
-    /// add a Gaussian depth-noise burst of standard deviation `S` metres on
-    /// top of the configured sensor noise.
-    NoiseBurst {
-        /// Per-frame probability of a burst.
-        probability: f64,
-        /// Burst noise standard deviation, metres.
-        std_dev: f64,
-    },
-    /// `kernel-spike=P` or `kernel-spike=P@F`: with probability `P` per
-    /// kernel charge, multiply that charge's latency by `F`.
-    KernelSpike {
-        /// Per-charge probability of a spike.
-        probability: f64,
-        /// Latency multiplier applied to a spiked charge.
-        factor: f64,
-    },
-    /// `plan-timeout=Fx`: multiply every planning-kernel latency by `F`
-    /// (models a planner that blows its deadline by that factor).
-    PlanTimeout {
-        /// Latency stretch applied to every planning-kernel charge.
-        factor: f64,
-    },
-    /// `topic-drop=P`: with probability `P`, a guarded topic publish
-    /// (collision alerts, velocity commands) is silently lost.
-    TopicDrop {
-        /// Per-publish probability that the message is lost.
-        probability: f64,
-    },
-    /// `battery-fade=F`: the pack starts the mission with fraction `F` of its
-    /// rated capacity already gone (aged cells).
-    BatteryFade {
-        /// Fraction of rated capacity already gone at mission start.
-        fraction: f64,
-    },
-}
-
 /// Per-mission fault intensities, all off by default.
 ///
 /// The plan is plain data: compiling it against an episode seed produces the
@@ -139,37 +88,6 @@ impl FaultPlan {
             && self.battery_fade == 0.0
     }
 
-    /// Folds one parsed clause into the plan.
-    pub fn with(mut self, spec: FaultSpec) -> Self {
-        match spec {
-            FaultSpec::CameraDropout {
-                probability,
-                frames,
-            } => {
-                self.camera_dropout = probability;
-                self.camera_dropout_frames = frames;
-            }
-            FaultSpec::NoiseBurst {
-                probability,
-                std_dev,
-            } => {
-                self.noise_burst = probability;
-                self.noise_burst_std = std_dev;
-            }
-            FaultSpec::KernelSpike {
-                probability,
-                factor,
-            } => {
-                self.kernel_spike = probability;
-                self.kernel_spike_factor = factor;
-            }
-            FaultSpec::PlanTimeout { factor } => self.plan_timeout_factor = factor,
-            FaultSpec::TopicDrop { probability } => self.topic_drop = probability,
-            FaultSpec::BatteryFade { fraction } => self.battery_fade = fraction,
-        }
-        self
-    }
-
     /// Parses a `--faults` argument: comma-separated `key=value` clauses,
     /// e.g. `cam-drop=0.1,plan-timeout=2x,battery-fade=0.2`. The literal
     /// `none` yields the empty plan.
@@ -187,10 +105,56 @@ impl FaultPlan {
             let (key, value) = clause
                 .split_once('=')
                 .ok_or_else(|| format!("fault clause '{clause}' is not key=value"))?;
-            plan = plan.with(FaultSpec::parse(key.trim(), value.trim())?);
+            plan.set(key.trim(), value.trim())?;
         }
         plan.validate()?;
         Ok(plan)
+    }
+
+    /// Sets the channel that one `key=value` clause names. A `P@X` value
+    /// carries the per-event magnitude (window length, burst std, spike
+    /// factor) next to the probability; without `@X` the magnitude is the
+    /// default.
+    fn set(&mut self, key: &str, value: &str) -> Result<(), String> {
+        let num = |v: &str| -> Result<f64, String> {
+            v.parse::<f64>()
+                .map_err(|_| format!("fault value '{v}' is not a number"))
+        };
+        let (p, at) = match value.split_once('@') {
+            Some((p, x)) => (p, Some(x)),
+            None => (value, None),
+        };
+        match key {
+            "cam-drop" => {
+                self.camera_dropout_frames = match at {
+                    Some(n) => n
+                        .parse::<u32>()
+                        .map_err(|_| format!("cam-drop window '{n}' is not an integer"))?,
+                    None => DEFAULT_DROPOUT_FRAMES,
+                };
+                self.camera_dropout = num(p)?;
+            }
+            "noise-burst" => {
+                self.noise_burst_std = at.map_or(Ok(DEFAULT_BURST_STD), num)?;
+                self.noise_burst = num(p)?;
+            }
+            "kernel-spike" => {
+                self.kernel_spike_factor = at.map_or(Ok(DEFAULT_SPIKE_FACTOR), num)?;
+                self.kernel_spike = num(p)?;
+            }
+            "plan-timeout" => {
+                self.plan_timeout_factor = num(value.strip_suffix('x').unwrap_or(value))?;
+            }
+            "topic-drop" => self.topic_drop = num(value)?,
+            "battery-fade" => self.battery_fade = num(value)?,
+            other => {
+                return Err(format!(
+                    "unknown fault kind '{other}' (expected cam-drop, noise-burst, \
+                     kernel-spike, plan-timeout, topic-drop or battery-fade)"
+                ))
+            }
+        }
+        Ok(())
     }
 
     /// Scales every fault *intensity* (probabilities, fade, planner stretch)
@@ -306,77 +270,6 @@ impl Default for FaultPlan {
 impl fmt::Display for FaultPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.label())
-    }
-}
-
-impl FaultSpec {
-    /// Parses one `key=value` clause.
-    pub fn parse(key: &str, value: &str) -> Result<Self, String> {
-        let num = |v: &str| -> Result<f64, String> {
-            v.parse::<f64>()
-                .map_err(|_| format!("fault value '{v}' is not a number"))
-        };
-        // `P@X` suffixes carry the per-event magnitude (window length, burst
-        // std, spike factor) next to the probability.
-        let split_at = |v: &str| -> (String, Option<String>) {
-            match v.split_once('@') {
-                Some((p, x)) => (p.to_string(), Some(x.to_string())),
-                None => (v.to_string(), None),
-            }
-        };
-        match key {
-            "cam-drop" => {
-                let (p, at) = split_at(value);
-                let frames = match at {
-                    Some(n) => n
-                        .parse::<u32>()
-                        .map_err(|_| format!("cam-drop window '{n}' is not an integer"))?,
-                    None => DEFAULT_DROPOUT_FRAMES,
-                };
-                Ok(FaultSpec::CameraDropout {
-                    probability: num(&p)?,
-                    frames,
-                })
-            }
-            "noise-burst" => {
-                let (p, at) = split_at(value);
-                let std_dev = match at {
-                    Some(s) => num(&s)?,
-                    None => DEFAULT_BURST_STD,
-                };
-                Ok(FaultSpec::NoiseBurst {
-                    probability: num(&p)?,
-                    std_dev,
-                })
-            }
-            "kernel-spike" => {
-                let (p, at) = split_at(value);
-                let factor = match at {
-                    Some(s) => num(&s)?,
-                    None => DEFAULT_SPIKE_FACTOR,
-                };
-                Ok(FaultSpec::KernelSpike {
-                    probability: num(&p)?,
-                    factor,
-                })
-            }
-            "plan-timeout" => {
-                let stripped = value.strip_suffix('x').unwrap_or(value);
-                Ok(FaultSpec::PlanTimeout {
-                    factor: num(stripped)?,
-                })
-            }
-            "topic-drop" => Ok(FaultSpec::TopicDrop {
-                probability: num(value)?,
-            }),
-            "battery-fade" => Ok(FaultSpec::BatteryFade {
-                fraction: num(value)?,
-            }),
-            other => Err(format!(
-                "unknown fault kind '{other}' (expected cam-drop, noise-burst, \
-                 kernel-spike, plan-timeout, topic-drop or battery-fade)"
-            )),
-        }
     }
 }
 
@@ -807,15 +700,7 @@ mod tests {
         assert_eq!(half.camera_dropout, 0.2);
         assert_eq!(half.plan_timeout_factor, 2.0);
         assert_eq!(half.battery_fade, 0.15);
-        assert_eq!(
-            plan.scaled(0.0),
-            FaultPlan::none()
-                .with(FaultSpec::CameraDropout {
-                    probability: 0.0,
-                    frames: 3
-                })
-                .with(FaultSpec::PlanTimeout { factor: 1.0 })
-        );
+        assert_eq!(plan.scaled(0.0), FaultPlan::none());
         assert!(plan.scaled(0.0).is_none());
         assert_eq!(plan.scaled(1.0), plan);
     }

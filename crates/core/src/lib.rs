@@ -42,7 +42,7 @@ pub use config::{
     ResolutionPolicy,
 };
 pub use context::{FlightOutcome, MissionContext};
-pub use faults::{DegradedMode, DegradedSummary, FaultInjector, FaultPlan, FaultSpec};
+pub use faults::{DegradedMode, DegradedSummary, FaultInjector, FaultPlan};
 pub use flight::{FlightCtx, FlightEvent};
 pub use mav_runtime::{ExecModel, ExecStage};
 pub use qof::{MissionFailure, MissionReport};
@@ -50,4 +50,4 @@ pub use reliability::{
     ClassStats, FaultGridCell, ReliabilityStats, ScenarioGenerator, StreamingHistogram,
 };
 pub use scratch::EpisodeScratch;
-pub use sweep::{SweepOutcome, SweepPoint, SweepReport, SweepRunner};
+pub use sweep::SweepRunner;

@@ -23,8 +23,6 @@ pub enum MissionFailure {
     Timeout,
     /// A planner could not find a path.
     PlanningFailed(String),
-    /// Localization was lost and never recovered.
-    LocalizationLost,
     /// Any other failure.
     Other(String),
 }
@@ -36,7 +34,6 @@ impl fmt::Display for MissionFailure {
             MissionFailure::BatteryExhausted => f.write_str("battery exhausted"),
             MissionFailure::Timeout => f.write_str("time budget exceeded"),
             MissionFailure::PlanningFailed(r) => write!(f, "planning failed: {r}"),
-            MissionFailure::LocalizationLost => f.write_str("localization lost"),
             MissionFailure::Other(r) => write!(f, "failure: {r}"),
         }
     }
@@ -256,7 +253,6 @@ mod tests {
             MissionFailure::BatteryExhausted,
             MissionFailure::Timeout,
             MissionFailure::PlanningFailed("x".into()),
-            MissionFailure::LocalizationLost,
             MissionFailure::Other("y".into()),
         ] {
             assert!(!format!("{f}").is_empty());

@@ -132,8 +132,7 @@ fn rule_applies(rule: RuleId, scope: &FileScope, rel_path: &str) -> bool {
     match rule {
         // The server's job results are byte-pinned like simulation output,
         // so its service code is held to the SimLib wall-clock rule; only
-        // the documented boundary files (sweep wall_secs, the load client)
-        // are exempt.
+        // the load client, which times its own request loop, is exempt.
         RuleId::DetWallclock => {
             matches!(scope, FileScope::SimLib | FileScope::Server) && !wallclock_allowed(rel_path)
         }
@@ -310,8 +309,7 @@ impl<'s> FileCx<'s> {
 
     fn det_wallclock(&self, out: &mut Vec<Finding>) {
         const MSG: &str = "wall-clock read in a simulation crate: simulation state must advance \
-                           on SimTime only; host timing belongs to the harness (documented \
-                           boundary: crates/core/src/sweep.rs)";
+                           on SimTime only; host timing belongs to the harness";
         for i in 0..self.sig.len() {
             if !self.fires(RuleId::DetWallclock, i) {
                 continue;
@@ -807,12 +805,12 @@ mod tests {
     }
 
     #[test]
-    fn wallclock_allowlisted_file_is_silent() {
+    fn wallclock_fires_in_every_simulation_file() {
         let src = "fn t() -> f64 { let s = std::time::Instant::now(); 0.0 }";
-        let in_sweep = check_file("crates/core/src/sweep.rs", src, &FileScope::SimLib);
-        assert!(in_sweep.is_empty(), "{in_sweep:?}");
-        let elsewhere = check_file("crates/core/src/flight.rs", src, &FileScope::SimLib);
-        assert_eq!(elsewhere.len(), 1);
-        assert_eq!(elsewhere[0].rule, RuleId::DetWallclock);
+        for path in ["crates/core/src/sweep.rs", "crates/core/src/flight.rs"] {
+            let findings = check_file(path, src, &FileScope::SimLib);
+            assert_eq!(findings.len(), 1, "{path}: {findings:?}");
+            assert_eq!(findings[0].rule, RuleId::DetWallclock);
+        }
     }
 }

@@ -55,24 +55,16 @@ pub fn classify(rel_path: &str) -> FileScope {
     }
 }
 
-/// Files inside simulation crates that are *documented* wall-clock holders:
-/// DET-WALLCLOCK stays silent here. Keep this list short and justified —
-/// every entry is a boundary where wall time is measured but provably never
-/// flows into mission results.
+/// Files inside the wall-clock-banned scopes that are *documented*
+/// wall-clock holders: DET-WALLCLOCK stays silent here. Keep this list short
+/// and justified — every entry is a boundary where wall time is measured but
+/// provably never flows into mission results. No simulation file is on it.
 ///
-/// - `crates/core/src/sweep.rs`: `SweepRunner` stamps `SweepReport::
-///   wall_secs` purely as harness throughput metadata. Mission outcomes
-///   inside that report come from `run_mission`, which runs entirely on the
-///   simulated clock; the audit comment at the `Instant::now()` site
-///   documents the boundary.
 /// - `crates/server/src/bin/server_load.rs`: the load client measures host
 ///   jobs/sec for `mav-server`. Job *results* are pure functions of the job
 ///   spec (pinned by the cache-hit byte-identity test); the wall clock only
 ///   times the client's own request loop.
-pub const WALLCLOCK_ALLOWED_FILES: &[&str] = &[
-    "crates/core/src/sweep.rs",
-    "crates/server/src/bin/server_load.rs",
-];
+pub const WALLCLOCK_ALLOWED_FILES: &[&str] = &["crates/server/src/bin/server_load.rs"];
 
 /// Whether `rel_path` is one of the documented wall-clock boundary files.
 pub fn wallclock_allowed(rel_path: &str) -> bool {
@@ -137,8 +129,9 @@ mod tests {
 
     #[test]
     fn wallclock_allowlist() {
-        assert!(wallclock_allowed("crates/core/src/sweep.rs"));
         assert!(wallclock_allowed("crates/server/src/bin/server_load.rs"));
+        // No simulation file reads the wall clock, the sweep runner included.
+        assert!(!wallclock_allowed("crates/core/src/sweep.rs"));
         assert!(!wallclock_allowed("crates/core/src/flight.rs"));
         assert!(!wallclock_allowed("crates/core/src/faults.rs"));
         // The server's service/routing code must NOT read the wall clock:

@@ -9,9 +9,8 @@
 
 use crate::collision::CollisionChecker;
 use crate::shortest_path::{PlannedPath, ShortestPathPlanner};
-use crate::spatial::PointGrid;
 use mav_perception::OctoMap;
-use mav_types::{Aabb, MavError, Result, Vec3};
+use mav_types::{Aabb, MavError, PointGrid, Result, Vec3};
 use std::cell::RefCell;
 
 thread_local! {

@@ -30,11 +30,9 @@ pub mod frontier;
 pub mod lawnmower;
 pub mod shortest_path;
 pub mod smoothing;
-pub mod spatial;
 
 pub use collision::{CollisionChecker, CollisionHit};
 pub use frontier::{Frontier, FrontierConfig, FrontierExplorer};
 pub use lawnmower::{coverage_fraction, path_length, plan_lawnmower, LawnmowerConfig};
 pub use shortest_path::{PlannedPath, PlannerConfig, PlannerKind, ShortestPathPlanner};
 pub use smoothing::{PathSmoother, SmootherConfig};
-pub use spatial::PointGrid;

@@ -6,9 +6,8 @@
 //! waypoints into a dynamically feasible trajectory.
 
 use crate::collision::CollisionChecker;
-use crate::spatial::PointGrid;
 use mav_perception::OctoMap;
-use mav_types::{Aabb, MavError, Result, Vec3};
+use mav_types::{Aabb, MavError, PointGrid, Result, Vec3};
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;

@@ -187,6 +187,10 @@ fn malformed_specs_get_400_with_json_error_body() {
             "physics_dt",
         ),
         (
+            r#"{"type":"mission","config":{"application":"scanning","physics_dt":1e-300}}"#,
+            "physics_dt",
+        ),
+        (
             r#"{"type":"mission","config":{"application":"scanning","time_budget_secs":1e400}}"#,
             "time_budget_secs",
         ),

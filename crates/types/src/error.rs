@@ -9,7 +9,8 @@ pub type Result<T> = std::result::Result<T, MavError>;
 /// Errors produced by MAVBench-RS components.
 ///
 /// Crates higher in the stack (planning, applications) return this error so
-/// that downstream users have a single error type to handle.
+/// that downstream users have a single error type to handle. How a mission
+/// ends is not an error: that is `mav_core::MissionFailure`.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum MavError {
@@ -24,26 +25,6 @@ pub enum MavError {
         planner: String,
         /// Why it failed.
         reason: String,
-    },
-    /// The vehicle collided with an obstacle during the mission.
-    Collision {
-        /// Mission time of the collision in seconds.
-        at_secs: f64,
-    },
-    /// The battery was exhausted before the mission completed.
-    BatteryExhausted {
-        /// Mission time at which the battery was depleted, in seconds.
-        at_secs: f64,
-    },
-    /// Localization was lost and could not be recovered.
-    LocalizationLost {
-        /// Mission time of the failure in seconds.
-        at_secs: f64,
-    },
-    /// The mission exceeded its configured time budget.
-    MissionTimeout {
-        /// The configured budget in seconds.
-        budget_secs: f64,
     },
     /// A runtime node or topic was missing or mis-wired.
     Runtime {
@@ -83,18 +64,6 @@ impl fmt::Display for MavError {
             MavError::PlanningFailed { planner, reason } => {
                 write!(f, "{planner} planning failed: {reason}")
             }
-            MavError::Collision { at_secs } => {
-                write!(f, "vehicle collided with an obstacle at t={at_secs:.2}s")
-            }
-            MavError::BatteryExhausted { at_secs } => {
-                write!(f, "battery exhausted at t={at_secs:.2}s")
-            }
-            MavError::LocalizationLost { at_secs } => {
-                write!(f, "localization lost at t={at_secs:.2}s")
-            }
-            MavError::MissionTimeout { budget_secs } => {
-                write!(f, "mission exceeded its {budget_secs:.0}s time budget")
-            }
             MavError::Runtime { reason } => write!(f, "runtime error: {reason}"),
         }
     }
@@ -111,10 +80,6 @@ mod tests {
         let errors = vec![
             MavError::invalid_config("resolution must be positive"),
             MavError::planning_failed("rrt", "no path within sample budget"),
-            MavError::Collision { at_secs: 12.5 },
-            MavError::BatteryExhausted { at_secs: 300.0 },
-            MavError::LocalizationLost { at_secs: 42.0 },
-            MavError::MissionTimeout { budget_secs: 600.0 },
             MavError::runtime("topic 'octomap' has no publisher"),
         ];
         for e in errors {

@@ -1,7 +1,7 @@
 //! Offline stand-in for `rayon`, reduced to the one primitive this workspace
 //! uses: [`parallel_map_slice`], an in-order parallel map over a slice. Real
-//! rayon has no such function, so swapping it back in means rewriting the two
-//! `SweepRunner` call sites, not only the manifest.
+//! rayon has no such function, so swapping it back in means rewriting its one
+//! call site, `SweepRunner::run_sharded`, not only the manifest.
 //!
 //! Work is distributed over `std::thread::scope` workers pulling indices from
 //! an atomic counter, and results are returned in input order, so a map is

@@ -224,7 +224,7 @@ fn per_node_points_scale_only_their_own_kernels() {
 
     // Slowing the *mapping* cluster: the cap must drop (perception is the
     // reactive path).
-    let mut slow_map = MissionContext::new(
+    let slow_map = MissionContext::new(
         base.clone()
             .with_node_ops(NodeOpConfig::mission_global().with_mapping(little)),
     )
@@ -239,12 +239,12 @@ fn per_node_points_scale_only_their_own_kernels() {
     // map resolution, where the re-summed per-kernel form of the reaction
     // latency would differ from the historical expression at the ulp level.
     let fine = |cfg: MissionConfig| cfg.with_resolution_policy(ResolutionPolicy::static_fine());
-    let mut fine_reference = MissionContext::new(fine(base.clone())).unwrap();
+    let fine_reference = MissionContext::new(fine(base.clone())).unwrap();
     for ops in [
         NodeOpConfig::mission_global().with_camera(little),
         NodeOpConfig::mission_global().with_planning(little),
     ] {
-        let mut overridden = MissionContext::new(fine(base.clone()).with_node_ops(ops)).unwrap();
+        let overridden = MissionContext::new(fine(base.clone()).with_node_ops(ops)).unwrap();
         assert_eq!(
             fine_reference.velocity_cap().to_bits(),
             overridden.velocity_cap().to_bits(),
