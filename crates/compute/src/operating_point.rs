@@ -65,6 +65,38 @@ impl OperatingPoint {
         out
     }
 
+    /// The slowest clock a point may run at. Kernel latencies scale by
+    /// 2.2 GHz / f, so at 0.1 GHz on one core any one charge stays within
+    /// about 100× its Table I time (the largest, OctoMap generation at the
+    /// fine-resolution multiplier, about 140 s). At 1e-9 GHz one charge was
+    /// 2e8 simulated seconds of physics steps.
+    pub const MIN_FREQUENCY_GHZ: f64 = 0.1;
+
+    /// Checks that the point can run: at least one core, and a finite clock
+    /// of at least [`Self::MIN_FREQUENCY_GHZ`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a human-readable message naming the failed bound.
+    pub fn validate(&self) -> Result<(), String> {
+        OperatingPoint::checked(self.cores, self.frequency.as_ghz()).map(|_| ())
+    }
+
+    /// Builds a point from wire values under [`Self::validate`]'s bounds,
+    /// before [`Frequency::from_ghz`] could panic on a non-positive clock.
+    fn checked(cores: u32, ghz: f64) -> Result<OperatingPoint, String> {
+        if cores == 0 {
+            return Err("operating point needs at least one core".to_string());
+        }
+        if !(ghz.is_finite() && ghz >= Self::MIN_FREQUENCY_GHZ) {
+            return Err(format!(
+                "operating point frequency must be finite and at least {} GHz, got {ghz} GHz",
+                Self::MIN_FREQUENCY_GHZ
+            ));
+        }
+        Ok(OperatingPoint::new(cores, Frequency::from_ghz(ghz)))
+    }
+
     /// A short label such as `"4c@2.2GHz"` for table headers.
     pub fn label(&self) -> String {
         format!("{}c@{:.1}GHz", self.cores, self.frequency.as_ghz())
@@ -80,7 +112,7 @@ impl OperatingPoint {
     /// # Errors
     ///
     /// Returns a human-readable message for malformed input (missing `@`,
-    /// non-positive frequency, unknown cluster, zero cores).
+    /// unknown cluster) or a point [`OperatingPoint::validate`] rejects.
     pub fn parse(value: &str) -> Result<OperatingPoint, String> {
         let Some((cluster, ghz)) = value.split_once('@') else {
             return Err(format!(
@@ -92,24 +124,17 @@ impl OperatingPoint {
             .trim_end_matches("GHz")
             .parse()
             .map_err(|_| format!("invalid frequency `{ghz}`"))?;
-        if !(ghz.is_finite() && ghz > 0.0) {
-            return Err(format!("frequency must be positive, got {ghz} GHz"));
-        }
-        let frequency = Frequency::from_ghz(ghz);
-        match cluster.trim() {
-            "big" => Ok(OperatingPoint::big_cluster(frequency)),
-            "little" => Ok(OperatingPoint::little_cluster(frequency)),
-            cores => {
-                let cores: u32 = cores
-                    .strip_suffix('c')
-                    .and_then(|n| n.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| {
-                        format!("unknown cluster `{cores}` (expected big, little or <cores>c)")
-                    })?;
-                Ok(OperatingPoint::new(cores, frequency))
-            }
-        }
+        let cores = match cluster.trim() {
+            "big" => 4,
+            "little" => 2,
+            cores => cores
+                .strip_suffix('c')
+                .and_then(|n| n.parse().ok())
+                .ok_or_else(|| {
+                    format!("unknown cluster `{cores}` (expected big, little or <cores>c)")
+                })?,
+        };
+        OperatingPoint::checked(cores, ghz)
     }
 }
 
@@ -130,15 +155,10 @@ impl mav_types::FromJson for OperatingPoint {
             return OperatingPoint::parse(s);
         }
         json.check_fields(&["cores", "frequency_ghz"])?;
-        let cores: u32 = json.parse_field("cores")?;
-        if cores == 0 {
-            return Err("cores: an operating point needs at least one core".to_string());
-        }
-        let ghz: f64 = json.parse_field("frequency_ghz")?;
-        if !(ghz.is_finite() && ghz > 0.0) {
-            return Err(format!("frequency_ghz: must be positive, got {ghz}"));
-        }
-        Ok(OperatingPoint::new(cores, Frequency::from_ghz(ghz)))
+        OperatingPoint::checked(
+            json.parse_field("cores")?,
+            json.parse_field("frequency_ghz")?,
+        )
     }
 }
 

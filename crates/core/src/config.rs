@@ -337,15 +337,7 @@ impl NodeOpConfig {
             ("control", self.control),
         ] {
             if let Some(p) = point {
-                if p.cores == 0 {
-                    return Err(format!("{name} operating point needs at least one core"));
-                }
-                let ghz = p.frequency.as_ghz();
-                if !(ghz.is_finite() && ghz > 0.0) {
-                    return Err(format!(
-                        "{name} operating point needs a positive frequency, got {ghz} GHz"
-                    ));
-                }
+                p.validate().map_err(|e| format!("{name} {e}"))?;
             }
         }
         Ok(())
@@ -1068,6 +1060,7 @@ impl MissionConfig {
     ///
     /// Returns a descriptive message for the first invalid field.
     pub fn validate(&self) -> Result<(), String> {
+        self.operating_point.validate()?;
         self.quadrotor.validate()?;
         self.camera.validate()?;
         // Every range check is written so that NaN fails it. A step far
@@ -1284,6 +1277,19 @@ mod tests {
         assert!(cfg.validate().is_err());
         let mut cfg = MissionConfig::new(ApplicationId::Scanning);
         cfg.stopping_distance = f64::NAN;
+        assert!(cfg.validate().is_err());
+        // The operating point's floor holds for a config built in Rust too,
+        // mission-global and per node.
+        for (ghz, valid) in [(1e-9, false), (0.099, false), (0.1, true)] {
+            let point = OperatingPoint::new(1, Frequency::from_ghz(ghz));
+            let cfg = MissionConfig::new(ApplicationId::Scanning).with_operating_point(point);
+            assert_eq!(cfg.validate().is_ok(), valid, "{ghz} GHz");
+            let mut cfg = MissionConfig::new(ApplicationId::Scanning);
+            cfg.node_ops = NodeOpConfig::mission_global().with_planning(point);
+            assert_eq!(cfg.validate().is_ok(), valid, "planning at {ghz} GHz");
+        }
+        let mut cfg = MissionConfig::new(ApplicationId::Scanning);
+        cfg.operating_point.cores = 0;
         assert!(cfg.validate().is_err());
     }
 

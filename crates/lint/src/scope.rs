@@ -21,7 +21,7 @@ pub enum FileScope {
     /// The job server (`crates/server`): service code wrapping the
     /// simulation. Its *results* carry the full determinism contract (the
     /// cache-hit byte-identity test pins them), so wall-clock reads are
-    /// banned as in `SimLib`; its listener/dispatcher/worker threads are
+    /// banned as in `SimLib`; its listener, connection and worker threads are
     /// documented allowlist entries ([`SPAWN_ALLOWED_FILES`]) rather than
     /// baseline budget, because threading is the crate's purpose.
     Server,
@@ -76,10 +76,10 @@ pub fn wallclock_allowed(rel_path: &str) -> bool {
 /// shim / `SweepRunner`, whose schedules are proven bit-deterministic; these
 /// files *are* the service plumbing around that machinery.
 ///
-/// - `crates/server/src/service.rs`: the dispatcher thread and the worker
-///   pool. Workers run jobs through `run_mission` and the sharded sweep, so
-///   scheduling order cannot reach result bytes — the cache-hit
-///   byte-identity test would catch it if it did.
+/// - `crates/server/src/service.rs`: the worker pool. Workers run jobs
+///   through `run_mission` and the sharded sweep, so scheduling order cannot
+///   reach result bytes — the cache-hit byte-identity test would catch it
+///   if it did.
 /// - `crates/server/src/server.rs`: the TCP accept loop and the
 ///   per-connection handler threads. Connections only shuttle bytes between
 ///   sockets and the service; no simulation state lives here.

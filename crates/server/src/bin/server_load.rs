@@ -10,9 +10,8 @@
 //! reads the wall clock. No wall time flows into any job result — results
 //! are pure functions of the job spec (see `crates/server/src/service.rs`).
 
+use mav_server::http::Client;
 use mav_types::Json;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
 
 const USAGE: &str = "server_load — load client for mav-server
 
@@ -116,83 +115,13 @@ fn job_specs(jobs: usize) -> Vec<String> {
         .collect()
 }
 
-/// One minimal HTTP/1.1 response as the client sees it.
-struct ClientResponse {
-    status: u16,
-    body: String,
-}
-
-/// One persistent keep-alive connection to the server.
-struct Connection {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Connection {
-    fn open(addr: &str) -> std::io::Result<Connection> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(Connection {
-            reader: BufReader::new(stream.try_clone()?),
-            writer: stream,
-        })
-    }
-
-    fn roundtrip(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: &str,
-    ) -> std::io::Result<ClientResponse> {
-        let request = format!(
-            "{method} {path} HTTP/1.1\r\nhost: mav-server\r\ncontent-length: {}\r\n\r\n{body}",
-            body.len()
-        );
-        self.writer.write_all(request.as_bytes())?;
-        self.writer.flush()?;
-
-        let mut status_line = String::new();
-        self.reader.read_line(&mut status_line)?;
-        let status: u16 = status_line
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("bad status line {status_line:?}"),
-                )
-            })?;
-        let mut content_length = 0usize;
-        loop {
-            let mut header = String::new();
-            self.reader.read_line(&mut header)?;
-            let header = header.trim_end();
-            if header.is_empty() {
-                break;
-            }
-            if let Some((name, value)) = header.split_once(':') {
-                if name.trim().eq_ignore_ascii_case("content-length") {
-                    content_length = value.trim().parse().unwrap_or(0);
-                }
-            }
-        }
-        let mut body = vec![0u8; content_length];
-        self.reader.read_exact(&mut body)?;
-        Ok(ClientResponse {
-            status,
-            body: String::from_utf8_lossy(&body).into_owned(),
-        })
-    }
-}
-
 /// Runs one spec to completion on one connection: submit (retrying 429
 /// backpressure), poll status until done, fetch the result bytes. Returns
 /// `(result_bytes, was_cache_hit)`.
-fn run_job(conn: &mut Connection, spec: &str) -> Result<(String, bool), String> {
+fn run_job(conn: &mut Client, spec: &str) -> Result<(String, bool), String> {
     let submitted = loop {
         let response = conn
-            .roundtrip("POST", "/jobs", spec)
+            .send("POST", "/jobs", spec)
             .map_err(|e| format!("submit: {e}"))?;
         match response.status {
             200 | 202 => break response,
@@ -209,7 +138,7 @@ fn run_job(conn: &mut Connection, spec: &str) -> Result<(String, bool), String> 
     let status_path = format!("/jobs/{id}");
     loop {
         let response = conn
-            .roundtrip("GET", &status_path, "")
+            .send("GET", &status_path, "")
             .map_err(|e| format!("poll: {e}"))?;
         if response.status != 200 {
             return Err(format!("poll: HTTP {}: {}", response.status, response.body));
@@ -221,7 +150,7 @@ fn run_job(conn: &mut Connection, spec: &str) -> Result<(String, bool), String> 
         std::thread::sleep(std::time::Duration::from_millis(2));
     }
     let result = conn
-        .roundtrip("GET", &format!("/jobs/{id}/result"), "")
+        .send("GET", &format!("/jobs/{id}/result"), "")
         .map_err(|e| format!("result: {e}"))?;
     if result.status != 200 {
         return Err(format!("result: HTTP {}: {}", result.status, result.body));
@@ -247,7 +176,7 @@ fn run_phase(
         {
             handles.push(scope.spawn(move || -> Result<(), String> {
                 let mut conn =
-                    Connection::open(addr).map_err(|e| format!("connection {chunk_index}: {e}"))?;
+                    Client::connect(addr).map_err(|e| format!("connection {chunk_index}: {e}"))?;
                 for (spec, slot) in spec_chunk.iter().zip(slot_chunk.iter_mut()) {
                     *slot = Some(run_job(&mut conn, spec)?);
                 }

@@ -4,13 +4,17 @@
 //! enough HTTP for its JSON job API: request line, headers, `Content-Length`
 //! bodies, keep-alive. No chunked encoding, no TLS, no pipelining beyond the
 //! sequential keep-alive loop. Anything malformed gets a JSON error response
-//! and the connection is closed.
+//! and the connection is closed. [`Client`] is the other end, for the load
+//! client and the tests: it reads replies through the same header-and-body
+//! reader as [`read_request`].
 
+use std::fmt;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpStream, ToSocketAddrs};
 
-/// Largest accepted request body. Job specs are small JSON documents; this
-/// bound keeps a misbehaving client from ballooning server memory.
+/// Largest accepted body, request or reply. Job specs and result documents
+/// are small JSON documents; this bound keeps a misbehaving peer from
+/// ballooning memory.
 pub const MAX_BODY_BYTES: usize = 1 << 20;
 
 /// One parsed request.
@@ -26,28 +30,34 @@ pub struct Request {
     pub keep_alive: bool,
 }
 
-/// Why a request could not be read.
+/// Why a request or a response could not be read.
 #[derive(Debug)]
 pub enum ReadError {
-    /// The peer closed the connection before a request line (normal end of a
-    /// keep-alive session).
+    /// The peer closed the connection before a message's first line (for
+    /// the server, the normal end of a keep-alive session).
     Closed,
-    /// The bytes on the wire were not an acceptable HTTP/1.1 request.
+    /// The bytes on the wire were not an acceptable HTTP/1.1 message.
     Malformed(String),
     /// The declared body exceeds [`MAX_BODY_BYTES`].
     TooLarge(usize),
-    /// Transport error mid-request.
+    /// Transport error mid-message.
     Io(std::io::Error),
+}
+
+impl fmt::Display for ReadError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ReadError::Closed => f.write_str("connection closed"),
+            ReadError::Malformed(reason) => f.write_str(reason),
+            ReadError::TooLarge(n) => write!(f, "body of {n} bytes is too large"),
+            ReadError::Io(e) => e.fmt(f),
+        }
+    }
 }
 
 /// Reads one request from a buffered connection.
 pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, ReadError> {
-    let mut line = String::new();
-    match reader.read_line(&mut line) {
-        Ok(0) => return Err(ReadError::Closed),
-        Ok(_) => {}
-        Err(e) => return Err(ReadError::Io(e)),
-    }
+    let line = read_start_line(reader)?;
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
@@ -64,10 +74,36 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, ReadEr
     }
     // Strip any query string: the job API routes on the path alone.
     let path = target.split('?').next().unwrap_or(target).to_string();
-
-    let mut content_length = 0usize;
     // HTTP/1.1 defaults to keep-alive; `Connection: close` opts out.
-    let mut keep_alive = !version.starts_with("HTTP/1.0");
+    let (body, keep_alive) = read_headers_and_body(reader, !version.starts_with("HTTP/1.0"))?;
+    Ok(Request {
+        method,
+        path,
+        body,
+        keep_alive,
+    })
+}
+
+/// Reads a message's first line; end of stream before it is
+/// [`ReadError::Closed`].
+fn read_start_line(reader: &mut BufReader<TcpStream>) -> Result<String, ReadError> {
+    let mut line = String::new();
+    match reader.read_line(&mut line) {
+        Ok(0) => Err(ReadError::Closed),
+        Ok(_) => Ok(line),
+        Err(e) => Err(ReadError::Io(e)),
+    }
+}
+
+/// Reads the headers after a start line, then the `Content-Length` body
+/// (at most [`MAX_BODY_BYTES`]). Returns the body and whether the connection
+/// stays open, starting from `keep_alive` and following a `Connection`
+/// header.
+fn read_headers_and_body(
+    reader: &mut BufReader<TcpStream>,
+    mut keep_alive: bool,
+) -> Result<(Vec<u8>, bool), ReadError> {
+    let mut content_length = 0usize;
     loop {
         let mut header = String::new();
         match reader.read_line(&mut header) {
@@ -105,15 +141,8 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, ReadEr
         return Err(ReadError::TooLarge(content_length));
     }
     let mut body = vec![0u8; content_length];
-    if content_length > 0 {
-        reader.read_exact(&mut body).map_err(ReadError::Io)?;
-    }
-    Ok(Request {
-        method,
-        path,
-        body,
-        keep_alive,
-    })
+    reader.read_exact(&mut body).map_err(ReadError::Io)?;
+    Ok((body, keep_alive))
 }
 
 /// One response to serialize onto the wire.
@@ -194,6 +223,55 @@ pub fn write_response(
     stream.flush()
 }
 
+/// A keep-alive client connection: one request at a time, each reply read
+/// by the same header-and-body reader the server uses.
+pub struct Client {
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
+}
+
+/// One response as a [`Client`] reads it.
+#[derive(Debug, Clone)]
+pub struct Reply {
+    /// HTTP status code.
+    pub status: u16,
+    /// Response body.
+    pub body: String,
+}
+
+impl Client {
+    /// Opens a connection to `addr`.
+    pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        Ok(Client {
+            reader: BufReader::new(stream.try_clone()?),
+            writer: stream,
+        })
+    }
+
+    /// Sends one request and reads its reply.
+    pub fn send(&mut self, method: &str, path: &str, body: &str) -> Result<Reply, ReadError> {
+        let request = format!(
+            "{method} {path} HTTP/1.1\r\nhost: mav-server\r\ncontent-length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        self.writer
+            .write_all(request.as_bytes())
+            .map_err(ReadError::Io)?;
+        let line = read_start_line(&mut self.reader)?;
+        let status = line
+            .split_whitespace()
+            .nth(1)
+            .and_then(|code| code.parse().ok())
+            .ok_or_else(|| ReadError::Malformed(format!("bad status line {line:?}")))?;
+        let (body, _) = read_headers_and_body(&mut self.reader, true)?;
+        let body = String::from_utf8(body)
+            .map_err(|_| ReadError::Malformed("response body is not UTF-8".into()))?;
+        Ok(Reply { status, body })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,6 +319,36 @@ mod tests {
             MAX_BODY_BYTES + 1
         );
         assert!(matches!(parse(&huge), Err(ReadError::TooLarge(_))));
+    }
+
+    #[test]
+    fn client_reads_replies_under_the_same_bounds() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = Client::connect(listener.local_addr().unwrap()).unwrap();
+        let (server_side, _) = listener.accept().unwrap();
+        let mut reader = BufReader::new(server_side.try_clone().unwrap());
+        let mut writer = server_side;
+        let response = Response::error(429, "queue full").with_header("retry-after", "1");
+        write_response(&mut writer, &response, true).unwrap();
+        writer
+            .write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 99999999\r\n\r\n")
+            .unwrap();
+
+        let reply = client.send("POST", "/jobs", "{}").unwrap();
+        assert_eq!((reply.status, reply.body), (429, response.body));
+        let request = read_request(&mut reader).unwrap();
+        assert_eq!(
+            (request.method.as_str(), request.path.as_str()),
+            ("POST", "/jobs")
+        );
+        assert_eq!(request.body, b"{}");
+        assert!(matches!(
+            client.send("GET", "/jobs", ""),
+            Err(ReadError::TooLarge(99_999_999))
+        ));
+        drop(writer);
+        drop(reader);
+        assert!(client.send("GET", "/jobs", "").is_err());
     }
 
     #[test]

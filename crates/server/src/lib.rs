@@ -11,10 +11,13 @@
 //!   `FromJson`/`parse` functions the CLI flags use, so every mission knob a
 //!   `fig*` binary accepts is reachable from a job document, and defines the
 //!   content-addressed cache key (SHA-256 of the canonical compact JSON).
-//! * [`service`] — the bounded job queue (429 backpressure), the dispatcher
-//!   thread, the worker pool (one episode scratch per worker), and the
+//! * [`service`] — the bounded job queue (429 backpressure), the workers
+//!   that claim jobs from it (one episode scratch per worker), and the
 //!   result cache whose hits are byte-identical to fresh runs.
 //! * [`server`] — request routing and the TCP accept loop.
+//! * [`http`] — the request reader and response writer the server uses,
+//!   and the [`http::Client`] that `server_load` and the API tests drive
+//!   it with; both directions read headers and bodies through one reader.
 
 #![warn(missing_docs)]
 

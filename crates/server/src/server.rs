@@ -179,8 +179,8 @@ fn handle_connection(service: &JobService, stream: TcpStream) {
                 let _ = write_response(&mut writer, &Response::error(400, &reason), false);
                 return;
             }
-            Err(ReadError::TooLarge(n)) => {
-                let response = Response::error(413, &format!("body of {n} bytes is too large"));
+            Err(error @ ReadError::TooLarge(_)) => {
+                let response = Response::error(413, &error.to_string());
                 let _ = write_response(&mut writer, &response, false);
                 return;
             }

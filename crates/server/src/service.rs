@@ -1,15 +1,17 @@
-//! The job service: bounded queue → dispatcher → worker pool, plus the
+//! The job service: a bounded queue drained by a worker pool, plus the
 //! content-addressed result cache.
 //!
 //! Submission is synchronous and cheap: the spec is parsed and validated by
 //! the caller, the cache is consulted, and the job either lands in the
 //! bounded queue (backpressure: a full queue is the caller's 429) or is born
-//! `done` on a cache hit. A dedicated dispatcher thread hands queued jobs to
-//! workers over a rendezvous channel, so jobs stay *in the queue* — and
-//! count against its capacity — until a worker is actually free. Workers run
-//! missions with [`mav_core::run_mission`], which reuses the worker thread's
-//! map and buffers, and sweeps through the sharded reliability engine:
-//! exactly the code paths the harness binaries use.
+//! `done` on a cache hit. The queue, the job table and the cache share one
+//! lock. A free worker waits on that lock's condition variable and claims the
+//! front job in the same critical section that marks it `running`, so a job
+//! counts against the queue's capacity, and can be deleted, until a worker
+//! actually starts it (a bounded-buffer monitor: Hoare, CACM 1974). Workers
+//! run missions with [`mav_core::run_mission`], which reuses the worker
+//! thread's map and buffers, and sweeps through the sharded reliability
+//! engine: exactly the code paths the harness binaries use.
 //!
 //! Determinism: a job's result document is a pure function of its canonical
 //! spec. Missions run on the simulated clock; sweeps run the sharded
@@ -23,7 +25,6 @@ use mav_core::{run_mission, SweepRunner};
 use mav_types::{Json, ToJson};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -68,9 +69,9 @@ impl JobState {
     }
 }
 
-/// Everything the table remembers about one job.
+/// Everything the table remembers about one job. The spec itself waits in
+/// the queue until a worker takes it.
 struct JobEntry {
-    spec: JobSpec,
     cache_key: String,
     state: JobState,
     cached: bool,
@@ -102,7 +103,7 @@ impl JobEntry {
 struct TableState {
     next_id: u64,
     jobs: BTreeMap<u64, JobEntry>,
-    queue: VecDeque<u64>,
+    queue: VecDeque<(u64, JobSpec)>,
     cache: BTreeMap<String, Arc<String>>,
     shutdown: bool,
 }
@@ -111,14 +112,6 @@ struct Inner {
     state: Mutex<TableState>,
     work_ready: Condvar,
     queue_capacity: usize,
-}
-
-/// What a worker needs to run one job without touching the table lock.
-struct WorkItem {
-    id: u64,
-    spec: JobSpec,
-    cache_key: String,
-    progress: Arc<AtomicU64>,
 }
 
 /// Why a submission was rejected.
@@ -149,14 +142,14 @@ pub enum DeleteOutcome {
     Missing,
 }
 
-/// The dispatcher/worker-pool job service.
+/// The worker-pool job service.
 pub struct JobService {
     inner: Arc<Inner>,
     threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl JobService {
-    /// Starts the dispatcher and `options.workers` workers.
+    /// Starts `options.workers` workers.
     pub fn start(options: ServiceOptions) -> JobService {
         let inner = Arc::new(Inner {
             state: Mutex::new(TableState {
@@ -169,23 +162,12 @@ impl JobService {
             work_ready: Condvar::new(),
             queue_capacity: options.queue_capacity.max(1),
         });
-        let mut threads = Vec::new();
-        if options.workers > 0 {
-            // Rendezvous channel: the dispatcher's send blocks until a worker
-            // is free, so waiting jobs stay in (and are counted against) the
-            // bounded queue rather than piling up invisibly in a channel.
-            let (tx, rx) = sync_channel::<WorkItem>(0);
-            let rx = Arc::new(Mutex::new(rx));
-            {
+        let threads = (0..options.workers)
+            .map(|_| {
                 let inner = Arc::clone(&inner);
-                threads.push(std::thread::spawn(move || dispatcher_loop(&inner, &tx)));
-            }
-            for _ in 0..options.workers {
-                let inner = Arc::clone(&inner);
-                let rx = Arc::clone(&rx);
-                threads.push(std::thread::spawn(move || worker_loop(&inner, &rx)));
-            }
-        }
+                std::thread::spawn(move || worker_loop(&inner))
+            })
+            .collect();
         JobService {
             inner,
             threads: Mutex::new(threads),
@@ -205,7 +187,6 @@ impl JobService {
             state.jobs.insert(
                 id,
                 JobEntry {
-                    spec,
                     cache_key,
                     state: JobState::Done,
                     cached: true,
@@ -224,7 +205,6 @@ impl JobService {
         state.jobs.insert(
             id,
             JobEntry {
-                spec,
                 cache_key,
                 state: JobState::Queued,
                 cached: false,
@@ -233,7 +213,7 @@ impl JobService {
                 result: None,
             },
         );
-        state.queue.push_back(id);
+        state.queue.push_back((id, spec));
         drop(state);
         self.inner.work_ready.notify_one();
         Ok((id, false))
@@ -276,7 +256,7 @@ impl JobService {
             None => DeleteOutcome::Missing,
             Some(JobState::Running) => DeleteOutcome::Running,
             Some(JobState::Queued) => {
-                state.queue.retain(|&queued| queued != id);
+                state.queue.retain(|(queued, _)| *queued != id);
                 state.jobs.remove(&id);
                 DeleteOutcome::Deleted
             }
@@ -287,8 +267,8 @@ impl JobService {
         }
     }
 
-    /// Stops the dispatcher and workers and joins them. Queued jobs are
-    /// abandoned; the running job (if any) completes first.
+    /// Stops the workers and joins them. Queued jobs are abandoned; a
+    /// running job completes first.
     pub fn shutdown(&self) {
         {
             let mut state = self.inner.state.lock().expect("service lock");
@@ -308,66 +288,36 @@ impl Drop for JobService {
     }
 }
 
-fn dispatcher_loop(inner: &Inner, tx: &SyncSender<WorkItem>) {
+fn worker_loop(inner: &Inner) {
     loop {
-        let item = {
+        let (id, spec, progress) = {
             let mut state = inner.state.lock().expect("service lock");
             loop {
                 if state.shutdown {
                     return;
                 }
-                if let Some(id) = state.queue.pop_front() {
-                    // Ids only enter the queue alongside their entry, and
-                    // delete() removes both together, so the entry exists.
-                    let Some(entry) = state.jobs.get(&id) else {
+                if let Some((id, spec)) = state.queue.pop_front() {
+                    // Ids enter the queue alongside their entry, and delete()
+                    // removes both together, so the entry exists.
+                    let Some(entry) = state.jobs.get_mut(&id) else {
                         continue;
                     };
-                    break WorkItem {
-                        id,
-                        spec: entry.spec.clone(),
-                        cache_key: entry.cache_key.clone(),
-                        progress: Arc::clone(&entry.progress),
-                    };
+                    entry.state = JobState::Running;
+                    break (id, spec, Arc::clone(&entry.progress));
                 }
                 state = inner.work_ready.wait(state).expect("service lock");
             }
         };
-        // Blocks until a worker takes the job; on shutdown the workers hang
-        // up and the send fails, which ends the dispatcher too.
-        if tx.send(item).is_err() {
-            return;
-        }
-    }
-}
-
-fn worker_loop(inner: &Inner, rx: &Arc<Mutex<Receiver<WorkItem>>>) {
-    loop {
-        // Hold the receiver lock only for the handoff, never while running.
-        let item = {
-            let shared = rx.lock().expect("worker receiver lock");
-            match shared.recv() {
-                Ok(item) => item,
-                Err(_) => return,
-            }
-        };
-        {
-            let mut state = inner.state.lock().expect("service lock");
-            if state.shutdown {
-                return;
-            }
-            if let Some(entry) = state.jobs.get_mut(&item.id) {
-                entry.state = JobState::Running;
-            }
-        }
-        let result = Arc::new(execute(&item.spec, &item.progress));
-        let mut state = inner.state.lock().expect("service lock");
-        state.cache.insert(item.cache_key, Arc::clone(&result));
-        if let Some(entry) = state.jobs.get_mut(&item.id) {
+        let result = Arc::new(execute(spec, &progress));
+        let mut guard = inner.state.lock().expect("service lock");
+        let state = &mut *guard;
+        // A running job cannot be deleted, so its entry is still here.
+        if let Some(entry) = state.jobs.get_mut(&id) {
+            state
+                .cache
+                .insert(entry.cache_key.clone(), Arc::clone(&result));
             entry.state = JobState::Done;
             entry.result = Some(result);
-        }
-        if state.shutdown {
-            return;
         }
     }
 }
@@ -375,10 +325,11 @@ fn worker_loop(inner: &Inner, rx: &Arc<Mutex<Receiver<WorkItem>>>) {
 /// Runs one job to its result document. Pure in the spec: no job id, no
 /// timestamps, no host detail — the cache-hit byte-identity test depends on
 /// it, and so does serving the same cached bytes to every later submitter.
-fn execute(spec: &JobSpec, progress: &AtomicU64) -> String {
+fn execute(spec: JobSpec, progress: &AtomicU64) -> String {
+    let spec_json = spec.to_json();
     let result = match spec {
         JobSpec::Mission { config } => {
-            let report = run_mission((**config).clone());
+            let report = run_mission(*config);
             progress.store(1, Ordering::Relaxed);
             Json::object()
                 .field("kind", "mission")
@@ -395,9 +346,9 @@ fn execute(spec: &JobSpec, progress: &AtomicU64) -> String {
             let runner = SweepRunner::new().with_threads(1);
             let (stats, classes) = reliability_sweep_classified_observed(
                 &runner,
-                scenario,
-                *episodes,
-                *shard_size,
+                &scenario,
+                episodes,
+                shard_size,
                 &|_| {
                     progress.fetch_add(1, Ordering::Relaxed);
                 },
@@ -412,7 +363,7 @@ fn execute(spec: &JobSpec, progress: &AtomicU64) -> String {
         }
     };
     let document = Json::object()
-        .field("spec", spec.to_json())
+        .field("spec", spec_json)
         .field("result", result);
     document.to_string_pretty() + "\n"
 }
@@ -459,6 +410,56 @@ mod tests {
             ResultFetch::Ready(hit) => assert_eq!(*hit, *fresh, "cache hit is byte-identical"),
             _ => panic!("cache-hit job should be done immediately"),
         }
+    }
+
+    /// A job's state as its result endpoint reports it.
+    fn state_of(service: &JobService, id: u64) -> &'static str {
+        match service.result(id) {
+            ResultFetch::Ready(_) => "done",
+            ResultFetch::NotDone(label) => label,
+            ResultFetch::Missing => "missing",
+        }
+    }
+
+    #[test]
+    fn a_job_counts_against_the_queue_and_stays_deletable_until_claimed() {
+        let service = JobService::start(ServiceOptions {
+            workers: 1,
+            queue_capacity: 1,
+        });
+        // Holds the one worker: 64 Package Delivery episodes take hundreds of
+        // milliseconds even in release, the checks below microseconds.
+        let slow = parse_spec(
+            br#"{"type":"sweep","scenario":{"application":"package_delivery","base_seed":1},
+                "episodes":64,"shard_size":8}"#,
+        )
+        .expect("slow spec parses");
+        let (slow_id, _) = service.submit(slow).unwrap();
+        while state_of(&service, slow_id) == "queued" {
+            std::thread::yield_now();
+        }
+        assert_eq!(state_of(&service, slow_id), "running");
+
+        let (second, cached) = service.submit(mission_spec(1)).unwrap();
+        assert!(!cached);
+        assert_eq!(state_of(&service, second), "queued");
+        assert_eq!(service.submit(mission_spec(2)), Err(SubmitError::QueueFull));
+        assert_eq!(service.delete(second), DeleteOutcome::Deleted);
+        assert_eq!(
+            state_of(&service, slow_id),
+            "running",
+            "the slow job must outlast the checks above"
+        );
+
+        // One worker runs jobs in claim order, so once a later job is done,
+        // everything claimed before it has run.
+        let (later, _) = service.submit(mission_spec(3)).unwrap();
+        wait_done(&service, later);
+        assert_eq!(
+            service.submit(mission_spec(1)).map(|(_, cached)| cached),
+            Ok(false),
+            "a deleted queued job never runs, so its spec is not cached"
+        );
     }
 
     #[test]

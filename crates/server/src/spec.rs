@@ -32,7 +32,7 @@ pub enum JobSpec {
     /// Run a seeded reliability sweep and return aggregate + per-class stats.
     Sweep {
         /// The scenario space episodes are drawn from. Boxed like the
-        /// mission config: specs travel through queues and tables, so the
+        /// mission config: specs wait in the job queue, so the
         /// enum stays pointer-sized-ish rather than carrying the largest
         /// config inline.
         scenario: Box<ScenarioGenerator>,

@@ -2,66 +2,18 @@
 //! result, backpressure, malformed specs, cache-hit byte-identity, and the
 //! delete/conflict corners.
 
+use mav_server::http::{self, Reply};
 use mav_server::{Server, ServiceOptions};
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
 
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-struct Reply {
-    status: u16,
-    body: String,
-}
+struct Client(http::Client);
 
 impl Client {
     fn connect(server: &Server) -> Client {
-        let stream = TcpStream::connect(server.addr()).expect("connect to test server");
-        Client {
-            reader: BufReader::new(stream.try_clone().expect("clone stream")),
-            writer: stream,
-        }
+        Client(http::Client::connect(server.addr()).expect("connect to test server"))
     }
 
     fn send(&mut self, method: &str, path: &str, body: &str) -> Reply {
-        let request = format!(
-            "{method} {path} HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
-            body.len()
-        );
-        self.writer
-            .write_all(request.as_bytes())
-            .expect("write request");
-        let mut status_line = String::new();
-        self.reader
-            .read_line(&mut status_line)
-            .expect("status line");
-        let status = status_line
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| panic!("bad status line {status_line:?}"));
-        let mut content_length = 0usize;
-        loop {
-            let mut header = String::new();
-            self.reader.read_line(&mut header).expect("header line");
-            let header = header.trim_end();
-            if header.is_empty() {
-                break;
-            }
-            if let Some((name, value)) = header.split_once(':') {
-                if name.trim().eq_ignore_ascii_case("content-length") {
-                    content_length = value.trim().parse().expect("content-length value");
-                }
-            }
-        }
-        let mut body = vec![0u8; content_length];
-        self.reader.read_exact(&mut body).expect("body bytes");
-        Reply {
-            status,
-            body: String::from_utf8(body).expect("utf-8 body"),
-        }
+        self.0.send(method, path, body).expect("round trip")
     }
 
     fn job_id(reply: &Reply) -> u64 {
@@ -214,6 +166,18 @@ fn malformed_specs_get_400_with_json_error_body() {
             r#"{"type":"sweep","scenario":{"application":"scanning","rates":[]},"episodes":4}"#,
             "non-empty",
         ),
+        (
+            r#"{"type":"mission","config":{"application":"scanning","operating_point":"big@1e-9"}}"#,
+            "at least 0.1 GHz",
+        ),
+        (
+            r#"{"type":"mission","config":{"application":"scanning","operating_point":{"cores":4,"frequency_ghz":1e-9}}}"#,
+            "at least 0.1 GHz",
+        ),
+        (
+            r#"{"type":"mission","config":{"application":"scanning","node_ops":"plan=big@1e-9"}}"#,
+            "at least 0.1 GHz",
+        ),
     ] {
         let reply = client.send("POST", "/jobs", body);
         assert_eq!(reply.status, 400, "spec {body} → {}", reply.body);
@@ -297,5 +261,24 @@ fn missing_jobs_conflicts_and_delete() {
     assert_eq!(deleted.status, 200);
     assert!(deleted.body.contains("\"deleted\""), "{}", deleted.body);
     assert_eq!(client.send("GET", &format!("/jobs/{id}"), "").status, 404);
+    server.stop();
+}
+
+#[test]
+fn readme_example_specs_are_accepted() {
+    let readme = include_str!("../../../README.md");
+    let examples: Vec<&str> = readme
+        .split("```json\n")
+        .skip(1)
+        .map(|block| block.split("```").next().unwrap_or(block))
+        .collect();
+    assert_eq!(examples.len(), 2, "the README's mission and sweep examples");
+    // Zero workers: the examples are only parsed and queued, never run.
+    let server = start(0, examples.len());
+    let mut client = Client::connect(&server);
+    for spec in examples {
+        let reply = client.send("POST", "/jobs", spec);
+        assert_eq!(reply.status, 202, "README spec {spec} → {}", reply.body);
+    }
     server.stop();
 }

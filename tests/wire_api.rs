@@ -246,3 +246,30 @@ fn camera_size_is_bounded() {
     too_large.camera.height = 100_000;
     assert!(too_large.validate().is_err());
 }
+
+/// A clock too slow to simulate is a spec error: kernel latencies scale by
+/// 2.2 GHz / f, so 1e-9 GHz turns one kernel charge into about 2e8
+/// simulated seconds of physics steps and hangs the worker running it. The
+/// server answers 400 for the mission-global point in both wire forms and
+/// for a per-node point; 0.1 GHz, the floor, passes.
+#[test]
+fn operating_point_frequency_is_bounded() {
+    let spec = |knob: &str| {
+        let text = format!(r#"{{"application":"scanning",{knob}}}"#);
+        MissionConfig::from_json(&Json::parse(&text).unwrap())
+    };
+    for knob in [
+        r#""operating_point":"big@1e-9""#,
+        r#""operating_point":{"cores":4,"frequency_ghz":1e-9}"#,
+        r#""node_ops":"plan=big@1e-9""#,
+        r#""node_ops":{"planning":{"cores":4,"frequency_ghz":1e-9}}"#,
+    ] {
+        let err = spec(knob).expect_err(knob);
+        assert!(err.contains("at least 0.1 GHz"), "{knob}: {err}");
+    }
+    let config = spec(r#""operating_point":"1c@0.1""#).unwrap();
+    assert_eq!(config.operating_point, point(1, 0.1));
+    spec(r#""node_ops":"plan=little@0.1""#).unwrap();
+    let too_slow = config.with_operating_point(point(4, 0.099));
+    assert!(too_slow.validate().is_err());
+}
