@@ -1,6 +1,6 @@
 //! Criterion benches for the control kernels: PID updates and path tracking.
 use criterion::{criterion_group, criterion_main, Criterion};
-use mav_control::{PathTracker, PathTrackerConfig, Pid, PidConfig};
+use mav_control::{PathTracker, Pid, PidConfig};
 use mav_dynamics::{MavState, Quadrotor, QuadrotorConfig};
 use mav_types::{Pose, SimTime, Trajectory, Vec3};
 
@@ -22,7 +22,7 @@ fn bench_control(c: &mut Criterion) {
         5.0,
         SimTime::ZERO,
     );
-    let tracker = PathTracker::new(PathTrackerConfig::default());
+    let tracker = PathTracker;
     let state = MavState::at_rest(Pose::new(Vec3::new(3.0, 1.0, 2.0), 0.0));
     c.bench_function("path_tracking_command", |b| {
         b.iter(|| {

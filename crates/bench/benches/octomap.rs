@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mav_core::{run_mission, MissionConfig};
 use mav_env::EnvironmentConfig;
-use mav_perception::{OctoMap, OctoMapConfig, PointCloud};
+use mav_perception::{OctoMap, PointCloud};
 use mav_planning::FrontierExplorer;
 use mav_sensors::{DepthCamera, DepthCameraConfig};
 use mav_types::{Pose, Vec3};
@@ -33,7 +33,7 @@ fn bench_octomap_insertion(c: &mut Criterion) {
             &resolution,
             |b, &res| {
                 b.iter(|| {
-                    let mut map = OctoMap::new(OctoMapConfig::with_resolution(res), 96.0);
+                    let mut map = OctoMap::new(res, 96.0);
                     for cloud in &clouds {
                         map.insert_point_cloud(cloud);
                     }
@@ -54,14 +54,13 @@ fn bench_octomap_insert_reset(c: &mut Criterion) {
     let mut group = c.benchmark_group("octomap_insert_reset");
     group.sample_size(10);
     for resolution in [0.15, 0.3, 0.5, 0.8, 1.0] {
-        let config = OctoMapConfig::with_resolution(resolution);
-        let mut map = OctoMap::new(config, 96.0);
+        let mut map = OctoMap::new(resolution, 96.0);
         group.bench_with_input(
             BenchmarkId::from_parameter(resolution),
-            &config,
-            |b, &config| {
+            &resolution,
+            |b, &resolution| {
                 b.iter(|| {
-                    map.reset(config, 96.0);
+                    map.reset(resolution, 96.0);
                     for cloud in &clouds {
                         map.insert_point_cloud(cloud);
                     }
@@ -75,7 +74,7 @@ fn bench_octomap_insert_reset(c: &mut Criterion) {
 
 fn bench_octomap_queries(c: &mut Criterion) {
     let clouds = capture_clouds();
-    let mut map = OctoMap::new(OctoMapConfig::with_resolution(0.5), 96.0);
+    let mut map = OctoMap::new(0.5, 96.0);
     for cloud in &clouds {
         map.insert_point_cloud(cloud);
     }
@@ -99,7 +98,7 @@ fn bench_octomap_queries(c: &mut Criterion) {
 /// map.
 fn bench_scan_insertion(c: &mut Criterion) {
     let clouds = capture_clouds();
-    let mut warm = OctoMap::new(OctoMapConfig::with_resolution(0.3), 96.0);
+    let mut warm = OctoMap::new(0.3, 96.0);
     for cloud in &clouds {
         warm.insert_point_cloud(cloud);
     }
@@ -124,7 +123,7 @@ fn bench_scan_insertion(c: &mut Criterion) {
 /// free-voxel list it replaced is benched beside it.
 fn bench_frontier_extraction(c: &mut Criterion) {
     let clouds = capture_clouds();
-    let mut map = OctoMap::new(OctoMapConfig::with_resolution(0.5), 96.0);
+    let mut map = OctoMap::new(0.5, 96.0);
     for cloud in &clouds {
         map.insert_point_cloud(cloud);
     }

@@ -10,7 +10,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use mav_core::experiments::{replan_mode_sweep, replan_scenario};
 use mav_core::SweepRunner;
-use mav_perception::{OctoMap, OctoMapConfig};
+use mav_perception::OctoMap;
 use mav_planning::{
     plan_lawnmower, CollisionChecker, LawnmowerConfig, PathSmoother, PlannerConfig, PlannerKind,
     ShortestPathPlanner, SmootherConfig,
@@ -20,7 +20,7 @@ use mav_types::{Aabb, SimTime, Vec3};
 /// A map with a long wall at x = 8 blocking y ∈ [-10, 10] (the planner-test
 /// scenario): both planners must route around it.
 fn wall_map() -> OctoMap {
-    let mut map = OctoMap::new(OctoMapConfig::with_resolution(0.5), 32.0);
+    let mut map = OctoMap::new(0.5, 32.0);
     let origin = Vec3::new(0.0, 0.0, 1.0);
     for i in -20..=20 {
         for z in [0.5, 1.5, 2.5, 3.5] {
@@ -34,7 +34,7 @@ fn wall_map() -> OctoMap {
 /// over x, y ∈ [-24, 24], observed from a central origin. Smaller spacing
 /// means a denser map and more occupied voxels near every query.
 fn pillar_map(spacing: f64) -> OctoMap {
-    let mut map = OctoMap::new(OctoMapConfig::with_resolution(0.5), 32.0);
+    let mut map = OctoMap::new(0.5, 32.0);
     let origin = Vec3::new(0.0, 0.0, 2.0);
     let n = (24.0 / spacing) as i64;
     for ix in -n..=n {
@@ -89,23 +89,20 @@ fn bench_plan(c: &mut Criterion) {
         b.iter(|| plan_lawnmower(&LawnmowerConfig::default()).unwrap().len())
     });
 
-    // A cluttered field and a far goal grow the RRT to thousands of nodes —
-    // the regime where nearest-neighbour cost dominates.
-    let dense = pillar_map(2.0);
-    let far_start = Vec3::new(-22.0, -22.0, 2.0);
-    let far_goal = Vec3::new(22.0, 22.0, 2.0);
-    let mut group = c.benchmark_group("planner_rrt_dense");
+    // A long route: a goal across a 1 km square of open space grows the RRT
+    // to 2,246 nodes (2,245 samples at the default seed), the regime where
+    // nearest-neighbour cost dominates.
+    let open = OctoMap::new(0.5, 510.0);
+    let far = Aabb::new(Vec3::new(-500.0, -500.0, 0.5), Vec3::new(500.0, 500.0, 6.0));
+    let far_start = Vec3::new(-490.0, -490.0, 2.0);
+    let far_goal = Vec3::new(490.0, 490.0, 2.0);
+    let mut group = c.benchmark_group("planner_rrt_long");
     group.sample_size(10);
     group.bench_function("indexed", |b| {
-        // Short extension steps in heavy clutter: the tree grows to
-        // thousands of nodes before the far corner connects.
-        let mut config = PlannerConfig::new(PlannerKind::Rrt, bounds);
-        config.step = 0.5;
-        config.max_samples = 60_000;
-        let planner = ShortestPathPlanner::new(config);
+        let planner = ShortestPathPlanner::new(PlannerConfig::new(PlannerKind::Rrt, far));
         b.iter(|| {
             planner
-                .plan(&dense, &checker, far_start, far_goal)
+                .plan(&open, &checker, far_start, far_goal)
                 .unwrap()
                 .length()
         })

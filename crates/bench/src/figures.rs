@@ -14,7 +14,7 @@ use mav_core::experiments::{
     operating_point_sweep, perception_rate_sweep, replan_mode_sweep, replan_scenario,
     resolution_study, CloudComparison,
 };
-use mav_core::microbench::{hover_endurance_minutes, slam_fps_sweep, SlamMicrobenchConfig};
+use mav_core::microbench::{hover_endurance_minutes, slam_fps_sweep};
 use mav_core::reliability::{
     reliability_fault_grid_with, reliability_rate_grid_with, reliability_sweep_classified,
     ScenarioGenerator, DEFAULT_SHARD_SIZE,
@@ -183,10 +183,7 @@ pub fn fig08a_max_velocity(_cli: &Cli) -> FigureOutput {
 /// microbenchmark plus, since PR 2, the emergent whole-mission counterpart
 /// (the perception-rate sweep on the node-graph executor).
 pub fn fig08b_slam_fps(cli: &Cli) -> FigureOutput {
-    let sweep = slam_fps_sweep(
-        &[0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0],
-        SlamMicrobenchConfig::default(),
-    );
+    let sweep = slam_fps_sweep(&[0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0]);
     let rows: Vec<Vec<String>> = sweep
         .iter()
         .map(|p| {
@@ -562,11 +559,11 @@ pub fn fig16_cloud_offload(cli: &Cli) -> FigureOutput {
 
 /// Fig. 17 — perception of a doorway at different OctoMap resolutions.
 pub fn fig17_resolution_maps(_cli: &Cli) -> FigureOutput {
-    use mav_perception::{OctoMap, OctoMapConfig};
+    use mav_perception::OctoMap;
 
     /// Builds a wall with a door-width (0.82 m) opening mapped at `resolution`.
     fn map_doorway(resolution: f64) -> OctoMap {
-        let mut map = OctoMap::new(OctoMapConfig::with_resolution(resolution), 32.0);
+        let mut map = OctoMap::new(resolution, 32.0);
         let origin = Vec3::new(-5.0, 0.0, 1.0);
         for i in -40..=40 {
             let y = i as f64 * 0.1;
@@ -622,7 +619,7 @@ pub fn fig17_resolution_maps(_cli: &Cli) -> FigureOutput {
 /// Fig. 18 — OctoMap processing time vs resolution (measured on the host).
 pub fn fig18_octomap_resolution(_cli: &Cli) -> FigureOutput {
     use mav_env::EnvironmentConfig;
-    use mav_perception::{OctoMap, OctoMapConfig, PointCloud};
+    use mav_perception::{OctoMap, PointCloud};
     use mav_sensors::{DepthCamera, DepthCameraConfig};
     use mav_types::Pose;
     use std::time::Instant;
@@ -650,7 +647,7 @@ pub fn fig18_octomap_resolution(_cli: &Cli) -> FigureOutput {
         // never feeds back into simulation state.
         #[allow(clippy::disallowed_methods)]
         let start = Instant::now();
-        let mut map = OctoMap::new(OctoMapConfig::with_resolution(resolution), 96.0);
+        let mut map = OctoMap::new(resolution, 96.0);
         for cloud in &clouds {
             map.insert_point_cloud(cloud);
         }

@@ -43,9 +43,15 @@ impl NetworkLink {
 
     /// Time to move `megabytes` of data across the link plus one round trip.
     pub fn transfer_time(&self, megabytes: f64) -> SimDuration {
+        SimDuration::from_secs(self.transfer_secs(megabytes))
+    }
+
+    /// [`NetworkLink::transfer_time`] in seconds, before a non-finite or
+    /// negative value is clamped to zero.
+    fn transfer_secs(&self, megabytes: f64) -> f64 {
         let bits = megabytes * 8.0 * 1e6;
         let seconds = bits / (self.bandwidth_mbps * 1e6);
-        SimDuration::from_secs(seconds + 2.0 * self.latency_ms / 1000.0)
+        seconds + 2.0 * self.latency_ms / 1000.0
     }
 }
 
@@ -85,6 +91,62 @@ impl CloudConfig {
     pub fn offloads(&self, kernel: KernelId) -> bool {
         self.offloaded.contains(&kernel)
     }
+
+    /// The slowest cloud [`CloudConfig::validate`] admits: an offloaded
+    /// kernel then takes 100× its Table I time, the stretch the
+    /// operating-point floor ([`OperatingPoint::MIN_FREQUENCY_GHZ`]) allows
+    /// an on-board kernel.
+    pub const MIN_SPEEDUP: f64 = 0.01;
+
+    /// The longest link transfer [`CloudConfig::validate`] admits per
+    /// offloaded charge, seconds: about 100× the longest Table I kernel
+    /// (frontier exploration, 2.7 s).
+    pub const MAX_TRANSFER_SECS: f64 = 300.0;
+
+    /// Checks that every offloaded charge stays bounded: a finite speed-up
+    /// of at least [`CloudConfig::MIN_SPEEDUP`], a positive finite
+    /// bandwidth, a non-negative finite latency and payload, and a transfer
+    /// of at most [`CloudConfig::MAX_TRANSFER_SECS`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first invalid field.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(self.speedup.is_finite() && self.speedup >= Self::MIN_SPEEDUP) {
+            return Err(format!(
+                "speedup: must be finite and at least {}, got {}",
+                Self::MIN_SPEEDUP,
+                self.speedup
+            ));
+        }
+        if !(self.payload_megabytes.is_finite() && self.payload_megabytes >= 0.0) {
+            return Err(format!(
+                "payload_megabytes: must be finite and non-negative, got {}",
+                self.payload_megabytes
+            ));
+        }
+        let link = &self.link;
+        if !(link.bandwidth_mbps.is_finite() && link.bandwidth_mbps > 0.0) {
+            return Err(format!(
+                "link: bandwidth_mbps: must be positive and finite, got {}",
+                link.bandwidth_mbps
+            ));
+        }
+        if !(link.latency_ms.is_finite() && link.latency_ms >= 0.0) {
+            return Err(format!(
+                "link: latency_ms: must be finite and non-negative, got {}",
+                link.latency_ms
+            ));
+        }
+        let transfer = link.transfer_secs(self.payload_megabytes);
+        if !(0.0..=Self::MAX_TRANSFER_SECS).contains(&transfer) {
+            return Err(format!(
+                "payload_megabytes / link: one transfer takes {transfer} s, above the {} s limit",
+                Self::MAX_TRANSFER_SECS
+            ));
+        }
+        Ok(())
+    }
 }
 
 impl mav_types::ToJson for NetworkLink {
@@ -98,23 +160,10 @@ impl mav_types::ToJson for NetworkLink {
 impl mav_types::FromJson for NetworkLink {
     fn from_json(json: &mav_types::Json) -> Result<Self, String> {
         json.check_fields(&["bandwidth_mbps", "latency_ms"])?;
-        let link = NetworkLink {
+        Ok(NetworkLink {
             bandwidth_mbps: json.parse_field("bandwidth_mbps")?,
             latency_ms: json.parse_field("latency_ms")?,
-        };
-        if !(link.bandwidth_mbps.is_finite() && link.bandwidth_mbps > 0.0) {
-            return Err(format!(
-                "bandwidth_mbps: must be positive, got {}",
-                link.bandwidth_mbps
-            ));
-        }
-        if !(link.latency_ms.is_finite() && link.latency_ms >= 0.0) {
-            return Err(format!(
-                "latency_ms: must be non-negative, got {}",
-                link.latency_ms
-            ));
-        }
-        Ok(link)
+        })
     }
 }
 
@@ -132,23 +181,15 @@ impl mav_types::ToJson for CloudConfig {
 }
 
 impl mav_types::FromJson for CloudConfig {
+    /// Reads a cloud description; [`CloudConfig::validate`] checks its
+    /// values.
     fn from_json(json: &mav_types::Json) -> Result<Self, String> {
         json.check_fields(&["speedup", "link", "payload_megabytes", "offloaded"])?;
-        let speedup: f64 = json.parse_field("speedup")?;
-        if !(speedup.is_finite() && speedup > 0.0) {
-            return Err(format!("speedup: must be positive, got {speedup}"));
-        }
-        let payload_megabytes: f64 = json.parse_field("payload_megabytes")?;
-        if !(payload_megabytes.is_finite() && payload_megabytes >= 0.0) {
-            return Err(format!(
-                "payload_megabytes: must be non-negative, got {payload_megabytes}"
-            ));
-        }
         let offloaded: Vec<KernelId> = json.parse_field("offloaded")?;
         Ok(CloudConfig {
-            speedup,
+            speedup: json.parse_field("speedup")?,
             link: json.parse_field("link")?,
-            payload_megabytes,
+            payload_megabytes: json.parse_field("payload_megabytes")?,
             offloaded: offloaded.into_iter().collect(),
         })
     }
@@ -369,6 +410,41 @@ mod tests {
             cfg,
         );
         assert!(lte.planning_latency() > lan.planning_latency());
+    }
+
+    /// The paper's cloud and the LTE sensitivity case pass, and at the
+    /// speed-up floor an offloaded kernel takes 100× its Table I time.
+    /// (The wire tests cover each rejected field.)
+    #[test]
+    fn cloud_stretch_is_bounded() {
+        let paper = CloudConfig::planning_offload();
+        paper.validate().unwrap();
+        let mut lte = paper.clone();
+        lte.link = NetworkLink::lte();
+        lte.payload_megabytes = 20.0;
+        lte.validate().unwrap();
+        let mut slow = paper;
+        slow.speedup = CloudConfig::MIN_SPEEDUP;
+        slow.validate().unwrap();
+        slow.speedup = f64::NAN;
+        assert!(slow.validate().unwrap_err().contains("speedup"));
+        slow.speedup = CloudConfig::MIN_SPEEDUP;
+        // Payload and bandwidth both overflow to infinity, and inf / inf is
+        // a NaN transfer time.
+        let mut huge = slow.clone();
+        huge.payload_megabytes = 1e302;
+        huge.link.bandwidth_mbps = 1e303;
+        assert!(huge.validate().unwrap_err().contains("transfer"));
+        let platform = ComputePlatform::tx2_with_cloud(
+            ApplicationId::Mapping3D,
+            OperatingPoint::reference(),
+            slow.clone(),
+        );
+        let kernel = KernelId::FrontierExploration;
+        let reference = platform.kernel_profile(kernel).unwrap().reference_latency();
+        let compute = platform.kernel_latency(kernel).as_secs()
+            - slow.link.transfer_time(slow.payload_megabytes).as_secs();
+        assert!((compute / reference.as_secs() - 100.0).abs() < 1e-6);
     }
 
     #[test]

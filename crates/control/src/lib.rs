@@ -5,12 +5,12 @@
 //! # Example
 //!
 //! ```
-//! use mav_control::{PathTracker, PathTrackerConfig};
+//! use mav_control::PathTracker;
 //! use mav_dynamics::MavState;
 //! use mav_types::{SimTime, Trajectory, Vec3};
 //!
 //! let traj = Trajectory::from_waypoints(&[Vec3::ZERO, Vec3::new(5.0, 0.0, 0.0)], 1.0, SimTime::ZERO);
-//! let tracker = PathTracker::new(PathTrackerConfig::default());
+//! let tracker = PathTracker;
 //! let cmd = tracker.command(&traj, &MavState::default(), SimTime::from_secs(1.0));
 //! assert!(cmd.velocity.x > 0.0);
 //! ```
@@ -21,4 +21,4 @@ pub mod pid;
 pub mod tracker;
 
 pub use pid::{Pid, PidConfig};
-pub use tracker::{PathTracker, PathTrackerConfig, TrackingCommand};
+pub use tracker::{PathTracker, TrackingCommand, COMPLETION_TOLERANCE};

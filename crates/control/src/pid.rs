@@ -6,6 +6,9 @@
 
 use std::fmt;
 
+/// Symmetric clamp on the integral term (anti-windup).
+const INTEGRAL_LIMIT: f64 = 5.0;
+
 /// PID gains and output limits.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PidConfig {
@@ -17,8 +20,6 @@ pub struct PidConfig {
     pub kd: f64,
     /// Symmetric output saturation (the output is clamped to ±this value).
     pub output_limit: f64,
-    /// Symmetric clamp on the integral term (anti-windup).
-    pub integral_limit: f64,
 }
 
 impl PidConfig {
@@ -30,7 +31,6 @@ impl PidConfig {
             ki,
             kd,
             output_limit: 10.0,
-            integral_limit: 5.0,
         }
     }
 
@@ -93,8 +93,7 @@ impl Pid {
     /// Panics in debug builds if `dt` is not strictly positive.
     pub fn update(&mut self, error: f64, dt: f64) -> f64 {
         debug_assert!(dt > 0.0, "dt must be positive");
-        self.integral = (self.integral + error * dt)
-            .clamp(-self.config.integral_limit, self.config.integral_limit);
+        self.integral = (self.integral + error * dt).clamp(-INTEGRAL_LIMIT, INTEGRAL_LIMIT);
         let derivative = match self.last_error {
             Some(prev) => (error - prev) / dt,
             None => 0.0,
@@ -166,18 +165,15 @@ mod tests {
 
     #[test]
     fn integral_windup_is_bounded() {
-        let mut pid = Pid::new(PidConfig {
-            ki: 1.0,
-            integral_limit: 2.0,
-            ..PidConfig::new(0.0, 1.0, 0.0)
-        });
+        let mut pid = Pid::new(PidConfig::new(0.0, 1.0, 0.0));
         for _ in 0..1000 {
             pid.update(10.0, 0.1);
         }
         // After saturation, a sign flip of the error must take effect quickly
-        // rather than fighting a huge accumulated integral.
+        // rather than fighting a huge accumulated integral: one step of -1
+        // from the clamped integral.
         let out = pid.update(-10.0, 0.1);
-        assert!(out <= 2.0);
+        assert_eq!(out, INTEGRAL_LIMIT - 1.0);
     }
 
     #[test]

@@ -10,27 +10,14 @@ use mav_dynamics::MavState;
 use mav_types::{SimTime, Trajectory, Vec3};
 use std::fmt;
 
-/// Configuration of the path tracker.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PathTrackerConfig {
-    /// Proportional gain on the position error, 1/s.
-    pub position_gain: f64,
-    /// Maximum magnitude of the corrective velocity, m/s.
-    pub max_correction: f64,
-    /// Distance from the final trajectory point at which the plan counts as
-    /// completed, metres.
-    pub completion_tolerance: f64,
-}
-
-impl Default for PathTrackerConfig {
-    fn default() -> Self {
-        PathTrackerConfig {
-            position_gain: 1.5,
-            max_correction: 3.0,
-            completion_tolerance: 0.75,
-        }
-    }
-}
+/// Proportional gain on the position error, 1/s.
+const POSITION_GAIN: f64 = 1.5;
+/// Maximum magnitude of the corrective velocity, m/s.
+const MAX_CORRECTION: f64 = 3.0;
+/// Distance from the final trajectory point at which the plan counts as
+/// completed, metres. A plan whose goal already lies this close to the
+/// vehicle completes without moving it.
+pub const COMPLETION_TOLERANCE: f64 = 0.75;
 
 /// Output of one tracking step.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,7 +35,7 @@ pub struct TrackingCommand {
 /// # Example
 ///
 /// ```
-/// use mav_control::{PathTracker, PathTrackerConfig};
+/// use mav_control::PathTracker;
 /// use mav_dynamics::MavState;
 /// use mav_types::{Pose, SimTime, Trajectory, Vec3};
 ///
@@ -57,28 +44,16 @@ pub struct TrackingCommand {
 ///     2.0,
 ///     SimTime::ZERO,
 /// );
-/// let tracker = PathTracker::new(PathTrackerConfig::default());
+/// let tracker = PathTracker;
 /// let state = MavState::at_rest(Pose::new(Vec3::new(0.0, 0.5, 2.0), 0.0));
 /// let cmd = tracker.command(&traj, &state, SimTime::from_secs(1.0));
 /// assert!(!cmd.completed);
 /// assert!(cmd.velocity.x > 0.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct PathTracker {
-    config: PathTrackerConfig,
-}
+pub struct PathTracker;
 
 impl PathTracker {
-    /// Creates a tracker.
-    pub fn new(config: PathTrackerConfig) -> Self {
-        PathTracker { config }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &PathTrackerConfig {
-        &self.config
-    }
-
     /// Computes the velocity command for the vehicle at `state` following
     /// `trajectory` at mission time `now`.
     ///
@@ -98,13 +73,12 @@ impl PathTracker {
         };
         let error = reference.position - state.pose.position;
         let cross_track_error = error.norm();
-        let correction = (error * self.config.position_gain).clamp_norm(self.config.max_correction);
+        let correction = (error * POSITION_GAIN).clamp_norm(MAX_CORRECTION);
         let velocity = reference.velocity + correction;
         let completed = match trajectory.last() {
             Some(last) => {
                 now >= last.time
-                    && state.pose.position.distance(&last.position)
-                        <= self.config.completion_tolerance
+                    && state.pose.position.distance(&last.position) <= COMPLETION_TOLERANCE
             }
             None => true,
         };
@@ -118,7 +92,7 @@ impl PathTracker {
 
 impl fmt::Display for PathTracker {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "path-tracker[gain {}]", self.config.position_gain)
+        write!(f, "path-tracker[gain {POSITION_GAIN}]")
     }
 }
 
@@ -138,7 +112,7 @@ mod tests {
 
     #[test]
     fn command_points_along_the_trajectory() {
-        let tracker = PathTracker::default();
+        let tracker = PathTracker;
         let state = MavState::at_rest(Pose::new(Vec3::new(4.0, 0.0, 2.0), 0.0));
         let cmd = tracker.command(&line_trajectory(), &state, SimTime::from_secs(1.0));
         assert!(cmd.velocity.x > 0.0);
@@ -147,7 +121,7 @@ mod tests {
 
     #[test]
     fn lateral_error_produces_corrective_velocity() {
-        let tracker = PathTracker::default();
+        let tracker = PathTracker;
         // Vehicle displaced 2 m to the left of the reference.
         let state = MavState::at_rest(Pose::new(Vec3::new(4.0, 2.0, 2.0), 0.0));
         let cmd = tracker.command(&line_trajectory(), &state, SimTime::from_secs(1.0));
@@ -159,12 +133,12 @@ mod tests {
         // Correction magnitude is bounded.
         let huge_offset = MavState::at_rest(Pose::new(Vec3::new(4.0, 100.0, 2.0), 0.0));
         let cmd2 = tracker.command(&line_trajectory(), &huge_offset, SimTime::from_secs(1.0));
-        assert!(cmd2.velocity.norm() <= 4.0 + tracker.config().max_correction + 1e-9);
+        assert!(cmd2.velocity.norm() <= 4.0 + MAX_CORRECTION + 1e-9);
     }
 
     #[test]
     fn completion_requires_time_and_proximity() {
-        let tracker = PathTracker::default();
+        let tracker = PathTracker;
         let traj = line_trajectory();
         let end = traj.last().unwrap();
         // At the end time but far away: not complete.
@@ -183,7 +157,7 @@ mod tests {
 
     #[test]
     fn empty_trajectory_is_immediately_complete() {
-        let tracker = PathTracker::default();
+        let tracker = PathTracker;
         let state = MavState::default();
         let cmd = tracker.command(&Trajectory::new(), &state, SimTime::ZERO);
         assert!(cmd.completed);
@@ -194,7 +168,7 @@ mod tests {
     fn closed_loop_follows_the_path() {
         // Integrate the quadrotor under the tracker: the vehicle must arrive
         // at the goal with small cross-track error throughout.
-        let tracker = PathTracker::default();
+        let tracker = PathTracker;
         let traj = line_trajectory();
         let mut quad = Quadrotor::new(
             QuadrotorConfig::dji_matrice_100(),
@@ -223,6 +197,6 @@ mod tests {
 
     #[test]
     fn display_nonempty() {
-        assert!(!format!("{}", PathTracker::default()).is_empty());
+        assert!(!format!("{}", PathTracker).is_empty());
     }
 }

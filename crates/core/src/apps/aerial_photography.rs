@@ -16,7 +16,7 @@ use crate::qof::{MissionFailure, MissionReport};
 use mav_compute::KernelId;
 use mav_control::{Pid, PidConfig};
 use mav_env::ObstacleClass;
-use mav_perception::{DetectorConfig, ObjectDetector, TargetTracker, TrackerConfig};
+use mav_perception::{DetectorConfig, ObjectDetector, TargetTracker};
 use mav_runtime::{Executor, FifoTopic, Node, NodeOutput, Topic};
 use mav_types::{Result, SimDuration, SimTime, Vec3};
 
@@ -80,7 +80,7 @@ impl SubjectFollowNode {
                 seed,
                 ..Default::default()
             }),
-            tracker: TargetTracker::new(TrackerConfig::default()),
+            tracker: TargetTracker::default(),
             pid_x: Pid::new(PidConfig::new(0.9, 0.05, 0.2).with_output_limit(8.0)),
             pid_y: Pid::new(PidConfig::new(0.9, 0.05, 0.2).with_output_limit(8.0)),
             pid_z: Pid::new(PidConfig::new(1.0, 0.0, 0.1).with_output_limit(3.0)),

@@ -1063,6 +1063,12 @@ impl MissionConfig {
         self.operating_point.validate()?;
         self.quadrotor.validate()?;
         self.camera.validate()?;
+        self.environment
+            .validate()
+            .map_err(|e| format!("environment: {e}"))?;
+        if let Some(cloud) = &self.cloud {
+            cloud.validate().map_err(|e| format!("cloud: {e}"))?;
+        }
         // Every range check is written so that NaN fails it. A step far
         // below a millisecond would stall `MissionContext::advance`, whose
         // remaining time stops shrinking once the step falls under its ulp.
@@ -1088,7 +1094,7 @@ impl MissionConfig {
         self.node_ops.validate()?;
         self.fault_plan.validate()?;
         self.degradation.validate()?;
-        self.validate_map_depth()
+        self.validate_map_resolutions()
     }
 
     /// Half-extent of the mission's cubic occupancy map, metres: the larger
@@ -1099,13 +1105,20 @@ impl MissionConfig {
         self.environment.extent.max(self.environment.height) + 5.0
     }
 
+    /// Radius of the vehicle's collision checker, metres: the airframe
+    /// radius (at least 5 cm) plus a 5 cm margin.
+    pub fn collision_radius(&self) -> f64 {
+        self.quadrotor.radius.max(0.05) + 0.05
+    }
+
     /// Rejects a resolution the mission's map cannot be built at. Every map
     /// of the mission covers [`Self::map_half_extent`] within
     /// [`OctoMap::MAX_DEPTH`] levels: the first at the initial resolution (a
     /// dynamic policy's outdoor one), and every dynamic switch
     /// ([`OctoMap::reresolved`]) over the same half-extent at the indoor or
-    /// the outdoor resolution.
-    fn validate_map_depth(&self) -> Result<(), String> {
+    /// the outdoor resolution. At each of them the collision radius may span
+    /// at most [`OctoMap::MAX_INFLATION_VOXELS`] voxels.
+    fn validate_map_resolutions(&self) -> Result<(), String> {
         let half_extent = self.map_half_extent();
         if !(half_extent.is_finite() && half_extent > 0.0) {
             return Err(format!(
@@ -1122,6 +1135,15 @@ impl MissionConfig {
                     "resolution {resolution:?} m needs a {depth}-level map over \
                      ±{half_extent} m, above the {}-level maximum",
                     OctoMap::MAX_DEPTH
+                ));
+            }
+            let radius = self.collision_radius();
+            let voxels = (radius / resolution).ceil();
+            if voxels > f64::from(OctoMap::MAX_INFLATION_VOXELS) {
+                return Err(format!(
+                    "quadrotor radius: the {radius} m collision radius spans {voxels} voxels \
+                     at resolution {resolution:?} m, above the {}-voxel limit",
+                    OctoMap::MAX_INFLATION_VOXELS
                 ));
             }
             Ok(())
@@ -1191,13 +1213,20 @@ impl FromJson for MissionConfig {
         ])?;
         let application: ApplicationId = json.parse_field("application")?;
         let base = MissionConfig::new(application);
+        // A sparse environment overlays the application's own world, as
+        // every other omitted knob keeps the application's default.
+        let environment = match json.get("environment") {
+            None | Some(Json::Null) => base.environment,
+            Some(env) => EnvironmentConfig::from_json_over(env, base.environment)
+                .map_err(|e| format!("environment: {e}"))?,
+        };
         let mut config = MissionConfig {
             application,
             operating_point: json.parse_field_or("operating_point", base.operating_point)?,
             cloud: json.parse_opt_field("cloud")?,
             quadrotor: json.parse_field_or("quadrotor", base.quadrotor)?,
             battery: json.parse_field_or("battery", base.battery)?,
-            environment: json.parse_field_or("environment", base.environment)?,
+            environment,
             camera: json.parse_field_or("camera", base.camera)?,
             depth_noise_std: json.parse_field_or("depth_noise_std", base.depth_noise_std)?,
             resolution_policy: json.parse_field_or("resolution_policy", base.resolution_policy)?,

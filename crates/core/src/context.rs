@@ -30,7 +30,7 @@ use mav_energy::{
     OTHER_ELECTRONICS_WATTS,
 };
 use mav_env::World;
-use mav_perception::{OctoMap, OctoMapConfig};
+use mav_perception::OctoMap;
 use mav_planning::{CollisionChecker, PlannerConfig, PlannerKind, ShortestPathPlanner};
 use mav_runtime::{Executor, FifoTopic, KernelTimer, SimClock, Topic};
 use mav_sensors::{DepthCamera, DepthImage, DepthNoiseModel};
@@ -135,10 +135,7 @@ impl MissionContext {
             config.operating_point.frequency.as_ghz(),
         );
         let resolution = config.resolution_policy.initial_resolution();
-        let (map, clouds) = EpisodeScratch::take(
-            OctoMapConfig::with_resolution(resolution),
-            config.map_half_extent(),
-        );
+        let (map, clouds) = EpisodeScratch::take(resolution, config.map_half_extent());
         let camera = DepthCamera::new(config.camera);
         let depth_noise = DepthNoiseModel::new(config.depth_noise_std, config.seed);
         Ok(MissionContext {
@@ -212,7 +209,7 @@ impl MissionContext {
 
     /// The collision checker matched to the vehicle.
     pub fn collision_checker(&self) -> CollisionChecker {
-        CollisionChecker::new(self.config.quadrotor.radius.max(0.05) + 0.05)
+        CollisionChecker::new(self.config.collision_radius())
     }
 
     /// A shortest-path planner over the world bounds.

@@ -62,6 +62,13 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
+    /// The largest latency multiplier a spike or the planner stretch may
+    /// apply: 100×, the stretch the operating-point floor
+    /// ([`mav_compute::OperatingPoint::MIN_FREQUENCY_GHZ`]) allows. A
+    /// 1e12× charge was 1e12 simulated seconds of physics steps in
+    /// `MissionContext::advance`.
+    pub const MAX_STRETCH: f64 = 100.0;
+
     /// The empty plan: no faults. This is the default everywhere, and it
     /// compiles to *no* injector, leaving every legacy code path untouched.
     pub fn none() -> Self {
@@ -174,7 +181,7 @@ impl FaultPlan {
     }
 
     /// Checks every channel is in range. Probabilities live in `[0, 1]`,
-    /// multipliers in `[1, ∞)`, the fade fraction in `[0, 1)`.
+    /// multipliers in `[1, MAX_STRETCH]`, the fade fraction in `[0, 1)`.
     pub fn validate(&self) -> Result<(), String> {
         let prob = |name: &str, p: f64| -> Result<(), String> {
             if p.is_finite() && (0.0..=1.0).contains(&p) {
@@ -193,18 +200,18 @@ impl FaultPlan {
         if !(self.noise_burst_std.is_finite() && self.noise_burst_std >= 0.0) {
             return Err(format!("noise-burst std {} invalid", self.noise_burst_std));
         }
-        if !(self.kernel_spike_factor.is_finite() && self.kernel_spike_factor >= 1.0) {
-            return Err(format!(
-                "kernel-spike factor {} must be >= 1",
-                self.kernel_spike_factor
-            ));
-        }
-        if !(self.plan_timeout_factor.is_finite() && self.plan_timeout_factor >= 1.0) {
-            return Err(format!(
-                "plan-timeout factor {} must be >= 1",
-                self.plan_timeout_factor
-            ));
-        }
+        let stretch = |name: &str, factor: f64| {
+            if (1.0..=Self::MAX_STRETCH).contains(&factor) {
+                Ok(())
+            } else {
+                Err(format!(
+                    "{name} factor {factor} outside [1, {}]",
+                    Self::MAX_STRETCH
+                ))
+            }
+        };
+        stretch("kernel-spike", self.kernel_spike_factor)?;
+        stretch("plan-timeout", self.plan_timeout_factor)?;
         if !(self.battery_fade.is_finite() && (0.0..1.0).contains(&self.battery_fade)) {
             return Err(format!("battery-fade {} outside [0, 1)", self.battery_fade));
         }

@@ -50,7 +50,7 @@
 use crate::config::BrakePolicy;
 use crate::context::MissionContext;
 use mav_compute::{KernelId, OperatingPoint};
-use mav_control::{PathTracker, PathTrackerConfig};
+use mav_control::PathTracker;
 use mav_planning::{CollisionChecker, PathSmoother, ShortestPathPlanner, SmootherConfig};
 use mav_runtime::{ExecStage, Executor, FifoTopic, Node, NodeContext, NodeOutput, Topic};
 use mav_sensors::DepthImage;
@@ -226,7 +226,7 @@ impl NodeContext for FlightCtx<'_> {
         !self.events.is_empty()
     }
 
-    fn charge(&mut self, consumed: SimDuration, _idle_step: SimDuration) -> Result<()> {
+    fn charge(&mut self, consumed: SimDuration) -> Result<()> {
         let velocity = self.commands.latest().unwrap_or(Vec3::ZERO);
         self.mission.advance(velocity, consumed.max(self.min_tick));
         Ok(())
@@ -555,7 +555,7 @@ impl PathTrackerNode {
         period: SimDuration,
     ) -> Self {
         PathTrackerNode {
-            tracker: PathTracker::new(PathTrackerConfig::default()),
+            tracker: PathTracker,
             plan: PlanSubscription::new(plan, timeline),
             kernels,
             cap,
@@ -1777,14 +1777,12 @@ mod tests {
             commands,
             min_tick: SimDuration::from_millis(50.0),
         };
-        fctx.charge(SimDuration::from_secs(2.0), SimDuration::from_millis(50.0))
-            .unwrap();
+        fctx.charge(SimDuration::from_secs(2.0)).unwrap();
         assert!(fctx.mission.clock.now().as_secs() >= 2.0 - 1e-9);
         assert!(fctx.mission.distance() > 3.0);
         // Zero consumed still advances by the minimum tick.
         let before = fctx.mission.clock.now();
-        fctx.charge(SimDuration::ZERO, SimDuration::from_millis(50.0))
-            .unwrap();
+        fctx.charge(SimDuration::ZERO).unwrap();
         assert!(fctx.mission.clock.now().since(before).as_millis() >= 50.0 - 1e-9);
     }
 }

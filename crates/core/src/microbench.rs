@@ -5,7 +5,7 @@
 //! ORB-SLAM2 to different frame rates, bounds the localization-failure rate at
 //! 20 %, and reports the resulting maximum velocity and total energy. Here the
 //! same sweep is driven by the [`mav_perception::SlamConfig`] failure model
-//! plus the Eq. 1 energy model.
+//! plus the Eq. 1 energy model, with the airframe capped at 12 m/s.
 
 use mav_dynamics::QuadrotorConfig;
 use mav_energy::{ComputePowerModel, RotorPowerModel};
@@ -27,29 +27,15 @@ pub struct SlamSweepPoint {
     pub observed_failure_rate: f64,
 }
 
-/// Configuration of the microbenchmark.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SlamMicrobenchConfig {
-    /// Radius of the circular path, metres (25 m in the paper).
-    pub radius: f64,
-    /// Failure-rate budget (0.2 in the paper).
-    pub failure_budget: f64,
-    /// Airframe mechanical velocity limit, m/s.
-    pub mechanical_limit: f64,
-}
-
-impl Default for SlamMicrobenchConfig {
-    fn default() -> Self {
-        SlamMicrobenchConfig {
-            radius: 25.0,
-            failure_budget: 0.2,
-            mechanical_limit: 12.0,
-        }
-    }
-}
+/// Radius of the circular path, metres (25 m in the paper).
+const RADIUS: f64 = 25.0;
+/// Localization failure-rate budget (20 % in the paper).
+const FAILURE_BUDGET: f64 = 0.2;
+/// Airframe mechanical velocity limit, m/s.
+const MECHANICAL_LIMIT: f64 = 12.0;
 
 /// Runs the Fig. 8b sweep over the given SLAM frame rates.
-pub fn slam_fps_sweep(fps_values: &[f64], config: SlamMicrobenchConfig) -> Vec<SlamSweepPoint> {
+pub fn slam_fps_sweep(fps_values: &[f64]) -> Vec<SlamSweepPoint> {
     let rotor = RotorPowerModel::dji_matrice_100();
     let compute = ComputePowerModel::tx2();
     let quad = QuadrotorConfig::dji_matrice_100();
@@ -57,9 +43,9 @@ pub fn slam_fps_sweep(fps_values: &[f64], config: SlamMicrobenchConfig) -> Vec<S
         .iter()
         .map(|&fps| {
             let slam_cfg = SlamConfig::with_fps(fps);
-            let budgeted = slam_cfg.max_velocity_for_failure_budget(config.failure_budget);
-            let velocity = budgeted.min(config.mechanical_limit).min(quad.max_velocity);
-            let circumference = std::f64::consts::TAU * config.radius;
+            let budgeted = slam_cfg.max_velocity_for_failure_budget(FAILURE_BUDGET);
+            let velocity = budgeted.min(MECHANICAL_LIMIT).min(quad.max_velocity);
+            let circumference = std::f64::consts::TAU * RADIUS;
             let mission_time = circumference / velocity.max(0.1);
             // Energy: rotor power at the cruise velocity plus compute power,
             // integrated over the lap.
@@ -69,7 +55,7 @@ pub fn slam_fps_sweep(fps_values: &[f64], config: SlamMicrobenchConfig) -> Vec<S
                 (rotor_power.as_watts() + compute_power.as_watts()) * mission_time / 1000.0;
             // Validate the analytic budget by actually simulating the lap with
             // the stochastic SLAM model.
-            let observed_failure_rate = simulate_lap(&slam_cfg, velocity, config.radius, fps);
+            let observed_failure_rate = simulate_lap(&slam_cfg, velocity, RADIUS, fps);
             SlamSweepPoint {
                 fps,
                 max_velocity: velocity,
@@ -114,7 +100,7 @@ mod tests {
 
     #[test]
     fn faster_slam_permits_faster_laps_and_less_energy() {
-        let sweep = slam_fps_sweep(&[1.0, 2.0, 4.0, 8.0], SlamMicrobenchConfig::default());
+        let sweep = slam_fps_sweep(&[1.0, 2.0, 4.0, 8.0]);
         assert_eq!(sweep.len(), 4);
         for w in sweep.windows(2) {
             assert!(
@@ -136,7 +122,7 @@ mod tests {
 
     #[test]
     fn observed_failure_rate_respects_the_budget() {
-        let sweep = slam_fps_sweep(&[2.0, 5.0, 10.0], SlamMicrobenchConfig::default());
+        let sweep = slam_fps_sweep(&[2.0, 5.0, 10.0]);
         for point in sweep {
             assert!(
                 point.observed_failure_rate <= 0.35,
@@ -149,13 +135,11 @@ mod tests {
 
     #[test]
     fn velocity_saturates_at_the_mechanical_limit() {
-        let cfg = SlamMicrobenchConfig {
-            mechanical_limit: 6.0,
-            ..Default::default()
-        };
-        let sweep = slam_fps_sweep(&[50.0, 100.0], cfg);
+        // The Matrice 100's own 17 m/s limit lies above the 12 m/s cap.
+        assert!(QuadrotorConfig::dji_matrice_100().max_velocity > MECHANICAL_LIMIT);
+        let sweep = slam_fps_sweep(&[50.0, 100.0]);
         for p in sweep {
-            assert!((p.max_velocity - 6.0).abs() < 1e-9);
+            assert_eq!(p.max_velocity, MECHANICAL_LIMIT);
         }
     }
 

@@ -453,7 +453,11 @@ impl ScenarioGenerator {
     /// The mission configuration of episode `index` — a pure function of
     /// `(base_seed, index)` and the choice lists.
     pub fn episode(&self, index: u64) -> MissionConfig {
-        let d = self.draws(index);
+        self.config(&self.draws(index))
+    }
+
+    /// The mission configuration of one set of draws.
+    fn config(&self, d: &EpisodeDraws) -> MissionConfig {
         let mut cfg = quick_config(MissionConfig::fast_test(self.application));
         cfg.environment.obstacle_density = self.densities[d.density];
         cfg.environment.extent = self.extents[d.extent];
@@ -464,6 +468,67 @@ impl ScenarioGenerator {
             .with_fault_plan(self.fault_plans[d.fault])
             .with_degradation(self.degradation)
             .with_seed(d.episode_seed)
+    }
+
+    /// Checks that every episode the generator can draw is a mission
+    /// [`MissionConfig::validate`] accepts: each choice list is non-empty,
+    /// and each choice passes beside the other lists' choices.
+    ///
+    /// # Errors
+    ///
+    /// Names the empty choice list, or returns the validation message of
+    /// the first invalid choice.
+    pub fn validate(&self) -> Result<(), String> {
+        for (name, len) in [
+            ("densities", self.densities.len()),
+            ("extents", self.extents.len()),
+            ("noise_levels", self.noise_levels.len()),
+            ("rates", self.rates.len()),
+            ("replan_modes", self.replan_modes.len()),
+            ("exec_models", self.exec_models.len()),
+            ("fault_plans", self.fault_plans.len()),
+        ] {
+            if len == 0 {
+                return Err(format!("{name}: choice list must be non-empty"));
+            }
+        }
+        // The obstacle count and the map size grow with density and
+        // extent, so every density × extent pair is valid when each density
+        // passes beside the largest extent and each extent beside the
+        // largest density. The other lists set independent fields, and
+        // replan modes and executor models are always valid.
+        let largest = |choices: &[f64]| {
+            (0..choices.len())
+                .max_by(|&a, &b| choices[a].total_cmp(&choices[b]))
+                .unwrap_or(0)
+        };
+        let widest = EpisodeDraws {
+            density: largest(&self.densities),
+            extent: largest(&self.extents),
+            noise: 0,
+            rates: 0,
+            mode: 0,
+            exec: 0,
+            fault: 0,
+            episode_seed: 0,
+        };
+        let check = |d: EpisodeDraws| self.config(&d).validate();
+        for density in 0..self.densities.len() {
+            check(EpisodeDraws { density, ..widest })?;
+        }
+        for extent in 0..self.extents.len() {
+            check(EpisodeDraws { extent, ..widest })?;
+        }
+        for noise in 0..self.noise_levels.len() {
+            check(EpisodeDraws { noise, ..widest })?;
+        }
+        for rates in 0..self.rates.len() {
+            check(EpisodeDraws { rates, ..widest })?;
+        }
+        for fault in 0..self.fault_plans.len() {
+            check(EpisodeDraws { fault, ..widest })?;
+        }
+        Ok(())
     }
 
     /// The scenario class of episode `index`: the replan policy plus the
@@ -512,8 +577,8 @@ impl ToJson for ScenarioGenerator {
 impl mav_types::FromJson for ScenarioGenerator {
     /// Reads a scenario-space description. Only `application` is required;
     /// omitted choice lists keep the [`ScenarioGenerator::new`] defaults.
-    /// Present lists must be non-empty — the per-episode draws have no
-    /// sensible meaning for an empty choice list.
+    /// The result must pass [`ScenarioGenerator::validate`], so a sweep
+    /// whose episodes would be refused is refused up front.
     fn from_json(json: &Json) -> Result<Self, String> {
         json.check_fields(&[
             "application",
@@ -542,24 +607,13 @@ impl mav_types::FromJson for ScenarioGenerator {
             fault_plans: json.parse_field_or("fault_plans", base.fault_plans)?,
             degradation: json.parse_field_or("degradation", base.degradation)?,
         };
-        for (name, len) in [
-            ("densities", generator.densities.len()),
-            ("extents", generator.extents.len()),
-            ("noise_levels", generator.noise_levels.len()),
-            ("rates", generator.rates.len()),
-            ("replan_modes", generator.replan_modes.len()),
-            ("exec_models", generator.exec_models.len()),
-            ("fault_plans", generator.fault_plans.len()),
-        ] {
-            if len == 0 {
-                return Err(format!("{name}: choice list must be non-empty"));
-            }
-        }
+        generator.validate()?;
         Ok(generator)
     }
 }
 
 /// The per-episode choice-list indices drawn by [`ScenarioGenerator::draws`].
+#[derive(Clone, Copy)]
 struct EpisodeDraws {
     density: usize,
     extent: usize,

@@ -11,7 +11,7 @@
 //! and a new map are the same state, and a mission run on a warm scratch
 //! reports exactly what it reports on a cold one (pinned by tests).
 
-use mav_perception::{DownsampleScratch, OctoMap, OctoMapConfig, PointCloud};
+use mav_perception::{DownsampleScratch, OctoMap, PointCloud};
 use std::cell::RefCell;
 
 /// Reusable per-frame perception buffers: the raw depth-frame cloud, the
@@ -54,15 +54,15 @@ impl EpisodeScratch {
 
     /// This thread's map, reset to an empty map with the given geometry, and
     /// its cloud buffers.
-    pub(crate) fn take(config: OctoMapConfig, half_extent: f64) -> (OctoMap, CloudScratch) {
+    pub(crate) fn take(resolution: f64, half_extent: f64) -> (OctoMap, CloudScratch) {
         EPISODE_SCRATCH.with(|cell| {
             let mut scratch = cell.borrow_mut();
             let map = match scratch.map.take() {
                 Some(mut map) => {
-                    map.reset(config, half_extent);
+                    map.reset(resolution, half_extent);
                     map
                 }
-                None => OctoMap::new(config, half_extent),
+                None => OctoMap::new(resolution, half_extent),
             };
             (map, std::mem::take(&mut scratch.clouds))
         })

@@ -103,10 +103,35 @@ impl mav_types::ToJson for EnvironmentConfig {
     }
 }
 
-impl mav_types::FromJson for EnvironmentConfig {
-    /// Reads an environment description; omitted fields keep the
-    /// [`Default`] values, so sparse wire specs only name what they change.
-    fn from_json(json: &mav_types::Json) -> Result<Self, String> {
+/// Half the side of each room of the indoor structure, metres.
+const ROOM_HALF_WIDTH: f64 = 12.0;
+/// Walls of the indoor structure ([`indoor_walls`]).
+const INDOOR_WALLS: f64 = 7.0;
+
+impl EnvironmentConfig {
+    /// Most obstacles [`EnvironmentConfig::generate`] may place (static
+    /// clutter, indoor walls, people, dynamic obstacles and the subject):
+    /// every capture raycasts against all of them. The presets place fewer
+    /// than 100.
+    pub const MAX_OBSTACLES: f64 = 10_000.0;
+
+    /// Smallest world half-extent and height, metres.
+    pub const MIN_EXTENT: f64 = 1.0;
+
+    /// Largest world half-extent and height, metres. The presets use at
+    /// most 120 m; at 1 km Scanning's lawnmower smooths to 206,801
+    /// trajectory samples, and the count grows with the extent squared.
+    pub const MAX_EXTENT: f64 = 1000.0;
+
+    /// Reads an environment description over `base`: omitted fields keep
+    /// `base`'s values, so a sparse wire spec only names what it changes.
+    /// This is the only environment parser; `MissionConfig::from_json`
+    /// passes the application's own world as `base`.
+    ///
+    /// # Errors
+    ///
+    /// Fails on an unknown field or a field of the wrong type.
+    pub fn from_json_over(json: &mav_types::Json, base: EnvironmentConfig) -> Result<Self, String> {
         json.check_fields(&[
             "name",
             "extent",
@@ -123,7 +148,6 @@ impl mav_types::FromJson for EnvironmentConfig {
             "seed",
             "spawn_clearance",
         ])?;
-        let base = EnvironmentConfig::default();
         Ok(EnvironmentConfig {
             name: json.parse_field_or("name", base.name)?,
             extent: json.parse_field_or("extent", base.extent)?,
@@ -142,9 +166,82 @@ impl mav_types::FromJson for EnvironmentConfig {
             spawn_clearance: json.parse_field_or("spawn_clearance", base.spawn_clearance)?,
         })
     }
-}
 
-impl EnvironmentConfig {
+    /// Checks that [`EnvironmentConfig::generate`] can build the world:
+    /// an extent and height between [`EnvironmentConfig::MIN_EXTENT`] and
+    /// [`EnvironmentConfig::MAX_EXTENT`], ordered non-negative size and height
+    /// ranges, non-negative speeds and clearances, a door that fits its wall,
+    /// and at most [`EnvironmentConfig::MAX_OBSTACLES`] obstacles.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first invalid field.
+    pub fn validate(&self) -> Result<(), String> {
+        for (name, value) in [("extent", self.extent), ("height", self.height)] {
+            if !(Self::MIN_EXTENT..=Self::MAX_EXTENT).contains(&value) {
+                return Err(format!(
+                    "{name} must be in [{}, {}] m, got {value}",
+                    Self::MIN_EXTENT,
+                    Self::MAX_EXTENT
+                ));
+            }
+        }
+        for (name, (lo, hi)) in [
+            ("obstacle_size", self.obstacle_size),
+            ("obstacle_height", self.obstacle_height),
+        ] {
+            if !(lo.is_finite() && hi.is_finite() && 0.0 <= lo && lo <= hi) {
+                return Err(format!(
+                    "{name} must be a finite range [min, max] with 0 <= min <= max, \
+                     got [{lo}, {hi}]"
+                ));
+            }
+        }
+        for (name, value) in [
+            ("obstacle_density", self.obstacle_density),
+            ("dynamic_speed", self.dynamic_speed),
+            ("spawn_clearance", self.spawn_clearance),
+        ] {
+            if !(value.is_finite() && value >= 0.0) {
+                return Err(format!(
+                    "{name} must be finite and non-negative, got {value}"
+                ));
+            }
+        }
+        // The door opens in walls 2 × ROOM_HALF_WIDTH long.
+        let wall = 2.0 * ROOM_HALF_WIDTH;
+        if !(self.door_width.is_finite() && (0.0..=wall).contains(&self.door_width)) {
+            return Err(format!(
+                "door_width must be in [0, {wall}] m, got {}",
+                self.door_width
+            ));
+        }
+        let obstacles = self.static_obstacle_count()
+            + if self.indoor_structure {
+                INDOOR_WALLS
+            } else {
+                0.0
+            }
+            + self.people as f64
+            + self.dynamic_obstacles as f64
+            + if self.photography_subject { 1.0 } else { 0.0 };
+        if obstacles > Self::MAX_OBSTACLES {
+            return Err(format!(
+                "the world would hold {obstacles} obstacles (obstacle_density, people, \
+                 dynamic_obstacles), above the limit of {}",
+                Self::MAX_OBSTACLES
+            ));
+        }
+        Ok(())
+    }
+
+    /// Number of static obstacles the density knob asks for over the ground
+    /// area.
+    fn static_obstacle_count(&self) -> f64 {
+        let ground_area = (2.0 * self.extent) * (2.0 * self.extent);
+        ((ground_area / 1000.0) * self.obstacle_density).round()
+    }
+
     /// Open farmland: essentially obstacle-free, large area. Used by the
     /// Scanning workload.
     pub fn open_field() -> Self {
@@ -251,8 +348,7 @@ impl EnvironmentConfig {
         };
 
         // Static clutter driven by the density knob.
-        let ground_area = (2.0 * self.extent) * (2.0 * self.extent);
-        let count = ((ground_area / 1000.0) * self.obstacle_density).round() as usize;
+        let count = self.static_obstacle_count() as usize;
         let mut placed = 0usize;
         let mut attempts = 0usize;
         while placed < count && attempts < count * 20 + 100 {
@@ -288,7 +384,7 @@ impl EnvironmentConfig {
         if self.indoor_structure {
             let ox = self.extent * 0.35;
             let oy = 0.0;
-            let room = 12.0;
+            let room = ROOM_HALF_WIDTH;
             let wall_t = 0.4;
             let wall_h = 3.0;
             let door = self.door_width;
@@ -471,6 +567,34 @@ mod tests {
             .generate();
         let dynamic = world.obstacles().iter().filter(|o| o.is_dynamic()).count();
         assert_eq!(dynamic, 4);
+    }
+
+    /// The presets pass validation and place fewer than 100 obstacles; the
+    /// obstacle cap counts every kind of obstacle, and a NaN fails the
+    /// range checks. (The wire tests cover each rejected field.)
+    #[test]
+    fn presets_validate_and_the_obstacle_cap_is_exact() {
+        for preset in [
+            EnvironmentConfig::default(),
+            EnvironmentConfig::open_field(),
+            EnvironmentConfig::urban_outdoor(),
+            EnvironmentConfig::indoor_outdoor(),
+            EnvironmentConfig::disaster_site(),
+            EnvironmentConfig::park_with_subject(),
+        ] {
+            preset.validate().unwrap();
+            assert!(preset.generate().obstacle_count() < 100, "{}", preset.name);
+        }
+        // Seven walls and three people, plus the dynamic obstacles.
+        let mut cfg = EnvironmentConfig::disaster_site().with_obstacle_density(0.0);
+        cfg.dynamic_obstacles = EnvironmentConfig::MAX_OBSTACLES as usize - 10;
+        cfg.validate().unwrap();
+        assert_eq!(cfg.generate().obstacle_count(), 10_000);
+        cfg.dynamic_obstacles += 1;
+        assert!(cfg.validate().unwrap_err().contains("obstacles"));
+        cfg.dynamic_obstacles = 0;
+        cfg.obstacle_height.1 = f64::NAN;
+        assert!(cfg.validate().unwrap_err().contains("obstacle_height"));
     }
 
     #[test]

@@ -66,13 +66,14 @@ pub struct Detection {
     pub class: ObstacleClass,
 }
 
+/// Horizontal field of view of the detector's camera, radians (90°).
+const FOV_HORIZONTAL: f64 = std::f64::consts::FRAC_PI_2;
+
 /// Configuration of the object detection kernel.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetectorConfig {
     /// Which detector family is used.
     pub kind: DetectorKind,
-    /// Horizontal field of view, radians.
-    pub fov_horizontal: f64,
     /// RNG seed for the recall model.
     pub seed: u64,
 }
@@ -81,7 +82,6 @@ impl Default for DetectorConfig {
     fn default() -> Self {
         DetectorConfig {
             kind: DetectorKind::Yolo,
-            fov_horizontal: std::f64::consts::FRAC_PI_2,
             seed: 17,
         }
     }
@@ -137,7 +137,7 @@ impl ObjectDetector {
             }
             // Field-of-view check on the horizontal bearing.
             let bearing = mav_types::pose::wrap_angle(to_target.heading() - pose.yaw);
-            if bearing.abs() > self.config.fov_horizontal / 2.0 {
+            if bearing.abs() > FOV_HORIZONTAL / 2.0 {
                 continue;
             }
             // Line-of-sight: the first surface the ray hits must belong to the
@@ -161,7 +161,7 @@ impl ObjectDetector {
             detections.push(Detection {
                 position: target,
                 confidence,
-                image_offset: (bearing / (self.config.fov_horizontal / 2.0)).clamp(-1.0, 1.0),
+                image_offset: (bearing / (FOV_HORIZONTAL / 2.0)).clamp(-1.0, 1.0),
                 class: obstacle.class,
             });
         }

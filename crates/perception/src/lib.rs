@@ -10,10 +10,10 @@
 //! # Example
 //!
 //! ```
-//! use mav_perception::{OctoMap, OctoMapConfig, Occupancy, PointCloud};
+//! use mav_perception::{OctoMap, Occupancy, PointCloud};
 //! use mav_types::Vec3;
 //!
-//! let mut map = OctoMap::new(OctoMapConfig::with_resolution(0.5), 32.0);
+//! let mut map = OctoMap::new(0.5, 32.0);
 //! let cloud = PointCloud::new(Vec3::new(0.0, 0.0, 1.0), vec![Vec3::new(6.0, 0.0, 1.0)]);
 //! map.insert_point_cloud(&cloud);
 //! assert_eq!(map.query(&Vec3::new(6.0, 0.0, 1.0)), Occupancy::Occupied);
@@ -30,8 +30,6 @@ mod voxel_hash;
 
 pub use detection::{Detection, DetectorConfig, DetectorKind, ObjectDetector};
 pub use localization::{SlamConfig, VisualSlam};
-pub use octomap::{Occupancy, OctoMap, OctoMapConfig};
+pub use octomap::{Occupancy, OctoMap};
 pub use pointcloud::{DownsampleScratch, PointCloud};
-pub use tracking::{
-    MultiTargetTracker, MultiTrackerConfig, TargetTracker, TrackState, TrackerConfig,
-};
+pub use tracking::{MultiTargetTracker, TargetTracker, TrackState};

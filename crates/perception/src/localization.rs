@@ -14,19 +14,23 @@ use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::fmt;
 
+/// Metres the vehicle may travel between processed frames before the
+/// failure probability starts rising.
+const TOLERATED_MOTION_PER_FRAME: f64 = 0.35;
+/// Slope of the failure probability beyond the tolerated motion, per metre
+/// of excess inter-frame motion.
+const FAILURE_SLOPE: f64 = 0.55;
+/// Seed of the per-frame failure draws.
+const SEED: u64 = 29;
+/// Consecutive healthy-conditions frames a lost localizer needs to
+/// re-localize.
+const RELOCALIZATION_FRAMES: u32 = 5;
+
 /// Configuration of the visual SLAM model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SlamConfig {
     /// Frames per second the SLAM front end can process — the compute knob.
     pub fps: f64,
-    /// Metres the vehicle may travel between processed frames before the
-    /// failure probability starts rising.
-    pub tolerated_motion_per_frame: f64,
-    /// Slope of the failure probability beyond the tolerated motion,
-    /// per metre of excess inter-frame motion.
-    pub failure_slope: f64,
-    /// RNG seed.
-    pub seed: u64,
 }
 
 impl SlamConfig {
@@ -37,26 +41,21 @@ impl SlamConfig {
     /// Panics if `fps` is not strictly positive.
     pub fn with_fps(fps: f64) -> Self {
         assert!(fps > 0.0, "fps must be positive, got {fps}");
-        SlamConfig {
-            fps,
-            tolerated_motion_per_frame: 0.35,
-            failure_slope: 0.55,
-            seed: 29,
-        }
+        SlamConfig { fps }
     }
 
     /// Probability of a localization failure on one processed frame at the
     /// given speed (m/s).
     pub fn failure_probability(&self, speed: f64) -> f64 {
         let motion_per_frame = speed / self.fps;
-        ((motion_per_frame - self.tolerated_motion_per_frame) * self.failure_slope).clamp(0.0, 1.0)
+        ((motion_per_frame - TOLERATED_MOTION_PER_FRAME) * FAILURE_SLOPE).clamp(0.0, 1.0)
     }
 
     /// The largest speed whose per-frame failure probability stays at or below
     /// `budget` — the analytic form of the paper's Fig. 8b sweep.
     pub fn max_velocity_for_failure_budget(&self, budget: f64) -> f64 {
         let budget = budget.clamp(0.0, 1.0);
-        (self.tolerated_motion_per_frame + budget / self.failure_slope) * self.fps
+        (TOLERATED_MOTION_PER_FRAME + budget / FAILURE_SLOPE) * self.fps
     }
 }
 
@@ -78,9 +77,6 @@ pub struct VisualSlam {
     failures: u32,
     frames: u64,
     lost: bool,
-    /// When lost, the number of consecutive healthy-conditions frames needed
-    /// to re-localize.
-    relocalization_frames: u32,
     relocalization_progress: u32,
 }
 
@@ -92,7 +88,6 @@ impl VisualSlam {
             failures: 0,
             frames: 0,
             lost: false,
-            relocalization_frames: 5,
             relocalization_progress: 0,
         }
     }
@@ -127,16 +122,15 @@ impl VisualSlam {
     /// model; a real front end would track features.
     pub fn localize(&mut self, velocity: &Vec3) -> bool {
         self.frames += 1;
-        let mut rng = ChaCha8Rng::seed_from_u64(
-            self.config.seed ^ self.frames.wrapping_mul(0x2545_F491_4F6C_DD1D),
-        );
+        let mut rng =
+            ChaCha8Rng::seed_from_u64(SEED ^ self.frames.wrapping_mul(0x2545_F491_4F6C_DD1D));
         let speed = velocity.norm();
         let p_fail = self.config.failure_probability(speed);
         if self.lost {
             // Re-localization requires several consecutive low-motion frames.
             if p_fail < 0.05 {
                 self.relocalization_progress += 1;
-                if self.relocalization_progress >= self.relocalization_frames {
+                if self.relocalization_progress >= RELOCALIZATION_FRAMES {
                     self.lost = false;
                     self.relocalization_progress = 0;
                 }

@@ -35,63 +35,21 @@ pub enum Occupancy {
     Unknown,
 }
 
-/// Configuration of the occupancy map.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OctoMapConfig {
-    /// Voxel edge length, metres. The paper sweeps 0.15 m – 1.0 m.
-    pub resolution: f64,
-    /// Log-odds added on a hit.
-    pub hit_log_odds: f64,
-    /// Log-odds subtracted on a pass-through (miss).
-    pub miss_log_odds: f64,
-    /// Clamping bounds on accumulated log-odds.
-    pub clamp: (f64, f64),
-    /// Log-odds above which a voxel counts as occupied.
-    pub occupied_threshold: f64,
-    /// Maximum ray length inserted into the map, metres.
-    pub max_range: f64,
-}
-
-impl OctoMapConfig {
-    /// Creates a configuration with the given resolution and OctoMap's
-    /// standard probabilistic parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `resolution` is not strictly positive.
-    pub fn with_resolution(resolution: f64) -> Self {
-        assert!(
-            resolution > 0.0,
-            "resolution must be positive, got {resolution}"
-        );
-        OctoMapConfig {
-            resolution,
-            hit_log_odds: 0.85,
-            miss_log_odds: 0.4,
-            clamp: (-2.0, 3.5),
-            occupied_threshold: 0.0,
-            max_range: 30.0,
-        }
-    }
-
-    /// The fine resolution (0.15 m) of the paper's case study — safe through
-    /// doorways but expensive.
-    pub fn fine() -> Self {
-        OctoMapConfig::with_resolution(0.15)
-    }
-
-    /// The coarse resolution (0.80 m) of the paper's case study — cheap but
-    /// blind to door-width openings.
-    pub fn coarse() -> Self {
-        OctoMapConfig::with_resolution(0.80)
-    }
-}
-
-impl Default for OctoMapConfig {
-    fn default() -> Self {
-        OctoMapConfig::with_resolution(0.5)
-    }
-}
+/// Log-odds added to a voxel a ray ends in: OctoMap's standard sensor model
+/// (hit probability 0.7, Hornung et al., Autonomous Robots 2013), as are the
+/// miss, clamp and threshold values below.
+const HIT_LOG_ODDS: f64 = 0.85;
+/// Log-odds subtracted from a voxel a ray passes through.
+const MISS_LOG_ODDS: f64 = 0.4;
+/// Lower clamping bound on accumulated log-odds.
+const CLAMP_MIN: f64 = -2.0;
+/// Upper clamping bound on accumulated log-odds.
+const CLAMP_MAX: f64 = 3.5;
+/// Log-odds above which a voxel counts as occupied.
+const OCCUPIED_THRESHOLD: f64 = 0.0;
+/// Maximum ray length inserted into the map, metres: longer rays are
+/// truncated and carve free space only.
+const MAX_RANGE: f64 = 30.0;
 
 /// Deepest domain the per-axis centre table ([`OctoMap::axis_centers`])
 /// covers. It keeps the table at 2^16 entries (512 KiB) or fewer; MAVBench
@@ -138,10 +96,10 @@ const NO_BLOCK: u64 = u64::MAX;
 /// # Example
 ///
 /// ```
-/// use mav_perception::{OctoMap, OctoMapConfig, Occupancy};
+/// use mav_perception::{OctoMap, Occupancy};
 /// use mav_types::Vec3;
 ///
-/// let mut map = OctoMap::new(OctoMapConfig::with_resolution(0.5), 64.0);
+/// let mut map = OctoMap::new(0.5, 64.0);
 /// map.insert_ray(&Vec3::new(0.0, 0.0, 1.0), &Vec3::new(5.0, 0.0, 1.0));
 /// assert_eq!(map.query(&Vec3::new(5.0, 0.0, 1.0)), Occupancy::Occupied);
 /// assert_eq!(map.query(&Vec3::new(2.5, 0.0, 1.0)), Occupancy::Free);
@@ -149,7 +107,6 @@ const NO_BLOCK: u64 = u64::MAX;
 /// ```
 #[derive(Debug, Clone)]
 pub struct OctoMap {
-    config: OctoMapConfig,
     /// Half-extent of the cubic domain, metres.
     half_extent: f64,
     /// The half-extent `new` or `reset` was given, before alignment.
@@ -199,19 +156,26 @@ impl OctoMap {
     /// MAVBench worlds need 10 levels at most.
     pub const MAX_DEPTH: u32 = 22;
 
-    /// Creates an empty map covering the cube `[-half_extent, half_extent]³`
+    /// Widest inflation radius, in voxels (`ceil(radius / resolution)`), that
+    /// `MissionConfig::validate` admits for a mission's collision checker.
+    /// The inflation queries classify a `(2·steps + 1)³`-byte offset ball
+    /// per (resolution, radius), 2.1 MB at this bound; the harness and
+    /// golden missions need 3 voxels at most.
+    pub const MAX_INFLATION_VOXELS: u32 = 64;
+
+    /// Creates an empty map of `resolution`-metre voxels (the paper sweeps
+    /// 0.15 m – 1.0 m) covering the cube `[-half_extent, half_extent]³`
     /// (shifted up so z spans `[0, 2 × half_extent]` is *not* done — the cube
     /// is centred at the origin, which covers all MAVBench worlds).
     ///
     /// # Panics
     ///
-    /// Panics if `half_extent` is not strictly positive, or if covering it at
-    /// `config.resolution` needs more than [`OctoMap::MAX_DEPTH`] levels
-    /// (see [`OctoMap::depth_for`]).
-    pub fn new(config: OctoMapConfig, half_extent: f64) -> Self {
+    /// Panics if `resolution` or `half_extent` is not strictly positive, or
+    /// if covering it at `resolution` needs more than [`OctoMap::MAX_DEPTH`]
+    /// levels (see [`OctoMap::depth_for`]).
+    pub fn new(resolution: f64, half_extent: f64) -> Self {
         let mut map = OctoMap {
-            grid: GridSpec::new(config.resolution),
-            config,
+            grid: GridSpec::new(resolution),
             half_extent: 0.0,
             requested_half_extent: 0.0,
             depth: 0,
@@ -224,7 +188,7 @@ impl OctoMap {
             known_count: 0,
             axis_centers: Vec::new(),
         };
-        map.reset(config, half_extent);
+        map.reset(resolution, half_extent);
         map
     }
 
@@ -278,18 +242,20 @@ impl OctoMap {
     }
 
     /// [`OctoMap::clear`] plus a domain reshape: recomputes the geometry
-    /// exactly as `OctoMap::new(config, half_extent)` would (depth, aligned
+    /// exactly as `OctoMap::new(resolution, half_extent)` would (depth, aligned
     /// half-extent, traversal grid, the per-axis centre table) while reusing
     /// the storage of this map. `new`
     /// is implemented on top of this, so the two cannot drift apart.
     ///
     /// # Panics
     ///
-    /// Panics if `half_extent` is not strictly positive, or if covering it at
-    /// `config.resolution` needs more than [`OctoMap::MAX_DEPTH`] levels.
-    pub fn reset(&mut self, config: OctoMapConfig, half_extent: f64) {
+    /// Panics if `resolution` or `half_extent` is not strictly positive, or
+    /// if covering it at `resolution` needs more than [`OctoMap::MAX_DEPTH`]
+    /// levels.
+    pub fn reset(&mut self, resolution: f64, half_extent: f64) {
+        let grid = GridSpec::new(resolution);
         assert!(half_extent > 0.0, "half extent must be positive");
-        let depth = Self::depth_for(config.resolution, half_extent);
+        let depth = Self::depth_for(resolution, half_extent);
         // Expand the domain so that each leaf is exactly one
         // `resolution`-sized voxel and leaf boundaries align with the ray
         // traversal grid; otherwise a leaf could straddle two traversal cells
@@ -297,9 +263,8 @@ impl OctoMap {
         // Cell-addressed insertion relies on the half-extent being exactly
         // `resolution × 2^(depth−1)` (see `insert_ray`).
         self.requested_half_extent = half_extent;
-        let half_extent = Self::aligned_half_extent(config.resolution, half_extent);
-        self.grid = GridSpec::new(config.resolution);
-        self.config = config;
+        let half_extent = Self::aligned_half_extent(resolution, half_extent);
+        self.grid = grid;
         self.half_extent = half_extent;
         self.depth = depth;
         self.axis_centers.clear();
@@ -310,14 +275,9 @@ impl OctoMap {
         self.clear();
     }
 
-    /// The map configuration.
-    pub fn config(&self) -> &OctoMapConfig {
-        &self.config
-    }
-
     /// The voxel edge length in metres.
     pub fn resolution(&self) -> f64 {
-        self.config.resolution
+        self.grid.resolution()
     }
 
     /// The octree depth.
@@ -354,7 +314,6 @@ impl OctoMap {
     /// state, so callers may mutate the map from inside `apply`.
     fn for_each_ray_update(
         grid: GridSpec,
-        config: OctoMapConfig,
         origin: &Vec3,
         endpoint: &Vec3,
         mut apply: impl FnMut(GridIndex, f64),
@@ -364,20 +323,24 @@ impl OctoMap {
         if range <= f64::EPSILON {
             return;
         }
-        let (end, hit) = if range > config.max_range {
-            (*origin + dir.normalized() * config.max_range, false)
+        let (end, hit) = if range > MAX_RANGE {
+            (*origin + dir.normalized() * MAX_RANGE, false)
         } else {
             (*endpoint, true)
         };
-        let (hit_delta, miss_delta) = (config.hit_log_odds, -config.miss_log_odds);
         grid.walk(origin, &end, |cell, last| {
-            apply(cell, if last && hit { hit_delta } else { miss_delta });
+            let delta = if last && hit {
+                HIT_LOG_ODDS
+            } else {
+                -MISS_LOG_ODDS
+            };
+            apply(cell, delta);
         });
     }
 
     /// Integrates a single sensor ray: every voxel between `origin` and
     /// `endpoint` (exclusive) is updated as free, the endpoint voxel as
-    /// occupied. Rays longer than `max_range` are truncated and their endpoint
+    /// occupied. Rays longer than 30 m are truncated and their endpoint
     /// treated as free space (no hit). Each in-domain voxel is updated in its
     /// block, found from the traversal cell alone: one hash probe, or none
     /// when the previous update touched the same block.
@@ -390,9 +353,9 @@ impl OctoMap {
     /// exactly when each axis key `k + 2^(depth − 1)` lies in `0..2^depth`,
     /// and every compare `centre ≥ node centre` is a bit of that key.
     pub fn insert_ray(&mut self, origin: &Vec3, endpoint: &Vec3) {
-        let (grid, config, depth) = (self.grid, self.config, self.depth);
+        let (grid, depth) = (self.grid, self.depth);
         let half = 1i64 << (depth - 1);
-        Self::for_each_ray_update(grid, config, origin, endpoint, |cell, delta| {
+        Self::for_each_ray_update(grid, origin, endpoint, |cell, delta| {
             // A negative key sets the top bit, so one shift tests both ends.
             let keys =
                 cell.x.wrapping_add(half) | cell.y.wrapping_add(half) | cell.z.wrapping_add(half);
@@ -418,7 +381,7 @@ impl OctoMap {
         }
         match self.leaf_log_odds(point) {
             None => Occupancy::Unknown,
-            Some(l) if l > self.config.occupied_threshold => Occupancy::Occupied,
+            Some(l) if l > OCCUPIED_THRESHOLD => Occupancy::Occupied,
             Some(_) => Occupancy::Free,
         }
     }
@@ -450,8 +413,9 @@ impl OctoMap {
             return None;
         }
         let r = radius.max(0.0);
-        let reach = r + self.config.resolution * 0.87;
-        let steps = (r / self.config.resolution).ceil() as i64;
+        let resolution = self.resolution();
+        let reach = r + resolution * 0.87;
+        let steps = (r / resolution).ceil() as i64;
         let center_idx = self.grid.index_of(point);
         let lo = GridIndex::new(
             center_idx.x - steps,
@@ -463,7 +427,7 @@ impl OctoMap {
             center_idx.y + steps,
             center_idx.z + steps,
         );
-        let ball = offset_ball(self.config.resolution, r);
+        let ball = offset_ball(resolution, r);
         let mut blocking = None;
         self.scan_occupied_box(&lo, &hi, |v| {
             let hit = match ball.class(v.x - center_idx.x, v.y - center_idx.y, v.z - center_idx.z) {
@@ -513,7 +477,7 @@ impl OctoMap {
         // sample (every candidate a sample can see is inside the corridor,
         // so the prefilter never hides a collision).
         let dist = a.distance(b);
-        let step = (self.config.resolution * 0.5).max(0.05);
+        let step = (self.resolution() * 0.5).max(0.05);
         let samples = ((dist / step).ceil() as usize).max(1);
         for i in 0..=samples {
             let t = i as f64 / samples as f64;
@@ -537,7 +501,7 @@ impl OctoMap {
     /// from [`GridSpec::walk`], each probed against the previous one; after
     /// the first occupied find the rest of the walk probes nothing.
     fn segment_corridor_clear(&self, a: &Vec3, b: &Vec3, radius: f64) -> bool {
-        let pad = (radius.max(0.0) / self.config.resolution).ceil() as i64 + 1;
+        let pad = (radius.max(0.0) / self.resolution()).ceil() as i64 + 1;
         let mut prev: Option<GridIndex> = None;
         let mut clear = true;
         self.grid.walk(a, b, |cell, _| {
@@ -657,7 +621,7 @@ impl OctoMap {
 
     /// Volume of observed space in cubic metres.
     pub fn mapped_volume(&self) -> f64 {
-        self.known_voxel_count() as f64 * self.config.resolution.powi(3)
+        self.known_voxel_count() as f64 * self.resolution().powi(3)
     }
 
     /// Centres of all known free voxels, sorted by coordinates.
@@ -849,9 +813,7 @@ impl OctoMap {
     /// needs more than [`OctoMap::MAX_DEPTH`] levels; vet a resolution with
     /// [`OctoMap::depth_for`] over the half-extent given to `new`.
     pub fn reresolved(&self, new_resolution: f64) -> OctoMap {
-        let mut config = self.config;
-        config.resolution = new_resolution;
-        let mut out = OctoMap::new(config, self.requested_half_extent);
+        let mut out = OctoMap::new(new_resolution, self.requested_half_extent);
         for (center, log_odds) in self.collect_leaves() {
             out.update_leaf(&center, log_odds);
         }
@@ -945,14 +907,13 @@ impl OctoMap {
         let (block, bit) = block_of(&cell);
         let slot = self.block_slot(pack_voxel_key(&block));
         self.updates += 1;
-        let (clamp, threshold) = (self.config.clamp, self.config.occupied_threshold);
         let mask = 1u64 << bit;
         let masks = &mut self.masks[slot];
         let value = &mut self.log_odds[slot][bit];
         let created = masks.known & mask == 0;
-        let was_occupied = !created && *value > threshold;
-        *value = (*value + delta).clamp(clamp.0, clamp.1);
-        let now = *value > threshold;
+        let was_occupied = !created && *value > OCCUPIED_THRESHOLD;
+        *value = (*value + delta).clamp(CLAMP_MIN, CLAMP_MAX);
+        let now = *value > OCCUPIED_THRESHOLD;
         masks.known |= mask;
         if now != was_occupied {
             if now {
@@ -1219,14 +1180,19 @@ impl OffsetBall {
 /// patterns it was built for.
 type CachedBall = ((u64, u64), Rc<OffsetBall>);
 
+/// Inflation balls a thread keeps. A mission queries one radius at one or
+/// two resolutions, so a thread running mission after mission (a sweep or
+/// server worker) keeps only the balls of its latest missions.
+const CACHED_BALLS: usize = 4;
+
 thread_local! {
-    /// Per-thread cache of classified inflation balls. Planners query one or
-    /// two radii per mission, so a small linear map beats hashing.
+    /// Per-thread cache of classified inflation balls, most recently built
+    /// last. A few entries, so a linear scan beats hashing.
     static OFFSET_BALLS: RefCell<Vec<CachedBall>> = const { RefCell::new(Vec::new()) };
 }
 
 /// The classified inflation ball for `(resolution, radius)`, built on first
-/// use per thread.
+/// use per thread. Building a ball past [`CACHED_BALLS`] evicts the oldest.
 fn offset_ball(resolution: f64, radius: f64) -> Rc<OffsetBall> {
     let key = (resolution.to_bits(), radius.to_bits());
     OFFSET_BALLS.with(|cache| {
@@ -1235,6 +1201,9 @@ fn offset_ball(resolution: f64, radius: f64) -> Rc<OffsetBall> {
             return Rc::clone(ball);
         }
         let ball = Rc::new(OffsetBall::build(resolution, radius));
+        if cache.len() == CACHED_BALLS {
+            cache.remove(0);
+        }
         cache.push((key, Rc::clone(&ball)));
         ball
     })
@@ -1268,8 +1237,7 @@ fn child_of(point: &Vec3, center: &Vec3, half: f64) -> (usize, Vec3) {
 
 impl PartialEq for OctoMap {
     fn eq(&self, other: &Self) -> bool {
-        self.config == other.config
-            && self.half_extent == other.half_extent
+        self.half_extent == other.half_extent
             && self.requested_half_extent == other.requested_half_extent
             && self.depth == other.depth
             && self.grid == other.grid
@@ -1294,7 +1262,7 @@ impl fmt::Display for OctoMap {
         write!(
             f,
             "octomap[res {:.2} m, {} known voxels, {} occupied]",
-            self.config.resolution,
+            self.resolution(),
             self.known_voxel_count(),
             self.occupied_voxel_count()
         )
@@ -1314,7 +1282,7 @@ mod tests {
         /// specification the mask-served query is property-tested against.
         fn is_occupied_with_inflation_reference(&self, point: &Vec3, radius: f64) -> bool {
             let r = radius.max(0.0);
-            let steps = (r / self.config.resolution).ceil() as i64;
+            let steps = (r / self.resolution()).ceil() as i64;
             let center_idx = self.grid.index_of(point);
             for dx in -steps..=steps {
                 for dy in -steps..=steps {
@@ -1322,7 +1290,7 @@ mod tests {
                         let idx =
                             GridIndex::new(center_idx.x + dx, center_idx.y + dy, center_idx.z + dz);
                         let c = self.grid.center_of(&idx);
-                        if c.distance(point) <= r + self.config.resolution * 0.87
+                        if c.distance(point) <= r + self.resolution() * 0.87
                             && self.query(&c) == Occupancy::Occupied
                         {
                             return true;
@@ -1339,7 +1307,7 @@ mod tests {
         /// property-tested against.
         fn segment_free_reference(&self, a: &Vec3, b: &Vec3, radius: f64) -> bool {
             let dist = a.distance(b);
-            let step = (self.config.resolution * 0.5).max(0.05);
+            let step = (self.resolution() * 0.5).max(0.05);
             let samples = ((dist / step).ceil() as usize).max(1);
             for i in 0..=samples {
                 let t = i as f64 / samples as f64;
@@ -1357,7 +1325,7 @@ mod tests {
         fn occupied_voxel_count_scan(&self) -> usize {
             self.collect_leaves()
                 .iter()
-                .filter(|(_, l)| *l > self.config.occupied_threshold)
+                .filter(|(_, l)| *l > OCCUPIED_THRESHOLD)
                 .count()
         }
 
@@ -1374,7 +1342,7 @@ mod tests {
         fn free_voxel_centers_scan(&self) -> Vec<Vec3> {
             self.collect_leaves()
                 .into_iter()
-                .filter(|(_, l)| *l <= self.config.occupied_threshold)
+                .filter(|(_, l)| *l <= OCCUPIED_THRESHOLD)
                 .map(|(c, _)| c)
                 .collect()
         }
@@ -1385,7 +1353,7 @@ mod tests {
         fn occupied_voxel_centers_scan(&self) -> Vec<Vec3> {
             self.collect_leaves()
                 .into_iter()
-                .filter(|(_, l)| *l > self.config.occupied_threshold)
+                .filter(|(_, l)| *l > OCCUPIED_THRESHOLD)
                 .map(|(c, _)| c)
                 .collect()
         }
@@ -1400,7 +1368,7 @@ mod tests {
     /// (its keys, its leaf set, its centres) shows up as a differential
     /// failure rather than a silent golden change.
     mod reference {
-        use super::{child_of, OctoMap, OctoMapConfig};
+        use super::{child_of, OctoMap, CLAMP_MAX, CLAMP_MIN};
         use mav_types::{GridSpec, Vec3};
 
         #[derive(Debug, Clone)]
@@ -1421,7 +1389,6 @@ mod tests {
         /// logic, reduced to the surface the differential tests need.
         #[derive(Debug, Clone)]
         pub struct ReferenceMap {
-            config: OctoMapConfig,
             half_extent: f64,
             requested_half_extent: f64,
             depth: u32,
@@ -1432,14 +1399,13 @@ mod tests {
         impl ReferenceMap {
             /// Mirrors [`OctoMap::new`]'s domain alignment so both maps agree on
             /// leaf geometry.
-            pub fn new(config: OctoMapConfig, half_extent: f64) -> Self {
+            pub fn new(resolution: f64, half_extent: f64) -> Self {
                 assert!(half_extent > 0.0, "half extent must be positive");
-                let leaves_per_axis = (2.0 * half_extent / config.resolution).ceil().max(1.0);
+                let leaves_per_axis = (2.0 * half_extent / resolution).ceil().max(1.0);
                 let depth = (leaves_per_axis.log2().ceil() as u32).max(1);
-                let aligned_half_extent = config.resolution * (1u64 << depth) as f64 / 2.0;
+                let aligned_half_extent = resolution * (1u64 << depth) as f64 / 2.0;
                 ReferenceMap {
-                    grid: GridSpec::new(config.resolution),
-                    config,
+                    grid: GridSpec::new(resolution),
                     half_extent: aligned_half_extent.max(half_extent),
                     requested_half_extent: half_extent,
                     depth,
@@ -1453,11 +1419,10 @@ mod tests {
             /// and drops out-of-domain centres with its own test, the block map
             /// addresses each cell by integer key.
             pub fn insert_ray(&mut self, origin: &Vec3, endpoint: &Vec3) {
-                let (grid, config) = (self.grid, self.config);
-                let clamp = config.clamp;
-                OctoMap::for_each_ray_update(grid, config, origin, endpoint, |cell, delta| {
+                let grid = self.grid;
+                OctoMap::for_each_ray_update(grid, origin, endpoint, |cell, delta| {
                     self.update_leaf(&grid.center_of(&cell), move |log_odds| {
-                        *log_odds = (*log_odds + delta).clamp(clamp.0, clamp.1);
+                        *log_odds = (*log_odds + delta).clamp(CLAMP_MIN, CLAMP_MAX);
                     });
                 });
             }
@@ -1467,13 +1432,10 @@ mod tests {
             /// `OctoMap::reresolved` (collect, then re-apply each leaf's
             /// log-odds as one clamped delta into the new tree).
             pub fn reresolved(&self, new_resolution: f64) -> ReferenceMap {
-                let mut config = self.config;
-                config.resolution = new_resolution;
-                let clamp = config.clamp;
-                let mut out = ReferenceMap::new(config, self.requested_half_extent);
+                let mut out = ReferenceMap::new(new_resolution, self.requested_half_extent);
                 for (center, log_odds) in self.collect() {
                     out.update_leaf(&center, move |l| {
-                        *l = (*l + log_odds).clamp(clamp.0, clamp.1);
+                        *l = (*l + log_odds).clamp(CLAMP_MIN, CLAMP_MAX);
                     });
                 }
                 out
@@ -1618,7 +1580,7 @@ mod tests {
     }
 
     fn small_map(resolution: f64) -> OctoMap {
-        OctoMap::new(OctoMapConfig::with_resolution(resolution), 32.0)
+        OctoMap::new(resolution, 32.0)
     }
 
     /// The octant (0..8, numbered like [`child_of`]: x in bit 0, y in bit 1,
@@ -1799,7 +1761,7 @@ mod tests {
         // resolution a 0.3 m-radius vehicle fits through; at 0.8 m resolution
         // the opening is swallowed by inflated voxels — the crux of Fig. 17.
         let build = |resolution: f64| {
-            let mut map = OctoMap::new(OctoMapConfig::with_resolution(resolution), 32.0);
+            let mut map = OctoMap::new(resolution, 32.0);
             let origin = Vec3::new(-5.0, 0.0, 1.0);
             for i in -40..=40 {
                 let y = i as f64 * 0.1;
@@ -1934,8 +1896,7 @@ mod tests {
             (30.0, 16, true, far_origin, far_hit),
             (0.002, 2, true, edge_origin, edge_hit),
         ] {
-            let config = OctoMapConfig::with_resolution(0.001);
-            let mut map = OctoMap::new(config, half_extent);
+            let mut map = OctoMap::new(0.001, half_extent);
             assert_eq!(map.depth(), depth, "±{half_extent} m");
             assert_eq!(
                 map.axis_centers.len(),
@@ -1943,7 +1904,7 @@ mod tests {
                 "±{half_extent} m"
             );
             map.insert_ray(&origin, &hit);
-            let mut tree = reference::ReferenceMap::new(config, half_extent);
+            let mut tree = reference::ReferenceMap::new(0.001, half_extent);
             tree.insert_ray(&origin, &hit);
             assert_eq!(map.collect_leaves(), tree.collect(), "±{half_extent} m");
             assert_eq!(map.query(&hit), Occupancy::Occupied);
@@ -1984,9 +1945,8 @@ mod tests {
         let center =
             |c: GridIndex| replayed_leaf_center(&map, &[c.x, c.y, c.z].map(|c| (c + half) as u64));
         let (early_center, late_center) = (center(early), center(late));
-        let (hit, miss) = (map.config.hit_log_odds, -map.config.miss_log_odds);
-        map.update_cell(early, miss);
-        map.update_cell(late, hit);
+        map.update_cell(early, -MISS_LOG_ODDS);
+        map.update_cell(late, HIT_LOG_ODDS);
         let mut frontiers = Vec::new();
         // The later leaf is occupied: both count, the free one is listed.
         assert_eq!(map.occupied_voxel_count(), 1);
@@ -1999,7 +1959,7 @@ mod tests {
         // Misses flip the later leaf free: both are listed, in coordinate
         // order.
         while map.occupied_voxel_count() > 0 {
-            map.update_cell(late, miss);
+            map.update_cell(late, -MISS_LOG_ODDS);
         }
         assert_eq!(map.known_voxel_count(), 2);
         let both = vec![early_center, late_center];
@@ -2015,18 +1975,43 @@ mod tests {
         // 1 mm voxels over ±4 km need 23 levels; a resolution of 1e-300
         // once reached a shift overflow here.
         assert_eq!(OctoMap::depth_for(0.001, 4000.0), OctoMap::MAX_DEPTH + 1);
-        let _ = OctoMap::new(OctoMapConfig::with_resolution(0.001), 4000.0);
+        let _ = OctoMap::new(0.001, 4000.0);
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "resolution must be positive")]
     fn zero_resolution_rejected() {
-        let _ = OctoMapConfig::with_resolution(0.0);
+        let _ = OctoMap::new(0.0, 32.0);
     }
 
     #[test]
     fn display_nonempty() {
         assert!(!format!("{}", small_map(0.5)).is_empty());
+    }
+
+    /// A thread that sees ever new radii (a server worker running one spec
+    /// after another) keeps the balls of the latest few only, and a cached
+    /// ball is served without rebuilding.
+    #[test]
+    fn offset_ball_cache_keeps_the_latest_balls() {
+        let radii: Vec<f64> = (1..=10).map(|i| 0.1 * i as f64).collect();
+        for &r in &radii {
+            offset_ball(0.25, r);
+        }
+        let cached = OFFSET_BALLS.with(|cache| {
+            cache
+                .borrow()
+                .iter()
+                .map(|((_, r), _)| f64::from_bits(*r))
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(cached, radii[radii.len() - CACHED_BALLS..]);
+        let latest = offset_ball(0.25, 1.0);
+        assert!(Rc::ptr_eq(&latest, &offset_ball(0.25, 1.0)));
+        assert_eq!(
+            OFFSET_BALLS.with(|cache| cache.borrow().len()),
+            CACHED_BALLS
+        );
     }
 
     /// Differential properties pinning the storage and query rewrites: the
@@ -2053,9 +2038,8 @@ mod tests {
         /// ray sequence.
         fn paired_maps(res_idx: usize, rays: &[Vec3]) -> (OctoMap, ReferenceMap) {
             let resolution = RESOLUTIONS[res_idx % RESOLUTIONS.len()];
-            let config = OctoMapConfig::with_resolution(resolution);
-            let mut arena = OctoMap::new(config, 24.0);
-            let mut tree = ReferenceMap::new(config, 24.0);
+            let mut arena = OctoMap::new(resolution, 24.0);
+            let mut tree = ReferenceMap::new(resolution, 24.0);
             let origin = Vec3::new(0.0, 0.0, 1.5);
             for endpoint in rays {
                 arena.insert_ray(&origin, endpoint);
@@ -2079,8 +2063,7 @@ mod tests {
                         if OctoMap::depth_for(resolution, requested) > OctoMap::MAX_DEPTH {
                             continue;
                         }
-                        let map =
-                            OctoMap::new(OctoMapConfig::with_resolution(resolution), requested);
+                        let map = OctoMap::new(resolution, requested);
                         assert_eq!(OctoMap::depth_for(resolution, requested), map.depth());
                         assert_eq!(
                             OctoMap::aligned_half_extent(resolution, requested),
@@ -2113,8 +2096,7 @@ mod tests {
                 for k in 0..MAX_INDEXED_DEPTH {
                     let edge = resolution * (1u64 << k) as f64;
                     for requested in [edge.next_down(), edge, edge.next_up()] {
-                        let map =
-                            OctoMap::new(OctoMapConfig::with_resolution(resolution), requested);
+                        let map = OctoMap::new(resolution, requested);
                         let depth = map.depth();
                         let keys = 1u64 << depth;
                         let indexed = depth <= MAX_INDEXED_DEPTH;
@@ -2157,10 +2139,10 @@ mod tests {
 
         /// The free-voxel centres of the oracle's deduplicated leaf walk, in
         /// the coordinate order `free_voxel_centers` sorts by.
-        fn free_centers(tree: &ReferenceMap, threshold: f64) -> Vec<Vec3> {
+        fn free_centers(tree: &ReferenceMap) -> Vec<Vec3> {
             tree.collect()
                 .into_iter()
-                .filter(|(_, l)| *l <= threshold)
+                .filter(|(_, l)| *l <= OCCUPIED_THRESHOLD)
                 .map(|(c, _)| c)
                 .collect()
         }
@@ -2170,8 +2152,10 @@ mod tests {
         /// the tree's occupied-leaf count.
         fn check_counts(arena: &OctoMap, tree: &ReferenceMap) -> Result<(), TestCaseError> {
             let leaves = tree.collect();
-            let threshold = arena.config.occupied_threshold;
-            let occupied = leaves.iter().filter(|(_, l)| *l > threshold).count();
+            let occupied = leaves
+                .iter()
+                .filter(|(_, l)| *l > OCCUPIED_THRESHOLD)
+                .count();
             let resolution = arena.resolution();
             prop_assert_eq!(arena.known_voxel_count(), leaves.len(), "at {}", resolution);
             prop_assert_eq!(arena.occupied_voxel_count(), occupied, "at {}", resolution);
@@ -2182,7 +2166,7 @@ mod tests {
         /// resolution selected by `res_idx`.
         fn ray_map(res_idx: usize, rays: &[Vec3]) -> OctoMap {
             let resolution = RESOLUTIONS[res_idx % RESOLUTIONS.len()];
-            let mut map = OctoMap::new(OctoMapConfig::with_resolution(resolution), 24.0);
+            let mut map = OctoMap::new(resolution, 24.0);
             let origin = Vec3::new(0.0, 0.0, 1.5);
             for endpoint in rays {
                 map.insert_ray(&origin, endpoint);
@@ -2277,7 +2261,7 @@ mod tests {
                     let (mut arena, mut tree) = paired_maps(res_idx, &rays);
                     let mut crossed = std::collections::HashSet::new();
                     for endpoint in &rays {
-                        OctoMap::for_each_ray_update(arena.grid, arena.config, &origin, endpoint, |cell, _| {
+                        OctoMap::for_each_ray_update(arena.grid, &origin, endpoint, |cell, _| {
                             if arena.in_domain(&arena.grid.center_of(&cell)) {
                                 crossed.insert(cell);
                             }
@@ -2316,15 +2300,15 @@ mod tests {
                 queries in proptest::collection::vec(arb_point(24.0), 1..16),
                 new_res_idx in 0usize..RESOLUTIONS.len(),
             ) {
-                let config = OctoMapConfig::with_resolution(RESOLUTIONS[res_idx % RESOLUTIONS.len()]);
-                let mut arena = OctoMap::new(config, 24.0);
-                let mut tree = ReferenceMap::new(config, 24.0);
+                let resolution = RESOLUTIONS[res_idx % RESOLUTIONS.len()];
+                let mut arena = OctoMap::new(resolution, 24.0);
+                let mut tree = ReferenceMap::new(resolution, 24.0);
                 insert_through(&mut arena, mode, &origin, &rays);
                 for endpoint in &rays {
                     tree.insert_ray(&origin, endpoint);
                 }
                 prop_assert_eq!(arena.collect_leaves(), tree.collect());
-                prop_assert_eq!(arena.free_voxel_centers(), free_centers(&tree, config.occupied_threshold));
+                prop_assert_eq!(arena.free_voxel_centers(), free_centers(&tree));
                 for q in &queries {
                     prop_assert_eq!(arena.leaf_log_odds(q), tree.leaf_log_odds(q));
                 }
@@ -2334,13 +2318,13 @@ mod tests {
                 arena = arena.reresolved(new_res);
                 tree = tree.reresolved(new_res);
                 prop_assert_eq!(arena.collect_leaves(), tree.collect());
-                prop_assert_eq!(arena.free_voxel_centers(), free_centers(&tree, config.occupied_threshold));
+                prop_assert_eq!(arena.free_voxel_centers(), free_centers(&tree));
                 insert_through(&mut arena, mode, &origin, &more_rays);
                 for endpoint in &more_rays {
                     tree.insert_ray(&origin, endpoint);
                 }
                 prop_assert_eq!(arena.collect_leaves(), tree.collect());
-                prop_assert_eq!(arena.free_voxel_centers(), free_centers(&tree, config.occupied_threshold));
+                prop_assert_eq!(arena.free_voxel_centers(), free_centers(&tree));
                 for q in &queries {
                     prop_assert_eq!(arena.leaf_log_odds(q), tree.leaf_log_odds(q));
                 }
@@ -2376,7 +2360,7 @@ mod tests {
                 rays in proptest::collection::vec(arb_point(20.0), 1..32),
             ) {
                 let resolution = [0.25, 0.5][dyadic];
-                let mut map = OctoMap::new(OctoMapConfig::with_resolution(resolution), 24.0);
+                let mut map = OctoMap::new(resolution, 24.0);
                 let origin = Vec3::new(0.0, 0.0, 1.5);
                 for endpoint in &rays {
                     map.insert_ray(&origin, endpoint);
@@ -2401,8 +2385,7 @@ mod tests {
                 edge_pick in (0usize..4096, 0usize..4096),
                 new_res_idx in 0usize..RESOLUTIONS.len(),
             ) {
-                let config = OctoMapConfig::with_resolution(RESOLUTIONS[res_idx % RESOLUTIONS.len()]);
-                let mut map = OctoMap::new(config, 24.0);
+                let mut map = OctoMap::new(RESOLUTIONS[res_idx % RESOLUTIONS.len()], 24.0);
                 for endpoint in &rays {
                     map.insert_ray(&origin, endpoint);
                 }
@@ -2431,8 +2414,7 @@ mod tests {
                 // Dirty a map with an unrelated ray sequence, then clear it.
                 let (mut reused, _) = paired_maps(res_idx, &warmup_rays);
                 reused.clear();
-                let config = OctoMapConfig::with_resolution(RESOLUTIONS[res_idx % RESOLUTIONS.len()]);
-                let mut fresh = OctoMap::new(config, 24.0);
+                let mut fresh = OctoMap::new(RESOLUTIONS[res_idx % RESOLUTIONS.len()], 24.0);
                 for endpoint in &rays {
                     reused.insert_ray(&origin, endpoint);
                     fresh.insert_ray(&origin, endpoint);
@@ -2444,10 +2426,9 @@ mod tests {
                 prop_assert_eq!(reused.free_voxel_centers(), fresh.free_voxel_centers());
                 prop_assert_eq!(reused.occupied_voxel_centers(), fresh.occupied_voxel_centers());
                 // Reshape to a different geometry: reset must equal new.
-                let new_config =
-                    OctoMapConfig::with_resolution(RESOLUTIONS[new_res_idx % RESOLUTIONS.len()]);
-                reused.reset(new_config, 30.0);
-                let mut fresh = OctoMap::new(new_config, 30.0);
+                let new_resolution = RESOLUTIONS[new_res_idx % RESOLUTIONS.len()];
+                reused.reset(new_resolution, 30.0);
+                let mut fresh = OctoMap::new(new_resolution, 30.0);
                 for endpoint in &rays {
                     reused.insert_ray(&origin, endpoint);
                     fresh.insert_ray(&origin, endpoint);
@@ -2463,7 +2444,7 @@ mod tests {
         /// ray, and the dynamic-resolution rebuild.
         #[test]
         fn counters_match_tree_walk() {
-            let mut map = OctoMap::new(OctoMapConfig::with_resolution(0.5), 32.0);
+            let mut map = OctoMap::new(0.5, 32.0);
             let origin = Vec3::new(0.0, 0.0, 1.0);
             for i in -12..=12 {
                 for z in [0.5, 1.0, 1.5, 2.0] {
@@ -2500,7 +2481,7 @@ mod tests {
                 coarse.occupied_voxel_count_scan()
             );
 
-            let empty = OctoMap::new(OctoMapConfig::default(), 32.0);
+            let empty = OctoMap::new(0.5, 32.0);
             assert_eq!(empty.known_voxel_count(), 0);
             assert_eq!(empty.occupied_voxel_count(), 0);
         }
@@ -2511,7 +2492,7 @@ mod tests {
         /// the walk exactly.
         #[test]
         fn occupied_counter_matches_the_walk_at_non_dyadic_resolution() {
-            let mut map = OctoMap::new(OctoMapConfig::with_resolution(0.15), 32.0);
+            let mut map = OctoMap::new(0.15, 32.0);
             let origin = Vec3::new(0.0, 0.0, 1.0);
             for i in -30..=30 {
                 for z in [0.5, 1.0, 1.5, 2.0] {
@@ -2527,7 +2508,7 @@ mod tests {
         /// stale occupancy.
         #[test]
         fn index_drops_voxels_that_flip_back_to_free() {
-            let mut map = OctoMap::new(OctoMapConfig::with_resolution(0.25), 32.0);
+            let mut map = OctoMap::new(0.25, 32.0);
             let origin = Vec3::new(0.0, 0.0, 1.0);
             let target = Vec3::new(5.0, 0.0, 1.0);
             map.insert_ray(&origin, &target);

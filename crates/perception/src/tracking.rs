@@ -22,31 +22,22 @@ pub struct TrackState {
     pub frames_since_detection: u32,
 }
 
+/// Position blend factor for new detections (alpha).
+const ALPHA: f64 = 0.6;
+/// Velocity blend factor (beta).
+const BETA: f64 = 0.3;
+/// After more consecutive missed frames than this the track is dropped.
+const MAX_MISSED_FRAMES: u32 = 15;
+/// A detection farther than this from every predicted track position, in
+/// metres, spawns a new track of the [`MultiTargetTracker`] instead of
+/// updating one.
+const GATE_RADIUS: f64 = 4.0;
+
 impl TrackState {
-    /// Returns `true` while the track is considered reliable.
-    pub fn is_live(&self, max_missed: u32) -> bool {
-        self.frames_since_detection <= max_missed
-    }
-}
-
-/// Configuration of the tracker.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TrackerConfig {
-    /// Position blend factor for new detections (alpha).
-    pub alpha: f64,
-    /// Velocity blend factor (beta).
-    pub beta: f64,
-    /// After this many consecutive missed frames the track is dropped.
-    pub max_missed_frames: u32,
-}
-
-impl Default for TrackerConfig {
-    fn default() -> Self {
-        TrackerConfig {
-            alpha: 0.6,
-            beta: 0.3,
-            max_missed_frames: 15,
-        }
+    /// Returns `true` while the track is considered reliable: it has missed
+    /// at most 15 consecutive frames.
+    pub fn is_live(&self) -> bool {
+        self.frames_since_detection <= MAX_MISSED_FRAMES
     }
 }
 
@@ -55,28 +46,19 @@ impl Default for TrackerConfig {
 /// # Example
 ///
 /// ```
-/// use mav_perception::{TargetTracker, TrackerConfig};
+/// use mav_perception::TargetTracker;
 /// use mav_types::{SimDuration, Vec3};
 ///
-/// let mut tracker = TargetTracker::new(TrackerConfig::default());
+/// let mut tracker = TargetTracker::default();
 /// // Coast with no detections: no track yet.
 /// assert!(tracker.predict(SimDuration::from_millis(100.0)).is_none());
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TargetTracker {
-    config: TrackerConfig,
     state: Option<TrackState>,
 }
 
 impl TargetTracker {
-    /// Creates a tracker with no active track.
-    pub fn new(config: TrackerConfig) -> Self {
-        TargetTracker {
-            config,
-            state: None,
-        }
-    }
-
     /// The current track, if one is live.
     pub fn track(&self) -> Option<&TrackState> {
         self.state.as_ref()
@@ -84,9 +66,7 @@ impl TargetTracker {
 
     /// Returns `true` when a live track exists.
     pub fn has_track(&self) -> bool {
-        self.state
-            .as_ref()
-            .is_some_and(|s| s.is_live(self.config.max_missed_frames))
+        self.state.as_ref().is_some_and(TrackState::is_live)
     }
 
     /// Integrates a detector result. `None` means the detector ran but found
@@ -105,8 +85,8 @@ impl TargetTracker {
                 let dt_s = dt.as_secs().max(1e-3);
                 let predicted = s.position + s.velocity * dt_s;
                 let residual = d.position - predicted;
-                s.position = predicted + residual * self.config.alpha;
-                s.velocity += residual * (self.config.beta / dt_s);
+                s.position = predicted + residual * ALPHA;
+                s.velocity += residual * (BETA / dt_s);
                 s.frames_since_detection = 0;
             }
             (Some(s), None) => {
@@ -114,7 +94,7 @@ impl TargetTracker {
                 let dt_s = dt.as_secs().max(1e-3);
                 s.position += s.velocity * dt_s;
                 s.frames_since_detection += 1;
-                if !s.is_live(self.config.max_missed_frames) {
+                if !s.is_live() {
                     self.state = None;
                 }
             }
@@ -134,28 +114,9 @@ impl TargetTracker {
     }
 }
 
-/// Configuration of the multi-target tracker.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MultiTrackerConfig {
-    /// Per-track alpha–beta filter parameters.
-    pub base: TrackerConfig,
-    /// A detection farther than this from every predicted track position
-    /// spawns a new track instead of updating one.
-    pub gate_radius: f64,
-}
-
-impl Default for MultiTrackerConfig {
-    fn default() -> Self {
-        MultiTrackerConfig {
-            base: TrackerConfig::default(),
-            gate_radius: 4.0,
-        }
-    }
-}
-
 /// Multiple [`TrackState`]s maintained over frames of detections: each frame
 /// the tracks are coasted forward, detections are associated to the nearest
-/// unclaimed predicted position within `gate_radius`, matched tracks take an
+/// unclaimed predicted position within 4 m, matched tracks take an
 /// alpha–beta update, unmatched detections spawn new tracks, and stale tracks
 /// are dropped.
 ///
@@ -165,21 +126,12 @@ impl Default for MultiTrackerConfig {
 /// re-tested with the scan's own distance predicate and tie-break), so the
 /// assignment is identical to the reference linear scan — pinned by
 /// `association_matches_reference`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MultiTargetTracker {
-    config: MultiTrackerConfig,
     tracks: Vec<TrackState>,
 }
 
 impl MultiTargetTracker {
-    /// Creates a tracker with no tracks.
-    pub fn new(config: MultiTrackerConfig) -> Self {
-        MultiTargetTracker {
-            config,
-            tracks: Vec::new(),
-        }
-    }
-
     /// The live tracks, oldest first.
     pub fn tracks(&self) -> &[TrackState] {
         &self.tracks
@@ -199,7 +151,7 @@ impl MultiTargetTracker {
             .iter()
             .map(|s| s.position + s.velocity * dt_s)
             .collect();
-        let assigned = Self::associate(&predicted, detections, self.config.gate_radius);
+        let assigned = Self::associate(&predicted, detections, GATE_RADIUS);
         let mut matched_with: Vec<Option<&Detection>> = vec![None; self.tracks.len()];
         let mut matched = 0usize;
         for (j, d) in detections.iter().enumerate() {
@@ -208,13 +160,12 @@ impl MultiTargetTracker {
                 matched += 1;
             }
         }
-        let (alpha, beta) = (self.config.base.alpha, self.config.base.beta);
         for (i, s) in self.tracks.iter_mut().enumerate() {
             match matched_with[i] {
                 Some(d) => {
                     let residual = d.position - predicted[i];
-                    s.position = predicted[i] + residual * alpha;
-                    s.velocity += residual * (beta / dt_s);
+                    s.position = predicted[i] + residual * ALPHA;
+                    s.velocity += residual * (BETA / dt_s);
                     s.frames_since_detection = 0;
                 }
                 None => {
@@ -223,8 +174,7 @@ impl MultiTargetTracker {
                 }
             }
         }
-        let max_missed = self.config.base.max_missed_frames;
-        self.tracks.retain(|s| s.is_live(max_missed));
+        self.tracks.retain(TrackState::is_live);
         for (j, d) in detections.iter().enumerate() {
             if assigned[j].is_none() {
                 self.tracks.push(TrackState {
@@ -332,12 +282,6 @@ impl MultiTargetTracker {
     }
 }
 
-impl Default for MultiTargetTracker {
-    fn default() -> Self {
-        MultiTargetTracker::new(MultiTrackerConfig::default())
-    }
-}
-
 impl fmt::Display for MultiTargetTracker {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "tracks[{}]", self.tracks.len())
@@ -373,7 +317,7 @@ mod tests {
 
     #[test]
     fn track_initialises_on_first_detection() {
-        let mut t = TargetTracker::new(TrackerConfig::default());
+        let mut t = TargetTracker::default();
         assert!(!t.has_track());
         let d = detection_at(Vec3::new(5.0, 0.0, 1.0));
         let s = t.update(Some(&d), SimDuration::from_millis(100.0)).unwrap();
@@ -383,7 +327,7 @@ mod tests {
 
     #[test]
     fn tracker_follows_a_moving_target() {
-        let mut t = TargetTracker::new(TrackerConfig::default());
+        let mut t = TargetTracker::default();
         let dt = SimDuration::from_millis(100.0);
         // Target walks along +x at 2 m/s.
         for i in 0..50 {
@@ -401,10 +345,7 @@ mod tests {
 
     #[test]
     fn coasting_extrapolates_and_eventually_drops() {
-        let mut t = TargetTracker::new(TrackerConfig {
-            max_missed_frames: 5,
-            ..Default::default()
-        });
+        let mut t = TargetTracker::default();
         let dt = SimDuration::from_millis(100.0);
         for i in 0..30 {
             t.update(Some(&detection_at(Vec3::new(i as f64 * 0.3, 0.0, 1.0))), dt);
@@ -416,17 +357,20 @@ mod tests {
         let coasted = t.track().unwrap();
         assert!(coasted.position.x > before);
         assert_eq!(coasted.frames_since_detection, 2);
-        // Miss enough frames and the track is dropped.
-        for _ in 0..10 {
+        // The track survives up to the miss limit, and one more miss drops
+        // it.
+        for _ in 2..MAX_MISSED_FRAMES {
             t.predict(dt);
         }
+        assert!(t.has_track());
+        t.predict(dt);
         assert!(!t.has_track());
         assert!(t.track().is_none());
     }
 
     #[test]
     fn reset_clears_track() {
-        let mut t = TargetTracker::new(TrackerConfig::default());
+        let mut t = TargetTracker::default();
         t.update(
             Some(&detection_at(Vec3::ZERO)),
             SimDuration::from_millis(50.0),
@@ -438,7 +382,7 @@ mod tests {
 
     #[test]
     fn display_nonempty() {
-        let mut t = TargetTracker::new(TrackerConfig::default());
+        let mut t = TargetTracker::default();
         assert!(!format!("{t}").is_empty());
         t.update(
             Some(&detection_at(Vec3::ZERO)),
@@ -474,21 +418,17 @@ mod tests {
 
     #[test]
     fn multi_tracker_coasts_and_drops_missed_tracks() {
-        let mut t = MultiTargetTracker::new(MultiTrackerConfig {
-            base: TrackerConfig {
-                max_missed_frames: 3,
-                ..Default::default()
-            },
-            ..Default::default()
-        });
+        let mut t = MultiTargetTracker::default();
         let dt = SimDuration::from_millis(100.0);
         for i in 0..10 {
             t.update(&[detection_at(Vec3::new(i as f64 * 0.3, 0.0, 1.0))], dt);
         }
         assert_eq!(t.track_count(), 1);
-        for _ in 0..10 {
+        for _ in 0..MAX_MISSED_FRAMES {
             t.predict(dt);
         }
+        assert_eq!(t.track_count(), 1);
+        t.predict(dt);
         assert_eq!(t.track_count(), 0);
         t.update(&[detection_at(Vec3::ZERO)], dt);
         assert_eq!(t.track_count(), 1);

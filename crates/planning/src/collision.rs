@@ -89,12 +89,11 @@ impl CollisionChecker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mav_perception::OctoMapConfig;
     use mav_types::{SimTime, TrajectoryPoint};
 
     /// Builds a map with a wall at x = 5 spanning y ∈ [-3, 3], z ∈ [0, 3].
     fn wall_map() -> OctoMap {
-        let mut map = OctoMap::new(OctoMapConfig::with_resolution(0.25), 32.0);
+        let mut map = OctoMap::new(0.25, 32.0);
         let origin = Vec3::new(0.0, 0.0, 1.0);
         for i in -12..=12 {
             for z in [0.5, 1.0, 1.5, 2.0, 2.5] {

@@ -50,13 +50,15 @@ pub struct Frontier {
     pub size: usize,
 }
 
+/// Frontier voxels whose centres are at most this far apart, in metres,
+/// are clustered together.
+const CLUSTER_RADIUS: f64 = 3.0;
+/// Frontiers below this size are ignored (sensor noise).
+const MIN_CLUSTER_SIZE: usize = 2;
+
 /// Configuration of the frontier explorer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrontierConfig {
-    /// Voxels whose centres are closer than this are clustered together.
-    pub cluster_radius: f64,
-    /// Frontiers below this size are ignored (sensor noise).
-    pub min_cluster_size: usize,
     /// Weight of distance in the utility function (higher = prefer closer
     /// frontiers more strongly).
     pub distance_weight: f64,
@@ -70,8 +72,6 @@ pub struct FrontierConfig {
 impl Default for FrontierConfig {
     fn default() -> Self {
         FrontierConfig {
-            cluster_radius: 3.0,
-            min_cluster_size: 2,
             distance_weight: 1.0,
             min_altitude: 0.5,
             max_altitude: 8.0,
@@ -84,11 +84,11 @@ impl Default for FrontierConfig {
 /// # Example
 ///
 /// ```
-/// use mav_perception::{OctoMap, OctoMapConfig, PointCloud};
+/// use mav_perception::{OctoMap, PointCloud};
 /// use mav_planning::{FrontierConfig, FrontierExplorer};
 /// use mav_types::Vec3;
 ///
-/// let mut map = OctoMap::new(OctoMapConfig::with_resolution(0.5), 32.0);
+/// let mut map = OctoMap::new(0.5, 32.0);
 /// let cloud = PointCloud::new(
 ///     Vec3::new(0.0, 0.0, 2.0),
 ///     vec![Vec3::new(8.0, 0.0, 2.0), Vec3::new(8.0, 2.0, 2.0)],
@@ -114,7 +114,8 @@ impl FrontierExplorer {
     }
 
     /// Finds and clusters the frontiers of the map: free voxels with at least
-    /// one unknown 6-neighbour, grouped by proximity.
+    /// one unknown 6-neighbour, grouped by proximity (members within 3 m),
+    /// ignoring clusters of a single voxel.
     pub fn find_frontiers(&self, map: &OctoMap) -> Vec<Frontier> {
         SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
@@ -149,10 +150,18 @@ impl FrontierExplorer {
                 candidates,
                 clusters,
             } = scratch;
-            let active = self.cluster_into(map, points, grid, cluster_of, candidates, clusters);
+            let active = Self::cluster_into(
+                map,
+                points,
+                CLUSTER_RADIUS,
+                grid,
+                cluster_of,
+                candidates,
+                clusters,
+            );
             let mut frontiers: Vec<Frontier> = clusters[..active]
                 .iter()
-                .filter(|c| c.len() >= self.config.min_cluster_size)
+                .filter(|c| c.len() >= MIN_CLUSTER_SIZE)
                 .filter_map(|c| {
                     let centroid = c.iter().fold(Vec3::ZERO, |acc, p| acc + *p) / c.len() as f64;
                     // Snap the representative to the member nearest the
@@ -185,7 +194,7 @@ impl FrontierExplorer {
 
     /// Greedy proximity clustering through the [`PointGrid`] radius index:
     /// each point joins the earliest-created cluster owning a member within
-    /// `cluster_radius`, or starts a new one. Identical to the reference
+    /// `radius`, or starts a new one. Identical to the reference
     /// all-clusters scan (see [`FrontierExplorer::cluster_reference`]) — the
     /// grid's radius candidates are a superset that is re-tested with the
     /// exact member-distance predicate, and "first cluster in creation order
@@ -196,15 +205,15 @@ impl FrontierExplorer {
     /// each recycled from the pool with its capacity intact; entries past
     /// `active` are leftover spares and are not part of the result.
     fn cluster_into(
-        &self,
         map: &OctoMap,
         points: &[Vec3],
+        radius: f64,
         grid_slot: &mut Option<PointGrid>,
         cluster_of: &mut Vec<u32>,
         candidates: &mut Vec<u32>,
         clusters: &mut Vec<Vec<Vec3>>,
     ) -> usize {
-        let cell = self.config.cluster_radius.max(1e-6);
+        let cell = radius.max(1e-6);
         // Bucket the points' bounding box, not the map domain: the domain
         // spans thousands of empty buckets to clear, and the density retune
         // would spread the points over its whole volume.
@@ -228,7 +237,7 @@ impl FrontierExplorer {
         let mut active = 0usize;
         for &p in points {
             candidates.clear();
-            grid.candidates_within(&p, self.config.cluster_radius, candidates);
+            grid.candidates_within(&p, radius, candidates);
             // Min matching cluster id with an exact prune: a candidate whose
             // id is not below the running min cannot change the result, so
             // its (sqrt-paying) distance test is skipped. Frontier shells are
@@ -240,7 +249,7 @@ impl FrontierExplorer {
                 if joined.is_some_and(|j| id >= j) {
                     continue;
                 }
-                if grid.point(i as usize).distance(&p) <= self.config.cluster_radius {
+                if grid.point(i as usize).distance(&p) <= radius {
                     joined = Some(id);
                 }
             }
@@ -268,14 +277,15 @@ impl FrontierExplorer {
     /// [`FrontierExplorer::cluster_into`] with owned state, for the
     /// differential tests against [`FrontierExplorer::cluster_reference`].
     #[cfg(test)]
-    fn cluster(&self, map: &OctoMap, points: &[Vec3]) -> Vec<Vec<Vec3>> {
+    fn cluster(map: &OctoMap, points: &[Vec3], radius: f64) -> Vec<Vec<Vec3>> {
         let mut grid = None;
         let mut cluster_of = Vec::new();
         let mut candidates = Vec::new();
         let mut clusters = Vec::new();
-        let active = self.cluster_into(
+        let active = Self::cluster_into(
             map,
             points,
+            radius,
             &mut grid,
             &mut cluster_of,
             &mut candidates,
@@ -287,15 +297,15 @@ impl FrontierExplorer {
 
     /// The pre-index greedy clustering, kept as the differential oracle for
     /// [`FrontierExplorer::cluster`]: scan existing clusters in creation
-    /// order and join the first with any member within `cluster_radius`.
+    /// order and join the first with any member within `radius`.
     #[cfg(test)]
-    fn cluster_reference(&self, points: &[Vec3]) -> Vec<Vec<Vec3>> {
+    fn cluster_reference(points: &[Vec3], radius: f64) -> Vec<Vec<Vec3>> {
         let mut clusters: Vec<Vec<Vec3>> = Vec::new();
         for &p in points {
-            match clusters.iter_mut().find(|c| {
-                c.iter()
-                    .any(|q| q.distance(&p) <= self.config.cluster_radius)
-            }) {
+            match clusters
+                .iter_mut()
+                .find(|c| c.iter().any(|q| q.distance(&p) <= radius))
+            {
                 Some(cluster) => cluster.push(p),
                 None => clusters.push(vec![p]),
             }
@@ -357,11 +367,11 @@ impl Default for FrontierExplorer {
 mod tests {
     use super::*;
     use crate::shortest_path::{PlannerConfig, PlannerKind};
-    use mav_perception::{Occupancy, OctoMapConfig, PointCloud};
+    use mav_perception::{Occupancy, PointCloud};
 
     /// Builds a partially observed map by scanning from the origin towards +x.
     fn partial_map() -> OctoMap {
-        let mut map = OctoMap::new(OctoMapConfig::with_resolution(0.5), 32.0);
+        let mut map = OctoMap::new(0.5, 32.0);
         let origin = Vec3::new(0.0, 0.0, 2.0);
         let mut points = Vec::new();
         for i in -10..=10 {
@@ -380,13 +390,13 @@ mod tests {
         // Every reported frontier centre is a known-free voxel.
         for f in &frontiers {
             assert!(!map.is_unknown(&f.center));
-            assert!(f.size >= explorer.config().min_cluster_size);
+            assert!(f.size >= MIN_CLUSTER_SIZE);
         }
     }
 
     #[test]
     fn empty_map_has_no_frontiers() {
-        let map = OctoMap::new(OctoMapConfig::default(), 32.0);
+        let map = OctoMap::new(0.5, 32.0);
         let explorer = FrontierExplorer::default();
         assert!(explorer.find_frontiers(&map).is_empty());
     }
@@ -428,7 +438,7 @@ mod tests {
 
     #[test]
     fn exploration_fails_on_a_fully_unknown_map() {
-        let map = OctoMap::new(OctoMapConfig::default(), 32.0);
+        let map = OctoMap::new(0.5, 32.0);
         let explorer = FrontierExplorer::default();
         let checker = CollisionChecker::new(0.33);
         let bounds = Aabb::new(Vec3::new(-30.0, -30.0, 0.5), Vec3::new(30.0, 30.0, 8.0));
@@ -442,11 +452,7 @@ mod tests {
     #[test]
     fn grid_clustering_matches_reference() {
         let map = partial_map();
-        for radius in [0.75, 3.0, 9.0] {
-            let explorer = FrontierExplorer::new(FrontierConfig {
-                cluster_radius: radius,
-                ..Default::default()
-            });
+        for radius in [0.75, CLUSTER_RADIUS, 9.0] {
             // Deterministic scattered points (xorshift), spanning several
             // cluster radii so joins, near-misses and new clusters all occur.
             let mut state = 0x9e3779b97f4a7c15u64;
@@ -469,8 +475,8 @@ mod tests {
                 ("one point", &one[..]),
             ] {
                 assert_eq!(
-                    explorer.cluster(&map, set),
-                    explorer.cluster_reference(set),
+                    FrontierExplorer::cluster(&map, set, radius),
+                    FrontierExplorer::cluster_reference(set, radius),
                     "clustering diverged at radius {radius} on the {label} set"
                 );
             }
@@ -481,7 +487,7 @@ mod tests {
     /// altitude: thin carved rays, so most free voxels are frontier voxels,
     /// some below and above the default altitude band.
     fn scanned_map(resolution: f64) -> OctoMap {
-        let mut map = OctoMap::new(OctoMapConfig::with_resolution(resolution), 32.0);
+        let mut map = OctoMap::new(resolution, 32.0);
         for origin in [Vec3::new(0.3, -0.2, 2.0), Vec3::new(-4.1, 3.7, 3.1)] {
             let mut points = Vec::new();
             for i in 0..120 {
@@ -530,32 +536,31 @@ mod tests {
     /// `step_by` subsample down to 1,200 points, the all-clusters scan and
     /// a `min_by` centre snap.
     fn find_frontiers_reference(explorer: &FrontierExplorer, map: &OctoMap) -> Vec<Frontier> {
-        let config = explorer.config();
         let mut points = listed_and_probed(explorer, map);
         if points.len() > 1200 {
             let stride = points.len() / 1200 + 1;
             points = points.into_iter().step_by(stride).collect();
         }
-        let mut frontiers: Vec<Frontier> = explorer
-            .cluster_reference(&points)
-            .into_iter()
-            .filter(|c| c.len() >= config.min_cluster_size)
-            .map(|c| {
-                let centroid = c.iter().fold(Vec3::ZERO, |acc, p| acc + *p) / c.len() as f64;
-                let center = c
-                    .iter()
-                    .copied()
-                    .min_by(|a, b| {
-                        a.distance_squared(&centroid)
-                            .total_cmp(&b.distance_squared(&centroid))
-                    })
-                    .expect("clusters are non-empty");
-                Frontier {
-                    center,
-                    size: c.len(),
-                }
-            })
-            .collect();
+        let mut frontiers: Vec<Frontier> =
+            FrontierExplorer::cluster_reference(&points, CLUSTER_RADIUS)
+                .into_iter()
+                .filter(|c| c.len() >= MIN_CLUSTER_SIZE)
+                .map(|c| {
+                    let centroid = c.iter().fold(Vec3::ZERO, |acc, p| acc + *p) / c.len() as f64;
+                    let center = c
+                        .iter()
+                        .copied()
+                        .min_by(|a, b| {
+                            a.distance_squared(&centroid)
+                                .total_cmp(&b.distance_squared(&centroid))
+                        })
+                        .expect("clusters are non-empty");
+                    Frontier {
+                        center,
+                        size: c.len(),
+                    }
+                })
+                .collect();
         frontiers.sort_by_key(|f| std::cmp::Reverse(f.size));
         frontiers
     }

@@ -10,11 +10,11 @@
 //! # Example
 //!
 //! ```
-//! use mav_perception::{OctoMap, OctoMapConfig};
+//! use mav_perception::OctoMap;
 //! use mav_planning::{CollisionChecker, PathSmoother, PlannerConfig, PlannerKind, ShortestPathPlanner, SmootherConfig};
 //! use mav_types::{Aabb, SimTime, Vec3};
 //!
-//! let map = OctoMap::new(OctoMapConfig::default(), 32.0);
+//! let map = OctoMap::new(0.5, 32.0);
 //! let checker = CollisionChecker::new(0.33);
 //! let bounds = Aabb::new(Vec3::new(-20.0, -20.0, 0.5), Vec3::new(20.0, 20.0, 5.0));
 //! let planner = ShortestPathPlanner::new(PlannerConfig::new(PlannerKind::PrmAstar, bounds));

@@ -58,6 +58,17 @@ pub enum PlannerKind {
     PrmAstar,
 }
 
+/// RRT extension step length, metres; the PRM connects vertices within 2.5
+/// steps.
+const STEP: f64 = 2.5;
+/// Maximum number of samples before giving up (the PRM draws an eighth of
+/// them, between 50 and 600, as roadmap vertices).
+const MAX_SAMPLES: usize = 4000;
+/// Probability of sampling the goal directly (RRT goal bias).
+const GOAL_BIAS: f64 = 0.1;
+/// Distance at which the goal counts as reached, metres.
+const GOAL_TOLERANCE: f64 = 1.0;
+
 /// Configuration shared by the shortest-path planners.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlannerConfig {
@@ -65,28 +76,16 @@ pub struct PlannerConfig {
     pub kind: PlannerKind,
     /// Sampling region.
     pub bounds: Aabb,
-    /// RRT extension step length / PRM connection radius, metres.
-    pub step: f64,
-    /// Maximum number of samples before giving up.
-    pub max_samples: usize,
-    /// Probability of sampling the goal directly (RRT goal bias).
-    pub goal_bias: f64,
-    /// Distance at which the goal counts as reached, metres.
-    pub goal_tolerance: f64,
     /// RNG seed.
     pub seed: u64,
 }
 
 impl PlannerConfig {
-    /// A reasonable default over the given sampling bounds.
+    /// A planner of `kind` sampling `bounds`, with seed 7.
     pub fn new(kind: PlannerKind, bounds: Aabb) -> Self {
         PlannerConfig {
             kind,
             bounds,
-            step: 2.5,
-            max_samples: 4000,
-            goal_bias: 0.1,
-            goal_tolerance: 1.0,
             seed: 7,
         }
     }
@@ -149,11 +148,11 @@ impl PlannedPath {
 /// # Example
 ///
 /// ```
-/// use mav_perception::{OctoMap, OctoMapConfig};
+/// use mav_perception::OctoMap;
 /// use mav_planning::{CollisionChecker, PlannerConfig, PlannerKind, ShortestPathPlanner};
 /// use mav_types::{Aabb, Vec3};
 ///
-/// let map = OctoMap::new(OctoMapConfig::default(), 32.0);
+/// let map = OctoMap::new(0.5, 32.0);
 /// let bounds = Aabb::new(Vec3::new(-20.0, -20.0, 0.5), Vec3::new(20.0, 20.0, 5.0));
 /// let planner = ShortestPathPlanner::new(PlannerConfig::new(PlannerKind::Rrt, bounds));
 /// let checker = CollisionChecker::new(0.33);
@@ -217,7 +216,7 @@ impl ShortestPathPlanner {
     }
 
     fn sample(&self, rng: &mut ChaCha8Rng, goal: &Vec3) -> Vec3 {
-        if rng.gen_range(0.0..1.0) < self.config.goal_bias {
+        if rng.gen_range(0.0..1.0) < GOAL_BIAS {
             return *goal;
         }
         let b = &self.config.bounds;
@@ -261,20 +260,20 @@ impl ShortestPathPlanner {
         // distance nearest-neighbour queries typically resolve at). Exact,
         // so the grown tree is identical to the linear-scan tree of the
         // tests' oracle.
-        let mut index = reset_grid(grid, &self.config.bounds, self.config.step.max(1e-6));
+        let mut index = reset_grid(grid, &self.config.bounds, STEP);
         index.insert(start);
         let mut found: Option<PlannedPath> = None;
-        for sample_count in 0..self.config.max_samples {
+        for sample_count in 0..MAX_SAMPLES {
             let target = self.sample(&mut rng, &goal);
             // Nearest node in the tree.
             let nearest_idx = index.nearest(&target).expect("tree is never empty");
             let nearest = nodes[nearest_idx];
             // Extend one step towards the sample.
             let dist = nearest.distance(&target);
-            let new = if dist <= self.config.step {
+            let new = if dist <= STEP {
                 target
             } else {
-                nearest + (target - nearest).normalized() * self.config.step
+                nearest + (target - nearest).normalized() * STEP
             };
             if !checker.point_free(map, &new) || !checker.segment_free(map, &nearest, &new) {
                 continue;
@@ -283,9 +282,7 @@ impl ShortestPathPlanner {
             parents.push(nearest_idx);
             index.insert(new);
             // Goal check.
-            if new.distance(&goal) <= self.config.goal_tolerance
-                && checker.segment_free(map, &new, &goal)
-            {
+            if new.distance(&goal) <= GOAL_TOLERANCE && checker.segment_free(map, &new, &goal) {
                 let mut waypoints = vec![goal];
                 let mut idx = nodes.len() - 1;
                 loop {
@@ -306,10 +303,7 @@ impl ShortestPathPlanner {
         // Park the bucket index back in the scratch for the next plan.
         *grid = Some(index);
         found.ok_or_else(|| {
-            MavError::planning_failed(
-                "rrt",
-                format!("no path within {} samples", self.config.max_samples),
-            )
+            MavError::planning_failed("rrt", format!("no path within {MAX_SAMPLES} samples"))
         })
     }
 
@@ -343,9 +337,9 @@ impl ShortestPathPlanner {
         vertices.clear();
         vertices.push(start);
         vertices.push(goal);
-        let roadmap_size = (self.config.max_samples / 8).clamp(50, 600);
+        let roadmap_size = (MAX_SAMPLES / 8).clamp(50, 600);
         let mut attempts = 0usize;
-        while vertices.len() < roadmap_size + 2 && attempts < self.config.max_samples {
+        while vertices.len() < roadmap_size + 2 && attempts < MAX_SAMPLES {
             attempts += 1;
             let p = self.sample(&mut rng, &goal);
             if checker.point_free(map, &p) {
@@ -359,12 +353,12 @@ impl ShortestPathPlanner {
         // actually connectable. Candidate indices are sorted ascending so the
         // adjacency lists are built in exactly the order of the all-pairs
         // loop of the tests' oracle (A* tie-breaking depends on it).
-        let radius = self.config.step * 2.5;
+        let radius = STEP * 2.5;
         for list in adjacency.iter_mut() {
             list.clear();
         }
         adjacency.resize_with(vertices.len(), Vec::new);
-        let mut index = reset_grid(grid, &self.config.bounds, radius.max(1e-6));
+        let mut index = reset_grid(grid, &self.config.bounds, radius);
         for v in vertices.iter() {
             index.insert(*v);
         }
@@ -479,7 +473,6 @@ fn astar(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mav_perception::OctoMapConfig;
 
     fn bounds() -> Aabb {
         Aabb::new(Vec3::new(-25.0, -25.0, 0.5), Vec3::new(25.0, 25.0, 6.0))
@@ -488,7 +481,7 @@ mod tests {
     /// A map with a long wall at x = 8 blocking y ∈ [-10, 10], with open space
     /// around its ends.
     fn wall_map() -> OctoMap {
-        let mut map = OctoMap::new(OctoMapConfig::with_resolution(0.5), 32.0);
+        let mut map = OctoMap::new(0.5, 32.0);
         let origin = Vec3::new(0.0, 0.0, 1.0);
         for i in -20..=20 {
             for z in [0.5, 1.5, 2.5, 3.5, 4.5, 5.5] {
@@ -516,7 +509,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
         if config.kind == PlannerKind::Rrt {
             let (mut nodes, mut parents) = (vec![start], vec![0]);
-            for sample_count in 0..config.max_samples {
+            for sample_count in 0..MAX_SAMPLES {
                 let target = planner.sample(&mut rng, &goal);
                 let nearest_idx = nodes
                     .iter()
@@ -528,19 +521,17 @@ mod tests {
                     .map(|(i, _)| i)
                     .expect("tree is never empty");
                 let nearest = nodes[nearest_idx];
-                let new = if nearest.distance(&target) <= config.step {
+                let new = if nearest.distance(&target) <= STEP {
                     target
                 } else {
-                    nearest + (target - nearest).normalized() * config.step
+                    nearest + (target - nearest).normalized() * STEP
                 };
                 if !checker.point_free(map, &new) || !checker.segment_free(map, &nearest, &new) {
                     continue;
                 }
                 nodes.push(new);
                 parents.push(nearest_idx);
-                if new.distance(&goal) <= config.goal_tolerance
-                    && checker.segment_free(map, &new, &goal)
-                {
+                if new.distance(&goal) <= GOAL_TOLERANCE && checker.segment_free(map, &new, &goal) {
                     let mut waypoints = vec![goal];
                     let mut idx = nodes.len() - 1;
                     loop {
@@ -560,16 +551,16 @@ mod tests {
             return None;
         }
         let mut vertices = vec![start, goal];
-        let roadmap_size = (config.max_samples / 8).clamp(50, 600);
+        let roadmap_size = (MAX_SAMPLES / 8).clamp(50, 600);
         let mut attempts = 0usize;
-        while vertices.len() < roadmap_size + 2 && attempts < config.max_samples {
+        while vertices.len() < roadmap_size + 2 && attempts < MAX_SAMPLES {
             attempts += 1;
             let p = planner.sample(&mut rng, &goal);
             if checker.point_free(map, &p) {
                 vertices.push(p);
             }
         }
-        let radius = config.step * 2.5;
+        let radius = STEP * 2.5;
         let mut adjacency = vec![Vec::new(); vertices.len()];
         for i in 0..vertices.len() {
             for j in (i + 1)..vertices.len() {
@@ -609,7 +600,7 @@ mod tests {
 
     #[test]
     fn rrt_plans_in_open_space() {
-        let map = OctoMap::new(OctoMapConfig::default(), 32.0);
+        let map = OctoMap::new(0.5, 32.0);
         let checker = CollisionChecker::new(0.33);
         let planner = ShortestPathPlanner::new(PlannerConfig::new(PlannerKind::Rrt, bounds()));
         let start = Vec3::new(0.0, 0.0, 2.0);
@@ -622,7 +613,7 @@ mod tests {
 
     #[test]
     fn prm_plans_in_open_space() {
-        let map = OctoMap::new(OctoMapConfig::default(), 32.0);
+        let map = OctoMap::new(0.5, 32.0);
         let checker = CollisionChecker::new(0.33);
         let planner = ShortestPathPlanner::new(PlannerConfig::new(PlannerKind::PrmAstar, bounds()));
         let start = Vec3::new(-10.0, -10.0, 2.0);
@@ -748,7 +739,7 @@ mod tests {
         let checker = CollisionChecker::new(0.33);
         let start = Vec3::new(0.0, 0.0, 2.0);
         let goal = Vec3::new(16.0, 2.0, 2.0);
-        let open = OctoMap::new(OctoMapConfig::with_resolution(0.5), 32.0);
+        let open = OctoMap::new(0.5, 32.0);
         let wall = wall_map();
         for seed in 0..16 {
             for kind in [PlannerKind::Rrt, PlannerKind::PrmAstar] {

@@ -9,18 +9,19 @@
 
 use mav_types::{MavError, Result, SimTime, Trajectory, TrajectoryPoint, Vec3};
 
-/// Configuration of the smoothing kernel.
+/// Corner blend distance, metres: corners are cut starting this far from the
+/// waypoint.
+const CORNER_RADIUS: f64 = 1.0;
+/// Spatial sampling interval of the output trajectory, metres.
+const SAMPLE_SPACING: f64 = 0.5;
+
+/// Configuration of the smoothing kernel: the vehicle envelope.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SmootherConfig {
     /// Maximum cruise speed of the produced trajectory, m/s.
     pub max_velocity: f64,
     /// Maximum acceleration, m/s².
     pub max_acceleration: f64,
-    /// Corner blend distance, metres: corners are cut starting this far from
-    /// the waypoint.
-    pub corner_radius: f64,
-    /// Spatial sampling interval of the output trajectory, metres.
-    pub sample_spacing: f64,
 }
 
 impl SmootherConfig {
@@ -34,16 +35,7 @@ impl SmootherConfig {
         SmootherConfig {
             max_velocity,
             max_acceleration,
-            corner_radius: 1.0,
-            sample_spacing: 0.5,
         }
-    }
-
-    /// Overrides the maximum velocity (builder style). Values are clamped to
-    /// be strictly positive.
-    pub fn with_max_velocity(mut self, v: f64) -> Self {
-        self.max_velocity = v.max(0.1);
-        self
     }
 }
 
@@ -111,7 +103,7 @@ impl PathSmoother {
         if waypoints.len() <= 2 {
             return waypoints.to_vec();
         }
-        let r = self.config.corner_radius;
+        let r = CORNER_RADIUS;
         let mut out = vec![waypoints[0]];
         for i in 1..waypoints.len() - 1 {
             let prev = waypoints[i - 1];
@@ -132,12 +124,12 @@ impl PathSmoother {
         out
     }
 
-    /// Resamples a polyline at roughly `sample_spacing` intervals.
+    /// Resamples a polyline at roughly [`SAMPLE_SPACING`] intervals.
     fn resample(&self, waypoints: &[Vec3]) -> Vec<Vec3> {
         let mut out = vec![waypoints[0]];
         for w in waypoints.windows(2) {
             let dist = w[0].distance(&w[1]);
-            let steps = (dist / self.config.sample_spacing).ceil().max(1.0) as usize;
+            let steps = (dist / SAMPLE_SPACING).ceil().max(1.0) as usize;
             for i in 1..=steps {
                 out.push(w[0].lerp(&w[1], i as f64 / steps as f64));
             }
@@ -313,11 +305,5 @@ mod tests {
         let smoother = PathSmoother::default();
         assert!(smoother.smooth(&[Vec3::ZERO], SimTime::ZERO).is_err());
         assert!(smoother.smooth(&[], SimTime::ZERO).is_err());
-    }
-
-    #[test]
-    fn builder_clamps_velocity() {
-        let cfg = SmootherConfig::default().with_max_velocity(0.0);
-        assert!(cfg.max_velocity > 0.0);
     }
 }

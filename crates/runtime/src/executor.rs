@@ -204,25 +204,29 @@ pub trait NodeContext {
         false
     }
 
-    /// Charges one round's serialized compute latency to mission time.
-    /// `consumed` is the sum over every node that ran this round;
-    /// `idle_step` is the executor's fallback granularity for rounds in which
-    /// no node was due.
+    /// Charges one round's compute latency to mission time. `consumed` is
+    /// the round's charged duration, zero when no node was due; the context
+    /// decides how far an idle round moves its clock.
     ///
     /// # Errors
     ///
     /// Contexts may fail the run (e.g. a physics integration error).
-    fn charge(&mut self, consumed: SimDuration, idle_step: SimDuration) -> Result<()>;
+    fn charge(&mut self, consumed: SimDuration) -> Result<()>;
 }
+
+/// How far an idle round (no node due) advances a [`SimClock`], in
+/// milliseconds.
+const IDLE_STEP_MS: f64 = 50.0;
 
 impl NodeContext for SimClock {
     fn now(&self) -> SimTime {
         SimClock::now(self)
     }
 
-    fn charge(&mut self, consumed: SimDuration, idle_step: SimDuration) -> Result<()> {
+    /// Advances the clock by `consumed`, or by 50 ms in an idle round.
+    fn charge(&mut self, consumed: SimDuration) -> Result<()> {
         self.advance(if consumed.is_zero() {
-            idle_step
+            SimDuration::from_millis(IDLE_STEP_MS)
         } else {
             consumed
         });
@@ -295,9 +299,6 @@ struct Registration<C> {
 /// ```
 pub struct Executor<C> {
     nodes: Vec<Registration<C>>,
-    /// The granularity the context is asked to advance by when no node is
-    /// due in a round. Defaults to 50 ms.
-    pub idle_step: SimDuration,
     /// How the round's per-node latencies become the charged duration:
     /// [`ExecModel::Serial`] (default) sums them, [`ExecModel::Pipelined`]
     /// charges the critical path over [`ExecStage`]s.
@@ -309,7 +310,6 @@ impl<C: NodeContext> Executor<C> {
     pub fn new() -> Self {
         Executor {
             nodes: Vec::new(),
-            idle_step: SimDuration::from_millis(50.0),
             exec_model: ExecModel::default(),
         }
     }
@@ -401,7 +401,7 @@ impl<C: NodeContext> Executor<C> {
             ExecModel::Serial => consumed,
             ExecModel::Pipelined => stages.critical_path(),
         };
-        ctx.charge(charged, self.idle_step)?;
+        ctx.charge(charged)?;
         Ok(charged)
     }
 
@@ -430,7 +430,6 @@ impl<C> fmt::Debug for Executor<C> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Executor")
             .field("nodes", &self.nodes.len())
-            .field("idle_step", &self.idle_step)
             .field("exec_model", &self.exec_model)
             .finish()
     }
@@ -578,9 +577,9 @@ mod tests {
         // 125 ms node more than a full period past its grid. The missed
         // ticks must be dropped — clamping `next_due` to `now` instead of
         // `now + period` would let the node run again in the very next
-        // round, one 62.5 ms idle step after its previous invocation (two
-        // "8 Hz camera frames" 62.5 ms apart). All values are dyadic so the
-        // schedule arithmetic is float-exact.
+        // round, which a tick-synchronous 62.5 ms node opens 62.5 ms after
+        // its previous invocation (two "8 Hz camera frames" 62.5 ms apart).
+        // All values are dyadic so the schedule arithmetic is float-exact.
         struct Stamper {
             times: Rc<RefCell<Vec<f64>>>,
         }
@@ -599,11 +598,11 @@ mod tests {
         let times = Rc::new(RefCell::new(Vec::new()));
         let mut clock = SimClock::new();
         let mut exec = Executor::new();
-        exec.idle_step = SimDuration::from_millis(62.5);
         exec.add_node(Counter::new("blocker", 1000.0, 375.0));
         exec.add_node(Stamper {
             times: Rc::clone(&times),
         });
+        exec.add_node(Counter::new("ticker", 0.0, 62.5));
         exec.run_for(&mut clock, SimDuration::from_secs(3.0))
             .unwrap();
         let times = times.borrow();
@@ -750,13 +749,8 @@ mod tests {
         fn halted(&self) -> bool {
             self.halt_after.is_some_and(|n| self.log.len() >= n)
         }
-        fn charge(&mut self, consumed: SimDuration, idle_step: SimDuration) -> Result<()> {
-            self.clock.advance(if consumed.is_zero() {
-                idle_step
-            } else {
-                consumed
-            });
-            Ok(())
+        fn charge(&mut self, consumed: SimDuration) -> Result<()> {
+            self.clock.charge(consumed)
         }
     }
 

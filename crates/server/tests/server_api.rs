@@ -178,6 +178,58 @@ fn malformed_specs_get_400_with_json_error_body() {
             r#"{"type":"mission","config":{"application":"scanning","node_ops":"plan=big@1e-9"}}"#,
             "at least 0.1 GHz",
         ),
+        (
+            r#"{"type":"mission","config":{"application":"package_delivery","environment":{"obstacle_size":[6,1]}}}"#,
+            "obstacle_size",
+        ),
+        (
+            r#"{"type":"mission","config":{"application":"package_delivery","environment":{"obstacle_height":[6,1]}}}"#,
+            "obstacle_height",
+        ),
+        (
+            r#"{"type":"mission","config":{"application":"package_delivery","environment":{"obstacle_density":1e9}}}"#,
+            "obstacles",
+        ),
+        (
+            r#"{"type":"mission","config":{"application":"scanning","environment":{"extent":1e5,"obstacle_density":0}}}"#,
+            "extent",
+        ),
+        (
+            r#"{"type":"sweep","scenario":{"application":"scanning","extents":[0.5]},"episodes":2}"#,
+            "extent must be in",
+        ),
+        (
+            r#"{"type":"sweep","scenario":{"application":"package_delivery","extents":[18,1000],"densities":[0.4,3]},"episodes":2}"#,
+            "obstacles",
+        ),
+        (
+            r#"{"type":"mission","config":{"application":"scanning","fault_plan":"kernel-spike=1@1e12"}}"#,
+            "kernel-spike factor",
+        ),
+        (
+            r#"{"type":"mission","config":{"application":"scanning","fault_plan":"plan-timeout=1e12x"}}"#,
+            "plan-timeout factor",
+        ),
+        (
+            r#"{"type":"mission","config":{"application":"3d-mapping","cloud":{"speedup":1e-12,"link":{"bandwidth_mbps":1000,"latency_ms":1},"payload_megabytes":0.5,"offloaded":["MP"]}}}"#,
+            "speedup",
+        ),
+        (
+            r#"{"type":"mission","config":{"application":"3d-mapping","cloud":{"speedup":3,"link":{"bandwidth_mbps":1e-300,"latency_ms":1},"payload_megabytes":0.5,"offloaded":["MP"]}}}"#,
+            "transfer",
+        ),
+        (
+            r#"{"type":"mission","config":{"application":"3d-mapping","cloud":{"speedup":3,"link":{"bandwidth_mbps":1000,"latency_ms":1e12},"payload_megabytes":0.5,"offloaded":["MP"]}}}"#,
+            "transfer",
+        ),
+        (
+            r#"{"type":"mission","config":{"application":"3d-mapping","cloud":{"speedup":3,"link":{"bandwidth_mbps":1000,"latency_ms":1},"payload_megabytes":1e12,"offloaded":["MP"]}}}"#,
+            "transfer",
+        ),
+        (
+            r#"{"type":"mission","config":{"application":"package_delivery","quadrotor":{"radius":5.0},"resolution_policy":0.01}}"#,
+            "quadrotor radius",
+        ),
     ] {
         let reply = client.send("POST", "/jobs", body);
         assert_eq!(reply.status, 400, "spec {body} → {}", reply.body);

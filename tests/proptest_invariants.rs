@@ -3,7 +3,7 @@
 use mavbench::compute::{table1_profile, ApplicationId, KernelId, OperatingPoint};
 use mavbench::core::velocity::max_safe_velocity;
 use mavbench::energy::{Battery, BatteryConfig, RotorPowerModel};
-use mavbench::perception::{Occupancy, OctoMap, OctoMapConfig};
+use mavbench::perception::{Occupancy, OctoMap};
 use mavbench::planning::{PathSmoother, SmootherConfig};
 use mavbench::types::{Frequency, Power, SimDuration, SimTime, Vec3};
 use proptest::prelude::*;
@@ -101,7 +101,7 @@ proptest! {
         z in 0.5f64..10.0,
         resolution in 0.2f64..1.0,
     ) {
-        let mut map = OctoMap::new(OctoMapConfig::with_resolution(resolution), 40.0);
+        let mut map = OctoMap::new(resolution, 40.0);
         let origin = Vec3::new(0.0, 0.0, 1.0);
         let endpoint = Vec3::new(x, y, z);
         map.insert_ray(&origin, &endpoint);

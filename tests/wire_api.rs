@@ -14,6 +14,7 @@ use mavbench::core::{
     BrakePolicy, DegradationConfig, ExecModel, FaultPlan, MissionConfig, NodeOpConfig, RateConfig,
     ReplanMode, ResolutionPolicy, ScenarioGenerator,
 };
+use mavbench::perception::OctoMap;
 use mavbench::types::{Frequency, FromJson, Json, ToJson};
 use proptest::prelude::*;
 
@@ -214,14 +215,20 @@ fn map_resolution_is_bounded_by_the_map_depth() {
 
     // Every dynamic switch rebuilds the map over the requested ±85 m, so the
     // bound is exact: 4e-5 m needs 23 levels there and is rejected, 4.5e-5 m
-    // needs 22 and is accepted, static and dynamic alike.
+    // needs 22 and passes the depth bound, static and dynamic alike. (The
+    // collision radius then spans 8,334 voxels, so the inflation bound of
+    // `inflation_radius_is_bounded_in_voxels` refuses it next.)
     let dynamic = |indoor: f64| {
         format!(r#"{{"kind":"dynamic","outdoor":0.8,"indoor":{indoor:e},"density_threshold":0}}"#)
     };
     let err = spec(&dynamic(4e-5)).expect_err("switch to 4e-5 m");
     assert!(err.contains("23-level map over ±85 m"), "{err}");
-    spec(&dynamic(4.5e-5)).unwrap();
-    spec("4.5e-5").unwrap();
+    assert_eq!(OctoMap::depth_for(4.5e-5, 85.0), OctoMap::MAX_DEPTH);
+    for policy in [dynamic(4.5e-5), "4.5e-5".to_string()] {
+        let err = spec(&policy).expect_err(&policy);
+        assert!(!err.contains("-level map"), "{policy}: {err}");
+        assert!(err.contains("64-voxel limit"), "{policy}: {err}");
+    }
 }
 
 /// A camera too large to capture is a spec error: the first capture would
@@ -272,4 +279,151 @@ fn operating_point_frequency_is_bounded() {
     spec(r#""node_ops":"plan=little@0.1""#).unwrap();
     let too_slow = config.with_operating_point(point(4, 0.099));
     assert!(too_slow.validate().is_err());
+}
+
+/// A sparse `environment` object overlays the application's own world, like
+/// every other omitted knob: Search and Rescue keeps its three people,
+/// Aerial Photography its subject and Scanning its open field.
+#[test]
+fn sparse_environment_keeps_the_application_world() {
+    for &app in ApplicationId::all() {
+        let text = format!(
+            r#"{{"application":{},"environment":{{"seed":5}}}}"#,
+            app.to_json().to_string_compact()
+        );
+        let config = MissionConfig::from_json(&Json::parse(&text).unwrap()).unwrap();
+        let preset = MissionConfig::new(app).environment.with_seed(5);
+        assert_eq!(config.environment, preset, "{app}");
+        let world = config.environment.generate();
+        assert_eq!(world.name(), preset.name, "{app}");
+    }
+    let sar = MissionConfig::from_json(
+        &Json::parse(r#"{"application":"search_and_rescue","environment":{"seed":5}}"#).unwrap(),
+    )
+    .unwrap();
+    assert_eq!(sar.environment.people, 3);
+    let scanning = MissionConfig::from_json(
+        &Json::parse(r#"{"application":"scanning","environment":{"extent":14.0}}"#).unwrap(),
+    )
+    .unwrap();
+    assert_eq!(scanning.environment.extent, 14.0);
+    assert_eq!(scanning.environment.obstacle_density, 0.05);
+}
+
+/// Every spec the environment generator cannot build, or that asks for
+/// more obstacles than a capture can raycast, is a spec error naming the
+/// field; a reversed range used to panic `EnvironmentConfig::generate`.
+#[test]
+fn environment_is_validated() {
+    for (environment, expect) in [
+        (r#"{"obstacle_size":[6,1]}"#, "obstacle_size"),
+        (r#"{"obstacle_height":[6,1]}"#, "obstacle_height"),
+        (r#"{"obstacle_height":[-1,1]}"#, "obstacle_height"),
+        (r#"{"extent":0}"#, "extent"),
+        (r#"{"extent":1e5,"obstacle_density":0}"#, "extent"),
+        (r#"{"height":-3}"#, "height"),
+        (r#"{"height":1e4}"#, "height"),
+        (r#"{"dynamic_speed":-1}"#, "dynamic_speed"),
+        (r#"{"door_width":-0.5}"#, "door_width"),
+        (r#"{"obstacle_density":1e9}"#, "obstacles"),
+        (r#"{"people":1000000}"#, "obstacles"),
+    ] {
+        let text = format!(r#"{{"application":"package_delivery","environment":{environment}}}"#);
+        let err = MissionConfig::from_json(&Json::parse(&text).unwrap()).expect_err(environment);
+        assert!(err.contains("environment: "), "{environment}: {err}");
+        assert!(err.contains(expect), "{environment}: {err}");
+    }
+    let mut config = MissionConfig::new(ApplicationId::PackageDelivery);
+    config.environment.obstacle_size = (6.0, 1.0);
+    assert!(config.validate().is_err());
+    // The extent bound itself: a 2 km square without clutter.
+    MissionConfig::from_json(
+        &Json::parse(
+            r#"{"application":"scanning","environment":{"extent":1000,"height":1000,"obstacle_density":0}}"#,
+        )
+        .unwrap(),
+    )
+    .unwrap();
+}
+
+/// Every stretch of one kernel charge is bounded like the operating-point
+/// floor (about 100× its Table I time): fault multipliers, the cloud's
+/// speed-up and the link's transfer time. Each used to hang a worker in
+/// `MissionContext::advance`.
+#[test]
+fn charge_stretch_factors_are_bounded() {
+    let spec = |knob: &str| {
+        let text = format!(r#"{{"application":"3d-mapping","{knob}}}"#);
+        MissionConfig::from_json(&Json::parse(&text).unwrap())
+    };
+    let cloud = |speedup: &str, bandwidth: &str, latency: &str, payload: &str| {
+        format!(
+            r#"cloud":{{"speedup":{speedup},"link":{{"bandwidth_mbps":{bandwidth},"latency_ms":{latency}}},"payload_megabytes":{payload},"offloaded":["MP","FE","Smooth"]}}"#
+        )
+    };
+    for (knob, expect) in [
+        (
+            r#"fault_plan":"kernel-spike=1@1e12""#.to_string(),
+            "kernel-spike factor",
+        ),
+        (
+            r#"fault_plan":"plan-timeout=1e12x""#.to_string(),
+            "plan-timeout factor",
+        ),
+        (
+            r#"fault_plan":{"kernel_spike":0.5,"kernel_spike_factor":101}"#.to_string(),
+            "kernel-spike factor",
+        ),
+        (cloud("1e-12", "1000", "1", "0.5"), "cloud: speedup"),
+        (cloud("0", "1000", "1", "0.5"), "cloud: speedup"),
+        (cloud("3", "1e-300", "1", "0.5"), "transfer"),
+        (cloud("3", "0", "1", "0.5"), "bandwidth_mbps"),
+        (cloud("3", "1000", "1e12", "0.5"), "transfer"),
+        (cloud("3", "1000", "-1", "0.5"), "latency_ms"),
+        (cloud("3", "1000", "1", "1e12"), "transfer"),
+        (cloud("3", "1000", "1", "-1"), "payload_megabytes"),
+        // Both sides of the transfer time overflow: inf / inf is NaN.
+        (cloud("3", "1e303", "1", "1e302"), "transfer"),
+    ] {
+        let err = spec(&knob).expect_err(&knob);
+        assert!(err.contains(expect), "{knob}: {err}");
+    }
+    spec(r#"fault_plan":"kernel-spike=1@100,plan-timeout=100x""#).unwrap();
+    spec(&cloud("0.01", "50", "30", "20")).unwrap();
+    let mut config = MissionConfig::new(ApplicationId::Mapping3D)
+        .with_cloud(mavbench::compute::CloudConfig::planning_offload());
+    config.validate().unwrap();
+    if let Some(cloud) = config.cloud.as_mut() {
+        cloud.speedup = 1e-9;
+    }
+    assert!(
+        config.validate().is_err(),
+        "configs built in Rust are checked too"
+    );
+}
+
+/// The collision checker's inflation ball spans `ceil(radius / resolution)`
+/// voxels each way, one byte per offset: a 5 m airframe at 1 cm asked for a
+/// 1 GB ball. Specs past 64 voxels at any of the mission's resolutions are
+/// rejected; the default airframe needs 3 at the paper's finest 0.15 m.
+#[test]
+fn inflation_radius_is_bounded_in_voxels() {
+    let spec = |knobs: &str| {
+        let text = format!(r#"{{"application":"package_delivery",{knobs}}}"#);
+        MissionConfig::from_json(&Json::parse(&text).unwrap())
+    };
+    for knobs in [
+        r#""quadrotor":{"radius":5.0},"resolution_policy":0.01"#,
+        r#""resolution_policy":0.001"#,
+        r#""resolution_policy":{"kind":"dynamic","outdoor":0.8,"indoor":0.001,"density_threshold":0.02}"#,
+    ] {
+        let err = spec(knobs).expect_err(knobs);
+        assert!(err.contains("quadrotor radius"), "{knobs}: {err}");
+        assert!(err.contains("64-voxel"), "{knobs}: {err}");
+    }
+    // 0.375 m spans 3 voxels at 0.15 m; 64 voxels is the bound itself.
+    let fine = spec(r#""resolution_policy":0.15"#).unwrap();
+    assert_eq!((fine.collision_radius() / 0.15).ceil(), 3.0);
+    spec(r#""quadrotor":{"radius":0.45},"resolution_policy":0.0078125"#).unwrap();
+    spec(r#""quadrotor":{"radius":0.46},"resolution_policy":0.0078125"#).unwrap_err();
 }
