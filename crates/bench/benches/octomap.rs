@@ -1,11 +1,13 @@
 //! Criterion benches for the OctoMap kernel: insertion cost vs resolution
 //! (the measured counterpart of Fig. 18) into a new and into a reset map,
 //! query cost, warm-map scan insertion, frontier extraction (the block-mask
-//! candidate pass beside the free-voxel list and the full-tree walk) and a
+//! candidate pass beside the free-voxel list, and `find_frontiers` on a
+//! dense 0.5 m map and at `explore`'s scale) and a
 //! whole mapping-mission episode (the episodes/sec figure the ROADMAP's
 //! Monte-Carlo item tracks).
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mav_core::{run_mission, MissionConfig};
+use mav_compute::ApplicationId;
+use mav_core::{run_mission, MissionConfig, ScenarioGenerator};
 use mav_env::EnvironmentConfig;
 use mav_perception::{OctoMap, PointCloud};
 use mav_planning::FrontierExplorer;
@@ -144,7 +146,29 @@ fn bench_frontier_extraction(c: &mut Criterion) {
     group.bench_function("find_frontiers", |b| {
         b.iter(|| explorer.find_frontiers(&map).len())
     });
+    // Clustering at `explore`'s scale.
+    let map = search_rescue_map();
+    group.bench_function("find_frontiers_search_rescue_0.8m", |b| {
+        b.iter(|| explorer.find_frontiers(&map).len())
+    });
     group.finish();
+}
+
+/// A map at `explore`'s scale: the first Search-and-Rescue episode of the
+/// benchmark's generator (12 boxes), mapped at the mission's 0.8 m from
+/// four frames of the mission's 16×12 camera flown 3 m apart along +x from
+/// the start. Its altitude band holds 908 frontier candidates.
+fn search_rescue_map() -> OctoMap {
+    let config = ScenarioGenerator::new(ApplicationId::SearchAndRescue, 1).episode(0);
+    let world = config.environment.generate();
+    let camera = DepthCamera::new(config.camera);
+    let mut map = OctoMap::new(0.8, config.map_half_extent());
+    for step in 0..4 {
+        let eye = Vec3::new(step as f64 * 3.0, 0.0, config.quadrotor.cruise_altitude);
+        let frame = camera.capture(&world, &Pose::new(eye, 0.0));
+        map.insert_point_cloud(&PointCloud::from_depth_image(&frame));
+    }
+    map
 }
 
 /// One whole fast-profile 3D Mapping mission: the episodes/sec figure for the

@@ -174,13 +174,43 @@ impl World {
     /// A hit on the world boundary is reported with `obstacle == None`; if
     /// nothing is hit within range the result is `None` (open space).
     pub fn raycast(&self, origin: &Vec3, dir: &Vec3, max_range: f64) -> Option<RayHit> {
+        self.raycast_through(self.obstacles.iter(), origin, dir, max_range)
+    }
+
+    /// [`World::raycast`] against the obstacles whose list indices are
+    /// `candidates`, in the order given (indices past the list are skipped).
+    /// With the indices of [`World::obstacles_in_view`] for a camera, the
+    /// hit of any ray of that camera is the hit of `raycast`, bit for bit.
+    pub fn raycast_among(
+        &self,
+        candidates: &[u32],
+        origin: &Vec3,
+        dir: &Vec3,
+        max_range: f64,
+    ) -> Option<RayHit> {
+        let obstacles = candidates
+            .iter()
+            .filter_map(|&i| self.obstacles.get(i as usize));
+        self.raycast_through(obstacles, origin, dir, max_range)
+    }
+
+    /// The one slab loop of [`World::raycast`] and [`World::raycast_among`]:
+    /// the nearest hit among `obstacles` within `max_range`, the earliest
+    /// obstacle winning a tie (the strict `<`), else the world boundary.
+    fn raycast_through<'a>(
+        &self,
+        obstacles: impl Iterator<Item = &'a Obstacle>,
+        origin: &Vec3,
+        dir: &Vec3,
+        max_range: f64,
+    ) -> Option<RayHit> {
         let d = dir.normalized();
         if d == Vec3::ZERO || max_range <= 0.0 {
             return None;
         }
         let ray = SlabRay::new(origin, &d);
         let mut best: Option<(f64, ObstacleId)> = None;
-        for o in &self.obstacles {
+        for o in obstacles {
             if let Some(t) = o.bounds.slab_intersection(&ray) {
                 if t <= max_range && best.is_none_or(|(b, _)| t < b) {
                     best = Some((t, o.id));
@@ -202,6 +232,61 @@ impl World {
             point: *origin + d * t_exit,
             obstacle: None,
         })
+    }
+
+    /// Replaces `out` with the list indices, in list order, of every
+    /// obstacle a ray of a pitch-stabilised camera at `eye` could hit: a
+    /// camera whose rays leave `eye` at azimuths within `fov_horizontal / 2`
+    /// of `yaw` and elevations within `fov_vertical / 2` of level, and see
+    /// `max_range` metres (the rays of `mav_sensors::DepthCamera`).
+    ///
+    /// A box is dropped only when it lies more than `max_range` + 1e-6 from
+    /// `eye`, or when all four of its horizontal corners lie more than 1e-6
+    /// outside one side plane of the camera's horizontal wedge (the
+    /// frustum cull of Assarsson & Möller, "Optimized View Frustum Culling
+    /// Algorithms for Bounding Boxes", JGT 2000, without the top and bottom
+    /// planes). The margins cover the rounding of the rays and of the slab
+    /// test, which is ulp-sized at the coordinates a world spans. The side
+    /// planes apply only while the wedge is convex and every ray points
+    /// along its own azimuth: `|fov_horizontal| < π` and
+    /// `|fov_vertical| <= π`. Every other box stays, so
+    /// [`World::raycast_among`] over `out` returns `raycast`'s hits.
+    pub fn obstacles_in_view(
+        &self,
+        eye: &Vec3,
+        yaw: f64,
+        fov_horizontal: f64,
+        fov_vertical: f64,
+        max_range: f64,
+        out: &mut Vec<u32>,
+    ) {
+        use std::f64::consts::PI;
+        const MARGIN: f64 = 1e-6;
+        out.clear();
+        let reach = max_range + MARGIN;
+        // Outward unit normals of the right and left side planes; both pass
+        // through the eye and hold the vertical.
+        let wedge = (fov_horizontal.abs() < PI && fov_vertical.abs() <= PI).then(|| {
+            let half = fov_horizontal.abs() / 2.0;
+            let (sin_r, cos_r) = (yaw - half).sin_cos();
+            let (sin_l, cos_l) = (yaw + half).sin_cos();
+            [(sin_r, -cos_r), (-sin_l, cos_l)]
+        });
+        for (i, o) in self.obstacles.iter().enumerate() {
+            if o.bounds.distance_to_point(eye) > reach {
+                continue;
+            }
+            let (lo, hi) = (o.bounds.min - *eye, o.bounds.max - *eye);
+            let outside = |&(nx, ny): &(f64, f64)| {
+                [(lo.x, lo.y), (hi.x, lo.y), (lo.x, hi.y), (hi.x, hi.y)]
+                    .iter()
+                    .all(|&(x, y)| nx * x + ny * y > MARGIN)
+            };
+            if wedge.is_some_and(|planes| planes.iter().any(outside)) {
+                continue;
+            }
+            out.push(i as u32);
+        }
     }
 
     /// Density of static obstacle volume within `radius` of `point`,
@@ -424,6 +509,47 @@ mod tests {
         assert!((w.total_obstacle_volume() - (8.0 + 32.0)).abs() < 1e-9);
         assert!(!format!("{w}").is_empty());
         assert_eq!(w.obstacle_count(), 2);
+    }
+
+    #[test]
+    fn view_cull_drops_only_boxes_no_ray_can_reach() {
+        use std::f64::consts::{FRAC_PI_2, PI};
+        let mut w = World::empty(Aabb::new(Vec3::splat(-50.0), Vec3::splat(50.0)));
+        let cube = |x: f64, y: f64| Aabb::from_center_size(Vec3::new(x, y, 1.0), Vec3::splat(2.0));
+        w.add_box(cube(10.0, 0.0), ObstacleClass::Structure); // ahead
+        w.add_box(cube(-10.0, 0.0), ObstacleClass::Structure); // behind
+        w.add_box(cube(40.0, 0.0), ObstacleClass::Structure); // beyond range
+        w.add_box(cube(0.5, 0.0), ObstacleClass::Structure); // around the eye
+        w.add_box(cube(10.0, 10.5), ObstacleClass::Structure); // across the left plane
+        w.add_box(cube(3.0, -12.0), ObstacleClass::Structure); // right of the wedge
+        let eye = Vec3::new(0.0, 0.0, 1.0);
+        let mut out = vec![99];
+        w.obstacles_in_view(&eye, 0.0, FRAC_PI_2, 1.0, 25.0, &mut out);
+        assert_eq!(out, [0, 3, 4]);
+        // Facing -x (yaw wrapped past π), the box behind is the one ahead.
+        w.obstacles_in_view(&eye, 3.0 * PI, FRAC_PI_2, 1.0, 25.0, &mut out);
+        assert_eq!(out, [1, 3]);
+        // A horizontal field of view of π or more, or a vertical one past
+        // π, keeps every box in range.
+        w.obstacles_in_view(&eye, 0.0, PI, 1.0, 25.0, &mut out);
+        assert_eq!(out, [0, 1, 3, 4, 5]);
+        w.obstacles_in_view(&eye, 0.0, FRAC_PI_2, PI + 0.1, 25.0, &mut out);
+        assert_eq!(out, [0, 1, 3, 4, 5]);
+        // Indices past the list are skipped; the earlier of two equal boxes
+        // wins the tie, in the order given.
+        let ray = (&eye, &Vec3::UNIT_X, 25.0);
+        let hit = w.raycast_among(&[0, 99], ray.0, ray.1, ray.2).unwrap();
+        assert_eq!((hit.distance, hit.obstacle), (9.0, Some(ObstacleId(0))));
+        let mut twins = World::empty(*w.bounds());
+        twins.add_box(cube(10.0, 0.0), ObstacleClass::Structure);
+        twins.add_box(cube(10.0, 0.0), ObstacleClass::Vegetation);
+        let hit = |order: &[u32]| {
+            twins
+                .raycast_among(order, ray.0, ray.1, ray.2)
+                .and_then(|h| h.obstacle)
+        };
+        assert_eq!(hit(&[0, 1]), Some(ObstacleId(0)));
+        assert_eq!(hit(&[1, 0]), Some(ObstacleId(1)));
     }
 
     /// `raycast` with the prepared ray against its per-box form.

@@ -10,15 +10,14 @@
 use crate::collision::CollisionChecker;
 use crate::shortest_path::{PlannedPath, ShortestPathPlanner};
 use mav_perception::OctoMap;
-use mav_types::{Aabb, MavError, PointGrid, Result, Vec3};
+use mav_types::{MavError, Result, Vec3};
 use std::cell::RefCell;
 
 thread_local! {
     /// Per-thread working state for frontier extraction, which ticks once per
-    /// replan: the candidate list, and the clustering pass behind it, which
-    /// used to rebuild a [`PointGrid`] (dense bucket array included) plus one
-    /// member `Vec` per cluster every call. Reusing all of it makes a replan
-    /// allocation-free in the steady state.
+    /// replan: the candidate list, the clustering grid and one member `Vec`
+    /// per cluster. Reusing all of it makes a replan allocation-free in the
+    /// steady state.
     static SCRATCH: RefCell<FrontierScratch> = RefCell::new(FrontierScratch::default());
 }
 
@@ -28,17 +27,117 @@ struct FrontierScratch {
     /// Altitude-banded frontier candidates straight from the map
     /// (subsampled in place when large).
     points: Vec<Vec3>,
-    /// Radius index over the clustered points, rebuilt by `PointGrid::reset`
-    /// over the points' bounding box.
-    grid: Option<PointGrid>,
-    /// Cluster id of each indexed point, by insertion order.
-    cluster_of: Vec<u32>,
-    /// Candidate buffer for the radius queries.
-    candidates: Vec<u32>,
+    /// Cell grid over the clustered points, rebuilt by `ClusterGrid::reset`.
+    grid: ClusterGrid,
     /// Cluster member pool: a call's clusters are the first `active` entries
     /// (see [`FrontierExplorer::cluster_into`]); entries past that are spares
     /// from earlier calls kept for their capacity.
     clusters: Vec<Vec<Vec3>>,
+}
+
+/// The radius index of [`FrontierExplorer::cluster_into`]: a uniform cell
+/// grid over the clustered points' bounding box that keeps, per cell, the
+/// points inserted so far with their cluster ids and the least of those ids.
+/// A radius query visits the cells of the query cube, as
+/// [`mav_types::PointGrid::candidates_within`] does, but skips every cell
+/// whose least id cannot lower the best match found so far.
+#[derive(Debug, Default)]
+struct ClusterGrid {
+    origin: Vec3,
+    cell: f64,
+    dims: [i64; 3],
+    /// Per cell, x-major: the inserted points and their cluster ids, in
+    /// insertion order.
+    members: Vec<Vec<(Vec3, u32)>>,
+    /// Per cell: the least cluster id among its members (`u32::MAX` when
+    /// empty).
+    least: Vec<u32>,
+}
+
+impl ClusterGrid {
+    /// Cells per axis at most, as in `PointGrid`: a small radius over a wide
+    /// box coarsens the cells instead of allocating (extent / radius)³ of
+    /// them.
+    const MAX_DIM: i64 = 64;
+
+    /// Empties the grid and lays cells of edge `radius` (coarsened to the
+    /// 64-cell cap) over the bounding box of `points`.
+    fn reset(&mut self, points: &[Vec3], radius: f64) {
+        let (lo, hi) = match points.split_first() {
+            Some((first, rest)) => rest
+                .iter()
+                .fold((*first, *first), |(lo, hi), p| (lo.min(p), hi.max(p))),
+            None => (Vec3::ZERO, Vec3::ZERO),
+        };
+        let extent = hi - lo;
+        let longest = extent.x.max(extent.y).max(extent.z).max(1e-3);
+        let cell = radius.max(1e-6).max(longest / Self::MAX_DIM as f64);
+        let dim = |e: f64| ((e / cell).ceil() as i64).clamp(1, Self::MAX_DIM);
+        self.origin = lo;
+        self.cell = cell;
+        self.dims = [dim(extent.x), dim(extent.y), dim(extent.z)];
+        let total = (self.dims[0] * self.dims[1] * self.dims[2]) as usize;
+        for members in &mut self.members {
+            members.clear();
+        }
+        self.members.resize_with(total, Vec::new);
+        self.least.clear();
+        self.least.resize(total, u32::MAX);
+    }
+
+    /// Clamped cell coordinates of `point`.
+    fn cell_of(&self, point: &Vec3) -> [i64; 3] {
+        let coord = |p: f64, o: f64, d: i64| (((p - o) / self.cell).floor() as i64).clamp(0, d - 1);
+        [
+            coord(point.x, self.origin.x, self.dims[0]),
+            coord(point.y, self.origin.y, self.dims[1]),
+            coord(point.z, self.origin.z, self.dims[2]),
+        ]
+    }
+
+    fn flat(&self, cell: &[i64; 3]) -> usize {
+        ((cell[0] * self.dims[1] + cell[1]) * self.dims[2] + cell[2]) as usize
+    }
+
+    /// The least cluster id among the inserted points within `radius` of
+    /// `p` (exact `distance <= radius`), or `None`. The own cell goes first,
+    /// so the best match is usually known before the neighbours are read.
+    fn least_id_within(&self, p: &Vec3, radius: f64) -> Option<u32> {
+        let mut best = u32::MAX;
+        let scan = |slot: usize, best: &mut u32| {
+            if self.least[slot] >= *best {
+                return;
+            }
+            for (q, id) in &self.members[slot] {
+                if *id < *best && q.distance(p) <= radius {
+                    *best = *id;
+                }
+            }
+        };
+        let own = self.flat(&self.cell_of(p));
+        scan(own, &mut best);
+        let r = radius.max(0.0);
+        let lo = self.cell_of(&Vec3::new(p.x - r, p.y - r, p.z - r));
+        let hi = self.cell_of(&Vec3::new(p.x + r, p.y + r, p.z + r));
+        for x in lo[0]..=hi[0] {
+            for y in lo[1]..=hi[1] {
+                for z in lo[2]..=hi[2] {
+                    let slot = self.flat(&[x, y, z]);
+                    if slot != own {
+                        scan(slot, &mut best);
+                    }
+                }
+            }
+        }
+        (best != u32::MAX).then_some(best)
+    }
+
+    /// Files `p` under cluster `id`.
+    fn insert(&mut self, p: Vec3, id: u32) {
+        let slot = self.flat(&self.cell_of(&p));
+        self.members[slot].push((p, id));
+        self.least[slot] = self.least[slot].min(id);
+    }
 }
 
 /// A cluster of frontier voxels.
@@ -146,19 +245,9 @@ impl FrontierExplorer {
             let FrontierScratch {
                 points,
                 grid,
-                cluster_of,
-                candidates,
                 clusters,
             } = scratch;
-            let active = Self::cluster_into(
-                map,
-                points,
-                CLUSTER_RADIUS,
-                grid,
-                cluster_of,
-                candidates,
-                clusters,
-            );
+            let active = Self::cluster_into(points, CLUSTER_RADIUS, grid, clusters);
             let mut frontiers: Vec<Frontier> = clusters[..active]
                 .iter()
                 .filter(|c| c.len() >= MIN_CLUSTER_SIZE)
@@ -192,68 +281,29 @@ impl FrontierExplorer {
         })
     }
 
-    /// Greedy proximity clustering through the [`PointGrid`] radius index:
+    /// Greedy proximity clustering through the [`ClusterGrid`] radius index:
     /// each point joins the earliest-created cluster owning a member within
     /// `radius`, or starts a new one. Identical to the reference
-    /// all-clusters scan (see [`FrontierExplorer::cluster_reference`]) — the
-    /// grid's radius candidates are a superset that is re-tested with the
-    /// exact member-distance predicate, and "first cluster in creation order
-    /// with a match" is "minimum cluster id over all matches".
+    /// all-clusters scan (see [`FrontierExplorer::cluster_reference`]):
+    /// "first cluster in creation order with a match" is "least cluster id
+    /// over all matches", the grid's cells cover every point within
+    /// `radius`, and a cell or member skipped for an id not below the best
+    /// match so far cannot lower it.
     ///
     /// All working state is caller-owned so a replan reuses it: the clusters
     /// land in the first `active` entries of `clusters` (the return value),
     /// each recycled from the pool with its capacity intact; entries past
     /// `active` are leftover spares and are not part of the result.
     fn cluster_into(
-        map: &OctoMap,
         points: &[Vec3],
         radius: f64,
-        grid_slot: &mut Option<PointGrid>,
-        cluster_of: &mut Vec<u32>,
-        candidates: &mut Vec<u32>,
+        grid: &mut ClusterGrid,
         clusters: &mut Vec<Vec<Vec3>>,
     ) -> usize {
-        let cell = radius.max(1e-6);
-        // Bucket the points' bounding box, not the map domain: the domain
-        // spans thousands of empty buckets to clear, and the density retune
-        // would spread the points over its whole volume.
-        let bounds = match points.split_first() {
-            Some((first, rest)) => {
-                let (lo, hi) = rest
-                    .iter()
-                    .fold((*first, *first), |(lo, hi), p| (lo.min(p), hi.max(p)));
-                Aabb::new(lo, hi)
-            }
-            None => map.domain(),
-        };
-        let grid = match grid_slot {
-            Some(grid) => {
-                grid.reset(&bounds, cell);
-                grid
-            }
-            None => grid_slot.insert(PointGrid::new(&bounds, cell)),
-        };
-        cluster_of.clear();
+        grid.reset(points, radius);
         let mut active = 0usize;
         for &p in points {
-            candidates.clear();
-            grid.candidates_within(&p, radius, candidates);
-            // Min matching cluster id with an exact prune: a candidate whose
-            // id is not below the running min cannot change the result, so
-            // its (sqrt-paying) distance test is skipped. Frontier shells are
-            // dense — after the first match almost every later candidate
-            // shares that cluster and costs one integer compare.
-            let mut joined: Option<u32> = None;
-            for &i in candidates.iter() {
-                let id = cluster_of[i as usize];
-                if joined.is_some_and(|j| id >= j) {
-                    continue;
-                }
-                if grid.point(i as usize).distance(&p) <= radius {
-                    joined = Some(id);
-                }
-            }
-            let id = match joined {
+            let id = match grid.least_id_within(&p, radius) {
                 Some(id) => {
                     clusters[id as usize].push(p);
                     id
@@ -268,8 +318,7 @@ impl FrontierExplorer {
                     (active - 1) as u32
                 }
             };
-            grid.insert(p);
-            cluster_of.push(id);
+            grid.insert(p, id);
         }
         active
     }
@@ -277,20 +326,10 @@ impl FrontierExplorer {
     /// [`FrontierExplorer::cluster_into`] with owned state, for the
     /// differential tests against [`FrontierExplorer::cluster_reference`].
     #[cfg(test)]
-    fn cluster(map: &OctoMap, points: &[Vec3], radius: f64) -> Vec<Vec<Vec3>> {
-        let mut grid = None;
-        let mut cluster_of = Vec::new();
-        let mut candidates = Vec::new();
+    fn cluster(points: &[Vec3], radius: f64) -> Vec<Vec<Vec3>> {
+        let mut grid = ClusterGrid::default();
         let mut clusters = Vec::new();
-        let active = Self::cluster_into(
-            map,
-            points,
-            radius,
-            &mut grid,
-            &mut cluster_of,
-            &mut candidates,
-            &mut clusters,
-        );
+        let active = Self::cluster_into(points, radius, &mut grid, &mut clusters);
         clusters.truncate(active);
         clusters
     }
@@ -368,6 +407,7 @@ mod tests {
     use super::*;
     use crate::shortest_path::{PlannerConfig, PlannerKind};
     use mav_perception::{Occupancy, PointCloud};
+    use mav_types::Aabb;
 
     /// Builds a partially observed map by scanning from the origin towards +x.
     fn partial_map() -> OctoMap {
@@ -449,38 +489,119 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn grid_clustering_matches_reference() {
-        let map = partial_map();
-        for radius in [0.75, CLUSTER_RADIUS, 9.0] {
-            // Deterministic scattered points (xorshift), spanning several
-            // cluster radii so joins, near-misses and new clusters all occur.
-            let mut state = 0x9e3779b97f4a7c15u64;
-            let mut unit = move || {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                (state >> 11) as f64 / (1u64 << 53) as f64
+    /// Clustering through one reused grid against the all-clusters scan.
+    fn assert_clusters_match(
+        grid: &mut ClusterGrid,
+        clusters: &mut Vec<Vec<Vec3>>,
+        points: &[Vec3],
+        radius: f64,
+        label: &str,
+    ) -> std::result::Result<(), proptest::TestCaseError> {
+        let active = FrontierExplorer::cluster_into(points, radius, grid, clusters);
+        proptest::prop_assert_eq!(
+            &clusters[..active],
+            &FrontierExplorer::cluster_reference(points, radius)[..],
+            "clustering diverged at radius {} on the {} set",
+            radius,
+            label
+        );
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Scattered points; points on the 0.8 m voxel lattice with
+        /// partners exactly `CLUSTER_RADIUS` away along an axis or a 3-4-5
+        /// diagonal, which put them on the grid's cell boundaries (cells
+        /// start at the bounding box's corner); late points within the
+        /// radius of two older clusters, nearer the younger one; and a far
+        /// outlier that stretches the box past 64 cells of `radius`. All
+        /// through one reused grid.
+        #[test]
+        fn grid_clustering_matches_reference(
+            scattered in proptest::collection::vec((-20.0..20.0, -20.0..20.0, 0.0..6.0), 0..400),
+            lattice in proptest::collection::vec((-15i64..15, -15i64..15, 0i64..10, 0usize..6), 1..300),
+            triads in proptest::collection::vec(((-15.0..15.0, -15.0..15.0, 0.5..7.0), 0usize..3, 0.05..2.95, 0.0..1.0), 0..12),
+            outlier in (600.0..1000.0, 0usize..3),
+            radius in (0usize..4, 0.5..9.0),
+        ) {
+            let radius = match radius {
+                (0, _) => CLUSTER_RADIUS,
+                (1, _) => 0.75,
+                (2, _) => 9.0,
+                (_, r) => r,
             };
-            let points: Vec<Vec3> = (0..400)
-                .map(|_| Vec3::new(unit() * 40.0 - 20.0, unit() * 40.0 - 20.0, unit() * 6.0))
-                .collect();
-            // The grid spans the points' bounding box, so also a box of zero
-            // height (one z plane) and one of zero size (one point).
-            let plane: Vec<Vec3> = points.iter().map(|p| Vec3::new(p.x, p.y, 2.25)).collect();
-            let one = [points[0]];
-            for (label, set) in [
-                ("scattered", &points[..]),
-                ("single z plane", &plane[..]),
-                ("one point", &one[..]),
-            ] {
-                assert_eq!(
-                    FrontierExplorer::cluster(&map, set, radius),
-                    FrontierExplorer::cluster_reference(set, radius),
-                    "clustering diverged at radius {radius} on the {label} set"
-                );
+            let mut grid = ClusterGrid::default();
+            let mut clusters = Vec::new();
+            let scattered: Vec<Vec3> = scattered.iter().map(|&(x, y, z)| Vec3::new(x, y, z)).collect();
+            assert_clusters_match(&mut grid, &mut clusters, &scattered, radius, "scattered")?;
+            // The grid spans the points' bounding box, so also a box of
+            // zero height (one z plane) and one of zero size (one point).
+            let plane: Vec<Vec3> = scattered.iter().map(|p| Vec3::new(p.x, p.y, 2.25)).collect();
+            assert_clusters_match(&mut grid, &mut clusters, &plane, radius, "single z plane")?;
+            assert_clusters_match(&mut grid, &mut clusters, &scattered[..scattered.len().min(1)], radius, "one point")?;
+
+            let centre = |k: i64| 0.4 + 0.8 * k as f64;
+            let partners = [
+                Vec3::ZERO,
+                Vec3::new(CLUSTER_RADIUS, 0.0, 0.0),
+                Vec3::new(0.0, -CLUSTER_RADIUS, 0.0),
+                Vec3::new(0.0, 0.0, CLUSTER_RADIUS),
+                Vec3::new(0.6 * CLUSTER_RADIUS, 0.8 * CLUSTER_RADIUS, 0.0),
+                Vec3::new(0.0, -0.8 * CLUSTER_RADIUS, 0.6 * CLUSTER_RADIUS),
+            ];
+            let mut snapped = Vec::new();
+            for &(i, j, k, partner) in &lattice {
+                let p = Vec3::new(centre(i), centre(j), centre(k));
+                snapped.push(p);
+                if partner > 0 {
+                    snapped.push(p + partners[partner]);
+                }
             }
+            assert_clusters_match(&mut grid, &mut clusters, &snapped, radius, "0.8 m lattice")?;
+
+            // Per triad: A, then B just over `radius` from A along one axis
+            // (a new cluster), then, after every triad's A and B, C between
+            // them, within `radius` of both and nearer B.
+            let mut late = Vec::new();
+            let mut joiners = Vec::new();
+            for &((x, y, z), axis, gap, share) in &triads {
+                let a = Vec3::new(x, y, z);
+                let step = [Vec3::UNIT_X, Vec3::UNIT_Y, Vec3::UNIT_Z][axis];
+                let b = a + step * (radius * (1.0 + gap / 3.0));
+                late.push(a);
+                late.push(b);
+                let span = b[axis] - a[axis];
+                joiners.push(a + step * ((span - radius) + (2.0 * radius - span) * (0.5 + 0.5 * share)));
+            }
+            late.extend(joiners);
+            assert_clusters_match(&mut grid, &mut clusters, &late, radius, "late joiner")?;
+
+            let (far, axis) = outlier;
+            let mut wide = scattered.clone();
+            let step = [Vec3::UNIT_X, Vec3::UNIT_Y, Vec3::UNIT_Z][axis] * far;
+            wide.push(scattered.first().copied().unwrap_or(Vec3::ZERO) + step);
+            wide.extend(snapped.iter().map(|p| *p + step * 0.5));
+            assert_clusters_match(&mut grid, &mut clusters, &wide, radius, "64-cell cap")?;
+            proptest::prop_assert_eq!(grid.dims[axis], ClusterGrid::MAX_DIM);
         }
+    }
+
+    /// A point within the radius of two clusters joins the older one, even
+    /// when the younger one shares its cell and the older one does not.
+    #[test]
+    fn a_late_point_joins_the_older_of_two_clusters() {
+        // Cells of 3 m start at x = 0.5: A is in cell 0, B and C in cell 1.
+        let a = Vec3::new(0.5, 0.0, 1.0);
+        let b = Vec3::new(6.4, 0.0, 1.0);
+        let c = Vec3::new(3.5, 0.0, 1.0);
+        let want = vec![vec![a, c], vec![b]];
+        assert_eq!(
+            FrontierExplorer::cluster_reference(&[a, b, c], CLUSTER_RADIUS),
+            want
+        );
+        assert_eq!(FrontierExplorer::cluster(&[a, b, c], CLUSTER_RADIUS), want);
     }
 
     /// A map scanned from two poses with rays fanned in azimuth and

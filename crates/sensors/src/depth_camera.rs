@@ -98,22 +98,43 @@ impl DepthCameraConfig {
     }
 
     /// Checks that the frame size is non-zero and at most
-    /// [`DepthCameraConfig::MAX_PIXELS`] pixels.
+    /// [`DepthCameraConfig::MAX_PIXELS`] pixels, that both fields of view
+    /// are finite and in (0, π] (a wider horizontal one turns its edge rays
+    /// behind the camera, a wider vertical one tips them past the zenith),
+    /// and that `max_range` is finite and positive.
     ///
     /// # Errors
     ///
     /// Returns a descriptive message when it is not.
     pub fn validate(&self) -> Result<(), String> {
         match self.width.checked_mul(self.height) {
-            Some(0) => Err("width/height: resolution must be non-zero".to_string()),
-            Some(pixels) if pixels <= Self::MAX_PIXELS => Ok(()),
-            _ => Err(format!(
-                "width/height: {}x{} exceeds the {}-pixel frame limit",
-                self.width,
-                self.height,
-                Self::MAX_PIXELS
-            )),
+            Some(0) => return Err("width/height: resolution must be non-zero".to_string()),
+            Some(pixels) if pixels <= Self::MAX_PIXELS => {}
+            _ => {
+                return Err(format!(
+                    "width/height: {}x{} exceeds the {}-pixel frame limit",
+                    self.width,
+                    self.height,
+                    Self::MAX_PIXELS
+                ))
+            }
         }
+        for (name, fov) in [
+            ("fov_horizontal", self.fov_horizontal),
+            ("fov_vertical", self.fov_vertical),
+        ] {
+            // Written so that NaN fails.
+            if !(fov > 0.0 && fov <= std::f64::consts::PI) {
+                return Err(format!("{name} must be in (0, pi] radians, got {fov}"));
+            }
+        }
+        if !(self.max_range > 0.0 && self.max_range.is_finite()) {
+            return Err(format!(
+                "max_range must be finite and positive, got {}",
+                self.max_range
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -255,6 +276,9 @@ thread_local! {
     /// borrow-across-call) so a nested walk falls back to a fresh
     /// allocation instead of a RefCell panic.
     static COLUMN_TRIG: RefCell<Vec<(f64, f64)>> = const { RefCell::new(Vec::new()) };
+    /// Per-thread list of the obstacles a frame can see (see
+    /// [`DepthCamera::capture`]), taken and replaced like [`COLUMN_TRIG`].
+    static IN_VIEW: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Calls `visit(row-major index, ray)` for every pixel of a `width ×
@@ -312,16 +336,30 @@ impl DepthCamera {
     }
 
     /// Captures a depth frame from `pose` into `world`.
+    ///
+    /// The frame culls once: its rays are cast only against the obstacles
+    /// of [`World::obstacles_in_view`], whose hits are those of a cast
+    /// against every obstacle, bit for bit.
     pub fn capture(&self, world: &World, pose: &Pose) -> DepthImage {
         let config = &self.config;
+        let mut in_view = IN_VIEW.with(|c| c.take());
+        world.obstacles_in_view(
+            &pose.position,
+            pose.yaw,
+            config.fov_horizontal,
+            config.fov_vertical,
+            config.max_range,
+            &mut in_view,
+        );
         let mut depths = Vec::with_capacity(config.pixel_count());
         for_each_ray(config, pose.yaw, config.width, config.height, |_, dir| {
             let depth = world
-                .raycast(&pose.position, &dir, config.max_range)
+                .raycast_among(&in_view, &pose.position, &dir, config.max_range)
                 .map(|hit| hit.distance)
                 .unwrap_or(f64::INFINITY);
             depths.push(depth);
         });
+        IN_VIEW.with(|c| *c.borrow_mut() = in_view);
         DepthImage {
             width: self.config.width,
             height: self.config.height,
@@ -453,10 +491,38 @@ mod tests {
         assert!(camera(usize::MAX, 2).validate().is_err());
     }
 
-    /// The ray walk against the per-pixel loops it replaced.
+    #[test]
+    fn fields_of_view_and_range_are_bounded() {
+        use std::f64::consts::PI;
+        let camera = |fov_horizontal, fov_vertical, max_range| DepthCameraConfig {
+            fov_horizontal,
+            fov_vertical,
+            max_range,
+            ..Default::default()
+        };
+        assert!(camera(PI, PI, 1e-3).validate().is_ok());
+        for (h, v, range) in [
+            (7.0, 1.0, 25.0),
+            (1.0, PI + 1e-9, 25.0),
+            (0.0, 1.0, 25.0),
+            (1.0, -1.0, 25.0),
+            (f64::NAN, 1.0, 25.0),
+            (1.0, f64::INFINITY, 25.0),
+            (1.0, 1.0, -5.0),
+            (1.0, 1.0, 0.0),
+            (1.0, 1.0, f64::INFINITY),
+            (1.0, 1.0, f64::NAN),
+        ] {
+            assert!(camera(h, v, range).validate().is_err(), "{h} {v} {range}");
+        }
+    }
+
+    /// The ray walk against the per-pixel loops it replaced, and the
+    /// per-frame cull against a cast over every obstacle.
     mod frame_oracle {
         use super::*;
         use crate::DepthNoiseModel;
+        use proptest::prelude::*;
         use rand::Rng;
         use rand_chacha::rand_core::SeedableRng;
         use rand_chacha::ChaCha8Rng;
@@ -618,6 +684,106 @@ mod tests {
                 let mut visited = Vec::new();
                 frame.for_each_point(|p| visited.push(p));
                 assert_eq!(point_bits(&visited), point_bits(&walked));
+            }
+        }
+
+        /// A field of view: random below π, exactly π, or above π (where
+        /// the cull must keep the side planes off).
+        fn fov(kind: usize, value: f64) -> f64 {
+            match kind {
+                0 => PI,
+                1 => PI + value,
+                _ => value.min(PI - 1e-3),
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// Worlds of 0 to 20 boxes of six kinds: anywhere; centred on a
+            /// side ray of the camera's wedge; touching a side plane from
+            /// outside at one corner; with a corner on a pixel's ray exactly
+            /// `max_range` from the eye (or just inside it); containing the
+            /// eye; and behind the eye, where the rows of a vertical field
+            /// of view past π look. Yaws wrap past ±π; fields of view reach
+            /// π and beyond; frames are 16×12 or 1×1.
+            #[test]
+            fn culled_capture_matches_the_cast_over_every_obstacle(
+                boxes in proptest::collection::vec(
+                    (0usize..6, (0.0..1.0, 0.0..1.0, 0.0..1.0), (0.2..8.0, 0.2..8.0, 0.2..10.0), 0usize..4),
+                    0..21,
+                ),
+                eye in (-25.0..25.0, -25.0..25.0, 0.5..15.0),
+                yaw in (0usize..5, -9.0..9.0),
+                fovs in ((0usize..6, 0.01..4.0), (0usize..6, 0.01..4.0)),
+                max_range in 1.0..40.0,
+                one_pixel in 0usize..4,
+            ) {
+                let eye = Vec3::new(eye.0, eye.1, eye.2);
+                let yaw = match yaw {
+                    (0, _) => PI,
+                    (1, _) => -PI,
+                    (2, _) => 0.0,
+                    (_, yaw) => yaw,
+                };
+                let ((h_kind, h), (v_kind, v)) = fovs;
+                let (width, height) = if one_pixel == 0 { (1, 1) } else { (16, 12) };
+                let config = DepthCameraConfig {
+                    width,
+                    height,
+                    fov_horizontal: fov(h_kind, h),
+                    fov_vertical: fov(v_kind, v),
+                    max_range,
+                };
+                let pose = Pose::new(eye, yaw);
+                let mut world = World::empty(Aabb::new(
+                    Vec3::new(-30.0, -30.0, 0.0),
+                    Vec3::new(30.0, 30.0, 20.0),
+                ));
+                for (kind, (a, b, c), size, pick) in boxes {
+                    let size = Vec3::new(size.0, size.1, size.2);
+                    // A point on a side ray of the wedge at the eye's
+                    // height (past the guard, the ray the planes would use).
+                    let half = config.fov_horizontal / 2.0;
+                    let edge = if pick % 2 == 0 { yaw - half } else { yaw + half };
+                    let along_edge = eye + Vec3::new(edge.cos(), edge.sin(), 0.0) * (a * max_range * 1.2);
+                    let bounds = match kind {
+                        1 => Aabb::from_center_size(along_edge, size),
+                        2 => {
+                            // Away from the wedge: the outward normal's side.
+                            let (nx, ny) = if pick % 2 == 0 {
+                                (edge.sin(), -edge.cos())
+                            } else {
+                                (-edge.sin(), edge.cos())
+                            };
+                            let far = along_edge
+                                + Vec3::new(size.x * nx.signum(), size.y * ny.signum(), size.z * (b - 0.5));
+                            Aabb::new(along_edge, far)
+                        }
+                        3 => {
+                            let u = ((a * width as f64) as usize).min(width - 1);
+                            let v = ((b * height as f64) as usize).min(height - 1);
+                            let ray = pixel_ray(&config, &pose, u, v);
+                            let reach = if pick == 0 { max_range } else { max_range - c * 0.04 };
+                            let corner = eye + ray * reach;
+                            let away = Vec3::new(ray.x.signum(), ray.y.signum(), ray.z.signum());
+                            Aabb::new(corner, corner + Vec3::new(away.x * size.x, away.y * size.y, away.z * size.z))
+                        }
+                        4 => Aabb::new(eye - size * a, eye + size * (1.0 - a) + Vec3::splat(1e-3)),
+                        5 => {
+                            let back = Vec3::new(-yaw.cos(), -yaw.sin(), 0.0) * (1.0 + a * 6.0);
+                            Aabb::from_center_size(eye + back + Vec3::new(0.0, 0.0, (b - 0.5) * 8.0), size)
+                        }
+                        _ => Aabb::from_center_size(
+                            Vec3::new(a * 56.0 - 28.0, b * 56.0 - 28.0, 0.5 + c * 11.5),
+                            size,
+                        ),
+                    };
+                    world.add_box(bounds, ObstacleClass::Structure);
+                }
+                let camera = DepthCamera::new(config);
+                let frame = camera.capture(&world, &pose);
+                prop_assert_eq!(bits(&frame.depths), bits(&capture_oracle(&camera, &world, &pose)));
             }
         }
     }

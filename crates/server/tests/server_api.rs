@@ -163,6 +163,14 @@ fn malformed_specs_get_400_with_json_error_body() {
             "pixel frame limit",
         ),
         (
+            r#"{"type":"mission","config":{"application":"package_delivery","camera":{"fov_horizontal":7.0}}}"#,
+            "fov_horizontal",
+        ),
+        (
+            r#"{"type":"mission","config":{"application":"package_delivery","camera":{"max_range":-5}}}"#,
+            "max_range",
+        ),
+        (
             r#"{"type":"sweep","scenario":{"application":"scanning","rates":[]},"episodes":4}"#,
             "non-empty",
         ),

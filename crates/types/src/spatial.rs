@@ -2,13 +2,12 @@
 //!
 //! RRT spends almost all of its non-collision time finding the nearest tree
 //! node to each sample (a linear scan makes tree growth O(n²)), PRM
-//! connects its roadmap with an all-pairs O(n²) loop, frontier extraction
-//! clusters candidate voxels by radius, and the multi-target tracker
-//! associates detections to tracks by nearest distance. [`PointGrid`] hashes
-//! points into uniform buckets so all of these become near-O(n):
-//! nearest-neighbour by expanding Chebyshev rings with an exact lower-bound
-//! cutoff, and radius-connection by enumerating only the buckets overlapping
-//! the query ball.
+//! connects its roadmap with an all-pairs O(n²) loop, and the multi-target
+//! tracker associates detections to tracks by nearest distance.
+//! [`PointGrid`] hashes points into uniform buckets so all of these become
+//! near-O(n): nearest-neighbour by expanding Chebyshev rings with an exact
+//! lower-bound cutoff, and radius-connection by enumerating only the
+//! buckets overlapping the query ball.
 //!
 //! The index is *exact*, not approximate: `nearest` returns bit-for-bit the
 //! node a linear `min_by` scan over `distance_squared` would return

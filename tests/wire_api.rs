@@ -254,6 +254,34 @@ fn camera_size_is_bounded() {
     assert!(too_large.validate().is_err());
 }
 
+/// A field of view past π turns the camera's edge rays behind it (7 rad
+/// wraps them past the yaw) and a range of at most zero reads no return on
+/// any pixel, so both are spec errors; a π × π camera passes.
+#[test]
+fn camera_view_is_bounded() {
+    let spec = |camera: &str| {
+        let text = format!(r#"{{"application":"package_delivery","camera":{{{camera}}}}}"#);
+        MissionConfig::from_json(&Json::parse(&text).unwrap())
+    };
+    for (camera, field) in [
+        (r#""fov_horizontal":7.0"#, "fov_horizontal"),
+        (r#""fov_horizontal":0"#, "fov_horizontal"),
+        (r#""fov_vertical":3.2"#, "fov_vertical"),
+        (r#""fov_vertical":-1"#, "fov_vertical"),
+        (r#""max_range":-5"#, "max_range"),
+        (r#""max_range":0"#, "max_range"),
+    ] {
+        let err = spec(camera).expect_err(camera);
+        assert!(err.contains(field), "{camera}: {err}");
+    }
+    let pi = std::f64::consts::PI;
+    let config = spec(&format!(r#""fov_horizontal":{pi},"fov_vertical":{pi}"#)).unwrap();
+    assert_eq!(config.camera.fov_horizontal, pi);
+    let mut wide = config;
+    wide.camera.fov_horizontal = 7.0;
+    assert!(wide.validate().is_err());
+}
+
 /// A clock too slow to simulate is a spec error: kernel latencies scale by
 /// 2.2 GHz / f, so 1e-9 GHz turns one kernel charge into about 2e8
 /// simulated seconds of physics steps and hangs the worker running it. The
