@@ -1063,6 +1063,9 @@ impl MissionConfig {
         self.operating_point.validate()?;
         self.quadrotor.validate()?;
         self.camera.validate()?;
+        self.battery
+            .validate()
+            .map_err(|e| format!("battery: {e}"))?;
         self.environment
             .validate()
             .map_err(|e| format!("environment: {e}"))?;

@@ -60,6 +60,54 @@ impl BatteryConfig {
     pub fn capacity_energy(&self) -> Energy {
         Energy::from_mah(self.capacity_mah, self.nominal_voltage())
     }
+
+    /// Checks that the capacity is finite and positive (a zero capacity
+    /// reads a NaN charge, a negative one never drains), that the pack has
+    /// at least one cell, and that the per-cell voltages are finite and
+    /// positive with the cut-off below the full voltage and the nominal
+    /// voltage between the two.
+    ///
+    /// # Errors
+    ///
+    /// Returns a descriptive message for the first field that fails.
+    pub fn validate(&self) -> Result<(), String> {
+        // Every range check is written so that NaN fails it.
+        if !(self.capacity_mah.is_finite() && self.capacity_mah > 0.0) {
+            return Err(format!(
+                "capacity_mah must be finite and positive, got {}",
+                self.capacity_mah
+            ));
+        }
+        if self.cells == 0 {
+            return Err("cells: a pack needs at least one cell".to_string());
+        }
+        let (full, empty, nominal) = (
+            self.cell_full_voltage,
+            self.cell_empty_voltage,
+            self.cell_nominal_voltage,
+        );
+        for (name, volts) in [
+            ("cell_full_voltage", full),
+            ("cell_empty_voltage", empty),
+            ("cell_nominal_voltage", nominal),
+        ] {
+            if !(volts.is_finite() && volts > 0.0) {
+                return Err(format!("{name} must be finite and positive, got {volts}"));
+            }
+        }
+        // The voltages are finite by now.
+        if empty >= full {
+            return Err(format!(
+                "cell_empty_voltage ({empty}) must be below cell_full_voltage ({full})"
+            ));
+        }
+        if !(empty..=full).contains(&nominal) {
+            return Err(format!(
+                "cell_nominal_voltage ({nominal}) must lie in [{empty}, {full}]"
+            ));
+        }
+        Ok(())
+    }
 }
 
 impl Default for BatteryConfig {
@@ -81,7 +129,8 @@ impl mav_types::ToJson for BatteryConfig {
 
 impl mav_types::FromJson for BatteryConfig {
     /// Reads a battery description; omitted fields keep the default
-    /// (Matrice TB47D) values.
+    /// (Matrice TB47D) values. The result must pass
+    /// [`BatteryConfig::validate`].
     fn from_json(json: &mav_types::Json) -> Result<Self, String> {
         json.check_fields(&[
             "capacity_mah",
@@ -91,7 +140,7 @@ impl mav_types::FromJson for BatteryConfig {
             "cell_nominal_voltage",
         ])?;
         let base = BatteryConfig::default();
-        Ok(BatteryConfig {
+        let config = BatteryConfig {
             capacity_mah: json.parse_field_or("capacity_mah", base.capacity_mah)?,
             cells: json.parse_field_or("cells", base.cells)?,
             cell_full_voltage: json.parse_field_or("cell_full_voltage", base.cell_full_voltage)?,
@@ -99,7 +148,9 @@ impl mav_types::FromJson for BatteryConfig {
                 .parse_field_or("cell_empty_voltage", base.cell_empty_voltage)?,
             cell_nominal_voltage: json
                 .parse_field_or("cell_nominal_voltage", base.cell_nominal_voltage)?,
-        })
+        };
+        config.validate()?;
+        Ok(config)
     }
 }
 
@@ -317,5 +368,65 @@ mod tests {
     #[test]
     fn display_nonempty() {
         assert!(!format!("{}", Battery::new(BatteryConfig::default())).is_empty());
+    }
+
+    #[test]
+    fn validate_bounds_capacity_cells_and_voltages() {
+        assert!(BatteryConfig::matrice_tb47().validate().is_ok());
+        assert!(BatteryConfig::solo_smart_battery().validate().is_ok());
+        let base = BatteryConfig::default();
+        // One cell, nominal voltage at either end of its range.
+        for nominal in [base.cell_empty_voltage, base.cell_full_voltage] {
+            let pack = BatteryConfig {
+                cells: 1,
+                cell_nominal_voltage: nominal,
+                ..base
+            };
+            assert!(pack.validate().is_ok(), "nominal {nominal}");
+        }
+        let bad = [
+            BatteryConfig {
+                capacity_mah: 0.0,
+                ..base
+            },
+            BatteryConfig {
+                capacity_mah: -100.0,
+                ..base
+            },
+            BatteryConfig {
+                capacity_mah: f64::INFINITY,
+                ..base
+            },
+            BatteryConfig {
+                capacity_mah: f64::NAN,
+                ..base
+            },
+            BatteryConfig { cells: 0, ..base },
+            BatteryConfig {
+                cell_full_voltage: f64::NAN,
+                ..base
+            },
+            BatteryConfig {
+                cell_empty_voltage: -3.3,
+                ..base
+            },
+            BatteryConfig {
+                cell_empty_voltage: base.cell_full_voltage,
+                ..base
+            },
+            BatteryConfig {
+                cell_nominal_voltage: 4.5,
+                ..base
+            },
+            BatteryConfig {
+                cell_nominal_voltage: 3.0,
+                ..base
+            },
+        ];
+        for pack in bad {
+            assert!(pack.validate().is_err(), "{pack:?}");
+        }
+        // A zero capacity would read a NaN charge.
+        assert!(Battery::new(bad[0]).percentage().is_nan());
     }
 }

@@ -87,9 +87,114 @@ struct BlockMasks {
     occupied: u64,
 }
 
-/// Packed-key sentinel of [`OctoMap::last_block`] while no block was
-/// touched: [`pack_voxel_key`] never sets the top bit.
-const NO_BLOCK: u64 = u64::MAX;
+/// The map's work and occupancy counters, which every leaf update keeps in
+/// step with the block masks ([`OctoMap::visit`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct Counts {
+    /// Leaf updates performed (a proxy for the work the kernel did).
+    updates: u64,
+    /// Occupied leaf voxels: the popcount of the occupied masks (the same
+    /// per-voxel occupancy the collision queries see).
+    occupied: usize,
+    /// Known leaf voxels ([`OctoMap::known_voxel_count`]): every leaf
+    /// creation adds one, so it is the popcount of the known masks.
+    known: usize,
+}
+
+/// Whether the axis key `cell + 2^(depth − 1)` of traversal-grid cell
+/// coordinate `cell` lies outside a depth-`depth` domain's `0..2^depth`. A
+/// negative key sets the top bit, so one shift tests both ends.
+#[inline]
+fn outside_domain(cell: i64, depth: u32) -> bool {
+    cell.wrapping_add(1 << (depth - 1)) as u64 >> depth != 0
+}
+
+/// Slot sentinel of the insertion walk while the current cell's block has
+/// not been looked up: slots are `u32`, so no block has it.
+const NO_SLOT: usize = usize::MAX;
+
+/// One axis of the ray the insertion walk steps ([`OctoMap::insert_rays`]):
+/// the state [`GridSpec::walk`] keeps for that axis, as scalars.
+#[derive(Debug, Clone, Copy)]
+struct AxisWalk {
+    /// The current traversal-grid cell along this axis.
+    cell: i64,
+    /// Parameter along the segment of the next cell boundary on this axis.
+    t_max: f64,
+    /// Parameter increment between two boundaries on this axis.
+    t_delta: f64,
+    /// +1 or −1: the direction the cell steps in.
+    step: i64,
+    /// The block-local coordinate (`cell & 3`) of the first cell of a block
+    /// in the step direction: 0 stepping up, 3 stepping down.
+    entry: i64,
+    /// Whether `cell`'s axis key lies outside the domain's `0..2^depth`.
+    outside: bool,
+}
+
+impl AxisWalk {
+    /// Steps one cell and tests the new cell's axis key against the domain.
+    /// Returns whether the step left the block.
+    #[inline]
+    fn advance(&mut self, depth: u32) -> bool {
+        self.cell += self.step;
+        self.t_max += self.t_delta;
+        self.outside = outside_domain(self.cell, depth);
+        self.cell & 3 == self.entry
+    }
+}
+
+/// One axis of a cloud's origin, computed once per cloud: everything
+/// [`GridSpec::walk`] derives from the origin alone.
+#[derive(Debug, Clone, Copy)]
+struct AxisOrigin {
+    /// The origin's traversal-grid cell along this axis.
+    cell: i64,
+    /// `cell × resolution − origin`: the distance to the cell's lower
+    /// boundary, the numerator of `t_max` for a ray going down this axis.
+    to_lower: f64,
+    /// `(cell + 1) × resolution − origin`: the same for a ray going up.
+    to_upper: f64,
+    /// Whether `cell`'s axis key lies outside the domain.
+    outside: bool,
+}
+
+impl AxisOrigin {
+    fn new(origin: f64, cell: i64, resolution: f64, depth: u32) -> Self {
+        let c = cell as f64;
+        AxisOrigin {
+            cell,
+            to_lower: c * resolution - origin,
+            to_upper: (c + 1.0) * resolution - origin,
+            outside: outside_domain(cell, depth),
+        }
+    }
+
+    /// The walk state of a ray whose direction has component `d` on this
+    /// axis: `GridSpec::walk`'s per-axis set-up, operation for operation.
+    #[inline]
+    fn ray(&self, d: f64, resolution: f64) -> AxisWalk {
+        let (t_max, t_delta) = if d.abs() < 1e-12 {
+            (f64::INFINITY, f64::INFINITY)
+        } else {
+            let to_boundary = if d > 0.0 {
+                self.to_upper
+            } else {
+                self.to_lower
+            };
+            (to_boundary / d, resolution / d.abs())
+        };
+        let step = if d > 0.0 { 1 } else { -1 };
+        AxisWalk {
+            cell: self.cell,
+            t_max,
+            t_delta,
+            step,
+            entry: if step > 0 { 0 } else { 3 },
+            outside: self.outside,
+        }
+    }
+}
 
 /// The probabilistic occupancy map.
 ///
@@ -115,8 +220,8 @@ pub struct OctoMap {
     /// Octree depth: the domain spans `2^depth` leaves per axis.
     depth: u32,
     grid: GridSpec,
-    /// Number of leaf updates performed (a proxy for the work the kernel did).
-    updates: u64,
+    /// Leaf updates, occupied and known voxels.
+    counts: Counts,
     /// Slot of every observed 4×4×4-voxel block, keyed by the
     /// [`pack_voxel_key`] of its block coordinates (the traversal-grid cell
     /// divided by 4, rounded down). A block is created by the first update of
@@ -130,17 +235,6 @@ pub struct OctoMap {
     /// Per slot: the clamped log-odds of the block's 64 voxels, 0.0 where
     /// the known bit is clear.
     log_odds: Vec<[f64; 64]>,
-    /// Packed key and slot of the block the previous update touched
-    /// ([`NO_BLOCK`] after a clear). Consecutive cells of a ray mostly share
-    /// a block, so [`OctoMap::update_key`] checks it before hashing.
-    last_block: (u64, u32),
-    /// Number of occupied leaf voxels, kept exactly in sync with the
-    /// occupied masks (the same per-voxel occupancy the collision queries
-    /// see).
-    occupied_count: usize,
-    /// Number of known leaf voxels ([`OctoMap::known_voxel_count`]): every
-    /// leaf creation adds one, so it is the popcount of the known masks.
-    known_count: usize,
     /// The per-axis centre table: [`replayed_center`] of every axis key
     /// `0..2^depth`, or empty past [`MAX_INDEXED_DEPTH`]. A leaf's centre
     /// comes from three entries ([`OctoMap::axis_center`]).
@@ -179,13 +273,10 @@ impl OctoMap {
             half_extent: 0.0,
             requested_half_extent: 0.0,
             depth: 0,
-            updates: 0,
+            counts: Counts::default(),
             blocks: HashMap::with_hasher(VoxelHashBuilder::default()),
             masks: Vec::new(),
             log_odds: Vec::new(),
-            last_block: (NO_BLOCK, 0),
-            occupied_count: 0,
-            known_count: 0,
             axis_centers: Vec::new(),
         };
         map.reset(resolution, half_extent);
@@ -232,13 +323,10 @@ impl OctoMap {
     /// [`OctoMap::new`] under any subsequent update sequence — the property
     /// the episode-reuse layer (and its proptests) rely on.
     pub fn clear(&mut self) {
-        self.updates = 0;
+        self.counts = Counts::default();
         self.blocks.clear();
         self.masks.clear();
         self.log_odds.clear();
-        self.last_block = (NO_BLOCK, 0);
-        self.occupied_count = 0;
-        self.known_count = 0;
     }
 
     /// [`OctoMap::clear`] plus a domain reshape: recomputes the geometry
@@ -261,7 +349,7 @@ impl OctoMap {
         // traversal grid; otherwise a leaf could straddle two traversal cells
         // and updates/queries would disagree near voxel boundaries.
         // Cell-addressed insertion relies on the half-extent being exactly
-        // `resolution × 2^(depth−1)` (see `insert_ray`).
+        // `resolution × 2^(depth−1)` (see `insert_rays`).
         self.requested_half_extent = half_extent;
         let half_extent = Self::aligned_half_extent(resolution, half_extent);
         self.grid = grid;
@@ -293,7 +381,7 @@ impl OctoMap {
 
     /// Number of leaf updates performed since construction.
     pub fn update_count(&self) -> u64 {
-        self.updates
+        self.counts.updates
     }
 
     /// Returns `true` when `point` lies inside the octree domain.
@@ -303,75 +391,173 @@ impl OctoMap {
             && point.z.abs() <= self.half_extent
     }
 
-    /// Enumerates the (traversal-grid cell, log-odds delta) updates of one
-    /// sensor ray, without touching the map. Shared by
-    /// [`OctoMap::insert_ray`] and the tests' pointer-tree oracle so the two
-    /// can never disagree on ray semantics (truncation, hit vs miss).
-    /// The grid walk streams each cell straight into `apply`; the walk's
-    /// final cell takes the hit. Cells outside the domain are passed on too:
-    /// the block map drops them by key range, the reference tree by its own
-    /// centre test. An associated function over copies of the cheap geometry
-    /// state, so callers may mutate the map from inside `apply`.
-    fn for_each_ray_update(
-        grid: GridSpec,
-        origin: &Vec3,
-        endpoint: &Vec3,
-        mut apply: impl FnMut(GridIndex, f64),
-    ) {
-        let dir = *endpoint - *origin;
-        let range = dir.norm();
-        if range <= f64::EPSILON {
-            return;
-        }
-        let (end, hit) = if range > MAX_RANGE {
-            (*origin + dir.normalized() * MAX_RANGE, false)
-        } else {
-            (*endpoint, true)
-        };
-        grid.walk(origin, &end, |cell, last| {
-            let delta = if last && hit {
-                HIT_LOG_ODDS
-            } else {
-                -MISS_LOG_ODDS
-            };
-            apply(cell, delta);
-        });
-    }
-
     /// Integrates a single sensor ray: every voxel between `origin` and
     /// `endpoint` (exclusive) is updated as free, the endpoint voxel as
     /// occupied. Rays longer than 30 m are truncated and their endpoint
     /// treated as free space (no hit). Each in-domain voxel is updated in its
-    /// block, found from the traversal cell alone: one hash probe, or none
-    /// when the previous update touched the same block.
+    /// block, found from the traversal cell alone.
+    pub fn insert_ray(&mut self, origin: &Vec3, endpoint: &Vec3) {
+        self.insert_rays(origin, [*endpoint]);
+    }
+
+    /// Integrates a whole point cloud captured from `cloud.origin`, ray by
+    /// ray in point order, exactly as one [`OctoMap::insert_ray`] per point
+    /// would.
+    pub fn insert_point_cloud(&mut self, cloud: &PointCloud) {
+        self.insert_rays(&cloud.origin, cloud.iter());
+    }
+
+    /// The insertion walk: [`OctoMap::insert_ray`] for each endpoint in turn.
+    ///
+    /// A ray visits the cells [`GridSpec::walk`] lists from `origin` to its
+    /// end (the endpoint, or the point 30 m out on a longer ray), in order,
+    /// through every float operation and comparison of that walk, and its
+    /// final cell takes the hit. It is its own loop so that it can carry
+    /// what a per-cell callback would recompute: the origin's cell and its
+    /// boundary distances are computed once per call, the per-axis state
+    /// is held in scalars ([`AxisWalk`]), a step tests only the stepped
+    /// axis's key against the domain, a block's slot is looked up only when
+    /// a step leaves the block or enters the domain, the in-block bit comes
+    /// from the cell coordinates, and the counters stay in locals until the
+    /// last ray is in. The tests pin it against the pointer-tree oracle,
+    /// whose cells come from `GridSpec::walk` itself.
     ///
     /// The domain test is exact. `reset` makes the domain half-size exactly
     /// `resolution × 2^(depth − 1)`, so the node centres a float root descent
     /// compares against are `m × resolution` for integers `m` while the cell
     /// centre is `(k + ½) × resolution`. The half-voxel gap dwarfs any
     /// rounding of those products, so the centre lies inside the domain
-    /// exactly when each axis key `k + 2^(depth − 1)` lies in `0..2^depth`,
-    /// and every compare `centre ≥ node centre` is a bit of that key.
-    pub fn insert_ray(&mut self, origin: &Vec3, endpoint: &Vec3) {
+    /// exactly when each axis key `k + 2^(depth − 1)` lies in `0..2^depth`
+    /// ([`outside_domain`]), and every compare `centre ≥ node centre` is a
+    /// bit of that key. The domain edge is a block edge only from depth 3
+    /// on, so every step tests the domain, whether or not it leaves its
+    /// block.
+    fn insert_rays(&mut self, origin: &Vec3, endpoints: impl IntoIterator<Item = Vec3>) {
         let (grid, depth) = (self.grid, self.depth);
-        let half = 1i64 << (depth - 1);
-        Self::for_each_ray_update(grid, origin, endpoint, |cell, delta| {
-            // A negative key sets the top bit, so one shift tests both ends.
-            let keys =
-                cell.x.wrapping_add(half) | cell.y.wrapping_add(half) | cell.z.wrapping_add(half);
-            if keys as u64 >> depth == 0 {
-                self.update_cell(cell, delta);
+        let resolution = grid.resolution();
+        let start = grid.index_of(origin);
+        let [ox, oy, oz] = [
+            (origin.x, start.x),
+            (origin.y, start.y),
+            (origin.z, start.z),
+        ]
+        .map(|(o, cell)| AxisOrigin::new(o, cell, resolution, depth));
+        let start_inside = !(ox.outside | oy.outside | oz.outside);
+        let mut start_slot = NO_SLOT;
+        let mut counts = self.counts;
+        for endpoint in endpoints {
+            let dir = endpoint - *origin;
+            let range = dir.norm();
+            if range <= f64::EPSILON {
+                continue;
             }
-        });
+            let (end, hit) = if range > MAX_RANGE {
+                (*origin + dir.normalized() * MAX_RANGE, false)
+            } else {
+                (endpoint, true)
+            };
+            let final_delta = if hit { HIT_LOG_ODDS } else { -MISS_LOG_ODDS };
+            let end_cell = grid.index_of(&end);
+            // Unless truncated, `end − origin` is `dir` again, whose norm
+            // exceeds `f64::EPSILON`.
+            let d = end - *origin;
+            if start == end_cell || (!hit && d.norm() <= f64::EPSILON) {
+                start_slot = self.visit(start, start_inside, start_slot, final_delta, &mut counts);
+                continue;
+            }
+            start_slot = self.visit(start, start_inside, start_slot, -MISS_LOG_ODDS, &mut counts);
+            let mut slot = start_slot;
+            let (mut x, mut y, mut z) = (
+                ox.ray(d.x, resolution),
+                oy.ray(d.y, resolution),
+                oz.ray(d.z, resolution),
+            );
+            let mut reached = false;
+            for _ in 0..(start.manhattan_distance(&end_cell) + 3) as usize {
+                let left_block = if x.t_max <= y.t_max && x.t_max <= z.t_max {
+                    x.advance(depth)
+                } else if y.t_max <= z.t_max {
+                    y.advance(depth)
+                } else {
+                    z.advance(depth)
+                };
+                if left_block {
+                    slot = NO_SLOT;
+                }
+                let cell = GridIndex::new(x.cell, y.cell, z.cell);
+                reached = cell == end_cell;
+                let delta = if reached { final_delta } else { -MISS_LOG_ODDS };
+                let inside = !(x.outside | y.outside | z.outside);
+                slot = self.visit(cell, inside, slot, delta, &mut counts);
+                if reached {
+                    break;
+                }
+            }
+            if !reached {
+                // The step budget ran out: jump to the end cell, as
+                // `GridSpec::walk` does.
+                let inside = ![end_cell.x, end_cell.y, end_cell.z]
+                    .iter()
+                    .any(|&c| outside_domain(c, depth));
+                self.visit(end_cell, inside, NO_SLOT, final_delta, &mut counts);
+            }
+        }
+        self.counts = counts;
     }
 
-    /// Integrates a whole point cloud captured from `cloud.origin`, ray by
-    /// ray in point order.
-    pub fn insert_point_cloud(&mut self, cloud: &PointCloud) {
-        let origin = cloud.origin;
-        for point in cloud.iter() {
-            self.insert_ray(&origin, &point);
+    /// One cell of the insertion walk: adds `delta` to the log-odds of
+    /// traversal cell `cell`, clamped, if it is `inside` the domain, in the
+    /// block of slot `slot` or, for [`NO_SLOT`], of the slot looked up (and
+    /// created on first touch). Returns the slot to carry to the walk's next
+    /// cell.
+    ///
+    /// The map's one update rule: every mutation of a leaf's log-odds
+    /// (insertion and reresolution alike) flows through here, so this is
+    /// where the block masks and `counts` are kept in step with the
+    /// log-odds.
+    // Forced inline: left to itself the compiler keeps this out of line once
+    // reresolution calls it too, which cost insertion about a fifth of its
+    // speed on replayed clouds.
+    #[inline(always)]
+    fn visit(
+        &mut self,
+        cell: GridIndex,
+        inside: bool,
+        slot: usize,
+        delta: f64,
+        counts: &mut Counts,
+    ) -> usize {
+        if !inside {
+            return slot;
         }
+        let (block, bit) = block_of(&cell);
+        let slot = if slot == NO_SLOT {
+            self.block_slot(pack_voxel_key(&block))
+        } else {
+            slot
+        };
+        let mask = 1u64 << bit;
+        let masks = &mut self.masks[slot];
+        let value = &mut self.log_odds[slot][bit];
+        counts.updates += 1;
+        let created = masks.known & mask == 0;
+        let was_occupied = !created && *value > OCCUPIED_THRESHOLD;
+        *value = (*value + delta).clamp(CLAMP_MIN, CLAMP_MAX);
+        let now = *value > OCCUPIED_THRESHOLD;
+        masks.known |= mask;
+        if now != was_occupied {
+            if now {
+                masks.occupied |= mask;
+                counts.occupied += 1;
+            } else {
+                masks.occupied &= !mask;
+                counts.occupied -= 1;
+            }
+        }
+        if created {
+            counts.known += 1;
+        }
+        slot
     }
 
     /// Occupancy of the voxel containing `point`.
@@ -409,7 +595,7 @@ impl OctoMap {
     /// callers should treat it as "an occupied voxel inside the inflation
     /// ball", not a canonical nearest one.
     pub fn blocking_voxel_with_inflation(&self, point: &Vec3, radius: f64) -> Option<Vec3> {
-        if self.occupied_count == 0 {
+        if self.counts.occupied == 0 {
             return None;
         }
         let r = radius.max(0.0);
@@ -469,7 +655,7 @@ impl OctoMap {
     /// The reported voxel is the one blocking the first blocked sample along
     /// the segment (direction a → b).
     pub fn segment_blocking_voxel(&self, a: &Vec3, b: &Vec3, radius: f64) -> Option<Vec3> {
-        if self.occupied_count == 0 || self.segment_corridor_clear(a, b, radius) {
+        if self.counts.occupied == 0 || self.segment_corridor_clear(a, b, radius) {
             return None;
         }
         // An occupied voxel sits near the corridor: run the exact sampled
@@ -610,13 +796,13 @@ impl OctoMap {
     /// Number of occupied leaf voxels. O(1): served from the incrementally
     /// maintained counter, which the tests check against a full leaf walk.
     pub fn occupied_voxel_count(&self) -> usize {
-        self.occupied_count
+        self.counts.occupied
     }
 
     /// Number of observed (free or occupied) leaf voxels. O(1): a counter
     /// kept by every leaf creation, so each materialised leaf counts once.
     pub fn known_voxel_count(&self) -> usize {
-        self.known_count
+        self.counts.known
     }
 
     /// Volume of observed space in cubic metres.
@@ -775,7 +961,7 @@ impl OctoMap {
     /// on top of this.
     pub fn occupied_voxel_centers_into(&self, centers: &mut Vec<Vec3>) {
         centers.clear();
-        centers.reserve(self.occupied_count);
+        centers.reserve(self.counts.occupied);
         for (&key, &slot) in &self.blocks {
             let block = unpack_voxel_key(key);
             let mut m = self.masks[slot as usize].occupied;
@@ -850,18 +1036,15 @@ impl OctoMap {
     }
 
     /// The slot of the block with packed key `block`, creating an empty
-    /// block on first touch. The previous update's block is checked first.
+    /// block on first touch.
     fn block_slot(&mut self, block: u64) -> usize {
-        if self.last_block.0 != block {
-            let next = self.masks.len() as u32;
-            let slot = *self.blocks.entry(block).or_insert(next);
-            if slot == next {
-                self.masks.push(BlockMasks::default());
-                self.log_odds.push([0.0; 64]);
-            }
-            self.last_block = (block, slot);
+        let next = self.masks.len() as u32;
+        let slot = *self.blocks.entry(block).or_insert(next);
+        if slot == next {
+            self.masks.push(BlockMasks::default());
+            self.log_odds.push([0.0; 64]);
         }
-        self.last_block.1 as usize
+        slot as usize
     }
 
     /// Reresolution's leaf update: adds the clamped `delta` to the leaf
@@ -897,36 +1080,12 @@ impl OctoMap {
     }
 
     /// Adds `delta` to the log-odds of the leaf of in-domain traversal cell
-    /// `cell`, clamped, and counts one leaf update.
-    ///
-    /// Every mutation of a leaf's log-odds flows through here — rays and
-    /// [`OctoMap::reresolved`] alike — so this is the one place the block
-    /// masks and the O(1) counters are kept in sync with the log-odds. An
-    /// update touches nothing but its block and the counters.
+    /// `cell`, clamped, and counts one leaf update: reresolution's way into
+    /// the blocks, one hash probe per update.
     fn update_cell(&mut self, cell: GridIndex, delta: f64) {
-        let (block, bit) = block_of(&cell);
-        let slot = self.block_slot(pack_voxel_key(&block));
-        self.updates += 1;
-        let mask = 1u64 << bit;
-        let masks = &mut self.masks[slot];
-        let value = &mut self.log_odds[slot][bit];
-        let created = masks.known & mask == 0;
-        let was_occupied = !created && *value > OCCUPIED_THRESHOLD;
-        *value = (*value + delta).clamp(CLAMP_MIN, CLAMP_MAX);
-        let now = *value > OCCUPIED_THRESHOLD;
-        masks.known |= mask;
-        if now != was_occupied {
-            if now {
-                masks.occupied |= mask;
-                self.occupied_count += 1;
-            } else {
-                masks.occupied &= !mask;
-                self.occupied_count -= 1;
-            }
-        }
-        if created {
-            self.known_count += 1;
-        }
+        let mut counts = self.counts;
+        self.visit(cell, true, NO_SLOT, delta, &mut counts);
+        self.counts = counts;
     }
 
     /// Every observed leaf's (centre, log-odds) as the pointer octree's
@@ -934,7 +1093,7 @@ impl OctoMap {
     /// the known masks list the leaves and their centres replay the walk's
     /// additions ([`OctoMap::axis_center`]).
     fn collect_leaves(&self) -> Vec<(Vec3, f64)> {
-        let mut leaves = Vec::with_capacity(self.known_count);
+        let mut leaves = Vec::with_capacity(self.counts.known);
         self.for_each_picked(
             |_, _, masks| masks.known,
             |key, (slot, bit)| leaves.push((key, self.log_odds[slot][bit])),
@@ -1241,9 +1400,7 @@ impl PartialEq for OctoMap {
             && self.requested_half_extent == other.requested_half_extent
             && self.depth == other.depth
             && self.grid == other.grid
-            && self.updates == other.updates
-            && self.occupied_count == other.occupied_count
-            && self.known_count == other.known_count
+            && self.counts == other.counts
             // Slots follow creation order, so blocks compare by coordinate.
             && self.blocks.len() == other.blocks.len()
             // mav-lint: allow(DET-HASH-ITER): all() over every block is order-independent
@@ -1359,6 +1516,38 @@ mod tests {
         }
     }
 
+    /// The (traversal-grid cell, log-odds delta) updates of one sensor ray,
+    /// in order: the cells of [`GridSpec::walk`] from `origin` to the end of
+    /// the ray (the endpoint, or the point 30 m out on a longer ray, which
+    /// hits nothing), the final one taking the hit. Cells outside the domain
+    /// are passed on too. The pointer-tree oracle inserts through this, so
+    /// it pins the block map's own insertion walk to `GridSpec::walk`.
+    fn for_each_ray_update(
+        grid: GridSpec,
+        origin: &Vec3,
+        endpoint: &Vec3,
+        mut apply: impl FnMut(GridIndex, f64),
+    ) {
+        let dir = *endpoint - *origin;
+        let range = dir.norm();
+        if range <= f64::EPSILON {
+            return;
+        }
+        let (end, hit) = if range > MAX_RANGE {
+            (*origin + dir.normalized() * MAX_RANGE, false)
+        } else {
+            (*endpoint, true)
+        };
+        grid.walk(origin, &end, |cell, last| {
+            let delta = if last && hit {
+                HIT_LOG_ODDS
+            } else {
+                -MISS_LOG_ODDS
+            };
+            apply(cell, delta);
+        });
+    }
+
     /// The original pointer-chasing octree, kept verbatim as a differential
     /// oracle: every node is a separate heap allocation reached through
     /// `Vec<Option<Node>>` child pointers, the layout the block map replaced.
@@ -1368,7 +1557,7 @@ mod tests {
     /// (its keys, its leaf set, its centres) shows up as a differential
     /// failure rather than a silent golden change.
     mod reference {
-        use super::{child_of, OctoMap, CLAMP_MAX, CLAMP_MIN};
+        use super::{child_of, for_each_ray_update, CLAMP_MAX, CLAMP_MIN};
         use mav_types::{GridSpec, Vec3};
 
         #[derive(Debug, Clone)]
@@ -1394,6 +1583,9 @@ mod tests {
             depth: u32,
             grid: GridSpec,
             root: Option<Node>,
+            /// In-domain leaf updates, as [`OctoMap::update_count`] counts
+            /// them.
+            updates: u64,
         }
 
         impl ReferenceMap {
@@ -1410,17 +1602,22 @@ mod tests {
                     requested_half_extent: half_extent,
                     depth,
                     root: None,
+                    updates: 0,
                 }
             }
 
-            /// Integrates one sensor ray with the shared ray enumeration, so the
-            /// oracle and the block map can only diverge in their *storage*
-            /// logic: the oracle descends from each cell centre by float compares
-            /// and drops out-of-domain centres with its own test, the block map
-            /// addresses each cell by integer key.
+            /// Number of in-domain leaf updates performed.
+            pub fn update_count(&self) -> u64 {
+                self.updates
+            }
+
+            /// Integrates one sensor ray through [`for_each_ray_update`]:
+            /// the oracle descends from each cell centre by float compares
+            /// and drops out-of-domain centres with its own test, where the
+            /// block map's insertion walk steps integer keys.
             pub fn insert_ray(&mut self, origin: &Vec3, endpoint: &Vec3) {
                 let grid = self.grid;
-                OctoMap::for_each_ray_update(grid, origin, endpoint, |cell, delta| {
+                for_each_ray_update(grid, origin, endpoint, |cell, delta| {
                     self.update_leaf(&grid.center_of(&cell), move |log_odds| {
                         *log_odds = (*log_odds + delta).clamp(CLAMP_MIN, CLAMP_MAX);
                     });
@@ -1473,6 +1670,7 @@ mod tests {
                 if !self.in_domain(point) {
                     return;
                 }
+                self.updates += 1;
                 let depth = self.depth;
                 let half = self.half_extent;
                 let root = self.root.get_or_insert_with(Node::new_inner);
@@ -1927,6 +2125,36 @@ mod tests {
         }
     }
 
+    /// A depth-1 map's domain (axis keys 0..2) ends inside its 4×4×4
+    /// blocks, so a walk that tested the domain only when it changed block
+    /// would write past the edge: these three rays would mark 8 voxels known
+    /// in 10 updates instead of 3 in 5. Such a map is a static resolution of
+    /// at least twice the requested half-extent.
+    #[test]
+    fn depth_one_domain_keeps_the_walk_inside() {
+        let origin = Vec3::new(0.3, 0.2, 0.1);
+        let endpoints = vec![
+            Vec3::new(3.7, 0.4, 0.2),
+            Vec3::new(-2.6, -0.3, 0.4),
+            Vec3::new(0.2, 3.3, -0.2),
+        ];
+        let mut map = OctoMap::new(1.0, 0.5);
+        let mut tree = reference::ReferenceMap::new(1.0, 0.5);
+        assert_eq!(map.depth(), 1);
+        for endpoint in &endpoints {
+            map.insert_ray(&origin, endpoint);
+            tree.insert_ray(&origin, endpoint);
+        }
+        assert_eq!(map.known_voxel_count(), 3);
+        assert_eq!(map.update_count(), 5);
+        assert_eq!(map.update_count(), tree.update_count());
+        assert_eq!(map.collect_leaves(), tree.collect());
+        assert!(map.collect_leaves().iter().all(|(c, _)| map.in_domain(c)));
+        let mut scanned = OctoMap::new(1.0, 0.5);
+        scanned.insert_point_cloud(&PointCloud::new(origin, endpoints));
+        assert_eq!(scanned, map);
+    }
+
     #[test]
     fn neighbouring_leaves_that_round_alike_are_both_counted_and_listed() {
         // At 0.8 m some neighbouring axis keys have centres that round to
@@ -2162,6 +2390,80 @@ mod tests {
             Ok(())
         }
 
+        /// The leaves (centres and log-odds bits), free voxels, counters and
+        /// point probes of the block map equal the pointer tree's.
+        fn check_same(
+            arena: &OctoMap,
+            tree: &ReferenceMap,
+            queries: &[Vec3],
+        ) -> Result<(), TestCaseError> {
+            prop_assert_eq!(arena.collect_leaves(), tree.collect());
+            prop_assert_eq!(arena.free_voxel_centers(), free_centers(tree));
+            prop_assert_eq!(arena.update_count(), tree.update_count());
+            check_counts(arena, tree)?;
+            for q in queries {
+                prop_assert_eq!(arena.leaf_log_odds(q), tree.leaf_log_odds(q));
+            }
+            Ok(())
+        }
+
+        /// Builds the block map and the pointer tree over the domain
+        /// `(resolution, half_extent)` from `rays` out of `origin`,
+        /// reresolves both to `new_res`, and inserts `more_rays`; the
+        /// block map takes the rays through insertion entry point `mode`,
+        /// the tree ray by ray. The two must agree ([`check_same`]) after
+        /// every stage.
+        fn check_against_tree(
+            (resolution, half_extent): (f64, f64),
+            new_res: f64,
+            mode: usize,
+            origin: &Vec3,
+            (rays, more_rays): (&[Vec3], &[Vec3]),
+            queries: &[Vec3],
+        ) -> Result<(), TestCaseError> {
+            let mut arena = OctoMap::new(resolution, half_extent);
+            let mut tree = ReferenceMap::new(resolution, half_extent);
+            insert_through(&mut arena, mode, origin, rays);
+            for endpoint in rays {
+                tree.insert_ray(origin, endpoint);
+            }
+            check_same(&arena, &tree, queries)?;
+            // Survives resolution switching (the dynamic-resolution
+            // policy) and further insertion on the rebuilt maps.
+            arena = arena.reresolved(new_res);
+            tree = tree.reresolved(new_res);
+            check_same(&arena, &tree, queries)?;
+            insert_through(&mut arena, mode, origin, more_rays);
+            for endpoint in more_rays {
+                tree.insert_ray(origin, endpoint);
+            }
+            check_same(&arena, &tree, queries)
+        }
+
+        /// Resolutions the small domains are reresolved to.
+        const SMALL_DOMAIN_RESOLUTIONS: [f64; 4] = [0.3, 0.5, 1.0, 2.0];
+
+        /// A point near the small domains of
+        /// `small_domains_match_reference_tree`, of one of the first
+        /// `kinds` kinds: anywhere within ±7 m (0), a corner of the 1 m
+        /// lattice (1), on a lattice plane of the x axis (2), or 45–70 m
+        /// out, past the 30 m truncation from any point of the other kinds
+        /// (3).
+        fn small_domain_point(kinds: usize) -> impl Strategy<Value = Vec3> {
+            (
+                0..kinds,
+                (-7.0..7.0, -7.0..7.0, -7.0..7.0),
+                (-7i64..=7, -7i64..=7, -7i64..=7),
+                45.0..70.0,
+            )
+                .prop_map(|(kind, (x, y, z), (i, j, k), far)| match kind {
+                    0 => Vec3::new(x, y, z),
+                    1 => Vec3::new(i as f64, j as f64, k as f64),
+                    2 => Vec3::new(i as f64, y, z),
+                    _ => Vec3::new(x, y, z).normalized() * far,
+                })
+        }
+
         /// Builds a map from `rays` sensor rays out of a fixed origin, at the
         /// resolution selected by `res_idx`.
         fn ray_map(res_idx: usize, rays: &[Vec3]) -> OctoMap {
@@ -2261,7 +2563,7 @@ mod tests {
                     let (mut arena, mut tree) = paired_maps(res_idx, &rays);
                     let mut crossed = std::collections::HashSet::new();
                     for endpoint in &rays {
-                        OctoMap::for_each_ray_update(arena.grid, &origin, endpoint, |cell, _| {
+                        for_each_ray_update(arena.grid, &origin, endpoint, |cell, _| {
                             if arena.in_domain(&arena.grid.center_of(&cell)) {
                                 crossed.insert(cell);
                             }
@@ -2282,8 +2584,9 @@ mod tests {
             }
 
             /// The block map produces the same leaves (same centres, same
-            /// log-odds bits) and answers point probes exactly like the
-            /// pointer tree, including through a reresolve → insert chain.
+            /// log-odds bits), counts the same leaf updates and answers
+            /// point probes exactly like the pointer tree, including through
+            /// a reresolve → insert chain.
             /// The block map receives the endpoints through every insertion
             /// entry point (`mode`), from origins inside and outside the
             /// domain (so clipped rays reach the key path), while the oracle
@@ -2301,33 +2604,48 @@ mod tests {
                 new_res_idx in 0usize..RESOLUTIONS.len(),
             ) {
                 let resolution = RESOLUTIONS[res_idx % RESOLUTIONS.len()];
-                let mut arena = OctoMap::new(resolution, 24.0);
-                let mut tree = ReferenceMap::new(resolution, 24.0);
-                insert_through(&mut arena, mode, &origin, &rays);
-                for endpoint in &rays {
-                    tree.insert_ray(&origin, endpoint);
-                }
-                prop_assert_eq!(arena.collect_leaves(), tree.collect());
-                prop_assert_eq!(arena.free_voxel_centers(), free_centers(&tree));
-                for q in &queries {
-                    prop_assert_eq!(arena.leaf_log_odds(q), tree.leaf_log_odds(q));
-                }
-                // Survives resolution switching (the dynamic-resolution
-                // policy) and further insertion on the rebuilt maps.
                 let new_res = RESOLUTIONS[new_res_idx % RESOLUTIONS.len()];
-                arena = arena.reresolved(new_res);
-                tree = tree.reresolved(new_res);
-                prop_assert_eq!(arena.collect_leaves(), tree.collect());
-                prop_assert_eq!(arena.free_voxel_centers(), free_centers(&tree));
-                insert_through(&mut arena, mode, &origin, &more_rays);
-                for endpoint in &more_rays {
-                    tree.insert_ray(&origin, endpoint);
-                }
-                prop_assert_eq!(arena.collect_leaves(), tree.collect());
-                prop_assert_eq!(arena.free_voxel_centers(), free_centers(&tree));
-                for q in &queries {
-                    prop_assert_eq!(arena.leaf_log_odds(q), tree.leaf_log_odds(q));
-                }
+                check_against_tree(
+                    (resolution, 24.0),
+                    new_res,
+                    mode,
+                    &origin,
+                    (&rays, &more_rays),
+                    &queries,
+                )?;
+            }
+
+            /// [`arena_matches_reference_tree`] on the shallowest domains:
+            /// 1 m voxels at half-extents 0.5, 2 and 4 m (depths 1, 2 and
+            /// 3). At depths 1 and 2 the domain edge cuts through a 4×4×4
+            /// block, so only the domain test keeps a ray inside. Origins
+            /// and endpoints lie inside and outside the domain, on the 1 m
+            /// lattice (where the walk's axis compares tie) or off it; one
+            /// ray has zero length, and endpoints 45–70 m out are truncated
+            /// at 30 m.
+            #[test]
+            fn small_domains_match_reference_tree(
+                depth_idx in 0usize..3,
+                mode in 0usize..2,
+                origin in small_domain_point(3),
+                rays in proptest::collection::vec(small_domain_point(4), 1..24),
+                more_rays in proptest::collection::vec(small_domain_point(4), 1..12),
+                zero_at in 0usize..24,
+                queries in proptest::collection::vec(small_domain_point(3), 1..16),
+                new_res_idx in 0usize..SMALL_DOMAIN_RESOLUTIONS.len(),
+            ) {
+                let half_extent = [0.5, 2.0, 4.0][depth_idx];
+                prop_assert_eq!(OctoMap::depth_for(1.0, half_extent), depth_idx as u32 + 1);
+                let mut rays = rays;
+                rays.insert(zero_at % (rays.len() + 1), origin);
+                check_against_tree(
+                    (1.0, half_extent),
+                    SMALL_DOMAIN_RESOLUTIONS[new_res_idx],
+                    mode,
+                    &origin,
+                    (&rays, &more_rays),
+                    &queries,
+                )?;
             }
 
             /// The mask-served free list returns bit-identical centres (same

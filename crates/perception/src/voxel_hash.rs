@@ -3,9 +3,10 @@
 
 /// A cheap multiply-xor hasher for integer voxel, block and cell keys.
 ///
-/// Every update that leaves the previous update's block hashes its block
-/// key, and downsampling hashes one cell key per point; the standard
-/// SipHash would cost more than either. Keys are adversary-free integers
+/// The insertion walk hashes a block key whenever a ray enters a new block
+/// (about one voxel update in four), reresolution once per leaf, and
+/// downsampling one cell key per point; the standard SipHash would cost
+/// more than any of them. Keys are adversary-free integers
 /// the program computes from its own geometry, so one SplitMix-style mix per
 /// integer is plenty.
 #[derive(Clone, Copy, Default)]

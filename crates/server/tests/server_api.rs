@@ -171,6 +171,10 @@ fn malformed_specs_get_400_with_json_error_body() {
             "max_range",
         ),
         (
+            r#"{"type":"mission","config":{"application":"package_delivery","battery":{"capacity_mah":0}}}"#,
+            "capacity_mah",
+        ),
+        (
             r#"{"type":"sweep","scenario":{"application":"scanning","rates":[]},"episodes":4}"#,
             "non-empty",
         ),

@@ -110,9 +110,11 @@ impl GridSpec {
 
     /// The traversal itself: calls `visit(cell, last)` for every cell
     /// [`GridSpec::traverse`] lists, in order, with `last` set on the final
-    /// cell only. Streaming callers (map insertion, the segment corridor
-    /// check) handle each cell as the walk reaches it instead of buffering
-    /// the ray.
+    /// cell only. A streaming caller (the occupancy map's segment corridor
+    /// check) handles each cell as the walk reaches it instead of buffering
+    /// the segment. Map insertion runs a loop of its own that repeats this
+    /// one's float operations and comparisons while carrying its block
+    /// between steps; the occupancy map's tests pin it to this walk.
     ///
     /// The final cell is the one containing `b`, except for a segment no
     /// longer than `f64::EPSILON` whose ends straddle a cell boundary: that

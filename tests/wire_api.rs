@@ -282,6 +282,37 @@ fn camera_view_is_bounded() {
     assert!(wide.validate().is_err());
 }
 
+/// A battery of zero capacity reports a NaN charge and one of negative
+/// capacity never drains, so both are spec errors, as are a pack without
+/// cells and per-cell voltages out of order; a one-cell pack whose nominal
+/// voltage is its full voltage passes.
+#[test]
+fn battery_is_validated() {
+    let spec = |battery: &str| {
+        let text = format!(r#"{{"application":"package_delivery","battery":{{{battery}}}}}"#);
+        MissionConfig::from_json(&Json::parse(&text).unwrap())
+    };
+    for (battery, field) in [
+        (r#""capacity_mah":0"#, "capacity_mah"),
+        (r#""capacity_mah":-100"#, "capacity_mah"),
+        (r#""capacity_mah":1e400"#, "capacity_mah"),
+        (r#""cells":0"#, "cells"),
+        (r#""cell_full_voltage":-4.2"#, "cell_full_voltage"),
+        (r#""cell_empty_voltage":4.3"#, "cell_empty_voltage"),
+        (r#""cell_nominal_voltage":4.5"#, "cell_nominal_voltage"),
+        (r#""cell_nominal_voltage":3.0"#, "cell_nominal_voltage"),
+    ] {
+        let err = spec(battery).expect_err(battery);
+        assert!(err.contains(field), "{battery}: {err}");
+    }
+    let config = spec(r#""cells":1,"cell_nominal_voltage":4.2"#).unwrap();
+    assert_eq!(config.battery.cells, 1);
+    let mut empty = config;
+    empty.battery.capacity_mah = 0.0;
+    let err = empty.validate().expect_err("zero capacity");
+    assert!(err.contains("battery"), "{err}");
+}
+
 /// A clock too slow to simulate is a spec error: kernel latencies scale by
 /// 2.2 GHz / f, so 1e-9 GHz turns one kernel charge into about 2e8
 /// simulated seconds of physics steps and hangs the worker running it. The
